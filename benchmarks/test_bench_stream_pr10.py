@@ -17,7 +17,6 @@ PR-10 fast path, and writes ``BENCH_PR10.json`` at the repo root:
   so the fast path may legitimately run deeper blocks than the PR-6
   baseline config pinned for comparability (6.5 ms of stream per block
   at 20 Msps, still far below a frame's own duration).
-* **fft_d8** — the overlap-save FFT fold kernel, head-to-head.
 * **pooled_jobs2_d8** — the headline config through the persistent
   worker pool, asserted bit-identical to its serial run.
 
@@ -26,8 +25,8 @@ Equivalence asserted here, not just speed:
 * grouped and batched frame lists are **bit-identical** per
   configuration (same frames, order, payloads, band powers);
 * the CRC-valid frame multiset — ``(channel, payload bits)`` — is
-  identical across exact mode, fast d4, fast d8, the fft kernel, and
-  the pooled run, and matches the scheduled traffic.
+  identical across exact mode, fast d4, fast d8 and the pooled run,
+  and matches the scheduled traffic.
 
 The headline speed gate (batched d8 deep >= 1.5x the same-run PR-6
 baseline) is asserted with the PR-6 noise floor convention: the JSON
@@ -168,10 +167,6 @@ def test_bench_stream_pr10():
             make(DEEP_BLOCK, scan_kernel="batched", decimation=8),
             DEEP_BLOCK,
         ),
-        "fft_d8": (
-            make(BASE_BLOCK, scan_kernel="fft", decimation=8),
-            BASE_BLOCK,
-        ),
     }
     frames, best = _interleaved_best(
         {key: run for key, (run, _) in configs.items()}, REPEATS
@@ -185,13 +180,13 @@ def test_bench_stream_pr10():
     d8_fields = _frame_fields(frames["batched_d8"])
     assert _frame_fields(frames["batched_d8_deep"]) == d8_fields
 
-    # Across product domains and fold kernels: identical CRC-valid
+    # Across product domains: identical CRC-valid
     # payload multisets, all matching the scheduled traffic.
     crc_ref = _crc_multiset(frames["serial_grouped_d4"])
     exact_engine = StreamEngine(demux=True, decimation=4, mode="exact")
     exact_frames = exact_engine.run(traffic.blocks(samples, BASE_BLOCK))
     assert _crc_multiset(exact_frames) == crc_ref
-    for key in ("batched_d4", "batched_d8", "batched_d8_deep", "fft_d8"):
+    for key in ("batched_d4", "batched_d8", "batched_d8_deep"):
         assert _crc_multiset(frames[key]) == crc_ref, key
     assert len(crc_ref) == len(truth)
 

@@ -1170,10 +1170,9 @@ def build_parser():
     listen.add_argument(
         "--scan-kernel", choices=tuple(SCAN_KERNELS), metavar="KERNEL",
         default=DEFAULT_SCAN_KERNEL,
-        help="preamble scan backend: 'batched' (default; 2-D batched "
-             "cascade, bit-identical to 'grouped'), 'grouped' (PR-5 "
-             "reference), 'fft' (overlap-save FFT fold profile, "
-             "decode-equivalent)",
+        help="preamble scan backend: 'batched' (default; event walk "
+             "over the sparse hot index, bit-identical to 'grouped'), "
+             "'grouped' (PR-5 reference)",
     )
     listen.add_argument(
         "--float32", action="store_true",

@@ -446,74 +446,6 @@ def preamble_fold_exact(u, bit_period, folds):
     return out
 
 
-def preamble_fold_fft(u, bit_period, folds, fft_size=None):
-    """Overlap-save FFT preamble cross-correlation.
-
-    Same output positions as :func:`preamble_fold_exact`, computed as an
-    overlap-save convolution with the time-reversed bit-period comb
-    (``folds`` unit taps spaced ``bit_period`` apart, span ``(folds - 1)
-    * bit_period + 1``): each FFT segment contributes ``fft_size -
-    span`` outputs after discarding the circular wrap-around region,
-    exactly like :func:`fir_fft`.  Values differ from the exact profile
-    by FFT accumulation error (~1e-13 relative in float64), so this is
-    a ``fast``-mode backend only; input precision is preserved
-    (complex64 streams come back complex64).
-
-    Honest benchmark note: the comb has only ``folds`` non-zero taps
-    (4 for the SymBee preamble), so the direct profile is ``folds - 1``
-    vector adds per output while the FFT path pays two full transforms
-    per segment — the FFT only wins for preambles long enough that
-    ``folds`` approaches ``log2(fft_size)`` territory.  It exists as a
-    registry backend so that trade is measured, not assumed.
-    """
-    u = np.asarray(u)
-    bit_period = int(bit_period)
-    folds = int(folds)
-    if folds < 1:
-        raise ValueError("folds must be >= 1")
-    span = (folds - 1) * bit_period
-    n = u.size - span
-    if n <= 0:
-        return u[:0].copy()
-    if folds == 1:
-        return u[:n].copy()
-    out_dtype = u.dtype if u.dtype == np.complex64 else np.complex128
-    ntaps = span + 1
-    if fft_size is None:
-        # Power of two at least 4x the comb span: the comb is sparse, so
-        # larger segments only amortize transform setup, not tap count.
-        fft_size = 1 << max(10, int(np.ceil(np.log2(4 * ntaps))))
-    if fft_size < 2 * ntaps:
-        raise ValueError("fft_size must be at least twice the comb span")
-    # Time-reversed comb: taps[span - k * bit_period] = 1 makes the
-    # causal convolution output at index span equal the correlation
-    # output at index 0.
-    taps = np.zeros(ntaps, dtype=np.complex128)
-    taps[span - bit_period * np.arange(folds)] = 1.0
-    h = np.fft.fft(taps, fft_size)
-    step = fft_size - span
-    out = np.empty(n, dtype=out_dtype)
-    z = np.asarray(u, dtype=np.complex128)
-    for lo in range(0, n, step):
-        seg = z[lo : lo + fft_size]
-        if seg.size < fft_size:
-            seg = np.concatenate(
-                (seg, np.zeros(fft_size - seg.size, dtype=np.complex128))
-            )
-        filt = np.fft.ifft(np.fft.fft(seg) * h)
-        take = min(step, n - lo)
-        out[lo : lo + take] = filt[span : span + take]
-    return out
-
-
-def preamble_fold(u, bit_period, folds, mode="exact"):
-    """Preamble comb correlation through the selected kernel mode."""
-    if mode == "exact":
-        return preamble_fold_exact(u, bit_period, folds)
-    validate_mode(mode)
-    return preamble_fold_fft(u, bit_period, folds)
-
-
 __all__ = [
     "KERNEL_MODES",
     "validate_mode",
@@ -529,7 +461,5 @@ __all__ = [
     "polyphase_decimate",
     "polyphase_decimate_exact",
     "polyphase_decimate_fast",
-    "preamble_fold",
     "preamble_fold_exact",
-    "preamble_fold_fft",
 ]

@@ -3,30 +3,25 @@
 The session's search state is by far the hottest idle path — a receiver
 at 20 Msps spends almost all of its time scanning noise for a preamble,
 not decoding frames — so the scanner is a swappable backend benchmarked
-head-to-head (the same framing the exact/fast registry in
-:mod:`repro.dsp.kernels` gives the arithmetic kernels) rather than a
-hardcoded loop:
+head-to-head rather than a hardcoded loop:
 
 * ``grouped`` — the PR-5 scanner: dense count/coherence gates over
   groups of 8 chunks, then a Python loop running the concentration
   stage per surviving chunk.  Kept as the reference implementation.
-* ``batched`` (default) — the whole gate cascade evaluated over a
-  strided 2-D view of many chunks per vector dispatch: one masked
-  row-max replaces the per-chunk ``np.where``/``max`` pair, the
-  concentration stage runs for every surviving chunk in one batch, and
-  the Python loop shrinks to the cluster-anchor arithmetic of chunks
-  that cleared *every* dense gate.  **Bit-identical decisions and
-  metrics** to ``grouped``: every gate is a pure function of one
-  chunk's cache slice and both kernels compare exactly the same floats,
-  so batching cannot change an outcome (asserted by the test suite).
-* ``fft`` — the ``batched`` cascade over a fold profile computed by the
-  overlap-save FFT comb correlation
-  (:func:`repro.dsp.kernels.preamble_fold_fft`) instead of the exact
-  direct fold.  Decode-equivalent, not bit-identical: the FFT profile
-  differs from the exact one at ~1e-13 relative, well inside the gate
-  slack.  Exists so the FFT-vs-direct trade is measured, not assumed —
-  with only ``folds = 4`` comb taps the direct fold is 3 vector adds
-  and usually wins.
+* ``batched`` (default) — an event walk over the sparse *hot index*
+  (the positions that could clear the concentration floor, kept by the
+  session's windowed caches).  Every capture anchors on a hot position,
+  so chunks with none are misses that cost no arithmetic at all: the
+  walk jumps straight to the first chunk holding the next hot
+  position, gates it from two cached prefix entries and one slice max,
+  and runs the rest of the cascade over that chunk's few hot entries
+  in plain Python.  **Bit-identical decisions and metrics** to
+  ``grouped``: both kernels compare exactly the same floats, and the
+  walk skips only chunks the dense cascade provably rejects (asserted
+  by the test suite, with the metrics registry on and off).
+
+Both kernels build their caches from the exact direct fold
+(:func:`repro.dsp.kernels.preamble_fold_exact`).
 """
 
 from dataclasses import dataclass
@@ -41,16 +36,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScanKernel:
-    """One scanner backend: cascade shape + fold-profile arithmetic."""
+    """One scanner backend."""
 
     name: str
-    #: Whether the gate cascade runs over the strided 2-D chunk batch
-    #: (one vector dispatch per gate) or the PR-5 per-chunk loop.
+    #: Whether the session runs the hot-index walk (over windowed
+    #: caches) or the PR-5 per-group dense cascade.
     batched: bool
-    #: :func:`repro.dsp.kernels.preamble_fold` mode used to build the
-    #: derived fold-profile caches ("exact" keeps the bit-identity
-    #: contract; "fast" is the overlap-save FFT correlation).
-    fold_mode: str
     description: str
 
 
@@ -58,23 +49,14 @@ SCAN_KERNELS = {
     "grouped": ScanKernel(
         name="grouped",
         batched=False,
-        fold_mode="exact",
         description="PR-5 reference: dense gates per 8-chunk group, "
         "per-chunk Python cascade",
     ),
     "batched": ScanKernel(
         name="batched",
         batched=True,
-        fold_mode="exact",
-        description="full cascade over a strided 2-D chunk batch, "
+        description="event walk over the sparse hot index, "
         "bit-identical to grouped",
-    ),
-    "fft": ScanKernel(
-        name="fft",
-        batched=True,
-        fold_mode="fast",
-        description="batched cascade over the overlap-save FFT comb "
-        "correlation profile (decode-equivalent)",
     ),
 }
 

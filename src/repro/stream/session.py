@@ -40,32 +40,35 @@ itself (``np.cumsum`` is a strict left fold, so continuing it from a
 running total is bit-identical to one whole-stream pass) — so cache
 slices taken at any moment contain the same floats for any push sizes.
 :meth:`StreamSession._search_scan` then evaluates the whole cascade for
-every buffered chunk in a handful of vectorized passes (count floor,
-relative coherence, concentration, cluster-peak anchor — the same
-decisions in the same order as ``capture_preamble``, including its
-outcome metrics), touching each product a constant number of times no
-matter how often header rejects rewind across it.  The windowed
+every buffered chunk from those caches (count floor, relative
+coherence, concentration, cluster-peak anchor — the same decisions in
+the same order as ``capture_preamble``, including its outcome
+metrics), touching each product a constant number of times no matter
+how often header rejects rewind across it.  The windowed
 coherence/concentration sums come from prefix differences rather than
 per-chunk summation, so their last ~1e-11 (float64) differs from
 ``capture_preamble``'s; the gates have 0.2 of slack and the values are
 used consistently, so decisions are deterministic and block-size
 invariant either way.
 
-**The scan-kernel registry (PR 10).**  ``_search_scan`` is bound at
-construction from :mod:`repro.stream.scan`: ``grouped`` keeps the PR-5
-cascade (dense gates per 8-chunk group, per-chunk Python loop) as the
-reference, ``batched`` (default) evaluates every gate over a strided
-2-D view of all buffered chunks in one vector dispatch per gate, and
-``fft`` runs the batched cascade over the overlap-save FFT fold
-profile.  ``grouped`` and ``batched`` compare exactly the same floats
-chunk by chunk, so their decisions — and their outcome metrics — are
-bit-identical by construction.  When the metrics registry is disabled
-the batched kernel additionally fuses the header gate into the scan
-loop: a scan hit evaluates the 24-bit header word in place and a
-reject rewinds the origin without leaving the loop, skipping the
-search→header→search state dispatch that dominates signal-dense
-streams (with metrics enabled every hit routes through the reference
-state machine so the metric stream is unchanged).
+**The scan kernels.**  ``_search_scan`` is bound at construction from
+:mod:`repro.stream.scan`: ``grouped`` keeps the PR-5 cascade (dense
+gates per 8-chunk group, per-chunk Python loop) as the reference, and
+``batched`` (default) is an *event walk* over the sparse hot index —
+the positions that could clear the concentration floor, maintained by
+:meth:`_DerivedStreams.extend_windowed` together with their cached
+gate inputs.  Every capture anchors on a hot position, so the walk
+jumps from hot position to hot position: chunks holding none are
+misses settled without arithmetic, and a chunk holding one is gated
+from two prefix entries, one slice max and a short Python pass over
+its hot entries.  Both kernels reach the same decisions from the same
+floats, so frames and outcome metrics are bit-identical (the argument
+sits next to the walk).  When the metrics registry is disabled the
+walk also fuses the header gate: a hit evaluates the 24-bit header
+word in place and a reject rewinds the origin without leaving the
+walk, skipping the search→header→search state dispatch that dominates
+reject chains (with metrics enabled every hit routes through the
+reference state machine so the metric stream is unchanged).
 
 **Working dtype.**  ``dtype=numpy.complex64`` (the fast kernel mode's
 optional float32 working precision) halves the memory traffic of every
@@ -80,6 +83,7 @@ precision; they are kept in int32, which bounds a single session at
 bench horizon, and a deliberate trade for halved prefix traffic.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +106,7 @@ from repro.core.preamble import (
     _MISS_COUNT,
     capture_preamble,
 )
-from repro.dsp.kernels import preamble_fold
+from repro.dsp.kernels import preamble_fold_exact
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 from repro.stream.scan import DEFAULT_SCAN_KERNEL, validate_scan_kernel
@@ -114,21 +118,6 @@ _HEADER_BITS = 24
 #: header-reject cycle near the origin never pays for dense statistics
 #: across everything buffered behind it.
 _SCAN_GROUP_CHUNKS = 8
-
-#: Batched scanner pass sizing: the first pass of every ``_search`` call
-#: covers ``_SCAN_BATCH_MIN`` chunks (the post-header-reject rescan cost
-#: stays bounded exactly like the grouped kernel's cap), then each
-#: further pass in the same call grows by ``_SCAN_BATCH_GROWTH`` up to
-#: ``_SCAN_BATCH_MAX`` — deep buffers (large blocks, long noise gaps)
-#: amortize the dispatches over wider and wider 2-D batches.  Batch
-#: sizing cannot change any decision: every gate is a pure function of
-#: one chunk's cache slice.
-_SCAN_BATCH_MIN = 8
-_SCAN_BATCH_GROWTH = 4
-_SCAN_BATCH_MAX = 64
-
-#: Shared empty row-index array for batches with nothing to look at.
-_EMPTY_ROWS = np.empty(0, dtype=np.intp)
 
 
 def _unit_from_products(chunk, fill, out=None):
@@ -168,6 +157,16 @@ def _unit_phasors(decoder, chunk):
     """
     fill = decoder.rotation
     return _unit_from_products(chunk, 1.0 + 0.0j if fill is None else fill)
+
+
+def _header_valid(version, frame_type, length):
+    """Whether decoded header fields name a frame the parser accepts."""
+    return (
+        version == VERSION
+        and frame_type <= MAX_KNOWN_FRAME_TYPE
+        and not FRAME_TYPE_ACK < frame_type < FRAME_TYPE_TRANSPORT_BASE
+        and length <= MAX_DATA_BITS
+    )
 
 
 _FRAMES = REGISTRY.counter("stream.session.frames")
@@ -374,7 +373,6 @@ class _DerivedStreams:
         decoder,
         folds,
         dtype=np.complex128,
-        fold_mode="exact",
         capture_floor=None,
         coherence_min=0.5,
         scan_stride=None,
@@ -383,15 +381,12 @@ class _DerivedStreams:
         self.window = decoder.window
         self.folds = int(folds)
         self.span = (self.folds - 1) * self.bit_period
-        #: :func:`repro.dsp.kernels.preamble_fold` backend building the
-        #: fold profile ("exact" = fixed-order direct adds, the
-        #: bit-identity reference; "fast" = overlap-save FFT comb
-        #: correlation, decode-equivalent).
-        self.fold_mode = str(fold_mode)
         fill = decoder.rotation
         self._fill = 1.0 + 0.0j if fill is None else complex(fill)
         cdtype = np.dtype(dtype)
         rdtype = np.dtype(np.float32 if cdtype == np.complex64 else np.float64)
+        #: Scalar type of the float caches (what thresholds round to).
+        self.float_type = rdtype.type
         self._u = _StreamBuffer(cdtype)
         #: One past the last stream position with a computed fold value.
         self.profile_end = 0
@@ -405,7 +400,7 @@ class _DerivedStreams:
         # at.  Header rejects rewind the origin by one bit period and
         # rescan everything buffered ahead, re-deriving the same values
         # ~8x on capture-dense streams; computing them once per position
-        # in extend_windowed() turns every rescan into zero-copy slicing.
+        # in extend_windowed() turns every rescan into cache reads.
         # The grouped kernel never calls extend_windowed(), so sessions
         # on the reference scanner pay nothing for these.
         self._capture_floor = (
@@ -439,9 +434,16 @@ class _DerivedStreams:
         #: some position in ``[q, q + stride]`` passes — a sliding *any*,
         #: answered by one prefix difference per chunk.
         self.cohpass_prefix = _PrefixSum(np.int32)
-        #: Sorted absolute positions that could pass the concentration
-        #: gate for *some* chunk alignment (see extend_windowed).
-        self.hot = np.empty(0, dtype=np.int64)
+        #: The hot index: sorted absolute positions that could pass the
+        #: concentration gate for *some* chunk alignment (see
+        #: extend_windowed), with their ``cohcand_win`` / ``conc_win`` /
+        #: ``count_win`` values alongside as Python scalars (exact: a
+        #: float32 converts to float64 losslessly).  Append-only lists,
+        #: trimmed from the front: the walk only ever reads them.
+        self.hot_pos = []
+        self.hot_coh = []
+        self.hot_conc = []
+        self.hot_count = []
 
     def extend(self, products):
         if products.size:
@@ -458,11 +460,8 @@ class _DerivedStreams:
         # never depends on the surrounding slice.  The kernel always
         # returns a fresh array, so the unit reduction below may reuse
         # it in place.
-        prof = preamble_fold(
-            self._u.view(lo, hi + self.span),
-            self.bit_period,
-            self.folds,
-            mode=self.fold_mode,
+        prof = preamble_fold_exact(
+            self._u.view(lo, hi + self.span), self.bit_period, self.folds
         )
         self.profile_end = hi
         # angle(prof) < 0 without computing angles: atan2 is negative
@@ -500,13 +499,12 @@ class _DerivedStreams:
           chunk's fused count+coherence verdict (does *any* window
           start in ``[q, q + stride]`` pass?) is one prefix
           difference,
-        * ``hot`` — sorted positions where ``conc_win >= 0.6`` *and*
-          ``cohcand_win >= coherence_min``.  Any chunk whose best
-          masked concentration could clear the absolute floor must
-          contain one (the kept-mask threshold is ``>= coherence_min``
-          and float casts are monotonic), so a chunk with no hot
-          position in range is a concentration miss with no further
-          arithmetic.
+        * the hot index (``hot_pos`` and its value lists) — positions
+          where ``conc_win >= 0.6`` *and* ``cohcand_win >=
+          coherence_min``, both compared in working precision.  Every
+          position that can survive the concentration gate is hot (see
+          :meth:`StreamSession._scan_batched`), so the scan walks these
+          events instead of the dense chunk grid.
         """
         w = self.window
         lo = self.win_end
@@ -543,6 +541,15 @@ class _DerivedStreams:
         np.sqrt(mag, out=mag)
         conc = self.conc_win.alloc(n)
         np.multiply(mag, 1.0 / w, out=conc)
+        self._index(lo, counts, cohcand, conc)
+        self.win_end = hi
+
+    def _index(self, lo, counts, cohcand, conc):
+        """Extend ``cohpass_prefix`` and the hot index from new windows.
+
+        ``counts`` / ``cohcand`` / ``conc`` are the freshly cached
+        statistics of window starts ``lo, lo + 1, ...``.
+        """
         cpass = cohcand >= self._coh_pass
         self.cohpass_prefix.extend(cpass)
         if float(self._coh_pass) == self._coherence_min:
@@ -557,9 +564,11 @@ class _DerivedStreams:
         hm &= coh_hot
         hot = hm.nonzero()[0]
         if hot.size:
+            self.hot_coh += cohcand[hot].tolist()
+            self.hot_conc += conc[hot].tolist()
+            self.hot_count += counts[hot].tolist()
             hot += lo
-            self.hot = np.concatenate([self.hot, hot])
-        self.win_end = hi
+            self.hot_pos += hot.tolist()
 
     def trim(self, lo):
         self._u.trim(self.profile_end)
@@ -571,8 +580,15 @@ class _DerivedStreams:
         self.cohcand_win.trim(lo)
         self.conc_win.trim(lo)
         self.cohpass_prefix.trim(lo)
-        if self.hot.size and self.hot[0] < lo:
-            self.hot = self.hot[np.searchsorted(self.hot, lo):]
+        # The walk consumes nearly every hot entry before the session
+        # trims, so dropping the dead prefix moves only the few live
+        # entries past the origin.
+        dead = bisect_left(self.hot_pos, lo)
+        if dead:
+            del self.hot_pos[:dead]
+            del self.hot_coh[:dead]
+            del self.hot_conc[:dead]
+            del self.hot_count[:dead]
 
 
 @dataclass(frozen=True)
@@ -677,7 +693,6 @@ class StreamSession:
             decoder,
             self.folds,
             self.dtype,
-            fold_mode=spec.fold_mode,
             capture_floor=decoder.window - tau,
             coherence_min=self.coherence_min,
             scan_stride=self.stride,
@@ -686,7 +701,13 @@ class StreamSession:
         #: shapes repeat every call, and arange dominates small calls.
         self._edges_cache = {}
         self._starts_cache = {}
-        self._header_gather = None
+        # The 24-bit header word as one gather: vote-prefix offsets of
+        # the 48 window edges (starts, then ends) and the bit weights.
+        starts = decoder.bit_period * np.arange(_HEADER_BITS, dtype=np.int64)
+        self._header_gather = (
+            np.concatenate((starts, starts + decoder.window)),
+            1 << np.arange(_HEADER_BITS - 1, -1, -1, dtype=np.int64),
+        )
         self._state = "search"
         self._origin = 0          # absolute origin of the next scan chunk
         self._n0 = 0              # absolute preamble index of current capture
@@ -962,308 +983,174 @@ class StreamSession:
         return True
 
     def _scan_batched(self, chunks):
-        """Batched scan: the masked cascade over whole chunk batches.
+        """Event walk over the sparse hot index.
 
-        Decision- and metric-identical to :meth:`_scan_grouped` — both
-        kernels compare exactly the same cache floats and every gate is
-        a pure function of one chunk's slice — but the per-chunk work
-        collapses to almost nothing:
+        Decision- and metric-identical to :meth:`_scan_grouped`, but the
+        cost follows the hot index instead of the chunk grid.  From the
+        origin ``o`` the walk bisects to the first hot position
+        ``h >= o``; the first chunk holding it starts at ``q = o + k*s``
+        with ``k = max(0, ceil((h - o - s) / s))``, and every chunk in
+        ``[o, q)`` is a miss.  Chunk ``q`` is gated by the fused
+        count+coherence test (two ``cohpass_prefix`` entries), then
+        :meth:`_hot_cascade` runs the rest of the cascade over the hot
+        entries of ``[q, q + s]``.  A miss or a late hit (``n0 >= s``)
+        moves the walk on to ``q + s``.
 
-        * **windowed statistics are cached, not derived**: every gate
-          input (windowed vote count, candidate-masked coherence,
-          concentration magnitude) is a pure function of absolute
-          stream position, maintained once per position by
-          :meth:`_DerivedStreams.extend_windowed`.  Header-reject
-          rescans — which re-cover everything buffered ahead of the
-          reject, the dominant scan cost on capture-dense streams —
-          become zero-copy slices of those caches.
-        * **count + coherence fused**: a chunk clears the fused gate
-          iff *some* window start in its inclusive range has a
-          candidate coherence over the floor — a sliding *any*,
-          answered for the whole batch by one strided difference of
-          the cached pass-count prefix (``cohpass_prefix``).  The
-          threshold is pre-adjusted so the working-precision compare
-          equals the float64 verdict the grouped kernel reaches per
-          chunk with its pre-gate plus an in-loop ``np.where``/``max``
-          pair (same coherence-miss totals, split between its two
-          stages).
-        * **concentration via the hot index**: the cache keeps the
-          sorted positions that could pass the concentration floor
-          under any chunk-relative mask, so one ``searchsorted`` per
-          batch finds the chunks worth an exact look; the rest are
-          concentration misses with no arithmetic at all.  Only those
-          (rare) chunks run the grouped kernel's own scalar cascade.
+        Why skipping chunks is exact:
 
-        Batch sizing follows ``_SCAN_BATCH_MIN/GROWTH/MAX``: small
-        first pass, so header-reject rescans stay as cheap as the
-        grouped kernel's 8-chunk cap, then growing passes while
-        draining deep buffers — sizing cannot change an outcome, it
-        only widens the dispatch.
+        * a kept position has ``cohcand >= f32(coherence_min)`` (the
+          relative threshold is never below ``coherence_min``, and
+          rounding to the working dtype is monotonic), and a survivor
+          has ``conc >= f32(0.6)`` — so every survivor is hot, and the
+          capture anchor (inside the first survivor cluster) is too;
+        * no working-precision float lies in ``[0.6, f32(0.6))``, so a
+          chunk with no *kept* hot position has a best concentration
+          below 0.6 exactly as the dense cascade computes it: a
+          concentration miss, or an earlier count/coherence miss;
+        * the dense cascade compares Python-float thresholds against
+          working-dtype arrays, which NEP 50 weak-casts to the array
+          dtype, so the scalar code compares against
+          ``dtype.type(threshold)``, never the float64 value; the hot
+          lists hold the cached values exactly (float32 → Python float
+          is lossless), so every comparison is the dense cascade's own.
+
+        With the registry on, the walk records what ``grouped`` records:
+        ``_HIT`` and a coherence observation for every hit (late hits
+        included), a coherence or concentration miss for a gated chunk
+        that misses, and the count/coherence/concentration split of
+        every skipped range in bulk (:meth:`_count_skipped`); an accept
+        hands over to :meth:`_header`.  With it off, an accept gates the
+        24-bit header word in place and a reject rewinds the origin to
+        ``n0 + bit_period`` without leaving the walk — the state
+        transitions, session counters and decisions of the
+        state-machine path, in fewer Python frames.
         """
         s = self.stride
-        w = self.decoder.window
-        folds = self.folds
-        tau = self.decoder.tau if self.capture_tau is None else int(self.capture_tau)
-        floor = w - tau
-        coh_min = self.coherence_min
-        slack = self.coherence_slack
-        ninf = -np.inf
+        bp = self.decoder.bit_period
         derived = self._derived
         derived.extend_windowed()
-        hot = derived.hot
-        # Fast path: after a header-reject rewind the accepted chunk is
-        # usually the very first one — gate it with two scalar prefix
-        # reads and, when it might hit, run its cascade on stride-sized
-        # views, skipping the batched dispatch entirely.  Commits only
-        # on an accept (whose only metric effects are the hit counters
-        # recorded here); every other outcome falls through with no
-        # side effects and the dense pass below re-derives it from the
-        # same cache floats.
-        #
-        # When nobody is watching the metrics the accept also gates the
-        # header word right here (the same gather :meth:`_header` runs)
-        # — a reject then rewinds the origin one bit period and loops
-        # without bouncing through the ``_advance``/``_search`` state
-        # machinery, whose per-transition dispatch dominates the cost
-        # of capture-dense reject chains.  State transitions, session
-        # counters, and every decision are identical to taking the
-        # machinery path; it is purely fewer python frames per reject.
-        bp = self.decoder.bit_period
-        registry_off = not REGISTRY.enabled
-        # Raw cache arrays hoisted out of the reject loop: nothing
-        # extends or trims the derived buffers while a scan runs, so
-        # (data, physical offset) pairs stay valid across iterations
-        # and replace a bounds-checked .view() call per access.
+        metered = REGISTRY.enabled
+        hot_pos = derived.hot_pos
+        n_hot = len(hot_pos)
+        # Raw cache arrays: nothing extends or trims the derived buffers
+        # while a scan runs, so (data, offset) pairs stay valid and
+        # replace a bounds-checked .view() per access.
         cb = derived.cohpass_prefix._buf
         cpd, cpo = cb._data, cb._start - cb.base
-        chb = derived.cohcand_win
-        chd, cho = chb._data, chb._start - chb.base
-        cnb = derived.conc_win
-        cnd, cno = cnb._data, cnb._start - cnb.base
-        ctb = derived.count_win
-        ctd, cto = ctb._data, ctb._start - ctb.base
         mpb = derived.mask_prefix._buf
         mpd, mpo = mpb._data, mpb._start - mpb.base
         hdr_span = (_HEADER_BITS - 1) * bp + self.decoder.window
         buf_end = self._buf.end
-        scan_len = self.scan_len
-        cached = self._header_gather
-        if cached is None:
-            starts = bp * np.arange(_HEADER_BITS, dtype=np.int64)
-            idx = np.concatenate((starts, starts + self.decoder.window))
-            weights = 1 << np.arange(
-                _HEADER_BITS - 1, -1, -1, dtype=np.int64
-            )
-            cached = self._header_gather = (idx, weights)
-        hdr_idx, hdr_weights = cached
-        tau_sync = self.decoder.tau_sync
-        while chunks:
-            o = self._origin
-            if cpd[cpo + o + s + 1] <= cpd[cpo + o]:
-                break
-            h0 = hot.searchsorted(o)
-            if h0 >= hot.size or hot[h0] > o + s:
-                break
-            a = cho + o
-            coh_c = chd[a : a + s + 1]
-            kept = coh_c >= max(float(coh_c.max()) - slack, coh_min)
-            a = cno + o
-            conc_c = np.where(kept, cnd[a : a + s + 1], ninf)
-            best_conc = float(conc_c.max())
-            if best_conc < 0.6:
-                break
-            surv = conc_c >= max(best_conc - slack, 0.6)
-            cand_pos = surv.nonzero()[0]
-            first = int(cand_pos[0])
-            breaks = (cand_pos[1:] - cand_pos[:-1] > 1).nonzero()[0]
-            cluster_end = (
-                int(cand_pos[breaks[0]])
-                if breaks.size
-                else int(cand_pos[-1])
-            )
-            a = cto + o + first
-            n0 = first + int(
-                np.argmax(ctd[a : a + cluster_end - first + 1])
-            )
-            if n0 >= s:
-                break
-            coherence = float(coh_c[n0]) if surv[n0] else 1.0
-            self._n0 = o + n0
-            self._data_start = self._n0 + folds * bp
-            self._coherence = coherence
-            if registry_off:
-                end = self._data_start + hdr_span
-                if buf_end >= end:
-                    # The exact word gate _header runs, inlined: on a
-                    # reject, rewind and keep scanning chunk 0 in-loop.
-                    a = mpo + self._data_start
-                    edges = mpd[a : a + hdr_span + 1][hdr_idx]
-                    votes = edges[_HEADER_BITS:] - edges[:_HEADER_BITS]
-                    word = int((votes >= tau_sync) @ hdr_weights)
-                    version = (word >> (_HEADER_BITS - 4)) & 0xF
-                    frame_type = (word >> (_HEADER_BITS - 8)) & 0xF
-                    length = (word >> (_HEADER_BITS - 16)) & 0xFF
-                    if (
-                        version != VERSION
-                        or frame_type > MAX_KNOWN_FRAME_TYPE
-                        or (
-                            FRAME_TYPE_ACK
-                            < frame_type
-                            < FRAME_TYPE_TRANSPORT_BASE
-                        )
-                        or length > MAX_DATA_BITS
-                    ):
-                        self.header_rejects += 1
-                        self._origin = self._n0 + bp
-                        avail = buf_end - self._origin
-                        if avail < scan_len:
-                            # Blocked (or the end-of-stream partial):
-                            # hand back to _search, which knows what to
-                            # do with the remainder.
-                            return True
-                        chunks = 1 + (avail - scan_len) // self.stride
-                        continue
-                    self._total_bits = frame_overhead_bits() + length
-                    self._state = "body"
-                    return True
-            else:
-                _HIT.inc()
-                _COHERENCE.observe(coherence)
-            self._state = "header"
-            return True
-        done = 0
-        batch = _SCAN_BATCH_MIN
-        while done < chunks:
-            gn = min(batch, chunks - done)
-            batch = min(batch * _SCAN_BATCH_GROWTH, _SCAN_BATCH_MAX)
-            o = self._origin
-            n_starts = gn * s + 1
-            # Fused count + coherence gate: chunk ``i`` passes iff any
-            # position in ``[i*s, i*s + s]`` clears the coherence floor
-            # — one strided difference of the cached pass-count prefix.
-            cp = derived.cohpass_prefix.view(o, o + n_starts + 1)
-            passing = (cp[s + 1 :: s][:gn] > cp[: gn * s : s]).nonzero()[0]
-
-            counts = None
-            has_cand = None
-
-            def miss_below(upto):
-                """Count/coherence miss metrics for chunks below ``upto``.
-
-                ``passing`` already excludes chunks whose best candidate
-                coherence misses the floor, so the coherence-miss count
-                covers both grouped-kernel cases (pre-gate miss and
-                in-loop masked miss) in one subtraction — same totals.
-                """
-                nonlocal counts, has_cand
-                if registry_off or upto <= 0:
-                    # Pure metric accounting — skip the arithmetic when
-                    # nobody can observe it.
-                    return
-                n_pass = int(passing.searchsorted(upto))
-                if n_pass == upto:
-                    return
-                if has_cand is None:
-                    if counts is None:
-                        counts = derived.count_win.view(o, o + n_starts)
-                    edges = self._edges_cache.get(gn)
-                    if edges is None:
-                        edges = np.arange(0, gn * s, s)
-                        self._edges_cache[gn] = edges
-                    has_cand = np.maximum(
-                        np.maximum.reduceat(counts, edges), counts[s::s]
-                    ) >= floor
-                n_count = int(upto - np.count_nonzero(has_cand[:upto]))
-                n_coh = upto - n_pass - n_count
-                if n_count:
-                    _MISS_COUNT.inc(n_count)
-                if n_coh:
-                    _MISS_COHERENCE.inc(n_coh)
-
-            accepted = False
-            r_stop = passing.size
-            maybe = _EMPTY_ROWS
-            if passing.size:
-                # Concentration stage only where it can matter: the hot
-                # index pins down every position that could clear the
-                # absolute concentration floor under *any* chunk-relative
-                # kept mask, so a passing chunk with no hot position in
-                # its inclusive range [i*s, i*s + s] is a concentration
-                # miss with no further work.  The scalar cascade below —
-                # the grouped kernel's own in-loop arithmetic, byte for
-                # byte — runs only for the (rare) chunks that might hit.
-                h0, h1 = hot.searchsorted((o, o + n_starts))
-                if h1 > h0:
-                    hot_rel = hot[h0:h1] - o
-                    plo = passing * s
-                    li = hot_rel.searchsorted(plo)
-                    ri = hot_rel.searchsorted(plo + s, side="right")
-                    maybe = (ri > li).nonzero()[0]
-            if maybe.size:
-                conc = derived.conc_win.view(o, o + n_starts)
-                coh_cand = derived.cohcand_win.view(o, o + n_starts)
-                if counts is None:
-                    counts = derived.count_win.view(o, o + n_starts)
-                for r in maybe:
-                    r = int(r)
-                    i = int(passing[r])
-                    lo = i * s
-                    sl = slice(lo, lo + s + 1)
-                    coh_c = coh_cand[sl]
-                    # Grouped's exact in-loop arithmetic, bit for bit:
-                    # the chunk best as a float64 max over the masked
-                    # slice, and a relative threshold that weak-casts
-                    # to the cache dtype in the comparison.
-                    kept = coh_c >= max(float(coh_c.max()) - slack, coh_min)
-                    conc_c = np.where(kept, conc[sl], ninf)
-                    best_conc = float(conc_c.max())
-                    if best_conc < 0.6:
-                        _MISS_CONCENTRATION.inc()
-                        continue
-                    surv = conc_c >= max(best_conc - slack, 0.6)
-                    cand_pos = surv.nonzero()[0]
-                    # Anchor inside the first qualifying cluster at its
-                    # count peak, exactly as the grouped kernel does.
-                    first = int(cand_pos[0])
-                    breaks = (cand_pos[1:] - cand_pos[:-1] > 1).nonzero()[0]
-                    cluster_end = (
-                        int(cand_pos[breaks[0]])
-                        if breaks.size
-                        else int(cand_pos[-1])
-                    )
-                    n0 = first + int(
-                        np.argmax(counts[lo + first : lo + cluster_end + 1])
-                    )
-                    coherence = float(coh_cand[lo + n0]) if surv[n0] else 1.0
-                    _HIT.inc()
-                    _COHERENCE.observe(coherence)
-                    if n0 >= s:
-                        # Late hit: re-found by the next chunk below its
-                        # own accept limit, as serial scanning would.
-                        continue
-                    miss_below(i)
-                    self._origin = o + lo
-                    self._n0 = self._origin + n0
-                    self._data_start = self._n0 + folds * self.decoder.bit_period
-                    self._coherence = coherence
-                    self._state = "header"
-                    accepted = True
-                    r_stop = r
-                    break
-            # Passing chunks below the stop point that were not worth an
-            # exact look all miss the concentration gate; evaluated ones
-            # recorded their own outcome above.  Same totals as grouped's
-            # per-chunk increments, no metrics past an accepted chunk.
-            if not registry_off:
-                n_conc = int(r_stop - maybe.searchsorted(r_stop))
-                if n_conc:
-                    _MISS_CONCENTRATION.inc(n_conc)
-            if accepted:
+        o = self._origin
+        stop = o + chunks * s  # first chunk start not fully buffered
+        i = bisect_left(hot_pos, o)
+        while True:
+            q = stop
+            if i < n_hot:
+                # k = max(0, ceil((h - o - s) / s)), in integer form.
+                q = min(stop, o + s * max(0, (hot_pos[i] - o - 1) // s))
+            if metered and q > o:
+                self._count_skipped(o, (q - o) // s)
+            if q == stop:
+                self._origin = stop
                 return True
-            miss_below(gn)
-            self._origin = o + gn * s
-            done += gn
-        return True
+            o = q + s  # chunk q's last window start; the next origin
+            if cpd[cpo + o + 1] == cpd[cpo + q]:
+                # A hot position clears the count floor, so a chunk
+                # holding one can only miss the fused gate on coherence.
+                _MISS_COHERENCE.inc()
+                hit = None
+            else:
+                hit = self._hot_cascade(q, i)
+            if hit is None or hit[0] >= o:
+                i = bisect_left(hot_pos, o, i)
+                continue
+            n0, self._coherence = hit
+            self._origin = q
+            self._n0 = n0
+            self._data_start = n0 + self.folds * bp
+            if metered or buf_end < self._data_start + hdr_span:
+                self._state = "header"
+                return True
+            a = mpo + self._data_start
+            fields = self._header_fields(mpd[a : a + hdr_span + 1])
+            if _header_valid(*fields):
+                self._total_bits = frame_overhead_bits() + fields[2]
+                self._state = "body"
+                return True
+            self.header_rejects += 1
+            o = self._origin = n0 + bp
+            avail = buf_end - o
+            if avail < self.scan_len:
+                # Blocked (or the end-of-stream partial): _search knows
+                # what to do with the remainder.
+                return True
+            stop = o + (1 + (avail - self.scan_len) // s) * s
+            i = bisect_left(hot_pos, o, i)
+
+    def _hot_cascade(self, q, i):
+        """Gates after the fused one, for the chunk starting at ``q``.
+
+        Runs the relative coherence threshold, best concentration, first
+        survivor cluster and its count argmax over the hot entries
+        ``i, i+1, ...`` inside ``[q, q + stride]`` (``i`` is the first),
+        with exactly the comparisons :meth:`_scan_grouped` makes (see
+        :meth:`_scan_batched`).  Returns ``(n0, coherence)`` for a hit —
+        late hits included — or None for a concentration miss; records
+        the outcome metric either way.
+        """
+        derived = self._derived
+        e = q + self.stride
+        pos = derived.hot_pos
+        coh = derived.hot_coh
+        conc = derived.hot_conc
+        ftype = derived.float_type
+        slack = self.coherence_slack
+        best = float(derived.cohcand_win.view(q, e + 1).max())
+        thr = float(ftype(max(best - slack, self.coherence_min)))
+        kept = [j for j in range(i, bisect_right(pos, e, i)) if coh[j] >= thr]
+        if not kept:
+            _MISS_CONCENTRATION.inc()
+            return None
+        thr = float(ftype(max(max([conc[j] for j in kept]) - slack, 0.6)))
+        # The first cluster is a run of consecutive surviving positions,
+        # all of them kept hot entries; anchor at its first count peak.
+        for k, peak in enumerate(kept):
+            if conc[peak] >= thr:
+                break
+        count = derived.hot_count
+        j = peak
+        for nxt in kept[k + 1 :]:
+            if pos[nxt] != pos[j] + 1 or conc[nxt] < thr:
+                break
+            j = nxt
+            if count[j] > count[peak]:
+                peak = j
+        _HIT.inc()
+        _COHERENCE.observe(coh[peak])
+        return pos[peak], coh[peak]
+
+    def _count_skipped(self, o, n):
+        """Outcome metrics for ``n`` chunks from ``o`` with no hot position.
+
+        Each such chunk misses a gate, split as the dense cascade splits
+        it: no window start clears the count floor (count miss), one
+        does but none clears the coherence floor (coherence miss), or
+        the fused gate passes with no hot position left to clear the
+        concentration floor (concentration miss).
+        """
+        s = self.stride
+        derived = self._derived
+        cp = derived.cohpass_prefix.view(o, o + n * s + 2)
+        n_conc = int(np.count_nonzero(cp[s + 1 :: s] > cp[: n * s : s]))
+        counts = derived.count_win.view(o, o + n * s + 1)
+        tops = np.maximum(
+            np.maximum.reduceat(counts, np.arange(0, n * s, s)), counts[s::s]
+        )
+        n_count = n - int(np.count_nonzero(tops >= derived._capture_floor))
+        _MISS_COUNT.inc(n_count)
+        _MISS_COHERENCE.inc(n - n_count - n_conc)
+        _MISS_CONCENTRATION.inc(n_conc)
 
     def _header(self, final):
         end = self._bits_end(_HEADER_BITS)
@@ -1271,29 +1158,11 @@ class StreamSession:
             return False
         if not REGISTRY.enabled:
             # Hot path (header rejects dominate capture-dense scanning):
-            # decode all 24 header bits as one machine word — a single
-            # fancy gather of the vote prefix at the 48 window edges,
-            # thresholded and dotted with bit weights.  Same integer
-            # vote counts as :meth:`_decode_bits`, so the same bits.
-            cached = self._header_gather
-            if cached is None:
-                bp = self.decoder.bit_period
-                starts = bp * np.arange(_HEADER_BITS, dtype=np.int64)
-                idx = np.concatenate((starts, starts + self.decoder.window))
-                weights = 1 << np.arange(
-                    _HEADER_BITS - 1, -1, -1, dtype=np.int64
-                )
-                cached = self._header_gather = (idx, weights)
-            idx, weights = cached
-            prefix = self._derived.mask_prefix.view(
-                self._data_start, end + 1
+            # the one-word decode.  Same integer vote counts as
+            # :meth:`_decode_bits`, so the same bits.
+            version, frame_type, length = self._header_fields(
+                self._derived.mask_prefix.view(self._data_start, end + 1)
             )
-            edges = prefix[idx]
-            votes = edges[_HEADER_BITS:] - edges[:_HEADER_BITS]
-            word = int((votes >= self.decoder.tau_sync) @ weights)
-            version = (word >> (_HEADER_BITS - 4)) & 0xF
-            frame_type = (word >> (_HEADER_BITS - 8)) & 0xF
-            length = (word >> (_HEADER_BITS - 16)) & 0xFF
         else:
             bits = self._decode_bits(self._data_start, _HEADER_BITS)
             if len(bits) < _HEADER_BITS:
@@ -1301,12 +1170,7 @@ class StreamSession:
             version = self._bits_to_int(bits[0:4])
             frame_type = self._bits_to_int(bits[4:8])
             length = self._bits_to_int(bits[8:16])
-        if (
-            version != VERSION
-            or frame_type > MAX_KNOWN_FRAME_TYPE
-            or (FRAME_TYPE_ACK < frame_type < FRAME_TYPE_TRANSPORT_BASE)
-            or length > MAX_DATA_BITS
-        ):
+        if not _header_valid(version, frame_type, length):
             return self._reject_header()
         self._total_bits = frame_overhead_bits() + length
         self._state = "body"
@@ -1363,6 +1227,23 @@ class StreamSession:
         return True
 
     # -- helpers ------------------------------------------------------------
+
+    def _header_fields(self, prefix):
+        """``(version, frame_type, length)`` from the header's vote prefix.
+
+        ``prefix`` is the vote-mask prefix starting at ``data_start``:
+        all 24 header bits decode as one machine word — a gather at the
+        48 window edges, thresholded and dotted with the bit weights.
+        """
+        idx, weights = self._header_gather
+        edges = prefix[idx]
+        votes = edges[_HEADER_BITS:] - edges[:_HEADER_BITS]
+        word = int((votes >= self.decoder.tau_sync) @ weights)
+        return (
+            (word >> (_HEADER_BITS - 4)) & 0xF,
+            (word >> (_HEADER_BITS - 8)) & 0xF,
+            (word >> (_HEADER_BITS - 16)) & 0xFF,
+        )
 
     def _bits_end(self, n_bits):
         """Absolute index one past the last vote window of ``n_bits``."""
