@@ -4,15 +4,14 @@ Decodes the BENCH_PR6 workload (3 senders, 1 M samples, seed 20260806,
 4-session demux) through the PR-6 headline serial configuration and the
 PR-10 fast path, and writes ``BENCH_PR10.json`` at the repo root:
 
-* **serial_grouped_d4** — the PR-6 configuration re-measured in this
-  same run (``decimation=4, mode="fast"``, complex64, grouped scanner,
-  32768-sample blocks).  Every ratio below uses this same-run baseline;
-  shared-host drift between recording sessions routinely exceeds 20%.
-* **batched_d4** — the batched scan kernel alone, same product domain.
-* **batched_d8** — batched kernel + the decimation-8 product domain at
-  the PR-6 block size.
-* **batched_d8_deep** — the headline: batched kernel, decimation 8,
-  131072-sample blocks.  Block size is a latency/throughput knob, not a
+* **batched_d4** — the PR-6 configuration re-measured in this same run
+  (``decimation=4, mode="fast"``, complex64, 32768-sample blocks).
+  Every ratio below uses this same-run baseline; shared-host drift
+  between recording sessions routinely exceeds 20%.
+* **batched_d8** — the decimation-8 product domain at the PR-6 block
+  size.
+* **batched_d8_deep** — the headline: decimation 8, 131072-sample
+  blocks.  Block size is a latency/throughput knob, not a
   decision knob — the engine is block-size invariant by construction —
   so the fast path may legitimately run deeper blocks than the PR-6
   baseline config pinned for comparability (6.5 ms of stream per block
@@ -22,8 +21,9 @@ PR-10 fast path, and writes ``BENCH_PR10.json`` at the repo root:
 
 Equivalence asserted here, not just speed:
 
-* grouped and batched frame lists are **bit-identical** per
-  configuration (same frames, order, payloads, band powers);
+* the decimation-8 frame lists are **bit-identical** across block
+  sizes and the pooled run (same frames, order, payloads, band
+  powers);
 * the CRC-valid frame multiset — ``(channel, payload bits)`` — is
   identical across exact mode, fast d4, fast d8 and the pooled run,
   and matches the scheduled traffic.
@@ -56,7 +56,7 @@ BASE_BLOCK = 32768
 DEEP_BLOCK = 131072
 REPEATS = 7
 
-#: Headline acceptance: batched d8 deep vs same-run PR-6 baseline.
+#: Headline acceptance: d8 deep vs the same-run PR-6 configuration.
 TARGET_RATIO = 1.5
 #: Noise floor applied to the hard assert (PR-6 convention): the exact
 #: ratio is recorded, CI tolerates a loaded host, real regressions fail.
@@ -67,7 +67,6 @@ BASELINE = dict(
     decimation=4,
     mode="fast",
     working_dtype=np.complex64,
-    scan_kernel="grouped",
 )
 
 
@@ -157,41 +156,32 @@ def test_bench_stream_pr10():
         return run
 
     configs = {
-        "serial_grouped_d4": (make(BASE_BLOCK), BASE_BLOCK),
-        "batched_d4": (make(BASE_BLOCK, scan_kernel="batched"), BASE_BLOCK),
-        "batched_d8": (
-            make(BASE_BLOCK, scan_kernel="batched", decimation=8),
-            BASE_BLOCK,
-        ),
-        "batched_d8_deep": (
-            make(DEEP_BLOCK, scan_kernel="batched", decimation=8),
-            DEEP_BLOCK,
-        ),
+        "batched_d4": (make(BASE_BLOCK), BASE_BLOCK),
+        "batched_d8": (make(BASE_BLOCK, decimation=8), BASE_BLOCK),
+        "batched_d8_deep": (make(DEEP_BLOCK, decimation=8), DEEP_BLOCK),
     }
     frames, best = _interleaved_best(
         {key: run for key, (run, _) in configs.items()}, REPEATS
     )
 
     # -- equivalence before speed ------------------------------------
-    base_fields = _frame_fields(frames["serial_grouped_d4"])
-    assert base_fields, "baseline decode produced no frames"
+    assert frames["batched_d4"], "baseline decode produced no frames"
     # Same product domain => bit-identical frames, not just same CRCs.
-    assert _frame_fields(frames["batched_d4"]) == base_fields
     d8_fields = _frame_fields(frames["batched_d8"])
     assert _frame_fields(frames["batched_d8_deep"]) == d8_fields
 
     # Across product domains: identical CRC-valid
     # payload multisets, all matching the scheduled traffic.
-    crc_ref = _crc_multiset(frames["serial_grouped_d4"])
+    crc_ref = _crc_multiset(frames["batched_d4"])
     exact_engine = StreamEngine(demux=True, decimation=4, mode="exact")
     exact_frames = exact_engine.run(traffic.blocks(samples, BASE_BLOCK))
     assert _crc_multiset(exact_frames) == crc_ref
-    for key in ("batched_d4", "batched_d8", "batched_d8_deep"):
+    for key in ("batched_d8", "batched_d8_deep"):
         assert _crc_multiset(frames[key]) == crc_ref, key
     assert len(crc_ref) == len(truth)
 
     # Pooled headline config: bit-identical to its own serial run.
-    pooled_run = make(DEEP_BLOCK, scan_kernel="batched", decimation=8, jobs=2)
+    pooled_run = make(DEEP_BLOCK, decimation=8, jobs=2)
     t0 = time.perf_counter()
     pooled_frames = pooled_run()
     pooled_s = time.perf_counter() - t0
@@ -199,8 +189,8 @@ def test_bench_stream_pr10():
         frames["batched_d8_deep"]
     )
 
-    ratio_deep = best["serial_grouped_d4"] / best["batched_d8_deep"]
-    ratio_d8 = best["serial_grouped_d4"] / best["batched_d8"]
+    ratio_deep = best["batched_d4"] / best["batched_d8_deep"]
+    ratio_d8 = best["batched_d4"] / best["batched_d8"]
     best_msps = n / min(best.values()) / 1e6
 
     report = {
@@ -217,7 +207,7 @@ def test_bench_stream_pr10():
         "protocol": (
             "interleaved round-robin best-of-N wall time, gc disabled, "
             "after two warm-up decodes per configuration; ratios use "
-            "the same-run PR-6 baseline (grouped scanner, decimation 4, "
+            "the same-run PR-6 configuration (decimation 4, "
             "32768-sample blocks) because shared-host speed drifts >20% "
             "between recording sessions; the headline assert applies "
             "the 0.85x noise floor recorded under 'gates'"
@@ -231,11 +221,9 @@ def test_bench_stream_pr10():
                 "ratio_vs_baseline": round(ratio_deep, 3),
                 "target_ratio": TARGET_RATIO,
             }
-        elif key != "serial_grouped_d4":
+        elif key != "batched_d4":
             extra = {
-                "ratio_vs_baseline": round(
-                    best["serial_grouped_d4"] / best[key], 3
-                )
+                "ratio_vs_baseline": round(best["batched_d4"] / best[key], 3)
             }
         report[key] = _row(n, frames[key], best[key], block_size, **extra)
     report["pooled_jobs2_d8"] = _row(
@@ -273,6 +261,3 @@ def test_bench_stream_pr10():
         f"batched d8 deep ratio {ratio_deep:.3f}x fell below the "
         f"{RATIO_FLOOR:.3f}x floor (target {TARGET_RATIO}x)"
     )
-    # The kernel alone must never lose to the grouped scanner on the
-    # same product domain (it is the same cascade with cheaper gates).
-    assert best["batched_d4"] <= best["serial_grouped_d4"] * 1.10

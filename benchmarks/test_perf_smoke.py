@@ -53,7 +53,6 @@ FAST_PATH = dict(
     decimation=8,
     mode="fast",
     working_dtype=np.complex64,
-    scan_kernel="batched",
 )
 
 TREND_PATH = Path(__file__).resolve().parent.parent / "BENCH_SMOKE_TREND.jsonl"
@@ -177,7 +176,6 @@ def test_parallel_trend_gate():
         # Pure-noise decode through the PR-10 headline configuration:
         # the scan cascade with no frames to decode.
         "scan_noise_msps": round(scan_noise_msps, 3),
-        "scan_kernel": FAST_PATH["scan_kernel"],
         "gate_applied": gate,
     }
     with TREND_PATH.open("a") as fh:

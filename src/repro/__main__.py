@@ -390,7 +390,6 @@ def _cmd_listen(args):
             decimation=args.decimation,
             mode=args.kernel_mode,
             working_dtype=np.complex64 if args.float32 else None,
-            scan_kernel=args.scan_kernel,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1069,8 +1068,6 @@ def _cmd_info(_args):
 
 
 def build_parser():
-    from repro.stream.scan import DEFAULT_SCAN_KERNEL, SCAN_KERNELS
-
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="SymBee reproduction command line",
@@ -1166,13 +1163,6 @@ def build_parser():
         help="DSP kernel mode: 'exact' keeps bit-exact block-size "
              "invariance, 'fast' uses native complex kernels "
              "(decode-equivalent; default exact)",
-    )
-    listen.add_argument(
-        "--scan-kernel", choices=tuple(SCAN_KERNELS), metavar="KERNEL",
-        default=DEFAULT_SCAN_KERNEL,
-        help="preamble scan backend: 'batched' (default; event walk "
-             "over the sparse hot index, bit-identical to 'grouped'), "
-             "'grouped' (PR-5 reference)",
     )
     listen.add_argument(
         "--float32", action="store_true",

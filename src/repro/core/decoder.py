@@ -43,6 +43,24 @@ _PHASE_RUN_LENGTH = REGISTRY.histogram(
 _BITS_DECODED = REGISTRY.counter("decoder.bits_decoded")
 
 
+def observe_sync_decode(nonneg, counts, tau_sync):
+    """Record a synchronized decode's diagnostics (call with the registry on).
+
+    ``nonneg`` is the decoded segment's nonnegative-phase mask, and
+    ``counts`` the integer vote count of every decoded bit.  Feeds the
+    sign-run-length distribution of the segment — the paper's diagnostic
+    for plateau quality (long ~window runs = clean plateaus, short runs
+    = noise flips) — and each bit's vote margin.
+    """
+    if nonneg.size:
+        changes = np.flatnonzero(nonneg[1:] != nonneg[:-1]) + 1
+        boundaries = np.concatenate(([0], changes, [nonneg.size]))
+        _PHASE_RUN_LENGTH.observe_array(np.diff(boundaries))
+    if counts.size:
+        _BITS_DECODED.inc(counts.size)
+        _VOTE_MARGIN.observe_array(np.abs(counts.astype(np.int64) - tau_sync))
+
+
 @dataclass(frozen=True)
 class BitDetection:
     """One unsynchronized bit detection.
@@ -278,21 +296,12 @@ class SymBeeDecoder:
         counted in one cumulative-sum pass.
         """
         nonneg = np.asarray(nonneg, dtype=bool)
-        if REGISTRY.enabled and nonneg.size:
-            # Sign-run-length distribution of the stream being decoded —
-            # the paper's diagnostic for plateau quality (long ~window
-            # runs = clean plateaus, short runs = noise flips).
-            changes = np.flatnonzero(nonneg[1:] != nonneg[:-1]) + 1
-            boundaries = np.concatenate(([0], changes, [nonneg.size]))
-            _PHASE_RUN_LENGTH.observe_array(np.diff(boundaries))
         # Window starts are monotonic, so the in-bounds windows form a
         # prefix (matching the original early-exit loop).
         n_fit = 0
         if first_bit_index >= 0 and nonneg.size >= first_bit_index + self.window:
             n_fit = 1 + (nonneg.size - self.window - first_bit_index) // self.bit_period
-        n_fit = min(int(n_bits), n_fit)
-        if n_fit <= 0:
-            return SyncDecodeResult(bits=(), counts=(), positions=())
+        n_fit = max(min(int(n_bits), n_fit), 0)
         starts = first_bit_index + self.bit_period * np.arange(n_fit)
         if n_fit * self.window <= nonneg.size:
             # Gather just the bit windows — far cheaper than a
@@ -305,10 +314,7 @@ class SymBeeDecoder:
             counts = csum[starts + self.window] - csum[starts]
         bits = counts >= self.tau_sync
         if REGISTRY.enabled:
-            _BITS_DECODED.inc(n_fit)
-            _VOTE_MARGIN.observe_array(
-                np.abs(counts.astype(np.int64) - self.tau_sync)
-            )
+            observe_sync_decode(nonneg, counts, self.tau_sync)
         return SyncDecodeResult(
             bits=tuple(int(b) for b in bits),
             counts=tuple(int(c) for c in counts),

@@ -18,21 +18,14 @@ from repro.stream.frontend import (
     supported_decimations,
 )
 from repro.stream.ring import RingBufferSource
-from repro.stream.scan import (
-    DEFAULT_SCAN_KERNEL,
-    SCAN_KERNELS,
-    validate_scan_kernel,
-)
 from repro.stream.session import StreamFrame, StreamSession
 
 __all__ = [
     "ChannelConsumer",
     "ChannelizerFrontEnd",
-    "DEFAULT_SCAN_KERNEL",
     "FastChannelBank",
     "FrontEndBlock",
     "RingBufferSource",
-    "SCAN_KERNELS",
     "StreamEngine",
     "StreamFrame",
     "StreamSession",
@@ -41,5 +34,4 @@ __all__ = [
     "channel_consumer",
     "design_lowpass",
     "supported_decimations",
-    "validate_scan_kernel",
 ]

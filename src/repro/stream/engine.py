@@ -64,7 +64,6 @@ from repro.stream.frontend import (
     StreamingFrontEnd,
 )
 from repro.stream.ring import RingBufferSource
-from repro.stream.scan import DEFAULT_SCAN_KERNEL, validate_scan_kernel
 from repro.stream.session import StreamSession
 from repro.zigbee.channels import (
     frequency_offset_hz,
@@ -160,17 +159,18 @@ class StreamEngine:
         decimation=None,
         mode="exact",
         working_dtype=None,
-        scan_kernel=DEFAULT_SCAN_KERNEL,
+        scan_kernel="batched",
     ):
         self.wifi_channel = wifi_channel
         self.sample_rate = float(sample_rate)
         self.demux = bool(demux)
         self.decimation = 1 if decimation is None else int(decimation)
         self.mode = validate_mode(mode)
-        #: Scanner backend every session runs (see
-        #: :mod:`repro.stream.scan`); validated here so a bad name fails
-        #: at construction, not at the first worker spawn.
-        self.scan_kernel = validate_scan_kernel(scan_kernel).name
+        if scan_kernel != "batched":
+            # One scanner: the keyword stays for callers that name it.
+            raise ValueError(
+                f"unknown scan kernel {scan_kernel!r}; expected 'batched'"
+            )
         self.working_dtype = (
             None if working_dtype is None else np.dtype(working_dtype)
         )
@@ -217,7 +217,6 @@ class StreamEngine:
             "decimation": self.decimation,
             "mode": self.mode,
             "working_dtype": self.working_dtype,
-            "scan_kernel": self.scan_kernel,
         }
         self._paths = []
         for channel in channels:
@@ -286,7 +285,6 @@ class StreamEngine:
                         scan_stride_bits=scan_stride_bits,
                         capture_tau=session_tau,
                         dtype=self.working_dtype or np.complex128,
-                        scan_kernel=self.scan_kernel,
                     ),
                 )
             )
@@ -564,7 +562,6 @@ class StreamEngine:
         return {
             "mode": "demux" if self.demux else "wideband",
             "kernel_mode": self.mode,
-            "scan_kernel": self.scan_kernel,
             "decimation": self.decimation,
             "blocks_in": self.blocks_in,
             "samples_in": self.samples_in,

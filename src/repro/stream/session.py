@@ -39,7 +39,7 @@ sums, and prefix sums whose accumulation order is the stream order
 itself (``np.cumsum`` is a strict left fold, so continuing it from a
 running total is bit-identical to one whole-stream pass) — so cache
 slices taken at any moment contain the same floats for any push sizes.
-:meth:`StreamSession._search_scan` then evaluates the whole cascade for
+:meth:`StreamSession._scan_batched` then evaluates the whole cascade for
 every buffered chunk from those caches (count floor, relative
 coherence, concentration, cluster-peak anchor — the same decisions in
 the same order as ``capture_preamble``, including its outcome
@@ -51,24 +51,23 @@ per-chunk summation, so their last ~1e-11 (float64) differs from
 used consistently, so decisions are deterministic and block-size
 invariant either way.
 
-**The scan kernels.**  ``_search_scan`` is bound at construction from
-:mod:`repro.stream.scan`: ``grouped`` keeps the PR-5 cascade (dense
-gates per 8-chunk group, per-chunk Python loop) as the reference, and
-``batched`` (default) is an *event walk* over the sparse hot index —
-the positions that could clear the concentration floor, maintained by
-:meth:`_DerivedStreams.extend_windowed` together with their cached
-gate inputs.  Every capture anchors on a hot position, so the walk
-jumps from hot position to hot position: chunks holding none are
-misses settled without arithmetic, and a chunk holding one is gated
-from two prefix entries, one slice max and a short Python pass over
-its hot entries.  Both kernels reach the same decisions from the same
-floats, so frames and outcome metrics are bit-identical (the argument
-sits next to the walk).  When the metrics registry is disabled the
+**The scanner.**  :meth:`StreamSession._scan_batched` is an *event
+walk* over the sparse hot index — the positions that could clear the
+concentration floor, maintained by
+:meth:`_DerivedStreams.extend_windowed` together with their cached gate
+inputs.  Every capture anchors on a hot position, so the walk jumps
+from hot position to hot position: chunks holding none are misses
+settled without arithmetic, and a chunk holding one is gated from two
+prefix entries, one slice max and a short Python pass over its hot
+entries — the same decisions, from the same floats, as running the
+dense cascade on every chunk (the argument sits next to the walk).  The
 walk also fuses the header gate: a hit evaluates the 24-bit header
-word in place and a reject rewinds the origin without leaving the
-walk, skipping the search→header→search state dispatch that dominates
-reject chains (with metrics enabled every hit routes through the
-reference state machine so the metric stream is unchanged).
+word in place and a reject rewinds the origin without leaving the walk,
+skipping the search→header→search state dispatch that dominates reject
+chains.  Telemetry never switches this path: with the metrics registry
+on, the walk only adds outcome counts (skipped ranges split in bulk,
+header rejects counted once per call), and the body decode records its
+bit diagnostics from the votes it thresholds.
 
 **Working dtype.**  ``dtype=numpy.complex64`` (the fast kernel mode's
 optional float32 working precision) halves the memory traffic of every
@@ -89,6 +88,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import SYMBEE_PREAMBLE_BITS
+from repro.core.decoder import observe_sync_decode
 from repro.core.frame import (
     FRAME_TYPE_ACK,
     FRAME_TYPE_TRANSPORT_BASE,
@@ -109,15 +109,8 @@ from repro.core.preamble import (
 from repro.dsp.kernels import preamble_fold_exact
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
-from repro.stream.scan import DEFAULT_SCAN_KERNEL, validate_scan_kernel
 
 _HEADER_BITS = 24
-
-#: Chunks evaluated per dense scan pass.  Enough to amortize the vector
-#: dispatches while scanning noise, small enough that a capture or a
-#: header-reject cycle near the origin never pays for dense statistics
-#: across everything buffered behind it.
-_SCAN_GROUP_CHUNKS = 8
 
 
 def _unit_from_products(chunk, fill, out=None):
@@ -145,18 +138,6 @@ def _unit_from_products(chunk, fill, out=None):
     if has_zero:
         unit[zero] = fill
     return unit
-
-
-def _unit_phasors(decoder, chunk):
-    """:func:`_unit_from_products` with the decoder's zero-product fill.
-
-    Same semantics as :meth:`repro.core.decoder.SymBeeDecoder.unit_phasors`
-    (zero-amplitude products take the post-compensation zero-phase
-    phasor), used for the end-of-stream partial chunk that still goes
-    through :func:`repro.core.preamble.capture_preamble` directly.
-    """
-    fill = decoder.rotation
-    return _unit_from_products(chunk, 1.0 + 0.0j if fill is None else fill)
 
 
 def _header_valid(version, frame_type, length):
@@ -241,14 +222,6 @@ class _StreamBuffer:
             raise ValueError("skip requires an empty buffer")
         self.base += n
 
-    def at(self, i):
-        """Scalar element at absolute index ``i`` (must be buffered)."""
-        if i < self.base or i >= self.end:
-            raise IndexError(
-                f"index {i} outside buffered [{self.base}, {self.end})"
-            )
-        return self._data[self._start + (i - self.base)]
-
     def view(self, lo, hi):
         """Zero-copy view of absolute range ``[lo, hi)`` (must be buffered)."""
         if lo < self.base or hi > self.end:
@@ -310,10 +283,6 @@ class _PrefixSum:
     def view(self, lo, hi):
         return self._buf.view(lo, hi)
 
-    def at(self, i):
-        """Scalar prefix entry at absolute index ``i``."""
-        return self._buf.at(i)
-
     def trim(self, lo):
         self._buf.trim(lo)
 
@@ -352,7 +321,7 @@ class _DerivedStreams:
       after which the profile values themselves are dropped.
 
     All of it is blocking-invariant by construction (see the module
-    docstring), so :meth:`StreamSession._search_scan` can gate any chunk
+    docstring), so :meth:`StreamSession._scan_batched` can gate any chunk
     from slices without re-deriving anything.  Float caches follow the
     session's working dtype (float32 halves their traffic, at the
     precision noted in the module docstring).
@@ -382,7 +351,9 @@ class _DerivedStreams:
         self.folds = int(folds)
         self.span = (self.folds - 1) * self.bit_period
         fill = decoder.rotation
-        self._fill = 1.0 + 0.0j if fill is None else complex(fill)
+        #: Unit phasor of a zero product: the post-compensation zero
+        #: phase (as :meth:`repro.core.decoder.SymBeeDecoder.unit_phasors`).
+        self.fill = 1.0 + 0.0j if fill is None else complex(fill)
         cdtype = np.dtype(dtype)
         rdtype = np.dtype(np.float32 if cdtype == np.complex64 else np.float64)
         #: Scalar type of the float caches (what thresholds round to).
@@ -394,15 +365,13 @@ class _DerivedStreams:
         self.count_prefix = _PrefixSum(np.int32)
         self.coherence_prefix = _PrefixSum(rdtype)
         self.concentration_prefix = _PrefixSum(cdtype)
-        # -- windowed-statistic caches (batched scanner only) -----------
+        # -- windowed-statistic caches ----------------------------------
         # Every windowed gate statistic is a pure function of absolute
         # position — chunk alignment only chooses which slice to look
         # at.  Header rejects rewind the origin by one bit period and
         # rescan everything buffered ahead, re-deriving the same values
         # ~8x on capture-dense streams; computing them once per position
         # in extend_windowed() turns every rescan into cache reads.
-        # The grouped kernel never calls extend_windowed(), so sessions
-        # on the reference scanner pay nothing for these.
         self._capture_floor = (
             self.window - decoder.tau if capture_floor is None
             else int(capture_floor)
@@ -449,7 +418,7 @@ class _DerivedStreams:
         if products.size:
             self.mask_prefix.extend(products.imag >= 0.0)
             _unit_from_products(
-                products, self._fill, out=self._u.alloc(products.size)
+                products, self.fill, out=self._u.alloc(products.size)
             )
         hi = self._u.end - self.span
         lo = self.profile_end
@@ -662,7 +631,6 @@ class StreamSession:
         coherence_slack=0.2,
         coherence_min=0.5,
         dtype=np.complex128,
-        scan_kernel=DEFAULT_SCAN_KERNEL,
     ):
         self.decoder = decoder
         self.zigbee_channel = zigbee_channel
@@ -675,12 +643,6 @@ class StreamSession:
             raise ValueError("dtype must be complex64 or complex128")
         if scan_stride_bits < 1:
             raise ValueError("scan_stride_bits must be >= 1")
-        spec = validate_scan_kernel(scan_kernel)
-        #: Scanner backend (see :mod:`repro.stream.scan`).
-        self.scan_kernel = spec.name
-        self._search_scan = (
-            self._scan_batched if spec.batched else self._scan_grouped
-        )
         #: Products the search origin advances per missed chunk.
         self.stride = int(scan_stride_bits) * decoder.bit_period
         #: Extra products a fold window reaches past its start.
@@ -697,9 +659,8 @@ class StreamSession:
             coherence_min=self.coherence_min,
             scan_stride=self.stride,
         )
-        #: Memoized index arrays for the scan and bit decode — their
-        #: shapes repeat every call, and arange dominates small calls.
-        self._edges_cache = {}
+        #: Memoized vote-window edges per bit count for the body decode —
+        #: the shapes repeat every call, and arange dominates small calls.
         self._starts_cache = {}
         # The 24-bit header word as one gather: vote-prefix offsets of
         # the 48 window edges (starts, then ends) and the bit weights.
@@ -806,7 +767,7 @@ class StreamSession:
         avail = self._buf.end - self._origin
         if avail >= self.scan_len:
             chunks = 1 + (avail - self.scan_len) // self.stride
-            return self._search_scan(chunks)
+            return self._scan_batched(chunks)
         if final and avail >= self.span + self.decoder.window:
             # Last partial chunk: nothing after it will re-scan, so
             # accept a capture anywhere in it.  Rare (once per stream)
@@ -822,8 +783,9 @@ class StreamSession:
                 tau=self.capture_tau,
                 coherence_slack=self.coherence_slack,
                 coherence_min=self.coherence_min,
-                unit_phasors=_unit_phasors(
-                    self.decoder, np.asarray(chunk, dtype=np.complex128)
+                unit_phasors=_unit_from_products(
+                    np.asarray(chunk, dtype=np.complex128),
+                    self._derived.fill,
                 ),
             )
             if capture is not None:
@@ -835,159 +797,23 @@ class StreamSession:
             self._origin = self._buf.end
         return False
 
-    def _scan_grouped(self, chunks):
-        """Gate ``chunks`` consecutive buffered chunks from the caches.
+    def _scan_batched(self, chunks):
+        """Gate ``chunks`` consecutive buffered chunks: the hot-index walk.
 
         Chunk-by-chunk semantics identical to handing each chunk to
-        :func:`capture_preamble` — the same cascade (count floor ->
+        :func:`capture_preamble` — the dense cascade (count floor ->
         relative coherence -> concentration -> cluster-peak anchor ->
-        accept only below ``stride``), the same outcome metrics — but
-        every windowed statistic is a prefix difference from
-        :class:`_DerivedStreams`: the count and coherence gates are
-        evaluated for whole *groups* of chunks in a few dense vector
-        passes, and the python loop below touches only the (rare)
-        chunks whose best candidate coherence clears the absolute
-        floor, running the concentration gate and cluster-anchor
-        arithmetic on just their slice.  Chunk ``i``'s candidate window
-        starts are ``[i * stride, i * stride + stride]`` inclusive: its
-        fold profile has exactly ``stride + 1`` window positions, so
-        the inclusive upper edge also reproduces the late hit that
-        serial scanning finds and then rejects against the accept limit
-        (chunk boundary positions are legitimately evaluated by both
-        neighbouring chunks, exactly as serial scanning does).
+        accept only below ``stride``), with the same outcome metrics —
+        evaluated from the :class:`_DerivedStreams` caches.  Chunk ``q``'s
+        candidate window starts are ``[q, q + s]`` inclusive: its fold
+        profile has exactly ``s + 1`` window positions, so the inclusive
+        upper edge also reproduces the late hit that serial scanning
+        finds and then rejects against the accept limit (chunk boundary
+        positions are legitimately evaluated by both neighbouring
+        chunks, exactly as serial scanning does).
 
-        The dense passes run over at most ``_SCAN_GROUP_CHUNKS`` chunks
-        at a time.  Grouping cannot change any outcome — every gate is
-        a pure function of one chunk's slice and the chunk grid is
-        anchored at the origin either way — but it bounds the dense
-        work a call pays before an accept: header-reject cycles restart
-        the search just one bit period ahead, and without the cap each
-        restart would recompute dense statistics across everything
-        buffered behind the reject.
-        """
-        s = self.stride
-        w = self.decoder.window
-        folds = self.folds
-        tau = self.decoder.tau if self.capture_tau is None else int(self.capture_tau)
-        floor = w - tau
-        coh_min = self.coherence_min
-        inv_fw = 1.0 / (folds * w)
-        ninf = -np.inf
-        derived = self._derived
-        for g0 in range(0, chunks, _SCAN_GROUP_CHUNKS):
-            gn = min(_SCAN_GROUP_CHUNKS, chunks - g0)
-            o = self._origin
-            n_starts = gn * s + 1
-            cn = derived.count_prefix.view(o, o + n_starts + w)
-            counts = cn[w:] - cn[:-w]
-
-            # Per-chunk maxima via reduceat over the dense arrays:
-            # segment i covers [i*s, (i+1)*s) (the last one runs to the
-            # inclusive end of the array), and the shared right edge of
-            # the interior chunks is patched in with one extra
-            # elementwise maximum.
-            edges = self._edges_cache.get(gn)
-            if edges is None:
-                edges = np.arange(0, gn * s, s)
-                self._edges_cache[gn] = edges
-            cand_max = np.maximum(np.maximum.reduceat(counts, edges), counts[s::s])
-            has_cand = cand_max >= floor
-            if not has_cand.any():
-                _MISS_COUNT.inc(gn)
-                self._origin = o + gn * s
-                continue
-
-            cm = derived.coherence_prefix.view(o, o + n_starts + w)
-            coh = (cm[w:] - cm[:-w]) * inv_fw
-            # Two collapses make the dense pass cheap.  First, the
-            # relative threshold max(best - slack, coherence_min) is at
-            # most best whenever best >= coherence_min, so a chunk
-            # passes the coherence gate iff its best candidate clears
-            # the absolute floor.  Second, masking to candidate
-            # positions can only lower a chunk's best, so a chunk whose
-            # best over *all* positions is below the floor misses
-            # without ever building the candidate mask — the mask, the
-            # masked best, and the whole concentration stage are built
-            # per chunk below, only for the (rare) chunks that survive
-            # this pre-gate.
-            best_any = np.maximum(np.maximum.reduceat(coh, edges), coh[s::s])
-            passing = (has_cand & (best_any >= coh_min)).nonzero()[0]
-
-            def count_misses(upto):
-                """Miss metrics for non-passing chunks below ``upto``.
-
-                Passing chunks record their own outcome in the loop; a
-                chunk past an accepted one records nothing (it is
-                rescanned after the frame, exactly as serial scanning
-                would).
-                """
-                n_count = int(upto - np.count_nonzero(has_cand[:upto]))
-                n_coh = int(upto - passing.searchsorted(upto)) - n_count
-                if n_count:
-                    _MISS_COUNT.inc(n_count)
-                if n_coh:
-                    _MISS_COHERENCE.inc(n_coh)
-
-            cu = None
-            accepted = False
-            for i in passing:
-                i = int(i)
-                lo = i * s
-                sl = slice(lo, lo + s + 1)
-                coh_c = np.where(counts[sl] >= floor, coh[sl], ninf)
-                best = float(coh_c.max())
-                if best < coh_min:
-                    _MISS_COHERENCE.inc()
-                    continue
-                kept = coh_c >= max(best - self.coherence_slack, coh_min)
-                if cu is None:
-                    cu = derived.concentration_prefix.view(
-                        o, o + n_starts + w
-                    )
-                du = cu[w + lo : w + lo + s + 1] - cu[lo : lo + s + 1]
-                conc = np.sqrt(du.real * du.real + du.imag * du.imag) * (1.0 / w)
-                conc_c = np.where(kept, conc, ninf)
-                best_conc = float(conc_c.max())
-                if best_conc < 0.6:
-                    _MISS_CONCENTRATION.inc()
-                    continue
-                surv = conc_c >= max(best_conc - self.coherence_slack, 0.6)
-                cand = surv.nonzero()[0]
-                # Anchor inside the first qualifying cluster at its
-                # count peak: the leading window qualifies while still
-                # sliding onto the plateau, the peak marks the plateau
-                # proper.
-                first = int(cand[0])
-                breaks = (cand[1:] - cand[:-1] > 1).nonzero()[0]
-                cluster_end = int(cand[breaks[0]]) if breaks.size else int(cand[-1])
-                n0 = first + int(np.argmax(counts[lo + first : lo + cluster_end + 1]))
-                coherence = float(coh[lo + n0]) if surv[n0] else 1.0
-                _HIT.inc()
-                _COHERENCE.observe(coherence)
-                if n0 >= s:
-                    # Late hit: the next chunk re-finds it below its own
-                    # accept limit, exactly as serial scanning would.
-                    continue
-                count_misses(i)
-                self._origin = o + lo
-                self._n0 = self._origin + n0
-                self._data_start = self._n0 + folds * self.decoder.bit_period
-                self._coherence = coherence
-                self._state = "header"
-                accepted = True
-                break
-            if accepted:
-                return True
-            count_misses(gn)
-            self._origin = o + gn * s
-        return True
-
-    def _scan_batched(self, chunks):
-        """Event walk over the sparse hot index.
-
-        Decision- and metric-identical to :meth:`_scan_grouped`, but the
-        cost follows the hot index instead of the chunk grid.  From the
-        origin ``o`` the walk bisects to the first hot position
+        The cost follows the hot index instead of the chunk grid.  From
+        the origin ``o`` the walk bisects to the first hot position
         ``h >= o``; the first chunk holding it starts at ``q = o + k*s``
         with ``k = max(0, ceil((h - o - s) / s))``, and every chunk in
         ``[o, q)`` is a miss.  Chunk ``q`` is gated by the fused
@@ -1014,16 +840,18 @@ class StreamSession:
           lists hold the cached values exactly (float32 → Python float
           is lossless), so every comparison is the dense cascade's own.
 
-        With the registry on, the walk records what ``grouped`` records:
-        ``_HIT`` and a coherence observation for every hit (late hits
-        included), a coherence or concentration miss for a gated chunk
-        that misses, and the count/coherence/concentration split of
-        every skipped range in bulk (:meth:`_count_skipped`); an accept
-        hands over to :meth:`_header`.  With it off, an accept gates the
-        24-bit header word in place and a reject rewinds the origin to
+        An accept gates the 24-bit header word in place (unless its
+        last vote window is not buffered yet: then :meth:`_header` takes
+        over once it is), and a reject rewinds the origin to
         ``n0 + bit_period`` without leaving the walk — the state
-        transitions, session counters and decisions of the
-        state-machine path, in fewer Python frames.
+        transitions and decisions of the state-machine path, in fewer
+        Python frames.  The walk's header rejects reach the
+        ``stream.session.header_rejects`` counter in one bulk
+        increment.  Outcome metrics: ``_HIT`` and a coherence
+        observation for every hit (late hits included), a coherence or
+        concentration miss for a gated chunk that misses, and — with
+        the registry on — the count/coherence/concentration split of
+        every skipped range (:meth:`_count_skipped`).
         """
         s = self.stride
         bp = self.decoder.bit_period
@@ -1041,6 +869,7 @@ class StreamSession:
         mpd, mpo = mpb._data, mpb._start - mpb.base
         hdr_span = (_HEADER_BITS - 1) * bp + self.decoder.window
         buf_end = self._buf.end
+        rejects = 0
         o = self._origin
         stop = o + chunks * s  # first chunk start not fully buffered
         i = bisect_left(hot_pos, o)
@@ -1053,7 +882,7 @@ class StreamSession:
                 self._count_skipped(o, (q - o) // s)
             if q == stop:
                 self._origin = stop
-                return True
+                break
             o = q + s  # chunk q's last window start; the next origin
             if cpd[cpo + o + 1] == cpd[cpo + q]:
                 # A hot position clears the count floor, so a chunk
@@ -1069,24 +898,28 @@ class StreamSession:
             self._origin = q
             self._n0 = n0
             self._data_start = n0 + self.folds * bp
-            if metered or buf_end < self._data_start + hdr_span:
+            if buf_end < self._data_start + hdr_span:
                 self._state = "header"
-                return True
+                break
             a = mpo + self._data_start
             fields = self._header_fields(mpd[a : a + hdr_span + 1])
             if _header_valid(*fields):
                 self._total_bits = frame_overhead_bits() + fields[2]
                 self._state = "body"
-                return True
-            self.header_rejects += 1
+                break
+            rejects += 1
             o = self._origin = n0 + bp
             avail = buf_end - o
             if avail < self.scan_len:
                 # Blocked (or the end-of-stream partial): _search knows
                 # what to do with the remainder.
-                return True
+                break
             stop = o + (1 + (avail - self.scan_len) // s) * s
             i = bisect_left(hot_pos, o, i)
+        if rejects:
+            self.header_rejects += rejects
+            _HEADER_REJECTS.inc(rejects)
+        return True
 
     def _hot_cascade(self, q, i):
         """Gates after the fused one, for the chunk starting at ``q``.
@@ -1094,7 +927,7 @@ class StreamSession:
         Runs the relative coherence threshold, best concentration, first
         survivor cluster and its count argmax over the hot entries
         ``i, i+1, ...`` inside ``[q, q + stride]`` (``i`` is the first),
-        with exactly the comparisons :meth:`_scan_grouped` makes (see
+        with exactly the comparisons the dense cascade makes (see
         :meth:`_scan_batched`).  Returns ``(n0, coherence)`` for a hit —
         late hits included — or None for a concentration miss; records
         the outcome metric either way.
@@ -1114,7 +947,9 @@ class StreamSession:
             return None
         thr = float(ftype(max(max([conc[j] for j in kept]) - slack, 0.6)))
         # The first cluster is a run of consecutive surviving positions,
-        # all of them kept hot entries; anchor at its first count peak.
+        # all of them kept hot entries; anchor at its first count peak
+        # (the leading window qualifies while still sliding onto the
+        # plateau, the peak marks the plateau proper).
         for k, peak in enumerate(kept):
             if conc[peak] >= thr:
                 break
@@ -1156,20 +991,9 @@ class StreamSession:
         end = self._bits_end(_HEADER_BITS)
         if self._buf.end < end:
             return False
-        if not REGISTRY.enabled:
-            # Hot path (header rejects dominate capture-dense scanning):
-            # the one-word decode.  Same integer vote counts as
-            # :meth:`_decode_bits`, so the same bits.
-            version, frame_type, length = self._header_fields(
-                self._derived.mask_prefix.view(self._data_start, end + 1)
-            )
-        else:
-            bits = self._decode_bits(self._data_start, _HEADER_BITS)
-            if len(bits) < _HEADER_BITS:
-                return False if not final else self._reject_header()
-            version = self._bits_to_int(bits[0:4])
-            frame_type = self._bits_to_int(bits[4:8])
-            length = self._bits_to_int(bits[8:16])
+        version, frame_type, length = self._header_fields(
+            self._derived.mask_prefix.view(self._data_start, end + 1)
+        )
         if not _header_valid(version, frame_type, length):
             return self._reject_header()
         self._total_bits = frame_overhead_bits() + length
@@ -1180,7 +1004,14 @@ class StreamSession:
         end = self._bits_end(self._total_bits)
         if self._buf.end < end:
             return False
-        bits = self._decode_bits(self._data_start, self._total_bits)
+        votes = self._votes(self._total_bits)
+        tau_sync = self.decoder.tau_sync
+        bits = tuple((votes >= tau_sync).astype(np.uint8).tolist())
+        if REGISTRY.enabled:
+            # Observation only: the bit diagnostics, once per emitted
+            # frame, from the votes just thresholded.
+            segment = self._buf.view(self._data_start, end)
+            observe_sync_decode(segment.imag >= 0.0, votes, tau_sync)
         frame = parse_frame_bits(bits)
         crc_ok = bool(frame is not None and frame.crc_ok)
         self.frames_emitted += 1
@@ -1253,29 +1084,21 @@ class StreamSession:
             + self.decoder.window
         )
 
-    def _decode_bits(self, start, n_bits):
-        end = self._bits_end(n_bits)
-        if REGISTRY.enabled:
-            # The reference decode also feeds the vote-margin and
-            # phase-run-length diagnostics; keep them exact when anyone
-            # is looking.  The bits are identical either way — both
-            # paths threshold the same integer window counts.
-            segment = self._buf.view(start, end)
-            result = self.decoder.decode_synchronized_mask(
-                segment.imag >= 0.0, 0, n_bits
-            )
-            return result.bits
-        w = self.decoder.window
-        prefix = self._derived.mask_prefix.view(start, end + 1)
+    def _votes(self, n_bits):
+        """Vote counts of ``n_bits`` bits from ``data_start`` (int array).
+
+        One gather at the bit windows' edges in the vote-mask prefix.
+        """
+        prefix = self._derived.mask_prefix.view(
+            self._data_start, self._bits_end(n_bits) + 1
+        )
         cached = self._starts_cache.get(n_bits)
         if cached is None:
             starts = self.decoder.bit_period * np.arange(n_bits, dtype=np.int64)
-            cached = (starts, starts + w)
+            cached = (starts, starts + self.decoder.window)
             self._starts_cache[n_bits] = cached
         starts, ends = cached
-        votes = prefix[ends] - prefix[starts]
-        bits = votes >= self.decoder.tau_sync
-        return tuple(bits.astype(np.uint8).tolist())
+        return prefix[ends] - prefix[starts]
 
     def _reject_header(self):
         self.header_rejects += 1
@@ -1283,10 +1106,3 @@ class StreamSession:
         self._state = "search"
         self._origin = self._n0 + self.decoder.bit_period
         return True
-
-    @staticmethod
-    def _bits_to_int(bits):
-        value = 0
-        for bit in bits:
-            value = (value << 1) | int(bit)
-        return value

@@ -13,6 +13,7 @@ from repro.gateway.errors import (
     GatewayError,
 )
 from repro.gateway.loadgen import build_workloads, drive_core, run_loadgen
+from repro.obs.metrics import REGISTRY
 
 #: Fast decode path for end-to-end tests: one decimated channel.
 FAST_ENGINE = {
@@ -22,6 +23,23 @@ FAST_ENGINE = {
     "mode": "fast",
     "working_dtype": "complex64",
 }
+
+
+def _delivered(jobs):
+    """Two tenants, two senders each, through one core: payloads per tenant."""
+    workloads = build_workloads(
+        2, 2, seed=11, duration_s=0.02,
+        engine=FAST_ENGINE, dtype="complex64",
+    )
+    with GatewayCore(engine=FAST_ENGINE, max_tenants=2, jobs=jobs) as core:
+        drive_core(core, workloads)
+    return {
+        w.tenant_id: sorted(
+            (m["zigbee_channel"], m["msg_id"], m["data"])
+            for m in w.delivered
+        )
+        for w in workloads
+    }
 
 
 def _zeros(n=256):
@@ -167,27 +185,22 @@ class TestEndToEndDelivery:
         assert report["aggregate_x_realtime"] > 0
 
     def test_pooled_matches_serial_payloads(self):
-        def delivered(jobs):
-            workloads = build_workloads(
-                2, 2, seed=11, duration_s=0.02,
-                engine=FAST_ENGINE, dtype="complex64",
-            )
-            with GatewayCore(
-                engine=FAST_ENGINE, max_tenants=2, jobs=jobs
-            ) as core:
-                drive_core(core, workloads)
-            return {
-                w.tenant_id: sorted(
-                    (m["zigbee_channel"], m["msg_id"], m["data"])
-                    for m in w.delivered
-                )
-                for w in workloads
-            }
-
-        serial = delivered(1)
-        pooled = delivered(2)
+        serial = _delivered(jobs=1)
+        pooled = _delivered(jobs=2)
         assert serial == pooled
         assert any(serial.values())  # the comparison is not vacuous
+
+    def test_registry_does_not_switch_payloads(self):
+        # ``serve`` enables the metrics registry unconditionally, so the
+        # gateway must deliver exactly what an unmetered core delivers.
+        REGISTRY.enable()
+        try:
+            metered = _delivered(jobs=1)
+        finally:
+            REGISTRY.disable()
+            REGISTRY.reset()
+        assert metered == _delivered(jobs=1)
+        assert any(metered.values())  # the comparison is not vacuous
 
     def test_per_tenant_engine_override_is_honored(self):
         # Two tenants fed the same samples, one overriding the listen

@@ -1,13 +1,15 @@
-"""Scan-kernel registry: identity, invariance, pooled equality.
+"""The stream scanner against its golden fixtures.
 
-The scanner contract, asserted rather than assumed:
+The hot-index walk is the receiver's only scanner.  Its reference is
+``tests/stream/golden/scan_golden.json``: decodes frozen while the dense
+``grouped`` reference scanner still existed and produced them
+identically (see :mod:`tests.stream.golden`).  The contract, asserted
+rather than assumed:
 
-* ``batched`` (the hot-index event walk) is **bit-identical** to the
-  ``grouped`` reference — same frames, same order, same float
-  diagnostics — on every product domain it runs over (decimation 4
-  and 8), because both kernels reach every decision from the same
-  cache floats and the walk skips only chunks the dense cascade
-  provably rejects.
+* **bit identity** — on every product domain the walk runs over
+  (decimation 4 and 8 fast, decimation 4 exact, full rate exact) the
+  frames, their order and float diagnostics, and each session's header
+  rejects are the frozen ones.
 * that holds with the metrics registry on as well: the same
   ``decoder.preamble.*`` outcome counters and coherence histogram, the
   same ``stream.session.*`` counters, and the same frames as with the
@@ -18,13 +20,13 @@ The scanner contract, asserted rather than assumed:
   walk's exactness leans on is exercised, not assumed.
 * the reject chain on pure noise at the capture floor — the idle
   regime, where nearly every hit is a false preamble whose header is
-  rejected — matches between kernels frame for frame and reject for
-  reject, whole-stream and under random cuts.
-* the batched kernel is block-size invariant at decimation 8, the
-  deepest product domain: adversarial fixed sizes plus random cuts all
-  reproduce one reference decode.
+  rejected — reproduces the frozen frames and per-session rejects,
+  whole-stream and under random cuts, and the walk's bulk reject count
+  reaches the ``stream.session.header_rejects`` counter in full.
+* decimation 8, the deepest product domain, is block-size invariant:
+  adversarial fixed sizes plus random cuts all reproduce the fixture.
 * the persistent worker pool replays the serial decode byte for byte
-  with the batched kernel — pooling is a transport, not a decoder.
+  — pooling is a transport, not a decoder.
 """
 
 from collections import Counter
@@ -33,185 +35,159 @@ import numpy as np
 import pytest
 
 from repro.core.decoder import SymBeeDecoder
-from repro.network.traffic import StreamSender, StreamTraffic
 from repro.obs.metrics import REGISTRY
 from repro.stream.engine import StreamEngine
-from repro.stream.scan import DEFAULT_SCAN_KERNEL, SCAN_KERNELS
 from repro.stream.session import StreamSession
+from tests.stream.golden import (
+    CASES,
+    decode,
+    demux_capture,
+    encode_frames,
+    encode_histogram,
+    header_rejects,
+    load,
+    metered,
+    noise_capture,
+)
 
 BLOCK_SIZES = (64, 1000, 4096, 9973)
 
-#: Decimated fast path, the configuration the scanner was built for.
-FAST = dict(demux=True, mode="fast", working_dtype=np.complex64)
 
-#: Metric namespaces the scanner and the session state machine feed.
-SCAN_METRICS = ("decoder.preamble.", "stream.session.")
-
-
-def _decode_fields(frames):
-    return [frame.decode_fields() for frame in frames]
-
-
-def _random_cuts(engine, samples, seed):
-    """Decode ``samples`` pushed in random-size blocks (1..20000)."""
-    cuts = np.random.default_rng(seed)
-    frames = []
-    lo = 0
-    while lo < samples.size:
-        size = int(cuts.integers(1, 20000))
-        frames.extend(engine.process_block(samples[lo : lo + size]))
-        lo += size
-    frames.extend(engine.finish())
-    return frames
+@pytest.fixture(scope="module")
+def golden():
+    return load()
 
 
 @pytest.fixture(scope="module")
 def demux_case():
-    senders = [
-        StreamSender(0, zigbee_channel=11),
-        StreamSender(1, zigbee_channel=13),
-        StreamSender(2, zigbee_channel=14),
-    ]
-    traffic = StreamTraffic(senders, duration_s=0.025)
-    samples, truth = traffic.capture(np.random.default_rng(42))
-    assert truth
-    return traffic, samples
+    return demux_capture()
 
 
 @pytest.fixture(scope="module")
 def noise_case():
-    """1 M samples of receiver noise at the capture floor, no sender."""
-    traffic = StreamTraffic([StreamSender(0)], duration_s=0.05)
-    return traffic.front_end.capture(
-        [],
-        traffic.total_samples,
-        rng=np.random.default_rng(7),
-        include_noise=traffic.include_noise,
+    return noise_capture()
+
+
+def _assert_golden(golden, case, samples, cut_seed=None):
+    """Registry off, then on: both reproduce ``case``'s fixture.
+
+    Returns the registry-on counters.
+    """
+    expected = golden[case]
+    frames, engine = decode(case, samples, cut_seed)
+    assert encode_frames(frames) == expected["frames"]
+    assert header_rejects(engine) == expected["header_rejects"]
+    (frames_on, engine_on), counters, coherence = metered(
+        lambda: decode(case, samples, cut_seed)
     )
-
-
-def _run(demux_case, block_size=65536, **overrides):
-    traffic, samples = demux_case
-    engine = StreamEngine(**{**FAST, **overrides})
-    return engine.run(traffic.blocks(samples, block_size))
-
-
-@pytest.fixture(scope="module")
-def grouped_d8(demux_case):
-    frames = _run(demux_case, decimation=8, scan_kernel="grouped")
-    assert frames
-    return _decode_fields(frames)
+    # Telemetry must not switch the outcome of the decision path.
+    assert encode_frames(frames_on) == encode_frames(frames)
+    assert header_rejects(engine_on) == expected["header_rejects"]
+    assert counters == expected["counters"]
+    assert encode_histogram(coherence) == expected["coherence"]
+    return counters
 
 
 @pytest.mark.parametrize("decimation", [4, 8])
-def test_batched_is_bit_identical_to_grouped(demux_case, decimation):
-    grouped = _run(demux_case, decimation=decimation, scan_kernel="grouped")
-    batched = _run(demux_case, decimation=decimation, scan_kernel="batched")
-    assert grouped
-    assert _decode_fields(batched) == _decode_fields(grouped)
+def test_batched_is_bit_identical_to_grouped(golden, demux_case, decimation):
+    frames, engine = decode(f"d{decimation}", demux_case)
+    assert frames
+    assert encode_frames(frames) == golden[f"d{decimation}"]["frames"]
+    assert header_rejects(engine) == golden[f"d{decimation}"]["header_rejects"]
+
+
+def test_exact_d4_matches_golden(golden, demux_case):
+    _assert_golden(golden, "d4_exact", demux_case)
 
 
 @pytest.mark.parametrize("block_size", BLOCK_SIZES)
-def test_batched_d8_is_block_size_invariant(
-    demux_case, grouped_d8, block_size
-):
-    frames = _run(
-        demux_case, block_size, decimation=8, scan_kernel="batched"
+def test_batched_d8_is_block_size_invariant(golden, demux_case, block_size):
+    engine = StreamEngine(**CASES["d8"][1])
+    blocks = (
+        demux_case[lo : lo + block_size]
+        for lo in range(0, demux_case.size, block_size)
     )
-    assert _decode_fields(frames) == grouped_d8
+    assert encode_frames(engine.run(blocks)) == golden["d8"]["frames"]
 
 
-def test_batched_d8_random_cuts_match(demux_case, grouped_d8, rng):
-    _, samples = demux_case
-    engine = StreamEngine(**FAST, decimation=8, scan_kernel="batched")
-    frames = _random_cuts(engine, samples, rng.integers(1 << 31))
-    assert _decode_fields(frames) == grouped_d8
-
-
-def _metered(decode):
-    """``decode()`` with the registry on: frames plus scan metrics."""
-    REGISTRY.enable()
-    REGISTRY.reset()
-    try:
-        frames = decode()
-        snapshot = REGISTRY.snapshot()
-    finally:
-        REGISTRY.disable()
-        REGISTRY.reset()
-    counters = {
-        name: value
-        for name, value in snapshot["counters"].items()
-        if name.startswith(SCAN_METRICS)
-    }
-    return frames, counters, snapshot["histograms"]["decoder.preamble.coherence"]
-
-
-def _assert_metered_parity(decode):
-    """Kernels agree with the registry on; return grouped's counters."""
-    grouped, grouped_counters, grouped_hist = _metered(lambda: decode("grouped"))
-    batched, batched_counters, batched_hist = _metered(lambda: decode("batched"))
-    assert grouped
-    assert _decode_fields(batched) == _decode_fields(grouped)
-    assert batched_counters == grouped_counters
-    assert batched_hist == grouped_hist
-    # Telemetry must not switch the outcome of the decision path.
-    assert _decode_fields(batched) == _decode_fields(decode("batched"))
-    return grouped_counters
+def test_batched_d8_random_cuts_match(golden, demux_case, rng):
+    frames, _ = decode("d8", demux_case, cut_seed=rng.integers(1 << 31))
+    assert encode_frames(frames) == golden["d8"]["frames"]
 
 
 @pytest.mark.parametrize("cuts", ["blocks", "random"])
 @pytest.mark.parametrize("decimation", [4, 8])
-def test_registry_on_batched_matches_grouped(demux_case, decimation, cuts):
-    _, samples = demux_case
-
-    def decode(kernel):
-        if cuts == "blocks":
-            return _run(demux_case, decimation=decimation, scan_kernel=kernel)
-        engine = StreamEngine(**FAST, decimation=decimation, scan_kernel=kernel)
-        return _random_cuts(engine, samples, 1234)
-
-    counters = _assert_metered_parity(decode)
+def test_registry_on_batched_matches_grouped(
+    golden, demux_case, decimation, cuts
+):
+    # Random cuts change only the push sizes, so the fast-mode totals
+    # (float32 coherences, whose float64 sum is exact in any order)
+    # match the fixture too.
+    counters = _assert_golden(
+        golden,
+        f"d{decimation}",
+        demux_case,
+        cut_seed=1234 if cuts == "random" else None,
+    )
     assert counters["decoder.preamble.hit"] > 0
     assert counters["decoder.preamble.miss.concentration"] > 0
     assert counters["stream.session.header_rejects"] > 0
 
 
-def test_registry_on_miss_split_matches_grouped(demux_case):
+def test_registry_on_miss_split_matches_grouped(golden, demux_case):
     # At full rate some chunks miss the count and coherence floors too
     # (the decimated domains clear both on nearly every chunk), so this
     # exercises every branch of the walk's bulk miss accounting.
-    traffic, samples = demux_case
-
-    def decode(kernel):
-        engine = StreamEngine(demux=False, scan_kernel=kernel)
-        return engine.run(traffic.blocks(samples, 9973))
-
-    counters = _assert_metered_parity(decode)
+    counters = _assert_golden(golden, "full_rate", demux_case)
     for outcome in ("hit", "miss.count_floor", "miss.coherence",
                     "miss.concentration"):
         assert counters[f"decoder.preamble.{outcome}"] > 0, outcome
 
 
-@pytest.mark.parametrize(
-    "kernel, cuts",
-    [("grouped", "random"), ("batched", "whole"), ("batched", "random")],
-)
-def test_noise_reject_chain_matches_grouped(noise_case, kernel, cuts):
-    def decode(kernel, cuts):
-        engine = StreamEngine(**FAST, decimation=8, scan_kernel=kernel)
-        if cuts == "random":
-            frames = _random_cuts(engine, noise_case, 99)
-        else:
-            frames = engine.process_block(noise_case)
-            frames.extend(engine.finish())
-        rejects = [s["header_rejects"] for s in engine.stats()["sessions"]]
-        return _decode_fields(frames), rejects
+def test_metered_decode_counts_each_emitted_bit_once(demux_case):
+    # Only the body decode feeds the bit diagnostics: headers gated on
+    # the way (rejected false preambles included) add nothing, and an
+    # emitted frame's header bits are counted once.
+    REGISTRY.enable()
+    try:
+        frames, _ = decode("full_rate", demux_case)
+        snapshot = REGISTRY.snapshot()
+    finally:
+        REGISTRY.disable()
+        REGISTRY.reset()
+    n_bits = sum(frame.n_bits for frame in frames)
+    assert n_bits > 0
+    assert snapshot["counters"]["decoder.bits_decoded"] == n_bits
+    assert snapshot["histograms"]["decoder.vote_margin"]["count"] == n_bits
 
-    reference = decode("grouped", "whole")
+
+@pytest.mark.parametrize(
+    "kernel, cuts", [("batched", "whole"), ("batched", "random")]
+)
+def test_noise_reject_chain_matches_grouped(golden, noise_case, kernel, cuts):
+    # ``kernel`` is the one name the engine's scan_kernel keyword takes.
+    expected = golden["noise_d8"]
     # The idle regime: the false-preamble/header-reject chain runs on
     # every session, many times over.
-    assert min(reference[1]) >= 10
-    assert decode(kernel, cuts) == reference
+    assert min(expected["header_rejects"]) >= 10
+    frames, engine = decode(
+        "noise_d8",
+        noise_case,
+        cut_seed=99 if cuts == "random" else None,
+        scan_kernel=kernel,
+    )
+    assert encode_frames(frames) == expected["frames"]
+    assert header_rejects(engine) == expected["header_rejects"]
+
+
+@pytest.mark.parametrize("cuts", ["whole", "random"])
+def test_noise_header_rejects_counted_in_bulk(golden, noise_case, cuts):
+    counters = _assert_golden(
+        golden, "noise_d8", noise_case, cut_seed=99 if cuts == "random" else None
+    )
+    assert counters["stream.session.header_rejects"] == sum(
+        golden["noise_d8"]["header_rejects"]
+    )
 
 
 def _dense_cascade(caches, o, chunks, s, floor, coh_min, slack):
@@ -350,30 +326,22 @@ def test_walk_matches_dense_cascade_on_threshold_boundaries(
     assert accepts > 100
 
 
-def test_pooled_matches_serial_batched_d8(demux_case, grouped_d8):
-    traffic, samples = demux_case
-    engine = StreamEngine(**FAST, decimation=8, scan_kernel="batched")
-    frames = engine.run(traffic.blocks(samples, 65536), jobs=2)
-    assert _decode_fields(frames) == grouped_d8
+def test_pooled_matches_serial_batched_d8(golden, demux_case):
+    frames, _ = decode("d8", demux_case, jobs=2)
+    assert encode_frames(frames) == golden["d8"]["frames"]
 
 
 def test_unknown_scan_kernel_rejected():
-    with pytest.raises(ValueError, match="unknown scan kernel"):
-        StreamEngine(demux=True, decimation=4, scan_kernel="vectorized")
+    for kernel in ("grouped", "vectorized"):
+        with pytest.raises(ValueError, match="unknown scan kernel"):
+            StreamEngine(demux=True, decimation=4, scan_kernel=kernel)
 
 
-def test_registry_shape():
-    assert DEFAULT_SCAN_KERNEL in SCAN_KERNELS
-    assert set(SCAN_KERNELS) == {"grouped", "batched"}
-    for name, spec in SCAN_KERNELS.items():
-        assert spec.name == name
-        assert spec.batched == (name == "batched")
-
-
-def test_stats_report_scan_kernel(demux_case):
-    traffic, samples = demux_case
-    engine = StreamEngine(**FAST, decimation=8, scan_kernel="grouped")
-    engine.run(traffic.blocks(samples, 65536))
+def test_stats_report_scan_kernel(golden, demux_case):
+    # The keyword takes the scanner's one name and changes nothing, so
+    # the stats no longer report a scanner.
+    frames, engine = decode("d8", demux_case, scan_kernel="batched")
+    assert encode_frames(frames) == golden["d8"]["frames"]
     stats = engine.stats()
-    assert stats["scan_kernel"] == "grouped"
+    assert "scan_kernel" not in stats
     assert stats["decimation"] == 8
