@@ -8,17 +8,16 @@ and writes ``BENCH_GATEWAY.json`` at the repo root.
 
 Headline number: **tenants-per-core at realtime** — how many concurrent
 realtime tenant streams one core sustains through the full gateway path,
-i.e. aggregate stream-seconds decoded per wall-second, divided by the
-cores the backend used.  The serial row must clear >= 1.0 on any
-machine (the per-tenant engine is the single-channel decimated fast
-path, ~1.5x realtime per stream); the pooled row is recorded, and its
-speedup gated, only where the cores exist (cpu-count-conditional, like
-BENCH_PR6).
+i.e. aggregate stream-seconds decoded per wall-second.  The gateway
+decodes on one core; more cores mean more independent ``serve``
+processes.  The row must clear >= 1.0 on any machine (the per-tenant
+engine is the single-channel decimated fast path, ~1.5x realtime per
+stream).
 
-Correctness is asserted harder than speed: the serial and pooled drives
-must deliver **byte-identical** per-tenant message sets (payload bytes,
-msg ids, channels, fragment counts — everything except wall-clock
-latency), and both must match the workloads' ground truth exactly.
+Correctness is asserted harder than speed: every timed drive must
+deliver **byte-identical** per-tenant message sets (payload bytes, msg
+ids, channels, fragment counts — everything except wall-clock latency),
+matching the workloads' ground truth exactly.
 """
 
 import gc
@@ -27,6 +26,7 @@ import os
 import time
 from pathlib import Path
 
+from benchmarks.ledger.child import blas_threads
 from repro.gateway.core import GatewayCore
 from repro.gateway.loadgen import build_workloads, drive_core, verify
 
@@ -59,28 +59,27 @@ def _fresh(workloads):
     return workloads
 
 
-def _drive(workloads, jobs):
-    with GatewayCore(
-        engine=ENGINE_KWARGS, max_tenants=TENANTS, jobs=jobs
-    ) as core:
+def _drive(workloads):
+    with GatewayCore(engine=ENGINE_KWARGS, max_tenants=TENANTS) as core:
         return drive_core(core, _fresh(workloads), block_size=BLOCK_SIZE)
 
 
-def _best_timed(workloads, jobs, repeats):
-    """Best wall seconds over ``repeats`` drives, GC paused; keeps the
-    delivery ledger of the *last* drive (they are all byte-identical —
-    asserted below)."""
-    _drive(workloads, jobs)  # warm-up: waveform caches, worker spawn
+def _best_timed(workloads, repeats):
+    """Best wall seconds over ``repeats`` drives, GC paused, plus each
+    drive's delivery identity (asserted byte-identical below)."""
+    _drive(workloads)  # warm-up: waveform caches
     best = float("inf")
+    identities = []
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(repeats):
-            best = min(best, _drive(workloads, jobs))
+            best = min(best, _drive(workloads))
+            identities.append(_delivery_identity(workloads))
     finally:
         if gc_was_enabled:
             gc.enable()
-    return best
+    return best, identities
 
 
 def _delivery_identity(workloads):
@@ -100,7 +99,7 @@ def _delivery_identity(workloads):
     }
 
 
-def _row(elapsed, workloads, cores_used, **extra):
+def _row(elapsed, workloads):
     total_samples = sum(w.samples.size for w in workloads)
     stream_seconds = sum(w.stream_seconds for w in workloads)
     x_realtime = stream_seconds / elapsed
@@ -109,11 +108,10 @@ def _row(elapsed, workloads, cores_used, **extra):
         "elapsed_seconds": round(elapsed, 4),
         "effective_msps": round(total_samples / elapsed / 1e6, 3),
         "x_realtime": round(x_realtime, 4),
-        "cores_used": cores_used,
-        "tenants_per_core_at_realtime": round(x_realtime / cores_used, 4),
+        "cores_used": 1,
+        "tenants_per_core_at_realtime": round(x_realtime, 4),
         "messages_delivered": sum(len(w.delivered) for w in workloads),
         "block_size": BLOCK_SIZE,
-        **extra,
     }
 
 
@@ -130,31 +128,15 @@ def test_bench_gateway():
     )
     assert all(w.expected for w in workloads), "seed must air full messages"
 
-    serial_s = _best_timed(workloads, jobs=1, repeats=3)
+    serial_s, identities = _best_timed(workloads, repeats=3)
     serial_rows, serial_exact = verify(workloads)
-    serial_identity = _delivery_identity(workloads)
     assert serial_exact, serial_rows
-    assert any(serial_identity.values())
+    assert any(identities[0].values())
+    # The acceptance contract: the gateway path is deterministic —
+    # every drive delivers byte-identical messages, per tenant.
+    assert all(identity == identities[0] for identity in identities)
 
-    pooled_jobs = min(2, cpu_count) if cpu_count >= 2 else 2
-    pooled_s = _best_timed(workloads, jobs=pooled_jobs, repeats=2)
-    pooled_rows, pooled_exact = verify(workloads)
-    pooled_identity = _delivery_identity(workloads)
-    assert pooled_exact, pooled_rows
-
-    # The acceptance contract: the gateway path is deterministic across
-    # backends — pooled delivery is byte-identical to serial, per tenant.
-    assert pooled_identity == serial_identity
-
-    serial_row = _row(serial_s, workloads, cores_used=1)
-    pooled_row = _row(
-        pooled_s,
-        workloads,
-        cores_used=pooled_jobs,
-        jobs=pooled_jobs,
-        speedup_vs_serial=round(serial_s / pooled_s, 2),
-    )
-    gate_pooled = cpu_count >= 2
+    serial_row = _row(serial_s, workloads)
 
     report = {
         "pr": 9,
@@ -173,19 +155,17 @@ def test_bench_gateway():
         "protocol": (
             "best-of-N wall time over full gateway drives (admit -> ring "
             "-> decode -> reassemble -> finish), gc disabled, after one "
-            "warm-up drive; serial and pooled delivery ledgers asserted "
-            "byte-identical; the pooled speed gate is cpu-count-"
-            "conditional, the serial tenants-per-core floor is not"
+            "warm-up drive; every timed drive's delivery ledger asserted "
+            "byte-identical and byte-exact against ground truth"
         ),
         "cpu_count": cpu_count,
+        "blas_threads": blas_threads(),
         "serial": serial_row,
-        "pooled": pooled_row,
         "delivery": serial_rows,
         "gates": {
             "target_tenants_per_core": TARGET_TENANTS_PER_CORE,
             "serial_gate_applied": True,
-            "pooled_gate_applied": gate_pooled,
-            "byte_identity": "asserted (serial == pooled, per tenant)",
+            "byte_identity": "asserted (every drive, per tenant)",
         },
     }
     (root / "BENCH_GATEWAY.json").write_text(
@@ -193,19 +173,12 @@ def test_bench_gateway():
     )
 
     print()
-    for name in ("serial", "pooled"):
-        row = report[name]
-        print(
-            f"{name:7s} {row['elapsed_seconds']:7.4f} s  "
-            f"{row['effective_msps']:6.2f} Msps  "
-            f"{row['x_realtime']:5.2f}x realtime  "
-            f"{row['tenants_per_core_at_realtime']:5.2f} tenants/core  "
-            f"{row['messages_delivered']} msgs"
-        )
     print(
-        f"cpus={cpu_count}  pooled jobs={pooled_jobs} "
-        f"speedup {pooled_row['speedup_vs_serial']:.2f}x "
-        f"(gate {'on' if gate_pooled else 'off'})"
+        f"serial  {serial_row['elapsed_seconds']:7.4f} s  "
+        f"{serial_row['effective_msps']:6.2f} Msps  "
+        f"{serial_row['x_realtime']:5.2f}x realtime  "
+        f"{serial_row['tenants_per_core_at_realtime']:5.2f} tenants/core  "
+        f"{serial_row['messages_delivered']} msgs  (cpus={cpu_count})"
     )
 
     # The headline gate: one core must carry at least one realtime
@@ -214,11 +187,3 @@ def test_bench_gateway():
         serial_row["tenants_per_core_at_realtime"]
         >= TARGET_TENANTS_PER_CORE
     ), serial_row
-    if gate_pooled:
-        # On real cores the pooled backend must at least hold serial's
-        # aggregate rate to within IPC noise (the per-block decode here
-        # is light, so fan-out wins are modest; the identity assert is
-        # the hard contract).
-        assert pooled_row["x_realtime"] >= serial_row["x_realtime"] * 0.5, (
-            pooled_row
-        )

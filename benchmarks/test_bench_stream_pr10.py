@@ -16,17 +16,14 @@ PR-10 fast path, and writes ``BENCH_PR10.json`` at the repo root:
   so the fast path may legitimately run deeper blocks than the PR-6
   baseline config pinned for comparability (6.5 ms of stream per block
   at 20 Msps, still far below a frame's own duration).
-* **pooled_jobs2_d8** — the headline config through the persistent
-  worker pool, asserted bit-identical to its serial run.
 
 Equivalence asserted here, not just speed:
 
 * the decimation-8 frame lists are **bit-identical** across block
-  sizes and the pooled run (same frames, order, payloads, band
-  powers);
+  sizes (same frames, order, payloads, band powers);
 * the CRC-valid frame multiset — ``(channel, payload bits)`` — is
-  identical across exact mode, fast d4, fast d8 and the pooled run,
-  and matches the scheduled traffic.
+  identical across exact mode, fast d4 and fast d8, and matches the
+  scheduled traffic.
 
 The headline speed gate (batched d8 deep >= 1.5x the same-run PR-6
 baseline) is asserted with the PR-6 noise floor convention: the JSON
@@ -146,12 +143,12 @@ def test_bench_stream_pr10():
     n = samples.size
     cpu_count = os.cpu_count() or 1
 
-    def make(block_size, jobs=None, **overrides):
+    def make(block_size, **overrides):
         kwargs = {**BASELINE, **overrides}
 
         def run():
             engine = StreamEngine(**kwargs)
-            return engine.run(traffic.blocks(samples, block_size), jobs=jobs)
+            return engine.run(traffic.blocks(samples, block_size))
 
         return run
 
@@ -179,15 +176,6 @@ def test_bench_stream_pr10():
     for key in ("batched_d8", "batched_d8_deep"):
         assert _crc_multiset(frames[key]) == crc_ref, key
     assert len(crc_ref) == len(truth)
-
-    # Pooled headline config: bit-identical to its own serial run.
-    pooled_run = make(DEEP_BLOCK, decimation=8, jobs=2)
-    t0 = time.perf_counter()
-    pooled_frames = pooled_run()
-    pooled_s = time.perf_counter() - t0
-    assert _frame_fields(pooled_frames) == _frame_fields(
-        frames["batched_d8_deep"]
-    )
 
     ratio_deep = best["batched_d4"] / best["batched_d8_deep"]
     ratio_d8 = best["batched_d4"] / best["batched_d8"]
@@ -226,9 +214,6 @@ def test_bench_stream_pr10():
                 "ratio_vs_baseline": round(best["batched_d4"] / best[key], 3)
             }
         report[key] = _row(n, frames[key], best[key], block_size, **extra)
-    report["pooled_jobs2_d8"] = _row(
-        n, pooled_frames, pooled_s, DEEP_BLOCK, jobs=2
-    )
     report["gates"] = {
         "headline_ratio": round(ratio_deep, 3),
         "target_ratio": TARGET_RATIO,
@@ -244,7 +229,7 @@ def test_bench_stream_pr10():
     (root / "BENCH_PR10.json").write_text(json.dumps(report, indent=2) + "\n")
 
     print()
-    for key in (*configs, "pooled_jobs2_d8"):
+    for key in configs:
         row = report[key]
         print(
             f"{key:18s} {row['elapsed_seconds']:7.4f} s  "

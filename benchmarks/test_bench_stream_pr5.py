@@ -17,9 +17,6 @@ controls and writes ``BENCH_PR5.json`` at the repo root:
   :class:`FastChannelBank` filtering for all four sessions.
 * **decimated_fast_f32** — the headline: all of the above plus a
   complex64 working dtype.  Target: >= 5x the full-rate exact engine.
-* **decimated_fast_f32_jobs2** — the same config through the parallel
-  per-channel path (process-pool overhead dominates on the 1-CPU
-  reference container; the row documents that honestly).
 
 Timing protocol: best-of-N wall time with GC paused after a warm-up
 decode — on a shared single-CPU host the minimum is the least-noisy
@@ -108,10 +105,10 @@ def test_bench_stream_pr5():
     traffic, samples, truth = _capture()
     n = samples.size
 
-    def run(block_size=BLOCK_SIZE, jobs=None, **kwargs):
+    def run(block_size=BLOCK_SIZE, **kwargs):
         def decode():
             engine = StreamEngine(demux=True, **kwargs)
-            return engine.run(traffic.blocks(samples, block_size), jobs=jobs)
+            return engine.run(traffic.blocks(samples, block_size))
 
         return decode
 
@@ -125,15 +122,11 @@ def test_bench_stream_pr5():
     f32_frames, f32_s = _best_timed(
         run(decimation=4, mode="fast", working_dtype=np.complex64), repeats=7
     )
-    jobs2_frames, jobs2_s = _best_timed(
-        run(decimation=4, mode="fast", working_dtype=np.complex64, jobs=2),
-        repeats=2,
-    )
 
     # Hard delivery guarantee: identical CRC-valid payloads everywhere.
     ref_bits = _crc_ok_bits(baseline_frames)
     assert ref_bits
-    for frames in (exact_d4_frames, fast_frames, f32_frames, jobs2_frames):
+    for frames in (exact_d4_frames, fast_frames, f32_frames):
         assert _crc_ok_bits(frames) == ref_bits
 
     recorded = _recorded_pr3(root)
@@ -172,9 +165,6 @@ def test_bench_stream_pr5():
             ),
             target_speedup=TARGET_SPEEDUP,
         ),
-        "decimated_fast_f32_jobs2": _row(
-            n, jobs2_frames, jobs2_s, BLOCK_SIZE
-        ),
         "recorded_pr3_streaming": recorded,
     }
     (root / "BENCH_PR5.json").write_text(json.dumps(report, indent=2) + "\n")
@@ -185,7 +175,6 @@ def test_bench_stream_pr5():
         "decimated_exact",
         "decimated_fast",
         "decimated_fast_f32",
-        "decimated_fast_f32_jobs2",
     ):
         row = report[name]
         print(

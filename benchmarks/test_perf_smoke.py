@@ -6,15 +6,12 @@ Two small guards CI can afford on every push:
   through the PR-10 headline configuration (``decimation=8``, fast
   kernels, complex64, batched scan kernel, 131072-sample blocks) and
   require a conservative Msps floor; and
-* a **parallel trend gate** — time the PR-6 comparison configuration
-  serial, jobs=2 and jobs=4, plus a **scan-path micro-benchmark**
-  (pure-noise capture through the headline configuration, so the scan
-  cascade is the whole decode), append the Msps and Msps-per-core
-  figures to ``BENCH_SMOKE_TREND.jsonl`` (one JSON line per run,
-  rendered by ``python -m repro bench trajectory``), and fail when the
-  pooled path is slower than serial *on a machine with the cores to
-  win* — single-CPU runners record the numbers but cannot gate on
-  them, because process fan-out can only lose there.
+* a **serial trend recorder** — time the PR-6 comparison configuration
+  plus a **scan-path micro-benchmark** (pure-noise capture through the
+  headline configuration, so the scan cascade is the whole decode) and
+  append the Msps figures, with the CPU count and the BLAS thread count
+  they were measured under, to ``BENCH_SMOKE_TREND.jsonl`` (one JSON
+  line per run, rendered by ``python -m repro bench trajectory``).
 
 The floor is ~2.9x below the ~13 Msps the reference 1-CPU container
 measures for the PR-10 configuration (see ``BENCH_PR10.json``), so an
@@ -33,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from benchmarks.ledger.child import blas_threads
 from repro.network.traffic import StreamSender, StreamTraffic
 from repro.stream import StreamEngine
 
@@ -93,8 +91,7 @@ def test_streaming_fast_path_throughput_floor():
 
 
 @pytest.mark.perf_smoke
-def test_parallel_trend_gate():
-    cpu_count = os.cpu_count() or 1
+def test_serial_trend_record():
     senders = [
         StreamSender(0, zigbee_channel=11, reading_interval_s=0.008),
         StreamSender(1, zigbee_channel=13, reading_interval_s=0.008),
@@ -103,28 +100,22 @@ def test_parallel_trend_gate():
     traffic = StreamTraffic(senders, duration_s=0.0125)
     samples, truth = traffic.capture(np.random.default_rng(20260806))
 
-    def decode(jobs=None):
+    def decode():
         engine = StreamEngine(
             demux=True,
             decimation=4,
             mode="fast",
             working_dtype=np.complex64,
         )
-        return engine.run(traffic.blocks(samples, BLOCK_SIZE), jobs=jobs)
+        return engine.run(traffic.blocks(samples, BLOCK_SIZE))
 
-    def best_msps(jobs=None, repeats=2):
-        decode(jobs)  # warm-up
-        best = float("inf")
-        frames = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            frames = decode(jobs)
-            best = min(best, time.perf_counter() - t0)
-        return samples.size / best / 1e6, frames
-
-    serial_msps, serial_frames = best_msps(repeats=3)
-    jobs2_msps, jobs2_frames = best_msps(jobs=2)
-    jobs4_msps, jobs4_frames = best_msps(jobs=4)
+    decode()  # warm-up
+    serial_best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        decode()
+        serial_best = min(serial_best, time.perf_counter() - t0)
+    serial_msps = samples.size / serial_best / 1e6
 
     # Scan-path micro-benchmark: a pure-noise capture makes the
     # idle-listening preamble search the entire decode, so this number
@@ -151,44 +142,20 @@ def test_parallel_trend_gate():
         scan_best = min(scan_best, time.perf_counter() - t0)
     scan_noise_msps = noise.size / scan_best / 1e6
 
-    # Equivalence rides along with the timing: identical frame lists.
-    def fields(frames):
-        return [
-            (f.zigbee_channel, f.preamble_index, tuple(f.bits), f.crc_ok)
-            for f in frames
-        ]
-
-    assert fields(jobs2_frames) == fields(serial_frames)
-    assert fields(jobs4_frames) == fields(serial_frames)
-
-    gate = cpu_count >= 2
+    cpu_count = os.cpu_count() or 1
     entry = {
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "cpu_count": cpu_count,
+        "blas_threads": blas_threads(),
         "serial_msps": round(serial_msps, 3),
-        "jobs2_msps": round(jobs2_msps, 3),
-        "jobs4_msps": round(jobs4_msps, 3),
-        # Msps-per-core is the honest scaling figure: it divides each
-        # pooled rate by the workers it consumed.
-        "serial_msps_per_core": round(serial_msps, 3),
-        "jobs2_msps_per_core": round(jobs2_msps / 2, 3),
-        "jobs4_msps_per_core": round(jobs4_msps / 4, 3),
         # Pure-noise decode through the PR-10 headline configuration:
         # the scan cascade with no frames to decode.
         "scan_noise_msps": round(scan_noise_msps, 3),
-        "gate_applied": gate,
     }
     with TREND_PATH.open("a") as fh:
         fh.write(json.dumps(entry) + "\n")
     print(
-        f"\ntrend: serial {serial_msps:.2f} / jobs2 {jobs2_msps:.2f} / "
-        f"jobs4 {jobs4_msps:.2f} Msps, scan-only {scan_noise_msps:.2f} "
-        f"Msps on {cpu_count} cpu(s), "
-        f"gate {'on' if gate else 'off'} -> {TREND_PATH.name}"
+        f"\ntrend: serial {serial_msps:.2f} Msps, scan-only "
+        f"{scan_noise_msps:.2f} Msps on {cpu_count} cpu(s), "
+        f"{entry['blas_threads']} BLAS thread(s) -> {TREND_PATH.name}"
     )
-
-    if gate:
-        # On real cores the pool must not lose to serial; 10% noise
-        # allowance keeps a loaded runner from flaking while a real
-        # pool regression (ratio well under 1) still fails.
-        assert jobs2_msps >= serial_msps * 0.9, entry

@@ -398,8 +398,7 @@ def _cmd_listen(args):
 
     # Graceful shutdown: SIGINT/SIGTERM stop the *feed*, not the
     # process — the engine then drains the ring, flushes channelizer
-    # state, joins the worker pool (unlinking its shared-memory
-    # segments) and finalizes the live collector exactly as it would at
+    # state and finalizes the live collector exactly as it would at
     # end-of-capture.  A second signal falls back to the default
     # handler (hard kill).
     stop = {"signal": None}
@@ -423,9 +422,7 @@ def _cmd_listen(args):
     def ring_feed():
         # Lock-step producer/consumer: every block passes through the
         # ring on its way to the engine so overrun accounting stays
-        # live.  As a generator this also pipelines the parallel path —
-        # the pool publishes each block while workers chew on earlier
-        # ones, instead of materializing the capture first.
+        # live.
         for block in traffic.blocks(samples, args.block_size):
             if stop["signal"] is not None:
                 break
@@ -437,17 +434,7 @@ def _cmd_listen(args):
         yield from ring
 
     def decode():
-        if args.jobs != 1:
-            return engine.run(
-                ring_feed(), jobs=args.jobs, collector=collector
-            )
-        decoded = []
-        for block in ring_feed():
-            decoded.extend(engine.process_block(block))
-            if collector is not None:
-                collector.maybe_tick()
-        decoded.extend(engine.finish())
-        return decoded
+        return engine.run(ring_feed(), collector=collector)
 
     t0 = time.perf_counter()
     try:
@@ -462,7 +449,7 @@ def _cmd_listen(args):
 
     if collector is not None:
         # The final sample carries the end-of-run cumulative totals —
-        # it must land after the decode (including any pool merge).
+        # it must land after the decode.
         collector.finalize()
         for sink in sinks:
             sink.close()
@@ -521,18 +508,6 @@ def _cmd_listen(args):
         f"processed {samples.size} samples in {elapsed:.3f} s "
         f"({msps:.1f} Msps, {realtime:.2f}x realtime)"
     )
-    if args.pool_stats:
-        pool = engine.pool_stats
-        if pool is None:
-            print(
-                "(no worker-pool stats: decode ran serial)", file=sys.stderr
-            )
-        else:
-            print_table(
-                ("stat", "value"),
-                [(key, str(value)) for key, value in sorted(pool.items())],
-                title="worker pool",
-            )
 
     if record or live_requested:
         obs.disable()
@@ -853,7 +828,6 @@ def _cmd_serve(args):
             engine=_gateway_engine_kwargs(args),
             max_tenants=args.max_tenants,
             ring_capacity=args.ring_capacity,
-            jobs=args.jobs,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -947,7 +921,6 @@ def _cmd_loadgen(args):
             scheme=setting("scheme", args.scheme, "hamming"),
             channels=tuple(overrides.get("channels", (13,))),
             engine=engine,
-            jobs=setting("jobs", args.jobs, 1),
             client=client,
         )
     finally:
@@ -1169,16 +1142,6 @@ def build_parser():
         help="complex64 working dtype (fast kernel mode only)",
     )
     listen.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="decode demux channels across N worker processes "
-             "(default 1, serial)",
-    )
-    listen.add_argument(
-        "--pool-stats", action="store_true",
-        help="print worker-pool transport stats after a --jobs decode "
-             "(blocks published, shared bytes, peak in-flight segments)",
-    )
-    listen.add_argument(
         "--profile", action="store_true",
         help="run the decode under cProfile and print a hotspot table "
              "plus the pipeline span tree",
@@ -1269,11 +1232,6 @@ def build_parser():
         help="per-tenant ring capacity in blocks; a full ring sheds "
              "with an explicit overrun code (default 64)",
     )
-    serve.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="multiplex tenants across N pool workers (default 1, "
-             "inline decode)",
-    )
     add_engine_flags(serve)
     serve.add_argument(
         "--metrics-stream", metavar="PATH", default=None,
@@ -1342,11 +1300,6 @@ def build_parser():
         "--connect-wait", type=float, default=10.0, metavar="SECONDS",
         help="retry the first connection for up to this long — lets CI "
              "start 'serve' in the background (default 10)",
-    )
-    loadgen.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="in-process mode: pool workers for the gateway core "
-             "(default 1)",
     )
     add_engine_flags(loadgen)
     loadgen.set_defaults(func=_cmd_loadgen)

@@ -19,7 +19,8 @@ gateway capacity artifact (``BENCH_GATEWAY.json``, headline
 tables and as ``gateway`` / ``sim`` keys in the JSON document.
 
 When ``BENCH_SMOKE_TREND.jsonl`` exists (appended by the CI perf-smoke
-trend gate), its most recent entries are shown as well; when
+trend recorder), its most recent entries are shown as well, with the
+CPU and BLAS thread counts each was recorded under; when
 ``BENCH_SMOKE_LIVE.jsonl`` exists (a ``listen --metrics-stream`` live
 time series captured by the same job), its throughput envelope is
 summarized too.  ``trajectory_report`` renders the same content as a
@@ -41,7 +42,7 @@ _THROUGHPUT_KEYS = {
     "goodput_bps": "bps",
 }
 
-#: Trend file appended by the CI perf-smoke gate.
+#: Trend file appended by the CI perf-smoke trend recorder.
 TREND_FILENAME = "BENCH_SMOKE_TREND.jsonl"
 
 #: Live time series captured by the CI perf-smoke job's listen run.
@@ -415,23 +416,23 @@ def print_trajectory(root=".", print_fn=print):
 
     trend = read_trend(root)
     if trend:
+
+        def msps(entry, key):
+            return f"{entry[key]:.2f}" if key in entry else "-"
+
+        # Lines recorded before BLAS pinning carry no blas_threads.
         trend_rows = [
             (
                 str(entry.get("recorded_at", "-")),
                 str(entry.get("cpu_count", "-")),
-                f"{entry['serial_msps']:.2f}"
-                if "serial_msps" in entry
-                else "-",
-                f"{entry['jobs2_msps']:.2f}" if "jobs2_msps" in entry else "-",
-                f"{entry['jobs4_msps']:.2f}" if "jobs4_msps" in entry else "-",
-                f"{entry['scan_noise_msps']:.2f}"
-                if "scan_noise_msps" in entry
-                else "-",
+                str(entry.get("blas_threads") or "-"),
+                msps(entry, "serial_msps"),
+                msps(entry, "scan_noise_msps"),
             )
             for entry in trend
         ]
         print_table(
-            ("recorded", "cpus", "serial Msps", "jobs=2", "jobs=4", "scan"),
+            ("recorded", "cpus", "blas threads", "serial Msps", "scan"),
             trend_rows,
             title=f"perf-smoke trend (last {len(trend)} of {TREND_FILENAME})",
         )

@@ -1,9 +1,8 @@
 """Async multi-tenant stream-serving gateway.
 
 The serving layer over :mod:`repro.stream`: a long-running process that
-admits N concurrent tenant sample streams, multiplexes their private
-:class:`~repro.stream.engine.StreamEngine` sessions across one shared
-:class:`~repro.runtime.workerpool.BlockWorkerPool`, and serves back
+admits N concurrent tenant sample streams, decodes each through its
+private :class:`~repro.stream.engine.StreamEngine` session, and serves back
 *reassembled transport messages* (not raw frames) over a
 length-prefixed request/response protocol, with ``gateway.*`` metrics
 scrapeable at ``/metrics``.
@@ -11,7 +10,7 @@ scrapeable at ``/metrics``.
 Layers, bottom up:
 
 * :mod:`repro.gateway.tenant` — one tenant's engine + reassembler, the
-  unit both backends share (that is the serial==pooled identity);
+  unit of tenancy;
 * :mod:`repro.gateway.core` — admission control, bounded per-tenant
   rings, fair pumping, delivery queues (transport-agnostic);
 * :mod:`repro.gateway.protocol` — the wire format + blocking client;
@@ -29,7 +28,7 @@ from repro.gateway.errors import GatewayError
 from repro.gateway.loadgen import run_loadgen
 from repro.gateway.protocol import GatewayClient, ProtocolError
 from repro.gateway.server import GatewayServer
-from repro.gateway.tenant import TenantConsumer, tenant_consumer
+from repro.gateway.tenant import TenantConsumer
 
 __all__ = [
     "GatewayCore",
@@ -38,6 +37,5 @@ __all__ = [
     "GatewayClient",
     "ProtocolError",
     "TenantConsumer",
-    "tenant_consumer",
     "run_loadgen",
 ]

@@ -20,16 +20,10 @@ and reported (``overrun``), and a draining gateway refuses new tenants
 
 Scheduling
 ----------
-With ``jobs=1`` tenants decode inline, round-robin one ring block per
-tenant per :meth:`pump` pass.  With ``jobs>1`` the core owns a
-``dynamic`` :class:`repro.runtime.workerpool.BlockWorkerPool`: admission
-opens the tenant's consumer on the least-loaded worker, :meth:`pump`
-forwards ring blocks with *targeted* publishes gated per-tenant by
-``can_accept(key)`` (a slow tenant backpressures its own ring, never
-the fleet's), and completed messages stream back mid-run on the pool's
-emissions queue.  Per-tenant block order is preserved on both paths, so
-decoded payloads are byte-identical serial vs pooled (benchmarked and
-asserted in ``benchmarks/test_bench_gateway.py``).
+Tenants decode inline, round-robin one ring block per tenant per
+:meth:`pump` pass, so a deep ring cannot starve its neighbours.  To use
+more cores, run more independent ``serve`` processes and split tenants
+across them.
 
 Metrics (``gateway.*``): tenants admitted/rejected/active, blocks and
 samples admitted/shed, frames/fragments/messages counters from the
@@ -45,6 +39,7 @@ import numpy as np
 
 from repro.constants import WIFI_SAMPLE_RATE_20MHZ
 from repro.gateway.errors import (
+    ERR_BAD_REQUEST,
     ERR_DUPLICATE_TENANT,
     ERR_SHUTTING_DOWN,
     ERR_STREAM_ENDED,
@@ -52,9 +47,8 @@ from repro.gateway.errors import (
     ERR_UNKNOWN_TENANT,
     GatewayError,
 )
-from repro.gateway.tenant import tenant_consumer
+from repro.gateway.tenant import TenantConsumer
 from repro.obs.metrics import REGISTRY
-from repro.runtime.workerpool import DEFAULT_QUEUE_BLOCKS, BlockWorkerPool
 from repro.stream.ring import RingBufferSource
 
 _ADMITTED = REGISTRY.counter("gateway.tenants_admitted")
@@ -65,9 +59,6 @@ _BLOCKS_SHED = REGISTRY.counter("gateway.blocks_shed")
 _SAMPLES_ADMITTED = REGISTRY.counter("gateway.samples_admitted")
 _SAMPLES_SHED = REGISTRY.counter("gateway.samples_shed")
 _MARGIN_MIN = REGISTRY.gauge("gateway.realtime_margin_min")
-
-#: Seconds finish_tenant waits for a pooled close result before giving up.
-_FINISH_TIMEOUT_S = 60.0
 
 
 class _TenantState:
@@ -87,10 +78,10 @@ class _TenantState:
         "delivered",
     )
 
-    def __init__(self, tenant_id, ring, sample_rate):
+    def __init__(self, tenant_id, ring, consumer, sample_rate):
         self.tenant_id = tenant_id
         self.ring = ring
-        self.consumer = None  # serial backend only
+        self.consumer = consumer
         self.pending = []
         self.finished = False
         self.result = None
@@ -115,43 +106,17 @@ class GatewayCore:
 
     ``engine`` holds default :class:`~repro.stream.engine.StreamEngine`
     kwargs for every tenant; :meth:`admit` may override per tenant.
-    ``jobs=1`` decodes inline; ``jobs>1`` multiplexes tenants across a
-    shared dynamic worker pool.
     """
 
-    def __init__(
-        self,
-        engine=None,
-        max_tenants=8,
-        ring_capacity=64,
-        jobs=1,
-        queue_blocks=DEFAULT_QUEUE_BLOCKS,
-        mp_context=None,
-        telemetry_blocks=None,
-    ):
+    def __init__(self, engine=None, max_tenants=8, ring_capacity=64):
         self.engine_kwargs = dict(engine or {})
         self.max_tenants = int(max_tenants)
         if self.max_tenants <= 0:
             raise ValueError("max_tenants must be positive")
         self.ring_capacity = int(ring_capacity)
-        self.jobs = max(1, int(jobs))
         self._tenants = {}
         self._draining = False
         self._closed = False
-        self._pool = (
-            BlockWorkerPool(
-                tenant_consumer,
-                {"engine": self.engine_kwargs},
-                [],
-                jobs=self.jobs,
-                queue_blocks=queue_blocks,
-                mp_context=mp_context,
-                telemetry_blocks=telemetry_blocks,
-                dynamic=True,
-            )
-            if self.jobs > 1
-            else None
-        )
 
     # -- admission -----------------------------------------------------------
 
@@ -172,12 +137,6 @@ class GatewayCore:
                     ERR_DUPLICATE_TENANT,
                     f"tenant {tenant_id!r} already admitted",
                 )
-            # A finished stream releases its id: re-admission starts a
-            # fresh session (new ring, new engine state, zeroed stats).
-            # The old state's results were already handed back by
-            # finish_tenant, and its pool key is closed, so nothing of
-            # the previous session can leak into the new one.
-            del self._tenants[tenant_id]
         if self._active_count() >= self.max_tenants:
             _REJECTED.inc()
             raise GatewayError(
@@ -185,18 +144,26 @@ class GatewayCore:
                 f"tenant limit {self.max_tenants} reached",
             )
         merged = dict(self.engine_kwargs)
-        merged.update(dict(engine or {}))
+        try:
+            merged.update(dict(engine or {}))
+            consumer = TenantConsumer(tenant_id, merged)
+        except (TypeError, ValueError, ArithmeticError) as error:
+            # A bad engine override is the client's fault, not ours
+            # (ArithmeticError: JSON's Infinity reaching an int()).
+            raise GatewayError(
+                ERR_BAD_REQUEST, f"bad engine config: {error}"
+            ) from None
         state = _TenantState(
             tenant_id,
             RingBufferSource(capacity_blocks=self.ring_capacity),
+            consumer,
             merged.get("sample_rate", WIFI_SAMPLE_RATE_20MHZ),
         )
-        if self._pool is not None:
-            self._pool.open_key(
-                tenant_id, {"engine": merged} if engine else None
-            )
-        else:
-            state.consumer = tenant_consumer({"engine": merged}, tenant_id)
+        # A finished stream releases its id: re-admission starts a fresh
+        # session (new ring, new engine state, zeroed stats).  The old
+        # state's results were already handed back by finish_tenant, so
+        # nothing of the previous session can leak into the new one.
+        self._tenants.pop(tenant_id, None)
         self._tenants[tenant_id] = state
         _ADMITTED.inc()
         _ACTIVE.set(self._active_count())
@@ -204,7 +171,6 @@ class GatewayCore:
             "tenant": tenant_id,
             "ring_capacity": self.ring_capacity,
             "sample_rate": state.sample_rate,
-            "jobs": self.jobs,
         }
 
     # -- ingest --------------------------------------------------------------
@@ -239,39 +205,25 @@ class GatewayCore:
     # -- scheduling ----------------------------------------------------------
 
     def pump(self):
-        """Move ring blocks into decode; never blocks on a full worker.
+        """Decode every queued ring block, round-robin across tenants.
 
-        Round-robin, one block per tenant per pass, so a deep ring
-        cannot starve its neighbours.  On the pooled backend a tenant's
-        block only moves when *its* worker queue has room.
+        One block per tenant per pass, so a deep ring cannot starve its
+        neighbours.
         """
         self._ensure_open()
-        if self._pool is None:
-            progressed = True
-            while progressed:
-                progressed = False
-                for state in self._tenants.values():
-                    if state.finished:
-                        continue
-                    block = state.ring.pop()
-                    if block is None:
-                        continue
-                    messages = state.consumer.process(block)
-                    if messages:
-                        state.pending.extend(messages)
-                    progressed = True
-        else:
-            progressed = True
-            while progressed:
-                progressed = False
-                for state in self._tenants.values():
-                    if state.finished or not len(state.ring):
-                        continue
-                    if not self._pool.can_accept(state.tenant_id):
-                        continue
-                    self._pool.publish(state.ring.pop(), key=state.tenant_id)
-                    progressed = True
-            self._drain_pool()
+        progressed = True
+        while progressed:
+            progressed = False
+            for state in self._tenants.values():
+                if state.finished:
+                    continue
+                block = state.ring.pop()
+                if block is None:
+                    continue
+                messages = state.consumer.process(block)
+                if messages:
+                    state.pending.extend(messages)
+                progressed = True
         self._update_margin()
 
     # -- delivery ------------------------------------------------------------
@@ -284,7 +236,7 @@ class GatewayCore:
         state.delivered += len(messages)
         return messages
 
-    def finish_tenant(self, tenant_id, timeout_s=_FINISH_TIMEOUT_S):
+    def finish_tenant(self, tenant_id):
         """End a tenant's stream: flush its ring, engine and reassembler.
 
         Returns ``{"messages": [...], "stats": {...}}`` with every
@@ -300,28 +252,11 @@ class GatewayCore:
                 ERR_STREAM_ENDED, f"tenant {tenant_id!r} already finished"
             )
         state.ring.close()
-        if self._pool is None:
-            for block in state.ring:
-                messages = state.consumer.process(block)
-                if messages:
-                    state.pending.extend(messages)
-            self._finalize(state, state.consumer.finish())
-        else:
-            for block in state.ring:
-                # Blocking publish: the ring is bounded, so this drains
-                # a bounded backlog through bounded worker queues.
-                self._pool.publish(block, key=tenant_id)
-            self._pool.close_key(tenant_id)
-            deadline = time.monotonic() + float(timeout_s)
-            while not state.finished:
-                self._drain_pool()
-                if state.finished:
-                    break
-                if time.monotonic() > deadline:
-                    raise RuntimeError(
-                        f"timed out waiting for tenant {tenant_id!r} close"
-                    )
-                time.sleep(0.001)
+        for block in state.ring:
+            messages = state.consumer.process(block)
+            if messages:
+                state.pending.extend(messages)
+        self._finalize(state, state.consumer.finish())
         _ACTIVE.set(self._active_count())
         self._update_margin()
         messages, state.pending = state.pending, []
@@ -331,7 +266,7 @@ class GatewayCore:
     # -- lifecycle -----------------------------------------------------------
 
     def drain(self):
-        """Graceful shutdown: finish every active tenant, close the pool.
+        """Graceful shutdown: finish every active tenant, then close.
 
         Returns ``{tenant_id: finish_tenant result}`` for tenants that
         were still active — their undelivered messages, so a shutdown
@@ -346,28 +281,8 @@ class GatewayCore:
         return results
 
     def close(self):
-        """Tear down the pool (joining it cleanly if possible); idempotent."""
-        if self._closed:
-            return
+        """Refuse further work; idempotent."""
         self._closed = True
-        if self._pool is None:
-            return
-        try:
-            late = self._pool.join()
-            for kind, key, value in self._pool.drain_emitted():
-                state = self._tenants.get(key)
-                if state is None:
-                    continue
-                if kind == "emit":
-                    state.pending.extend(value)
-                else:
-                    self._finalize(state, value)
-            for key, result in late.items():
-                state = self._tenants.get(key)
-                if state is not None and not state.finished:
-                    self._finalize(state, result)
-        finally:
-            self._pool.close()
 
     def __enter__(self):
         return self
@@ -405,11 +320,9 @@ class GatewayCore:
         return {
             "max_tenants": self.max_tenants,
             "ring_capacity": self.ring_capacity,
-            "jobs": self.jobs,
             "active_tenants": self._active_count(),
             "draining": self._draining,
             "tenants": {tid: self.tenant_stats(tid) for tid in self._tenants},
-            "pool": self._pool.stats() if self._pool is not None else None,
         }
 
     # -- internals -----------------------------------------------------------
@@ -428,16 +341,6 @@ class GatewayCore:
 
     def _active_count(self):
         return sum(1 for s in self._tenants.values() if not s.finished)
-
-    def _drain_pool(self):
-        for kind, key, value in self._pool.drain_emitted():
-            state = self._tenants.get(key)
-            if state is None:
-                continue
-            if kind == "emit":
-                state.pending.extend(value)
-            else:
-                self._finalize(state, value)
 
     def _finalize(self, state, result):
         state.pending.extend(result.get("messages") or [])

@@ -277,7 +277,6 @@ def run_loadgen(
     scheme=DEFAULT_SCHEME,
     channels=(13,),
     engine=None,
-    jobs=1,
     ring_capacity=64,
     poll_every=8,
     client=None,
@@ -286,8 +285,8 @@ def run_loadgen(
     """Build → drive → verify; returns the report dict.
 
     With ``client`` the load goes over the wire to a running ``serve``
-    process; otherwise an in-process :class:`GatewayCore` (``jobs``
-    selects serial vs pooled) is created and torn down here.
+    process; otherwise an in-process :class:`GatewayCore` is created
+    and torn down here.
     """
     workloads = build_workloads(
         tenants,
@@ -309,7 +308,6 @@ def run_loadgen(
             engine=engine,
             max_tenants=max(int(tenants), 1),
             ring_capacity=ring_capacity,
-            jobs=jobs,
         ) as core:
             elapsed = drive_core(
                 core, workloads, block_size=block_size, poll_every=poll_every
@@ -327,7 +325,6 @@ def run_loadgen(
             stream_seconds / elapsed if elapsed > 0 else float("inf")
         ),
         "seed": int(seed),
-        "jobs": int(jobs) if client is None else None,
     }
 
 

@@ -80,7 +80,9 @@ def _parse_prefix(prefix):
 def _parse_header(header_bytes):
     try:
         header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integers;
+        # RecursionError covers pathologically deep nesting.
         raise ProtocolError(f"bad header JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise ProtocolError("header must be a JSON object")
@@ -106,7 +108,7 @@ def decode_block(header, payload):
         raise ProtocolError(f"unsupported sample dtype {dtype!r}")
     count = header.get("count")
     np_dtype = np.dtype(dtype)
-    if not isinstance(count, int) or count < 0:
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise ProtocolError("count must be a non-negative integer")
     if count * np_dtype.itemsize != len(payload):
         raise ProtocolError(

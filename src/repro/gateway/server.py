@@ -17,9 +17,8 @@ ticks an optional :class:`repro.obs.live.LiveCollector`.
 
 Graceful shutdown (SIGINT/SIGTERM via :meth:`run`, or
 :meth:`shutdown`): stop accepting connections, finish every active
-tenant — draining rings, flushing channelizer state, joining the worker
-pool so every shared-memory segment is unlinked — then finalize the
-collector.  A gateway killed politely exits 0 with nothing leaked.
+tenant — draining rings and flushing channelizer state — then finalize
+the collector.  A gateway killed politely exits 0 with nothing leaked.
 
 Error contract per connection: a :class:`~repro.gateway.errors.GatewayError`
 maps to an ``error`` response (connection stays open — refusals are part
@@ -116,9 +115,8 @@ class GatewayServer:
             self._pump_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._pump_task
-        # Finish every live tenant: rings drained, channelizers flushed,
-        # pool joined and its segments unlinked.  Undelivered messages
-        # are counted, not silently dropped.
+        # Finish every live tenant: rings drained, channelizers flushed.
+        # Undelivered messages are counted, not silently dropped.
         undelivered = self.core.drain()
         dropped = sum(len(r["messages"]) for r in undelivered.values())
         if dropped:
@@ -223,9 +221,11 @@ class GatewayServer:
     def _dispatch(self, header, payload):
         rtype = header.get("type")
         if rtype == "hello":
-            info = self.core.admit(
-                self._tenant_of(header), header.get("engine")
-            )
+            tenant = self._tenant_of(header)
+            engine = header.get("engine")
+            if engine is not None and not isinstance(engine, dict):
+                raise ProtocolError("engine must be a JSON object")
+            info = self.core.admit(tenant, engine)
             return {"type": "welcome", **info}
         if rtype == "samples":
             block = decode_block(header, payload)
@@ -248,10 +248,9 @@ class GatewayServer:
                 "stats": result["stats"],
             }
         if rtype == "stats":
-            tenant = header.get("tenant")
             stats = (
-                self.core.tenant_stats(tenant)
-                if tenant is not None
+                self.core.tenant_stats(self._tenant_of(header))
+                if header.get("tenant") is not None
                 else self.core.stats()
             )
             return {"type": "stats", "stats": stats}

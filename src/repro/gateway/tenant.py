@@ -7,22 +7,14 @@ private :class:`repro.transport.streamrx.StreamReassembler`, so what
 comes out is not frames but the tenant's *reassembled messages* — the
 FreeBee-style delivery receipt a gateway client actually wants.
 
-The same class runs on both gateway backends, which is what makes the
-serial/pooled payload-identity contract hold by construction:
-
-* ``jobs=1`` — :class:`repro.gateway.core.GatewayCore` instantiates it
-  in-process and calls :meth:`process` inline;
-* pooled — :func:`tenant_consumer` is the picklable factory handed to
-  :class:`repro.runtime.workerpool.BlockWorkerPool`; a non-empty
-  :meth:`process` return rides the pool's emissions queue back to the
-  parent mid-run.
+:class:`repro.gateway.core.GatewayCore` builds one per admitted tenant
+and calls :meth:`TenantConsumer.process` inline.
 
 Message dicts carry raw ``bytes`` payloads; the wire layer
 (:mod:`repro.gateway.protocol`) hex-encodes them.  ``latency_s`` is
 wall-clock (first fragment decoded → message completed) and, like
-``stream.health.*``, is explicitly *outside* the serial==pooled
-identity contract; every other field and all ``gateway.*`` counters
-are deterministic.
+``stream.health.*``, is outside every identity contract; every other
+field and all ``gateway.*`` counters are deterministic.
 """
 
 import time
@@ -45,17 +37,15 @@ _LATENCY = REGISTRY.histogram(
 
 
 class TenantConsumer:
-    """One tenant's engine + reassembler; pool-consumer shaped.
+    """One tenant's engine + reassembler.
 
-    ``config`` is a dict whose ``"engine"`` entry holds
-    :class:`~repro.stream.engine.StreamEngine` kwargs (missing/empty →
-    engine defaults).  ``key`` is the tenant id.
+    ``engine`` holds :class:`~repro.stream.engine.StreamEngine` kwargs
+    (missing/empty → engine defaults).
     """
 
-    def __init__(self, config, key):
-        config = dict(config or {})
-        self.tenant_id = key
-        self.engine = StreamEngine(**dict(config.get("engine") or {}))
+    def __init__(self, tenant_id, engine=None):
+        self.tenant_id = tenant_id
+        self.engine = StreamEngine(**(engine or {}))
         self.reassembler = StreamReassembler()
         #: (channel, msg_id, frag_count) -> wall time of first fragment.
         self._first_seen = {}
@@ -119,9 +109,4 @@ class TenantConsumer:
         return messages
 
 
-def tenant_consumer(config, key):
-    """Picklable pool factory: build one tenant's consumer."""
-    return TenantConsumer(config, key)
-
-
-__all__ = ["TenantConsumer", "tenant_consumer"]
+__all__ = ["TenantConsumer"]

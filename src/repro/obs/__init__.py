@@ -42,7 +42,7 @@ from repro.obs.manifest import (
     summarize_manifest,
     write_run_jsonl,
 )
-from repro.obs.metrics import REGISTRY, MetricsRegistry, snapshot_delta
+from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.trace import TRACER, Tracer
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "read_metrics_stream",
     "read_run_jsonl",
     "render_prometheus",
-    "snapshot_delta",
     "summarize_manifest",
     "summarize_metrics_stream",
     "write_run_jsonl",

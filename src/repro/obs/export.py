@@ -150,7 +150,6 @@ def format_live_line(sample, target_msps=TARGET_MSPS):
     frame_rate = rates.get("stream.engine.frames", 0.0)
     crc_failed = counters.get("stream.session.crc_failed", 0)
     overruns = counters.get("stream.ring.overruns", 0)
-    queue_depth = gauges.get("runtime.pool.queue_depth")
     parts = [
         f"t={sample.get('elapsed_s', 0.0):8.2f}s",
         f"{msps:7.2f} Msps ({msps / target_msps:5.2f}x of {target_msps:g})",
@@ -163,8 +162,6 @@ def format_live_line(sample, target_msps=TARGET_MSPS):
         f"crc_fail {crc_failed}",
         f"ring_ovr {overruns}",
     ]
-    if queue_depth is not None and queue_depth == queue_depth:
-        parts.append(f"pool_q {queue_depth:.0f}")
     if sample.get("final"):
         parts.append("[final]")
     return " | ".join(parts)

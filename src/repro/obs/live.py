@@ -3,11 +3,10 @@
 ``repro.obs`` (PR 2) records what a run *did* — a metric snapshot
 written after the fact.  :class:`LiveCollector` shows what a run *is
 doing*: on a wall-clock interval it snapshots the process-wide
-:data:`~repro.obs.metrics.REGISTRY`, folds in any worker-shard deltas
-shipped over a :class:`~repro.runtime.workerpool.BlockWorkerPool`'s
-telemetry side queue, computes counter deltas/rates against the previous
-tick, and emits one *live sample* to every sink (JSONL time series,
-Prometheus exposition file, TTY dashboard — see :mod:`repro.obs.export`).
+:data:`~repro.obs.metrics.REGISTRY`, computes counter deltas/rates
+against the previous tick, and emits one *live sample* to every sink
+(JSONL time series, Prometheus exposition file, TTY dashboard — see
+:mod:`repro.obs.export`).
 
 Two driving modes:
 
@@ -23,20 +22,13 @@ Two driving modes:
 
 The cumulative-totals contract, asserted in ``tests/obs/``: after
 :meth:`finalize`, the last emitted sample's counters/histogram totals
-equal the end-of-run registry snapshot exactly.  Worker-side live deltas
-only ever *preview* totals mid-run; when the pool's authoritative
-task-ordered end-of-run merge lands in the parent registry, the caller
-drops the preview (:meth:`drop_side_shards`) so nothing double-counts.
+equal the end-of-run registry snapshot exactly.
 """
 
 import threading
 import time
 
-from repro.obs.metrics import (
-    REGISTRY,
-    MetricsRegistry,
-    snapshot_is_empty,
-)
+from repro.obs.metrics import REGISTRY
 from repro.obs.export import LIVE_SCHEMA_VERSION, format_live_line
 
 
@@ -65,8 +57,6 @@ class LiveCollector:
         self._clock = clock
         self._wall = wall
         self._lock = threading.Lock()
-        self._side = MetricsRegistry()
-        self._side_active = False
         self._start_clock = self._clock()
         self._last_tick_clock = self._start_clock
         self._prev_counters = {}
@@ -76,44 +66,7 @@ class LiveCollector:
         self._thread = None
         self._stop_event = None
 
-    # -- worker-shard side channel ------------------------------------------
-
-    def ingest_shards(self, shards):
-        """Fold worker telemetry delta shards into the side accumulator.
-
-        Shards are :func:`repro.obs.metrics.snapshot_delta` dicts drained
-        from a pool's side queue; merging is order-tolerant because
-        counter/histogram merges are plain addition (gauges are
-        last-merged-wins, acceptable for a monitoring preview).
-        """
-        with self._lock:
-            for shard in shards:
-                if not snapshot_is_empty(shard):
-                    self._side.merge(shard)
-                    self._side_active = True
-
-    def drop_side_shards(self):
-        """Discard the live preview once authoritative totals merged.
-
-        Call after ``BlockWorkerPool.join()`` has merged the workers'
-        full end-of-run snapshots into the parent registry — from then
-        on the registry alone is the truth and keeping the preview would
-        double-count every worker event.
-        """
-        with self._lock:
-            self._side = MetricsRegistry()
-            self._side_active = False
-
     # -- ticking -------------------------------------------------------------
-
-    def _combined_snapshot(self):
-        base = self._registry.snapshot()
-        if not self._side_active:
-            return base
-        scratch = MetricsRegistry()
-        scratch.merge(base)
-        scratch.merge(self._side.snapshot())
-        return scratch.snapshot()
 
     def maybe_tick(self):
         """Tick if the interval has elapsed; returns the sample or ``None``."""
@@ -127,7 +80,7 @@ class LiveCollector:
             now = self._clock()
             dt = now - self._last_tick_clock
             self._last_tick_clock = now
-            snapshot = self._combined_snapshot()
+            snapshot = self._registry.snapshot()
             counters = snapshot.get("counters", {})
             safe_dt = max(dt, 1e-9)
             rates = {
@@ -162,8 +115,7 @@ class LiveCollector:
 
         Idempotent: a second call neither re-emits nor re-stops.  The
         final sample's cumulative totals are exactly the registry's
-        end-of-run snapshot (plus any still-active side preview, so
-        drop the preview first when a pool merge has landed).
+        end-of-run snapshot.
         """
         if self._finalized:
             return None

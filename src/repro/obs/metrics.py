@@ -269,62 +269,5 @@ class MetricsRegistry:
         return self
 
 
-def snapshot_delta(current, previous):
-    """Shard-shaped difference of two :meth:`MetricsRegistry.snapshot` dicts.
-
-    ``current - previous`` for counters and histograms (instruments that
-    only grew are kept; untouched ones are dropped so the delta stays as
-    small as the activity it describes); gauges carry the *current*
-    value, since a gauge delta has no meaning.  The result is a valid
-    :meth:`MetricsRegistry.merge` shard — the contract the worker pool's
-    live telemetry side queue rides on: a worker periodically ships
-    ``snapshot_delta(now, last_shipped)`` and the parent merges the
-    deltas in any order, because counter/histogram merging is plain
-    addition.
-    """
-    prev_counters = previous.get("counters", {})
-    counters = {
-        name: value - prev_counters.get(name, 0)
-        for name, value in current.get("counters", {}).items()
-        if value - prev_counters.get(name, 0)
-    }
-    gauges = dict(current.get("gauges", {}))
-    prev_histograms = previous.get("histograms", {})
-    histograms = {}
-    for name, data in current.get("histograms", {}).items():
-        prev = prev_histograms.get(name)
-        if prev is None:
-            if data["count"]:
-                histograms[name] = {
-                    "edges": list(data["edges"]),
-                    "counts": list(data["counts"]),
-                    "count": data["count"],
-                    "total": data["total"],
-                }
-            continue
-        delta_count = data["count"] - prev["count"]
-        if not delta_count:
-            continue
-        histograms[name] = {
-            "edges": list(data["edges"]),
-            "counts": [
-                now - before
-                for now, before in zip(data["counts"], prev["counts"])
-            ],
-            "count": delta_count,
-            "total": data["total"] - prev["total"],
-        }
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-
-def snapshot_is_empty(shard):
-    """True when a snapshot/delta shard carries no recorded activity."""
-    return not (
-        shard.get("counters")
-        or shard.get("gauges")
-        or shard.get("histograms")
-    )
-
-
 #: The process-wide registry every instrumented module shares.
 REGISTRY = MetricsRegistry()

@@ -12,20 +12,14 @@ without giving up reproducibility:
   returns results in trial order, making parallel and serial runs of the
   same experiment *identical*;
 * :mod:`repro.runtime.timing` — per-stage wall-clock counters
-  (modulate / channel / front_end / decode) so speedups are measurable;
-* :mod:`repro.runtime.workerpool` — the streaming counterpart to the
-  trial executor: a persistent shared-memory block worker pool
-  (spawn-once workers, publish-once zero-copy blocks, pipelined bounded
-  handoff) behind parallel :meth:`repro.stream.StreamEngine.run`.
+  (modulate / channel / front_end / decode) so speedups are measurable.
 """
 
 from repro.runtime.executor import default_jobs, run_trials
 from repro.runtime.seeding import as_seed_sequence, spawn_generators, spawn_seeds
 from repro.runtime.timing import StageTimings
-from repro.runtime.workerpool import BlockWorkerPool
 
 __all__ = [
-    "BlockWorkerPool",
     "StageTimings",
     "as_seed_sequence",
     "default_jobs",

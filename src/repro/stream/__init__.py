@@ -8,7 +8,6 @@ architecture and the block-size-invariance argument.
 """
 
 from repro.stream.engine import StreamEngine, batch_decode_stream
-from repro.stream.parallel import ChannelConsumer, channel_consumer
 from repro.stream.frontend import (
     ChannelizerFrontEnd,
     FastChannelBank,
@@ -21,7 +20,6 @@ from repro.stream.ring import RingBufferSource
 from repro.stream.session import StreamFrame, StreamSession
 
 __all__ = [
-    "ChannelConsumer",
     "ChannelizerFrontEnd",
     "FastChannelBank",
     "FrontEndBlock",
@@ -31,7 +29,6 @@ __all__ = [
     "StreamSession",
     "StreamingFrontEnd",
     "batch_decode_stream",
-    "channel_consumer",
     "design_lowpass",
     "supported_decimations",
 ]

@@ -17,36 +17,30 @@ and feeds every incoming sample block through all of them.  Two modes:
   channels are rotationally indistinguishable — separation must happen
   in the sample domain, before the autocorrelation.
 
-The demux path has three performance controls (PR 5), all defaulting to
+The demux path has two performance controls (PR 5), both defaulting to
 the exact full-rate behaviour:
 
 * ``decimation`` — each sub-band is decimated inside the channelizer;
   every session-side quantity (lag, window, bit period, vote taus)
   scales through the decimation-aware
   :class:`repro.core.decoder.SymBeeDecoder`.  The factor must divide
-  the lag, window and bit period (``gcd = 4`` at 20 Msps, so 1, 2 or 4).
+  the lag (16 at 20 Msps) and the bit period, and past 8 the vote
+  window leaves too few plateau positions, so 1, 2, 4 or 8; decimation
+  8 is the headline config.
 * ``mode`` — ``"exact"`` (bit-exact block-size invariance) or
   ``"fast"`` (native kernels, mixer folded into the filter taps;
   decode-equivalent).
-* ``run(blocks, jobs=n)`` — per-channel demux across a persistent
-  :class:`repro.runtime.workerpool.BlockWorkerPool` (PR 6): channel
-  workers are spawned once, every sample block is published once into
-  shared memory and consumed zero-copy by all workers, and handoff is
-  pipelined through bounded per-worker queues.  Channels are fully
-  independent between the front end and arbitration, workers ship
-  per-channel frames and metric shards back, and the parent merges
-  shards and arbitrates once over the complete pool, so serial and
-  parallel runs report identical frames and identical ``stream.*``
-  metric totals.  When ``jobs > 1`` cannot apply (wideband, or a
-  single demux channel) the engine counts ``stream.jobs_ignored`` and
-  logs a warning instead of silently running serial.
+
+The engine is one serial pass per block, the way a WiFi receiver's
+idle-listening autocorrelation runs.  Parallelism lives at coarser
+grain: independent trials (:func:`repro.runtime.run_trials`) and
+independent gateway processes.
 
 Use :func:`batch_decode_stream` as the one-shot reference: it runs the
 identical engine over the whole capture as a single block, which is what
 the block-size-invariance guarantee is measured against.
 """
 
-import logging
 import time
 
 import numpy as np
@@ -57,7 +51,6 @@ from repro.core.phase import cfo_compensation_phase
 from repro.dsp.kernels import cmul, validate_mode
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
-from repro.runtime.executor import resolve_jobs
 from repro.stream.frontend import (
     ChannelizerFrontEnd,
     FastChannelBank,
@@ -74,20 +67,16 @@ _BLOCKS = REGISTRY.counter("stream.engine.blocks")
 _SAMPLES = REGISTRY.counter("stream.engine.samples_in")
 _FRAMES = REGISTRY.counter("stream.engine.frames")
 _SUPPRESSED = REGISTRY.counter("stream.engine.leak_suppressed")
-_JOBS_IGNORED = REGISTRY.counter("stream.jobs_ignored")
-#: Wall-clock health signals (the ``stream.health.*`` / gauge namespace
-#: is *excluded* from the serial==parallel determinism contract: timing
-#: is inherently run-dependent, and workers observe per-channel blocks
-#: where the serial engine observes whole-engine blocks).
+#: Wall-clock health signal: seconds per engine block (timing is
+#: run-dependent, so ``stream.health.*`` is outside every identity
+#: contract).
 _BLOCK_SECONDS = REGISTRY.histogram(
     "stream.health.block_seconds",
     edges=(0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0),
 )
-#: Stream-time over wall-time — >= 1.0 means the decode is holding the
-#: input's realtime line (serial: per block; parallel: cumulative).
+#: Stream-time over wall-time per block — >= 1.0 means the decode is
+#: holding the input's realtime line.
 _MARGIN = REGISTRY.gauge("stream.realtime_margin")
-
-_LOG = logging.getLogger(__name__)
 
 #: Default demux channelizer: short enough to keep most of the 84-sample
 #: plateau (an ``ntaps``-tap FIR costs ``ntaps - 1`` plateau samples),
@@ -112,9 +101,7 @@ class _ChannelPath:
         """Feed one sample block through this channel; return its frames.
 
         The complete per-channel chain — front end, CFO rotation,
-        session — with no engine-level bookkeeping, so parallel workers
-        can drive a path directly without double-counting the engine's
-        block/sample metrics.
+        session — with no engine-level bookkeeping.
         """
         return self.push_front_end_block(self.front_end.process(block))
 
@@ -201,23 +188,6 @@ class StreamEngine:
                 "+4pi/5 (Appendix B), so wideband sessions cannot tell "
                 "channels apart — use demux=True"
             )
-        #: Constructor configuration minus the channel list — what a
-        #: parallel worker needs to rebuild one single-channel engine
-        #: with identical thresholds (see :meth:`run`).
-        self._engine_kwargs = {
-            "wifi_channel": wifi_channel,
-            "sample_rate": self.sample_rate,
-            "demux": self.demux,
-            "scan_stride_bits": scan_stride_bits,
-            "capture_tau": capture_tau,
-            "tau": tau,
-            "tau_sync": tau_sync,
-            "ntaps": ntaps,
-            "cutoff_hz": cutoff_hz,
-            "decimation": self.decimation,
-            "mode": self.mode,
-            "working_dtype": self.working_dtype,
-        }
         self._paths = []
         for channel in channels:
             offset = frequency_offset_hz(channel, wifi_channel)
@@ -290,9 +260,7 @@ class StreamEngine:
             )
         #: Shared-GEMM filter bank: in a fast-mode decimating demux the
         #: channels all buffer the same raw stream, so one stacked
-        #: matrix product filters every channel per block (serial runs
-        #: only — parallel workers own one channel each and keep the
-        #: single-channel kernel).
+        #: matrix product filters every channel per block.
         self._bank = None
         if (
             demux
@@ -309,11 +277,6 @@ class StreamEngine:
         self.frames_suppressed = 0
         #: Emitted frames awaiting cross-session leak arbitration.
         self._pending = []
-        #: Per-channel session stats shipped back by parallel workers
-        #: (the local sessions stay idle in a parallel run).
-        self._worker_session_stats = None
-        #: Transport stats of the last parallel run's worker pool.
-        self._pool_stats = None
 
     @property
     def zigbee_channels(self):
@@ -390,9 +353,7 @@ class StreamEngine:
         Incremental (per-block) release and one final whole-pool pass
         decide identically: demotion keeps every overlap-connected group
         together until all its members have arrived, and band-power
-        arbitration only ever compares frames within one group — which
-        is why the parallel path can skip incremental release entirely
-        and arbitrate once at the end.
+        arbitration only ever compares frames within one group.
         """
         if not self._pending:
             return []
@@ -440,48 +401,19 @@ class StreamEngine:
         released.sort(key=lambda f: (f.preamble_index, f.zigbee_channel))
         return released
 
-    def run(self, blocks, jobs=None, collector=None):
+    def run(self, blocks, collector=None):
         """Drain a block source (any iterable, e.g. a ring) and finish.
 
         A :class:`repro.stream.ring.RingBufferSource` iterates its queued
         blocks; for live producer/consumer interleaving, call
         :meth:`process_block` per popped block instead.
 
-        ``jobs`` (default: the ``REPRO_JOBS`` environment variable, i.e.
-        serial) fans the demux channels out across a persistent
-        :class:`repro.runtime.workerpool.BlockWorkerPool` — workers are
-        spawned once, each block is published once into shared memory
-        while workers chew on earlier blocks, and each worker runs its
-        channels' full front-end + session chains.  The parent
-        arbitrates leak suppression once over the complete frame pool.
-        The frame list, per-session stats and ``stream.*`` metric totals
-        are identical to a serial run; requires ``demux`` with more than
-        one channel.  A ``jobs > 1`` request the engine cannot honour
-        (wideband, or a single demux channel) increments the
-        ``stream.jobs_ignored`` counter and logs a warning before
-        running serial.
-
         ``collector`` (a :class:`repro.obs.live.LiveCollector`) is
-        offered a tick after every block; in a pooled run the engine
-        also drains the pool's telemetry side queue into it so the live
-        view includes worker progress, then drops that preview once the
-        join-time authoritative shard merge lands.  The caller finalizes
-        the collector after :meth:`run` returns, which is what makes the
+        offered a tick after every block.  The caller finalizes the
+        collector after :meth:`run` returns, which is what makes the
         last sample's cumulative totals equal the end-of-run registry
         snapshot.
         """
-        jobs = resolve_jobs(jobs)
-        if jobs != 1:
-            if self.demux and len(self._paths) > 1:
-                return self._run_parallel(blocks, jobs, collector)
-            _JOBS_IGNORED.inc()
-            _LOG.warning(
-                "jobs=%d ignored: parallel demux needs demux=True with "
-                ">1 channel (engine has %s%d); running serial",
-                jobs,
-                "demux, " if self.demux else "wideband, ",
-                len(self._paths),
-            )
         frames = []
         for block in blocks:
             frames.extend(self.process_block(block))
@@ -489,74 +421,6 @@ class StreamEngine:
                 collector.maybe_tick()
         frames.extend(self.finish())
         return frames
-
-    def _run_parallel(self, blocks, jobs, collector=None):
-        """Persistent-pool per-channel fan-out behind :meth:`run`.
-
-        Blocks stream straight from the source into shared memory —
-        nothing is materialized — so a live producer (ring pop loop)
-        overlaps with worker decode.  Blocks are published as canonical
-        complex128 (value-preserving for every working dtype) and each
-        worker applies the engine's own per-block dtype conversion.
-        """
-        from repro.runtime.workerpool import BlockWorkerPool
-        from repro.stream.parallel import channel_consumer
-
-        n_blocks = 0
-        n_samples = 0
-        live = collector is not None and REGISTRY.enabled
-        with TRACER.span(
-            "stream.run_parallel", jobs=int(jobs), channels=len(self._paths)
-        ):
-            pool = BlockWorkerPool(
-                channel_consumer,
-                self._engine_kwargs,
-                [path.zigbee_channel for path in self._paths],
-                jobs=jobs,
-                telemetry_blocks=1 if live else None,
-            )
-            try:
-                if live:
-                    t_start = time.perf_counter()
-                for block in blocks:
-                    block = np.ascontiguousarray(block, dtype=np.complex128)
-                    pool.publish(block)
-                    n_blocks += 1
-                    n_samples += int(block.size)
-                    if live:
-                        # Cumulative published-stream-time over wall time:
-                        # the producer-side realtime margin.
-                        elapsed = time.perf_counter() - t_start
-                        if elapsed > 0:
-                            _MARGIN.set(
-                                (n_samples / self.sample_rate) / elapsed
-                            )
-                        collector.ingest_shards(pool.drain_telemetry())
-                        collector.maybe_tick()
-                    elif collector is not None:
-                        collector.maybe_tick()
-                results = pool.join()
-                self._pool_stats = pool.stats()
-            finally:
-                pool.close()
-            if live:
-                # join() merged the workers' authoritative end-of-run
-                # shards into the registry; the side-queue preview must
-                # go or everything a worker counted would double.
-                collector.drop_side_shards()
-            self._worker_session_stats = []
-            for frames, session_stats in results:
-                self._pending.extend(frames)
-                self._worker_session_stats.append(session_stats)
-            released = self._release(final=True)
-        self.blocks_in += n_blocks
-        self.samples_in += n_samples
-        self.frames_out += len(released)
-        _BLOCKS.inc(n_blocks)
-        _SAMPLES.inc(n_samples)
-        if released:
-            _FRAMES.inc(len(released))
-        return released
 
     def stats(self):
         return {
@@ -566,18 +430,8 @@ class StreamEngine:
             "blocks_in": self.blocks_in,
             "samples_in": self.samples_in,
             "frames_out": self.frames_out,
-            "sessions": (
-                list(self._worker_session_stats)
-                if self._worker_session_stats is not None
-                else [path.session.stats() for path in self._paths]
-            ),
-            "pool": self._pool_stats,
+            "sessions": [path.session.stats() for path in self._paths],
         }
-
-    @property
-    def pool_stats(self):
-        """Worker-pool transport stats of the last parallel run (or None)."""
-        return self._pool_stats
 
 
 def batch_decode_stream(samples, **engine_kwargs):

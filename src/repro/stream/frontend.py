@@ -501,8 +501,8 @@ class FastChannelBank:
     product has exactly the shape ``polyphase_decimate_fast`` issues
     (BLAS kernels are shape-dependent, so a single stacked
     ``(n, D) @ (D, C * nb)`` product would diverge at the ulp level
-    from the single-channel path that parallel per-channel workers
-    take), the band-sum accumulation order matches the kernel, and the
+    from the single-channel path a one-channel engine takes), the
+    band-sum accumulation order matches the kernel, and the
     per-channel lagged-product state is still owned by each front end's
     inner :class:`StreamingFrontEnd`.
 

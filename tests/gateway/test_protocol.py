@@ -57,6 +57,20 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="JSON object"):
             _read_from_bytes(frame)
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b'{"count":' + b"9" * 5000 + b"}",  # int past the digit limit
+            b"[" * 100000,  # nesting past the recursion limit
+            b"\xff\xfe{}",  # not UTF-8
+        ],
+        ids=["long-int", "deep-nesting", "bad-utf8"],
+    )
+    def test_unparseable_header_is_protocol_error(self, header):
+        frame = struct.pack("!II", len(header), 0) + header
+        with pytest.raises(ProtocolError, match="bad header JSON"):
+            _read_from_bytes(frame)
+
 
 class TestSampleBlocks:
     @pytest.mark.parametrize("dtype", ["complex64", "complex128"])
@@ -84,6 +98,12 @@ class TestSampleBlocks:
             decode_block(dict(header, count=5), payload)
         with pytest.raises(ProtocolError, match="non-negative"):
             decode_block(dict(header, count=-1), payload)
+
+    def test_bool_count_rejected(self):
+        # ``True`` is an int to Python but not a count on the wire.
+        header, payload = encode_block(np.ones(1, dtype=np.complex64))
+        with pytest.raises(ProtocolError, match="non-negative integer"):
+            decode_block(dict(header, count=True), payload)
 
 
 class TestMessageCodec:

@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 from repro.gateway.core import GatewayCore
-from repro.gateway.errors import ERR_UNKNOWN_TENANT, GatewayError
+from repro.gateway.errors import (
+    ERR_BAD_REQUEST,
+    ERR_UNKNOWN_TENANT,
+    GatewayError,
+)
 from repro.gateway.loadgen import build_workloads, drive_client, verify
 from repro.gateway.protocol import GatewayClient, pack_message
 from repro.gateway.server import GatewayServer
@@ -93,7 +97,7 @@ class TestWireService:
             assert welcome["type"] == "welcome"
             assert welcome["tenant"] == "t0"
             assert welcome["ring_capacity"] == 64
-            assert welcome["jobs"] == 1
+            assert "jobs" not in welcome
 
     def test_gateway_error_keeps_connection_usable(self, harness):
         with harness.client() as client:
@@ -126,6 +130,62 @@ class TestWireService:
             stats = client.stats()
             assert stats["active_tenants"] == 2
             assert set(stats["tenants"]) == {"a", "b"}
+
+
+@pytest.mark.timeout(300)
+class TestMalformedHeaders:
+    """Wrong-typed header fields are the client's error, not the server's.
+
+    Each must end in a ``bad-request`` refusal (never ``internal``) and
+    leave no tenant registered.
+    """
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"type": "stats", "tenant": ["x"]},
+            {"type": "hello", "tenant": "a", "engine": 5},
+            {"type": "hello", "tenant": "b", "engine": {"bogus": 1}},
+            {
+                "type": "hello",
+                "tenant": "c",
+                "engine": {"demux": True, "decimation": 3},
+            },
+        ],
+        ids=["list-tenant", "int-engine", "unknown-kwarg", "bad-decimation"],
+    )
+    def test_refused_as_bad_request(self, harness, header):
+        with harness.client() as client:
+            with pytest.raises(GatewayError) as excinfo:
+                client.request(header)
+        assert excinfo.value.code == ERR_BAD_REQUEST
+        assert harness.server.core.tenant_ids() == []
+
+    def test_bool_count_refused_as_bad_request(self, harness):
+        with harness.client() as client:
+            client.hello("t")
+            with pytest.raises(GatewayError) as excinfo:
+                client.request(
+                    {
+                        "type": "samples",
+                        "tenant": "t",
+                        "dtype": "complex64",
+                        "count": True,
+                    },
+                    np.zeros(1, dtype=np.complex64).tobytes(),
+                )
+        assert excinfo.value.code == ERR_BAD_REQUEST
+        assert harness.server.core.tenant_stats("t")["blocks_in"] == 0
+
+    def test_bad_engine_keeps_connection_usable(self, harness):
+        # Engine construction errors are refusals, like a full gateway:
+        # the connection survives them.
+        with harness.client() as client:
+            with pytest.raises(GatewayError) as excinfo:
+                client.hello("a", engine={"bogus": 1})
+            assert excinfo.value.code == ERR_BAD_REQUEST
+            assert client.hello("a")["type"] == "welcome"
+        assert harness.server.core.tenant_ids() == ["a"]
 
 
 @pytest.mark.timeout(300)

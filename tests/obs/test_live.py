@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.network.traffic import StreamSender, StreamTraffic
 from repro.obs.export import (
     LIVE_SCHEMA_VERSION,
     JsonlSink,
@@ -18,11 +19,8 @@ from repro.obs.export import (
     summarize_metrics_stream,
 )
 from repro.obs.live import LiveCollector, TtyDashboard
-from repro.obs.metrics import (
-    MetricsRegistry,
-    snapshot_delta,
-    snapshot_is_empty,
-)
+from repro.obs.metrics import REGISTRY, MetricsRegistry
+from repro.stream.engine import StreamEngine
 
 
 class FakeClock:
@@ -61,67 +59,6 @@ def metered():
     gauge = registry.gauge("t.level")
     hist = registry.histogram("t.size", edges=(1, 2, 4))
     return registry, counter, gauge, hist
-
-
-class TestSnapshotDelta:
-    def test_counter_delta_keeps_only_growth(self, metered):
-        registry, counter, _gauge, _hist = metered
-        other = registry.counter("t.other")
-        counter.inc(3)
-        other.inc()
-        before = registry.snapshot()
-        counter.inc(2)
-        delta = snapshot_delta(registry.snapshot(), before)
-        assert delta["counters"] == {"t.count": 2}
-
-    def test_gauge_carries_current_value(self, metered):
-        registry, _counter, gauge, _hist = metered
-        gauge.set(1.5)
-        before = registry.snapshot()
-        gauge.set(2.5)
-        delta = snapshot_delta(registry.snapshot(), before)
-        assert delta["gauges"] == {"t.level": 2.5}
-
-    def test_histogram_delta_is_elementwise(self, metered):
-        registry, _counter, _gauge, hist = metered
-        hist.observe(1)
-        hist.observe(3)
-        before = registry.snapshot()
-        hist.observe(1)
-        hist.observe(10)
-        delta = snapshot_delta(registry.snapshot(), before)
-        entry = delta["histograms"]["t.size"]
-        assert entry["counts"] == [1, 0, 0, 1]
-        assert entry["count"] == 2
-        assert entry["total"] == pytest.approx(11.0)
-
-    def test_untouched_histogram_dropped(self, metered):
-        registry, counter, _gauge, hist = metered
-        hist.observe(1)
-        before = registry.snapshot()
-        counter.inc()
-        delta = snapshot_delta(registry.snapshot(), before)
-        assert "t.size" not in delta["histograms"]
-
-    def test_delta_is_a_valid_merge_shard(self, metered):
-        registry, counter, _gauge, hist = metered
-        counter.inc(5)
-        hist.observe(2)
-        before = registry.snapshot()
-        counter.inc(7)
-        hist.observe(3)
-        delta = snapshot_delta(registry.snapshot(), before)
-        target = MetricsRegistry()
-        target.merge(before)
-        target.merge(delta)
-        assert target.snapshot() == registry.snapshot()
-
-    def test_empty_delta_detected(self, metered):
-        registry, counter, _gauge, _hist = metered
-        counter.inc()
-        snap = registry.snapshot()
-        assert snapshot_is_empty(snapshot_delta(snap, snap))
-        assert not snapshot_is_empty(snapshot_delta(snap, {}))
 
 
 class TestLiveCollector:
@@ -218,34 +155,6 @@ class TestLiveCollector:
             counter.inc()
         assert sink.samples[-1]["final"] is True
 
-    def test_side_shards_merge_and_drop(self, metered):
-        registry, counter, _gauge, _hist = metered
-        counter.inc(10)
-        collector = LiveCollector(
-            interval_s=0, registry=registry, clock=FakeClock()
-        )
-        shard_a = {"counters": {"t.count": 5}, "gauges": {}, "histograms": {}}
-        shard_b = {"counters": {"w.done": 2}, "gauges": {}, "histograms": {}}
-        collector.ingest_shards([shard_a, shard_b])
-        preview = collector.tick()
-        assert preview["counters"] == {"t.count": 15, "w.done": 2}
-        # Authoritative merge lands in the registry; the preview goes.
-        registry.merge(shard_a)
-        registry.merge(shard_b)
-        collector.drop_side_shards()
-        final = collector.finalize()
-        assert final["counters"] == {"t.count": 15, "w.done": 2}
-
-    def test_empty_shards_ignored(self, metered):
-        registry, _counter, _gauge, _hist = metered
-        collector = LiveCollector(
-            interval_s=0, registry=registry, clock=FakeClock()
-        )
-        collector.ingest_shards(
-            [{"counters": {}, "gauges": {}, "histograms": {}}]
-        )
-        assert not collector._side_active
-
     def test_background_thread_ticks_and_stops(self, metered):
         registry, counter, _gauge, _hist = metered
         counter.inc()
@@ -271,6 +180,66 @@ class TestLiveCollector:
         collector = LiveCollector(interval_s=0, registry=registry)
         with pytest.raises(ValueError):
             collector.start()
+
+
+class TestEngineRun:
+    """``StreamEngine.run`` with a collector: live, exact, and inert."""
+
+    @pytest.mark.timeout(120)
+    def test_serial_run_with_collector_ticks(self, tmp_path):
+        traffic = StreamTraffic(
+            [
+                StreamSender(0, zigbee_channel=11, reading_interval_s=0.006),
+                StreamSender(1, zigbee_channel=13, reading_interval_s=0.006),
+                StreamSender(2, zigbee_channel=14, reading_interval_s=0.006),
+            ],
+            duration_s=0.02,
+        )
+        samples, truth = traffic.capture(np.random.default_rng(20260808))
+        assert truth
+        bare = StreamEngine(demux=True).run(traffic.blocks(samples, 16384))
+        assert bare
+
+        path = tmp_path / "serial.jsonl"
+        sink = JsonlSink(str(path))
+        # interval 0 -> one sample per block, so even a short run
+        # exercises the mid-run sample path deterministically.
+        collector = LiveCollector(interval_s=0, sinks=[sink])
+        REGISTRY.enable()
+        REGISTRY.reset()
+        try:
+            frames = StreamEngine(demux=True).run(
+                traffic.blocks(samples, 16384), collector=collector
+            )
+            collector.finalize()
+            snapshot = REGISTRY.snapshot()
+        finally:
+            sink.close()
+            REGISTRY.disable()
+            REGISTRY.reset()
+
+        # Telemetry observes the decode; it does not change it.
+        assert [f.decode_fields() for f in frames] == [
+            f.decode_fields() for f in bare
+        ]
+        records = read_metrics_stream(str(path))
+        assert len(records) >= 2, "expected mid-run samples plus a final one"
+        assert not any(r["final"] for r in records[:-1])
+        final = records[-1]
+        assert final["final"] is True
+        # Cumulative totals of the last sample == the end-of-run registry.
+        assert final["counters"] == snapshot["counters"]
+        assert final["gauges"] == snapshot["gauges"]
+        assert final["histograms"] == {
+            name: {"count": data["count"], "total": data["total"]}
+            for name, data in snapshot["histograms"].items()
+        }
+        seen = 0
+        for record in records:
+            value = record["counters"].get("stream.engine.samples_in", 0)
+            assert value >= seen
+            seen = value
+        assert seen == samples.size
 
 
 class TestSinksAndReaders:
@@ -354,23 +323,18 @@ class TestSinksAndReaders:
                 "stream.session.crc_failed": 1,
                 "stream.ring.overruns": 0,
             },
-            "gauges": {
-                "stream.realtime_margin": 0.5,
-                "runtime.pool.queue_depth": 3.0,
-            },
+            "gauges": {"stream.realtime_margin": 0.5},
         }
         line = format_live_line(sample)
         assert "10.00 Msps" in line
         assert "0.50x of 20" in line
         assert "margin  0.50x" in line
         assert "frames 12" in line
-        assert "pool_q 3" in line
         assert "[final]" in line
 
     def test_format_live_line_missing_gauges(self):
         line = format_live_line({"rates": {}, "counters": {}, "gauges": {}})
         assert "margin     -" in line
-        assert "pool_q" not in line
 
     def test_tty_dashboard_prints_lines(self, metered):
         import io

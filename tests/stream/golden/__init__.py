@@ -84,11 +84,11 @@ def random_cuts(engine, samples, seed):
     return frames
 
 
-def decode(case, samples, cut_seed=None, jobs=None, **engine_overrides):
+def decode(case, samples, cut_seed=None, **engine_overrides):
     """Run ``case`` over ``samples``: ``(frames, engine)``.
 
     ``cut_seed`` pushes random-size blocks instead of the case's fixed
-    block size; ``jobs`` runs the worker pool.
+    block size.
     """
     _, kwargs, block = CASES[case]
     engine = StreamEngine(**{**kwargs, **engine_overrides})
@@ -99,7 +99,7 @@ def decode(case, samples, cut_seed=None, jobs=None, **engine_overrides):
         frames.extend(engine.finish())
         return frames, engine
     blocks = (samples[lo : lo + block] for lo in range(0, samples.size, block))
-    return engine.run(blocks, jobs=jobs), engine
+    return engine.run(blocks), engine
 
 
 def header_rejects(engine):

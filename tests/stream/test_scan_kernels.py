@@ -25,8 +25,6 @@ rather than assumed:
   reaches the ``stream.session.header_rejects`` counter in full.
 * decimation 8, the deepest product domain, is block-size invariant:
   adversarial fixed sizes plus random cuts all reproduce the fixture.
-* the persistent worker pool replays the serial decode byte for byte
-  — pooling is a transport, not a decoder.
 """
 
 from collections import Counter
@@ -324,11 +322,6 @@ def test_walk_matches_dense_cascade_on_threshold_boundaries(
                 if name.startswith("decoder.preamble.")
             } == {k: v for k, v in outcomes.items() if v}
     assert accepts > 100
-
-
-def test_pooled_matches_serial_batched_d8(golden, demux_case):
-    frames, _ = decode("d8", demux_case, jobs=2)
-    assert encode_frames(frames) == golden["d8"]["frames"]
 
 
 def test_unknown_scan_kernel_rejected():

@@ -351,6 +351,41 @@ class TestBenchTrajectory:
         assert "fleet simulator" in out
         assert "frames/s" in out
 
+    def test_table_report_trend_shows_blas_threads(self, tmp_path, capsys):
+        import json
+
+        (tmp_path / "BENCH_X.json").write_text(
+            json.dumps({"streaming": {"effective_msps": 1.0}})
+        )
+        old = {
+            "recorded_at": "old",
+            "cpu_count": 1,
+            "serial_msps": 9.86,
+            "jobs2_msps": 3.32,
+            "jobs4_msps": 2.29,
+            "scan_noise_msps": 15.386,
+            "gate_applied": False,
+        }
+        new = {
+            "recorded_at": "new",
+            "cpu_count": 2,
+            "blas_threads": 1,
+            "serial_msps": 9.84,
+            "scan_noise_msps": 17.895,
+        }
+        (tmp_path / "BENCH_SMOKE_TREND.jsonl").write_text(
+            json.dumps(old) + "\n" + json.dumps(new) + "\n"
+        )
+        assert main(["bench", "trajectory", "--root", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "blas threads" in out
+        assert "jobs=2" not in out and "jobs=4" not in out
+        (old_row,) = [line for line in out.splitlines() if "old" in line]
+        (new_row,) = [line for line in out.splitlines() if "new" in line]
+        # Lines recorded before BLAS pinning still render, with a dash.
+        assert old_row.split()[1:] == ["1", "-", "9.86", "15.39"]
+        assert new_row.split()[1:] == ["2", "1", "9.84", "17.89"]
+
     def test_json_empty_root_exits_nonzero(self, tmp_path, capsys):
         assert (
             main(["bench", "trajectory", "--root", str(tmp_path), "--json"])
