@@ -9,9 +9,14 @@ Two small guards CI can afford on every push:
 * a **serial trend recorder** — time the PR-6 comparison configuration
   plus a **scan-path micro-benchmark** (pure-noise capture through the
   headline configuration, so the scan cascade is the whole decode) and
-  append the Msps figures, with the CPU count and the BLAS thread count
-  they were measured under, to ``BENCH_SMOKE_TREND.jsonl`` (one JSON
-  line per run, rendered by ``python -m repro bench trajectory``).
+  a **derive micro-benchmark** (one decimation-8 complex64 session's
+  derived caches over noise products, nothing else) and append the Msps
+  figures, with the CPU count and the BLAS thread count they were
+  measured under, to ``BENCH_SMOKE_TREND.jsonl`` (one JSON line per
+  run, rendered by ``python -m repro bench trajectory``).  The derive
+  figure is scaled to reference host speed by the ledger's speed probe
+  and gated by its own floor, so a regression in the native derive
+  kernel shows up as that layer, not as a blur in the whole decode.
 
 The floor is ~2.9x below the ~13 Msps the reference 1-CPU container
 measures for the PR-10 configuration (see ``BENCH_PR10.json``), so an
@@ -31,8 +36,11 @@ import numpy as np
 import pytest
 
 from benchmarks.ledger.child import blas_threads
+from benchmarks.ledger.common import speed_factor
+from repro.core.decoder import SymBeeDecoder
 from repro.network.traffic import StreamSender, StreamTraffic
 from repro.stream import StreamEngine
+from repro.stream.session import StreamSession
 
 #: Conservative Msps floor for the fast-path decode.  Raised from 3.0
 #: (PR-5 era, 8.4 Msps reference) now that the PR-10 scan engine
@@ -54,6 +62,52 @@ FAST_PATH = dict(
 )
 
 TREND_PATH = Path(__file__).resolve().parent.parent / "BENCH_SMOKE_TREND.jsonl"
+
+#: Conservative floor for the derive micro-benchmark, in input Msps at
+#: reference host speed (see :func:`derive_msps`).  The native kernel
+#: measures ~700 on the reference 2-CPU host, the numpy derive it
+#: replaced ~250; the floor sits ~2.3x below the former, above the
+#: latter.
+DERIVE_FLOOR_MSPS = 300.0
+#: Products the derive micro-benchmark pushes (32 headline blocks).
+DERIVE_PRODUCTS = 32 * (DEEP_BLOCK // 8)
+
+
+def derive_msps():
+    """One session's derived caches over decimation-8 complex64 noise.
+
+    Pushes :data:`DERIVE_PRODUCTS` noise products through a fresh
+    session's derive layer in headline-sized blocks — ``extend``,
+    ``extend_windowed`` and the trim the scan would leave behind, with
+    no scan, header or body — and returns the input sample rate it keeps
+    up with (products times the decimation, per second, in millions),
+    best of five, scaled to reference host speed by the ledger's speed
+    probe.
+    """
+    decimation = FAST_PATH["decimation"]
+    block = DEEP_BLOCK // decimation
+    rng = np.random.default_rng(20260806)
+    products = (
+        rng.standard_normal(DERIVE_PRODUCTS)
+        + 1j * rng.standard_normal(DERIVE_PRODUCTS)
+    ).astype(np.complex64)
+    decoder = SymBeeDecoder(decimation=decimation)
+
+    def derive():
+        derived = StreamSession(decoder, dtype=np.complex64)._derived
+        for lo in range(0, products.size, block):
+            derived.extend(products[lo : lo + block])
+            derived.extend_windowed()
+            derived.trim(derived.win_end)
+
+    derive()  # warm-up
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        derive()
+        best = min(best, time.perf_counter() - t0)
+    factor = speed_factor(5)
+    return products.size * decimation / (best * factor) / 1e6
 
 
 @pytest.mark.perf_smoke
@@ -142,6 +196,8 @@ def test_serial_trend_record():
         scan_best = min(scan_best, time.perf_counter() - t0)
     scan_noise_msps = noise.size / scan_best / 1e6
 
+    derive = derive_msps()
+
     cpu_count = os.cpu_count() or 1
     entry = {
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -151,11 +207,18 @@ def test_serial_trend_record():
         # Pure-noise decode through the PR-10 headline configuration:
         # the scan cascade with no frames to decode.
         "scan_noise_msps": round(scan_noise_msps, 3),
+        # One d8 complex64 session's derive layer over noise, at
+        # reference host speed (see derive_msps).
+        "derive_msps": round(derive, 3),
     }
     with TREND_PATH.open("a") as fh:
         fh.write(json.dumps(entry) + "\n")
     print(
         f"\ntrend: serial {serial_msps:.2f} Msps, scan-only "
-        f"{scan_noise_msps:.2f} Msps on {cpu_count} cpu(s), "
-        f"{entry['blas_threads']} BLAS thread(s) -> {TREND_PATH.name}"
+        f"{scan_noise_msps:.2f} Msps, derive {derive:.1f} Msps on "
+        f"{cpu_count} cpu(s), {entry['blas_threads']} BLAS thread(s) "
+        f"-> {TREND_PATH.name}"
+    )
+    assert derive >= DERIVE_FLOOR_MSPS, (
+        f"derive layer at {derive:.1f} Msps, floor {DERIVE_FLOOR_MSPS} Msps"
     )

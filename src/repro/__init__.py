@@ -15,8 +15,17 @@ Public API tour:
 * :mod:`repro.experiments` — one module per paper table/figure.
 """
 
-from repro.core import SymBeeDecoder, SymBeeEncoder, SymBeeLink
-
 __version__ = "1.0.0"
 
 __all__ = ["SymBeeEncoder", "SymBeeDecoder", "SymBeeLink", "__version__"]
+
+
+def __getattr__(name):
+    # Resolved on first use, so importing the package loads no numpy:
+    # ``python -m repro`` pins BLAS threads before numpy starts (see
+    # repro.__main__).
+    if name in ("SymBeeEncoder", "SymBeeDecoder", "SymBeeLink"):
+        import repro.core
+
+        return getattr(repro.core, name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -13,13 +13,24 @@
 ``-v``/``-q`` tune the ``repro.*`` logger (diagnostics go to stderr;
 experiment tables stay on stdout).  ``run all`` keeps going past a
 failing experiment and exits non-zero with a pass/fail summary.
+
+BLAS is pinned to one thread before anything loads numpy (``info``
+reports the count): unpinned, OpenBLAS sizes its pool to the host and
+the channelizer's matrix products swing between a fast and a ~5x
+slower mode from one process to the next.  An explicit
+``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` in the environment wins.
 """
 
-import argparse
-import signal
-import sys
-import time
-import traceback
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import argparse  # noqa: E402
+import signal  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+import traceback  # noqa: E402
 
 
 def _profiled(fn):
@@ -1024,6 +1035,7 @@ def _cmd_info(_args):
         shannon_gain_factor,
         speedup_versus,
     )
+    from repro.obs.manifest import blas_threads
 
     print(f"repro {__version__} — SymBee (ICDCS 2018) reproduction")
     print(f"raw bit rate:          {SYMBEE_RAW_BIT_RATE / 1000:.2f} kbps")
@@ -1037,6 +1049,8 @@ def _cmd_info(_args):
         "link.* decoder.* preamble.* network.* stream.* transport.* "
         "sim.* gateway.*"
     )
+    threads = blas_threads()
+    print(f"blas threads:          {threads or 'unknown'}")
     return 0
 
 

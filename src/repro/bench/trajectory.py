@@ -420,7 +420,8 @@ def print_trajectory(root=".", print_fn=print):
         def msps(entry, key):
             return f"{entry[key]:.2f}" if key in entry else "-"
 
-        # Lines recorded before BLAS pinning carry no blas_threads.
+        # Lines recorded before BLAS pinning carry no blas_threads, and
+        # lines from before the derive micro-benchmark no derive_msps.
         trend_rows = [
             (
                 str(entry.get("recorded_at", "-")),
@@ -428,11 +429,13 @@ def print_trajectory(root=".", print_fn=print):
                 str(entry.get("blas_threads") or "-"),
                 msps(entry, "serial_msps"),
                 msps(entry, "scan_noise_msps"),
+                msps(entry, "derive_msps"),
             )
             for entry in trend
         ]
         print_table(
-            ("recorded", "cpus", "blas threads", "serial Msps", "scan"),
+            ("recorded", "cpus", "blas threads", "serial Msps", "scan",
+             "derive"),
             trend_rows,
             title=f"perf-smoke trend (last {len(trend)} of {TREND_FILENAME})",
         )

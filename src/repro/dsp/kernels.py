@@ -414,38 +414,6 @@ def polyphase_decimate(z, taps, decimation, offset=0, mode="exact", trailing="do
     return polyphase_decimate_fast(z, taps, decimation, offset, trailing=trailing)
 
 
-# -- preamble comb fold ------------------------------------------------------
-
-
-def preamble_fold_exact(u, bit_period, folds):
-    """Circular preamble fold profile with blocking-independent rounding.
-
-    ``out[i] = sum_k u[i + k * bit_period]`` for ``k in [0, folds)`` —
-    the cross-correlation of the unit-phasor stream with the preamble's
-    bit-period comb, evaluated at every position whose full fold span
-    fits inside ``u`` (``len(out) = len(u) - (folds - 1) * bit_period``).
-    The sum runs in fixed fold order ``((u0 + u1) + u2) + ...``
-    elementwise, so every output depends only on its own ``folds``
-    inputs and the profile is bit-identical for any stream blocking —
-    the same contract :func:`exact_lagged_products` gives the product
-    stream.  This is the exact reference the scanner's derived caches
-    are built from.
-    """
-    bit_period = int(bit_period)
-    folds = int(folds)
-    if folds < 1:
-        raise ValueError("folds must be >= 1")
-    n = u.size - (folds - 1) * bit_period
-    if n <= 0:
-        return u[:0].copy()
-    if folds == 1:
-        return u[:n].copy()
-    out = u[:n] + u[bit_period : bit_period + n]
-    for k in range(2, folds):
-        out += u[k * bit_period : k * bit_period + n]
-    return out
-
-
 __all__ = [
     "KERNEL_MODES",
     "validate_mode",
@@ -461,5 +429,4 @@ __all__ = [
     "polyphase_decimate",
     "polyphase_decimate_exact",
     "polyphase_decimate_fast",
-    "preamble_fold_exact",
 ]

@@ -51,6 +51,20 @@ from repro.gateway.tenant import TenantConsumer
 from repro.obs.metrics import REGISTRY
 from repro.stream.ring import RingBufferSource
 
+#: Inclusive bounds on the numeric engine overrides a tenant may send.
+#: Each one sizes a filter or a buffer the engine allocates up front, so
+#: an unbounded value would be a request to exhaust memory; they are
+#: refused before any engine is built.
+ENGINE_LIMITS = {
+    "ntaps": (3, 255),
+    "scan_stride_bits": (1, 64),
+    "sample_rate": (1e6, 40e6),
+}
+#: Channelizer decimations the decoder supports.
+ENGINE_DECIMATIONS = (1, 2, 4, 8)
+#: Most ZigBee channels one tenant's engine may decode (there are 16).
+MAX_ZIGBEE_CHANNELS = 16
+
 _ADMITTED = REGISTRY.counter("gateway.tenants_admitted")
 _REJECTED = REGISTRY.counter("gateway.tenants_rejected")
 _ACTIVE = REGISTRY.gauge("gateway.tenants_active")
@@ -101,6 +115,45 @@ class _TenantState:
         return (self.samples_in / self.sample_rate) / elapsed
 
 
+def check_engine_overrides(engine):
+    """Refuse a tenant's out-of-range engine overrides (``bad-request``).
+
+    Bounds the overrides that size what the engine allocates (see
+    :data:`ENGINE_LIMITS`); everything else is left to the engine's
+    own validation.
+    """
+
+    def refuse(key, why):
+        raise GatewayError(
+            ERR_BAD_REQUEST, f"bad engine config: {key}={engine[key]!r} {why}"
+        )
+
+    for key, (lo, hi) in ENGINE_LIMITS.items():
+        value = engine.get(key)
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            refuse(key, "is not a number")
+        if key != "sample_rate" and not isinstance(value, int):
+            refuse(key, "is not an integer")
+        if not lo <= value <= hi:
+            refuse(key, f"is outside [{lo:g}, {hi:g}]")
+    decimation = engine.get("decimation")
+    if decimation is not None and (
+        isinstance(decimation, bool) or decimation not in ENGINE_DECIMATIONS
+    ):
+        refuse("decimation", f"is not one of {ENGINE_DECIMATIONS}")
+    channels = engine.get("zigbee_channels")
+    if channels is not None and (
+        not isinstance(channels, (list, tuple))
+        or len(channels) > MAX_ZIGBEE_CHANNELS
+    ):
+        refuse(
+            "zigbee_channels",
+            f"is not a list of at most {MAX_ZIGBEE_CHANNELS} channels",
+        )
+
+
 class GatewayCore:
     """Admit tenants, schedule their blocks, deliver their messages.
 
@@ -145,7 +198,9 @@ class GatewayCore:
             )
         merged = dict(self.engine_kwargs)
         try:
-            merged.update(dict(engine or {}))
+            overrides = dict(engine or {})
+            check_engine_overrides(overrides)
+            merged.update(overrides)
             consumer = TenantConsumer(tenant_id, merged)
         except (TypeError, ValueError, ArithmeticError) as error:
             # A bad engine override is the client's fault, not ours
@@ -360,4 +415,4 @@ class GatewayCore:
             _MARGIN_MIN.set(min(margins))
 
 
-__all__ = ["GatewayCore"]
+__all__ = ["ENGINE_LIMITS", "GatewayCore", "check_engine_overrides"]

@@ -42,6 +42,22 @@ def git_revision():
     return rev if proc.returncode == 0 and rev else None
 
 
+def blas_threads():
+    """Threads numpy's bundled OpenBLAS runs with, or None if not found."""
+    import ctypes
+    from pathlib import Path
+
+    import numpy
+
+    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        get = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+        get.argtypes = []
+        get.restype = ctypes.c_int
+        return int(get())
+    return None
+
+
 def runtime_config():
     """The environment knobs that shape a run, plus the resolved job count."""
     from repro.runtime import default_jobs

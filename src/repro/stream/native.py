@@ -1,0 +1,144 @@
+"""The scanner's native derive kernel, compiled once and cached.
+
+:mod:`repro.stream.session` derives its caches (unit phasors, fold
+prefixes, windowed gate statistics, the hot index) through the C
+kernels in ``derive.c``, built with the local ``gcc`` through cffi's
+out-of-line API mode.  There is no other derive path: on a host without
+gcc or cffi, importing this module raises :class:`ImportError` saying
+so.
+
+The build is cached in ``_native/`` next to this module (gitignored),
+keyed by a hash of the C sources, the cdef, the compiler flags and the
+Python ABI, so an edit to any of them builds afresh and a warm import
+only loads the compiled extension -- no cdef parse, no compiler.
+Concurrent first imports (a ``serve`` child and its client, say) may
+both compile; each publishes its result by atomic rename, so a loader
+never sees a partial file.
+
+The flags keep the kernel bit-identical to numpy's arithmetic:
+``-ffp-contract=off`` forbids fused multiply-adds, ``-fno-math-errno``
+lets ``sqrt`` compile to the correctly rounded instruction, and
+``-ffast-math`` is never used (see ``derive.c`` for the contract).
+"""
+
+import hashlib
+import importlib.util
+import os
+import subprocess
+import sys
+import sysconfig
+import tempfile
+from pathlib import Path
+
+import _cffi_backend
+
+HERE = Path(__file__).resolve().parent
+#: C sources, hashed into the build key.
+SOURCES = ("derive.c", "derive_body.h")
+#: Where compiled kernels are cached.
+BUILD_DIR = HERE / "_native"
+CFLAGS = (
+    "-O3",
+    "-ffp-contract=off",
+    "-fno-math-errno",
+    "-fPIC",
+    "-shared",
+)
+
+_PRECISIONS = (("float", "f32"), ("double", "f64"))
+_DECLS = """
+void units_{s}({t} *prod, int64_t n, {t} fill_re, {t} fill_im, {t} *unit);
+void derive_{s}({t} *prod, int64_t n, {t} fill_re, {t} fill_im,
+                {t} *unit, int32_t *mask, int32_t mask_seed,
+                {t} *u, int64_t m, int64_t bp, int64_t folds,
+                int32_t *count, int32_t count_seed,
+                {t} *coh, {t} coh_seed,
+                {t} *conc, {t} conc_seed_re, {t} conc_seed_im);
+int64_t index_{s}({t} *cohcand, {t} *conc, int64_t n, int64_t offset,
+                  {t} coh_pass, {t} coh_min, {t} conc_min,
+                  int32_t *cpass, int32_t seed, int64_t *hot);
+int64_t windowed_{s}(int32_t *cn, {t} *cm, {t} *cu, int64_t n, int64_t w,
+                     int32_t floor, {t} inv_fw, {t} inv_w, {t} coh_pass,
+                     {t} coh_min, {t} conc_min, int32_t *counts,
+                     {t} *cohcand, {t} *conc, int32_t *cpass, int32_t seed,
+                     int64_t *hot);
+"""
+CDEF = "".join(_DECLS.format(t=t, s=s) for t, s in _PRECISIONS)
+
+
+def build_key():
+    """Hash of everything the compiled kernel depends on."""
+    digest = hashlib.sha256()
+    for name in SOURCES:
+        digest.update((HERE / name).read_bytes())
+    for part in (
+        CDEF,
+        " ".join(CFLAGS),
+        sys.implementation.cache_tag,
+        sysconfig.get_config_var("EXT_SUFFIX"),
+        _cffi_backend.__version__,
+    ):
+        digest.update(b"\0" + str(part).encode())
+    return digest.hexdigest()[:16]
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _build(name, target):
+    """Compile the kernel module ``name`` and publish it at ``target``."""
+    try:
+        import cffi
+        from cffi.recompiler import make_c_source
+    except ImportError as exc:
+        raise ImportError(
+            "repro.stream needs cffi to build its native derive kernel "
+            "(pip install cffi)"
+        ) from exc
+    ffi = cffi.FFI()
+    ffi.cdef(CDEF)
+    BUILD_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=BUILD_DIR) as tmp:
+        c_file = os.path.join(tmp, name + ".c")
+        make_c_source(ffi, name, '#include "derive.c"', c_file)
+        built = os.path.join(tmp, target.name)
+        command = [
+            "gcc", *CFLAGS,
+            "-I", str(HERE),
+            "-I", sysconfig.get_paths()["include"],
+            c_file, "-o", built,
+        ]
+        try:
+            proc = subprocess.run(command, capture_output=True, text=True)
+        except FileNotFoundError as exc:
+            raise ImportError(
+                "repro.stream needs gcc to build its native derive kernel "
+                "(no gcc on PATH)"
+            ) from exc
+        if proc.returncode != 0:
+            raise ImportError(
+                "gcc failed to build the native derive kernel:\n" + proc.stderr
+            )
+        os.replace(built, target)
+
+
+def load():
+    """The compiled kernel module (``.ffi``, ``.lib``), built if needed."""
+    name = f"_derive_{build_key()}"
+    target = BUILD_DIR / (name + sysconfig.get_config_var("EXT_SUFFIX"))
+    if target.exists():
+        try:
+            return _load(name, target)
+        except ImportError:
+            pass  # unloadable cache entry: rebuild over it
+    _build(name, target)
+    return _load(name, target)
+
+
+_module = load()
+ffi = _module.ffi
+lib = _module.lib

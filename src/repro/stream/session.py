@@ -27,18 +27,20 @@ streaming decode bit-identical to a single whole-capture call:
 scanned once (accepting any position — no later chunk will see it), and
 a capture whose frame ran off the stream is counted as partial.
 
-**The incremental scanner (PR 5).**  Scanning chunk-by-chunk through
+**The incremental scanner.**  Scanning chunk-by-chunk through
 :func:`capture_preamble` re-derives unit phasors, fold profiles and
 window counts for every chunk — and a header reject rewinds the origin
 by one bit, so signal-dense streams re-derive the same region dozens of
 times.  The session instead maintains :class:`_DerivedStreams`: rolling,
 absolute-indexed caches of every quantity the gate cascade needs, each
-computed once per product.  The cache arithmetic is deliberately
+computed once per product by one native pass per push (the C kernel in
+``derive.c``, built by :mod:`repro.stream.native`) and one per scan
+for the windowed statistics.  The cache arithmetic is deliberately
 blocking-invariant — elementwise single-rounding ops, fixed-order fold
 sums, and prefix sums whose accumulation order is the stream order
-itself (``np.cumsum`` is a strict left fold, so continuing it from a
-running total is bit-identical to one whole-stream pass) — so cache
-slices taken at any moment contain the same floats for any push sizes.
+itself (a strict left fold, so continuing it from a running total is
+bit-identical to one whole-stream pass) — so cache slices taken at any
+moment contain the same floats for any push sizes.
 :meth:`StreamSession._scan_batched` then evaluates the whole cascade for
 every buffered chunk from those caches (count floor, relative
 coherence, concentration, cluster-peak anchor — the same decisions in
@@ -50,6 +52,21 @@ per-chunk summation, so their last ~1e-11 (float64) differs from
 ``capture_preamble``'s; the gates have 0.2 of slack and the values are
 used consistently, so decisions are deterministic and block-size
 invariant either way.
+
+**The native derive pass.**  The kernel computes every cache bit for
+bit as numpy would, float32 and float64 alike, because it does numpy's
+operations in numpy's order: ``re*re`` then ``+ im*im`` with no fused
+multiply-add (``-ffp-contract=off``), correctly rounded ``sqrt`` and
+divide, the fold order ``((u0 + u1) + u2) + ...``, strict left-fold
+prefix sums, and thresholds rounded to the working dtype the way numpy
+weak-casts a Python float against a float32 array.  The numpy
+formulation lives on only as the test oracle
+(``tests/stream/derive_reference.py``), checked byte for byte on
+hostile values and random push splits.  There is one derive path and
+no fallback: the kernel compiles on first import with the local gcc
+through cffi into ``repro/stream/_native/`` (a cache keyed by a hash of
+the sources, flags and Python ABI), and a host that cannot build it
+fails that import with an error naming what is missing.
 
 **The scanner.**  :meth:`StreamSession._scan_batched` is an *event
 walk* over the sparse hot index — the positions that could clear the
@@ -70,16 +87,17 @@ header rejects counted once per call), and the body decode records its
 bit diagnostics from the votes it thresholds.
 
 **Working dtype.**  ``dtype=numpy.complex64`` (the fast kernel mode's
-optional float32 working precision) halves the memory traffic of every
-cache.  The float gate caches then carry ~1e-3 of prefix-cancellation
-error after a million products instead of ~1e-11 — still far inside the
-0.2 gate slack, but growing linearly with session length, so very long
-unbroken float32 sessions (beyond ~10^8 products) should be avoided;
-``exact`` sessions must use complex128, which is good past 10^15.  The
-integer caches (vote counts, fold-negativity counts) are exact at any
-precision; they are kept in int32, which bounds a single session at
-2^31 products (~9 days of one decimated sub-band) — beyond any test or
-bench horizon, and a deliberate trade for halved prefix traffic.
+optional float32 working precision) runs the kernel's float variant
+and halves the memory traffic of every cache.  The float gate caches
+then carry ~1e-3 of prefix-cancellation error after a million products
+instead of ~1e-11 — still far inside the 0.2 gate slack, but growing
+linearly with session length, so very long unbroken float32 sessions
+(beyond ~10^8 products) should be avoided; ``exact`` sessions must use
+complex128, which is good past 10^15.  The integer caches (vote counts,
+fold-negativity counts) are exact at any precision; they are kept in
+int32, which bounds a single session at 2^31 products (~9 days of one
+decimated sub-band) — beyond any test or bench horizon, and a
+deliberate trade for halved prefix traffic.
 """
 
 from bisect import bisect_left, bisect_right
@@ -106,37 +124,42 @@ from repro.core.preamble import (
     _MISS_COUNT,
     capture_preamble,
 )
-from repro.dsp.kernels import preamble_fold_exact
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
+from repro.stream.native import ffi, lib
 
 _HEADER_BITS = 24
+#: C element type of each working dtype's real plane, and the suffix of
+#: the kernels computing in it.
+_PRECISION = {
+    np.dtype(np.complex64): ("float", "f32"),
+    np.dtype(np.complex128): ("double", "f64"),
+}
 
 
-def _unit_from_products(chunk, fill, out=None):
+def _ptr(ctype, array):
+    """C pointer to a contiguous array's first element, as ``ctype *``."""
+    return ffi.from_buffer(ctype + "[]", array)
+
+
+def _unit_from_products(chunk, fill):
     """Deterministic unit phasors (zero products take ``fill``).
 
-    Magnitude as ``sqrt(re*re + im*im)`` and one real divide per plane —
-    every element is the same sequence of single-rounding real ufunc
-    ops, so the result is bit-identical no matter how the stream was
-    blocked or how the buffer happens to be aligned.  numpy's
-    reciprocal-then-complex-multiply path in the core decoder is faster
-    but rounds differently depending on SIMD lane, which would leak
-    block-size dependence into the capture coherence.  Works in the
-    chunk's own precision (complex64 in fast float32 sessions).
+    ``chunk / sqrt(re*re + im*im)`` per element, computed by the native
+    kernel with single-rounding real operations, so the result is the
+    same floats no matter how the stream was blocked or how the buffer
+    happens to be aligned.  numpy's reciprocal-then-complex-multiply
+    path in the core decoder is faster but rounds differently depending
+    on SIMD lane, which would leak block-size dependence into the
+    capture coherence.  Works in the chunk's own precision (complex64
+    or complex128).
     """
-    mag = chunk.real * chunk.real
-    mag += chunk.imag * chunk.imag
-    np.sqrt(mag, out=mag)
-    zero = mag == 0.0
-    has_zero = bool(zero.any())
-    if has_zero:
-        mag[zero] = 1.0
-    unit = np.empty(chunk.size, dtype=chunk.dtype) if out is None else out
-    unit.real = chunk.real / mag
-    unit.imag = chunk.imag / mag
-    if has_zero:
-        unit[zero] = fill
+    chunk = np.ascontiguousarray(chunk)
+    real, suffix = _PRECISION[chunk.dtype]
+    unit = np.empty(chunk.size, dtype=chunk.dtype)
+    getattr(lib, "units_" + suffix)(
+        _ptr(real, chunk), chunk.size, fill.real, fill.imag, _ptr(real, unit)
+    )
     return unit
 
 
@@ -235,15 +258,15 @@ class _StreamBuffer:
 class _PrefixSum:
     """Rolling prefix sums: entry ``i`` is the sum over stream ``[0, i)``.
 
-    Extending continues numpy's sequential accumulation from the stored
-    running total, which is bit-identical to a single whole-stream
-    cumsum for any chunking — float dtypes included, since ``np.cumsum``
-    is a strict left fold and seeding the chunk's first element with the
-    saved total literally resumes that fold in place.
-    Windowed sums anywhere in the stream are then two gathers and a
-    subtract, and — because every entry is a function of absolute
-    position only — they are the same values no matter how the stream
-    was pushed.  The price for floats is the usual large-prefix
+    A producer extends it by continuing the strict left fold from the
+    running total: :meth:`alloc` hands out the new entries, the producer
+    writes ``total + v0``, ``(total + v0) + v1``, ... into them, and the
+    last one becomes the new :attr:`total`.  Continuing the fold from a
+    running total is bit-identical to one whole-stream pass for any
+    chunking — floats included — so every entry is a function of
+    absolute position only.  Windowed sums anywhere in the stream are
+    then two gathers and a subtract, the same values no matter how the
+    stream was pushed.  The price for floats is the usual large-prefix
     cancellation: a window sum loses about as many digits as the prefix
     has grown — see the module docstring for the per-dtype horizon.
     """
@@ -252,10 +275,10 @@ class _PrefixSum:
         dtype = np.dtype(dtype)
         self._buf = _StreamBuffer(dtype)
         self._buf.append(np.zeros(1, dtype=dtype))
-        # Running total kept outside the buffer: trimming may drop every
-        # entry (the stream can be forgotten past the newest prefix),
-        # and the continuation seed must survive that.
-        self._total = dtype.type(0)
+        #: Running total, the fold's continuation seed.  Kept outside
+        #: the buffer: trimming may drop every entry (the stream can be
+        #: forgotten past the newest prefix), and the seed must survive.
+        self.total = dtype.type(0)
 
     @property
     def end(self):
@@ -266,19 +289,9 @@ class _PrefixSum:
         """Oldest absolute index still viewable (the trim floor)."""
         return self._buf.base
 
-    def extend(self, values):
-        n = values.size
-        if n == 0:
-            return
-        tail = self._buf.alloc(n)
-        tail[:] = values
-        # Seeding the first element makes the in-place cumsum the strict
-        # left fold ((total + v0) + v1) + ... — for floats, bit-identical
-        # to cumsumming the whole stream in one call (see the module
-        # docstring); for integers, exact regardless.
-        tail[0] += self._total
-        np.cumsum(tail, out=tail)
-        self._total = tail[-1]
+    def alloc(self, n):
+        """Append ``n`` entries to fill; set :attr:`total` once filled."""
+        return self._buf.alloc(n)
 
     def view(self, lo, hi):
         return self._buf.view(lo, hi)
@@ -296,7 +309,7 @@ class _PrefixSum:
         cancels in every difference).
         """
         self._buf.skip(index - self._buf.end)
-        self._buf.alloc(1)[0] = self._total
+        self._buf.alloc(1)[0] = self.total
 
 
 class _DerivedStreams:
@@ -358,6 +371,11 @@ class _DerivedStreams:
         rdtype = np.dtype(np.float32 if cdtype == np.complex64 else np.float64)
         #: Scalar type of the float caches (what thresholds round to).
         self.float_type = rdtype.type
+        self._cdtype = cdtype
+        self._real, suffix = _PRECISION[cdtype]
+        self._derive = getattr(lib, "derive_" + suffix)
+        self._windowed = getattr(lib, "windowed_" + suffix)
+        self._index_kernel = getattr(lib, "index_" + suffix)
         self._u = _StreamBuffer(cdtype)
         #: One past the last stream position with a computed fold value.
         self.profile_end = 0
@@ -377,7 +395,12 @@ class _DerivedStreams:
             else int(capture_floor)
         )
         self._coherence_min = float(coherence_min)
-        self._inv_fw = 1.0 / (self.folds * self.window)
+        # The windowed expressions' Python-float scalars, rounded to the
+        # working dtype the way numpy weak-casts them against its arrays.
+        self._inv_fw = rdtype.type(1.0 / (self.folds * self.window))
+        self._inv_w = rdtype.type(1.0 / self.window)
+        self._coh_min = rdtype.type(self._coherence_min)
+        self._conc_min = rdtype.type(0.6)
         #: Scan-chunk stride in products; a chunk starting at ``q``
         #: evaluates the inclusive window-start range ``[q, q + stride]``.
         self._scan_stride = (
@@ -415,40 +438,45 @@ class _DerivedStreams:
         self.hot_count = []
 
     def extend(self, products):
-        if products.size:
-            self.mask_prefix.extend(products.imag >= 0.0)
-            _unit_from_products(
-                products, self.fill, out=self._u.alloc(products.size)
-            )
-        hi = self._u.end - self.span
-        lo = self.profile_end
-        if hi <= lo:
+        """Derive every cache the new ``products`` complete, in one call.
+
+        Vote counts and unit phasors of the products, then the fold of
+        every profile position whose span they complete (fixed fold
+        order ``((u0 + u1) + u2) + ...``, elementwise, so each position's
+        value never depends on the surrounding slice), reduced straight
+        into the count, coherence and concentration prefixes.  The
+        profile values themselves are never stored.
+        """
+        n = products.size
+        if not n:
             return
-        # Same fixed fold order as phasor_folded_profile in exact mode:
-        # ((u0 + u1) + u2) + ... — elementwise, so each position's value
-        # never depends on the surrounding slice.  The kernel always
-        # returns a fresh array, so the unit reduction below may reuse
-        # it in place.
-        prof = preamble_fold_exact(
-            self._u.view(lo, hi + self.span), self.bit_period, self.folds
+        # The kernel reads the products by pointer, in the working dtype.
+        products = np.ascontiguousarray(products, dtype=self._cdtype)
+        real = self._real
+        units = self._u.alloc(n)
+        mask = self.mask_prefix.alloc(n)
+        lo = self.profile_end
+        hi = self._u.end - self.span
+        m = max(hi - lo, 0)
+        fold_units = self._u.view(lo, hi + self.span if m else lo)
+        count = self.count_prefix.alloc(m)
+        coh = self.coherence_prefix.alloc(m)
+        conc = self.concentration_prefix.alloc(m)
+        conc_seed = self.concentration_prefix.total
+        self._derive(
+            _ptr(real, products), n, self.fill.real, self.fill.imag,
+            _ptr(real, units), _ptr("int32_t", mask), self.mask_prefix.total,
+            _ptr(real, fold_units), m, self.bit_period, self.folds,
+            _ptr("int32_t", count), self.count_prefix.total,
+            _ptr(real, coh), self.coherence_prefix.total,
+            _ptr(real, conc), conc_seed.real, conc_seed.imag,
         )
-        self.profile_end = hi
-        # angle(prof) < 0 without computing angles: atan2 is negative
-        # iff imag < 0, or exactly -pi for (-0.0 imag, negative real).
-        neg = prof.imag < 0.0
-        zero_imag = prof.imag == 0.0
-        if zero_imag.any():
-            neg |= np.signbit(prof.imag) & zero_imag & (prof.real < 0.0)
-        self.count_prefix.extend(neg)
-        mag = prof.real * prof.real
-        mag += prof.imag * prof.imag
-        np.sqrt(mag, out=mag)
-        self.coherence_prefix.extend(mag)
-        np.maximum(mag, mag.dtype.type(1e-12), out=mag)
-        unit = prof  # reuse: the fold kernel always returns a fresh array
-        unit.real /= mag
-        unit.imag /= mag
-        self.concentration_prefix.extend(unit)
+        self.mask_prefix.total = mask[-1]
+        if m:
+            self.profile_end = hi
+            self.count_prefix.total = count[-1]
+            self.coherence_prefix.total = coh[-1]
+            self.concentration_prefix.total = conc[-1]
 
     def extend_windowed(self):
         """Bring the windowed-statistic caches up to the profile end.
@@ -491,47 +519,54 @@ class _DerivedStreams:
         hi = self.profile_end - w + 1
         if hi <= lo:
             return
-        # Computed straight into the cache buffers (no temp + copy);
-        # every expression is the same single-rounding ufunc sequence
-        # as the cascade's own derivation, so the floats are identical.
+        # Computed straight into the cache buffers (no temp + copy).
+        real = self._real
         n = hi - lo
-        cn = self.count_prefix.view(lo, hi + w)
         counts = self.count_win.alloc(n)
-        np.subtract(cn[w:], cn[:-w], out=counts)
-        cm = self.coherence_prefix.view(lo, hi + w)
         cohcand = self.cohcand_win.alloc(n)
-        np.subtract(cm[w:], cm[:-w], out=cohcand)
-        cohcand *= self._inv_fw
-        cohcand[counts < self._capture_floor] = -np.inf
-        cu = self.concentration_prefix.view(lo, hi + w)
-        du = cu[w:] - cu[:-w]
-        mag = du.real * du.real
-        mag += du.imag * du.imag
-        np.sqrt(mag, out=mag)
         conc = self.conc_win.alloc(n)
-        np.multiply(mag, 1.0 / w, out=conc)
-        self._index(lo, counts, cohcand, conc)
+        cpass = self.cohpass_prefix.alloc(n)
+        hot = np.empty(n, dtype=np.int64)
+        n_hot = self._windowed(
+            _ptr("int32_t", self.count_prefix.view(lo, hi + w)),
+            _ptr(real, self.coherence_prefix.view(lo, hi + w)),
+            _ptr(real, self.concentration_prefix.view(lo, hi + w)),
+            n, w, self._capture_floor, self._inv_fw, self._inv_w,
+            self._coh_pass, self._coh_min, self._conc_min,
+            _ptr("int32_t", counts), _ptr(real, cohcand), _ptr(real, conc),
+            _ptr("int32_t", cpass), self.cohpass_prefix.total,
+            _ptr("int64_t", hot),
+        )
+        self.cohpass_prefix.total = cpass[-1]
+        self._record_hot(lo, hot[:n_hot], counts, cohcand, conc)
         self.win_end = hi
 
     def _index(self, lo, counts, cohcand, conc):
         """Extend ``cohpass_prefix`` and the hot index from new windows.
 
-        ``counts`` / ``cohcand`` / ``conc`` are the freshly cached
-        statistics of window starts ``lo, lo + 1, ...``.
+        ``counts`` / ``cohcand`` / ``conc`` are the cached statistics of
+        window starts ``lo, lo + 1, ...`` (what :meth:`extend_windowed`
+        computes and indexes in the same kernel call).
         """
-        cpass = cohcand >= self._coh_pass
-        self.cohpass_prefix.extend(cpass)
-        if float(self._coh_pass) == self._coherence_min:
-            # The nudged threshold landed exactly on the float64 floor,
-            # so the pass mask doubles as the hot filter's coherence arm
-            # (the weak-cast compare against ``coherence_min`` resolves
-            # to the same working-precision threshold).
-            coh_hot = cpass
-        else:
-            coh_hot = cohcand >= self._coherence_min
-        hm = conc >= 0.6
-        hm &= coh_hot
-        hot = hm.nonzero()[0]
+        real = self._real
+        n = cohcand.size
+        if conc.size != n:
+            raise ValueError("cohcand and conc must be the same length")
+        cohcand = np.ascontiguousarray(cohcand, dtype=self.float_type)
+        conc = np.ascontiguousarray(conc, dtype=self.float_type)
+        cpass = self.cohpass_prefix.alloc(n)
+        hot = np.empty(n, dtype=np.int64)
+        n_hot = self._index_kernel(
+            _ptr(real, cohcand), _ptr(real, conc), n, 0,
+            self._coh_pass, self._coh_min, self._conc_min,
+            _ptr("int32_t", cpass), self.cohpass_prefix.total,
+            _ptr("int64_t", hot),
+        )
+        self.cohpass_prefix.total = cpass[-1]
+        self._record_hot(lo, hot[:n_hot], counts, cohcand, conc)
+
+    def _record_hot(self, lo, hot, counts, cohcand, conc):
+        """Append hot window starts (``hot``, relative to ``lo``)."""
         if hot.size:
             self.hot_coh += cohcand[hot].tolist()
             self.hot_conc += conc[hot].tolist()

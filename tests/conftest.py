@@ -1,7 +1,26 @@
-"""Shared fixtures for the SymBee reproduction test suite."""
+"""Shared fixtures for the SymBee reproduction test suite.
 
-import numpy as np
-import pytest
+BLAS is pinned to one thread before anything imports numpy, as on the
+command line (see ``repro.__main__``); an explicit setting in the
+environment still wins.
+"""
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+
+def pytest_report_header(config):
+    from repro.obs.manifest import blas_threads
+
+    return (
+        f"blas threads: {blas_threads()} "
+        f"(OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')})"
+    )
 
 
 @pytest.fixture(autouse=True)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import repro.gateway.core as core_module
 from repro.gateway.core import GatewayCore
 from repro.gateway.errors import (
+    ERR_BAD_REQUEST,
     ERR_DUPLICATE_TENANT,
     ERR_SHUTTING_DOWN,
     ERR_STREAM_ENDED,
@@ -130,6 +132,43 @@ class TestAdmissionControl:
     def test_invalid_max_tenants(self):
         with pytest.raises(ValueError):
             GatewayCore(max_tenants=0)
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            {"ntaps": 1000001},
+            {"ntaps": 1},
+            {"ntaps": 21.0},
+            {"ntaps": True},
+            {"scan_stride_bits": 0},
+            {"scan_stride_bits": 1 << 40},
+            {"sample_rate": 1e12},
+            {"sample_rate": float("nan")},
+            {"sample_rate": "20e6"},
+            {"decimation": 16},
+            {"decimation": True},
+            {"zigbee_channels": list(range(11, 28))},
+            {"zigbee_channels": 13},
+        ],
+    )
+    def test_out_of_range_engine_refused_before_build(
+        self, engine, monkeypatch
+    ):
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine was built for a refused hello")
+
+        monkeypatch.setattr(core_module, "TenantConsumer", no_engine)
+        with GatewayCore(engine=FAST_ENGINE) as core:
+            with pytest.raises(GatewayError) as excinfo:
+                core.admit("a", engine=engine)
+            assert excinfo.value.code == ERR_BAD_REQUEST
+            assert core.tenant_ids() == []
+
+    def test_in_range_engine_overrides_admitted(self):
+        with GatewayCore(engine=FAST_ENGINE) as core:
+            core.admit("a", engine={"ntaps": 31, "scan_stride_bits": 4})
+            core.admit("b", engine={"sample_rate": 20e6, "decimation": 8})
+            assert core.tenant_ids() == ["a", "b"]
 
 
 class TestBackpressure:

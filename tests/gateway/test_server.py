@@ -151,8 +151,15 @@ class TestMalformedHeaders:
                 "tenant": "c",
                 "engine": {"demux": True, "decimation": 3},
             },
+            {"type": "hello", "tenant": "d", "engine": {"ntaps": 1000001}},
         ],
-        ids=["list-tenant", "int-engine", "unknown-kwarg", "bad-decimation"],
+        ids=[
+            "list-tenant",
+            "int-engine",
+            "unknown-kwarg",
+            "bad-decimation",
+            "huge-ntaps",
+        ],
     )
     def test_refused_as_bad_request(self, harness, header):
         with harness.client() as client:

@@ -1,8 +1,16 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.obs.manifest import blas_threads
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestParser:
@@ -34,6 +42,39 @@ class TestCommands:
     def test_run_unknown_experiment(self, capsys):
         assert main(["run", "fig99"]) == 2
         assert "valid ids" in capsys.readouterr().err
+
+
+class TestBlasPin:
+    """``python -m repro`` pins BLAS to one thread before numpy loads."""
+
+    @staticmethod
+    def _info_threads(**pinned):
+        env = {
+            key: value
+            for key, value in os.environ.items()
+            if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        }
+        env.update(pinned, PYTHONPATH=SRC)
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "info"],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        (line,) = [x for x in out.splitlines() if x.startswith("blas threads:")]
+        return line.split(":", 1)[1].strip()
+
+    @pytest.fixture(autouse=True)
+    def _needs_openblas(self):
+        if blas_threads() is None:
+            pytest.skip("numpy does not bundle OpenBLAS here")
+
+    def test_unset_environment_runs_one_thread(self):
+        assert self._info_threads() == "1"
+
+    def test_explicit_environment_wins(self):
+        assert self._info_threads(OPENBLAS_NUM_THREADS="2") == "2"
 
 
 class TestListen:
@@ -373,18 +414,28 @@ class TestBenchTrajectory:
             "serial_msps": 9.84,
             "scan_noise_msps": 17.895,
         }
+        derive = {
+            "recorded_at": "derive",
+            "cpu_count": 2,
+            "blas_threads": 1,
+            "serial_msps": 11.0,
+            "scan_noise_msps": 24.5,
+            "derive_msps": 61.234,
+        }
         (tmp_path / "BENCH_SMOKE_TREND.jsonl").write_text(
-            json.dumps(old) + "\n" + json.dumps(new) + "\n"
+            "".join(json.dumps(e) + "\n" for e in (old, new, derive))
         )
         assert main(["bench", "trajectory", "--root", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "blas threads" in out
         assert "jobs=2" not in out and "jobs=4" not in out
-        (old_row,) = [line for line in out.splitlines() if "old" in line]
-        (new_row,) = [line for line in out.splitlines() if "new" in line]
-        # Lines recorded before BLAS pinning still render, with a dash.
-        assert old_row.split()[1:] == ["1", "-", "9.86", "15.39"]
-        assert new_row.split()[1:] == ["2", "1", "9.84", "17.89"]
+        rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()
+                if line.split()[:1] in (["old"], ["new"], ["derive"])}
+        # Lines recorded before BLAS pinning or before the derive
+        # micro-benchmark still render, with a dash.
+        assert rows["old"] == ["1", "-", "9.86", "15.39", "-"]
+        assert rows["new"] == ["2", "1", "9.84", "17.89", "-"]
+        assert rows["derive"] == ["2", "1", "11.00", "24.50", "61.23"]
 
     def test_json_empty_root_exits_nonzero(self, tmp_path, capsys):
         assert (
