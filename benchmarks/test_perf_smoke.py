@@ -10,13 +10,15 @@ Two small guards CI can afford on every push:
   plus a **scan-path micro-benchmark** (pure-noise capture through the
   headline configuration, so the scan cascade is the whole decode) and
   a **derive micro-benchmark** (one decimation-8 complex64 session's
-  derived caches over noise products, nothing else) and append the Msps
-  figures, with the CPU count and the BLAS thread count they were
-  measured under, to ``BENCH_SMOKE_TREND.jsonl`` (one JSON line per
-  run, rendered by ``python -m repro bench trajectory``).  The derive
-  figure is scaled to reference host speed by the ledger's speed probe
-  and gated by its own floor, so a regression in the native derive
-  kernel shows up as that layer, not as a blur in the whole decode.
+  derived caches over noise products, nothing else) and a **scan
+  micro-benchmark** (the same session's scans over those caches) and
+  append the Msps figures, with the CPU count and the BLAS thread count
+  they were measured under, to ``BENCH_SMOKE_TREND.jsonl`` (one JSON
+  line per run, rendered by ``python -m repro bench trajectory``).  The
+  derive and scan figures are scaled to reference host speed by the
+  ledger's speed probe and gated by floors of their own, so a
+  regression in either native kernel shows up as that layer, not as a
+  blur in the whole decode.
 
 The floor is ~2.9x below the ~13 Msps the reference 1-CPU container
 measures for the PR-10 configuration (see ``BENCH_PR10.json``), so an
@@ -71,6 +73,12 @@ TREND_PATH = Path(__file__).resolve().parent.parent / "BENCH_SMOKE_TREND.jsonl"
 DERIVE_FLOOR_MSPS = 300.0
 #: Products the derive micro-benchmark pushes (32 headline blocks).
 DERIVE_PRODUCTS = 32 * (DEEP_BLOCK // 8)
+#: Conservative floor for the scan micro-benchmark, in input Msps at
+#: reference host speed (see :func:`scan_msps`).  The Python hot-index
+#: walk measured 840-1110 on the reference 2-CPU host, the native walk
+#: that replaced it 1640-1860; the floor sits at the top of the former,
+#: ~1.5x below the latter.
+SCAN_FLOOR_MSPS = 1100.0
 
 
 def derive_msps():
@@ -105,6 +113,56 @@ def derive_msps():
     for _ in range(5):
         t0 = time.perf_counter()
         derive()
+        best = min(best, time.perf_counter() - t0)
+    factor = speed_factor(5)
+    return products.size * decimation / (best * factor) / 1e6
+
+
+def scan_msps():
+    """One session's scan over decimation-8 complex64 noise caches.
+
+    Derives a fresh session's caches over :data:`DERIVE_PRODUCTS` noise
+    products outside the timing (the push's derive pass and nothing
+    else), then times the scans a push would run next:
+    ``_scan_batched`` from the origin until no full chunk is left — the
+    windowed caches, the hot-index walk, the header gate and its reject
+    chains, one kernel call each.  A noise header that passes the gate
+    is skipped one bit on, as its failed CRC would be.  Returns the
+    input sample rate it keeps up with (products times the decimation,
+    per second, in millions), best of five, scaled to reference host
+    speed by the ledger's speed probe.
+    """
+    decimation = FAST_PATH["decimation"]
+    rng = np.random.default_rng(20260806)
+    products = (
+        rng.standard_normal(DERIVE_PRODUCTS)
+        + 1j * rng.standard_normal(DERIVE_PRODUCTS)
+    ).astype(np.complex64)
+    decoder = SymBeeDecoder(decimation=decimation)
+
+    def derived():
+        session = StreamSession(decoder, dtype=np.complex64)
+        session._buf.append(products)
+        session._derived.extend(products)
+        return session
+
+    def scan(session):
+        while session._buf.end - session._origin >= session.scan_len:
+            if session._state != "search":
+                session._state = "search"
+                session._origin = session._n0 + decoder.bit_period
+                continue
+            avail = session._buf.end - session._origin
+            session._scan_batched(
+                1 + (avail - session.scan_len) // session.stride
+            )
+
+    scan(derived())  # warm-up
+    best = float("inf")
+    for _ in range(5):
+        session = derived()
+        t0 = time.perf_counter()
+        scan(session)
         best = min(best, time.perf_counter() - t0)
     factor = speed_factor(5)
     return products.size * decimation / (best * factor) / 1e6
@@ -197,6 +255,7 @@ def test_serial_trend_record():
     scan_noise_msps = noise.size / scan_best / 1e6
 
     derive = derive_msps()
+    scan = scan_msps()
 
     cpu_count = os.cpu_count() or 1
     entry = {
@@ -210,15 +269,22 @@ def test_serial_trend_record():
         # One d8 complex64 session's derive layer over noise, at
         # reference host speed (see derive_msps).
         "derive_msps": round(derive, 3),
+        # One d8 complex64 session's scan layer over noise caches, at
+        # reference host speed (see scan_msps).
+        "scan_msps": round(scan, 3),
     }
     with TREND_PATH.open("a") as fh:
         fh.write(json.dumps(entry) + "\n")
     print(
         f"\ntrend: serial {serial_msps:.2f} Msps, scan-only "
-        f"{scan_noise_msps:.2f} Msps, derive {derive:.1f} Msps on "
+        f"{scan_noise_msps:.2f} Msps, derive {derive:.1f} Msps, scan "
+        f"{scan:.1f} Msps on "
         f"{cpu_count} cpu(s), {entry['blas_threads']} BLAS thread(s) "
         f"-> {TREND_PATH.name}"
     )
     assert derive >= DERIVE_FLOOR_MSPS, (
         f"derive layer at {derive:.1f} Msps, floor {DERIVE_FLOOR_MSPS} Msps"
+    )
+    assert scan >= SCAN_FLOOR_MSPS, (
+        f"scan layer at {scan:.1f} Msps, floor {SCAN_FLOOR_MSPS} Msps"
     )

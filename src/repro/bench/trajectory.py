@@ -421,7 +421,8 @@ def print_trajectory(root=".", print_fn=print):
             return f"{entry[key]:.2f}" if key in entry else "-"
 
         # Lines recorded before BLAS pinning carry no blas_threads, and
-        # lines from before the derive micro-benchmark no derive_msps.
+        # lines from before the derive or scan micro-benchmarks no
+        # derive_msps or scan_msps.
         trend_rows = [
             (
                 str(entry.get("recorded_at", "-")),
@@ -430,12 +431,13 @@ def print_trajectory(root=".", print_fn=print):
                 msps(entry, "serial_msps"),
                 msps(entry, "scan_noise_msps"),
                 msps(entry, "derive_msps"),
+                msps(entry, "scan_msps"),
             )
             for entry in trend
         ]
         print_table(
-            ("recorded", "cpus", "blas threads", "serial Msps", "scan",
-             "derive"),
+            ("recorded", "cpus", "blas threads", "serial Msps",
+             "noise decode", "derive", "scan"),
             trend_rows,
             title=f"perf-smoke trend (last {len(trend)} of {TREND_FILENAME})",
         )

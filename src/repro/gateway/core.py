@@ -67,6 +67,7 @@ MAX_ZIGBEE_CHANNELS = 16
 
 _ADMITTED = REGISTRY.counter("gateway.tenants_admitted")
 _REJECTED = REGISTRY.counter("gateway.tenants_rejected")
+_ABANDONED = REGISTRY.counter("gateway.tenants_abandoned")
 _ACTIVE = REGISTRY.gauge("gateway.tenants_active")
 _BLOCKS_ADMITTED = REGISTRY.counter("gateway.blocks_admitted")
 _BLOCKS_SHED = REGISTRY.counter("gateway.blocks_shed")
@@ -90,9 +91,10 @@ class _TenantState:
         "sample_rate",
         "first_submit",
         "delivered",
+        "owner",
     )
 
-    def __init__(self, tenant_id, ring, consumer, sample_rate):
+    def __init__(self, tenant_id, ring, consumer, sample_rate, owner=None):
         self.tenant_id = tenant_id
         self.ring = ring
         self.consumer = consumer
@@ -104,6 +106,8 @@ class _TenantState:
         self.sample_rate = float(sample_rate)
         self.first_submit = None
         self.delivered = 0
+        #: Who admitted the stream (a server connection), for abandon().
+        self.owner = owner
 
     def margin(self, now):
         """Stream-seconds admitted per wall-second since first submit."""
@@ -173,12 +177,15 @@ class GatewayCore:
 
     # -- admission -----------------------------------------------------------
 
-    def admit(self, tenant_id, engine=None):
+    def admit(self, tenant_id, engine=None, owner=None):
         """Register a tenant; refuses with an explicit code when full.
 
         ``engine`` overrides the gateway's default engine kwargs for
-        this tenant only.  Returns an info dict (echoed to socket
-        clients as the ``welcome`` response).
+        this tenant only.  ``owner`` tags the stream with whoever
+        admitted it (the server passes its connection), so
+        :meth:`abandon` can finish it if that owner goes away.  Returns
+        an info dict (echoed to socket clients as the ``welcome``
+        response).
         """
         self._ensure_open()
         if self._draining:
@@ -213,6 +220,7 @@ class GatewayCore:
             RingBufferSource(capacity_blocks=self.ring_capacity),
             consumer,
             merged.get("sample_rate", WIFI_SAMPLE_RATE_20MHZ),
+            owner,
         )
         # A finished stream releases its id: re-admission starts a fresh
         # session (new ring, new engine state, zeroed stats).  The old
@@ -317,6 +325,23 @@ class GatewayCore:
         messages, state.pending = state.pending, []
         state.delivered += len(messages)
         return {"messages": messages, "stats": self.tenant_stats(tenant_id)}
+
+    def abandon(self, owner):
+        """Finish every still-active tenant ``owner`` admitted.
+
+        For a client that went away without ``finish``: its streams are
+        finished as :meth:`finish_tenant` would, releasing their slots
+        and ids, and their undelivered messages are dropped (nobody is
+        left to receive them).  Counted in ``gateway.tenants_abandoned``.
+        Returns ``{tenant_id: finish_tenant result}``.
+        """
+        results = {
+            tenant_id: self.finish_tenant(tenant_id)
+            for tenant_id, state in list(self._tenants.items())
+            if state.owner is owner and not state.finished
+        }
+        _ABANDONED.inc(len(results))
+        return results
 
     # -- lifecycle -----------------------------------------------------------
 

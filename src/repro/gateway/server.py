@@ -20,6 +20,10 @@ Graceful shutdown (SIGINT/SIGTERM via :meth:`run`, or
 tenant — draining rings and flushing channelizer state — then finalize
 the collector.  A gateway killed politely exits 0 with nothing leaked.
 
+A connection that closes -- ``bye``, EOF, a reset or a dropped frame --
+finishes every tenant it admitted that is still active, so a vanished
+client cannot hold a slot or a tenant id.
+
 Error contract per connection: a :class:`~repro.gateway.errors.GatewayError`
 maps to an ``error`` response (connection stays open — refusals are part
 of normal service); a :class:`~repro.gateway.protocol.ProtocolError`
@@ -176,7 +180,7 @@ class GatewayServer:
                 header, payload = message
                 _REQUESTS.inc()
                 try:
-                    response = self._dispatch(header, payload)
+                    response = self._dispatch(header, payload, owner=writer)
                 except ProtocolError as exc:
                     await write_message(
                         writer,
@@ -217,15 +221,25 @@ class GatewayServer:
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
+            # A client gone without finish must not hold its tenants'
+            # slots and ids forever.
+            abandoned = self.core.abandon(writer)
+            if abandoned:
+                _LOG.info(
+                    "connection closed with %d unfinished tenant(s); "
+                    "finished them, dropping %d undelivered message(s)",
+                    len(abandoned),
+                    sum(len(r["messages"]) for r in abandoned.values()),
+                )
 
-    def _dispatch(self, header, payload):
+    def _dispatch(self, header, payload, owner=None):
         rtype = header.get("type")
         if rtype == "hello":
             tenant = self._tenant_of(header)
             engine = header.get("engine")
             if engine is not None and not isinstance(engine, dict):
                 raise ProtocolError("engine must be a JSON object")
-            info = self.core.admit(tenant, engine)
+            info = self.core.admit(tenant, engine, owner=owner)
             return {"type": "welcome", **info}
         if rtype == "samples":
             block = decode_block(header, payload)

@@ -1,4 +1,4 @@
-/* The stream scanner's derived caches in one native pass.
+/* The stream scanner's derived caches and scan walk, natively.
  *
  * Every function is the numpy formulation's arithmetic in its order,
  * rounded exactly as numpy rounds it, so the caches match the numpy
@@ -13,6 +13,10 @@
  *     (numpy compares a Python float against a float32 array in
  *     float32).
  *
+ * The scan walk (walk_body.h) makes the decisions of the Python walk
+ * it replaced, from the same floats; its contract is spelled out there
+ * and in repro/stream/session.py.
+ *
  * Never build this with -ffast-math: it licenses every reordering the
  * contract forbids.  See repro/stream/native.py for the build.
  */
@@ -24,10 +28,92 @@
  * tile held in cache before the sequential prefix loop consumes it. */
 #define TILE 1024
 
+/* A session's constants for the windowed caches and the walk.  Float
+ * fields marked "working" hold values already rounded to the working
+ * dtype (exact in a double); the others are the Python floats the
+ * cascade computes its thresholds in. */
+struct walk_params {
+    int64_t window;        /* vote window w */
+    int32_t floor;         /* capture floor on a window's vote count */
+    double inv_fw;         /* working: 1 / (folds * w) */
+    double inv_w;          /* working: 1 / w */
+    double coh_pass;       /* working: least value clearing coherence_min */
+    double coh_min;        /* working: coherence_min, the hot filter's */
+    double conc_min;       /* working: 0.6, the hot filter's */
+    int64_t stride;        /* scan-chunk stride s */
+    int64_t bit_period;
+    int64_t lead;          /* preamble to data start: folds * bit_period */
+    int64_t header_span;   /* data start to the header's last vote end */
+    int64_t scan_len;      /* products a full scan chunk needs */
+    double slack;          /* coherence_slack */
+    double coherence_min;
+    double conc_floor;     /* 0.6 */
+    int32_t tau_sync;      /* a bit is 1 when its votes reach this */
+    int32_t version;       /* header checks: see _header_valid */
+    int32_t max_type;
+    int32_t ack_type;
+    int32_t transport_base;
+    int32_t max_length;
+};
+
+/* What one scan call leaves behind. */
+struct walk_out {
+    int64_t n_hot;         /* hot window starts appended */
+    int64_t state;         /* WALK_SEARCH, WALK_HEADER or WALK_BODY */
+    int64_t origin;        /* the session's origin afterwards */
+    int64_t n0;            /* last accepted hit's preamble, or -1 */
+    double coherence;      /* ... and its coherence */
+    int64_t length;        /* data bits of a valid header (WALK_BODY) */
+    int64_t rejects;       /* header rejects */
+    int64_t hits;          /* outcome counts, late hits included */
+    int64_t miss_count;    /* skipped chunks only (metered calls) */
+    int64_t miss_coherence;
+    int64_t miss_concentration;
+    int64_t observed;      /* hit coherences written (metered calls) */
+};
+
+enum { WALK_SEARCH, WALK_HEADER, WALK_BODY };
+
+/* First index in sorted a[lo, hi) whose value is >= x (bisect_left). */
+static int64_t lower_bound(const int64_t *a, int64_t lo, int64_t hi,
+                           int64_t x)
+{
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (a[mid] < x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* The 24-bit header word's data length if the header is valid, else -1.
+ * mask is the vote-mask prefix from data start on; bit b's votes are
+ * the (wrapping, as numpy's int32) difference across its window. */
+static int64_t header_length(const struct walk_params *pp,
+                             const int32_t *mask)
+{
+    uint32_t word = 0;
+    for (int64_t b = 0; b < 24; b++) {
+        const int32_t *at = mask + b * pp->bit_period;
+        int32_t votes = (int32_t)((uint32_t)at[pp->window] - (uint32_t)at[0]);
+        word = (word << 1) | (votes >= pp->tau_sync);
+    }
+    int32_t version = (word >> 20) & 0xF;
+    int32_t type = (word >> 16) & 0xF;
+    int32_t length = (word >> 8) & 0xFF;
+    int valid = version == pp->version && type <= pp->max_type
+                && !(pp->ack_type < type && type < pp->transport_base)
+                && length <= pp->max_length;
+    return valid ? length : -1;
+}
+
 #define REAL float
 #define SQRT sqrtf
 #define SFX(name) name##_f32
 #include "derive_body.h"
+#include "walk_body.h"
 #undef REAL
 #undef SQRT
 #undef SFX
@@ -36,6 +122,7 @@
 #define SQRT sqrt
 #define SFX(name) name##_f64
 #include "derive_body.h"
+#include "walk_body.h"
 #undef REAL
 #undef SQRT
 #undef SFX

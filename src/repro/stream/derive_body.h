@@ -93,10 +93,10 @@ void SFX(derive)(const REAL *prod, int64_t n, REAL fill_re, REAL fill_im,
  * cpass[i] is the running count of cohcand >= coh_pass from seed; the
  * indices offset + i where conc >= conc_min and cohcand >= coh_min go
  * to hot, in order.  Returns how many went (hot holds room for n). */
-int64_t SFX(index)(const REAL *cohcand, const REAL *conc, int64_t n,
-                   int64_t offset, REAL coh_pass, REAL coh_min,
-                   REAL conc_min, int32_t *cpass, int32_t seed,
-                   int64_t *hot)
+static int64_t SFX(index)(const REAL *cohcand, const REAL *conc, int64_t n,
+                          int64_t offset, REAL coh_pass, REAL coh_min,
+                          REAL conc_min, int32_t *cpass, int32_t seed,
+                          int64_t *hot)
 {
     uint32_t passes = (uint32_t)seed;
     int64_t k = 0;
@@ -114,14 +114,17 @@ int64_t SFX(index)(const REAL *cohcand, const REAL *conc, int64_t n,
  *   counts  -- votes cn[p + w] - cn[p],
  *   cohcand -- (cm[p + w] - cm[p]) * inv_fw, or -inf below the floor,
  *   conc    -- |cu[p + w] - cu[p]| * inv_w,
- * then index() over them.  Returns the number of hot starts. */
-int64_t SFX(windowed)(const int32_t *cn, const REAL *cm, const REAL *cu,
-                      int64_t n, int64_t w, int32_t floor, REAL inv_fw,
-                      REAL inv_w, REAL coh_pass, REAL coh_min,
-                      REAL conc_min, int32_t *counts, REAL *cohcand,
-                      REAL *conc, int32_t *cpass, int32_t seed,
-                      int64_t *hot)
+ * then index() over them, the first start numbered offset.  Returns the
+ * number of hot starts. */
+static int64_t SFX(windowed)(const int32_t *cn, const REAL *cm,
+                             const REAL *cu, int64_t n, int64_t offset,
+                             const struct walk_params *pp, int32_t *counts,
+                             REAL *cohcand, REAL *conc, int32_t *cpass,
+                             int32_t seed, int64_t *hot)
 {
+    int64_t w = pp->window;
+    int32_t floor = pp->floor;
+    REAL inv_fw = (REAL)pp->inv_fw, inv_w = (REAL)pp->inv_w;
     int64_t n_hot = 0;
     for (int64_t lo = 0; lo < n; lo += TILE) {
         int64_t t = n - lo < TILE ? n - lo : TILE;
@@ -134,8 +137,9 @@ int64_t SFX(windowed)(const int32_t *cn, const REAL *cm, const REAL *cu,
             REAL dim = cu[2 * (p + w) + 1] - cu[2 * p + 1];
             conc[p] = SQRT(dre * dre + dim * dim) * inv_w;
         }
-        n_hot += SFX(index)(cohcand + lo, conc + lo, t, lo, coh_pass,
-                            coh_min, conc_min, cpass + lo, seed,
+        n_hot += SFX(index)(cohcand + lo, conc + lo, t, offset + lo,
+                            (REAL)pp->coh_pass, (REAL)pp->coh_min,
+                            (REAL)pp->conc_min, cpass + lo, seed,
                             hot + n_hot);
         seed = cpass[lo + t - 1];
     }

@@ -1,11 +1,13 @@
-"""The scanner's native derive kernel, compiled once and cached.
+"""The scanner's native kernels, compiled once and cached.
 
 :mod:`repro.stream.session` derives its caches (unit phasors, fold
-prefixes, windowed gate statistics, the hot index) through the C
-kernels in ``derive.c``, built with the local ``gcc`` through cffi's
-out-of-line API mode.  There is no other derive path: on a host without
-gcc or cffi, importing this module raises :class:`ImportError` saying
-so.
+prefixes, windowed gate statistics, the hot index) and walks the hot
+index (gate cascade, header gate, reject rewinds) through the C kernels
+in ``derive.c``, built with the local ``gcc`` through cffi's out-of-line
+API mode: ``derive_f32``/``derive_f64`` once per push,
+``walk_f32``/``walk_f64`` once per scan.  There is no other path: on a
+host without gcc or cffi, importing this module raises
+:class:`ImportError` saying so.
 
 The build is cached in ``_native/`` next to this module (gitignored),
 keyed by a hash of the C sources, the cdef, the compiler flags and the
@@ -34,7 +36,7 @@ import _cffi_backend
 
 HERE = Path(__file__).resolve().parent
 #: C sources, hashed into the build key.
-SOURCES = ("derive.c", "derive_body.h")
+SOURCES = ("derive.c", "derive_body.h", "walk_body.h")
 #: Where compiled kernels are cached.
 BUILD_DIR = HERE / "_native"
 CFLAGS = (
@@ -46,6 +48,22 @@ CFLAGS = (
 )
 
 _PRECISIONS = (("float", "f32"), ("double", "f64"))
+_STRUCTS = """
+struct walk_params {
+    int64_t window; int32_t floor;
+    double inv_fw, inv_w, coh_pass, coh_min, conc_min;
+    int64_t stride, bit_period, lead, header_span, scan_len;
+    double slack, coherence_min, conc_floor;
+    int32_t tau_sync, version, max_type, ack_type, transport_base,
+            max_length;
+};
+struct walk_out {
+    int64_t n_hot, state, origin, n0;
+    double coherence;
+    int64_t length, rejects, hits, miss_count, miss_coherence,
+            miss_concentration, observed;
+};
+"""
 _DECLS = """
 void units_{s}({t} *prod, int64_t n, {t} fill_re, {t} fill_im, {t} *unit);
 void derive_{s}({t} *prod, int64_t n, {t} fill_re, {t} fill_im,
@@ -54,16 +72,17 @@ void derive_{s}({t} *prod, int64_t n, {t} fill_re, {t} fill_im,
                 int32_t *count, int32_t count_seed,
                 {t} *coh, {t} coh_seed,
                 {t} *conc, {t} conc_seed_re, {t} conc_seed_im);
-int64_t index_{s}({t} *cohcand, {t} *conc, int64_t n, int64_t offset,
-                  {t} coh_pass, {t} coh_min, {t} conc_min,
-                  int32_t *cpass, int32_t seed, int64_t *hot);
-int64_t windowed_{s}(int32_t *cn, {t} *cm, {t} *cu, int64_t n, int64_t w,
-                     int32_t floor, {t} inv_fw, {t} inv_w, {t} coh_pass,
-                     {t} coh_min, {t} conc_min, int32_t *counts,
-                     {t} *cohcand, {t} *conc, int32_t *cpass, int32_t seed,
-                     int64_t *hot);
+void walk_{s}(struct walk_params *pp, struct walk_out *out,
+              int32_t *cn, int64_t cn_off, {t} *cm, int64_t cm_off,
+              {t} *cu, int64_t cu_off, int32_t *cw, int64_t cw_off,
+              {t} *ch, int64_t ch_off, {t} *cc, int64_t cc_off,
+              int32_t *cp, int64_t cp_off,
+              int64_t *hot, int64_t hot_lo, int64_t hot_end,
+              int32_t *mask, int64_t mask_off, int64_t lo, int64_t hi,
+              int64_t origin, int64_t chunks, int64_t buf_end,
+              double *observed, int64_t observe_cap);
 """
-CDEF = "".join(_DECLS.format(t=t, s=s) for t, s in _PRECISIONS)
+CDEF = _STRUCTS + "".join(_DECLS.format(t=t, s=s) for t, s in _PRECISIONS)
 
 
 def build_key():
@@ -96,7 +115,7 @@ def _build(name, target):
         from cffi.recompiler import make_c_source
     except ImportError as exc:
         raise ImportError(
-            "repro.stream needs cffi to build its native derive kernel "
+            "repro.stream needs cffi to build its native stream kernels "
             "(pip install cffi)"
         ) from exc
     ffi = cffi.FFI()
@@ -116,12 +135,13 @@ def _build(name, target):
             proc = subprocess.run(command, capture_output=True, text=True)
         except FileNotFoundError as exc:
             raise ImportError(
-                "repro.stream needs gcc to build its native derive kernel "
+                "repro.stream needs gcc to build its native stream kernels "
                 "(no gcc on PATH)"
             ) from exc
         if proc.returncode != 0:
             raise ImportError(
-                "gcc failed to build the native derive kernel:\n" + proc.stderr
+                "gcc failed to build the native stream kernels:\n"
+                + proc.stderr
             )
         os.replace(built, target)
 

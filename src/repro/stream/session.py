@@ -34,13 +34,14 @@ by one bit, so signal-dense streams re-derive the same region dozens of
 times.  The session instead maintains :class:`_DerivedStreams`: rolling,
 absolute-indexed caches of every quantity the gate cascade needs, each
 computed once per product by one native pass per push (the C kernel in
-``derive.c``, built by :mod:`repro.stream.native`) and one per scan
-for the windowed statistics.  The cache arithmetic is deliberately
-blocking-invariant — elementwise single-rounding ops, fixed-order fold
-sums, and prefix sums whose accumulation order is the stream order
-itself (a strict left fold, so continuing it from a running total is
-bit-identical to one whole-stream pass) — so cache slices taken at any
-moment contain the same floats for any push sizes.
+``derive.c``, built by :mod:`repro.stream.native`) and, for the
+windowed statistics, by the scan's own kernel call.  The cache
+arithmetic is deliberately blocking-invariant — elementwise
+single-rounding ops, fixed-order fold sums, and prefix sums whose
+accumulation order is the stream order itself (a strict left fold, so
+continuing it from a running total is bit-identical to one whole-stream
+pass) — so cache slices taken at any moment contain the same floats for
+any push sizes.
 :meth:`StreamSession._scan_batched` then evaluates the whole cascade for
 every buffered chunk from those caches (count floor, relative
 coherence, concentration, cluster-peak anchor — the same decisions in
@@ -68,23 +69,31 @@ through cffi into ``repro/stream/_native/`` (a cache keyed by a hash of
 the sources, flags and Python ABI), and a host that cannot build it
 fails that import with an error naming what is missing.
 
-**The scanner.**  :meth:`StreamSession._scan_batched` is an *event
-walk* over the sparse hot index — the positions that could clear the
-concentration floor, maintained by
-:meth:`_DerivedStreams.extend_windowed` together with their cached gate
-inputs.  Every capture anchors on a hot position, so the walk jumps
-from hot position to hot position: chunks holding none are misses
-settled without arithmetic, and a chunk holding one is gated from two
-prefix entries, one slice max and a short Python pass over its hot
-entries — the same decisions, from the same floats, as running the
-dense cascade on every chunk (the argument sits next to the walk).  The
-walk also fuses the header gate: a hit evaluates the 24-bit header
-word in place and a reject rewinds the origin without leaving the walk,
-skipping the search→header→search state dispatch that dominates reject
-chains.  Telemetry never switches this path: with the metrics registry
-on, the walk only adds outcome counts (skipped ranges split in bulk,
-header rejects counted once per call), and the body decode records its
-bit diagnostics from the votes it thresholds.
+**The scanner.**  :meth:`StreamSession._scan_batched` is one call of
+the native walk kernel (``walk_body.h``): it extends the windowed caches
+and the sparse hot index — the positions that could clear the
+concentration floor, an int64 buffer of absolute positions — then walks
+from hot position to hot position.  Chunks holding none are misses
+settled without arithmetic; a chunk holding one is gated from two
+prefix entries, one slice max and a pass over its hot entries, whose
+gate values the kernel reads from the windowed caches by position — the
+same decisions, from the same floats, as running the dense cascade on
+every chunk (the argument sits next to the walk).  The kernel also
+fuses the header gate: a hit evaluates the 24-bit header word in place
+and a reject rewinds the origin without leaving the call, so a reject
+chain costs no Python at all.  It returns the session's next state
+(searching from a new origin, a header pending, or a body to decode),
+the reject count and the outcome counts.  Its decision contract is the
+Python walk it replaced (``tests/stream/walk_reference.py``, which
+``tests/stream/test_walk_native.py`` holds it to on crafted caches):
+numpy's NaN-propagating ``max`` over the working dtype, thresholds
+computed in double with Python's ``max`` and rounded to the working
+dtype, int32-wrapping vote differences.  Telemetry never
+switches this path: with the metrics registry on, the kernel only adds
+outcome counts (skipped ranges split by the gate they miss) and the
+hit coherences, observed in hit order; header rejects are counted once
+per call, and the body decode records its bit diagnostics from the
+votes it thresholds.
 
 **Working dtype.**  ``dtype=numpy.complex64`` (the fast kernel mode's
 optional float32 working precision) runs the kernel's float variant
@@ -100,7 +109,6 @@ decimated sub-band) — beyond any test or bench horizon, and a
 deliberate trade for halved prefix traffic.
 """
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +143,17 @@ _PRECISION = {
     np.dtype(np.complex64): ("float", "f32"),
     np.dtype(np.complex128): ("double", "f64"),
 }
+#: C element type of each buffer dtype (a complex buffer: its real plane).
+_CTYPES = {
+    np.dtype(np.int32): "int32_t",
+    np.dtype(np.int64): "int64_t",
+    np.dtype(np.float32): "float",
+    np.dtype(np.float64): "double",
+    np.dtype(np.complex64): "float",
+    np.dtype(np.complex128): "double",
+}
+#: The walk kernel's ``state`` results (``enum`` in ``derive.c``).
+_WALK_HEADER, _WALK_BODY = 1, 2
 
 
 def _ptr(ctype, array):
@@ -193,6 +212,12 @@ class _StreamBuffer:
         self._start = 0   # physical index of absolute index ``base``
         self._len = 0
         self.base = 0     # absolute stream index of the oldest kept product
+        #: ``_data`` as a C pointer (renewed only when it reallocates)
+        #: and the offset addressing it: absolute index ``p`` is element
+        #: ``p + off`` — the kernels take the pair, so no call converts
+        #: a view.
+        self.ptr = _ptr(_CTYPES[self._data.dtype], self._data)
+        self.off = 0
 
     @property
     def end(self):
@@ -212,6 +237,7 @@ class _StreamBuffer:
                     self._start : self._start + self._len
                 ]
                 self._start = 0
+                self.off = -self.base
             if self._len + n > self._data.size:
                 cap = self._data.size
                 while cap < self._len + n:
@@ -219,9 +245,14 @@ class _StreamBuffer:
                 grown = np.empty(cap, dtype=self._data.dtype)
                 grown[: self._len] = self._data[: self._len]
                 self._data = grown
+                self.ptr = _ptr(_CTYPES[grown.dtype], grown)
         lo = self._start + self._len
         self._len += n
         return self._data[lo : lo + n]
+
+    def release(self, n):
+        """Give back the last ``n`` entries of the newest :meth:`alloc`."""
+        self._len -= n
 
     def append(self, arr):
         if arr.size:
@@ -244,6 +275,7 @@ class _StreamBuffer:
         if self._len:
             raise ValueError("skip requires an empty buffer")
         self.base += n
+        self.off -= n
 
     def view(self, lo, hi):
         """Zero-copy view of absolute range ``[lo, hi)`` (must be buffered)."""
@@ -358,6 +390,7 @@ class _DerivedStreams:
         capture_floor=None,
         coherence_min=0.5,
         scan_stride=None,
+        coherence_slack=0.2,
     ):
         self.bit_period = decoder.bit_period
         self.window = decoder.window
@@ -374,8 +407,7 @@ class _DerivedStreams:
         self._cdtype = cdtype
         self._real, suffix = _PRECISION[cdtype]
         self._derive = getattr(lib, "derive_" + suffix)
-        self._windowed = getattr(lib, "windowed_" + suffix)
-        self._index_kernel = getattr(lib, "index_" + suffix)
+        self._walk = getattr(lib, "walk_" + suffix)
         self._u = _StreamBuffer(cdtype)
         #: One past the last stream position with a computed fold value.
         self.profile_end = 0
@@ -395,12 +427,6 @@ class _DerivedStreams:
             else int(capture_floor)
         )
         self._coherence_min = float(coherence_min)
-        # The windowed expressions' Python-float scalars, rounded to the
-        # working dtype the way numpy weak-casts them against its arrays.
-        self._inv_fw = rdtype.type(1.0 / (self.folds * self.window))
-        self._inv_w = rdtype.type(1.0 / self.window)
-        self._coh_min = rdtype.type(self._coherence_min)
-        self._conc_min = rdtype.type(0.6)
         #: Scan-chunk stride in products; a chunk starting at ``q``
         #: evaluates the inclusive window-start range ``[q, q + stride]``.
         self._scan_stride = (
@@ -428,14 +454,39 @@ class _DerivedStreams:
         self.cohpass_prefix = _PrefixSum(np.int32)
         #: The hot index: sorted absolute positions that could pass the
         #: concentration gate for *some* chunk alignment (see
-        #: extend_windowed), with their ``cohcand_win`` / ``conc_win`` /
-        #: ``count_win`` values alongside as Python scalars (exact: a
-        #: float32 converts to float64 losslessly).  Append-only lists,
-        #: trimmed from the front: the walk only ever reads them.
-        self.hot_pos = []
-        self.hot_coh = []
-        self.hot_conc = []
-        self.hot_count = []
+        #: extend_windowed).  Its buffer index counts entries, not stream
+        #: positions; the kernel appends to it, trim drops the dead front.
+        self.hot = _StreamBuffer(np.int64)
+        # The kernel's constants.  The windowed expressions' Python-float
+        # scalars are rounded to the working dtype the way numpy
+        # weak-casts them against its arrays; the cascade's thresholds
+        # stay Python floats until the kernel rounds them.
+        window = self.window
+        ftype = rdtype.type
+        self._params = ffi.new("struct walk_params *", dict(
+            window=window,
+            floor=self._capture_floor,
+            inv_fw=ftype(1.0 / (self.folds * window)),
+            inv_w=ftype(1.0 / window),
+            coh_pass=self._coh_pass,
+            coh_min=ftype(self._coherence_min),
+            conc_min=ftype(0.6),
+            stride=self._scan_stride,
+            bit_period=self.bit_period,
+            lead=self.folds * self.bit_period,
+            header_span=(_HEADER_BITS - 1) * self.bit_period + window,
+            scan_len=self._scan_stride + self.span + window,
+            slack=float(coherence_slack),
+            coherence_min=self._coherence_min,
+            conc_floor=0.6,
+            tau_sync=decoder.tau_sync,
+            version=VERSION,
+            max_type=MAX_KNOWN_FRAME_TYPE,
+            ack_type=FRAME_TYPE_ACK,
+            transport_base=FRAME_TYPE_TRANSPORT_BASE,
+            max_length=MAX_DATA_BITS,
+        ))
+        self._out = ffi.new("struct walk_out *")
 
     def extend(self, products):
         """Derive every cache the new ``products`` complete, in one call.
@@ -496,12 +547,28 @@ class _DerivedStreams:
           chunk's fused count+coherence verdict (does *any* window
           start in ``[q, q + stride]`` pass?) is one prefix
           difference,
-        * the hot index (``hot_pos`` and its value lists) — positions
-          where ``conc_win >= 0.6`` *and* ``cohcand_win >=
-          coherence_min``, both compared in working precision.  Every
-          position that can survive the concentration gate is hot (see
+        * the hot index ``hot`` — positions where ``conc_win >= 0.6``
+          *and* ``cohcand_win >= coherence_min``, both compared in
+          working precision.  Every position that can survive the
+          concentration gate is hot (see
           :meth:`StreamSession._scan_batched`), so the scan walks these
           events instead of the dense chunk grid.
+
+        The same kernel call as :meth:`walk`, walking no chunk.
+        """
+        self.walk(self.win_end, 0, 0)
+
+    def walk(self, origin, chunks, buf_end, observed=None):
+        """Extend the windowed caches, then walk ``chunks`` scan chunks.
+
+        One kernel call: :meth:`extend_windowed`'s work, then the
+        hot-index walk of :meth:`StreamSession._scan_batched` from
+        ``origin`` with ``buf_end`` products buffered.  ``observed`` is a
+        float64 array when the metrics registry is on (room for every
+        hit: one per bit period walked, plus one); the kernel then
+        splits skipped chunks by gate and writes each hit's coherence
+        into it, in hit order.  Returns the kernel's ``struct walk_out``
+        (valid until the next call).
         """
         w = self.window
         lo = self.win_end
@@ -516,63 +583,52 @@ class _DerivedStreams:
             self.conc_win.skip(base - lo)
             self.cohpass_prefix.skip_to(base)
             self.win_end = lo = base
-        hi = self.profile_end - w + 1
-        if hi <= lo:
-            return
-        # Computed straight into the cache buffers (no temp + copy).
-        real = self._real
+        hi = max(self.profile_end - w + 1, lo)
         n = hi - lo
-        counts = self.count_win.alloc(n)
-        cohcand = self.cohcand_win.alloc(n)
-        conc = self.conc_win.alloc(n)
-        cpass = self.cohpass_prefix.alloc(n)
-        hot = np.empty(n, dtype=np.int64)
-        n_hot = self._windowed(
-            _ptr("int32_t", self.count_prefix.view(lo, hi + w)),
-            _ptr(real, self.coherence_prefix.view(lo, hi + w)),
-            _ptr(real, self.concentration_prefix.view(lo, hi + w)),
-            n, w, self._capture_floor, self._inv_fw, self._inv_w,
-            self._coh_pass, self._coh_min, self._conc_min,
-            _ptr("int32_t", counts), _ptr(real, cohcand), _ptr(real, conc),
-            _ptr("int32_t", cpass), self.cohpass_prefix.total,
-            _ptr("int64_t", hot),
+        # The kernel reads by pointer: every chunk's windows, and every
+        # header a reject chain may reach, must be cached.
+        buffered = min(hi + self.span + w - 1, self.mask_prefix.end - 1)
+        if chunks and not (
+            self.count_win.base <= origin
+            and origin + chunks * self._scan_stride < hi
+            and buf_end <= buffered
+        ):
+            raise IndexError(
+                f"walk of {chunks} chunk(s) from {origin} to {buf_end} "
+                f"outside the caches [{self.count_win.base}, {hi})"
+            )
+        # Room first: an alloc may move a buffer (new pointer, offset).
+        cw, ch, cc = self.count_win, self.cohcand_win, self.conc_win
+        hot = self.hot
+        if n:
+            cw.alloc(n)
+            ch.alloc(n)
+            cc.alloc(n)
+            cpass = self.cohpass_prefix.alloc(n)
+        n_hot = hot._len
+        hot.alloc(n)
+        cn = self.count_prefix._buf
+        cm = self.coherence_prefix._buf
+        cu = self.concentration_prefix._buf
+        cp = self.cohpass_prefix._buf
+        mk = self.mask_prefix._buf
+        out = self._out
+        if observed is None:
+            obs, cap = ffi.NULL, 0
+        else:
+            obs, cap = _ptr("double", observed), observed.size
+        self._walk(
+            self._params, out,
+            cn.ptr, cn.off, cm.ptr, cm.off, cu.ptr, cu.off,
+            cw.ptr, cw.off, ch.ptr, ch.off, cc.ptr, cc.off, cp.ptr, cp.off,
+            hot.ptr, hot._start, hot._start + n_hot, mk.ptr, mk.off,
+            lo, hi, origin, chunks, buf_end, obs, cap,
         )
-        self.cohpass_prefix.total = cpass[-1]
-        self._record_hot(lo, hot[:n_hot], counts, cohcand, conc)
-        self.win_end = hi
-
-    def _index(self, lo, counts, cohcand, conc):
-        """Extend ``cohpass_prefix`` and the hot index from new windows.
-
-        ``counts`` / ``cohcand`` / ``conc`` are the cached statistics of
-        window starts ``lo, lo + 1, ...`` (what :meth:`extend_windowed`
-        computes and indexes in the same kernel call).
-        """
-        real = self._real
-        n = cohcand.size
-        if conc.size != n:
-            raise ValueError("cohcand and conc must be the same length")
-        cohcand = np.ascontiguousarray(cohcand, dtype=self.float_type)
-        conc = np.ascontiguousarray(conc, dtype=self.float_type)
-        cpass = self.cohpass_prefix.alloc(n)
-        hot = np.empty(n, dtype=np.int64)
-        n_hot = self._index_kernel(
-            _ptr(real, cohcand), _ptr(real, conc), n, 0,
-            self._coh_pass, self._coh_min, self._conc_min,
-            _ptr("int32_t", cpass), self.cohpass_prefix.total,
-            _ptr("int64_t", hot),
-        )
-        self.cohpass_prefix.total = cpass[-1]
-        self._record_hot(lo, hot[:n_hot], counts, cohcand, conc)
-
-    def _record_hot(self, lo, hot, counts, cohcand, conc):
-        """Append hot window starts (``hot``, relative to ``lo``)."""
-        if hot.size:
-            self.hot_coh += cohcand[hot].tolist()
-            self.hot_conc += conc[hot].tolist()
-            self.hot_count += counts[hot].tolist()
-            hot += lo
-            self.hot_pos += hot.tolist()
+        hot.release(n - out.n_hot)
+        if n:
+            self.cohpass_prefix.total = cpass[-1]
+            self.win_end = hi
+        return out
 
     def trim(self, lo):
         self._u.trim(self.profile_end)
@@ -585,14 +641,11 @@ class _DerivedStreams:
         self.conc_win.trim(lo)
         self.cohpass_prefix.trim(lo)
         # The walk consumes nearly every hot entry before the session
-        # trims, so dropping the dead prefix moves only the few live
-        # entries past the origin.
-        dead = bisect_left(self.hot_pos, lo)
-        if dead:
-            del self.hot_pos[:dead]
-            del self.hot_coh[:dead]
-            del self.hot_conc[:dead]
-            del self.hot_count[:dead]
+        # trims, so only the few live entries past the origin remain.
+        hot = self.hot
+        if hot._len:
+            live = hot.view(hot.base, hot.end)
+            hot.trim(hot.base + int(live.searchsorted(lo)))
 
 
 @dataclass(frozen=True)
@@ -693,6 +746,7 @@ class StreamSession:
             capture_floor=decoder.window - tau,
             coherence_min=self.coherence_min,
             scan_stride=self.stride,
+            coherence_slack=self.coherence_slack,
         )
         #: Memoized vote-window edges per bit count for the body decode —
         #: the shapes repeat every call, and arange dominates small calls.
@@ -839,23 +893,28 @@ class StreamSession:
         :func:`capture_preamble` — the dense cascade (count floor ->
         relative coherence -> concentration -> cluster-peak anchor ->
         accept only below ``stride``), with the same outcome metrics —
-        evaluated from the :class:`_DerivedStreams` caches.  Chunk ``q``'s
-        candidate window starts are ``[q, q + s]`` inclusive: its fold
-        profile has exactly ``s + 1`` window positions, so the inclusive
-        upper edge also reproduces the late hit that serial scanning
-        finds and then rejects against the accept limit (chunk boundary
-        positions are legitimately evaluated by both neighbouring
-        chunks, exactly as serial scanning does).
+        evaluated from the :class:`_DerivedStreams` caches by one call of
+        the native walk kernel (``walk_body.h``), which first extends
+        those caches.  Chunk ``q``'s candidate window starts are
+        ``[q, q + s]`` inclusive: its fold profile has exactly ``s + 1``
+        window positions, so the inclusive upper edge also reproduces
+        the late hit that serial scanning finds and then rejects against
+        the accept limit (chunk boundary positions are legitimately
+        evaluated by both neighbouring chunks, exactly as serial
+        scanning does).
 
         The cost follows the hot index instead of the chunk grid.  From
         the origin ``o`` the walk bisects to the first hot position
         ``h >= o``; the first chunk holding it starts at ``q = o + k*s``
         with ``k = max(0, ceil((h - o - s) / s))``, and every chunk in
         ``[o, q)`` is a miss.  Chunk ``q`` is gated by the fused
-        count+coherence test (two ``cohpass_prefix`` entries), then
-        :meth:`_hot_cascade` runs the rest of the cascade over the hot
-        entries of ``[q, q + s]``.  A miss or a late hit (``n0 >= s``)
-        moves the walk on to ``q + s``.
+        count+coherence test (two ``cohpass_prefix`` entries), then the
+        rest of the cascade runs over the hot entries of ``[q, q + s]``:
+        the relative coherence threshold, the best concentration, the
+        first survivor cluster and its count peak (the leading window
+        qualifies while still sliding onto the plateau, the peak marks
+        the plateau proper).  A miss or a late hit (``n0 >= s``) moves
+        the walk on to ``q + s``.
 
         Why skipping chunks is exact:
 
@@ -870,157 +929,56 @@ class StreamSession:
           concentration miss, or an earlier count/coherence miss;
         * the dense cascade compares Python-float thresholds against
           working-dtype arrays, which NEP 50 weak-casts to the array
-          dtype, so the scalar code compares against
-          ``dtype.type(threshold)``, never the float64 value; the hot
-          lists hold the cached values exactly (float32 → Python float
-          is lossless), so every comparison is the dense cascade's own.
+          dtype, so the kernel computes each threshold in double with
+          Python's ``max`` and rounds it to the working dtype before
+          comparing — every comparison is the dense cascade's own.
 
         An accept gates the 24-bit header word in place (unless its
         last vote window is not buffered yet: then :meth:`_header` takes
         over once it is), and a reject rewinds the origin to
-        ``n0 + bit_period`` without leaving the walk — the state
-        transitions and decisions of the state-machine path, in fewer
-        Python frames.  The walk's header rejects reach the
-        ``stream.session.header_rejects`` counter in one bulk
-        increment.  Outcome metrics: ``_HIT`` and a coherence
+        ``n0 + bit_period`` without leaving the kernel.  The header
+        rejects reach the ``stream.session.header_rejects`` counter in
+        one bulk increment.  Outcome metrics: ``_HIT`` and a coherence
         observation for every hit (late hits included), a coherence or
         concentration miss for a gated chunk that misses, and — with
         the registry on — the count/coherence/concentration split of
-        every skipped range (:meth:`_count_skipped`).
+        every skipped range.  The coherences reach the histogram one
+        scalar observation at a time, in hit order, so its float total
+        is the sequential sum the dense cascade's observations give.
         """
-        s = self.stride
         bp = self.decoder.bit_period
-        derived = self._derived
-        derived.extend_windowed()
-        metered = REGISTRY.enabled
-        hot_pos = derived.hot_pos
-        n_hot = len(hot_pos)
-        # Raw cache arrays: nothing extends or trims the derived buffers
-        # while a scan runs, so (data, offset) pairs stay valid and
-        # replace a bounds-checked .view() per access.
-        cb = derived.cohpass_prefix._buf
-        cpd, cpo = cb._data, cb._start - cb.base
-        mpb = derived.mask_prefix._buf
-        mpd, mpo = mpb._data, mpb._start - mpb.base
-        hdr_span = (_HEADER_BITS - 1) * bp + self.decoder.window
         buf_end = self._buf.end
-        rejects = 0
-        o = self._origin
-        stop = o + chunks * s  # first chunk start not fully buffered
-        i = bisect_left(hot_pos, o)
-        while True:
-            q = stop
-            if i < n_hot:
-                # k = max(0, ceil((h - o - s) / s)), in integer form.
-                q = min(stop, o + s * max(0, (hot_pos[i] - o - 1) // s))
-            if metered and q > o:
-                self._count_skipped(o, (q - o) // s)
-            if q == stop:
-                self._origin = stop
-                break
-            o = q + s  # chunk q's last window start; the next origin
-            if cpd[cpo + o + 1] == cpd[cpo + q]:
-                # A hot position clears the count floor, so a chunk
-                # holding one can only miss the fused gate on coherence.
-                _MISS_COHERENCE.inc()
-                hit = None
-            else:
-                hit = self._hot_cascade(q, i)
-            if hit is None or hit[0] >= o:
-                i = bisect_left(hot_pos, o, i)
-                continue
-            n0, self._coherence = hit
-            self._origin = q
+        metered = REGISTRY.enabled
+        observed = None
+        if metered:
+            # Every hit moves the walk on by at least a bit period.
+            reach = max(chunks * self.stride, buf_end - self._origin)
+            observed = np.empty(reach // bp + 2)
+        out = self._derived.walk(self._origin, chunks, buf_end, observed)
+        self._origin = out.origin
+        n0 = out.n0
+        if n0 >= 0:
             self._n0 = n0
             self._data_start = n0 + self.folds * bp
-            if buf_end < self._data_start + hdr_span:
+            self._coherence = out.coherence
+            state = out.state
+            if state == _WALK_HEADER:
                 self._state = "header"
-                break
-            a = mpo + self._data_start
-            fields = self._header_fields(mpd[a : a + hdr_span + 1])
-            if _header_valid(*fields):
-                self._total_bits = frame_overhead_bits() + fields[2]
+            elif state == _WALK_BODY:
+                self._total_bits = frame_overhead_bits() + out.length
                 self._state = "body"
-                break
-            rejects += 1
-            o = self._origin = n0 + bp
-            avail = buf_end - o
-            if avail < self.scan_len:
-                # Blocked (or the end-of-stream partial): _search knows
-                # what to do with the remainder.
-                break
-            stop = o + (1 + (avail - self.scan_len) // s) * s
-            i = bisect_left(hot_pos, o, i)
+        rejects = out.rejects
         if rejects:
             self.header_rejects += rejects
             _HEADER_REJECTS.inc(rejects)
+        if metered:
+            _HIT.inc(out.hits)
+            _MISS_COUNT.inc(out.miss_count)
+            _MISS_COHERENCE.inc(out.miss_coherence)
+            _MISS_CONCENTRATION.inc(out.miss_concentration)
+            for coherence in observed[: out.observed].tolist():
+                _COHERENCE.observe(coherence)
         return True
-
-    def _hot_cascade(self, q, i):
-        """Gates after the fused one, for the chunk starting at ``q``.
-
-        Runs the relative coherence threshold, best concentration, first
-        survivor cluster and its count argmax over the hot entries
-        ``i, i+1, ...`` inside ``[q, q + stride]`` (``i`` is the first),
-        with exactly the comparisons the dense cascade makes (see
-        :meth:`_scan_batched`).  Returns ``(n0, coherence)`` for a hit —
-        late hits included — or None for a concentration miss; records
-        the outcome metric either way.
-        """
-        derived = self._derived
-        e = q + self.stride
-        pos = derived.hot_pos
-        coh = derived.hot_coh
-        conc = derived.hot_conc
-        ftype = derived.float_type
-        slack = self.coherence_slack
-        best = float(derived.cohcand_win.view(q, e + 1).max())
-        thr = float(ftype(max(best - slack, self.coherence_min)))
-        kept = [j for j in range(i, bisect_right(pos, e, i)) if coh[j] >= thr]
-        if not kept:
-            _MISS_CONCENTRATION.inc()
-            return None
-        thr = float(ftype(max(max([conc[j] for j in kept]) - slack, 0.6)))
-        # The first cluster is a run of consecutive surviving positions,
-        # all of them kept hot entries; anchor at its first count peak
-        # (the leading window qualifies while still sliding onto the
-        # plateau, the peak marks the plateau proper).
-        for k, peak in enumerate(kept):
-            if conc[peak] >= thr:
-                break
-        count = derived.hot_count
-        j = peak
-        for nxt in kept[k + 1 :]:
-            if pos[nxt] != pos[j] + 1 or conc[nxt] < thr:
-                break
-            j = nxt
-            if count[j] > count[peak]:
-                peak = j
-        _HIT.inc()
-        _COHERENCE.observe(coh[peak])
-        return pos[peak], coh[peak]
-
-    def _count_skipped(self, o, n):
-        """Outcome metrics for ``n`` chunks from ``o`` with no hot position.
-
-        Each such chunk misses a gate, split as the dense cascade splits
-        it: no window start clears the count floor (count miss), one
-        does but none clears the coherence floor (coherence miss), or
-        the fused gate passes with no hot position left to clear the
-        concentration floor (concentration miss).
-        """
-        s = self.stride
-        derived = self._derived
-        cp = derived.cohpass_prefix.view(o, o + n * s + 2)
-        n_conc = int(np.count_nonzero(cp[s + 1 :: s] > cp[: n * s : s]))
-        counts = derived.count_win.view(o, o + n * s + 1)
-        tops = np.maximum(
-            np.maximum.reduceat(counts, np.arange(0, n * s, s)), counts[s::s]
-        )
-        n_count = n - int(np.count_nonzero(tops >= derived._capture_floor))
-        _MISS_COUNT.inc(n_count)
-        _MISS_COHERENCE.inc(n - n_count - n_conc)
-        _MISS_CONCENTRATION.inc(n_conc)
 
     def _header(self, final):
         end = self._bits_end(_HEADER_BITS)

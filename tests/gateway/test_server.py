@@ -1,7 +1,9 @@
 """GatewayServer: wire round-trips, error contract, /metrics, shutdown."""
 
 import asyncio
+import socket
 import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -14,7 +16,14 @@ from repro.gateway.errors import (
     GatewayError,
 )
 from repro.gateway.loadgen import build_workloads, drive_client, verify
-from repro.gateway.protocol import GatewayClient, pack_message
+from repro.gateway.protocol import (
+    GatewayClient,
+    _parse_header,
+    _parse_prefix,
+    _recv_exactly,
+    encode_block,
+    pack_message,
+)
 from repro.gateway.server import GatewayServer
 from repro.obs.metrics import REGISTRY
 
@@ -34,6 +43,8 @@ class _ServerHarness:
         self.server = GatewayServer(
             core, port=0, metrics_port=0 if metrics else None
         )
+        #: Exceptions that escaped to the event loop's handler.
+        self.loop_errors = []
         self._loop = None
         self._started = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
@@ -51,7 +62,17 @@ class _ServerHarness:
 
     def _on_started(self, server):
         self._loop = asyncio.get_running_loop()
+        self._loop.set_exception_handler(
+            lambda loop, context: self.loop_errors.append(context)
+        )
         self._started.set()
+
+    def wait_active(self, count, timeout_s=10.0):
+        """Wait until the core holds ``count`` active tenants."""
+        deadline = time.monotonic() + timeout_s
+        while self.server.core.stats()["active_tenants"] != count:
+            assert time.monotonic() < deadline, "active tenants never settled"
+            time.sleep(0.01)
 
     def stop(self):
         self._loop.call_soon_threadsafe(self.server._stop_event.set)
@@ -193,6 +214,101 @@ class TestMalformedHeaders:
             assert excinfo.value.code == ERR_BAD_REQUEST
             assert client.hello("a")["type"] == "welcome"
         assert harness.server.core.tenant_ids() == ["a"]
+
+
+def _response(sock):
+    """Read one response frame's header off a raw socket."""
+    header_len, payload_len = _parse_prefix(_recv_exactly(sock, 8))
+    header = _parse_header(_recv_exactly(sock, header_len))
+    _recv_exactly(sock, payload_len)
+    return header
+
+
+@pytest.mark.timeout(300)
+class TestSlowAndVanishingClients:
+    @pytest.mark.parametrize("cut", [3, 20, 200], ids=[
+        "mid-prefix", "mid-header", "mid-payload",
+    ])
+    def test_partial_frame_then_close(self, harness, cut):
+        fields, payload = encode_block(np.zeros(64, dtype=np.complex64))
+        frame = pack_message({"type": "samples", "tenant": "p", **fields},
+                             payload)
+        raw = socket.create_connection(("127.0.0.1", harness.server.port))
+        raw.sendall(frame[:cut])
+        raw.close()
+        # The server shrugs it off and keeps serving.
+        with harness.client() as client:
+            assert client.hello("after")["type"] == "welcome"
+            assert client.stats()["active_tenants"] == 1
+        assert harness.loop_errors == []
+
+    def test_vanished_tenant_is_released(self, harness):
+        with harness.client() as keeper:
+            keeper.hello("keep")
+            # More vanishing clients than tenant slots: none may lock
+            # the gateway out or keep the id.
+            for _ in range(harness.server.core.max_tenants + 1):
+                client = harness.client()
+                assert client.hello("v")["type"] == "welcome"
+                client.send_samples("v", np.zeros(256, dtype=np.complex64))
+                assert keeper.stats()["active_tenants"] == 2
+                client.close()  # no finish, no bye
+                harness.wait_active(1)
+            with harness.client() as client:
+                assert client.hello("v")["type"] == "welcome"
+                assert client.stats()["active_tenants"] == 2
+        counters = REGISTRY.snapshot()["counters"]
+        assert (
+            counters["gateway.tenants_abandoned"]
+            == harness.server.core.max_tenants + 1
+        )
+        assert harness.loop_errors == []
+
+    def test_finished_then_readmitted_elsewhere_is_not_abandoned(
+        self, harness
+    ):
+        # Abandoning is per admission: a connection that finished its
+        # tenant must not finish the next holder of the id on close.
+        first = harness.client()
+        first.hello("id")
+        first.finish("id")
+        with harness.client() as second:
+            second.hello("id")
+            first.close()
+            time.sleep(0.2)
+            assert second.stats("id")["finished"] is False
+            assert second.stats()["active_tenants"] == 1
+
+    def test_dribbling_client_does_not_stall_others(self, harness):
+        (workload,) = build_workloads(
+            1, 2, seed=11, duration_s=0.02,
+            engine=FAST_ENGINE, dtype="complex64",
+        )
+        with harness.client() as slow:
+            slow.hello("slow")
+            fields, payload = encode_block(
+                np.zeros(512, dtype=np.complex64)
+            )
+            frame = pack_message(
+                {"type": "samples", "tenant": "slow", **fields}, payload
+            )
+            half = len(frame) // 2
+            for i in range(half):
+                slow._sock.sendall(frame[i : i + 1])
+            # Another tenant's whole session runs while the slow frame
+            # sits half-sent.
+            with harness.client() as fast:
+                drive_client(fast, [workload])
+            rows, all_exact = verify([workload])
+            assert all_exact, rows
+            assert rows[0]["matched"] == rows[0]["expected"] > 0
+            for i in range(half, len(frame)):
+                slow._sock.sendall(frame[i : i + 1])
+            assert _response(slow._sock) == {
+                "type": "accepted", "accepted": True
+            }
+            assert slow.stats("slow")["blocks_in"] == 1
+        assert harness.loop_errors == []
 
 
 @pytest.mark.timeout(300)

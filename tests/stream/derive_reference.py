@@ -5,9 +5,11 @@ with its kernel calls replaced by the numpy passes the receiver ran
 before the kernel existed: unit phasors, the fixed-order fold, the
 signed-zero-aware negativity test, magnitude and normalisation, strict
 left-fold prefix sums (``np.cumsum``), the windowed prefix differences
-and the hot filter.  Thresholds stay Python floats here, so numpy's own
-weak-scalar casting decides how they round against float32 arrays --
-the rounding the kernel is handed pre-computed.  Everything else
+and the hot filter (:func:`index_reference`, which also loads crafted
+caches for the walk oracle in ``tests/stream/walk_reference.py``).
+Thresholds stay Python floats here, so numpy's own weak-scalar casting
+decides how they round against float32 arrays -- the rounding the
+kernel is handed pre-computed.  Everything else
 (buffers, trimming, the rejoin path) is inherited, so a difference
 between the two classes is a difference in derived floats.
 """
@@ -120,11 +122,20 @@ class NumpyDerivedStreams(_DerivedStreams):
         np.sqrt(mag, out=mag)
         conc = self.conc_win.alloc(n)
         np.multiply(mag, 1.0 / w, out=conc)
-        self._index(lo, counts, cohcand, conc)
+        index_reference(self, lo, cohcand, conc)
         self.win_end = hi
 
-    def _index(self, lo, counts, cohcand, conc):
-        extend_prefix(self.cohpass_prefix, cohcand >= self._coh_pass)
-        hm = conc >= 0.6
-        hm &= cohcand >= self._coherence_min
-        self._record_hot(lo, hm.nonzero()[0], counts, cohcand, conc)
+
+def index_reference(derived, lo, cohcand, conc):
+    """Extend ``cohpass_prefix`` and the hot index from new windows.
+
+    ``cohcand`` / ``conc`` are the cached statistics of window starts
+    ``lo, lo + 1, ...``: the coherence-pass prefix counts the starts
+    whose candidate coherence reaches ``_coh_pass``, and the starts with
+    ``conc >= 0.6`` and ``cohcand >= coherence_min`` (Python floats,
+    weak-cast by numpy to the caches' dtype) join the hot index.
+    """
+    extend_prefix(derived.cohpass_prefix, cohcand >= derived._coh_pass)
+    hm = conc >= 0.6
+    hm &= cohcand >= derived._coherence_min
+    derived.hot.append(lo + hm.nonzero()[0])

@@ -65,7 +65,7 @@ def _buffer_bytes(buf):
 
 
 def _state(derived):
-    """Every derived cache, as bytes and plain lists."""
+    """Every derived cache, as bytes."""
     return {
         "profile_end": derived.profile_end,
         "win_end": derived.win_end,
@@ -83,12 +83,7 @@ def _state(derived):
             name: _buffer_bytes(getattr(derived, name))
             for name in ("count_win", "cohcand_win", "conc_win")
         },
-        "hot": (
-            derived.hot_pos,
-            derived.hot_coh,
-            derived.hot_conc,
-            derived.hot_count,
-        ),
+        "hot": _buffer_bytes(derived.hot),
     }
 
 
@@ -125,6 +120,7 @@ def _pair(data, dtype):
         bit_period=bit_period,
         window=window,
         tau=data.draw(st.integers(0, (window - 1) // 2)),
+        tau_sync=window // 2,
         rotation=data.draw(st.sampled_from([None, ROTATED])),
     )
     kwargs = dict(
@@ -206,7 +202,7 @@ def test_receiver_scale_caches_match_numpy_reference(dtype):
             derived.trim(lo + size // 2)
         lo += size
         assert _state(native) == _state(reference)
-    assert native.hot_pos
+    assert native.hot.end > native.hot.base
 
 
 def test_session_accepts_strided_products():

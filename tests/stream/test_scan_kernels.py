@@ -47,6 +47,7 @@ from tests.stream.golden import (
     metered,
     noise_capture,
 )
+from tests.stream.walk_reference import adversarial_caches, load_caches
 
 BLOCK_SIZES = (64, 1000, 4096, 9973)
 
@@ -224,46 +225,6 @@ def _dense_cascade(caches, o, chunks, s, floor, coh_min, slack):
     return None, None, outcomes
 
 
-def _adversarial_caches(rng, n, s, floor, coh_min, slack):
-    """float32 windowed caches crowded onto every threshold boundary.
-
-    Each stride block draws a best coherence ``b`` and concentration
-    ``bc`` and fills its positions with them plus values on and one ulp
-    either side of ``coherence_min``, ``b - slack``, 0.6 and
-    ``bc - slack`` — exactly where comparing a float64 threshold instead
-    of its float32 rounding flips a decision.  A third of the blocks are
-    quiet (no concentration reaches 0.6, so no hot position) and a
-    third weak (coherence capped at ``f32(coherence_min)``), so the walk
-    also skips long hot-free runs and gates chunks that can fail.
-    """
-    f32 = np.float32
-
-    def near(v):
-        v = f32(v)
-        return [np.nextafter(v, f32(0)), v, np.nextafter(v, f32(2))]
-
-    counts = rng.integers(floor - 2, floor + 3, n).astype(np.int32)
-    cohcand = np.empty(n, f32)
-    conc = np.empty(n, f32)
-    for lo in range(0, n, s):
-        m = min(s, n - lo)
-        kind = rng.integers(3)
-        b = f32(coh_min) if kind == 1 else f32(rng.uniform(coh_min, 1.0))
-        bc = f32(rng.uniform(0.6, 1.0))
-        coh_pool = np.array(
-            [b, *near(coh_min), *near(b - slack), rng.uniform(0.3, b)], f32
-        )
-        conc_pool = np.array(
-            [bc, *near(0.6), *near(bc - slack), rng.uniform(0.3, bc)], f32
-        )
-        if kind == 2:
-            conc_pool = conc_pool[conc_pool < 0.6]
-        cohcand[lo : lo + m] = rng.choice(coh_pool[coh_pool <= b], m)
-        conc[lo : lo + m] = rng.choice(conc_pool, m)
-    cohcand[counts < floor] = -np.inf
-    return counts, cohcand, conc
-
-
 @pytest.mark.parametrize("metered", [True, False])
 @pytest.mark.parametrize("coherence_min, slack", [(0.5, 0.2), (0.7, 0.3)])
 def test_walk_matches_dense_cascade_on_threshold_boundaries(
@@ -285,17 +246,14 @@ def test_walk_matches_dense_cascade_on_threshold_boundaries(
     floor = derived._capture_floor
     n = 400 * s + 1
     rng = np.random.default_rng(11)
-    caches = _adversarial_caches(rng, n, s, floor, coherence_min, slack)
-    windowed = (derived.count_win, derived.cohcand_win, derived.conc_win)
-    for buf, values in zip(windowed, caches):
-        buf.alloc(n)[:] = values
-    derived._index(0, *caches)
-    derived.extend_windowed = lambda: None  # the caches are all there is
+    caches = adversarial_caches(rng, n, s, floor, coherence_min, slack)
+    # No product is buffered, so every accept waits on its header.
+    load_caches(session, *caches, buffered=0)
     if metered:
         REGISTRY.enable()
     # Origins around hot positions probe the walk's first-chunk
     # arithmetic: a hot position at the very edge of a chunk.
-    hot = rng.choice(derived.hot_pos, 100)
+    hot = rng.choice(derived.hot.view(derived.hot.base, derived.hot.end), 100)
     origins = [0, *(h - s + d for h in hot for d in (-1, 0, 1) if h > s)]
     accepts = 0
     for o in origins:
