@@ -8,17 +8,19 @@ Two small guards CI can afford on every push:
   require a conservative Msps floor; and
 * a **serial trend recorder** — time the PR-6 comparison configuration
   plus a **scan-path micro-benchmark** (pure-noise capture through the
-  headline configuration, so the scan cascade is the whole decode) and
-  a **derive micro-benchmark** (one decimation-8 complex64 session's
-  derived caches over noise products, nothing else) and a **scan
-  micro-benchmark** (the same session's scans over those caches) and
-  append the Msps figures, with the CPU count and the BLAS thread count
-  they were measured under, to ``BENCH_SMOKE_TREND.jsonl`` (one JSON
-  line per run, rendered by ``python -m repro bench trajectory``).  The
-  derive and scan figures are scaled to reference host speed by the
-  ledger's speed probe and gated by floors of their own, so a
-  regression in either native kernel shows up as that layer, not as a
-  blur in the whole decode.
+  headline configuration, so the scan cascade is the whole decode), a
+  **front-end micro-benchmark** (the headline four-channel
+  decimation-8 complex64 channelizer bank over noise blocks, nothing
+  else), a **derive micro-benchmark** (one decimation-8 complex64
+  session's derived caches over noise products, nothing else) and a
+  **scan micro-benchmark** (the same session's scans over those caches)
+  and append the Msps figures, with the CPU count and the BLAS thread
+  count they were measured under, to ``BENCH_SMOKE_TREND.jsonl`` (one
+  JSON line per run, rendered by ``python -m repro bench trajectory``).
+  The front-end, derive and scan figures are scaled to reference host
+  speed by the ledger's speed probe and gated by floors of their own,
+  so a regression in any native kernel shows up as that layer, not as
+  a blur in the whole decode.
 
 The floor is ~2.9x below the ~13 Msps the reference 1-CPU container
 measures for the PR-10 configuration (see ``BENCH_PR10.json``), so an
@@ -42,7 +44,12 @@ from benchmarks.ledger.common import speed_factor
 from repro.core.decoder import SymBeeDecoder
 from repro.network.traffic import StreamSender, StreamTraffic
 from repro.stream import StreamEngine
+from repro.stream.frontend import FastChannelBank
 from repro.stream.session import StreamSession
+from repro.zigbee.channels import (
+    frequency_offset_hz,
+    overlapping_zigbee_channels,
+)
 
 #: Conservative Msps floor for the fast-path decode.  Raised from 3.0
 #: (PR-5 era, 8.4 Msps reference) now that the PR-10 scan engine
@@ -65,6 +72,15 @@ FAST_PATH = dict(
 
 TREND_PATH = Path(__file__).resolve().parent.parent / "BENCH_SMOKE_TREND.jsonl"
 
+#: Conservative floor for the front-end micro-benchmark, in input Msps
+#: at reference host speed (see :func:`frontend_msps`).  The numpy/BLAS
+#: bank measured 95-143 on the reference 2-CPU host, the native kernel
+#: that replaced it 263-313; the floor sits above the former, ~1.9x
+#: below the latter.
+FRONTEND_FLOOR_MSPS = 150.0
+#: Noise blocks the front-end micro-benchmark filters (one 5 M-sample
+#: ledger capture in headline blocks).
+FRONTEND_BLOCKS = 38
 #: Conservative floor for the derive micro-benchmark, in input Msps at
 #: reference host speed (see :func:`derive_msps`).  The native kernel
 #: measures ~700 on the reference 2-CPU host, the numpy derive it
@@ -79,6 +95,46 @@ DERIVE_PRODUCTS = 32 * (DEEP_BLOCK // 8)
 #: that replaced it 1640-1860; the floor sits at the top of the former,
 #: ~1.5x below the latter.
 SCAN_FLOOR_MSPS = 1100.0
+
+
+def frontend_msps():
+    """The headline demux front end over complex64 noise blocks.
+
+    Times :data:`FRONTEND_BLOCKS` headline-sized noise blocks through a
+    fresh four-channel decimation-8 complex64
+    :class:`FastChannelBank` — channelizer, lagged products and product
+    rotation, with no session behind it — and returns the input sample
+    rate it keeps up with (in millions per second), best of five, scaled
+    to reference host speed by the ledger's speed probe.
+    """
+    rng = np.random.default_rng(20260806)
+    blocks = [
+        (
+            rng.standard_normal(DEEP_BLOCK) + 1j * rng.standard_normal(DEEP_BLOCK)
+        ).astype(np.complex64)
+        for _ in range(FRONTEND_BLOCKS)
+    ]
+    offsets = [frequency_offset_hz(ch, 1) for ch in overlapping_zigbee_channels(1)]
+
+    def bank():
+        front_end = FastChannelBank(
+            offsets,
+            20e6,
+            16,
+            decimation=FAST_PATH["decimation"],
+            working_dtype=np.complex64,
+        )
+        for block in blocks:
+            front_end.process_block(block)
+
+    bank()  # warm-up
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        bank()
+        best = min(best, time.perf_counter() - t0)
+    factor = speed_factor(5)
+    return FRONTEND_BLOCKS * DEEP_BLOCK / (best * factor) / 1e6
 
 
 def derive_msps():
@@ -254,6 +310,7 @@ def test_serial_trend_record():
         scan_best = min(scan_best, time.perf_counter() - t0)
     scan_noise_msps = noise.size / scan_best / 1e6
 
+    frontend = frontend_msps()
     derive = derive_msps()
     scan = scan_msps()
 
@@ -266,6 +323,9 @@ def test_serial_trend_record():
         # Pure-noise decode through the PR-10 headline configuration:
         # the scan cascade with no frames to decode.
         "scan_noise_msps": round(scan_noise_msps, 3),
+        # The headline four-channel d8 complex64 channelizer bank over
+        # noise, at reference host speed (see frontend_msps).
+        "frontend_msps": round(frontend, 3),
         # One d8 complex64 session's derive layer over noise, at
         # reference host speed (see derive_msps).
         "derive_msps": round(derive, 3),
@@ -277,10 +337,15 @@ def test_serial_trend_record():
         fh.write(json.dumps(entry) + "\n")
     print(
         f"\ntrend: serial {serial_msps:.2f} Msps, scan-only "
-        f"{scan_noise_msps:.2f} Msps, derive {derive:.1f} Msps, scan "
+        f"{scan_noise_msps:.2f} Msps, bank {frontend:.1f} Msps, derive "
+        f"{derive:.1f} Msps, scan "
         f"{scan:.1f} Msps on "
         f"{cpu_count} cpu(s), {entry['blas_threads']} BLAS thread(s) "
         f"-> {TREND_PATH.name}"
+    )
+    assert frontend >= FRONTEND_FLOOR_MSPS, (
+        f"front-end layer at {frontend:.1f} Msps, floor "
+        f"{FRONTEND_FLOOR_MSPS} Msps"
     )
     assert derive >= DERIVE_FLOOR_MSPS, (
         f"derive layer at {derive:.1f} Msps, floor {DERIVE_FLOOR_MSPS} Msps"

@@ -421,8 +421,8 @@ def print_trajectory(root=".", print_fn=print):
             return f"{entry[key]:.2f}" if key in entry else "-"
 
         # Lines recorded before BLAS pinning carry no blas_threads, and
-        # lines from before the derive or scan micro-benchmarks no
-        # derive_msps or scan_msps.
+        # lines from before the bank, derive or scan micro-benchmarks no
+        # frontend_msps, derive_msps or scan_msps.
         trend_rows = [
             (
                 str(entry.get("recorded_at", "-")),
@@ -430,6 +430,7 @@ def print_trajectory(root=".", print_fn=print):
                 str(entry.get("blas_threads") or "-"),
                 msps(entry, "serial_msps"),
                 msps(entry, "scan_noise_msps"),
+                msps(entry, "frontend_msps"),
                 msps(entry, "derive_msps"),
                 msps(entry, "scan_msps"),
             )
@@ -437,7 +438,7 @@ def print_trajectory(root=".", print_fn=print):
         ]
         print_table(
             ("recorded", "cpus", "blas threads", "serial Msps",
-             "noise decode", "derive", "scan"),
+             "noise decode", "bank", "derive", "scan"),
             trend_rows,
             title=f"perf-smoke trend (last {len(trend)} of {TREND_FILENAME})",
         )

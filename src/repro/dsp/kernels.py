@@ -23,6 +23,15 @@ This module holds both implementations behind one ``mode`` switch:
 Fast mode optionally runs in a float32 working dtype (``complex64``):
 half the memory traffic on the front-end hot loops, still ~7 decimal
 digits — far beyond what a +-4pi/5 phase-sign decision needs.
+
+The fast kernels here take their bits from numpy and the host's BLAS
+(``@`` picks a ``cgemm`` kernel per CPU), so they are not the streaming
+receiver's fast front end.  That is
+:class:`repro.stream.frontend.FastChannelBank`: one native call per
+block that filters, pairs and rotates every demux channel with
+explicit correctly rounded FMAs in a fixed order, the same bits on
+every host.  The wideband stream path still uses
+:func:`stream_lagged_products` and :func:`cmul` from here.
 """
 
 import numpy as np
@@ -321,7 +330,7 @@ def polyphase_decimate_exact(z, taps, decimation, offset=0):
     return out
 
 
-def polyphase_decimate_fast(z, taps, decimation, offset=0, trailing="dot"):
+def polyphase_decimate_fast(z, taps, decimation, offset=0):
     """Decimated valid-mode FIR via a polyphase block-reshape matmul.
 
     ``decimation == 1`` is a plain BLAS matvec over a zero-copy sliding
@@ -336,26 +345,20 @@ def polyphase_decimate_fast(z, taps, decimation, offset=0, trailing="dot"):
 
     where ``V = B @ W.T`` is one fully-contiguous GEMM.  The diagonal
     band sum over the tiny ``nb`` axis costs ``nb`` vector adds.  Complex
-    taps are supported (the decimating channelizer folds its mixer into
-    the taps); complex64 input stays complex64.
+    taps are supported; complex64 input stays complex64.  Outputs whose
+    zero-padded block window runs past the end of ``z`` (at most one,
+    since the padding is shorter than ``D``) are finished with a direct
+    dot.
 
-    ``trailing`` controls outputs whose zero-padded block window runs
-    past the end of ``z`` (at most one, since the padding is shorter
-    than ``D``): ``"dot"`` (default) finishes them with a direct dot —
-    full valid-mode output, but a direct dot rounds differently than the
-    GEMM band sum, so *which* positions got the dot leaks the block
-    boundary into the result at the ulp level.  ``"defer"`` omits them
-    instead, so every returned output went through the identical GEMM
-    arithmetic; streaming callers keep the unconsumed samples buffered
-    and emit the withheld outputs next block (or at end-of-stream, where
-    the boundary is no longer blocking-dependent).
+    The bits follow the host's BLAS.  The streaming receiver does not
+    use this kernel: its fast front end is
+    :class:`repro.stream.frontend.FastChannelBank`, whose native kernel
+    fixes the arithmetic on every host.
     """
     z = np.asarray(z)
     decimation = int(decimation)
     if decimation < 1:
         raise ValueError("decimation must be >= 1")
-    if trailing not in ("dot", "defer"):
-        raise ValueError("trailing must be 'dot' or 'defer'")
     ntaps = len(taps)
     if z.size - ntaps + 1 <= offset:
         return np.empty(0, dtype=np.complex128)
@@ -363,7 +366,6 @@ def polyphase_decimate_fast(z, taps, decimation, offset=0, trailing="dot"):
     if z.dtype == np.complex64:
         rev = rev.astype(np.complex64)
     if decimation == 1:
-        # No zero-padding, hence no trailing outputs to defer.
         win = np.lib.stride_tricks.sliding_window_view(z, ntaps)[offset:]
         return win @ rev
     m_out = 1 + (z.size - ntaps - offset) // decimation
@@ -372,8 +374,6 @@ def polyphase_decimate_fast(z, taps, decimation, offset=0, trailing="dot"):
     n_blocks = zo.size // decimation
     m_main = n_blocks - nb + 1
     if m_main < 1:
-        if trailing == "defer":
-            return np.empty(0, dtype=rev.dtype if z.dtype.kind == "c" else np.complex128)
         # Input barely covers a window; the strided view is fine here.
         win = np.lib.stride_tricks.sliding_window_view(z, ntaps)[offset::decimation]
         return win @ rev
@@ -385,33 +385,24 @@ def polyphase_decimate_fast(z, taps, decimation, offset=0, trailing="dot"):
         zo, (n_blocks, decimation), (decimation * st, st)
     )
     v = blocks @ w.T
-    out_dtype = v.dtype
     m_main = min(m_main, m_out)
-    out = np.empty(m_main if trailing == "defer" else m_out, dtype=out_dtype)
+    out = np.empty(m_out, dtype=v.dtype)
     main = out[:m_main]
     main[:] = v[:m_main, 0]
     for b in range(1, nb):
         main += v[b : m_main + b, b]
-    # The zero-padding makes the block form need up to D-1 samples past
-    # the true window end, so at most one trailing output falls outside
-    # the GEMM; finish it with a direct dot (unless deferred).
-    for m in range(m_main, out.size):
+    for m in range(m_main, m_out):
         lo = m * decimation
         out[m] = zo[lo : lo + ntaps] @ rev
     return out
 
 
-def polyphase_decimate(z, taps, decimation, offset=0, mode="exact", trailing="dot"):
-    """Decimated valid-mode FIR through the selected kernel mode.
-
-    ``trailing`` is a fast-mode knob (see
-    :func:`polyphase_decimate_fast`); exact mode computes every output
-    with the same fixed-order accumulation and ignores it.
-    """
+def polyphase_decimate(z, taps, decimation, offset=0, mode="exact"):
+    """Decimated valid-mode FIR through the selected kernel mode."""
     if mode == "exact":
         return polyphase_decimate_exact(z, taps, decimation, offset)
     validate_mode(mode)
-    return polyphase_decimate_fast(z, taps, decimation, offset, trailing=trailing)
+    return polyphase_decimate_fast(z, taps, decimation, offset)
 
 
 __all__ = [

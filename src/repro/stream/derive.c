@@ -1,4 +1,5 @@
-/* The stream scanner's derived caches and scan walk, natively.
+/* The stream receiver's native kernels: the channelizer bank's front
+ * end, the scanner's derived caches and its scan walk.
  *
  * Every function is the numpy formulation's arithmetic in its order,
  * rounded exactly as numpy rounds it, so the caches match the numpy
@@ -15,7 +16,10 @@
  *
  * The scan walk (walk_body.h) makes the decisions of the Python walk
  * it replaced, from the same floats; its contract is spelled out there
- * and in repro/stream/session.py.
+ * and in repro/stream/session.py.  The front end (frontend_body.h)
+ * has its own arithmetic, spelled out there: explicit correctly
+ * rounded fmaf/fma in a fixed order, so its bits do not depend on the
+ * host either.
  *
  * Never build this with -ffast-math: it licenses every reordering the
  * contract forbids.  See repro/stream/native.py for the build.
@@ -23,6 +27,8 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* Positions per tile: the vectorised per-position loops run over a
  * tile held in cache before the sequential prefix loop consumes it. */
@@ -109,20 +115,48 @@ static int64_t header_length(const struct walk_params *pp,
     return valid ? length : -1;
 }
 
+/* Front-end outputs per tile: the phase planes and the per-channel
+ * outputs of a tile stay in cache between the FIR and the products. */
+#define FE_TILE 256
+#define FE_INLINE inline __attribute__((always_inline))
+
+/* The front end's vectorised build: the same source compiled for AVX2
+ * with FMA, chosen at run time by the CPU alone.  Elsewhere (or on an
+ * x86-64 without FMA) the portable build runs, fmaf/fma then being
+ * library calls: slower, the same bits. */
+#if defined(__x86_64__) && defined(__GNUC__)
+#define FE_VECTOR_TARGET __attribute__((target("avx2,fma")))
+static int fe_has_vector(void)
+{
+    static int has = -1;
+    if (has < 0) {
+        __builtin_cpu_init();
+        has = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+    }
+    return has;
+}
+#endif
+
 #define REAL float
 #define SQRT sqrtf
+#define FMA fmaf
 #define SFX(name) name##_f32
 #include "derive_body.h"
 #include "walk_body.h"
+#include "frontend_body.h"
 #undef REAL
 #undef SQRT
+#undef FMA
 #undef SFX
 
 #define REAL double
 #define SQRT sqrt
+#define FMA fma
 #define SFX(name) name##_f64
 #include "derive_body.h"
 #include "walk_body.h"
+#include "frontend_body.h"
 #undef REAL
 #undef SQRT
+#undef FMA
 #undef SFX

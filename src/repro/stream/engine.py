@@ -28,8 +28,10 @@ the exact full-rate behaviour:
   window leaves too few plateau positions, so 1, 2, 4 or 8; decimation
   8 is the headline config.
 * ``mode`` — ``"exact"`` (bit-exact block-size invariance) or
-  ``"fast"`` (native kernels, mixer folded into the filter taps;
-  decode-equivalent).
+  ``"fast"`` (decode-equivalent): one
+  :class:`repro.stream.frontend.FastChannelBank` filters, pairs and
+  rotates every channel in one native call per block, with the mixer
+  folded into the filter taps and the same bits on every host.
 
 The engine is one serial pass per block, the way a WiFi receiver's
 idle-listening autocorrelation runs.  Parallelism lives at coarser
@@ -86,7 +88,12 @@ DEMUX_CUTOFF_HZ = 1.4e6
 
 
 class _ChannelPath:
-    """One decoded channel: its front end, rotation, mode and session."""
+    """One decoded channel: its front end, rotation, mode and session.
+
+    ``front_end`` is ``None`` on a fast demux path, whose products come
+    from the engine's :class:`~repro.stream.frontend.FastChannelBank`
+    already rotated.
+    """
 
     __slots__ = ("zigbee_channel", "front_end", "rotation", "mode", "session")
 
@@ -97,35 +104,12 @@ class _ChannelPath:
         self.mode = mode
         self.session = session
 
-    def process_block(self, block):
-        """Feed one sample block through this channel; return its frames.
-
-        The complete per-channel chain — front end, CFO rotation,
-        session — with no engine-level bookkeeping.
-        """
-        return self.push_front_end_block(self.front_end.process(block))
-
-    def push_front_end_block(self, fe_block):
-        """Rotation + session tail of the chain, given front-end output.
-
-        Split out so :class:`~repro.stream.frontend.FastChannelBank`
-        can filter all channels at once and hand each path its block.
-        """
+    def push(self, fe_block):
+        """Rotation + session tail of the chain, given front-end output."""
         products = fe_block.products
         if self.rotation is not None and products.size:
             products = cmul(products, self.rotation, self.mode)
         return self.session.push_products(products)
-
-    def flush_front_end(self):
-        """Emit the front end's deferred tail at end-of-stream.
-
-        Fast-mode channelizers withhold up to one filtered output per
-        channel mid-stream to keep products cut-invariant (see
-        :meth:`repro.stream.frontend.ChannelizerFrontEnd.flush`); this
-        pushes that tail through the session before the session itself
-        is flushed.
-        """
-        return self.push_front_end_block(self.front_end.flush())
 
 
 class StreamEngine:
@@ -188,25 +172,36 @@ class StreamEngine:
                 "+4pi/5 (Appendix B), so wideband sessions cannot tell "
                 "channels apart — use demux=True"
             )
+        offsets = [frequency_offset_hz(ch, wifi_channel) for ch in channels]
+        #: Fast demux front ends: every channel in one native call.
+        self._bank = None
+        if demux and self.mode == "fast":
+            self._bank = FastChannelBank(
+                offsets,
+                self.sample_rate,
+                lag,
+                ntaps=ntaps,
+                cutoff_hz=cutoff_hz,
+                decimation=self.decimation,
+                working_dtype=self.working_dtype or np.complex128,
+            )
         self._paths = []
-        for channel in channels:
-            offset = frequency_offset_hz(channel, wifi_channel)
+        for channel, offset in zip(channels, offsets):
             if demux:
-                front_end = ChannelizerFrontEnd(
-                    offset,
-                    self.sample_rate,
-                    lag,
-                    ntaps=ntaps,
-                    cutoff_hz=cutoff_hz,
-                    decimation=self.decimation,
-                    mode=self.mode,
-                    working_dtype=self.working_dtype,
-                )
                 # The channelized stream sits at its own baseband: the
-                # plateaus are at +-4pi/5 already, no CFO rotation needed.
-                # Fast mode skips the channelizer's output-rate mixer
-                # multiply and compensates with one constant product
-                # rotation here instead (see ChannelizerFrontEnd).
+                # plateaus are at +-4pi/5 already, no CFO rotation needed
+                # (the bank's products arrive with their constant mixer
+                # rotation applied; see FastChannelBank).
+                front_end = None
+                if self._bank is None:
+                    front_end = ChannelizerFrontEnd(
+                        offset,
+                        self.sample_rate,
+                        lag,
+                        ntaps=ntaps,
+                        cutoff_hz=cutoff_hz,
+                        decimation=self.decimation,
+                    )
                 decoder = SymBeeDecoder(
                     sample_rate=self.sample_rate,
                     tau=tau,
@@ -214,9 +209,7 @@ class StreamEngine:
                     cfo_correction=None,
                     decimation=self.decimation,
                 )
-                rotation = front_end.product_rotation
-                if rotation == 1.0:
-                    rotation = None
+                rotation = None
                 # The FIR eats ntaps - 1 plateau samples, so the capture
                 # count floor must drop by as much (plus edge margin) —
                 # in decimated-output units, rounded up so the floor is
@@ -258,19 +251,6 @@ class StreamEngine:
                     ),
                 )
             )
-        #: Shared-GEMM filter bank: in a fast-mode decimating demux the
-        #: channels all buffer the same raw stream, so one stacked
-        #: matrix product filters every channel per block.
-        self._bank = None
-        if (
-            demux
-            and self.mode == "fast"
-            and self.decimation > 1
-            and len(self._paths) > 1
-        ):
-            self._bank = FastChannelBank(
-                [path.front_end for path in self._paths]
-            )
         self.blocks_in = 0
         self.samples_in = 0
         self.frames_out = 0
@@ -291,16 +271,19 @@ class StreamEngine:
         metered = REGISTRY.enabled
         if metered:
             t0 = time.perf_counter()
-        # Convert to the working dtype once, not once per channel path.
-        block = np.asarray(block, dtype=self.working_dtype or np.complex128)
+        if self._bank is None:
+            # Convert to the working dtype once, not once per channel.
+            block = np.asarray(block, dtype=self.working_dtype or np.complex128)
+        else:
+            # The bank reads the block in place, rounding as it goes.
+            block = np.asarray(block)
         with TRACER.span("stream.block", samples=int(block.size)):
-            if self._bank is not None:
-                fe_blocks = self._bank.process_block(block)
-                for path, fe_block in zip(self._paths, fe_blocks):
-                    self._pending.extend(path.push_front_end_block(fe_block))
+            if self._bank is None:
+                fe_blocks = [p.front_end.process(block) for p in self._paths]
             else:
-                for path in self._paths:
-                    self._pending.extend(path.process_block(block))
+                fe_blocks = self._bank.process_block(block)
+            for path, fe_block in zip(self._paths, fe_blocks):
+                self._pending.extend(path.push(fe_block))
             frames = self._release(final=False)
         self.blocks_in += 1
         self.samples_in += int(block.size)
@@ -319,13 +302,12 @@ class StreamEngine:
     def finish(self):
         """Flush every front end and session at end-of-stream."""
         with TRACER.span("stream.finish"):
-            if self._bank is not None:
-                fe_blocks = self._bank.flush()
-                for path, fe_block in zip(self._paths, fe_blocks):
-                    self._pending.extend(path.push_front_end_block(fe_block))
+            if self._bank is None:
+                fe_blocks = [p.front_end.flush() for p in self._paths]
             else:
-                for path in self._paths:
-                    self._pending.extend(path.flush_front_end())
+                fe_blocks = self._bank.flush()
+            for path, fe_block in zip(self._paths, fe_blocks):
+                self._pending.extend(path.push(fe_block))
             for path in self._paths:
                 self._pending.extend(path.session.finish())
             frames = self._release(final=True)

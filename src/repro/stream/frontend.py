@@ -34,11 +34,20 @@ lag, the stable window and the bit period (all multiples of 4 at
 20 Msps), so every downstream quantity scales exactly; the polyphase
 implementation evaluates the FIR *only at the kept output positions*,
 making the whole per-channel chain cost proportional to the decimated
-rate.  Two kernel modes (see :mod:`repro.dsp.kernels`): ``exact``
-(default, bit-exact block-size invariance — kept outputs are literally
-a subsample of the full-rate exact stream) and ``fast`` (native complex
-kernels, mixer folded into the filter taps, optional complex64 working
-dtype; decode-equivalent, not bit-equivalent).
+rate.  Two kernel modes: ``exact`` (:class:`ChannelizerFrontEnd`, the
+default, bit-exact block-size invariance — kept outputs are literally a
+subsample of the full-rate exact stream) and ``fast``
+(:class:`FastChannelBank`: every channel's FIR with the mixer folded
+into its taps, lagged products and product rotation in one native call
+per block, optional complex64 working dtype; decode-equivalent, not
+bit-equivalent, to exact).
+
+The fast kernel's arithmetic is fixed — correctly rounded FMAs in one
+order (``repro/stream/frontend_body.h``) — so its products are the same
+bits on every host, whatever BLAS or vector width it has, and for any
+blocking: an output leaves only once its last polyphase row is
+buffered.  ``tests/stream/frontend_reference.py`` is the numpy oracle it
+is held to.
 """
 
 from dataclasses import dataclass
@@ -53,6 +62,7 @@ from repro.dsp.kernels import (
     stream_lagged_products,
     validate_mode,
 )
+from repro.stream import native
 from repro.wifi.idle_listening import autocorrelation_metric
 
 
@@ -249,13 +259,13 @@ def supported_decimations(sample_rate=None):
 
 
 class ChannelizerFrontEnd:
-    """One demux sub-band: mix to DC, low-pass, decimate, then products.
+    """One exact demux sub-band: mix to DC, low-pass, decimate, products.
 
-    Three implementation points keep the default ``exact`` chain
-    block-size invariant to the last bit (plain "same formula per
-    element" is not enough — numpy's SIMD transcendentals,
-    FMA-contracted complex multiplies and ``np.convolve`` all change
-    their exact float behaviour with array length or alignment):
+    Three implementation points keep the chain block-size invariant to
+    the last bit (plain "same formula per element" is not enough —
+    numpy's SIMD transcendentals, FMA-contracted complex multiplies and
+    ``np.convolve`` all change their exact float behaviour with array
+    length or alignment):
 
     * the mixer phasor is exactly periodic whenever ``f / fs`` is
       rational (every Appendix-B channel offset is a multiple of 1 MHz,
@@ -277,19 +287,8 @@ class ChannelizerFrontEnd:
       :mod:`repro.dsp.kernels`, sidestepping numpy's FMA-contracted
       complex path whose rounding depends on buffer alignment.
 
-    ``mode="fast"`` swaps all of the above for native kernels and folds
-    the mixer into the filter: with ``wtaps[i] = taps[ntaps-1-i] *
-    mix[i]`` the decimated output is ``mix[k] * (window_k . wtaps)``, so
-    the wideband-rate mixing pass disappears entirely.  The output-rate
-    factor ``mix[k]`` is dropped too: the mixer has linear phase, so in
-    the *product* domain it collapses to one constant,
-    ``mix[k] * conj(mix[k + lag]) = exp(+j 2 pi f lag / fs)`` — exposed
-    as :attr:`product_rotation` for the consumer to fold into its own
-    per-product rotation (fast-mode ``products`` are therefore uniformly
-    rotated by its inverse until the consumer applies it; magnitudes,
-    and hence nothing in the filter response, are affected).
-    ``working_dtype=numpy.complex64`` additionally halves memory
-    traffic.  Fast mode is decode-equivalent, not bit-equivalent.
+    Fast mode is :class:`FastChannelBank`, which serves any number of
+    channels (one included) in one native call per block.
 
     Product coordinates are those of the *filtered, decimated* stream:
     the chain delays the signal by the filter's ``(ntaps - 1) / 2``
@@ -307,38 +306,15 @@ class ChannelizerFrontEnd:
         ntaps=21,
         cutoff_hz=1.4e6,
         decimation=1,
-        mode="exact",
-        working_dtype=None,
     ):
         self.frequency_offset_hz = float(frequency_offset_hz)
         self.sample_rate = float(sample_rate)
         self.taps = design_lowpass(ntaps, cutoff_hz, sample_rate)
         self.ntaps = int(ntaps)
-        self.decimation = int(decimation)
-        if self.decimation < 1:
-            raise ValueError("decimation must be >= 1")
-        if lag % self.decimation:
-            raise ValueError(
-                f"decimation {self.decimation} must divide the lag {lag}"
-            )
-        self.mode = validate_mode(mode)
-        if working_dtype is None:
-            self.working_dtype = np.dtype(np.complex128)
-        else:
-            self.working_dtype = np.dtype(working_dtype)
-            if self.mode == "exact" and self.working_dtype != np.complex128:
-                raise ValueError(
-                    "exact mode requires a complex128 working dtype"
-                )
-        #: Global input-sample index of the next output's FIR window
-        #: start; outputs are kept at window starts divisible by the
-        #: decimation factor, so this advances in decimation steps.
-        self._next_win = 0
-        self._buf = np.empty(0, dtype=self.working_dtype)
+        self.decimation = _check_decimation(decimation, lag)
+        self._buf = np.empty(0, dtype=np.complex128)
         self._index = 0  # global input-sample index of the next block
-        self._inner = StreamingFrontEnd(
-            lag // self.decimation, mode=self.mode, dtype=self.working_dtype
-        )
+        self._inner = StreamingFrontEnd(lag // self.decimation)
         period = _mixer_period(self.frequency_offset_hz, self.sample_rate)
         if period is not None:
             t = np.arange(period, dtype=np.float64)
@@ -348,52 +324,18 @@ class ChannelizerFrontEnd:
             )
         else:
             self._mixer_table = None
-        if self.mode == "fast":
-            # Mixer folded into the taps.  The mixed-and-filtered output
-            # at window start k is
-            #   y[k] = sum_i taps[ntaps-1-i] * mix[k+i] * x[k+i]
-            #        = mix[k] * sum_i (taps[ntaps-1-i] * mix[i]) * x[k+i]
-            # so dotting raw windows with wtaps[i] = taps[ntaps-1-i] *
-            # mix[i] reproduces the exact chain up to the output-rate
-            # factor mix[k] — which the product domain reduces to the
-            # constant product_rotation below, so it is never applied
-            # per sample at all.
-            i = np.arange(self.ntaps, dtype=np.float64)
-            mix_i = np.exp(
-                -1j * (2.0 * np.pi * self.frequency_offset_hz * i / self.sample_rate)
-            )
-            wtaps = self.taps[::-1] * mix_i
-            # polyphase_decimate_fast dots windows with its taps[::-1],
-            # so hand it the pre-reversed weight vector.
-            self._fast_taps = wtaps[::-1].copy()
-            if self.working_dtype == np.complex64:
-                self._fast_taps = self._fast_taps.astype(np.complex64)
-            #: What a product formed on this front end's output must be
-            #: multiplied by to match the exact mixed chain:
-            #: mix[k] * conj(mix[k + lag]) = exp(+j 2 pi f lag / fs),
-            #: constant because the mixer's phase is linear in k.
-            self.product_rotation = complex(
-                np.exp(
-                    1j
-                    * (2.0 * np.pi * self.frequency_offset_hz * lag / self.sample_rate)
-                )
-            )
-        else:
-            self._fast_taps = None
-            self.product_rotation = 1.0
 
     @property
     def samples_in(self):
         return self._index
 
     def reset(self):
-        self._buf = np.empty(0, dtype=self.working_dtype)
-        self._next_win = 0
+        self._buf = np.empty(0, dtype=np.complex128)
         self._index = 0
         self._inner.reset()
 
-    def _mix_exact(self, block):
-        """Global-index mixer multiply (the exact-mode front half)."""
+    def _mix(self, block):
+        """Global-index mixer multiply."""
         if self._mixer_table is not None:
             idx = np.arange(self._index, self._index + block.size, dtype=np.int64)
             idx %= self._mixer_table.size
@@ -407,233 +349,162 @@ class ChannelizerFrontEnd:
             ),
         )
 
-    def _emittable(self, z_size):
-        """How many buffered outputs this mode emits mid-stream.
-
-        Exact mode emits every computable output.  Fast mode with
-        ``decimation > 1`` withholds outputs whose zero-padded polyphase
-        block window runs past the buffer (at most one): those would
-        fall back to a direct dot whose rounding differs from the GEMM
-        band sum, and *which* positions take the fallback depends on
-        where the stream was cut — the one ulp-level leak of block
-        boundaries into fast-mode products.  Deferring them until they
-        are GEMM-computable (or to :meth:`flush`, where the boundary is
-        the cut-independent end of stream) makes fast products
-        cut-invariant too.
-        """
-        total = z_size - self.ntaps + 1
-        if total <= 0:
-            return 0
-        m = 1 + (total - 1) // self.decimation
-        if self.mode == "exact" or self.decimation == 1:
-            return m
-        nb = -(-self.ntaps // self.decimation)
-        return min(m, max(z_size // self.decimation - nb + 1, 0))
-
     def process(self, block):
         """Consume one wideband block, return this sub-band's new products."""
-        block = np.asarray(block, dtype=self.working_dtype)
-        if self.mode == "exact":
-            # Mix first (global-index table), buffer the mixed stream.
-            new = self._mix_exact(np.asarray(block, dtype=np.complex128))
-        else:
-            # Fast mode buffers the raw stream; the mixer rides in the
-            # folded taps, and the residual per-output factor collapses
-            # to the constant product_rotation at the product level.
-            new = block
-        self._index += block.size
+        new = self._mix(np.asarray(block, dtype=np.complex128))
+        self._index += new.size
         z = np.concatenate((self._buf, new)) if self._buf.size else new
-        # The buffer always starts at global index _next_win, so window
+        # The buffer always starts at the next output's window, so window
         # starts are local 0, D, 2D, ...
-        m = self._emittable(z.size)
-        if m < 1:
-            self._buf = z if z is not new else z.copy()
-            return self._inner.process(np.empty(0, dtype=self.working_dtype))
-        if self.mode == "exact":
-            filtered = polyphase_decimate(z, self.taps, self.decimation, mode="exact")
-        else:
-            filtered = polyphase_decimate(
-                z, self._fast_taps, self.decimation, mode="fast", trailing="defer"
-            )
-        consumed = m * self.decimation
-        self._next_win += consumed
-        self._buf = z[consumed:].copy()
+        total = z.size - self.ntaps + 1
+        if total <= 0:
+            self._buf = z
+            return self._inner.process(np.empty(0, dtype=np.complex128))
+        filtered = polyphase_decimate(z, self.taps, self.decimation, mode="exact")
+        self._buf = z[filtered.size * self.decimation :].copy()
         return self._inner.process(filtered)
 
     def flush(self):
-        """Emit any deferred tail outputs at end-of-stream.
+        """End-of-stream hook; the exact chain never defers (no-op)."""
+        return self._inner.process(np.empty(0, dtype=np.complex128))
 
-        Fast mode's mid-stream deferral (see :meth:`_emittable`) can
-        leave up to one computable output in the buffer; the stream end
-        is the same for every blocking, so finishing it with the direct
-        dot here is deterministic.  Exact mode never defers — this is a
-        no-op returning an empty block.
-        """
-        z = self._buf
-        total = z.size - self.ntaps + 1
-        if total <= 0 or self.mode == "exact":
-            return self._inner.process(np.empty(0, dtype=self.working_dtype))
-        m = 1 + (total - 1) // self.decimation
-        filtered = polyphase_decimate(
-            z, self._fast_taps, self.decimation, mode="fast"
-        )
-        consumed = m * self.decimation
-        self._next_win += consumed
-        self._buf = z[consumed:].copy()
-        return self._inner.process(filtered)
+
+def _check_decimation(decimation, lag):
+    decimation = int(decimation)
+    if decimation < 1:
+        raise ValueError("decimation must be >= 1")
+    if lag % decimation:
+        raise ValueError(f"decimation {decimation} must divide the lag {lag}")
+    return decimation
+
+
+#: Working dtype -> (C scalar type, kernel).
+_KERNELS = {
+    np.dtype(np.complex64): ("float", native.lib.frontend_f32),
+    np.dtype(np.complex128): ("double", native.lib.frontend_f64),
+}
 
 
 class FastChannelBank:
-    """Drive several fast-mode channelizers with one shared GEMM.
+    """Fast-mode demux front ends: every channel in one native call.
 
-    In fast mode every :class:`ChannelizerFrontEnd` of a demux bank
-    buffers the *same* raw wideband stream with the same filter length
-    and decimation factor — only the mixer-folded tap vectors (and the
-    per-channel product state) differ.  Filtering the channels one at a
-    time therefore repeats the dtype conversion, the tail concatenate,
-    the carry copy and the strided block view C times on identical
-    data.  The bank keeps one copy of that shared raw buffer and builds
-    the strided block view once per block; each channel then runs its
-    own ``(n, D) @ (D, nb)`` polyphase product against the shared view.
+    Each channel mixes its sub-band to DC, low-passes, decimates and
+    forms the rotated lagged products, like the exact
+    :class:`ChannelizerFrontEnd` but with the mixer folded into the
+    filter: with ``wtaps[i] = taps[ntaps-1-i] * mix[i]`` the decimated
+    output at window start ``k`` is ``mix[k] * (window_k . wtaps)``.
+    The output-rate factor ``mix[k]`` is linear in phase, so in the
+    product domain it collapses to one constant per channel,
+    ``mix[k] * conj(mix[k + lag]) = exp(+j 2 pi f lag / fs)``
+    (:attr:`product_rotations`), which the kernel multiplies in.  The
+    products therefore land on the exact chain's to float rounding:
+    decode-equivalent, not bit-equivalent.
 
-    :meth:`process_block` is *bit-identical* to calling each front
-    end's ``process`` on the same blocks: the per-channel matrix
-    product has exactly the shape ``polyphase_decimate_fast`` issues
-    (BLAS kernels are shape-dependent, so a single stacked
-    ``(n, D) @ (D, C * nb)`` product would diverge at the ulp level
-    from the single-channel path a one-channel engine takes), the
-    band-sum accumulation order matches the kernel, and the
-    per-channel lagged-product state is still owned by each front end's
-    inner :class:`StreamingFrontEnd`.
+    :meth:`process_block` makes one call to ``frontend_f32`` /
+    ``frontend_f64`` (``repro/stream/frontend_body.h``) for all the
+    channels: the polyphase FIR over the raw carry and the new block
+    (read in place, complex64 or complex128, rounded to the working
+    dtype as ``astype`` rounds), the lagged products across each
+    channel's carry and the rotation.  Its arithmetic is fixed — explicit
+    correctly rounded FMAs in one order, spelled out in the header — so
+    the products are the same bits on every host and for any number of
+    channels: no BLAS, no vector-width dependence.
 
-    Only worth it for ``decimation > 1`` (at ``D == 1`` the polyphase
-    weight matrix degenerates to one column per tap); construction
-    rejects anything but fast-mode front ends with shared geometry.
+    Outputs whose last polyphase row is not yet buffered are withheld
+    until it is, so no cut changes an output; :meth:`flush` emits them
+    at end of stream, reading zeros past it.  Products are therefore
+    block-size invariant, flush included.
     """
 
-    def __init__(self, front_ends):
-        front_ends = list(front_ends)
-        if len(front_ends) < 2:
-            raise ValueError("FastChannelBank needs at least two front ends")
-        first = front_ends[0]
-        for fe in front_ends:
-            if fe.mode != "fast":
-                raise ValueError("FastChannelBank requires fast-mode front ends")
-            if (
-                fe.ntaps != first.ntaps
-                or fe.decimation != first.decimation
-                or fe.working_dtype != first.working_dtype
-            ):
-                raise ValueError(
-                    "FastChannelBank front ends must share ntaps, decimation "
-                    "and working dtype"
-                )
-        if first.decimation < 2:
-            raise ValueError("FastChannelBank requires decimation >= 2")
-        self.front_ends = front_ends
-        self.ntaps = first.ntaps
-        self.decimation = first.decimation
-        self.working_dtype = first.working_dtype
-        d = self.decimation
+    def __init__(
+        self,
+        frequency_offsets_hz,
+        sample_rate,
+        lag,
+        ntaps=21,
+        cutoff_hz=1.4e6,
+        decimation=1,
+        working_dtype=np.complex128,
+    ):
+        offsets = [float(f) for f in frequency_offsets_hz]
+        if not offsets:
+            raise ValueError("FastChannelBank needs at least one channel")
+        self.working_dtype = np.dtype(working_dtype)
+        if self.working_dtype not in _KERNELS:
+            raise ValueError(
+                f"working dtype must be complex64 or complex128, not "
+                f"{self.working_dtype}"
+            )
+        self.decimation = d = _check_decimation(decimation, lag)
+        taps = design_lowpass(ntaps, cutoff_hz, sample_rate)
+        self.ntaps = int(ntaps)
+        #: Lag in decimated outputs.
+        self.lag = lag // d
         nb = -(-self.ntaps // d)
-        self._nb = nb
-        # Per-channel window-dot vectors (the kernels dot windows with
-        # taps[::-1], and _fast_taps is handed to them pre-reversed)
-        # and their zero-padded (nb, D) polyphase weight matrices.  The
-        # dot vector keeps the exact memory layout the single-channel
-        # kernel uses (reversed view, or a contiguous astype copy at
-        # complex64) — BLAS dot products are stride-dependent at the
-        # ulp level, and the tails must stay bit-identical to it.
-        self._wdots = []
-        self._weights = []
-        for fe in front_ends:
-            wdot = fe._fast_taps[::-1]
-            if self.working_dtype == np.complex64:
-                wdot = wdot.astype(np.complex64)
-            self._wdots.append(wdot)
-            padded = np.zeros(nb * d, dtype=wdot.dtype)
-            padded[: self.ntaps] = wdot
-            self._weights.append(padded.reshape(nb, d))
-        self._buf = np.empty(0, dtype=self.working_dtype)
-        self._index = 0
+        i = np.arange(self.ntaps, dtype=np.float64)
+        self._weights = np.zeros((len(offsets), nb * d), self.working_dtype)
+        rotations = []
+        for weights, f in zip(self._weights, offsets):
+            mix = np.exp(-1j * (2.0 * np.pi * f * i / sample_rate))
+            weights[: self.ntaps] = taps[::-1] * mix
+            rotations.append(np.exp(1j * (2.0 * np.pi * f * lag / sample_rate)))
+        #: Per-channel product rotation, in the working dtype.
+        self.product_rotations = np.array(rotations, self.working_dtype)
+        self._ctype, self._kernel = _KERNELS[self.working_dtype]
+        #: Each channel's last outputs not yet paired (``_have`` of them).
+        self._ycarry = np.zeros((len(offsets), self.lag), self.working_dtype)
+        self._have = 0
+        self._pointers = tuple(
+            native.ffi.from_buffer(self._ctype + "[]", a)
+            for a in (self._weights, self.product_rotations, self._ycarry)
+        )
+        self._empty = np.empty(0, self.working_dtype)
+        #: Raw samples not yet consumed by an emitted output.
+        self._buf = self._empty
+        self._products_out = 0
+        self.samples_in = 0
 
     def process_block(self, block):
         """Filter one wideband block for every channel at once.
 
-        Returns one :class:`FrontEndBlock` per front end, in
-        construction order — the same objects each front end's own
-        ``process`` would have produced for this block sequence.
+        Returns one :class:`FrontEndBlock` per channel, in construction
+        order.
         """
-        block = np.asarray(block, dtype=self.working_dtype)
-        self._index += block.size
-        z = np.concatenate((self._buf, block)) if self._buf.size else block
-        # Same deferred-emission count as each front end's own process
-        # (all front ends share geometry, so one count serves all) —
-        # every emitted output goes through the GEMM band sum, keeping
-        # fast products cut-invariant and the bank bit-identical to the
-        # solo path.
-        m_emit = self.front_ends[0]._emittable(z.size)
-        if m_emit < 1:
-            self._buf = z if z is not block else z.copy()
-            empty = np.empty(0, dtype=self.working_dtype)
-            return [fe._inner.process(empty) for fe in self.front_ends]
-        d = self.decimation
-        outs = self._filter_all(z, m_emit)
-        consumed = m_emit * d
-        self._buf = z[consumed:].copy()
-        blocks = []
-        for fe, out in zip(self.front_ends, outs):
-            fe._next_win += consumed
-            fe._index = self._index
-            blocks.append(fe._inner.process(out))
-        return blocks
+        return self._run(block, final=False)
 
     def flush(self):
-        """Emit the deferred tail outputs at end-of-stream.
+        """Emit the withheld outputs at end of stream."""
+        return self._run(self._empty, final=True)
 
-        Mirrors :meth:`ChannelizerFrontEnd.flush` per channel — the
-        same kernel call on the same buffered tail, so a bank run stays
-        bit-identical to solo runs through the end of the stream.
-        """
-        z = self._buf
-        total = z.size - self.ntaps + 1
-        if total <= 0:
-            empty = np.empty(0, dtype=self.working_dtype)
-            return [fe._inner.process(empty) for fe in self.front_ends]
-        d = self.decimation
-        m = 1 + (total - 1) // d
-        consumed = m * d
-        outs = [
-            polyphase_decimate(z, fe._fast_taps, d, mode="fast")
-            for fe in self.front_ends
-        ]
-        self._buf = z[consumed:].copy()
-        blocks = []
-        for fe, out in zip(self.front_ends, outs):
-            fe._next_win += consumed
-            blocks.append(fe._inner.process(out))
-        return blocks
-
-    def _filter_all(self, z, m_main):
-        """Band-sum GEMM outputs for every channel (all GEMM-covered).
-
-        The caller's ``m_main`` never exceeds ``n_blocks - nb + 1``
-        (that is what :meth:`ChannelizerFrontEnd._emittable` returns),
-        so no output needs the direct-dot fallback whose rounding
-        differs from the band sum.
-        """
-        d, nb = self.decimation, self._nb
-        n_blocks = z.size // d
-        st = z.strides[0]
-        blocks = np.lib.stride_tricks.as_strided(
-            z, (n_blocks, d), (d * st, st)
+    def _run(self, block, final):
+        x = np.asarray(block)
+        if x.dtype not in _KERNELS or not x.flags.c_contiguous:
+            x = np.ascontiguousarray(x, self.working_dtype)
+        carry, d, lag = self._buf, self.decimation, self.lag
+        channels = self._weights.shape[0]
+        cap = max(0, self._have - lag - (-(carry.size + x.size) // d))
+        products = np.empty((channels, cap), self.working_dtype)
+        weights, rotations, ycarry = self._pointers
+        ffi = native.ffi
+        emit = self._kernel(
+            ffi.from_buffer(self._ctype + "[]", carry), carry.size,
+            ffi.from_buffer(x), x.size, x.dtype == np.complex128, final,
+            self.ntaps, d, channels, weights, rotations, ycarry,
+            self._have, lag,
+            ffi.from_buffer(self._ctype + "[]", products), cap,
         )
-        outs = []
-        for weight in self._weights:
-            v = blocks @ weight.T
-            out = np.empty(m_main, dtype=v.dtype)
-            out[:] = v[:m_main, 0]
-            for b in range(1, nb):
-                out += v[b : m_main + b, b]
-            outs.append(out)
-        return outs
+        if emit < 0:
+            raise MemoryError("front-end kernel scratch allocation failed")
+        self.samples_in += x.size
+        consumed = emit * d
+        if consumed >= carry.size:
+            self._buf = x[consumed - carry.size :].astype(self.working_dtype)
+        else:
+            self._buf = np.concatenate((carry[consumed:], x)).astype(
+                self.working_dtype, copy=False
+            )
+        pairs = max(0, self._have + emit - lag)
+        self._have = min(self._have + emit, lag)
+        start = self._products_out
+        self._products_out += pairs
+        return [FrontEndBlock(row[:pairs], start) for row in products]

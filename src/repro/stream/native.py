@@ -1,13 +1,15 @@
-"""The scanner's native kernels, compiled once and cached.
+"""The stream receiver's native kernels, compiled once and cached.
 
+:mod:`repro.stream.frontend` runs the fast demux front end (channelizer
+FIR, lagged products, product rotation for every channel) and
 :mod:`repro.stream.session` derives its caches (unit phasors, fold
 prefixes, windowed gate statistics, the hot index) and walks the hot
 index (gate cascade, header gate, reject rewinds) through the C kernels
 in ``derive.c``, built with the local ``gcc`` through cffi's out-of-line
-API mode: ``derive_f32``/``derive_f64`` once per push,
-``walk_f32``/``walk_f64`` once per scan.  There is no other path: on a
-host without gcc or cffi, importing this module raises
-:class:`ImportError` saying so.
+API mode: ``frontend_f32``/``frontend_f64`` once per block,
+``derive_f32``/``derive_f64`` once per push, ``walk_f32``/``walk_f64``
+once per scan.  There is no other path: on a host without gcc or cffi,
+importing this module raises :class:`ImportError` saying so.
 
 The build is cached in ``_native/`` next to this module (gitignored),
 keyed by a hash of the C sources, the cdef, the compiler flags and the
@@ -17,10 +19,15 @@ Concurrent first imports (a ``serve`` child and its client, say) may
 both compile; each publishes its result by atomic rename, so a loader
 never sees a partial file.
 
-The flags keep the kernel bit-identical to numpy's arithmetic:
-``-ffp-contract=off`` forbids fused multiply-adds, ``-fno-math-errno``
-lets ``sqrt`` compile to the correctly rounded instruction, and
-``-ffast-math`` is never used (see ``derive.c`` for the contract).
+The flags keep the derive and walk kernels bit-identical to numpy's
+arithmetic: ``-ffp-contract=off`` forbids fused multiply-adds,
+``-fno-math-errno`` lets ``sqrt`` compile to the correctly rounded
+instruction, and ``-ffast-math`` is never used (see ``derive.c`` for
+the contract).  The front end fuses only where it says so, with
+explicit ``fmaf``/``fma`` calls, which are correctly rounded with or
+without FMA hardware; its AVX2+FMA build is chosen at run time by the
+CPU alone, and both builds compute the same bits
+(``frontend_body.h``).
 """
 
 import hashlib
@@ -36,7 +43,7 @@ import _cffi_backend
 
 HERE = Path(__file__).resolve().parent
 #: C sources, hashed into the build key.
-SOURCES = ("derive.c", "derive_body.h", "walk_body.h")
+SOURCES = ("derive.c", "derive_body.h", "walk_body.h", "frontend_body.h")
 #: Where compiled kernels are cached.
 BUILD_DIR = HERE / "_native"
 CFLAGS = (
@@ -81,6 +88,11 @@ void walk_{s}(struct walk_params *pp, struct walk_out *out,
               int32_t *mask, int64_t mask_off, int64_t lo, int64_t hi,
               int64_t origin, int64_t chunks, int64_t buf_end,
               double *observed, int64_t observe_cap);
+int64_t frontend_{s}({t} *carry, int64_t nc, void *x, int64_t nx,
+                     int32_t x_f64, int32_t final, int64_t ntaps, int64_t d,
+                     int64_t channels, {t} *weights, {t} *rotation,
+                     {t} *ycarry, int64_t have, int64_t lag,
+                     {t} *products, int64_t cap);
 """
 CDEF = _STRUCTS + "".join(_DECLS.format(t=t, s=s) for t, s in _PRECISIONS)
 

@@ -372,8 +372,8 @@ class _DerivedStreams:
     precision noted in the module docstring).
 
     Fast-mode sessions use the same dense caches as exact ones: the
-    fast kernels' defer/flush contract (see
-    :func:`repro.dsp.kernels.polyphase_decimate_fast`) makes their
+    fast front end's deferred emission (see
+    :class:`repro.stream.frontend.FastChannelBank`) makes their
     products blocking-invariant, so the prefix arithmetic here carries
     the invariance through unchanged.  A lazily-extended variant that
     derived the float gates only over scanned regions was measured

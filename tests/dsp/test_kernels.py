@@ -194,51 +194,6 @@ class TestPolyphaseFast:
             polyphase_decimate_fast(_signal(rng, 100), np.ones(5), 0)
 
 
-class TestPolyphaseDefer:
-    """``trailing="defer"``: withhold outputs the GEMM cannot cover."""
-
-    def test_defer_is_prefix_of_dot(self, rng):
-        for n in range(84, 130):
-            z = _signal(rng, n)
-            taps = _signal(rng, 21)
-            full = polyphase_decimate_fast(z, taps, 4, trailing="dot")
-            gemm = polyphase_decimate_fast(z, taps, 4, trailing="defer")
-            assert gemm.size <= full.size, n
-            assert full.size - gemm.size <= 1, n
-            np.testing.assert_array_equal(full[: gemm.size], gemm)
-
-    def test_defer_never_emits_dot_rounded_outputs(self, rng):
-        # The deferred outputs are exactly those whose padded window
-        # would run past the end — the ones whose "dot" value rounds
-        # differently than the GEMM band-sum would.  Emitting the same
-        # stream in two cuts must give bit-identical prefixes.
-        z = _signal(rng, 4096)
-        taps = _signal(rng, 21)
-        whole = polyphase_decimate_fast(z, taps, 4, trailing="defer")
-        for cut in (85, 1000, 2048, 4000):
-            head = polyphase_decimate_fast(z[:cut], taps, 4, trailing="defer")
-            np.testing.assert_array_equal(whole[: head.size], head)
-
-    def test_defer_empty_below_one_output(self, rng):
-        z = _signal(rng, 22)
-        taps = _signal(rng, 21)
-        out = polyphase_decimate_fast(z, taps, 4, trailing="defer")
-        assert out.size == 0
-
-    def test_decimation_one_never_defers(self, rng):
-        # No zero-padding at decimation 1, so nothing can be withheld.
-        z = _signal(rng, 100)
-        taps = _signal(rng, 21)
-        dot = polyphase_decimate_fast(z, taps, 1, trailing="dot")
-        defer = polyphase_decimate_fast(z, taps, 1, trailing="defer")
-        np.testing.assert_array_equal(dot, defer)
-
-    def test_rejects_unknown_trailing(self, rng):
-        with pytest.raises(ValueError):
-            polyphase_decimate_fast(_signal(rng, 100), np.ones(21), 4,
-                                    trailing="hold")
-
-
 class TestStreamLaggedProducts:
     """The fused seam+interior streaming kernel against the
     concatenate-then-slice reference it replaces."""

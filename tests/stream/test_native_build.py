@@ -1,4 +1,4 @@
-"""The native derive kernel's build cache and its failure modes."""
+"""The native stream kernels' build cache and its failure modes."""
 
 import os
 import subprocess
@@ -44,6 +44,7 @@ def test_cold_build_publishes_a_loadable_module(tmp_path, monkeypatch):
         module.ffi.from_buffer("double[]", unit),
     )
     assert unit[0] == 0.6 + 0.8j
+    assert module.lib.frontend_f32 and module.lib.frontend_f64
 
 
 def test_build_key_covers_the_flags(monkeypatch):
