@@ -14,13 +14,15 @@ Two small guards CI can afford on every push:
   else), a **derive micro-benchmark** (one decimation-8 complex64
   session's derived caches over noise products, nothing else) and a
   **scan micro-benchmark** (the same session's scans over those caches)
-  and append the Msps figures, with the CPU count and the BLAS thread
+  and a **serve micro-benchmark** (noise blocks through a ``repro
+  serve`` subprocess over the wire, one tenant, closed loop), and
+  append the Msps figures, with the CPU count and the BLAS thread
   count they were measured under, to ``BENCH_SMOKE_TREND.jsonl`` (one
   JSON line per run, rendered by ``python -m repro bench trajectory``).
-  The front-end, derive and scan figures are scaled to reference host
-  speed by the ledger's speed probe and gated by floors of their own,
-  so a regression in any native kernel shows up as that layer, not as
-  a blur in the whole decode.
+  The front-end, derive, scan and serve figures are scaled to reference
+  host speed by the ledger's speed probe and gated by floors of their
+  own, so a regression in any native kernel or in the wire shows up as
+  that layer, not as a blur in the whole decode.
 
 The floor is ~2.9x below the ~13 Msps the reference 1-CPU container
 measures for the PR-10 configuration (see ``BENCH_PR10.json``), so an
@@ -41,6 +43,9 @@ import pytest
 
 from benchmarks.ledger.child import blas_threads
 from benchmarks.ledger.common import speed_factor
+from benchmarks.ledger.gateway import BLOCK as SERVE_BLOCK
+from benchmarks.ledger.gateway import ENGINE as SERVE_ENGINE
+from benchmarks.ledger.gateway import GatewayWorkload
 from repro.core.decoder import SymBeeDecoder
 from repro.network.traffic import StreamSender, StreamTraffic
 from repro.stream import StreamEngine
@@ -95,6 +100,16 @@ DERIVE_PRODUCTS = 32 * (DEEP_BLOCK // 8)
 #: that replaced it 1640-1860; the floor sits at the top of the former,
 #: ~1.5x below the latter.
 SCAN_FLOOR_MSPS = 1100.0
+#: Conservative floor for the serve micro-benchmark, in input Msps at
+#: reference host speed (see :func:`serve_msps`).  On the reference
+#: 2-CPU host the asyncio stream wire measured 31-67 (median ~46), the
+#: zero-copy wire that replaced it 52-89 (median ~64): the spread is
+#: wide, so the floor sits below both, ~2.5x under the latter.  It
+#: catches a wire that collapses (a lost ``TCP_NODELAY`` stalls each
+#: reply for tens of milliseconds), not a drift.
+SERVE_FLOOR_MSPS = 25.0
+#: Noise blocks per timed serve pass (the ledger's gateway block size).
+SERVE_BLOCKS = 64
 
 
 def frontend_msps():
@@ -224,6 +239,49 @@ def scan_msps():
     return products.size * decimation / (best * factor) / 1e6
 
 
+def serve_msps():
+    """One tenant's noise blocks through ``repro serve``, over the wire.
+
+    Spawns ``python -m repro serve --port 0`` the way the ledger's
+    gateway workload does, admits one tenant with the ledger's gateway
+    engine and times :data:`SERVE_BLOCKS` complex64
+    noise blocks of the ledger's gateway size through
+    :meth:`GatewayClient.send_samples`, each waiting for its reply.
+    Returns the input sample rate it keeps up with (in millions per
+    second), best of five passes after a warm-up, scaled to reference
+    host speed by the ledger's speed probe.
+    """
+    rng = np.random.default_rng(20260806)
+    blocks = [
+        (
+            rng.standard_normal(SERVE_BLOCK)
+            + 1j * rng.standard_normal(SERVE_BLOCK)
+        ).astype(np.complex64)
+        for _ in range(SERVE_BLOCKS)
+    ]
+    server = GatewayWorkload(seed=0, work=None)
+    server.setup(time.monotonic())
+    try:
+        client = server.client
+        client.hello("smoke", SERVE_ENGINE)
+
+        def send():
+            for block in blocks:
+                assert client.send_samples("smoke", block)["accepted"]
+
+        send()  # warm-up
+        best = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            send()
+            best = min(best, time.perf_counter() - t0)
+        client.finish("smoke")
+    finally:
+        server.close()  # bye, SIGTERM, and a clean exit is required
+    factor = speed_factor(5)
+    return SERVE_BLOCKS * SERVE_BLOCK / (best * factor) / 1e6
+
+
 @pytest.mark.perf_smoke
 def test_streaming_fast_path_throughput_floor():
     senders = [
@@ -313,6 +371,7 @@ def test_serial_trend_record():
     frontend = frontend_msps()
     derive = derive_msps()
     scan = scan_msps()
+    serve = serve_msps()
 
     cpu_count = os.cpu_count() or 1
     entry = {
@@ -332,6 +391,9 @@ def test_serial_trend_record():
         # One d8 complex64 session's scan layer over noise caches, at
         # reference host speed (see scan_msps).
         "scan_msps": round(scan, 3),
+        # One tenant's noise blocks through `repro serve` over the wire,
+        # at reference host speed (see serve_msps).
+        "serve_msps": round(serve, 3),
     }
     with TREND_PATH.open("a") as fh:
         fh.write(json.dumps(entry) + "\n")
@@ -339,7 +401,7 @@ def test_serial_trend_record():
         f"\ntrend: serial {serial_msps:.2f} Msps, scan-only "
         f"{scan_noise_msps:.2f} Msps, bank {frontend:.1f} Msps, derive "
         f"{derive:.1f} Msps, scan "
-        f"{scan:.1f} Msps on "
+        f"{scan:.1f} Msps, serve {serve:.1f} Msps on "
         f"{cpu_count} cpu(s), {entry['blas_threads']} BLAS thread(s) "
         f"-> {TREND_PATH.name}"
     )
@@ -352,4 +414,7 @@ def test_serial_trend_record():
     )
     assert scan >= SCAN_FLOOR_MSPS, (
         f"scan layer at {scan:.1f} Msps, floor {SCAN_FLOOR_MSPS} Msps"
+    )
+    assert serve >= SERVE_FLOOR_MSPS, (
+        f"serve wire at {serve:.1f} Msps, floor {SERVE_FLOOR_MSPS} Msps"
     )

@@ -421,8 +421,9 @@ def print_trajectory(root=".", print_fn=print):
             return f"{entry[key]:.2f}" if key in entry else "-"
 
         # Lines recorded before BLAS pinning carry no blas_threads, and
-        # lines from before the bank, derive or scan micro-benchmarks no
-        # frontend_msps, derive_msps or scan_msps.
+        # lines from before the bank, derive, scan or serve
+        # micro-benchmarks no frontend_msps, derive_msps, scan_msps or
+        # serve_msps.
         trend_rows = [
             (
                 str(entry.get("recorded_at", "-")),
@@ -433,12 +434,13 @@ def print_trajectory(root=".", print_fn=print):
                 msps(entry, "frontend_msps"),
                 msps(entry, "derive_msps"),
                 msps(entry, "scan_msps"),
+                msps(entry, "serve_msps"),
             )
             for entry in trend
         ]
         print_table(
             ("recorded", "cpus", "blas threads", "serial Msps",
-             "noise decode", "bank", "derive", "scan"),
+             "noise decode", "bank", "derive", "scan", "serve"),
             trend_rows,
             title=f"perf-smoke trend (last {len(trend)} of {TREND_FILENAME})",
         )

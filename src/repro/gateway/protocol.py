@@ -29,9 +29,29 @@ machine-readable ``code`` from :mod:`repro.gateway.errors`.  Message
 payload bytes are hex-encoded in delivery headers (``data_hex``) so the
 response stays one JSON document.
 
-The module is transport-symmetric: asyncio helpers for the server, a
-blocking :class:`GatewayClient` (stdlib ``socket``) for the load
-generator and CI smoke.
+The module holds both ends of the wire, and neither copies a sample
+block in user space:
+
+* the server's :class:`FrameSocket` reads one connection's frames off
+  a non-blocking socket with ``loop.sock_recv_into``.  One recv into a
+  small head buffer (:data:`HEAD_BUFFER_BYTES`) picks up the prefix,
+  the header and the start of the payload; the prefix bounds are
+  checked before anything is allocated; the rest of the payload is
+  received straight into a buffer of its own, allocated per frame with
+  ``np.empty`` so its pages commit only as bytes arrive (an announced
+  but unsent 64 MiB payload costs nothing) and never reused, because
+  :func:`decode_block`'s array is a view of it.  Bytes past the current
+  frame stay in the head buffer, so pipelined requests are answered in
+  order.  Replies go out with one direct ``send``, awaiting
+  ``loop.sock_sendall`` only for a remainder;
+* the blocking :class:`GatewayClient` (stdlib ``socket``, for the load
+  generator, benchmarks and CI smoke) sends a ``samples`` request as one
+  ``sendmsg`` scatter list -- prefix and header, then the sample
+  array's own memory -- and reads each reply with ``recv_into`` into a
+  reusable buffer.
+
+Both ends set ``TCP_NODELAY``: every exchange is one small request or
+reply waiting on the other side, which Nagle's algorithm would delay.
 """
 
 import asyncio
@@ -48,28 +68,42 @@ from repro.gateway.errors import ERR_BAD_REQUEST, GatewayError
 _PREFIX = struct.Struct("!II")
 MAX_HEADER_BYTES = 1 << 20
 MAX_PAYLOAD_BYTES = 1 << 26
+#: Server head buffer: one ``recv`` picks up a frame's prefix, a typical
+#: header and the start of its payload, or several small pipelined
+#: requests (kept for the next read).
+HEAD_BUFFER_BYTES = 4096
 
 #: Sample dtypes a gateway accepts — the streaming engine's two
 #: canonical working precisions.
 SAMPLE_DTYPES = ("complex64", "complex128")
+#: Their names by native dtype (``dtype.name`` costs microseconds).
+_DTYPE_NAMES = {np.dtype(name): name for name in SAMPLE_DTYPES}
+#: ``json.dumps(..., separators=(",", ":"))`` without building an
+#: encoder per frame.
+_HEADER_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class ProtocolError(ValueError):
     """A malformed wire frame (maps to the ``bad-request`` code)."""
 
 
-def pack_message(header, payload=b""):
-    """Serialize one ``(header dict, payload bytes)`` wire frame."""
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+def _pack_head(header, payload_len):
+    """Prefix and JSON header of a frame carrying ``payload_len`` bytes."""
+    header_bytes = _HEADER_ENCODER.encode(header).encode("utf-8")
     if len(header_bytes) > MAX_HEADER_BYTES:
         raise ProtocolError("header too large")
-    if len(payload) > MAX_PAYLOAD_BYTES:
+    if payload_len > MAX_PAYLOAD_BYTES:
         raise ProtocolError("payload too large")
-    return _PREFIX.pack(len(header_bytes), len(payload)) + header_bytes + bytes(payload)
+    return _PREFIX.pack(len(header_bytes), payload_len) + header_bytes
 
 
-def _parse_prefix(prefix):
-    header_len, payload_len = _PREFIX.unpack(prefix)
+def pack_message(header, payload=b""):
+    """Serialize one ``(header dict, payload bytes)`` wire frame."""
+    return _pack_head(header, len(payload)) + bytes(payload)
+
+
+def _parse_prefix(buffer, offset=0):
+    header_len, payload_len = _PREFIX.unpack_from(buffer, offset)
     if header_len > MAX_HEADER_BYTES:
         raise ProtocolError(f"header length {header_len} exceeds bound")
     if payload_len > MAX_PAYLOAD_BYTES:
@@ -78,8 +112,9 @@ def _parse_prefix(prefix):
 
 
 def _parse_header(header_bytes):
+    """A frame's header (any bytes-like object) as a dict."""
     try:
-        header = json.loads(header_bytes.decode("utf-8"))
+        header = json.loads(str(header_bytes, "utf-8"))
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad UTF-8, bad JSON and over-long integers;
         # RecursionError covers pathologically deep nesting.
@@ -92,13 +127,19 @@ def _parse_header(header_bytes):
 # -- sample blocks -----------------------------------------------------------
 
 
-def encode_block(samples):
-    """Sample array → ``(header fields, payload bytes)``."""
+def _block_fields(samples):
+    """Sample array → ``(contiguous array, header fields)``."""
     samples = np.ascontiguousarray(samples)
-    dtype = samples.dtype.name
+    dtype = _DTYPE_NAMES.get(samples.dtype) or samples.dtype.name
     if dtype not in SAMPLE_DTYPES:
         raise ProtocolError(f"unsupported sample dtype {dtype!r}")
-    return {"dtype": dtype, "count": int(samples.size)}, samples.tobytes()
+    return samples, {"dtype": dtype, "count": int(samples.size)}
+
+
+def encode_block(samples):
+    """Sample array → ``(header fields, payload bytes)``."""
+    samples, fields = _block_fields(samples)
+    return fields, samples.tobytes()
 
 
 def decode_block(header, payload):
@@ -134,44 +175,87 @@ def message_from_wire(wire):
     return message
 
 
-# -- asyncio side ------------------------------------------------------------
+# -- server side -------------------------------------------------------------
 
 
-async def read_message(reader):
-    """Read one frame; ``None`` on clean EOF, :class:`ProtocolError` on junk."""
-    try:
-        prefix = await reader.readexactly(_PREFIX.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError("connection closed mid-frame") from exc
-    header_len, payload_len = _parse_prefix(prefix)
-    try:
-        header_bytes = await reader.readexactly(header_len)
-        payload = await reader.readexactly(payload_len)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError("connection closed mid-frame") from exc
-    return _parse_header(header_bytes), payload
+class FrameSocket:
+    """One server connection: frames in, replies out, on a non-blocking socket.
 
+    Create it inside the event loop that serves the connection.  A frame
+    is read through the head buffer, then received straight into buffers
+    allocated for that frame alone (see the module docstring).
+    """
 
-async def write_message(writer, header, payload=b""):
-    writer.write(pack_message(header, payload))
-    await writer.drain()
+    def __init__(self, sock):
+        self._sock = sock
+        self._loop = asyncio.get_running_loop()
+        self._view = memoryview(bytearray(HEAD_BUFFER_BYTES))
+        #: Buffered bytes not yet consumed: ``self._view[start:end]``.
+        self._start = 0
+        self._end = 0
+
+    async def read(self):
+        """Next frame as ``(header dict, payload memoryview)``.
+
+        ``None`` on a clean EOF between frames; :class:`ProtocolError`
+        on an out-of-bounds prefix (before anything is allocated), a bad
+        header, or EOF mid-frame.
+        """
+        if not await self._fill(_PREFIX.size):
+            if self._start == self._end:
+                return None
+            raise ProtocolError("connection closed mid-frame")
+        header_len, payload_len = _parse_prefix(self._view, self._start)
+        self._start += _PREFIX.size
+        header = await self._take(header_len)
+        payload = await self._take(payload_len)
+        return _parse_header(header), payload
+
+    async def send(self, header):
+        """Send one reply frame (replies carry no payload)."""
+        frame = _pack_head(header, 0)
+        try:
+            sent = self._sock.send(frame)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        if sent < len(frame):
+            await self._loop.sock_sendall(self._sock, memoryview(frame)[sent:])
+
+    async def _fill(self, n):
+        """Hold at least ``n`` bytes in the head buffer; False on EOF."""
+        while self._end - self._start < n:
+            kept = self._end - self._start
+            if self._start:
+                self._view[:kept] = bytes(self._view[self._start : self._end])
+                self._start, self._end = 0, kept
+            got = await self._loop.sock_recv_into(
+                self._sock, self._view[self._end :]
+            )
+            if not got:
+                return False
+            self._end += got
+        return True
+
+    async def _take(self, n):
+        """The next ``n`` bytes, in a buffer of their own.
+
+        What the head buffer holds is copied in; the rest is received
+        straight into the buffer.  ``np.empty``, unlike a zero-filled
+        ``bytearray``, commits pages only as bytes land in them.
+        """
+        dest = memoryview(np.empty(n, dtype=np.uint8))
+        have = min(n, self._end - self._start)
+        dest[:have] = self._view[self._start : self._start + have]
+        self._start += have
+        while have < n:
+            got = await self._loop.sock_recv_into(self._sock, dest[have:])
+            if not got:
+                raise ProtocolError("connection closed mid-frame")
+            have += got
+        return dest
 
 
 # -- blocking client ---------------------------------------------------------
-
-
-def _recv_exactly(sock, n):
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            raise ProtocolError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 class GatewayClient:
@@ -196,19 +280,58 @@ class GatewayClient:
                 if time.monotonic() >= deadline:
                     raise
                 time.sleep(0.1)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        #: Reply buffer, reused across requests: ``self._reply[:self._held]``
+        #: holds received bytes not yet consumed.
+        self._reply = bytearray(HEAD_BUFFER_BYTES)
+        self._held = 0
 
     def request(self, header, payload=b""):
-        self._sock.sendall(pack_message(header, payload))
-        prefix = _recv_exactly(self._sock, _PREFIX.size)
-        header_len, payload_len = _parse_prefix(prefix)
-        response = _parse_header(_recv_exactly(self._sock, header_len))
-        _recv_exactly(self._sock, payload_len)  # responses carry no payload
+        self._send(_pack_head(header, len(payload)), payload)
+        return self._response()
+
+    def _send(self, *parts):
+        """``sendmsg`` the parts as one scatter list, resuming partial sends."""
+        views = [memoryview(part) for part in parts]
+        while views:
+            sent = self._sock.sendmsg(views)
+            while views and sent >= views[0].nbytes:
+                sent -= views[0].nbytes
+                views.pop(0)
+            if views:
+                views[0] = views[0][sent:]
+
+    def _response(self):
+        """Read one reply frame; bytes past it stay held for the next."""
+        self._recv_at_least(_PREFIX.size)
+        header_len, payload_len = _parse_prefix(self._reply)
+        size = _PREFIX.size + header_len + payload_len
+        if size > len(self._reply):
+            self._reply = self._reply[: self._held] + bytearray(
+                size - self._held
+            )
+        self._recv_at_least(size)
+        # Responses carry no payload; a stray one is skipped.
+        response = _parse_header(
+            self._reply[_PREFIX.size : _PREFIX.size + header_len]
+        )
+        self._held -= size
+        if self._held:
+            self._reply[: self._held] = self._reply[size : size + self._held]
         if response.get("type") == "error":
             raise GatewayError(
                 response.get("code", ERR_BAD_REQUEST),
                 response.get("message", "gateway error"),
             )
         return response
+
+    def _recv_at_least(self, n):
+        while self._held < n:
+            with memoryview(self._reply) as view:
+                got = self._sock.recv_into(view[self._held :])
+            if not got:
+                raise ProtocolError("connection closed mid-frame")
+            self._held += got
 
     def hello(self, tenant, engine=None):
         header = {"type": "hello", "tenant": tenant}
@@ -217,9 +340,14 @@ class GatewayClient:
         return self.request(header)
 
     def send_samples(self, tenant, samples):
-        fields, payload = encode_block(samples)
+        """One ``samples`` request, sent from the array's own memory."""
+        samples, fields = _block_fields(samples)
         header = {"type": "samples", "tenant": tenant, **fields}
-        return self.request(header, payload)
+        self._send(
+            _pack_head(header, samples.nbytes),
+            samples.reshape(-1).view(np.uint8),
+        )
+        return self._response()
 
     def poll(self, tenant):
         response = self.request({"type": "poll", "tenant": tenant})
@@ -258,6 +386,8 @@ __all__ = [
     "MAX_HEADER_BYTES",
     "MAX_PAYLOAD_BYTES",
     "SAMPLE_DTYPES",
+    "HEAD_BUFFER_BYTES",
+    "FrameSocket",
     "ProtocolError",
     "GatewayClient",
     "pack_message",
@@ -265,6 +395,4 @@ __all__ = [
     "decode_block",
     "message_to_wire",
     "message_from_wire",
-    "read_message",
-    "write_message",
 ]

@@ -6,7 +6,13 @@ behind two listeners:
 * the **tenant port** speaks the length-prefixed protocol of
   :mod:`repro.gateway.protocol` — many concurrent client connections,
   each request dispatched inline on the event loop (core calls are
-  synchronous, so every request is atomic; no locks needed);
+  synchronous, so every request is atomic; no locks needed).  The
+  listener is a plain non-blocking socket accepted with
+  ``loop.sock_accept``; each connection (``TCP_NODELAY`` set) is one
+  coroutine over a :class:`~repro.gateway.protocol.FrameSocket`, which
+  receives every payload straight into a buffer of its own (committed
+  as bytes arrive, never copied again: the tenant's block is a view of
+  it) and answers pipelined requests in order;
 * the optional **metrics port** answers ``GET /metrics`` with the
   process registry rendered by
   :func:`repro.obs.export.render_prometheus` — the same exposition the
@@ -17,8 +23,9 @@ ticks an optional :class:`repro.obs.live.LiveCollector`.
 
 Graceful shutdown (SIGINT/SIGTERM via :meth:`run`, or
 :meth:`shutdown`): stop accepting connections, finish every active
-tenant — draining rings and flushing channelizer state — then finalize
-the collector.  A gateway killed politely exits 0 with nothing leaked.
+tenant — draining rings and flushing channelizer state — then close the
+connections still open and finalize the collector.  A gateway killed
+politely exits 0 with nothing leaked.
 
 A connection that closes -- ``bye``, EOF, a reset or a dropped frame --
 finishes every tenant it admitted that is still active, so a vanished
@@ -35,6 +42,7 @@ import asyncio
 import contextlib
 import logging
 import signal
+import socket
 
 from repro.gateway.errors import (
     ERR_BAD_REQUEST,
@@ -43,11 +51,10 @@ from repro.gateway.errors import (
     GatewayError,
 )
 from repro.gateway.protocol import (
+    FrameSocket,
     ProtocolError,
     decode_block,
     message_to_wire,
-    read_message,
-    write_message,
 )
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import REGISTRY
@@ -60,6 +67,9 @@ _SCRAPES = REGISTRY.counter("gateway.metrics_scrapes")
 
 #: Seconds between background pump passes while the server idles.
 _PUMP_INTERVAL_S = 0.005
+#: Seconds the accept loop backs off after a failed ``accept`` (for
+#: instance out of file descriptors), as asyncio's own servers do.
+_ACCEPT_RETRY_S = 1.0
 
 
 class GatewayServer:
@@ -73,7 +83,10 @@ class GatewayServer:
         self.port = int(port)
         self.metrics_port = None if metrics_port is None else int(metrics_port)
         self.collector = collector
-        self._server = None
+        self._listener = None
+        self._accept_task = None
+        #: Live connection tasks (the loop holds tasks only weakly).
+        self._connections = set()
         self._metrics_server = None
         self._pump_task = None
         self._stop_event = None
@@ -84,10 +97,16 @@ class GatewayServer:
     async def start(self):
         """Bind both listeners and start the pump task."""
         self._stop_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+        # Resolved before anything is served, so blocking costs no one.
+        family = socket.getaddrinfo(
+            self.host, self.port, type=socket.SOCK_STREAM
+        )[0][0]
+        self._listener = socket.create_server(
+            (self.host, self.port), family=family
         )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._listener.setblocking(False)
+        self.port = self._listener.getsockname()[1]
+        self._accept_task = asyncio.create_task(self._accept_loop())
         if self.metrics_port is not None:
             self._metrics_server = await asyncio.start_server(
                 self._handle_metrics, self.host, self.metrics_port
@@ -111,10 +130,15 @@ class GatewayServer:
             return
         self._shut_down = True
         self._stop_event.set()
-        for server in (self._server, self._metrics_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
+        if self._accept_task is not None:
+            self._accept_task.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await self._accept_task
+        if self._listener is not None:
+            self._listener.close()
+        if self._metrics_server is not None:
+            self._metrics_server.close()
+            await self._metrics_server.wait_closed()
         if self._pump_task is not None:
             self._pump_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -129,6 +153,11 @@ class GatewayServer:
                 dropped,
                 len(undelivered),
             )
+        # Connections still open close last, their tenants finished.
+        connections = list(self._connections)
+        for task in connections:
+            task.cancel()
+        await asyncio.gather(*connections, return_exceptions=True)
         if self.collector is not None:
             self.collector.finalize()
         _LOG.info("gateway shut down cleanly")
@@ -159,20 +188,35 @@ class GatewayServer:
 
     # -- tenant protocol -----------------------------------------------------
 
-    async def _handle_client(self, reader, writer):
+    async def _accept_loop(self):
+        loop = asyncio.get_running_loop()
+        while True:
+            try:
+                sock, _address = await loop.sock_accept(self._listener)
+            except OSError:
+                _LOG.exception("accept failed")
+                await asyncio.sleep(_ACCEPT_RETRY_S)
+                continue
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            task = asyncio.create_task(self._handle_client(sock))
+            self._connections.add(task)
+            task.add_done_callback(self._connections.discard)
+
+    async def _handle_client(self, sock):
         _CONNECTIONS.inc()
+        conn = FrameSocket(sock)
         try:
             while True:
                 try:
-                    message = await read_message(reader)
+                    message = await conn.read()
                 except ProtocolError as exc:
-                    await write_message(
-                        writer,
+                    await conn.send(
                         {
                             "type": "error",
                             "code": ERR_BAD_REQUEST,
                             "message": str(exc),
-                        },
+                        }
                     )
                     return
                 if message is None:
@@ -180,50 +224,45 @@ class GatewayServer:
                 header, payload = message
                 _REQUESTS.inc()
                 try:
-                    response = self._dispatch(header, payload, owner=writer)
+                    response = self._dispatch(header, payload, owner=conn)
                 except ProtocolError as exc:
-                    await write_message(
-                        writer,
+                    await conn.send(
                         {
                             "type": "error",
                             "code": ERR_BAD_REQUEST,
                             "message": str(exc),
-                        },
+                        }
                     )
                     return
                 except GatewayError as exc:
-                    await write_message(
-                        writer,
+                    await conn.send(
                         {
                             "type": "error",
                             "code": exc.code,
                             "message": exc.message,
-                        },
+                        }
                     )
                     continue
                 except Exception:
                     _LOG.exception("request failed")
-                    await write_message(
-                        writer,
+                    await conn.send(
                         {
                             "type": "error",
                             "code": ERR_INTERNAL,
                             "message": "internal gateway error",
-                        },
+                        }
                     )
                     return
-                await write_message(writer, response)
+                await conn.send(response)
                 if response.get("type") == "goodbye":
                     return
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+            sock.close()
             # A client gone without finish must not hold its tenants'
             # slots and ids forever.
-            abandoned = self.core.abandon(writer)
+            abandoned = self.core.abandon(conn)
             if abandoned:
                 _LOG.info(
                     "connection closed with %d unfinished tenant(s); "

@@ -1,12 +1,12 @@
-"""Wire protocol: framing bounds, sample codecs, asyncio readers."""
+"""Wire protocol: framing bounds, sample codecs, the server's frame reader."""
 
-import asyncio
 import struct
 
 import numpy as np
 import pytest
 
 from repro.gateway.protocol import (
+    HEAD_BUFFER_BYTES,
     MAX_HEADER_BYTES,
     MAX_PAYLOAD_BYTES,
     ProtocolError,
@@ -15,47 +15,70 @@ from repro.gateway.protocol import (
     message_from_wire,
     message_to_wire,
     pack_message,
-    read_message,
 )
-
-
-def _read_from_bytes(data):
-    async def run():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return await read_message(reader)
-
-    return asyncio.run(run())
+from tests.gateway.framing import read_frame, read_frames
 
 
 class TestFraming:
     def test_round_trip(self):
         frame = pack_message({"type": "poll", "tenant": "t"}, b"abc")
-        header, payload = _read_from_bytes(frame)
+        header, payload = read_frame(frame)
         assert header == {"type": "poll", "tenant": "t"}
         assert payload == b"abc"
 
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["1B", "7B", "whole"])
+    def test_header_past_the_head_buffer_round_trips(self, chunk):
+        header = {"type": "poll", "pad": "x" * (2 * HEAD_BUFFER_BYTES)}
+        payload = bytes(range(256)) * 40
+        got_header, got_payload = read_frame(
+            pack_message(header, payload), chunk
+        )
+        assert got_header == header
+        assert got_payload == payload
+
+    def test_prefix_cut_by_the_head_buffer_survives_the_refill(self):
+        # The first recv fills the head buffer and ends five bytes into
+        # the second frame's prefix (past its header length, which
+        # differs from the first frame's).
+        pad = HEAD_BUFFER_BYTES - 5 - len(pack_message({"type": "poll"}))
+        first = pack_message({"type": "poll"}, b"x" * pad)
+        assert len(first) == HEAD_BUFFER_BYTES - 5
+        (h1, p1), (h2, p2), eof = read_frames(
+            first + pack_message({"type": "bye"}), frames=3
+        )
+        assert (h1, bytes(p1)) == ({"type": "poll"}, b"x" * pad)
+        assert (h2, bytes(p2)) == ({"type": "bye"}, b"")
+        assert eof is None
+
     def test_clean_eof_is_none(self):
-        assert _read_from_bytes(b"") is None
+        assert read_frame(b"") is None
 
     def test_truncated_frame_raises(self):
         frame = pack_message({"type": "poll"}, b"abcdef")
         with pytest.raises(ProtocolError, match="mid-frame"):
-            _read_from_bytes(frame[:-2])
+            read_frame(frame[:-2])
 
-    def test_oversized_lengths_rejected_before_allocation(self):
+    def test_oversized_lengths_rejected_before_allocation(self, monkeypatch):
+        allocated = []
+        empty = np.empty
+
+        def tracked_empty(*args, **kwargs):
+            allocated.append(args)
+            return empty(*args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", tracked_empty)
         prefix = struct.pack("!II", MAX_HEADER_BYTES + 1, 0)
         with pytest.raises(ProtocolError, match="header length"):
-            _read_from_bytes(prefix)
+            read_frame(prefix)
         prefix = struct.pack("!II", 2, MAX_PAYLOAD_BYTES + 1)
         with pytest.raises(ProtocolError, match="payload length"):
-            _read_from_bytes(prefix)
+            read_frame(prefix)
+        assert allocated == []
 
     def test_non_object_header_rejected(self):
         frame = struct.pack("!II", 5, 0) + b"[1,2]"
         with pytest.raises(ProtocolError, match="JSON object"):
-            _read_from_bytes(frame)
+            read_frame(frame)
 
     @pytest.mark.parametrize(
         "header",
@@ -69,7 +92,7 @@ class TestFraming:
     def test_unparseable_header_is_protocol_error(self, header):
         frame = struct.pack("!II", len(header), 0) + header
         with pytest.raises(ProtocolError, match="bad header JSON"):
-            _read_from_bytes(frame)
+            read_frame(frame)
 
 
 class TestSampleBlocks:

@@ -1,7 +1,9 @@
 """Property tests: no wire input escapes the gateway's error contract.
 
-Whatever bytes a client sends, :func:`read_message` returns a frame,
-``None`` (clean EOF) or raises :class:`ProtocolError`; whatever header
+Whatever bytes a client sends, in whatever pieces they arrive, the
+server's :class:`~repro.gateway.protocol.FrameSocket` reader returns a
+frame, ``None`` (clean EOF) or raises :class:`ProtocolError`, and valid
+frames sent back to back come out whole and in order; whatever header
 dict and payload a parsed frame carries, ``GatewayServer._dispatch``
 returns a response dict or raises :class:`ProtocolError` /
 :class:`GatewayError`.  Anything else would reach the server's
@@ -9,7 +11,6 @@ returns a response dict or raises :class:`ProtocolError` /
 successful ``hello`` admitted.
 """
 
-import asyncio
 import json
 import struct
 
@@ -22,9 +23,10 @@ from repro.gateway.protocol import (
     MAX_HEADER_BYTES,
     MAX_PAYLOAD_BYTES,
     ProtocolError,
-    read_message,
+    pack_message,
 )
 from repro.gateway.server import GatewayServer
+from tests.gateway.framing import read_frame, read_frames
 
 #: Small engine so admitting and decoding stay cheap per example.
 FAST_ENGINE = {
@@ -102,16 +104,6 @@ requests = st.lists(
 )
 
 
-def _read(data):
-    async def run():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return await read_message(reader)
-
-    return asyncio.run(run())
-
-
 @st.composite
 def wire_bytes(draw):
     """A frame that may lie about its lengths, carry junk or be cut short."""
@@ -138,19 +130,50 @@ def wire_bytes(draw):
     return draw(st.sampled_from((data, data[:cut])))
 
 
+def _chunk(data, raw):
+    """A write size from one byte to the whole input."""
+    return data.draw(st.integers(min_value=1, max_value=max(len(raw), 1)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(data=wire_bytes())
-def test_read_message_ends_in_frame_eof_or_protocol_error(data):
+@given(st.data())
+def test_frame_reader_ends_in_frame_eof_or_protocol_error(data):
+    raw = data.draw(wire_bytes())
     try:
-        result = _read(data)
+        result = read_frame(raw, _chunk(data, raw))
     except ProtocolError:
         return
     if result is None:
-        assert data == b""
+        assert raw == b""
         return
     header, payload = result
     assert isinstance(header, dict)
-    assert isinstance(payload, bytes)
+    assert isinstance(payload, memoryview)
+    assert len(payload) == struct.unpack_from("!I", raw, 4)[0]
+
+
+#: Headers that survive a JSON round trip unchanged (no NaN).
+plain_headers = st.dictionaries(
+    st.text(max_size=6),
+    st.one_of(st.integers(), st.text(max_size=40), st.booleans()),
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.data(),
+    st.lists(
+        st.tuples(plain_headers, st.binary(max_size=6000)),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_back_to_back_frames_come_out_in_order(data, frames):
+    raw = b"".join(pack_message(h, p) for h, p in frames)
+    *got, eof = read_frames(raw, _chunk(data, raw), len(frames) + 1)
+    assert eof is None
+    assert [(h, bytes(p)) for h, p in got] == frames
 
 
 @settings(

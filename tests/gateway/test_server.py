@@ -1,7 +1,9 @@
 """GatewayServer: wire round-trips, error contract, /metrics, shutdown."""
 
 import asyncio
+import json
 import socket
+import struct
 import threading
 import time
 import urllib.request
@@ -17,10 +19,10 @@ from repro.gateway.errors import (
 )
 from repro.gateway.loadgen import build_workloads, drive_client, verify
 from repro.gateway.protocol import (
+    MAX_PAYLOAD_BYTES,
     GatewayClient,
     _parse_header,
     _parse_prefix,
-    _recv_exactly,
     encode_block,
     pack_message,
 )
@@ -216,6 +218,15 @@ class TestMalformedHeaders:
         assert harness.server.core.tenant_ids() == ["a"]
 
 
+def _recv_exactly(sock, n):
+    data = b""
+    while len(data) < n:
+        chunk = sock.recv(n - len(data))
+        assert chunk, "connection closed mid-frame"
+        data += chunk
+    return data
+
+
 def _response(sock):
     """Read one response frame's header off a raw socket."""
     header_len, payload_len = _parse_prefix(_recv_exactly(sock, 8))
@@ -309,6 +320,102 @@ class TestSlowAndVanishingClients:
             }
             assert slow.stats("slow")["blocks_in"] == 1
         assert harness.loop_errors == []
+
+
+def _vm_rss_mb():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("no VmRSS in /proc/self/status")
+
+
+@pytest.mark.timeout(300)
+class TestZeroCopyWire:
+    def test_pipelined_requests_answered_in_order(self, harness):
+        with socket.create_connection(
+            ("127.0.0.1", harness.server.port), timeout=30
+        ) as raw:
+            raw.sendall(
+                pack_message({"type": "stats"}) + pack_message({"type": "bye"})
+            )
+            assert _response(raw)["type"] == "stats"
+            assert _response(raw) == {"type": "goodbye"}
+            assert raw.recv(1) == b""
+        assert harness.loop_errors == []
+
+    def test_announced_unsent_payloads_commit_no_memory(self, harness):
+        # Eight connections each announce a maximal payload and send
+        # 1 KiB of it.  A payload buffer that commits memory up front
+        # (a zero-filled bytearray) would add 512 MB.
+        socks = [
+            socket.create_connection(
+                ("127.0.0.1", harness.server.port), timeout=30
+            )
+            for _ in range(8)
+        ]
+        try:
+            tenants = harness.server.core.max_tenants
+            for index, sock in enumerate(socks[:tenants]):
+                sock.sendall(
+                    pack_message({"type": "hello", "tenant": f"big{index}"})
+                )
+                assert _response(sock)["type"] == "welcome"
+            before_mb = _vm_rss_mb()
+            for index, sock in enumerate(socks):
+                header = json.dumps(
+                    {
+                        "type": "samples",
+                        "tenant": f"big{index}",
+                        "dtype": "complex64",
+                        "count": MAX_PAYLOAD_BYTES // 8,
+                    }
+                ).encode()
+                head = struct.pack("!II", len(header), MAX_PAYLOAD_BYTES)
+                start = head + header
+                sock.sendall(start + b"\0" * (1024 - len(start)))
+            # A later connection's round trip: the server has read the
+            # eight announcements first.
+            with harness.client() as client:
+                assert client.stats()["active_tenants"] == tenants
+            assert _vm_rss_mb() - before_mb < 8.0
+            # Closing mid-payload is today's mid-frame drop.
+            for sock in socks:
+                sock.shutdown(socket.SHUT_WR)
+                reply = _response(sock)
+                assert reply["code"] == ERR_BAD_REQUEST
+                assert "mid-frame" in reply["message"]
+                assert sock.recv(1) == b""
+        finally:
+            for sock in socks:
+                sock.close()
+        harness.wait_active(0)
+        counters = REGISTRY.snapshot()["counters"]
+        assert counters["gateway.tenants_abandoned"] == tenants
+        assert harness.loop_errors == []
+
+    def test_payload_buffers_are_not_reused(self, harness, monkeypatch):
+        # The tenant's ring may hold a block past the next frame, and
+        # the block is a view of the frame's payload buffer.
+        core = harness.server.core
+        submitted = []
+        submit = core.submit
+
+        def record(tenant, block):
+            submitted.append(block)
+            return submit(tenant, block)
+
+        monkeypatch.setattr(core, "submit", record)
+        first = np.arange(4096, dtype=np.complex64)
+        second = -first
+        with harness.client() as client:
+            client.hello("r")
+            client.send_samples("r", first)
+            client.send_samples("r", second)
+        kept, latest = submitted
+        assert not np.shares_memory(kept, latest)
+        np.testing.assert_array_equal(kept, first)
+        np.testing.assert_array_equal(latest, second)
 
 
 @pytest.mark.timeout(300)

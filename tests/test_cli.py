@@ -424,30 +424,35 @@ class TestBenchTrajectory:
         }
         scan = dict(derive, recorded_at="scan", scan_msps=1745.503)
         bank = dict(scan, recorded_at="bank", frontend_msps=281.776)
+        serve = dict(bank, recorded_at="serve", serve_msps=61.527)
         (tmp_path / "BENCH_SMOKE_TREND.jsonl").write_text(
             "".join(
-                json.dumps(e) + "\n" for e in (old, new, derive, scan, bank)
+                json.dumps(e) + "\n"
+                for e in (old, new, derive, scan, bank, serve)
             )
         )
         assert main(["bench", "trajectory", "--root", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "blas threads" in out
         assert "jobs=2" not in out and "jobs=4" not in out
-        labels = (["old"], ["new"], ["derive"], ["scan"], ["bank"])
+        labels = (["old"], ["new"], ["derive"], ["scan"], ["bank"], ["serve"])
         rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()
                 if line.split()[:1] in labels}
-        # Lines recorded before BLAS pinning or before the bank, derive
-        # or scan micro-benchmarks still render, with a dash.
-        assert rows["old"] == ["1", "-", "9.86", "15.39", "-", "-", "-"]
-        assert rows["new"] == ["2", "1", "9.84", "17.89", "-", "-", "-"]
+        # Lines recorded before BLAS pinning or before the bank, derive,
+        # scan or serve micro-benchmarks still render, with a dash.
+        assert rows["old"] == ["1", "-", "9.86", "15.39", "-", "-", "-", "-"]
+        assert rows["new"] == ["2", "1", "9.84", "17.89", "-", "-", "-", "-"]
         assert rows["derive"] == [
-            "2", "1", "11.00", "24.50", "-", "61.23", "-"
+            "2", "1", "11.00", "24.50", "-", "61.23", "-", "-"
         ]
         assert rows["scan"] == [
-            "2", "1", "11.00", "24.50", "-", "61.23", "1745.50"
+            "2", "1", "11.00", "24.50", "-", "61.23", "1745.50", "-"
         ]
         assert rows["bank"] == [
-            "2", "1", "11.00", "24.50", "281.78", "61.23", "1745.50"
+            "2", "1", "11.00", "24.50", "281.78", "61.23", "1745.50", "-"
+        ]
+        assert rows["serve"] == [
+            "2", "1", "11.00", "24.50", "281.78", "61.23", "1745.50", "61.53"
         ]
 
     def test_json_empty_root_exits_nonzero(self, tmp_path, capsys):
