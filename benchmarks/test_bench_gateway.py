@@ -46,7 +46,6 @@ ENGINE_KWARGS = {
     "demux": True,
     "zigbee_channels": [13],
     "decimation": 4,
-    "mode": "fast",
     "working_dtype": "complex64",
 }
 

@@ -44,7 +44,6 @@ def _engine():
     return StreamEngine(
         demux=True,
         decimation=4,
-        mode="fast",
         working_dtype=np.complex64,
     )
 

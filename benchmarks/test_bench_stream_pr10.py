@@ -5,7 +5,7 @@ Decodes the BENCH_PR6 workload (3 senders, 1 M samples, seed 20260806,
 PR-10 fast path, and writes ``BENCH_PR10.json`` at the repo root:
 
 * **batched_d4** — the PR-6 configuration re-measured in this same run
-  (``decimation=4, mode="fast"``, complex64, 32768-sample blocks).
+  (``decimation=4``, complex64, 32768-sample blocks).
   Every ratio below uses this same-run baseline; shared-host drift
   between recording sessions routinely exceeds 20%.
 * **batched_d8** — the decimation-8 product domain at the PR-6 block
@@ -22,8 +22,8 @@ Equivalence asserted here, not just speed:
 * the decimation-8 frame lists are **bit-identical** across block
   sizes (same frames, order, payloads, band powers);
 * the CRC-valid frame multiset — ``(channel, payload bits)`` — is
-  identical across exact mode, fast d4 and fast d8, and matches the
-  scheduled traffic.
+  identical across d4 in complex128, d4 and d8 in complex64, and
+  matches the scheduled traffic.
 
 The headline speed gate (batched d8 deep >= 1.5x the same-run PR-6
 baseline) is asserted with the PR-6 noise floor convention: the JSON
@@ -62,7 +62,6 @@ RATIO_FLOOR = TARGET_RATIO * 0.85
 BASELINE = dict(
     demux=True,
     decimation=4,
-    mode="fast",
     working_dtype=np.complex64,
 )
 
@@ -170,9 +169,9 @@ def test_bench_stream_pr10():
     # Across product domains: identical CRC-valid
     # payload multisets, all matching the scheduled traffic.
     crc_ref = _crc_multiset(frames["batched_d4"])
-    exact_engine = StreamEngine(demux=True, decimation=4, mode="exact")
-    exact_frames = exact_engine.run(traffic.blocks(samples, BASE_BLOCK))
-    assert _crc_multiset(exact_frames) == crc_ref
+    c128_engine = StreamEngine(demux=True, decimation=4)
+    c128_frames = c128_engine.run(traffic.blocks(samples, BASE_BLOCK))
+    assert _crc_multiset(c128_frames) == crc_ref
     for key in ("batched_d8", "batched_d8_deep"):
         assert _crc_multiset(frames[key]) == crc_ref, key
     assert len(crc_ref) == len(truth)

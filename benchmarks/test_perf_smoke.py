@@ -71,7 +71,6 @@ DEEP_BLOCK = 131072
 FAST_PATH = dict(
     demux=True,
     decimation=8,
-    mode="fast",
     working_dtype=np.complex64,
 )
 
@@ -330,7 +329,6 @@ def test_serial_trend_record():
         engine = StreamEngine(
             demux=True,
             decimation=4,
-            mode="fast",
             working_dtype=np.complex64,
         )
         return engine.run(traffic.blocks(samples, BLOCK_SIZE))

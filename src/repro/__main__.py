@@ -399,7 +399,6 @@ def _cmd_listen(args):
             wifi_channel=args.wifi_channel,
             demux=demux,
             decimation=args.decimation,
-            mode=args.kernel_mode,
             working_dtype=np.complex64 if args.float32 else None,
         )
     except ValueError as exc:
@@ -804,7 +803,6 @@ def _gateway_engine_kwargs(args):
     engine = {
         "wifi_channel": args.wifi_channel,
         "demux": args.demux,
-        "mode": args.kernel_mode,
     }
     if args.decimation != 1:
         engine["decimation"] = args.decimation
@@ -903,7 +901,7 @@ def _cmd_loadgen(args):
     engine = overrides.get("engine")
     if engine is None and (
         args.demux or args.decimation != 1 or args.float32
-        or args.kernel_mode != "exact" or args.wifi_channel != 1
+        or args.wifi_channel != 1
     ):
         engine = _gateway_engine_kwargs(args)
 
@@ -1146,14 +1144,8 @@ def build_parser():
              "the vote window floors at D=8 — default 1, no decimation)",
     )
     listen.add_argument(
-        "--kernel-mode", choices=("exact", "fast"), default="exact",
-        help="DSP kernel mode: 'exact' keeps bit-exact block-size "
-             "invariance, 'fast' uses native complex kernels "
-             "(decode-equivalent; default exact)",
-    )
-    listen.add_argument(
         "--float32", action="store_true",
-        help="complex64 working dtype (fast kernel mode only)",
+        help="complex64 working dtype (default complex128)",
     )
     listen.add_argument(
         "--profile", action="store_true",
@@ -1191,7 +1183,7 @@ def build_parser():
     )
     listen.set_defaults(func=_cmd_listen)
 
-    def add_engine_flags(command, default_kernel_mode="exact"):
+    def add_engine_flags(command):
         # Per-tenant engine shape shared by serve and loadgen.  The
         # gateway default is one wideband session per tenant; --demux
         # gives each tenant the multi-channel channelizer path.
@@ -1209,13 +1201,8 @@ def build_parser():
             help="channelizer decimation factor (demux only; default 1)",
         )
         command.add_argument(
-            "--kernel-mode", choices=("exact", "fast"),
-            default=default_kernel_mode,
-            help=f"DSP kernel mode (default {default_kernel_mode})",
-        )
-        command.add_argument(
             "--float32", action="store_true",
-            help="complex64 working dtype (fast kernel mode only)",
+            help="complex64 working dtype (default complex128)",
         )
 
     serve = sub.add_parser(

@@ -164,7 +164,8 @@ class SymBeeDecoder:
         before the CFO rotation.  Each product depends only on the two
         samples it pairs, so computing the stream block-by-block (with a
         ``lag``-sample tail carried across blocks, as
-        ``repro.stream.StreamingFrontEnd`` does) is bit-identical to one
+        the exact ``repro.stream.StreamingFrontEnd`` does) is
+        bit-identical to one
         whole-capture call.  Returns ``complex128`` of length
         ``max(0, len(samples) - lag)``.
         """

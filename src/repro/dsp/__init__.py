@@ -19,19 +19,9 @@ from repro.dsp.signal_ops import (
 from repro.dsp.noise import awgn, noise_for_snr, complex_gaussian
 from repro.dsp.folding import fold, fold_sum, folded_profile
 from repro.dsp.kernels import (
-    KERNEL_MODES,
-    cmul,
     exact_cmul,
     exact_lagged_products,
-    fir,
-    fir_exact,
-    fir_fast,
-    fir_fft,
-    lagged_products,
-    polyphase_decimate,
     polyphase_decimate_exact,
-    polyphase_decimate_fast,
-    validate_mode,
 )
 from repro.dsp.runs import longest_run, run_starts, sliding_count
 from repro.dsp.traces import save_capture, load_capture, mix_at_sinr
@@ -59,19 +49,9 @@ __all__ = [
     "fold",
     "fold_sum",
     "folded_profile",
-    "KERNEL_MODES",
-    "cmul",
     "exact_cmul",
     "exact_lagged_products",
-    "fir",
-    "fir_exact",
-    "fir_fast",
-    "fir_fft",
-    "lagged_products",
-    "polyphase_decimate",
     "polyphase_decimate_exact",
-    "polyphase_decimate_fast",
-    "validate_mode",
     "longest_run",
     "run_starts",
     "sliding_count",

@@ -14,7 +14,6 @@ from repro.stream.frontend import (
     FrontEndBlock,
     StreamingFrontEnd,
     design_lowpass,
-    supported_decimations,
 )
 from repro.stream.ring import RingBufferSource
 from repro.stream.session import StreamFrame, StreamSession
@@ -30,5 +29,4 @@ __all__ = [
     "StreamingFrontEnd",
     "batch_decode_stream",
     "design_lowpass",
-    "supported_decimations",
 ]

@@ -1,37 +1,41 @@
-"""The continuously-listening receive engine: front ends + sessions.
+"""The continuously-listening receive engine: one front end + sessions.
 
-One :class:`StreamEngine` owns, per decoded ZigBee channel, a front end
-(products) and a :class:`repro.stream.session.StreamSession` (frames),
-and feeds every incoming sample block through all of them.  Two modes:
+One :class:`StreamEngine` owns one
+:class:`repro.stream.frontend.FastChannelBank` (the front end: every
+decoded channel's products in one native call per block) and, per
+decoded ZigBee channel, a :class:`repro.stream.session.StreamSession`
+(frames), and feeds every incoming sample block through them.  Two
+shapes:
 
 * **wideband** (default): one session decoding the whole 20 MHz capture
-  directly, with the Appendix-B CFO rotation for its reference ZigBee
-  channel — exactly the batch :class:`repro.core.SymBeeLink` receive
-  path, restructured to run block-by-block.  Bit-identical to batch for
-  any block size.
-* **demux**: one :class:`repro.stream.frontend.ChannelizerFrontEnd` +
-  session per overlapping ZigBee channel, so concurrent senders on
-  different channels decode from the same stream.  Wideband sessions
-  cannot do this: every overlapping pair's CFO correction wraps to the
-  same +4pi/5 (the Appendix-B constant), so in the product domain the
-  channels are rotationally indistinguishable — separation must happen
-  in the sample domain, before the autocorrelation.
+  directly — the batch :class:`repro.core.SymBeeLink` receive path,
+  restructured to run block-by-block.  Its bank has one channel at
+  decimation 1 with a 1-tap identity filter, and the bank's product
+  rotation ``exp(j 2 pi f lag / fs)`` for the reference ZigBee channel
+  is the Appendix-B CFO correction.
+* **demux**: one bank channel + session per overlapping ZigBee channel,
+  so concurrent senders on different channels decode from the same
+  stream.  Wideband sessions cannot do this: every overlapping pair's
+  CFO correction wraps to the same +4pi/5 (the Appendix-B constant), so
+  in the product domain the channels are rotationally
+  indistinguishable — separation must happen in the sample domain,
+  before the autocorrelation.
 
-The demux path has two performance controls (PR 5), both defaulting to
-the exact full-rate behaviour:
+Two knobs shape the front end:
 
-* ``decimation`` — each sub-band is decimated inside the channelizer;
-  every session-side quantity (lag, window, bit period, vote taus)
-  scales through the decimation-aware
+* ``decimation`` (demux only) — each sub-band is decimated inside the
+  channelizer; every session-side quantity (lag, window, bit period,
+  vote taus) scales through the decimation-aware
   :class:`repro.core.decoder.SymBeeDecoder`.  The factor must divide
   the lag (16 at 20 Msps) and the bit period, and past 8 the vote
   window leaves too few plateau positions, so 1, 2, 4 or 8; decimation
   8 is the headline config.
-* ``mode`` — ``"exact"`` (bit-exact block-size invariance) or
-  ``"fast"`` (decode-equivalent): one
-  :class:`repro.stream.frontend.FastChannelBank` filters, pairs and
-  rotates every channel in one native call per block, with the mixer
-  folded into the filter taps and the same bits on every host.
+* ``working_dtype`` — complex128 (default) or complex64, the precision
+  the bank and the sessions compute in.
+
+The bank's arithmetic is fixed (correctly rounded FMAs in one order),
+so the products — and with them the frames — are the same bits on every
+host and for any blocking.
 
 The engine is one serial pass per block, the way a WiFi receiver's
 idle-listening autocorrelation runs.  Parallelism lives at coarser
@@ -50,14 +54,13 @@ import numpy as np
 from repro.constants import WIFI_SAMPLE_RATE_20MHZ
 from repro.core.decoder import SymBeeDecoder
 from repro.core.phase import cfo_compensation_phase
-from repro.dsp.kernels import cmul, validate_mode
+
+# The perf ledger (benchmarks/ledger) wraps this module attribute by
+# name; nothing here calls it.
+from repro.dsp.kernels import exact_cmul as cmul  # noqa: F401
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
-from repro.stream.frontend import (
-    ChannelizerFrontEnd,
-    FastChannelBank,
-    StreamingFrontEnd,
-)
+from repro.stream.frontend import FastChannelBank
 from repro.stream.ring import RingBufferSource
 from repro.stream.session import StreamSession
 from repro.zigbee.channels import (
@@ -87,31 +90,6 @@ DEMUX_NTAPS = 21
 DEMUX_CUTOFF_HZ = 1.4e6
 
 
-class _ChannelPath:
-    """One decoded channel: its front end, rotation, mode and session.
-
-    ``front_end`` is ``None`` on a fast demux path, whose products come
-    from the engine's :class:`~repro.stream.frontend.FastChannelBank`
-    already rotated.
-    """
-
-    __slots__ = ("zigbee_channel", "front_end", "rotation", "mode", "session")
-
-    def __init__(self, zigbee_channel, front_end, rotation, mode, session):
-        self.zigbee_channel = zigbee_channel
-        self.front_end = front_end
-        self.rotation = rotation
-        self.mode = mode
-        self.session = session
-
-    def push(self, fe_block):
-        """Rotation + session tail of the chain, given front-end output."""
-        products = fe_block.products
-        if self.rotation is not None and products.size:
-            products = cmul(products, self.rotation, self.mode)
-        return self.session.push_products(products)
-
-
 class StreamEngine:
     """Block-by-block SymBee receiver over an unbounded sample stream."""
 
@@ -128,7 +106,7 @@ class StreamEngine:
         ntaps=DEMUX_NTAPS,
         cutoff_hz=DEMUX_CUTOFF_HZ,
         decimation=None,
-        mode="exact",
+        mode="fast",
         working_dtype=None,
         scan_kernel="batched",
     ):
@@ -136,20 +114,17 @@ class StreamEngine:
         self.sample_rate = float(sample_rate)
         self.demux = bool(demux)
         self.decimation = 1 if decimation is None else int(decimation)
-        self.mode = validate_mode(mode)
+        # One front end and one scanner: the keywords stay for callers
+        # that name them.
+        if mode != "fast":
+            raise ValueError(f"unknown kernel mode {mode!r}; expected 'fast'")
         if scan_kernel != "batched":
-            # One scanner: the keyword stays for callers that name it.
             raise ValueError(
                 f"unknown scan kernel {scan_kernel!r}; expected 'batched'"
             )
-        self.working_dtype = (
-            None if working_dtype is None else np.dtype(working_dtype)
+        self.working_dtype = np.dtype(
+            np.complex128 if working_dtype is None else working_dtype
         )
-        if self.mode == "exact" and self.working_dtype not in (
-            None,
-            np.dtype(np.complex128),
-        ):
-            raise ValueError("exact mode requires a complex128 working dtype")
         if not self.demux and self.decimation != 1:
             raise ValueError(
                 "decimation requires demux=True: the wideband path has no "
@@ -173,35 +148,25 @@ class StreamEngine:
                 "channels apart — use demux=True"
             )
         offsets = [frequency_offset_hz(ch, wifi_channel) for ch in channels]
-        #: Fast demux front ends: every channel in one native call.
-        self._bank = None
-        if demux and self.mode == "fast":
-            self._bank = FastChannelBank(
-                offsets,
-                self.sample_rate,
-                lag,
-                ntaps=ntaps,
-                cutoff_hz=cutoff_hz,
-                decimation=self.decimation,
-                working_dtype=self.working_dtype or np.complex128,
-            )
-        self._paths = []
+        if not demux:
+            # The identity filter: the bank's product rotation is then
+            # the Appendix-B CFO correction for the reference channel.
+            ntaps = 1
+        self._bank = FastChannelBank(
+            offsets,
+            self.sample_rate,
+            lag,
+            ntaps=ntaps,
+            cutoff_hz=cutoff_hz,
+            decimation=self.decimation,
+            working_dtype=self.working_dtype,
+        )
+        self._sessions = []
         for channel, offset in zip(channels, offsets):
             if demux:
                 # The channelized stream sits at its own baseband: the
-                # plateaus are at +-4pi/5 already, no CFO rotation needed
-                # (the bank's products arrive with their constant mixer
-                # rotation applied; see FastChannelBank).
-                front_end = None
-                if self._bank is None:
-                    front_end = ChannelizerFrontEnd(
-                        offset,
-                        self.sample_rate,
-                        lag,
-                        ntaps=ntaps,
-                        cutoff_hz=cutoff_hz,
-                        decimation=self.decimation,
-                    )
+                # bank's constant mixer rotation puts the plateaus at
+                # +-4pi/5, so the decoder needs no CFO correction.
                 decoder = SymBeeDecoder(
                     sample_rate=self.sample_rate,
                     tau=tau,
@@ -209,7 +174,6 @@ class StreamEngine:
                     cfo_correction=None,
                     decimation=self.decimation,
                 )
-                rotation = None
                 # The FIR eats ntaps - 1 plateau samples, so the capture
                 # count floor must drop by as much (plus edge margin) —
                 # in decimated-output units, rounded up so the floor is
@@ -221,11 +185,8 @@ class StreamEngine:
                         decoder.window // 2 - 1,
                     )
             else:
-                front_end = StreamingFrontEnd(
-                    lag,
-                    mode=self.mode,
-                    dtype=self.working_dtype or np.complex128,
-                )
+                # The bank applies the CFO rotation; the decoder's
+                # correction still sets the session's zero-product fill.
                 decoder = SymBeeDecoder(
                     sample_rate=self.sample_rate,
                     tau=tau,
@@ -234,21 +195,14 @@ class StreamEngine:
                         offset, lag, self.sample_rate
                     ),
                 )
-                rotation = decoder.rotation
                 session_tau = capture_tau
-            self._paths.append(
-                _ChannelPath(
+            self._sessions.append(
+                StreamSession(
+                    decoder,
                     zigbee_channel=channel,
-                    front_end=front_end,
-                    rotation=rotation,
-                    mode=self.mode,
-                    session=StreamSession(
-                        decoder,
-                        zigbee_channel=channel,
-                        scan_stride_bits=scan_stride_bits,
-                        capture_tau=session_tau,
-                        dtype=self.working_dtype or np.complex128,
-                    ),
+                    scan_stride_bits=scan_stride_bits,
+                    capture_tau=session_tau,
+                    dtype=self.working_dtype,
                 )
             )
         self.blocks_in = 0
@@ -260,30 +214,21 @@ class StreamEngine:
 
     @property
     def zigbee_channels(self):
-        return [path.zigbee_channel for path in self._paths]
+        return [session.zigbee_channel for session in self._sessions]
 
     @property
     def sessions(self):
-        return [path.session for path in self._paths]
+        return list(self._sessions)
 
     def process_block(self, block):
         """Feed one sample block to every channel; return decoded frames."""
         metered = REGISTRY.enabled
         if metered:
             t0 = time.perf_counter()
-        if self._bank is None:
-            # Convert to the working dtype once, not once per channel.
-            block = np.asarray(block, dtype=self.working_dtype or np.complex128)
-        else:
-            # The bank reads the block in place, rounding as it goes.
-            block = np.asarray(block)
+        # The bank reads the block in place, rounding as it goes.
+        block = np.asarray(block)
         with TRACER.span("stream.block", samples=int(block.size)):
-            if self._bank is None:
-                fe_blocks = [p.front_end.process(block) for p in self._paths]
-            else:
-                fe_blocks = self._bank.process_block(block)
-            for path, fe_block in zip(self._paths, fe_blocks):
-                self._pending.extend(path.push(fe_block))
+            self._push(self._bank.process_block(block))
             frames = self._release(final=False)
         self.blocks_in += 1
         self.samples_in += int(block.size)
@@ -302,19 +247,19 @@ class StreamEngine:
     def finish(self):
         """Flush every front end and session at end-of-stream."""
         with TRACER.span("stream.finish"):
-            if self._bank is None:
-                fe_blocks = [p.front_end.flush() for p in self._paths]
-            else:
-                fe_blocks = self._bank.flush()
-            for path, fe_block in zip(self._paths, fe_blocks):
-                self._pending.extend(path.push(fe_block))
-            for path in self._paths:
-                self._pending.extend(path.session.finish())
+            self._push(self._bank.flush())
+            for session in self._sessions:
+                self._pending.extend(session.finish())
             frames = self._release(final=True)
         self.frames_out += len(frames)
         if frames:
             _FRAMES.inc(len(frames))
         return frames
+
+    def _push(self, fe_blocks):
+        """Hand each channel's new products to its session."""
+        for session, fe_block in zip(self._sessions, fe_blocks):
+            self._pending.extend(session.push_products(fe_block.products))
 
     def _release(self, final):
         """Cross-session leak arbitration over the pending frame pool.
@@ -342,7 +287,7 @@ class StreamEngine:
         if final:
             ready, held = list(self._pending), []
         else:
-            horizon = min(path.session.horizon for path in self._paths)
+            horizon = min(session.horizon for session in self._sessions)
             ready, held = [], []
             for frame in self._pending:
                 (ready if frame.end_index < horizon else held).append(frame)
@@ -407,12 +352,11 @@ class StreamEngine:
     def stats(self):
         return {
             "mode": "demux" if self.demux else "wideband",
-            "kernel_mode": self.mode,
             "decimation": self.decimation,
             "blocks_in": self.blocks_in,
             "samples_in": self.samples_in,
             "frames_out": self.frames_out,
-            "sessions": [path.session.stats() for path in self._paths],
+            "sessions": [session.stats() for session in self._sessions],
         }
 
 

@@ -1,53 +1,40 @@
-"""Block-wise idle-listening front ends with exact tail state.
+"""The stream receiver's front end, and its exact numpy reference.
 
 The batch pipeline hands a whole capture to
 :meth:`repro.core.decoder.SymBeeDecoder.phasor_stream` at once; a
 continuously listening receiver only ever sees fixed-size sample blocks.
-Both autocorrelation quantities the receiver derives are *local*:
+What the receiver derives from them is the idle-listening
+autocorrelation product ``p[n] = x[n] * conj(x[n + lag])``,
+which pairs exactly two samples, so carrying a short tail across block
+boundaries reproduces the whole-stream products for any blocking.
 
-* the product ``p[n] = x[n] * conj(x[n + lag])`` pairs exactly two
-  samples, so carrying the last ``lag`` samples across block boundaries
-  reproduces the batch stream **bit-identically** — every element is the
-  same two-operand multiply regardless of where blocks were cut;
-* the Schmidl-Cox metric at ``n`` windows ``lag + window`` samples, so a
-  ``lag + window - 1`` overlap lets each block's metric entries be
-  recomputed exactly over their own windows.  (The batch implementation
-  uses one whole-capture cumulative sum, so metric values can differ
-  from the streaming ones by float accumulation order — the same
-  caveat :func:`repro.dsp.runs.sliding_window_sum` already documents.
-  The decode path never consumes the metric, only the products.)
+:class:`FastChannelBank` is the one front end every
+:class:`repro.stream.engine.StreamEngine` builds.  For the multi-sender
+demux it isolates each ZigBee channel: because every overlapping
+WiFi/ZigBee pair shares the *same* Appendix-B correction (+4pi/5),
+concurrent senders on different ZigBee channels land on identical
+product-domain rotations and cannot be separated after the
+autocorrelation.  Separation has to happen before it: mix the 5
+MHz-spaced sub-band to DC, low-pass away the other sub-bands, then form
+products on the filtered stream.  Each sub-band only holds a 2 MHz
+ZigBee signal, so the filtered stream can also be **decimated**; the
+factor must divide the autocorrelation lag, so every downstream quantity
+scales exactly, and the polyphase FIR is evaluated only at the kept
+output positions.  The wideband receiver is the same bank with one
+channel at decimation 1 and a 1-tap identity filter: its product
+rotation ``exp(j 2 pi f lag / fs)`` is the Appendix-B CFO correction.
 
-:class:`ChannelizerFrontEnd` adds per-ZigBee-channel isolation for the
-multi-sender demux: because every overlapping WiFi/ZigBee pair shares
-the *same* Appendix-B correction (+4pi/5), concurrent senders on
-different ZigBee channels land on identical product-domain rotations and
-cannot be separated after the autocorrelation.  Separation has to happen
-before it: mix the 5 MHz-spaced sub-band to DC, low-pass away the other
-sub-bands, then form products on the filtered stream (which then needs
-no CFO correction at all — the channel sits at its transmit baseband).
-
-Since PR 5 the channelizer also **decimates**: each sub-band only holds
-a 2 MHz ZigBee signal, so after the low-pass nothing above ~1.4 MHz
-survives and the filtered stream can be kept at a fraction of the
-wideband rate.  The decimation factor must divide the autocorrelation
-lag, the stable window and the bit period (all multiples of 4 at
-20 Msps), so every downstream quantity scales exactly; the polyphase
-implementation evaluates the FIR *only at the kept output positions*,
-making the whole per-channel chain cost proportional to the decimated
-rate.  Two kernel modes: ``exact`` (:class:`ChannelizerFrontEnd`, the
-default, bit-exact block-size invariance — kept outputs are literally a
-subsample of the full-rate exact stream) and ``fast``
-(:class:`FastChannelBank`: every channel's FIR with the mixer folded
-into its taps, lagged products and product rotation in one native call
-per block, optional complex64 working dtype; decode-equivalent, not
-bit-equivalent, to exact).
-
-The fast kernel's arithmetic is fixed — correctly rounded FMAs in one
-order (``repro/stream/frontend_body.h``) — so its products are the same
-bits on every host, whatever BLAS or vector width it has, and for any
+The bank's arithmetic is fixed — correctly rounded FMAs in one order
+(``repro/stream/frontend_body.h``) — so its products are the same bits
+on every host, whatever BLAS or vector width it has, and for any
 blocking: an output leaves only once its last polyphase row is
 buffered.  ``tests/stream/frontend_reference.py`` is the numpy oracle it
-is held to.
+is held to bit for bit.
+
+:class:`ChannelizerFrontEnd` and :class:`StreamingFrontEnd` are the
+exact numpy reference chain (mixer table, fixed-order FIR, exact
+products; see :mod:`repro.dsp.kernels`).  No engine builds them; tests
+compare the bank against them.
 """
 
 from dataclasses import dataclass
@@ -57,23 +44,9 @@ import numpy as np
 from repro.dsp.kernels import (
     exact_cmul,
     exact_lagged_products,
-    lagged_products as _lagged_products,
-    polyphase_decimate,
-    stream_lagged_products,
-    validate_mode,
+    polyphase_decimate_exact,
 )
 from repro.stream import native
-from repro.wifi.idle_listening import autocorrelation_metric
-
-
-def lagged_products(x, lag):
-    """Deterministic ``x[n] * conj(x[n + lag])`` (exact kernel).
-
-    Kept as a module-level alias of
-    :func:`repro.dsp.kernels.exact_lagged_products` — the streaming
-    subsystem's original home for it.
-    """
-    return exact_lagged_products(x, lag)
 
 
 @dataclass(frozen=True)
@@ -82,113 +55,58 @@ class FrontEndBlock:
 
     ``start`` is the global stream index (product coordinates: product
     ``k`` pairs samples ``k`` and ``k + lag``) of ``products[0]``.
-    ``metric``/``corr_phase`` are ``None`` unless the front end was built
-    with ``compute_metric=True``; their global coordinates coincide with
-    the product coordinates (metric ``k`` windows samples ``k ..
-    k + lag + window``).
     """
 
     products: np.ndarray
     start: int
-    metric: "np.ndarray | None" = None
-    corr_phase: "np.ndarray | None" = None
 
 
 class StreamingFrontEnd:
-    """Chunked autocorrelation products (and optionally the S&C metric).
+    """Exact chunked autocorrelation products (numpy reference).
 
-    Feed arbitrary-size blocks to :meth:`process`; in the default
-    ``exact`` mode the concatenation of the returned ``products`` arrays
-    is bit-identical to ``lagged_products(whole_stream, lag)`` for any
-    blocking, including blocks shorter than the lag — every element is
+    Feed arbitrary-size blocks to :meth:`process`; the concatenation of
+    the returned ``products`` arrays is bit-identical to
+    ``exact_lagged_products(whole_stream, lag)`` for any blocking,
+    including blocks shorter than the lag — every element is
     scalar-exact complex arithmetic (see
     :func:`repro.dsp.kernels.exact_cmul`), unlike numpy's FMA-contracted
     native multiply whose rounding drifts with length and alignment.
-    ``fast`` mode uses the native kernel (decode-equivalent only) and
-    honours a complex64 working ``dtype``.
     """
 
-    def __init__(self, lag, window=None, compute_metric=False, mode="exact",
-                 dtype=np.complex128):
+    def __init__(self, lag):
         self.lag = int(lag)
         if self.lag <= 0:
             raise ValueError("lag must be positive")
-        self.window = self.lag if window is None else int(window)
-        if self.window <= 0:
-            raise ValueError("window must be positive")
-        self.compute_metric = bool(compute_metric)
-        self.mode = validate_mode(mode)
-        self.dtype = np.dtype(np.complex128 if mode == "exact" else dtype)
-        #: Samples carried across block boundaries.
-        self.overlap = (
-            self.lag + self.window - 1 if self.compute_metric else self.lag
-        )
-        self._tail = np.empty(0, dtype=self.dtype)
+        self.reset()
+
+    def reset(self):
+        self._tail = np.empty(0, dtype=np.complex128)
         #: Total samples consumed so far.
         self.samples_in = 0
         self._products_out = 0
-        self._metric_out = 0
-
-    def reset(self):
-        self._tail = np.empty(0, dtype=self.dtype)
-        self.samples_in = 0
-        self._products_out = 0
-        self._metric_out = 0
 
     def process(self, block):
-        """Consume one sample block, return the newly computable outputs."""
-        block = np.asarray(block, dtype=self.dtype)
-        if self.mode != "exact" and not self.compute_metric:
-            # Fused streaming path: seam + interior products straight
-            # from the carry and the new block, no concatenate pass.
-            # Per-element bit-identical to the concatenated form (see
-            # the kernel), so the invariance tests cover both paths.
-            start = self._products_out
-            products, self._tail = stream_lagged_products(
-                block, self._tail, self.lag, self.mode
-            )
-            self.samples_in += block.size
-            self._products_out += products.size
-            return FrontEndBlock(
-                products=products, start=start, metric=None, corr_phase=None
-            )
+        """Consume one sample block, return the newly computable products."""
+        block = np.asarray(block, dtype=np.complex128)
         x = np.concatenate((self._tail, block)) if self._tail.size else block
         self.samples_in += block.size
         start = self._products_out
-
-        total_products = max(0, self.samples_in - self.lag)
-        new_products = total_products - self._products_out
+        new_products = max(0, self.samples_in - self.lag) - start
         if new_products > 0:
-            prod = _lagged_products(x, self.lag, self.mode)
+            prod = exact_lagged_products(x, self.lag)
             products = prod[prod.size - new_products :]
-            self._products_out = total_products
+            self._products_out += new_products
         else:
-            products = np.empty(0, dtype=self.dtype)
-
-        metric = corr_phase = None
-        if self.compute_metric:
-            total_metric = max(0, self.samples_in - self.lag - self.window + 1)
-            new_metric = total_metric - self._metric_out
-            if new_metric > 0:
-                m, a = autocorrelation_metric(x, self.lag, self.window)
-                metric = m[m.size - new_metric :]
-                corr_phase = a[a.size - new_metric :]
-                self._metric_out = total_metric
-            else:
-                metric = np.empty(0, dtype=np.float64)
-                corr_phase = np.empty(0, dtype=np.float64)
-
-        if x.size >= self.overlap:
-            self._tail = x[x.size - self.overlap :].copy()
+            products = np.empty(0, dtype=np.complex128)
+        if x.size >= self.lag:
+            self._tail = x[x.size - self.lag :].copy()
         else:
             self._tail = x if x is not block else x.copy()
-        return FrontEndBlock(
-            products=products, start=start, metric=metric, corr_phase=corr_phase
-        )
+        return FrontEndBlock(products=products, start=start)
 
     def flush(self):
         """End-of-stream hook; products are never deferred here (no-op)."""
-        return self.process(np.empty(0, dtype=self.dtype))
+        return self.process(np.empty(0, dtype=np.complex128))
 
 
 def design_lowpass(ntaps, cutoff_hz, sample_rate):
@@ -197,11 +115,13 @@ def design_lowpass(ntaps, cutoff_hz, sample_rate):
     Deliberately short filters: the SymBee plateau is only ``window + lag``
     samples long and shrinks by ``ntaps - 1`` samples after filtering, so
     channel isolation trades stopband attenuation against plateau loss
-    (see ``docs/streaming.md``).
+    (see ``docs/streaming.md``).  One tap is the identity filter
+    ``[1.0]`` (a windowed sinc of length 1), which the wideband receiver
+    runs.
     """
     ntaps = int(ntaps)
-    if ntaps < 3 or ntaps % 2 == 0:
-        raise ValueError("ntaps must be an odd integer >= 3")
+    if ntaps < 1 or ntaps % 2 == 0:
+        raise ValueError("ntaps must be an odd integer >= 1")
     if not 0.0 < cutoff_hz < sample_rate / 2.0:
         raise ValueError("cutoff must be in (0, sample_rate/2)")
     m = np.arange(ntaps, dtype=np.float64) - (ntaps - 1) / 2.0
@@ -227,45 +147,15 @@ def _mixer_period(frequency_offset_hz, sample_rate, max_period=1 << 16):
     return period if period <= max_period else None
 
 
-def supported_decimations(sample_rate=None):
-    """Legal channelizer decimation factors at ``sample_rate``.
-
-    A decimation factor must divide both the autocorrelation lag (so
-    the decimated product stream still realizes the 0.8 us lag as a
-    whole number of samples) and the SymBee bit period (so the bit grid
-    stays exactly periodic in decimated units).  The stable-plateau
-    vote *window* need not divide evenly — the decoder floors it (84 ->
-    10 at decimation 8, trimming four full-rate positions off the
-    plateau tail) — so the legality analysis is ``gcd(lag,
-    bit_period)``: its divisors are ``(1, 2, 4, 8, 16)`` at 20 Msps and
-    twice that at 40 Msps.  Factors above 8 at 20 Msps are *legal* but
-    leave at most 5 decimated plateau positions per bit next to a
-    21-tap anti-alias FIR's edge loss — decode quality collapses, so
-    the engine and CLI treat 8 as the practical ceiling.
-    """
-    from math import gcd
-
-    from repro.constants import (
-        SYMBEE_BIT_PERIOD_20MHZ,
-        WIFI_AUTOCORR_LAG_20MHZ,
-        WIFI_SAMPLE_RATE_20MHZ,
-    )
-
-    if sample_rate is None:
-        sample_rate = WIFI_SAMPLE_RATE_20MHZ
-    scale = int(sample_rate / WIFI_SAMPLE_RATE_20MHZ)
-    g = gcd(WIFI_AUTOCORR_LAG_20MHZ * scale, SYMBEE_BIT_PERIOD_20MHZ * scale)
-    return tuple(d for d in range(1, g + 1) if g % d == 0)
-
-
 class ChannelizerFrontEnd:
     """One exact demux sub-band: mix to DC, low-pass, decimate, products.
 
-    Three implementation points keep the chain block-size invariant to
-    the last bit (plain "same formula per element" is not enough —
-    numpy's SIMD transcendentals, FMA-contracted complex multiplies and
-    ``np.convolve`` all change their exact float behaviour with array
-    length or alignment):
+    The numpy reference for one channel of :class:`FastChannelBank`,
+    which the engine runs.  Three implementation points keep the chain
+    block-size invariant to the last bit (plain "same formula per
+    element" is not enough — numpy's SIMD transcendentals,
+    FMA-contracted complex multiplies and ``np.convolve`` all change
+    their exact float behaviour with array length or alignment):
 
     * the mixer phasor is exactly periodic whenever ``f / fs`` is
       rational (every Appendix-B channel offset is a multiple of 1 MHz,
@@ -286,9 +176,6 @@ class ChannelizerFrontEnd:
     * every complex multiply goes through the exact kernels of
       :mod:`repro.dsp.kernels`, sidestepping numpy's FMA-contracted
       complex path whose rounding depends on buffer alignment.
-
-    Fast mode is :class:`FastChannelBank`, which serves any number of
-    channels (one included) in one native call per block.
 
     Product coordinates are those of the *filtered, decimated* stream:
     the chain delays the signal by the filter's ``(ntaps - 1) / 2``
@@ -360,7 +247,7 @@ class ChannelizerFrontEnd:
         if total <= 0:
             self._buf = z
             return self._inner.process(np.empty(0, dtype=np.complex128))
-        filtered = polyphase_decimate(z, self.taps, self.decimation, mode="exact")
+        filtered = polyphase_decimate_exact(z, self.taps, self.decimation)
         self._buf = z[filtered.size * self.decimation :].copy()
         return self._inner.process(filtered)
 
@@ -386,7 +273,7 @@ _KERNELS = {
 
 
 class FastChannelBank:
-    """Fast-mode demux front ends: every channel in one native call.
+    """The receiver's front end: every channel in one native call.
 
     Each channel mixes its sub-band to DC, low-passes, decimates and
     forms the rotated lagged products, like the exact
@@ -397,8 +284,10 @@ class FastChannelBank:
     product domain it collapses to one constant per channel,
     ``mix[k] * conj(mix[k + lag]) = exp(+j 2 pi f lag / fs)``
     (:attr:`product_rotations`), which the kernel multiplies in.  The
-    products therefore land on the exact chain's to float rounding:
-    decode-equivalent, not bit-equivalent.
+    products therefore land on the exact chain's to float rounding.
+    With one tap, no decimation and one channel at the reference
+    offset, the filter is the identity and the rotation is the
+    Appendix-B CFO correction: the wideband receiver.
 
     :meth:`process_block` makes one call to ``frontend_f32`` /
     ``frontend_f64`` (``repro/stream/frontend_body.h``) for all the

@@ -1,6 +1,6 @@
 """The stream receiver's native kernels, compiled once and cached.
 
-:mod:`repro.stream.frontend` runs the fast demux front end (channelizer
+:mod:`repro.stream.frontend` runs the receiver's front end (channelizer
 FIR, lagged products, product rotation for every channel) and
 :mod:`repro.stream.session` derives its caches (unit phasors, fold
 prefixes, windowed gate statistics, the hot index) and walks the hot

@@ -95,14 +95,14 @@ hit coherences, observed in hit order; header rejects are counted once
 per call, and the body decode records its bit diagnostics from the
 votes it thresholds.
 
-**Working dtype.**  ``dtype=numpy.complex64`` (the fast kernel mode's
-optional float32 working precision) runs the kernel's float variant
+**Working dtype.**  ``dtype=numpy.complex64`` (the engine's optional
+float32 working precision) runs the kernel's float variant
 and halves the memory traffic of every cache.  The float gate caches
 then carry ~1e-3 of prefix-cancellation error after a million products
 instead of ~1e-11 — still far inside the 0.2 gate slack, but growing
 linearly with session length, so very long unbroken float32 sessions
-(beyond ~10^8 products) should be avoided; ``exact`` sessions must use
-complex128, which is good past 10^15.  The integer caches (vote counts,
+(beyond ~10^8 products) should be avoided; complex128 is good past
+10^15.  The integer caches (vote counts,
 fold-negativity counts) are exact at any precision; they are kept in
 int32, which bounds a single session at 2^31 products (~9 days of one
 decimated sub-band) — beyond any test or bench horizon, and a
@@ -371,10 +371,9 @@ class _DerivedStreams:
     session's working dtype (float32 halves their traffic, at the
     precision noted in the module docstring).
 
-    Fast-mode sessions use the same dense caches as exact ones: the
-    fast front end's deferred emission (see
-    :class:`repro.stream.frontend.FastChannelBank`) makes their
-    products blocking-invariant, so the prefix arithmetic here carries
+    The front end's deferred emission (see
+    :class:`repro.stream.frontend.FastChannelBank`) makes the products
+    blocking-invariant, so the prefix arithmetic here carries
     the invariance through unchanged.  A lazily-extended variant that
     derived the float gates only over scanned regions was measured
     slower at every signal density — the count gate fires for nearly
@@ -704,9 +703,8 @@ class StreamSession:
     """Stateful preamble/header/body decoder for one channel's stream.
 
     ``dtype`` is the working precision of the product buffer and every
-    derived cache: ``complex128`` (default, required by exact-mode
-    bit-exactness guarantees) or ``complex64`` (fast mode's float32
-    working dtype — decode-equivalent, half the memory traffic).
+    derived cache: ``complex128`` (default) or ``complex64`` (float32,
+    decode-equivalent at half the memory traffic).
     """
 
     def __init__(

@@ -9,7 +9,6 @@ FAST_ENGINE = {
     "demux": True,
     "zigbee_channels": [13],
     "decimation": 4,
-    "mode": "fast",
     "working_dtype": "complex64",
 }
 

@@ -33,7 +33,6 @@ FAST_ENGINE = {
     "demux": True,
     "zigbee_channels": [13],
     "decimation": 4,
-    "mode": "fast",
     "working_dtype": "complex64",
 }
 
@@ -175,6 +174,7 @@ class TestMalformedHeaders:
                 "engine": {"demux": True, "decimation": 3},
             },
             {"type": "hello", "tenant": "d", "engine": {"ntaps": 1000001}},
+            {"type": "hello", "tenant": "e", "engine": {"mode": "exact"}},
         ],
         ids=[
             "list-tenant",
@@ -182,6 +182,7 @@ class TestMalformedHeaders:
             "unknown-kwarg",
             "bad-decimation",
             "huge-ntaps",
+            "exact-mode",
         ],
     )
     def test_refused_as_bad_request(self, harness, header):
@@ -190,6 +191,13 @@ class TestMalformedHeaders:
                 client.request(header)
         assert excinfo.value.code == ERR_BAD_REQUEST
         assert harness.server.core.tenant_ids() == []
+
+    def test_the_one_kernel_mode_is_admitted(self, harness):
+        # "fast" names the one front end, so a hello that still sends it
+        # is admitted; any other mode was refused above.
+        with harness.client() as client:
+            assert client.hello("f", engine={"mode": "fast"})["type"] == "welcome"
+        assert harness.server.core.tenant_ids() == ["f"]
 
     def test_bool_count_refused_as_bad_request(self, harness):
         with harness.client() as client:

@@ -198,3 +198,29 @@ class TestDeferredEmission:
         padded = np.concatenate((z, np.zeros(8 * 40, np.complex64)))
         no_flush = _drive(_bank(ntaps=ntaps, decimation=8), padded, (), flush=False)
         np.testing.assert_array_equal(got, no_flush[:, : got.shape[1]])
+
+
+@pytest.mark.parametrize("dtype", (np.complex64, np.complex128))
+def test_one_tap_filter_passes_samples_through(rng, dtype):
+    # The wideband receiver's bank: one tap, decimation 1.  The FMA
+    # chain multiplies by 1 + 0j, so every finite sample comes through
+    # unchanged except -0, which the +0 partial product turns into +0;
+    # the products are then those of the raw samples.
+    bank = FastChannelBank([0.0], 20e6, 16, ntaps=1, working_dtype=dtype)
+    assert bank._weights.tolist() == [[1.0]]
+    z = _signal(rng, 300).astype(dtype)
+    z[3] = complex(-0.0, 1.0)
+    z[40] = complex(2.0, -0.0)
+    z[41] = complex(-0.0, -0.0)
+    yr, yi = reference.filtered(z, bank._weights, 1, 1)
+    assert _bytes(yr[0]) == _bytes(z.real + 0.0)
+    assert _bytes(yi[0]) == _bytes(z.imag + 0.0)
+    x = z + 0.0
+    n = x.size - 16
+    pr, pi = reference.cmul(
+        x.real[:n], x.imag[:n], x.real[16:], -x.imag[16:]
+    )
+    one = np.ones(n, pr.dtype)
+    want = np.empty(n, dtype)
+    want.real, want.imag = reference.cmul(pr, pi, one, 0 * one)
+    assert _bytes(_drive(bank, z, (100, 101))[0]) == _bytes(want)

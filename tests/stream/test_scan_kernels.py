@@ -7,9 +7,9 @@ identically (see :mod:`tests.stream.golden`).  The contract, asserted
 rather than assumed:
 
 * **bit identity** — on every product domain the walk runs over
-  (decimation 4 and 8 fast, decimation 4 exact, full rate exact) the
-  frames, their order and float diagnostics, and each session's header
-  rejects are the frozen ones.
+  (decimation 4 and 8 in complex64, decimation 4 in complex128, the
+  full-rate wideband receiver) the frames, their order and float
+  diagnostics, and each session's header rejects are the frozen ones.
 * that holds with the metrics registry on as well: the same
   ``decoder.preamble.*`` outcome counters and coherence histogram, the
   same ``stream.session.*`` counters, and the same frames as with the
@@ -95,8 +95,8 @@ def test_batched_is_bit_identical_to_grouped(golden, demux_case, decimation):
     assert header_rejects(engine) == golden[f"d{decimation}"]["header_rejects"]
 
 
-def test_exact_d4_matches_golden(golden, demux_case):
-    _assert_golden(golden, "d4_exact", demux_case)
+def test_d4_complex128_matches_golden(golden, demux_case):
+    _assert_golden(golden, "d4_c128", demux_case)
 
 
 @pytest.mark.parametrize("block_size", BLOCK_SIZES)
