@@ -20,14 +20,20 @@ decodes) with::
 """
 
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread before numpy loads, as in ``tests/conftest.py``: the
+# bits of some synthesized captures depend on the BLAS thread count, and
+# the freeze entry points do not run under pytest.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from repro.network.traffic import StreamSender, StreamTraffic
-from repro.obs.metrics import REGISTRY
-from repro.stream.engine import StreamEngine
+import numpy as np  # noqa: E402
+
+from repro.network.traffic import StreamSender, StreamTraffic  # noqa: E402
+from repro.obs.metrics import REGISTRY  # noqa: E402
+from repro.stream.engine import StreamEngine  # noqa: E402
 
 PATH = Path(__file__).with_name("scan_golden.json")
 
