@@ -196,8 +196,9 @@ def scan_msps():
     else), then times the scans a push would run next:
     ``_scan_batched`` from the origin until no full chunk is left — the
     windowed caches, the hot-index walk, the header gate and its reject
-    chains, one kernel call each.  A noise header that passes the gate
-    is skipped one bit on, as its failed CRC would be.  Returns the
+    chains, one kernel call each.  A noise capture the walk leaves with
+    a body to decode, or pending on a header past the stream's end, is
+    skipped one bit on, as its failed CRC would be.  Returns the
     input sample rate it keeps up with (products times the decimation,
     per second, in millions), best of five, scaled to reference host
     speed by the ledger's speed probe.

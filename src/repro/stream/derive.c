@@ -55,7 +55,7 @@ struct walk_params {
     double coherence_min;
     double conc_floor;     /* 0.6 */
     int32_t tau_sync;      /* a bit is 1 when its votes reach this */
-    int32_t version;       /* header checks: see _header_valid */
+    int32_t version;       /* header checks: see header_length */
     int32_t max_type;
     int32_t ack_type;
     int32_t transport_base;
@@ -65,9 +65,9 @@ struct walk_params {
 /* What one scan call leaves behind. */
 struct walk_out {
     int64_t n_hot;         /* hot window starts appended */
-    int64_t state;         /* WALK_SEARCH, WALK_HEADER or WALK_BODY */
+    int64_t state;         /* WALK_SEARCH, WALK_PENDING or WALK_BODY */
     int64_t origin;        /* the session's origin afterwards */
-    int64_t n0;            /* last accepted hit's preamble, or -1 */
+    int64_t n0;            /* this call's last accepted hit, or -1 */
     double coherence;      /* ... and its coherence */
     int64_t length;        /* data bits of a valid header (WALK_BODY) */
     int64_t rejects;       /* header rejects */
@@ -78,7 +78,7 @@ struct walk_out {
     int64_t observed;      /* hit coherences written (metered calls) */
 };
 
-enum { WALK_SEARCH, WALK_HEADER, WALK_BODY };
+enum { WALK_SEARCH, WALK_PENDING, WALK_BODY };
 
 /* First index in sorted a[lo, hi) whose value is >= x (bisect_left). */
 static int64_t lower_bound(const int64_t *a, int64_t lo, int64_t hi,

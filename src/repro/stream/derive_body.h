@@ -9,8 +9,8 @@
 
 /* Unit phasors of n products: (re, im) / sqrt(re*re + im*im), or
  * (fill_re, fill_im) where that magnitude is zero. */
-void SFX(units)(const REAL *prod, int64_t n, REAL fill_re, REAL fill_im,
-                REAL *unit)
+static void SFX(units)(const REAL *prod, int64_t n, REAL fill_re,
+                       REAL fill_im, REAL *unit)
 {
     for (int64_t i = 0; i < n; i++) {
         REAL re = prod[2 * i], im = prod[2 * i + 1];

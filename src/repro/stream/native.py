@@ -4,12 +4,13 @@
 FIR, lagged products, product rotation for every channel) and
 :mod:`repro.stream.session` derives its caches (unit phasors, fold
 prefixes, windowed gate statistics, the hot index) and walks the hot
-index (gate cascade, header gate, reject rewinds) through the C kernels
-in ``derive.c``, built with the local ``gcc`` through cffi's out-of-line
-API mode: ``frontend_f32``/``frontend_f64`` once per block,
-``derive_f32``/``derive_f64`` once per push, ``walk_f32``/``walk_f64``
-once per scan.  There is no other path: on a host without gcc or cffi,
-importing this module raises :class:`ImportError` saying so.
+index (gate cascade, header gate, reject rewinds, the stream's tail)
+through the C kernels in ``derive.c``, built with the local ``gcc``
+through cffi's out-of-line API mode: ``frontend_f32``/``frontend_f64``
+once per block, ``derive_f32``/``derive_f64`` once per push,
+``walk_f32``/``walk_f64`` once per scan.  There is no other path: on a
+host without gcc or cffi, importing this module raises
+:class:`ImportError` saying so.
 
 The build is cached in ``_native/`` next to this module (gitignored),
 keyed by a hash of the C sources, the cdef, the compiler flags and the
@@ -72,7 +73,6 @@ struct walk_out {
 };
 """
 _DECLS = """
-void units_{s}({t} *prod, int64_t n, {t} fill_re, {t} fill_im, {t} *unit);
 void derive_{s}({t} *prod, int64_t n, {t} fill_re, {t} fill_im,
                 {t} *unit, int32_t *mask, int32_t mask_seed,
                 {t} *u, int64_t m, int64_t bp, int64_t folds,
@@ -87,6 +87,7 @@ void walk_{s}(struct walk_params *pp, struct walk_out *out,
               int64_t *hot, int64_t hot_lo, int64_t hot_end,
               int32_t *mask, int64_t mask_off, int64_t lo, int64_t hi,
               int64_t origin, int64_t chunks, int64_t buf_end,
+              int64_t pending, int32_t final,
               double *observed, int64_t observe_cap);
 int64_t frontend_{s}({t} *carry, int64_t nc, void *x, int64_t nx,
                      int32_t x_f64, int32_t final, int64_t ntaps, int64_t d,

@@ -15,17 +15,20 @@ streaming decode bit-identical to a single whole-capture call:
   are re-found by the next chunk, whose origin is ``o + stride``
   regardless of blocking.  (The capture gates are slice-relative, so
   scanning *fixed* chunks is what keeps them deterministic.)
-* **Header** decodes the 24 header bits as soon as their last vote
-  window is buffered, validates version / type / length, and on a bogus
-  header resumes searching at ``n0 + bit_period`` (one bit past the
-  false preamble).
+* **Header**: an accepted capture's 24 header bits are decoded and
+  validated (version / type / length) as soon as their last vote window
+  is buffered — in the same walk, or at the start of the next one while
+  the capture is *pending* — and a bogus header resumes searching at
+  ``n0 + bit_period`` (one bit past the false preamble).
 * **Body** waits for the full frame (header + data + CRC vote windows),
   majority-votes every bit in one pass, parses, emits, and resumes
   searching right after the frame.
 
-``finish()`` flushes at end-of-stream: the final partial chunk is
-scanned once (accepting any position — no later chunk will see it), and
-a capture whose frame ran off the stream is counted as partial.
+Search and header are one native walk (below); only the body decode
+is Python.  ``finish()`` flushes at end-of-stream: the walk then also
+gates what is left after the last full chunk as one shorter chunk
+(accepting any position — no later chunk will see it), and a capture
+whose frame ran off the stream is counted as partial.
 
 **The incremental scanner.**  Scanning chunk-by-chunk through
 :func:`capture_preamble` re-derives unit phasors, fold profiles and
@@ -81,10 +84,12 @@ same decisions, from the same floats, as running the dense cascade on
 every chunk (the argument sits next to the walk).  The kernel also
 fuses the header gate: a hit evaluates the 24-bit header word in place
 and a reject rewinds the origin without leaving the call, so a reject
-chain costs no Python at all.  It returns the session's next state
-(searching from a new origin, a header pending, or a body to decode),
-the reject count and the outcome counts.  Its decision contract is the
-Python walk it replaced (``tests/stream/walk_reference.py``, which
+chain costs no Python at all; a hit whose header is not buffered yet is
+pending, and the next call gates it first.  It returns the session's
+next state (searching from a new origin, a capture pending, or a body
+to decode), the reject count and the outcome counts.  Its decision
+contract is the Python walk it replaced
+(``tests/stream/walk_reference.py``, which
 ``tests/stream/test_walk_native.py`` holds it to on crafted caches):
 numpy's NaN-propagating ``max`` over the working dtype, thresholds
 computed in double with Python's ``max`` and rounded to the working
@@ -130,7 +135,6 @@ from repro.core.preamble import (
     _MISS_COHERENCE,
     _MISS_CONCENTRATION,
     _MISS_COUNT,
-    capture_preamble,
 )
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
@@ -152,44 +156,14 @@ _CTYPES = {
     np.dtype(np.complex64): "float",
     np.dtype(np.complex128): "double",
 }
-#: The walk kernel's ``state`` results (``enum`` in ``derive.c``).
-_WALK_HEADER, _WALK_BODY = 1, 2
+#: Session states, indexed by the walk kernel's ``state`` result
+#: (``enum`` in ``derive.c``).
+_STATES = ("search", "pending", "body")
 
 
 def _ptr(ctype, array):
     """C pointer to a contiguous array's first element, as ``ctype *``."""
     return ffi.from_buffer(ctype + "[]", array)
-
-
-def _unit_from_products(chunk, fill):
-    """Deterministic unit phasors (zero products take ``fill``).
-
-    ``chunk / sqrt(re*re + im*im)`` per element, computed by the native
-    kernel with single-rounding real operations, so the result is the
-    same floats no matter how the stream was blocked or how the buffer
-    happens to be aligned.  numpy's reciprocal-then-complex-multiply
-    path in the core decoder is faster but rounds differently depending
-    on SIMD lane, which would leak block-size dependence into the
-    capture coherence.  Works in the chunk's own precision (complex64
-    or complex128).
-    """
-    chunk = np.ascontiguousarray(chunk)
-    real, suffix = _PRECISION[chunk.dtype]
-    unit = np.empty(chunk.size, dtype=chunk.dtype)
-    getattr(lib, "units_" + suffix)(
-        _ptr(real, chunk), chunk.size, fill.real, fill.imag, _ptr(real, unit)
-    )
-    return unit
-
-
-def _header_valid(version, frame_type, length):
-    """Whether decoded header fields name a frame the parser accepts."""
-    return (
-        version == VERSION
-        and frame_type <= MAX_KNOWN_FRAME_TYPE
-        and not FRAME_TYPE_ACK < frame_type < FRAME_TYPE_TRANSPORT_BASE
-        and length <= MAX_DATA_BITS
-    )
 
 
 _FRAMES = REGISTRY.counter("stream.session.frames")
@@ -557,12 +531,16 @@ class _DerivedStreams:
         """
         self.walk(self.win_end, 0, 0)
 
-    def walk(self, origin, chunks, buf_end, observed=None):
+    def walk(
+        self, origin, chunks, buf_end, pending=-1, final=False, observed=None
+    ):
         """Extend the windowed caches, then walk ``chunks`` scan chunks.
 
         One kernel call: :meth:`extend_windowed`'s work, then the
         hot-index walk of :meth:`StreamSession._scan_batched` from
-        ``origin`` with ``buf_end`` products buffered.  ``observed`` is a
+        ``origin`` with ``buf_end`` products buffered: first the header
+        of the ``pending`` capture (its ``n0``, or -1), then the chunks,
+        then — ``final`` — the stream's tail.  ``observed`` is a
         float64 array when the metrics registry is on (room for every
         hit: one per bit period walked, plus one); the kernel then
         splits skipped chunks by gate and writes each hit's coherence
@@ -587,9 +565,9 @@ class _DerivedStreams:
         # The kernel reads by pointer: every chunk's windows, and every
         # header a reject chain may reach, must be cached.
         buffered = min(hi + self.span + w - 1, self.mask_prefix.end - 1)
-        if chunks and not (
-            self.count_win.base <= origin
-            and origin + chunks * self._scan_stride < hi
+        if (chunks or final or pending >= 0) and not (
+            self.count_win.base <= (origin if pending < 0 else pending)
+            and (not chunks or origin + chunks * self._scan_stride < hi)
             and buf_end <= buffered
         ):
             raise IndexError(
@@ -621,7 +599,7 @@ class _DerivedStreams:
             cn.ptr, cn.off, cm.ptr, cm.off, cu.ptr, cu.off,
             cw.ptr, cw.off, ch.ptr, ch.off, cc.ptr, cc.off, cp.ptr, cp.off,
             hot.ptr, hot._start, hot._start + n_hot, mk.ptr, mk.off,
-            lo, hi, origin, chunks, buf_end, obs, cap,
+            lo, hi, origin, chunks, buf_end, pending, final, obs, cap,
         )
         hot.release(n - out.n_hot)
         if n:
@@ -749,19 +727,15 @@ class StreamSession:
         #: Memoized vote-window edges per bit count for the body decode —
         #: the shapes repeat every call, and arange dominates small calls.
         self._starts_cache = {}
-        # The 24-bit header word as one gather: vote-prefix offsets of
-        # the 48 window edges (starts, then ends) and the bit weights.
-        starts = decoder.bit_period * np.arange(_HEADER_BITS, dtype=np.int64)
-        self._header_gather = (
-            np.concatenate((starts, starts + decoder.window)),
-            1 << np.arange(_HEADER_BITS - 1, -1, -1, dtype=np.int64),
-        )
         self._state = "search"
         self._origin = 0          # absolute origin of the next scan chunk
         self._n0 = 0              # absolute preamble index of current capture
         self._data_start = 0
         self._coherence = 0.0
         self._total_bits = 0
+        #: Set by :meth:`finish` for its drain: the walk then also gates
+        #: the stream's tail.
+        self._final = False
         self.frames_emitted = 0
         self.crc_failures = 0
         self.header_rejects = 0
@@ -776,11 +750,13 @@ class StreamSession:
         self._buf.append(products)
         self._derived.extend(products)
         self.products_in += products.size
-        return self._drain(final=False)
+        return self._drain()
 
     def finish(self):
         """Flush at end-of-stream; return any frames decodable from the tail."""
-        frames = self._drain(final=True)
+        self._final = True
+        frames = self._drain()
+        self._final = False
         if self._state != "search":
             # A capture whose frame never fully arrived.
             self.partial_at_eof += 1
@@ -796,10 +772,11 @@ class StreamSession:
         """Lower bound on any future frame's ``preamble_index``.
 
         While searching, no capture can land before the scan origin;
-        while a capture is in flight, a header reject could restart the
-        search at ``n0 + bit_period``, so ``n0`` bounds from below.  The
-        engine's cross-session arbitration releases a frame only once
-        every session's horizon has passed it.
+        while a capture is pending or decoding, a header reject or a
+        failed CRC could restart the search at ``n0 + bit_period``, so
+        ``n0`` bounds from below.  The engine's cross-session
+        arbitration releases a frame only once every session's horizon
+        has passed it.
         """
         return self._origin if self._state == "search" else self._n0
 
@@ -815,79 +792,48 @@ class StreamSession:
 
     # -- state machine ------------------------------------------------------
 
-    def _drain(self, final):
+    def _drain(self):
         emitted = []
-        while self._advance(final, emitted):
+        while self._advance(emitted):
             pass
-        # In search the restart points at or after the origin; during
-        # header/body a reject can resume at n0 + bit_period, so keep n0.
+        # In search the restart points at or after the origin; while a
+        # capture is pending or decoding it can resume at n0 + bit_period.
         keep = self._origin if self._state == "search" else self._n0
         self._buf.trim(keep)
         self._derived.trim(keep)
         return emitted
 
-    def _advance(self, final, emitted):
-        """One state transition; False when blocked on more input.
+    def _advance(self, emitted):
+        """One walk or body decode; False when blocked on more input.
 
-        Each transition runs under its own trace span (``scan`` /
-        ``header`` / ``body``) so ``listen --profile`` attributes
-        session time to the stage that spent it; the spans are gated on
-        ``TRACER.enabled`` so the idle hot path never pays the
-        context-manager protocol when nobody is tracing.
+        Each runs under its own trace span (``scan`` / ``body``) so
+        ``listen --profile`` attributes session time to the stage that
+        spent it; the spans are gated on ``TRACER.enabled`` so the idle
+        hot path never pays the context-manager protocol when nobody is
+        tracing.
         """
-        if self._state == "search":
+        if self._state == "body":
             if not TRACER.enabled:
-                return self._search(final)
-            with TRACER.span("stream.session.scan"):
-                return self._search(final)
-        if self._state == "header":
-            if not TRACER.enabled:
-                return self._header(final)
-            with TRACER.span("stream.session.header"):
-                return self._header(final)
-        if not TRACER.enabled:
-            return self._body(final, emitted)
-        with TRACER.span("stream.session.body"):
-            return self._body(final, emitted)
-
-    def _search(self, final):
+                return self._body(emitted)
+            with TRACER.span("stream.session.body"):
+                return self._body(emitted)
+        # Full chunks buffered from the origin, and whether the final
+        # tail holds a window start.
         avail = self._buf.end - self._origin
-        if avail >= self.scan_len:
-            chunks = 1 + (avail - self.scan_len) // self.stride
+        chunks = max(avail - self.scan_len + self.stride, 0) // self.stride
+        tail = self._final and avail >= self.scan_len - self.stride
+        if not (chunks or tail or self._state == "pending"):
+            return False
+        if not TRACER.enabled:
             return self._scan_batched(chunks)
-        if final and avail >= self.span + self.decoder.window:
-            # Last partial chunk: nothing after it will re-scan, so
-            # accept a capture anywhere in it.  Rare (once per stream)
-            # and shorter than a full chunk, so it goes through the
-            # reference capture_preamble rather than the scanner; the
-            # chunk content at end-of-stream is the same for any
-            # blocking, so the outcome still is too.
-            chunk = self._buf.view(self._origin, self._origin + avail)
-            capture = capture_preamble(
-                None,
-                self.decoder,
-                folds=self.folds,
-                tau=self.capture_tau,
-                coherence_slack=self.coherence_slack,
-                coherence_min=self.coherence_min,
-                unit_phasors=_unit_from_products(
-                    np.asarray(chunk, dtype=np.complex128),
-                    self._derived.fill,
-                ),
-            )
-            if capture is not None:
-                self._n0 = self._origin + capture.index
-                self._data_start = self._origin + capture.data_start
-                self._coherence = capture.coherence
-                self._state = "header"
-                return True
-            self._origin = self._buf.end
-        return False
+        with TRACER.span("stream.session.scan"):
+            return self._scan_batched(chunks)
 
     def _scan_batched(self, chunks):
         """Gate ``chunks`` consecutive buffered chunks: the hot-index walk.
 
-        Chunk-by-chunk semantics identical to handing each chunk to
+        Returns whether a body is ready to decode.  Chunk-by-chunk
+        semantics identical to handing each chunk to
         :func:`capture_preamble` — the dense cascade (count floor ->
         relative coherence -> concentration -> cluster-peak anchor ->
         accept only below ``stride``), with the same outcome metrics —
@@ -931,12 +877,20 @@ class StreamSession:
           Python's ``max`` and rounds it to the working dtype before
           comparing — every comparison is the dense cascade's own.
 
-        An accept gates the 24-bit header word in place (unless its
-        last vote window is not buffered yet: then :meth:`_header` takes
-        over once it is), and a reject rewinds the origin to
-        ``n0 + bit_period`` without leaving the kernel.  The header
-        rejects reach the ``stream.session.header_rejects`` counter in
-        one bulk increment.  Outcome metrics: ``_HIT`` and a coherence
+        An accept gates the 24-bit header word in place, and a reject
+        rewinds the origin to ``n0 + bit_period`` without leaving the
+        kernel.  An accept whose header's last vote window is not
+        buffered yet leaves the capture pending (origin at its chunk,
+        ``horizon`` at its ``n0``): the next call gates that header
+        before anything else, so the hit is counted once whatever the
+        blocking.  In :meth:`finish`'s drain the walk ends on the
+        stream's tail: what is left after the last full chunk, if it
+        holds a window start, is gated as one shorter chunk from the
+        same caches (window starts up to ``buf_end - span - window``),
+        accepting a hit anywhere in it and re-gating the shorter rest
+        after each header reject.  The header rejects reach the
+        ``stream.session.header_rejects`` counter in one bulk
+        increment.  Outcome metrics: ``_HIT`` and a coherence
         observation for every hit (late hits included), a coherence or
         concentration miss for a gated chunk that misses, and — with
         the registry on — the count/coherence/concentration split of
@@ -952,19 +906,19 @@ class StreamSession:
             # Every hit moves the walk on by at least a bit period.
             reach = max(chunks * self.stride, buf_end - self._origin)
             observed = np.empty(reach // bp + 2)
-        out = self._derived.walk(self._origin, chunks, buf_end, observed)
+        pending = self._n0 if self._state == "pending" else -1
+        out = self._derived.walk(
+            self._origin, chunks, buf_end, pending, self._final, observed
+        )
         self._origin = out.origin
         n0 = out.n0
         if n0 >= 0:
             self._n0 = n0
             self._data_start = n0 + self.folds * bp
             self._coherence = out.coherence
-            state = out.state
-            if state == _WALK_HEADER:
-                self._state = "header"
-            elif state == _WALK_BODY:
-                self._total_bits = frame_overhead_bits() + out.length
-                self._state = "body"
+        self._state = _STATES[out.state]
+        if self._state == "body":
+            self._total_bits = frame_overhead_bits() + out.length
         rejects = out.rejects
         if rejects:
             self.header_rejects += rejects
@@ -976,22 +930,9 @@ class StreamSession:
             _MISS_CONCENTRATION.inc(out.miss_concentration)
             for coherence in observed[: out.observed].tolist():
                 _COHERENCE.observe(coherence)
-        return True
+        return self._state == "body"
 
-    def _header(self, final):
-        end = self._bits_end(_HEADER_BITS)
-        if self._buf.end < end:
-            return False
-        version, frame_type, length = self._header_fields(
-            self._derived.mask_prefix.view(self._data_start, end + 1)
-        )
-        if not _header_valid(version, frame_type, length):
-            return self._reject_header()
-        self._total_bits = frame_overhead_bits() + length
-        self._state = "body"
-        return True
-
-    def _body(self, final, emitted):
+    def _body(self, emitted):
         end = self._bits_end(self._total_bits)
         if self._buf.end < end:
             return False
@@ -1050,23 +991,6 @@ class StreamSession:
 
     # -- helpers ------------------------------------------------------------
 
-    def _header_fields(self, prefix):
-        """``(version, frame_type, length)`` from the header's vote prefix.
-
-        ``prefix`` is the vote-mask prefix starting at ``data_start``:
-        all 24 header bits decode as one machine word — a gather at the
-        48 window edges, thresholded and dotted with the bit weights.
-        """
-        idx, weights = self._header_gather
-        edges = prefix[idx]
-        votes = edges[_HEADER_BITS:] - edges[:_HEADER_BITS]
-        word = int((votes >= self.decoder.tau_sync) @ weights)
-        return (
-            (word >> (_HEADER_BITS - 4)) & 0xF,
-            (word >> (_HEADER_BITS - 8)) & 0xF,
-            (word >> (_HEADER_BITS - 16)) & 0xFF,
-        )
-
     def _bits_end(self, n_bits):
         """Absolute index one past the last vote window of ``n_bits``."""
         return (
@@ -1090,10 +1014,3 @@ class StreamSession:
             self._starts_cache[n_bits] = cached
         starts, ends = cached
         return prefix[ends] - prefix[starts]
-
-    def _reject_header(self):
-        self.header_rejects += 1
-        _HEADER_REJECTS.inc()
-        self._state = "search"
-        self._origin = self._n0 + self.decoder.bit_period
-        return True

@@ -54,7 +54,8 @@ def _fma64_scalar(a, b, c):
     try:
         return exact.numerator / exact.denominator
     except OverflowError:
-        return math.copysign(math.inf, exact)
+        # (copysign would convert ``exact`` to a float and overflow too.)
+        return math.inf if exact > 0 else -math.inf
 
 
 def fma64(a, b, c):

@@ -26,11 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.decoder import SymBeeDecoder
-from repro.stream.session import (
-    StreamSession,
-    _DerivedStreams,
-    _unit_from_products,
-)
+from repro.stream.session import StreamSession, _DerivedStreams
 from tests.stream.derive_reference import (
     NumpyDerivedStreams,
     unit_from_products,
@@ -168,6 +164,8 @@ def test_native_caches_match_numpy_reference(dtype, data):
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("fill", [1.0 + 0.0j, ROTATED])
 def test_unit_phasors_match_numpy_reference(dtype, fill):
+    # The unit phasors the derive pass writes into the unit buffer,
+    # every one of them still held before the first trim.
     values = np.array(HOSTILE)
     grid = np.empty(values.size**2, dtype=np.complex128)
     grid.real = np.repeat(values, values.size)
@@ -175,10 +173,15 @@ def test_unit_phasors_match_numpy_reference(dtype, fill):
     signed = np.array([complex(-2.0, -0.0), complex(-0.0, -0.0)])
     rng = np.random.default_rng(5)
     noise = rng.normal(size=1000) + 1j * rng.normal(size=1000)
+    decoder = SimpleNamespace(
+        bit_period=1, window=1, tau=0, tau_sync=1, rotation=fill
+    )
+    derived = _DerivedStreams(decoder, 1, dtype=dtype)
     with np.errstate(all="ignore"):
         chunk = np.concatenate((grid, signed, noise)).astype(dtype)
-        got = _unit_from_products(chunk, fill)
+        derived.extend(chunk)
         want = unit_from_products(chunk, fill)
+    got = derived._u.view(0, chunk.size)
     assert got.dtype == chunk.dtype
     assert _bytes(got) == _bytes(want)
 

@@ -38,12 +38,18 @@ def test_cold_build_publishes_a_loadable_module(tmp_path, monkeypatch):
     # Published by rename: the target and nothing else is left behind.
     assert [p.name for p in tmp_path.iterdir()] == [target.name]
     module = native._load("_derive_coldtest", target)
+    # One product through the derive pass: its unit phasor and vote.
     unit = np.empty(1, np.complex128)
-    module.lib.units_f64(
-        module.ffi.from_buffer("double[]", np.array([3 + 4j])), 1, 1.0, 0.0,
-        module.ffi.from_buffer("double[]", unit),
+    mask = np.empty(1, np.int32)
+    ptr = module.ffi.from_buffer
+    module.lib.derive_f64(
+        ptr("double[]", np.array([3 + 4j])), 1, 1.0, 0.0,
+        ptr("double[]", unit), ptr("int32_t[]", mask), 0,
+        module.ffi.NULL, 0, 1, 1,
+        module.ffi.NULL, 0, module.ffi.NULL, 0.0, module.ffi.NULL, 0.0, 0.0,
     )
     assert unit[0] == 0.6 + 0.8j
+    assert mask[0] == 1
     assert module.lib.frontend_f32 and module.lib.frontend_f64
 
 
@@ -73,5 +79,5 @@ def test_corrupt_cache_entry_is_rebuilt(tmp_path, monkeypatch):
     target = tmp_path / (name + sysconfig.get_config_var("EXT_SUFFIX"))
     target.write_bytes(b"not an extension module")
     module = native.load()
-    assert module.lib.units_f32
+    assert module.lib.derive_f32
     assert target.stat().st_size > 1000

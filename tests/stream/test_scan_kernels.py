@@ -270,7 +270,7 @@ def test_walk_matches_dense_cascade_on_threshold_boundaries(
             assert session._origin == o + chunks * s
         else:
             accepts += 1
-            assert session._state == "header"
+            assert session._state == "pending"
             assert (session._n0, session._coherence) == (n0, coherence)
         if metered:
             counters = REGISTRY.snapshot()["counters"]

@@ -12,7 +12,10 @@ float64, from any origin.  The caches crowd every gate threshold
 (:func:`adversarial_caches`) and carry NaN and infinities in the
 candidate coherence and concentration, hot positions sit at chunk
 edges, planted valid header words end reject chains, and the buffered
-stream may end inside a header.
+stream may end inside a header.  A walk may run in two calls, the
+second after more products arrive (a capture left pending by the first
+is gated first), and the last call may be the end of the stream, which
+also gates the tail after the last full chunk.
 """
 
 from types import SimpleNamespace
@@ -67,22 +70,49 @@ def _state(session):
     )
 
 
-def _walk(cls, setup, origin, metered):
-    """State (and metrics, if ``metered``) after one scan from ``origin``."""
+def _scan(session):
+    """One walk, over the full chunks buffered from the origin."""
+    avail = session._buf.end - session._origin
+    session._scan_batched(
+        max(avail - session.scan_len + session.stride, 0) // session.stride
+    )
+
+
+def _walks(session, held, final):
+    """A walk with ``held`` products still to come, then one after them.
+
+    The first call leaves the search, a capture pending on its header,
+    or a body; the second runs, as a push would, unless a body waits.
+    ``final`` makes the last call the end of the stream.  Returns the
+    state and ``n0`` the first call left (None for a single call).
+    """
+    first = None
+    if held:
+        _scan(session)
+        first = session._state, session._n0
+        if session._state == "body":
+            return first
+        session._buf.skip(held)
+    session._final = final
+    _scan(session)
+    return first
+
+
+def _walk(cls, setup, origin, held, final, metered):
+    """State (and metrics, if ``metered``) after the walks from ``origin``."""
     geometry, dtype, caches, votes, buffered = setup
-    session = _make(cls, geometry, dtype, caches, votes, buffered)
-    avail = buffered - origin
-    chunks = 0
-    if avail >= session.scan_len:
-        chunks = 1 + (avail - session.scan_len) // session.stride
+    session = _make(
+        cls, geometry, dtype, caches, votes, max(buffered - held, 0)
+    )
+    held = min(held, buffered)
     session._origin = origin
     if not metered:
-        session._scan_batched(chunks)
-        return _state(session), None
+        first = _walks(session, held, final)
+        return (first, *_state(session)), None
     REGISTRY.reset()
     REGISTRY.enable()
     try:
-        session._scan_batched(chunks)
+        first = _walks(session, held, final)
         snapshot = REGISTRY.snapshot()
     finally:
         REGISTRY.disable()
@@ -92,7 +122,7 @@ def _walk(cls, setup, origin, metered):
         for name, value in snapshot["counters"].items()
         if name.startswith(METRICS)
     }
-    return _state(session), (
+    return (first, *_state(session)), (
         counters,
         snapshot["histograms"].get("decoder.preamble.coherence"),
     )
@@ -156,19 +186,20 @@ def _origins(rng, hot, s, n, count):
     return origins
 
 
-def _check(setup, origin):
+def _check(setup, origin, held=0, final=False):
     """Native and reference agree, metered and not; returns the state."""
-    native, _ = _walk(StreamSession, setup, origin, metered=False)
-    reference, _ = _walk(ReferenceSession, setup, origin, metered=False)
-    assert native == reference, origin
-    native_on, native_metrics = _walk(StreamSession, setup, origin, True)
+    case = (origin, held, final)
+    native, _ = _walk(StreamSession, setup, *case, False)
+    reference, _ = _walk(ReferenceSession, setup, *case, False)
+    assert native == reference, case
+    native_on, native_metrics = _walk(StreamSession, setup, *case, True)
     reference_on, reference_metrics = _walk(
-        ReferenceSession, setup, origin, True
+        ReferenceSession, setup, *case, True
     )
     # Telemetry never switches a decision.
     assert native_on == native
     assert reference_on == reference
-    assert native_metrics == reference_metrics, origin
+    assert native_metrics == reference_metrics, case
     return native
 
 
@@ -200,9 +231,11 @@ def _geometry(raw):
     hostile=st.integers(0, 12),
     plants=st.integers(0, 6),
     buffered_cut=st.sampled_from([0, 0, 1, 7, 40, 200]),
+    held=st.sampled_from([0, 0, 1, 7, 40, 200, 900]),
+    final=st.booleans(),
 )
 def test_native_walk_matches_python_walk(
-    dtype, raw, seed, n_blocks, hostile, plants, buffered_cut
+    dtype, raw, seed, n_blocks, hostile, plants, buffered_cut, held, final
 ):
     geometry = _geometry(raw)
     rng = np.random.default_rng(seed)
@@ -211,30 +244,50 @@ def test_native_walk_matches_python_walk(
     )
     s = geometry[4] * geometry[0]
     for origin in _origins(rng, hot, s, n_blocks * s + 1, 3):
-        _check(setup, origin)
+        _check(setup, origin, held, final)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_native_walk_reaches_every_outcome(dtype):
     # Long crafted streams from many origins: the agreement above must
     # cover reject chains, accepted headers, headers cut off by the
-    # buffered end, hostile values in hit chunks, and plain misses.
+    # buffered end, pending headers gated by the next call (accepted,
+    # or rejected and the walk going on), hits in the stream's tail,
+    # hostile values in hit chunks, and plain misses.
     rng = np.random.default_rng(2027)
     states = []
+    tail_moves = 0
     for geometry in [
         (4, 3, 1, 2, 1, 4, 0.5, 0.2),
         (20, 10, 1, 5, 1, 4, 0.7, 0.3),
         (5, 5, 2, 3, 2, 2, 0.7, 0.3),
         (3, 1, 0, 1, 3, 1, 0.5, 0.2),
     ]:
+        mid_header = (23 * geometry[0] + geometry[1]) // 2
         for cut in (0, 60):
             setup, hot = _setup(rng, geometry, dtype, 60, 20, 4, cut)
             s = geometry[4] * geometry[0]
             for origin in _origins(rng, hot, s, 60 * s + 1, 12):
-                states.append(_check(setup, origin))
-    reached = {state for state, *_ in states}
-    assert reached == {"search", "header", "body"}
+                for held in (0, mid_header):
+                    last = _check(setup, origin, held, final=False)
+                    tail = _check(setup, origin, held, final=True)
+                    states += [last, tail]
+                    tail_moves += last != tail
+    reached = {state for _, state, *_ in states}
+    assert reached == {"search", "pending", "body"}
+    resumed = [
+        (state, n0 == first[1])
+        for first, state, _, n0, *_ in states
+        if first and first[0] == "pending"
+    ]
+    # A pending header accepted, and one rejected with the walk going on
+    # to a later capture.
+    assert ("body", True) in resumed
+    assert {state for state, same in resumed if not same} >= {
+        "pending", "body"
+    }
     assert max(rejects for *_, rejects in states) >= 3
+    assert tail_moves > 0
 
 
 @pytest.mark.parametrize(

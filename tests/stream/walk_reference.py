@@ -6,11 +6,14 @@ receiver ran in Python before the walk moved into ``walk_body.h``: the
 bisect from hot position to hot position, the fused count+coherence
 gate, the relative-coherence / concentration / cluster-peak cascade in
 Python floats, the 24-bit header gate and its rewinds, and the bulk
-count/coherence/concentration split of skipped ranges.  It reads the
-same caches -- hot positions from the int64 hot index, gate values from
-``cohcand_win`` / ``conc_win`` / ``count_win`` by position -- and
-records the same outcome metrics, so any difference between the two
-classes is a difference in the walk.
+count/coherence/concentration split of skipped ranges -- plus what the
+kernel took over from the session's Python side paths: a pending
+capture's header gated before anything else, and, at the end of the
+stream, the tail after the last full chunk gated as one shorter chunk.
+It reads the same caches -- hot positions from the int64 hot index,
+gate values from ``cohcand_win`` / ``conc_win`` / ``count_win`` by
+position -- and records the same outcome metrics, so any difference
+between the two classes is a difference in the walk.
 
 :func:`load_caches` installs crafted windowed caches in a fresh session
 (the hot index and coherence-pass prefix from the numpy hot filter), and
@@ -22,7 +25,14 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from repro.core.frame import frame_overhead_bits
+from repro.core.frame import (
+    FRAME_TYPE_ACK,
+    FRAME_TYPE_TRANSPORT_BASE,
+    MAX_DATA_BITS,
+    MAX_KNOWN_FRAME_TYPE,
+    VERSION,
+    frame_overhead_bits,
+)
 from repro.core.preamble import (
     _COHERENCE,
     _HIT,
@@ -31,12 +41,7 @@ from repro.core.preamble import (
     _MISS_COUNT,
 )
 from repro.obs.metrics import REGISTRY
-from repro.stream.session import (
-    _HEADER_BITS,
-    _HEADER_REJECTS,
-    StreamSession,
-    _header_valid,
-)
+from repro.stream.session import _HEADER_BITS, _HEADER_REJECTS, StreamSession
 from tests.stream.derive_reference import extend_prefix, index_reference
 
 
@@ -45,12 +50,43 @@ def _values(buf, positions):
     return buf.view(buf.base, buf.end)[positions - buf.base].tolist()
 
 
+def header_valid(version, frame_type, length):
+    """Whether decoded header fields name a frame the parser accepts."""
+    return (
+        version == VERSION
+        and frame_type <= MAX_KNOWN_FRAME_TYPE
+        and not FRAME_TYPE_ACK < frame_type < FRAME_TYPE_TRANSPORT_BASE
+        and length <= MAX_DATA_BITS
+    )
+
+
+def header_fields(prefix, bit_period, window, tau_sync):
+    """``(version, frame_type, length)`` from the header's vote prefix.
+
+    ``prefix`` is the vote-mask prefix from the data start on: all 24
+    header bits decode as one word -- a gather at the 48 window edges
+    (int32 differences, wrapping as the kernel's), thresholded and
+    dotted with the bit weights.
+    """
+    starts = bit_period * np.arange(_HEADER_BITS, dtype=np.int64)
+    edges = prefix[np.concatenate((starts, starts + window))]
+    votes = edges[_HEADER_BITS:] - edges[:_HEADER_BITS]
+    weights = 1 << np.arange(_HEADER_BITS - 1, -1, -1, dtype=np.int64)
+    word = int((votes >= tau_sync) @ weights)
+    return (
+        (word >> (_HEADER_BITS - 4)) & 0xF,
+        (word >> (_HEADER_BITS - 8)) & 0xF,
+        (word >> (_HEADER_BITS - 16)) & 0xFF,
+    )
+
+
 class ReferenceSession(StreamSession):
     """A session whose scan walk runs in Python."""
 
     def _scan_batched(self, chunks):
         s = self.stride
         bp = self.decoder.bit_period
+        window = self.decoder.window
         derived = self._derived
         derived.extend_windowed()
         metered = REGISTRY.enabled
@@ -66,63 +102,81 @@ class ReferenceSession(StreamSession):
             _values(derived.count_win, positions),
         )
         n_hot = len(hot_pos)
-        cb = derived.cohpass_prefix._buf
-        cpd, cpo = cb._data, cb._start - cb.base
         mpb = derived.mask_prefix._buf
         mpd, mpo = mpb._data, mpb._start - mpb.base
-        hdr_span = (_HEADER_BITS - 1) * bp + self.decoder.window
+        hdr_span = (_HEADER_BITS - 1) * bp + window
         buf_end = self._buf.end
         rejects = 0
         o = self._origin
         stop = o + chunks * s  # first chunk start not fully buffered
         i = bisect_left(hot_pos, o)
+        pending = self._state == "pending"
+        self._state = "search"
         while True:
-            q = stop
-            if i < n_hot:
-                # k = max(0, ceil((h - o - s) / s)), in integer form.
-                q = min(stop, o + s * max(0, (hot_pos[i] - o - 1) // s))
-            if metered and q > o:
-                self._count_skipped(o, (q - o) // s)
-            if q == stop:
-                self._origin = stop
-                break
-            o = q + s  # chunk q's last window start; the next origin
-            if cpd[cpo + o + 1] == cpd[cpo + q]:
-                _MISS_COHERENCE.inc()
-                hit = None
-            else:
-                hit = self._hot_cascade(q, i)
-            if hit is None or hit[0] >= o:
-                i = bisect_left(hot_pos, o, i)
-                continue
-            n0, self._coherence = hit
-            self._origin = q
-            self._n0 = n0
-            self._data_start = n0 + self.folds * bp
+            if not pending:
+                q = stop
+                if i < n_hot:
+                    # k = max(0, ceil((h - o - s) / s)), in integer form.
+                    q = min(stop, o + s * max(0, (hot_pos[i] - o - 1) // s))
+                if metered and q > o:
+                    self._count_skipped(o, (q - o) // s)
+                e = q + s  # chunk q's last window start
+                tail = q == stop
+                if tail:
+                    # The stream's tail, gated at its end if it holds a
+                    # window start; a hit anywhere in it is accepted.
+                    self._origin = stop
+                    e = buf_end - self.scan_len + s
+                    if not self._final or e < q:
+                        break
+                    if i == n_hot or hot_pos[i] > e:
+                        if metered:
+                            self._count_missed(q, e)
+                        break
+                hit = self._gate(q, e, i)
+                if tail and hit is None:
+                    break
+                if not tail and (hit is None or hit[0] >= e):
+                    o = e
+                    i = bisect_left(hot_pos, o, i)
+                    continue
+                self._origin = q
+                self._n0, self._coherence = hit
+                self._data_start = self._n0 + self.folds * bp
+            pending = False
             if buf_end < self._data_start + hdr_span:
-                self._state = "header"
+                self._state = "pending"
                 break
             a = mpo + self._data_start
-            fields = self._header_fields(mpd[a : a + hdr_span + 1])
-            if _header_valid(*fields):
+            fields = header_fields(
+                mpd[a : a + hdr_span + 1], bp, window, self.decoder.tau_sync
+            )
+            if header_valid(*fields):
                 self._total_bits = frame_overhead_bits() + fields[2]
                 self._state = "body"
                 break
             rejects += 1
-            o = self._origin = n0 + bp
+            o = self._origin = self._n0 + bp
             avail = buf_end - o
-            if avail < self.scan_len:
-                break
-            stop = o + (1 + (avail - self.scan_len) // s) * s
+            stop = o
+            if avail >= self.scan_len:
+                stop += (1 + (avail - self.scan_len) // s) * s
             i = bisect_left(hot_pos, o, i)
         if rejects:
             self.header_rejects += rejects
             _HEADER_REJECTS.inc(rejects)
-        return True
+        return self._state == "body"
 
-    def _hot_cascade(self, q, i):
+    def _gate(self, q, e, i):
+        """The fused gate, then the cascade, of window starts [q, e]."""
+        cp = self._derived.cohpass_prefix
+        if cp.view(e + 1, e + 2)[0] == cp.view(q, q + 1)[0]:
+            _MISS_COHERENCE.inc()
+            return None
+        return self._hot_cascade(q, e, i)
+
+    def _hot_cascade(self, q, e, i):
         derived = self._derived
-        e = q + self.stride
         pos, coh, conc, count = self._hot
         ftype = derived.float_type
         slack = self.coherence_slack
@@ -160,6 +214,18 @@ class ReferenceSession(StreamSession):
         _MISS_COUNT.inc(n_count)
         _MISS_COHERENCE.inc(n - n_count - n_conc)
         _MISS_CONCENTRATION.inc(n_conc)
+
+    def _count_missed(self, q, e):
+        """The miss split of one hot-free chunk, window starts [q, e]."""
+        derived = self._derived
+        cp = derived.cohpass_prefix
+        counted = int(
+            derived.count_win.view(q, e + 1).max() >= derived._capture_floor
+        )
+        passed = int(cp.view(e + 1, e + 2)[0] > cp.view(q, q + 1)[0])
+        _MISS_COUNT.inc(1 - counted)
+        _MISS_COHERENCE.inc(counted - passed)
+        _MISS_CONCENTRATION.inc(passed)
 
 
 def load_caches(session, counts, cohcand, conc, votes=None, buffered=None):
