@@ -14,21 +14,7 @@ from repro.sim import (
     load_manifest,
     run_campaign,
 )
-
-
-def logistic_table(max_interferers=2, frames=1000):
-    """Synthetic table: logistic in SNR, 3 dB penalty per interferer."""
-    config = CalibrationConfig(
-        snr_grid_db=(-4.0, 0.0, 4.0, 8.0, 12.0),
-        max_interferers=max_interferers,
-        frames_per_point=frames,
-    )
-    cells = {}
-    for snr, k, fec in config.points():
-        p = 1.0 / (1.0 + math.exp(-(snr - 2.0 - 3.0 * k)))
-        cells[(snr, k, fec)] = (int(round(p * frames)), frames)
-    return DeliveryTable(config, cells)
-
+from tests.sim.golden import logistic_table
 
 BASE_MANIFEST = {
     "name": "unit",
