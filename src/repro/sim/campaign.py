@@ -230,12 +230,16 @@ class FleetSimulation:
             for node_id in self.topology.node_ids
         }
         self._domains = {}
+        #: node -> its contention domain, resolved once.
+        self._domain_of = {}
         for node_id in self.topology.node_ids:
             key = (
                 self.topology.gateway_of[node_id],
                 self._channel_of[node_id],
             )
-            self._domains.setdefault(key, _Domain())
+            self._domain_of[node_id] = self._domains.setdefault(
+                key, _Domain()
+            )
         self._airtime_s = self.comm.frame_airtime_s()
         self.result = CampaignResult(
             self.manifest,
@@ -251,20 +255,18 @@ class FleetSimulation:
             getattr(self.noise, "max_interferers", 0)
         )
         self._sequences = {}
+        # Per-node draws: Poisson gaps as ``interval * standard
+        # exponential`` (bit-identical to ``exponential(interval)``) and
+        # backoff slots.
+        self._traffic = self.scheduler.draws("traffic", "standard_exponential")
+        self._backoff = self.scheduler.draws(
+            "mac", "integers", 0, MAX_BACKOFF_SLOTS
+        )
 
     # -- event handlers -----------------------------------------------------
 
-    def _domain_of(self, node_id):
-        return self._domains[
-            (self.topology.gateway_of[node_id], self._channel_of[node_id])
-        ]
-
     def _next_arrival(self, node_id, now_s):
-        gap = float(
-            self.scheduler.rng("traffic", node_id).exponential(
-                self.interval_s
-            )
-        )
+        gap = self.interval_s * self._traffic[node_id]()
         at = now_s + max(gap, 1e-9)
         if at < self.duration_s:
             self.scheduler.at(at, self._on_arrival, node_id)
@@ -284,7 +286,7 @@ class FleetSimulation:
 
     def _attempt(self, node_id, sequence, attempt, created_s):
         now = self.scheduler.now
-        domain = self._domain_of(node_id)
+        domain = self._domain_of[node_id]
         current = domain.current
         if now < domain.busy_until:
             if current is not None and now < current.start_s + CCA_DURATION_S:
@@ -300,15 +302,10 @@ class FleetSimulation:
             # random slotted backoff.
             self.result.defers += 1
             _M_DEFERS.inc()
-            slots = int(
-                self.scheduler.rng("mac", node_id).integers(
-                    0, MAX_BACKOFF_SLOTS
-                )
-            )
             retry_at = (
                 domain.busy_until
                 + CCA_DURATION_S
-                + slots * UNIT_BACKOFF_S
+                + self._backoff[node_id]() * UNIT_BACKOFF_S
             )
             self.scheduler.at(
                 retry_at, self._attempt, node_id, sequence, attempt, created_s
@@ -356,12 +353,11 @@ class FleetSimulation:
         ):
             self.result.retries += 1
             _M_RETRIES.inc()
-            slots = int(
-                self.scheduler.rng("mac", tx.node_id).integers(
-                    0, MAX_BACKOFF_SLOTS
-                )
+            retry_at = (
+                now
+                + RETRY_TURNAROUND_S
+                + self._backoff[tx.node_id]() * UNIT_BACKOFF_S
             )
-            retry_at = now + RETRY_TURNAROUND_S + slots * UNIT_BACKOFF_S
             self.scheduler.at(
                 retry_at,
                 self._attempt,

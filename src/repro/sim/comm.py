@@ -22,7 +22,8 @@ ROADMAP.md.
 
 The hot path deliberately uses ``math`` scalars (not numpy) for the
 budget arithmetic: at fleet scale the budget runs a few hundred thousand
-times per campaign.
+times per campaign.  When the mobility model is static, each node's
+``tx_power - path_loss`` is computed once at bind time.
 """
 
 import math
@@ -154,6 +155,19 @@ class CommunicationModel:
             + FREE_SPACE_REFERENCE_LOSS_DB
             + self.snr_margin_db
         )
+        # ``tx_power - path_loss`` per node, once, when nodes never move.
+        self._budget_db = (
+            {
+                node_id: self._budget(
+                    node_id, mobility.position(node_id, 0.0)
+                )
+                for node_id in topology.node_ids
+            }
+            if mobility.static
+            else None
+        )
+        self._shadow = scheduler.draws("shadow", "standard_normal")
+        self._deliver = scheduler.draws("deliver", "random")
         if fidelity == "packet":
             self.table = (
                 table
@@ -167,22 +181,24 @@ class CommunicationModel:
 
     # -- link budget --------------------------------------------------------
 
-    def link_snr(self, node_id, time_s):
-        """(snr_db, interferers) for a transmission starting now."""
-        position = self._mobility.position(node_id, time_s)
+    def _budget(self, node_id, position):
+        """Transmit power minus path loss at ``position``, in dB."""
         distance = self._topology.distance_to_gateway(node_id, position)
         loss_db = self._fixed_loss_db + self._ten_n * math.log10(distance)
-        state = self._noise.state(node_id, time_s)
-        snr_db = (
-            self.tx_power_dbm
-            - loss_db
-            - state.extra_loss_db
-            - self.noise_floor_dbm
-        )
-        if self._shadow_sigma:
-            snr_db -= self._shadow_sigma * float(
-                self._scheduler.rng("shadow", node_id).standard_normal()
+        return self.tx_power_dbm - loss_db
+
+    def link_snr(self, node_id, time_s):
+        """(snr_db, interferers) for a transmission starting now."""
+        if self._budget_db is None:
+            budget_db = self._budget(
+                node_id, self._mobility.position(node_id, time_s)
             )
+        else:
+            budget_db = self._budget_db[node_id]
+        state = self._noise.state(node_id, time_s)
+        snr_db = budget_db - state.extra_loss_db - self.noise_floor_dbm
+        if self._shadow_sigma:
+            snr_db -= self._shadow_sigma * self._shadow[node_id]()
         return snr_db, state.interferers
 
     # -- delivery -----------------------------------------------------------
@@ -192,9 +208,7 @@ class CommunicationModel:
         snr_db, interferers = self.link_snr(node_id, time_s)
         if self.fidelity == "packet":
             p = self.table.probability(snr_db, interferers, self.fec)
-            delivered = (
-                float(self._scheduler.rng("deliver", node_id).random()) < p
-            )
+            delivered = self._deliver[node_id]() < p
             return DeliveryOutcome(delivered, snr_db, interferers, p)
         rng = np.random.default_rng(
             self._scheduler.seed_for("frame", node_id, sequence, attempt)

@@ -9,7 +9,9 @@ the convergecast reading of ``transport``'s ACK-blackout profile).
 Crash/recover dynamics are per-node alternating exponential up/down
 sojourns advanced lazily on dedicated scheduler streams keyed
 ``("faults", node_id)``, the same lazy-chain idiom
-:class:`repro.transport.faults.GilbertElliott` uses.
+:class:`repro.transport.faults.GilbertElliott` uses.  Each sojourn is
+``mean * standard_exponential()`` from the node's block drawer,
+bit-identical to ``exponential(mean)``.
 
 Mirrors ``FaultModel.py`` of the SLP simulator referenced in ROADMAP.md.
 """
@@ -53,20 +55,21 @@ class NodeCrashFaults(FaultModel):
     def bind(self, scheduler):
         super().bind(scheduler)
         self._chains = {}
+        self._sojourns = scheduler.draws("faults", "standard_exponential")
 
     def alive(self, node_id, time_s):
         chain = self._chains.get(node_id)
         if chain is None:
-            rng = self._scheduler.rng("faults", node_id)
-            chain = [True, float(rng.exponential(self.mtbf_s))]
+            sojourn = self._sojourns[node_id]
+            chain = [True, self.mtbf_s * sojourn()]
             self._chains[node_id] = chain
         up, next_flip = chain
         if time_s >= next_flip:
-            rng = self._scheduler.rng("faults", node_id)
+            sojourn = self._sojourns[node_id]
             while time_s >= next_flip:
                 up = not up
                 mean = self.mtbf_s if up else self.mean_downtime_s
-                next_flip += float(rng.exponential(mean))
+                next_flip += mean * sojourn()
             chain[0] = up
             chain[1] = next_flip
         return up

@@ -20,6 +20,10 @@ class MobilityModel:
 
     kind = "static"
 
+    #: Whether every node stays at its topology position for the whole
+    #: run; consumers may then compute position-derived values once.
+    static = True
+
     def bind(self, topology, scheduler):
         """Attach to the run (called once before events fire)."""
         self._topology = topology
@@ -44,6 +48,7 @@ class WaypointMobility(MobilityModel):
     """
 
     kind = "waypoint"
+    static = False
 
     def __init__(self, speed_m_s=1.4, pause_s=0.0, area_radius_m=None):
         if speed_m_s <= 0:
@@ -62,10 +67,11 @@ class WaypointMobility(MobilityModel):
         if self.area_radius_m is None:
             self.area_radius_m = topology.extent_m() + 10.0
         self._legs = {}
+        self._uniform = scheduler.draws("mobility", "random")
 
-    def _draw_waypoint(self, rng):
-        r = self.area_radius_m * math.sqrt(float(rng.random()))
-        a = 2.0 * math.pi * float(rng.random())
+    def _draw_waypoint(self, uniform):
+        r = self.area_radius_m * math.sqrt(uniform())
+        a = 2.0 * math.pi * uniform()
         return (r * math.cos(a), r * math.sin(a))
 
     def position(self, node_id, time_s):
@@ -87,11 +93,10 @@ class WaypointMobility(MobilityModel):
 
     def _new_leg(self, node_id, start_time, start_pos):
         """Next trajectory leg: a walk to a fresh waypoint, or a pause."""
-        rng = self._scheduler.rng("mobility", node_id)
         last = self._legs.get(node_id)
         walking = last is None or last[2] == last[3] or self.pause_s == 0.0
         if walking:
-            target = self._draw_waypoint(rng)
+            target = self._draw_waypoint(self._uniform[node_id])
             distance = math.hypot(
                 target[0] - start_pos[0], target[1] - start_pos[1]
             )

@@ -10,7 +10,9 @@ Burst dynamics reuse the :class:`repro.transport.faults.GilbertElliott`
 machinery directly: one two-state chain per node, each advanced lazily
 on its own scheduler stream in (per-node nondecreasing) transmission
 time order — exactly the contract ``transport`` established for fault
-profiles.
+profiles.  The chain asks its generator only for ``exponential(mean)``,
+so it is handed a block drawer of standard exponentials behind that
+one method (:class:`_Exponential`).
 
 Mirrors ``NoiseModel.py`` of the SLP simulator referenced in ROADMAP.md.
 """
@@ -29,6 +31,23 @@ class NoiseState:
 
 
 _CLEAN = NoiseState()
+
+
+class _Exponential:
+    """``exponential(scale)`` served from a standard-exponential drawer.
+
+    ``scale * standard_exponential()`` is bit-identical to
+    ``exponential(scale)``, so a chain drawing through this sees the
+    values its own generator would have given it.
+    """
+
+    __slots__ = ("_draw",)
+
+    def __init__(self, draw):
+        self._draw = draw
+
+    def exponential(self, scale):
+        return scale * self._draw()
 
 
 class NoiseModel:
@@ -69,15 +88,19 @@ class AmbientNoise(NoiseModel):
         self.n_interferers = int(n_interferers)
         self.max_interferers = self.n_interferers if interference_duty else 0
 
+    def bind(self, scheduler):
+        super().bind(scheduler)
+        self._uniform = scheduler.draws("noise", "random")
+
     def state(self, node_id, time_s):
         if not self.interference_duty or not self.n_interferers:
             if not self.extra_loss_db:
                 return _CLEAN
             return NoiseState(extra_loss_db=self.extra_loss_db)
-        rng = self._scheduler.rng("noise", node_id)
+        uniform = self._uniform[node_id]
         active = 0
         for _ in range(self.n_interferers):
-            if rng.random() < self.interference_duty:
+            if uniform() < self.interference_duty:
                 active += 1
         return NoiseState(
             extra_loss_db=self.extra_loss_db, interferers=active
@@ -118,19 +141,21 @@ class BurstNoise(AmbientNoise):
     def bind(self, scheduler):
         super().bind(scheduler)
         self._chains = {}
+        self._sojourns = scheduler.draws("noise-burst", "standard_exponential")
 
     def state(self, node_id, time_s):
         base = super().state(node_id, time_s)
         chain = self._chains.get(node_id)
         if chain is None:
-            chain = self._chains[node_id] = GilbertElliott(
-                mean_good_s=self.mean_good_s,
-                mean_bad_s=self.mean_bad_s,
-                bad_extra_loss_db=self.bad_extra_loss_db,
+            chain = self._chains[node_id] = (
+                GilbertElliott(
+                    mean_good_s=self.mean_good_s,
+                    mean_bad_s=self.mean_bad_s,
+                    bad_extra_loss_db=self.bad_extra_loss_db,
+                ),
+                _Exponential(self._sojourns[node_id]),
             )
-        burst = chain.state(
-            time_s, self._scheduler.rng("noise-burst", node_id)
-        )
+        burst = chain[0].state(time_s, chain[1])
         if not burst.extra_loss_db and base is _CLEAN:
             return _CLEAN
         return NoiseState(

@@ -13,8 +13,18 @@ stream derived from the scheduler root by a stable key, so adding a node
 or reordering model construction cannot shift any other entity's draws.
 String key parts hash through SHA-256 (never ``hash()``, which is
 per-process salted) to stable 64-bit spawn-key integers.
+
+A stream that feeds one distribution can instead be served by a
+*drawer* (:meth:`EventScheduler.drawer`): a zero-argument callable that
+refills :data:`DRAW_BLOCK` values at a time and hands them out one by
+one.  A numpy ``Generator`` yields the same values in blocks as one at
+a time for every method in :data:`BLOCK_METHODS`, so a drawer replays
+the scalar calls it replaces bit for bit.  Models keep one drawer per
+entity in a :meth:`EventScheduler.draws` table, so the SHA-256 key
+derivation runs once per stream, not once per draw.
 """
 
+import array
 import hashlib
 import heapq
 import itertools
@@ -22,6 +32,22 @@ import itertools
 import numpy as np
 
 from repro.runtime import as_seed_sequence
+
+#: Values a drawer takes from its stream per refill.  Larger blocks
+#: save little more and hold more Python floats per entity.
+DRAW_BLOCK = 32
+
+#: ``Generator`` methods whose block draws equal their scalar draws
+#: value for value, each with the ``array`` typecode its blocks are held
+#: in: 8 bytes a value, where a list of Python scalars takes 32.
+#: ``exponential(scale)`` is served as ``scale * standard_exponential()``
+#: (bit-identical), so one stream can mix means.
+BLOCK_METHODS = {
+    "random": "d",
+    "standard_normal": "d",
+    "standard_exponential": "d",
+    "integers": "q",
+}
 
 
 def stable_key_int(part):
@@ -42,7 +68,7 @@ def stable_key_int(part):
 
 
 class Event:
-    """One scheduled callback; orderable by (time, sequence)."""
+    """One scheduled callback; the heap orders it by ``(time_s, seq)``."""
 
     __slots__ = ("time_s", "seq", "fn", "args", "cancelled")
 
@@ -53,14 +79,28 @@ class Event:
         self.args = args
         self.cancelled = False
 
-    def __lt__(self, other):
-        if self.time_s != other.time_s:
-            return self.time_s < other.time_s
-        return self.seq < other.seq
-
     def cancel(self):
         """Mark the event dead; the loop skips it without firing."""
         self.cancelled = True
+
+
+class _Draws(dict):
+    """``entity -> drawer`` for one stream kind, each made on first use."""
+
+    __slots__ = ("_scheduler", "_kind", "_method", "_args")
+
+    def __init__(self, scheduler, kind, method, args):
+        super().__init__()
+        self._scheduler = scheduler
+        self._kind = kind
+        self._method = method
+        self._args = args
+
+    def __missing__(self, entity):
+        draw = self[entity] = self._scheduler.drawer(
+            (self._kind, entity), self._method, *self._args
+        )
+        return draw
 
 
 class EventScheduler:
@@ -68,9 +108,12 @@ class EventScheduler:
 
     Tie-breaking contract: events are ordered by ``(time_s, seq)`` where
     ``seq`` is a monotone scheduling counter — two events at the same
-    instant fire in the order they were scheduled.  Because model code
-    only schedules from a deterministic position in the event sequence,
-    the whole execution is reproducible bit-for-bit from the seed.
+    instant fire in the order they were scheduled.  The heap holds
+    ``(time_s, seq, event)`` tuples, so the order is compared in C and
+    never reaches the event itself (``seq`` is unique).  Because model
+    code only schedules from a deterministic position in the event
+    sequence, the whole execution is reproducible bit-for-bit from the
+    seed.
     """
 
     def __init__(self, seed=0, start_s=0.0):
@@ -78,7 +121,10 @@ class EventScheduler:
         self._heap = []
         self._counter = itertools.count()
         self._root = as_seed_sequence(seed)
+        #: spawn key -> generator handed out by :meth:`rng`.
         self._streams = {}
+        #: spawn key -> ``(method, args, drawer)`` of block-served streams.
+        self._drawers = {}
         #: Events fired so far (skipped cancellations excluded).
         self.events_processed = 0
 
@@ -98,7 +144,9 @@ class EventScheduler:
         same convention :class:`repro.network.ConvergecastNetwork` uses
         for PHY trial seeds.
         """
-        spawn = tuple(stable_key_int(part) for part in key)
+        return self._sequence(tuple(stable_key_int(part) for part in key))
+
+    def _sequence(self, spawn):
         return np.random.SeedSequence(
             entropy=self._root.entropy,
             spawn_key=self._root.spawn_key + spawn,
@@ -109,20 +157,74 @@ class EventScheduler:
 
         Streams are cached: repeated calls with the same key return the
         *same* generator, advancing as the entity consumes randomness.
-        Distinct keys give statistically independent streams.
+        Distinct keys give statistically independent streams.  A key
+        already served by a :meth:`drawer` is refused: its generator
+        has run ahead of the values the drawer handed out.
         """
         spawn = tuple(stable_key_int(part) for part in key)
         try:
             return self._streams[spawn]
         except KeyError:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(
-                    entropy=self._root.entropy,
-                    spawn_key=self._root.spawn_key + spawn,
-                )
+            pass
+        if spawn in self._drawers:
+            raise RuntimeError(
+                f"stream {key!r} is served in blocks by a drawer; "
+                "rng() would see it advanced past the values drawn"
             )
-            self._streams[spawn] = rng
-            return rng
+        rng = self._streams[spawn] = np.random.default_rng(
+            self._sequence(spawn)
+        )
+        return rng
+
+    def drawer(self, key, method, *args):
+        """The next-value callable of stream ``key`` for one distribution.
+
+        ``drawer(key, method, *args)()`` returns the value that
+        ``rng(*key).method(*args)`` would, as a Python scalar, while
+        drawing :data:`DRAW_BLOCK` values per refill.  ``method`` must
+        be one of :data:`BLOCK_METHODS`.  Repeated calls with the same
+        key and distribution return the same callable; a key handed out
+        by :meth:`rng`, or drawn for another distribution, is refused.
+        """
+        spawn = tuple(stable_key_int(part) for part in key)
+        served = self._drawers.get(spawn)
+        if served is not None:
+            if served[:2] != (method, args):
+                raise RuntimeError(
+                    f"stream {key!r} is already drawn as "
+                    f"{served[0]}{served[1]!r}"
+                )
+            return served[2]
+        if method not in BLOCK_METHODS:
+            raise ValueError(
+                f"{method!r} is not block-drawable; valid: "
+                f"{', '.join(BLOCK_METHODS)}"
+            )
+        if spawn in self._streams:
+            raise RuntimeError(
+                f"stream {key!r} was handed out by rng(); a drawer would "
+                "run it ahead of its holder"
+            )
+        fill = getattr(np.random.default_rng(self._sequence(spawn)), method)
+        typecode = BLOCK_METHODS[method]
+
+        def block():
+            return array.array(
+                typecode, fill(*args, size=DRAW_BLOCK).tobytes()
+            )
+
+        draw = itertools.chain.from_iterable(iter(block, None)).__next__
+        self._drawers[spawn] = (method, args, draw)
+        return draw
+
+    def draws(self, kind, method, *args):
+        """A table ``entity -> drawer((kind, entity), method, *args)``.
+
+        Models keep one table per stream kind; indexing it with an
+        entity id makes that entity's drawer on first use and is a
+        plain dict lookup after.
+        """
+        return _Draws(self, kind, method, args)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -133,8 +235,9 @@ class EventScheduler:
             raise ValueError(
                 f"cannot schedule at {time_s} before now={self.now}"
             )
-        event = Event(time_s, next(self._counter), fn, args)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time_s, seq, fn, args)
+        heapq.heappush(self._heap, (time_s, seq, event))
         return event
 
     def after(self, delay_s, fn, *args):
@@ -146,12 +249,12 @@ class EventScheduler:
     def peek_time(self):
         """Time of the next live event, or ``None`` when drained."""
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
-        return heap[0].time_s if heap else None
+        return heap[0][0] if heap else None
 
     def __len__(self):
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     # -- execution ----------------------------------------------------------
 
@@ -165,17 +268,18 @@ class EventScheduler:
         """
         fired = 0
         heap = self._heap
+        pop = heapq.heappop
         while heap:
-            event = heap[0]
+            time_s, _, event = heap[0]
             if event.cancelled:
-                heapq.heappop(heap)
+                pop(heap)
                 continue
-            if until is not None and event.time_s >= until:
+            if until is not None and time_s >= until:
                 break
             if max_events is not None and fired >= max_events:
                 break
-            heapq.heappop(heap)
-            self.now = event.time_s
+            pop(heap)
+            self.now = time_s
             event.fn(*event.args)
             fired += 1
             self.events_processed += 1

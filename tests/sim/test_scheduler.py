@@ -1,9 +1,15 @@
-"""EventScheduler: ordering, determinism, RNG streams."""
+"""EventScheduler: ordering, determinism, RNG streams and drawers."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.sim.scheduler import EventScheduler, stable_key_int
+from repro.sim.scheduler import DRAW_BLOCK, EventScheduler, stable_key_int
 
 
 class TestOrdering:
@@ -131,8 +137,104 @@ class TestRngStreams:
             == np.random.default_rng(direct).integers(0, 1 << 30)
         )
 
-    def test_string_keys_are_stable_across_processes(self):
-        # stable_key_int must not depend on PYTHONHASHSEED.
-        assert stable_key_int("mobility") == stable_key_int("mobility")
+    def test_stable_key_int(self):
         assert stable_key_int("mobility") != stable_key_int("noise")
         assert stable_key_int(17) == 17
+
+    def test_string_keys_are_stable_across_processes(self):
+        # Keys must not depend on PYTHONHASHSEED: the per-entity draw
+        # tables are dicts, so run one campaign under two hash seeds.
+        root = Path(__file__).resolve().parents[2]
+        script = (
+            "from tests.sim.golden import run_case\n"
+            "print(run_case('fleet-mini').summary_json())\n"
+        )
+        summaries = []
+        for hash_seed in ("0", "1"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                cwd=root,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            summaries.append(done.stdout)
+        assert json.loads(summaries[0])["offered"] > 0
+        assert summaries[0] == summaries[1]
+
+
+#: One drawer per method the simulator draws in blocks.
+DRAWN = [
+    ("random", ()),
+    ("standard_normal", ()),
+    ("standard_exponential", ()),
+    ("integers", (0, 8)),
+]
+
+
+class TestDrawers:
+    @pytest.mark.parametrize("method,args", DRAWN)
+    def test_block_draws_equal_scalar_draws(self, method, args):
+        draw = EventScheduler(seed=4).drawer(("k", 2), method, *args)
+        scalar = getattr(EventScheduler(seed=4).rng("k", 2), method)
+        n = 3 * DRAW_BLOCK + 5  # across three block boundaries
+        drawn = [draw() for _ in range(n)]
+        assert drawn == [scalar(*args) for _ in range(n)]
+        assert all(type(value) in (int, float) for value in drawn)
+
+    def test_scaled_standard_exponential_is_exponential(self):
+        draw = EventScheduler(seed=9).drawer(("e",), "standard_exponential")
+        reference = EventScheduler(seed=9).rng("e")
+        means = np.random.default_rng(1).uniform(1e-3, 200.0, 500).tolist()
+        for mean in means:
+            assert mean * draw() == float(reference.exponential(mean))
+
+    def test_table_makes_one_drawer_per_entity(self):
+        scheduler = EventScheduler(seed=2)
+        table = scheduler.draws("deliver", "random")
+        assert table[3] is table[3]
+        assert table[3] is scheduler.drawer(("deliver", 3), "random")
+        assert table[3]() != table[4]()
+
+    @pytest.mark.parametrize(
+        "part,error", [(-1, ValueError), (1.5, TypeError)]
+    )
+    def test_bad_key_parts_raise_after_a_good_one_is_cached(self, part, error):
+        scheduler = EventScheduler()
+        scheduler.rng("x", 1)
+        scheduler.drawer(("y", 1), "random")
+        with pytest.raises(error):
+            scheduler.rng("x", part)
+        with pytest.raises(error):
+            scheduler.drawer(("y", part), "random")
+        with pytest.raises(error):
+            scheduler.draws("y", "random")[part]
+
+    def test_block_drawn_key_is_refused_by_rng(self):
+        scheduler = EventScheduler()
+        scheduler.drawer(("deliver", 0), "random")()
+        with pytest.raises(RuntimeError, match="drawer"):
+            scheduler.rng("deliver", 0)
+
+    def test_rng_key_is_refused_by_drawer(self):
+        scheduler = EventScheduler()
+        scheduler.rng("deliver", 0)
+        with pytest.raises(RuntimeError, match="rng"):
+            scheduler.drawer(("deliver", 0), "random")
+
+    def test_one_stream_serves_one_distribution(self):
+        scheduler = EventScheduler()
+        scheduler.drawer(("mac", 0), "integers", 0, 8)
+        with pytest.raises(RuntimeError, match="already drawn"):
+            scheduler.drawer(("mac", 0), "integers", 0, 16)
+
+    def test_only_block_exact_methods(self):
+        with pytest.raises(ValueError, match="block-drawable"):
+            EventScheduler().drawer(("e",), "exponential", 2.0)
