@@ -11,6 +11,17 @@ retries, so each per-entity RNG stream the campaign draws from
 (``traffic``, ``mac``, ``shadow``, ``deliver``, ``noise``,
 ``noise-burst``, ``faults``, ``mobility``) feeds at least one summary.
 
+``calibration.json`` freezes one small real :class:`DeliveryTable`
+calibration (:data:`CALIBRATION`, with interferer columns, so OFDM
+bursts are synthesized and mixed into every interfered capture): the
+cache file ``DeliveryTable.save`` writes, byte for byte, and a SHA-256
+over every capture the sample-level PHY assembled, in calibration
+order.  The table's counts alone would miss a change in the last bit
+of a sample; the capture digest does not.  Like the stream goldens, the
+digest assumes an FMA-capable OpenBLAS kernel (it holds under the
+default, ``Haswell`` and ``Zen`` cores; ``Sandybridge`` scales the
+bursts by a power whose last bit differs).
+
 Python's ``json`` round-trips floats exactly, so re-dumping a stored
 summary with ``summary_json()``'s own options reproduces its bytes.
 
@@ -20,9 +31,11 @@ with::
     PYTHONPATH=src python -m tests.sim.golden.freeze
 """
 
+import hashlib
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 
 # One BLAS thread before numpy loads, as in ``tests/conftest.py``: the
@@ -37,8 +50,19 @@ from repro.sim import (  # noqa: E402
     DeliveryTable,
     run_campaign,
 )
+from repro.wifi.front_end import WifiFrontEnd  # noqa: E402
 
 PATH = Path(__file__).with_name("summaries.json")
+CALIBRATION_PATH = Path(__file__).with_name("calibration.json")
+
+#: A small real calibration: three SNR points, up to two interferers.
+CALIBRATION = CalibrationConfig(
+    snr_grid_db=(0.0, 4.0, 8.0),
+    max_interferers=2,
+    fec_schemes=("none",),
+    frames_per_point=8,
+    seed=2027,
+)
 
 
 def logistic_table(max_interferers=2, frames=1000):
@@ -188,6 +212,39 @@ def convergecast_records():
     }
 
 
+def calibration_record():
+    """Calibrate :data:`CALIBRATION` serially; its frozen form.
+
+    Returns ``{"table": <cache file text>, "captures": <count>,
+    "capture_sha256": <hex>}``; the digest covers each capture's
+    complex128 bytes in the order the serial calibration builds them.
+    """
+    digest = hashlib.sha256()
+    count = 0
+    capture = WifiFrontEnd.capture
+
+    def recording(self, *args, **kwargs):
+        nonlocal count
+        out = capture(self, *args, **kwargs)
+        digest.update(out.tobytes())
+        count += 1
+        return out
+
+    WifiFrontEnd.capture = recording
+    try:
+        table = DeliveryTable.calibrate(CALIBRATION, jobs=1)
+    finally:
+        WifiFrontEnd.capture = capture
+    with tempfile.TemporaryDirectory() as directory:
+        path = table.save(os.path.join(directory, "table.json"))
+        text = Path(path).read_text(encoding="utf-8")
+    return {
+        "table": text,
+        "captures": count,
+        "capture_sha256": digest.hexdigest(),
+    }
+
+
 def summary_bytes(summary):
     """``summary_json()``'s bytes for a stored (parsed) summary."""
     return json.dumps(summary, sort_keys=True, indent=2)
@@ -196,3 +253,8 @@ def summary_bytes(summary):
 def load():
     """The frozen fixtures: ``{"campaigns": ..., "convergecast": ...}``."""
     return json.loads(PATH.read_text())
+
+
+def load_calibration():
+    """The frozen :func:`calibration_record`."""
+    return json.loads(CALIBRATION_PATH.read_text())

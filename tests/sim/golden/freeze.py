@@ -1,4 +1,4 @@
-"""Regenerate ``summaries.json`` from the current fleet simulator.
+"""Regenerate ``summaries.json`` and ``calibration.json``.
 
 Run from the repository root::
 
@@ -11,8 +11,10 @@ tests treat the file as the simulator's reference output.
 import json
 
 from tests.sim.golden import (
+    CALIBRATION_PATH,
     CASES,
     PATH,
+    calibration_record,
     convergecast_records,
     logistic_table,
     run_case,
@@ -44,6 +46,14 @@ def main():
     print(
         f"convergecast: {len(convergecast['records'])} records of "
         f"{convergecast['readings_generated']} readings"
+    )
+    calibration = calibration_record()
+    CALIBRATION_PATH.write_text(
+        json.dumps(calibration, indent=1, sort_keys=True) + "\n"
+    )
+    print(
+        f"calibration: {calibration['captures']} captures, sha256 "
+        f"{calibration['capture_sha256'][:16]}"
     )
 
 
