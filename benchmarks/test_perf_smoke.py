@@ -13,16 +13,19 @@ Two small guards CI can afford on every push:
   decimation-8 complex64 channelizer bank over noise blocks, nothing
   else), a **derive micro-benchmark** (one decimation-8 complex64
   session's derived caches over noise products, nothing else) and a
-  **scan micro-benchmark** (the same session's scans over those caches)
-  and a **serve micro-benchmark** (noise blocks through a ``repro
-  serve`` subprocess over the wire, one tenant, closed loop), and
+  **scan micro-benchmark** (the same session's scans over those caches),
+  a **serve micro-benchmark** (noise blocks through a ``repro
+  serve`` subprocess over the wire, one tenant, closed loop) and an
+  **interference micro-benchmark** (802.11g OFDM bursts drawn the way
+  the fleet's ``DeliveryTable`` calibration draws them), and
   append the Msps figures, with the CPU count and the BLAS thread
   count they were measured under, to ``BENCH_SMOKE_TREND.jsonl`` (one
   JSON line per run, rendered by ``python -m repro bench trajectory``).
-  The front-end, derive, scan and serve figures are scaled to reference
-  host speed by the ledger's speed probe and gated by floors of their
-  own, so a regression in any native kernel or in the wire shows up as
-  that layer, not as a blur in the whole decode.
+  The front-end, derive, scan, serve and interference figures are
+  scaled to reference host speed by the ledger's speed probe and gated
+  by floors of their own, so a regression in any native kernel, in the
+  wire or in the OFDM synthesis shows up as that layer, not as a blur
+  in the whole decode or in the fleet's set-up.
 
 The floor is ~2.9x below the ~13 Msps the reference 1-CPU container
 measures for the PR-10 configuration (see ``BENCH_PR10.json``), so an
@@ -43,11 +46,13 @@ import pytest
 
 from benchmarks.ledger.child import blas_threads
 from benchmarks.ledger.common import speed_factor
+from benchmarks.ledger.fleet import CALIBRATION
 from benchmarks.ledger.gateway import BLOCK as SERVE_BLOCK
 from benchmarks.ledger.gateway import ENGINE as SERVE_ENGINE
 from benchmarks.ledger.gateway import GatewayWorkload
 from repro.core.decoder import SymBeeDecoder
 from repro.network.traffic import StreamSender, StreamTraffic
+from repro.sim.fastpath import interference_model_for
 from repro.stream import StreamEngine
 from repro.stream.frontend import FastChannelBank
 from repro.stream.session import StreamSession
@@ -109,6 +114,17 @@ SCAN_FLOOR_MSPS = 1100.0
 SERVE_FLOOR_MSPS = 25.0
 #: Noise blocks per timed serve pass (the ledger's gateway block size).
 SERVE_BLOCKS = 64
+#: Conservative floor for the interference micro-benchmark, in burst
+#: Msps at reference host speed (see :func:`interference_msps`).  One
+#: dict grid and one IFFT per OFDM symbol measured ~2.5 on the reference
+#: 2-CPU host, the batched grid that replaced it 19-26; the floor sits
+#: ~3x above the former, ~2.5x below the latter.
+INTERFERENCE_FLOOR_MSPS = 8.0
+#: Captures per timed interference pass, each as long as one capture of
+#: the fleet ledger's calibration (a 16-data-bit SymBee frame with its
+#: lead-in and tail).
+INTERFERENCE_CAPTURES = 64
+INTERFERENCE_CAPTURE_SAMPLES = 52290
 
 
 def frontend_msps():
@@ -282,6 +298,41 @@ def serve_msps():
     return SERVE_BLOCKS * SERVE_BLOCK / (best * factor) / 1e6
 
 
+def interference_msps():
+    """WiFi OFDM interference, drawn the way the calibration draws it.
+
+    Times :data:`INTERFERENCE_CAPTURES` burst lists from the fleet
+    ledger calibration's most crowded interferer column
+    (:func:`interference_model_for` at its ``max_interferers``) over
+    calibration-length captures — burst timing, OFDM synthesis and
+    power scaling, with no mixing, capture or decode — and returns the
+    burst samples synthesized per second (in millions), best of five,
+    scaled to reference host speed by the ledger's speed probe.
+    """
+    model = interference_model_for(
+        CALIBRATION.max_interferers,
+        CALIBRATION.interferer_duty,
+        CALIBRATION.interferer_sir_db,
+    )
+
+    def synthesize():
+        rng = np.random.default_rng(20260806)
+        return sum(
+            burst.waveform.size
+            for _ in range(INTERFERENCE_CAPTURES)
+            for burst in model.generate(INTERFERENCE_CAPTURE_SAMPLES, 1e-9, rng)
+        )
+
+    synthesize()  # warm-up
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        samples = synthesize()
+        best = min(best, time.perf_counter() - t0)
+    factor = speed_factor(5)
+    return samples / (best * factor) / 1e6
+
+
 @pytest.mark.perf_smoke
 def test_streaming_fast_path_throughput_floor():
     senders = [
@@ -371,6 +422,7 @@ def test_serial_trend_record():
     derive = derive_msps()
     scan = scan_msps()
     serve = serve_msps()
+    interference = interference_msps()
 
     cpu_count = os.cpu_count() or 1
     entry = {
@@ -393,6 +445,9 @@ def test_serial_trend_record():
         # One tenant's noise blocks through `repro serve` over the wire,
         # at reference host speed (see serve_msps).
         "serve_msps": round(serve, 3),
+        # OFDM interference bursts as the fleet calibration draws them,
+        # at reference host speed (see interference_msps).
+        "interference_msps": round(interference, 3),
     }
     with TREND_PATH.open("a") as fh:
         fh.write(json.dumps(entry) + "\n")
@@ -400,7 +455,8 @@ def test_serial_trend_record():
         f"\ntrend: serial {serial_msps:.2f} Msps, scan-only "
         f"{scan_noise_msps:.2f} Msps, bank {frontend:.1f} Msps, derive "
         f"{derive:.1f} Msps, scan "
-        f"{scan:.1f} Msps, serve {serve:.1f} Msps on "
+        f"{scan:.1f} Msps, serve {serve:.1f} Msps, interference "
+        f"{interference:.1f} Msps on "
         f"{cpu_count} cpu(s), {entry['blas_threads']} BLAS thread(s) "
         f"-> {TREND_PATH.name}"
     )
@@ -416,4 +472,8 @@ def test_serial_trend_record():
     )
     assert serve >= SERVE_FLOOR_MSPS, (
         f"serve wire at {serve:.1f} Msps, floor {SERVE_FLOOR_MSPS} Msps"
+    )
+    assert interference >= INTERFERENCE_FLOOR_MSPS, (
+        f"OFDM interference at {interference:.1f} Msps, floor "
+        f"{INTERFERENCE_FLOOR_MSPS} Msps"
     )

@@ -421,9 +421,9 @@ def print_trajectory(root=".", print_fn=print):
             return f"{entry[key]:.2f}" if key in entry else "-"
 
         # Lines recorded before BLAS pinning carry no blas_threads, and
-        # lines from before the bank, derive, scan or serve
-        # micro-benchmarks no frontend_msps, derive_msps, scan_msps or
-        # serve_msps.
+        # lines from before the bank, derive, scan, serve or
+        # interference micro-benchmarks no frontend_msps, derive_msps,
+        # scan_msps, serve_msps or interference_msps.
         trend_rows = [
             (
                 str(entry.get("recorded_at", "-")),
@@ -435,12 +435,13 @@ def print_trajectory(root=".", print_fn=print):
                 msps(entry, "derive_msps"),
                 msps(entry, "scan_msps"),
                 msps(entry, "serve_msps"),
+                msps(entry, "interference_msps"),
             )
             for entry in trend
         ]
         print_table(
             ("recorded", "cpus", "blas threads", "serial Msps",
-             "noise decode", "bank", "derive", "scan", "serve"),
+             "noise decode", "bank", "derive", "scan", "serve", "ofdm"),
             trend_rows,
             title=f"perf-smoke trend (last {len(trend)} of {TREND_FILENAME})",
         )

@@ -13,7 +13,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.constants import SYMBEE_STABLE_WINDOW_20MHZ
 from repro.core.analytics import ber_from_phase_error
@@ -71,6 +70,8 @@ class LinkQualityEstimator:
 
     def confidence_interval(self, level=0.95):
         """Wilson interval on Pr_eps."""
+        from scipy import stats
+
         if self._values == 0:
             return (0.0, 1.0)
         z = stats.norm.ppf(0.5 + level / 2.0)

@@ -14,7 +14,6 @@
 """
 
 import numpy as np
-from scipy import stats
 
 from repro.constants import (
     SYMBEE_BIT_DURATION,
@@ -57,6 +56,8 @@ def phase_error_probability_gaussian(snr_db, lag=16):
     both tails contribute.  Accurate above roughly 0 dB; the Monte-Carlo
     estimator is authoritative below that.
     """
+    from scipy import stats
+
     snr = db_to_linear(snr_db)
     sigma = np.sqrt(1.0 / snr)
     to_zero = SYMBEE_STABLE_PHASE
@@ -70,6 +71,8 @@ def ber_from_phase_error(pr_eps, window=SYMBEE_STABLE_WINDOW_20MHZ, threshold=No
     ``BER = sum_{l=threshold..window} C(window, l) p^l (1-p)^(window-l)``
     with the paper's threshold of half the window (42 of 84).
     """
+    from scipy import stats
+
     if not 0.0 <= pr_eps <= 1.0:
         raise ValueError("pr_eps must be a probability")
     if threshold is None:

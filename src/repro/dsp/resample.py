@@ -11,7 +11,6 @@ into a 40 Msps capture.  Polyphase filtering via
 from math import gcd
 
 import numpy as np
-from scipy.signal import resample_poly
 
 
 def resample(samples, rate_in, rate_out):
@@ -22,6 +21,8 @@ def resample(samples, rate_in, rate_out):
     ``round(len(samples) * rate_out / rate_in)`` up to polyphase edge
     effects; complex inputs are filtered as I and Q independently.
     """
+    from scipy.signal import resample_poly
+
     if rate_in <= 0 or rate_out <= 0:
         raise ValueError("rates must be positive")
     samples = np.asarray(samples)

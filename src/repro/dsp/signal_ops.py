@@ -70,8 +70,9 @@ def scale_to_power(x, target_power):
     return np.asarray(x) * np.sqrt(target_power / p)
 
 
-#: LRU of precomputed mixer phasor tables; entries are ~1 MB at typical
-#: frame lengths, so the table is kept deliberately small.
+#: Precomputed mixer phasor tables, one per (offset, rate, phase); entries
+#: are ~1 MB at typical frame lengths, so the table is kept deliberately
+#: small.
 _ROTATOR_CACHE = {}
 _ROTATOR_CACHE_MAX = 8
 
@@ -79,28 +80,29 @@ _ROTATOR_CACHE_MAX = 8
 def mixer_rotator(frequency_offset_hz, sample_rate_hz, n, initial_phase=0.0):
     """The length-``n`` mixer phasor ``exp(j*(2*pi*f*t + phase0))``, memoized.
 
-    Monte-Carlo trials downconvert same-length waveforms at the same
-    centre-frequency offset thousands of times; the complex exponential
-    dominates the mixer cost, so it is cached (read-only) and reused.
+    Monte-Carlo trials downconvert waveforms at the same centre-frequency
+    offset thousands of times; the complex exponential dominates the
+    mixer cost, so it is cached (read-only) and reused.  One table is
+    kept per ``(offset, rate, phase)`` and a shorter request is served
+    its prefix (sample ``t`` does not depend on the table's length), so
+    variable-length bursts share it.  A longer request regrows the table
+    to exactly ``n`` samples.
     """
-    key = (
-        float(frequency_offset_hz),
-        float(sample_rate_hz),
-        int(n),
-        float(initial_phase),
-    )
+    n = int(n)
+    key = (float(frequency_offset_hz), float(sample_rate_hz), float(initial_phase))
     rotator = _ROTATOR_CACHE.get(key)
-    if rotator is None:
-        t = np.arange(int(n))
+    if rotator is None or rotator.size < n:
+        t = np.arange(n)
         rotator = np.exp(
             1j
             * (2.0 * np.pi * frequency_offset_hz * t / sample_rate_hz + initial_phase)
         )
         rotator.setflags(write=False)
-        while len(_ROTATOR_CACHE) >= _ROTATOR_CACHE_MAX:
-            _ROTATOR_CACHE.pop(next(iter(_ROTATOR_CACHE)))
+        if key not in _ROTATOR_CACHE:
+            while len(_ROTATOR_CACHE) >= _ROTATOR_CACHE_MAX:
+                _ROTATOR_CACHE.pop(next(iter(_ROTATOR_CACHE)))
         _ROTATOR_CACHE[key] = rotator
-    return rotator
+    return rotator[:n]
 
 
 def mix(x, frequency_offset_hz, sample_rate_hz, initial_phase=0.0, cache=False):

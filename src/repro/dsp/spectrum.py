@@ -7,7 +7,6 @@ wrappers over Welch's method plus occupied-bandwidth measurement.
 """
 
 import numpy as np
-from scipy import signal as sp_signal
 
 
 def power_spectral_density(samples, sample_rate, nperseg=1024):
@@ -16,6 +15,8 @@ def power_spectral_density(samples, sample_rate, nperseg=1024):
     Returns ``(frequencies, psd)`` sorted by frequency, with frequencies
     spanning ``(-fs/2, fs/2]``.
     """
+    from scipy import signal as sp_signal
+
     samples = np.asarray(samples)
     if samples.size < 8:
         raise ValueError("capture too short for a PSD estimate")

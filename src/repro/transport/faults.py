@@ -91,6 +91,10 @@ class GilbertElliott(FaultProfile):
         self.bad_extra_loss_db = float(bad_extra_loss_db)
         self._bad = False
         self._next_flip_s = None
+        # Called once per delivery attempt: hand out two frozen states
+        # rather than building one per call.
+        self._good_state = ChannelState()
+        self._bad_state = ChannelState(extra_loss_db=self.bad_extra_loss_db)
 
     def state(self, time_s, rng):
         if self._next_flip_s is None:
@@ -99,9 +103,7 @@ class GilbertElliott(FaultProfile):
             self._bad = not self._bad
             mean = self.mean_bad_s if self._bad else self.mean_good_s
             self._next_flip_s += float(rng.exponential(mean))
-        if self._bad:
-            return ChannelState(extra_loss_db=self.bad_extra_loss_db)
-        return ChannelState()
+        return self._bad_state if self._bad else self._good_state
 
     def describe(self):
         return (

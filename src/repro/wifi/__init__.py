@@ -16,7 +16,7 @@ from repro.wifi.idle_listening import (
     phase_differences,
     autocorrelation_metric,
 )
-from repro.wifi.ofdm import OfdmTransmitter, l_stf, l_ltf
+from repro.wifi.ofdm import L_LTF, L_STF, OfdmTransmitter
 from repro.wifi.receiver import OfdmReceiver, OfdmReception
 from repro.wifi.impairments import (
     apply_dc_offset,
@@ -37,8 +37,8 @@ __all__ = [
     "OfdmTransmitter",
     "OfdmReceiver",
     "OfdmReception",
-    "l_stf",
-    "l_ltf",
+    "L_STF",
+    "L_LTF",
     "apply_dc_offset",
     "apply_iq_imbalance",
     "clip_magnitude",

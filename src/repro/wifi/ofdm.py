@@ -44,36 +44,59 @@ _LTF_PATTERN_LEFT = [1, 1, -1, -1, 1, 1, -1, 1, -1, 1, 1, 1, 1,
 _LTF_PATTERN_RIGHT = [1, -1, -1, 1, 1, -1, 1, -1, 1, -1, -1, -1, -1,
                       -1, 1, 1, -1, -1, 1, -1, 1, -1, 1, 1, 1, 1]
 
+#: IFFT bins of the data and pilot subcarriers, and the pilots' values.
+_DATA_BINS = np.array(DATA_SUBCARRIERS) % FFT_SIZE
+_PILOT_BINS = np.array(PILOT_SUBCARRIERS) % FFT_SIZE
+_PILOT_POLARITY = np.array([1, 1, 1, -1], dtype=float)
 
-def _subcarriers_to_time(values_by_subcarrier):
-    """Place subcarrier values onto a 64-point IFFT grid and transform."""
+
+def _grid_to_time(grid):
+    """IFFT each row of a ``(n, 64)`` subcarrier grid.
+
+    Scaled to match the standard's convention closely enough for unit
+    power normalization downstream.
+    """
+    return np.fft.ifft(grid, axis=-1) * FFT_SIZE / np.sqrt(52.0)
+
+
+def _ofdm_symbols(data_values):
+    """``(n, 48)`` data-subcarrier values -> ``(n, 80)`` symbols, CP first.
+
+    Every row gets the four pilots; one IFFT transforms the whole batch
+    (row for row the same bits as one IFFT per symbol).
+    """
+    data_values = np.asarray(data_values)
+    grid = np.zeros((data_values.shape[0], FFT_SIZE), dtype=np.complex128)
+    grid[:, _DATA_BINS] = data_values
+    grid[:, _PILOT_BINS] = _PILOT_POLARITY
+    symbols = _grid_to_time(grid)
+    return np.concatenate([symbols[:, -CYCLIC_PREFIX:], symbols], axis=1)
+
+
+def _training_field(pattern):
     grid = np.zeros(FFT_SIZE, dtype=np.complex128)
-    for k, value in values_by_subcarrier.items():
+    for k, value in pattern.items():
         grid[k % FFT_SIZE] = value
-    # Match the standard's scaling convention closely enough for unit power
-    # normalization downstream.
-    return np.fft.ifft(grid) * FFT_SIZE / np.sqrt(52.0)
+    return _grid_to_time(grid)
 
 
-def l_stf():
-    """The 160-sample legacy Short Training Field (10 x 16-sample reps)."""
-    values = {k: np.sqrt(13.0 / 6.0) * v for k, v in _STF_PATTERN.items()}
-    symbol = _subcarriers_to_time(values)
-    # Only every 4th subcarrier is occupied, so the symbol has period 16;
-    # the STF is 160 samples of that periodic signal.
-    period = symbol[:16]
-    return np.tile(period, 10)
+_STF_SYMBOL = _training_field(
+    {k: np.sqrt(13.0 / 6.0) * v for k, v in _STF_PATTERN.items()}
+)
+_LTF_SYMBOL = _training_field(
+    {
+        **dict(zip(range(-26, 0), map(complex, _LTF_PATTERN_LEFT))),
+        **dict(zip(range(1, 27), map(complex, _LTF_PATTERN_RIGHT))),
+    }
+)
 
-
-def l_ltf():
-    """The 160-sample legacy Long Training Field (32-sample CP + 2 reps)."""
-    values = {}
-    for offset, v in zip(range(-26, 0), _LTF_PATTERN_LEFT):
-        values[offset] = complex(v)
-    for offset, v in zip(range(1, 27), _LTF_PATTERN_RIGHT):
-        values[offset] = complex(v)
-    symbol = _subcarriers_to_time(values)
-    return np.concatenate([symbol[-32:], symbol, symbol])
+#: The 160-sample legacy Short Training Field (10 x 16-sample reps):
+#: only every 4th subcarrier is occupied, so the symbol has period 16.
+L_STF = np.tile(_STF_SYMBOL[:16], 10)
+#: The 160-sample legacy Long Training Field (32-sample CP + 2 reps).
+L_LTF = np.concatenate([_LTF_SYMBOL[-32:], _LTF_SYMBOL, _LTF_SYMBOL])
+L_STF.setflags(write=False)
+L_LTF.setflags(write=False)
 
 
 def _qpsk_map(bits):
@@ -163,7 +186,6 @@ class OfdmTransmitter:
             )
         self.sample_rate = float(sample_rate)
         self.tx_power_watts = float(tx_power_watts)
-        self._pilot_polarity = np.array([1, 1, 1, -1], dtype=float)
 
     def signal_symbol(self, n_data_symbols):
         """The SIGNAL OFDM symbol announcing the packet's DATA length.
@@ -179,11 +201,7 @@ class OfdmTransmitter:
         coded = conv_encode_raw(build_signal_bits(n_data_symbols))
         interleaved = signal_interleave(coded)
         constellation = (1.0 - 2.0 * interleaved).astype(complex)
-        values = dict(zip(DATA_SUBCARRIERS, constellation))
-        for k, polarity in zip(PILOT_SUBCARRIERS, self._pilot_polarity):
-            values[k] = complex(polarity)
-        symbol = _subcarriers_to_time(values)
-        return np.concatenate([symbol[-CYCLIC_PREFIX:], symbol])
+        return _ofdm_symbols(constellation.reshape(1, -1))[0]
 
     def data_symbol(self, bits):
         """One OFDM data symbol (CP + 64 samples) carrying 96 QPSK bits."""
@@ -191,12 +209,7 @@ class OfdmTransmitter:
         needed = 2 * len(DATA_SUBCARRIERS)
         if bits.size != needed:
             raise ValueError(f"need exactly {needed} bits per symbol")
-        constellation = _qpsk_map(bits)
-        values = dict(zip(DATA_SUBCARRIERS, constellation))
-        for k, polarity in zip(PILOT_SUBCARRIERS, self._pilot_polarity):
-            values[k] = complex(polarity)
-        symbol = _subcarriers_to_time(values)
-        return np.concatenate([symbol[-CYCLIC_PREFIX:], symbol])
+        return _ofdm_symbols(_qpsk_map(bits).reshape(1, -1))[0]
 
     def packet(self, payload_bits, rng=None):
         """A full packet: L-STF + L-LTF + OFDM data symbols.
@@ -214,10 +227,12 @@ class OfdmTransmitter:
                 pad = np.zeros(remainder, dtype=np.int8)
             payload_bits = np.concatenate([payload_bits, pad])
         n_data_symbols = payload_bits.size // per_symbol
-        blocks = [l_stf(), l_ltf(), self.signal_symbol(n_data_symbols)]
-        for chunk in payload_bits.reshape(-1, per_symbol):
-            blocks.append(self.data_symbol(chunk))
-        waveform = np.concatenate(blocks)
+        data = _ofdm_symbols(
+            _qpsk_map(payload_bits).reshape(n_data_symbols, len(DATA_SUBCARRIERS))
+        )
+        waveform = np.concatenate(
+            [L_STF, L_LTF, self.signal_symbol(n_data_symbols), data.ravel()]
+        )
         return scale_to_power(waveform, self.tx_power_watts)
 
     def burst(self, duration_seconds, rng):

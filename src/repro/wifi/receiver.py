@@ -16,7 +16,6 @@ sender shares the band — used by tests and the coexistence example.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from repro.constants import WIFI_SAMPLE_RATE_20MHZ
 from repro.wifi.idle_listening import IdleListening
@@ -24,9 +23,8 @@ from repro.wifi.ofdm import (
     CYCLIC_PREFIX,
     DATA_SUBCARRIERS,
     FFT_SIZE,
+    L_LTF,
     PILOT_SUBCARRIERS,
-    _subcarriers_to_time,
-    l_ltf,
 )
 
 #: Frequency-domain reference values of the L-LTF on its 52 subcarriers.
@@ -37,7 +35,7 @@ def _ltf_reference():
     """Cache the LTF's frequency-domain reference grid."""
     global _LTF_REFERENCE
     if _LTF_REFERENCE is None:
-        symbol = l_ltf()[32:96]
+        symbol = L_LTF[32:96]
         _LTF_REFERENCE = np.fft.fft(symbol) / (FFT_SIZE / np.sqrt(52.0))
     return _LTF_REFERENCE
 
@@ -67,8 +65,7 @@ class OfdmReceiver:
             raise ValueError("the legacy OFDM PHY is defined at 20 Msps")
         self.sample_rate = float(sample_rate)
         self.idle_listening = IdleListening(sample_rate)
-        ltf = l_ltf()
-        self._ltf_symbol = ltf[32:96]
+        self._ltf_symbol = L_LTF[32:96]
 
     # -- synchronization ------------------------------------------------------
 
@@ -94,6 +91,8 @@ class OfdmReceiver:
         Searches a window around ``approximate_start + 192`` (STF 160 +
         LTF CP 32).  Returns the index of the first 64-sample LTF symbol.
         """
+        from scipy.signal import fftconvolve
+
         capture = np.asarray(capture)
         nominal = approximate_start + 160 + 32
         lo = max(0, nominal - 48)

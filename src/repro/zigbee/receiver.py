@@ -10,7 +10,6 @@ waveform; carrier phase is recovered from the correlation peak.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from repro.constants import WIFI_SAMPLE_RATE_20MHZ, ZIGBEE_MAX_PSDU
 from repro.zigbee.frame import SHR_SYMBOLS
@@ -52,6 +51,8 @@ class ZigBeeReceiver:
         The matched-filter output is normalized by the local received
         energy so the threshold is amplitude-independent.
         """
+        from scipy.signal import fftconvolve
+
         waveform = np.asarray(waveform)
         ref = self._shr_reference
         if waveform.size < ref.size:

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.dsp import signal_ops
 from repro.dsp.signal_ops import (
     db_to_linear,
     dbm_to_watts,
     linear_to_db,
     measured_snr_db,
     mix,
+    mixer_rotator,
     normalize_power,
     scale_to_power,
     signal_power,
@@ -108,6 +110,45 @@ class TestMix:
         x = np.ones(4, dtype=complex)
         out = mix(x, 0.0, 20e6, initial_phase=np.pi / 2)
         assert np.allclose(out, 1j * np.ones(4))
+
+
+class TestMixerRotator:
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self, monkeypatch):
+        monkeypatch.setattr(signal_ops, "_ROTATOR_CACHE", {})
+
+    @staticmethod
+    def _fresh(f, fs, n, phase):
+        t = np.arange(n)
+        return np.exp(1j * (2.0 * np.pi * f * t / fs + phase))
+
+    def test_prefixes_match_fresh_exp_as_n_grows_and_shrinks(self, rng):
+        f, fs, phase = -3e6, 20e6, 0.7
+        for n in (5000, 17, 9994, 3040, 20011, 1, 0, 12345, 20011):
+            rotator = mixer_rotator(f, fs, n, initial_phase=phase)
+            assert rotator.size == n
+            assert rotator.tobytes() == self._fresh(f, fs, n, phase).tobytes()
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            cached = mix(x, f, fs, initial_phase=phase, cache=True)
+            assert cached.tobytes() == mix(x, f, fs, initial_phase=phase).tobytes()
+
+    def test_one_entry_per_offset_grown_to_exactly_n(self):
+        for n in (100, 40, 150, 149):
+            mixer_rotator(1e6, 20e6, n, initial_phase=0.3)
+        ((key, entry),) = signal_ops._ROTATOR_CACHE.items()
+        assert key == (1e6, 20e6, 0.3)
+        assert entry.size == 150
+
+    def test_entries_are_read_only_and_bounded(self):
+        served = [
+            mixer_rotator(1e6, 20e6, 64 + k, initial_phase=0.01 * k)
+            for k in range(3 * signal_ops._ROTATOR_CACHE_MAX)
+        ]
+        assert len(signal_ops._ROTATOR_CACHE) == signal_ops._ROTATOR_CACHE_MAX
+        for rotator in served + list(signal_ops._ROTATOR_CACHE.values()):
+            assert not rotator.flags.writeable
+            with pytest.raises(ValueError):
+                rotator[0] = 0.0
 
 
 class TestWrapPhase:

@@ -77,6 +77,31 @@ class TestBlasPin:
         assert self._info_threads(OPENBLAS_NUM_THREADS="2") == "2"
 
 
+class TestImportCost:
+    """The CLI's long-running entry points never load scipy.
+
+    scipy is imported inside the few functions that call it; importing it
+    at module level cost every ``serve``/``listen``/``simulate`` process
+    over a second and tens of MB before any work.
+    """
+
+    def test_entry_points_leave_scipy_unloaded(self):
+        code = (
+            "import sys\n"
+            "import repro.stream.engine, repro.gateway.server, repro.sim\n"
+            "import repro.__main__\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
+
+
 class TestListen:
     def test_wideband_decodes_all_scheduled(self, capsys):
         assert (
@@ -425,34 +450,49 @@ class TestBenchTrajectory:
         scan = dict(derive, recorded_at="scan", scan_msps=1745.503)
         bank = dict(scan, recorded_at="bank", frontend_msps=281.776)
         serve = dict(bank, recorded_at="serve", serve_msps=61.527)
+        ofdm = dict(serve, recorded_at="ofdm", interference_msps=21.048)
         (tmp_path / "BENCH_SMOKE_TREND.jsonl").write_text(
             "".join(
                 json.dumps(e) + "\n"
-                for e in (old, new, derive, scan, bank, serve)
+                for e in (old, new, derive, scan, bank, serve, ofdm)
             )
         )
         assert main(["bench", "trajectory", "--root", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "blas threads" in out
         assert "jobs=2" not in out and "jobs=4" not in out
-        labels = (["old"], ["new"], ["derive"], ["scan"], ["bank"], ["serve"])
+        labels = (
+            ["old"], ["new"], ["derive"], ["scan"], ["bank"], ["serve"],
+            ["ofdm"],
+        )
         rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()
                 if line.split()[:1] in labels}
         # Lines recorded before BLAS pinning or before the bank, derive,
-        # scan or serve micro-benchmarks still render, with a dash.
-        assert rows["old"] == ["1", "-", "9.86", "15.39", "-", "-", "-", "-"]
-        assert rows["new"] == ["2", "1", "9.84", "17.89", "-", "-", "-", "-"]
+        # scan, serve or interference micro-benchmarks still render, with
+        # a dash.
+        assert rows["old"] == [
+            "1", "-", "9.86", "15.39", "-", "-", "-", "-", "-"
+        ]
+        assert rows["new"] == [
+            "2", "1", "9.84", "17.89", "-", "-", "-", "-", "-"
+        ]
         assert rows["derive"] == [
-            "2", "1", "11.00", "24.50", "-", "61.23", "-", "-"
+            "2", "1", "11.00", "24.50", "-", "61.23", "-", "-", "-"
         ]
         assert rows["scan"] == [
-            "2", "1", "11.00", "24.50", "-", "61.23", "1745.50", "-"
+            "2", "1", "11.00", "24.50", "-", "61.23", "1745.50", "-", "-"
         ]
         assert rows["bank"] == [
-            "2", "1", "11.00", "24.50", "281.78", "61.23", "1745.50", "-"
+            "2", "1", "11.00", "24.50", "281.78", "61.23", "1745.50", "-",
+            "-",
         ]
         assert rows["serve"] == [
-            "2", "1", "11.00", "24.50", "281.78", "61.23", "1745.50", "61.53"
+            "2", "1", "11.00", "24.50", "281.78", "61.23", "1745.50",
+            "61.53", "-",
+        ]
+        assert rows["ofdm"] == [
+            "2", "1", "11.00", "24.50", "281.78", "61.23", "1745.50",
+            "61.53", "21.05",
         ]
 
     def test_json_empty_root_exits_nonzero(self, tmp_path, capsys):

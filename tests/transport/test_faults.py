@@ -5,6 +5,7 @@ import pytest
 
 from repro.transport.faults import (
     AckBlackout,
+    ChannelState,
     FaultProfile,
     GilbertElliott,
     InterferenceBursts,
@@ -71,6 +72,16 @@ class TestGilbertElliott:
     def test_invalid_sojourns_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             GilbertElliott(mean_good_s=0.0)
+
+    def test_hands_out_one_frozen_state_per_channel_state(self):
+        profile = GilbertElliott(bad_extra_loss_db=9.0)
+        rng = np.random.default_rng(1)
+        states = [profile.state(t, rng) for t in np.linspace(0.0, 20.0, 800)]
+        distinct = {id(state): state for state in states}.values()
+        assert sorted(distinct, key=lambda s: s.extra_loss_db) == [
+            ChannelState(),
+            ChannelState(extra_loss_db=9.0),
+        ]
 
 
 class TestInterferenceBursts:

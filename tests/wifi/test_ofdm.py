@@ -3,36 +3,107 @@
 import numpy as np
 import pytest
 
-from repro.dsp.signal_ops import signal_power
+from repro.dsp.signal_ops import scale_to_power, signal_power
 from repro.wifi.ofdm import (
     CYCLIC_PREFIX,
     DATA_SUBCARRIERS,
     FFT_SIZE,
+    L_LTF,
+    L_STF,
+    PILOT_SUBCARRIERS,
     OfdmTransmitter,
-    l_ltf,
-    l_stf,
+    _STF_PATTERN,
+    _LTF_PATTERN_LEFT,
+    _LTF_PATTERN_RIGHT,
 )
+
+
+# -- reference: one dict grid and one IFFT per symbol ------------------------
+
+def _reference_time(values_by_subcarrier):
+    grid = np.zeros(FFT_SIZE, dtype=np.complex128)
+    for k, value in values_by_subcarrier.items():
+        grid[k % FFT_SIZE] = value
+    return np.fft.ifft(grid) * FFT_SIZE / np.sqrt(52.0)
+
+
+def _reference_training():
+    stf = _reference_time(
+        {k: np.sqrt(13.0 / 6.0) * v for k, v in _STF_PATTERN.items()}
+    )
+    values = {}
+    for offset, v in zip(range(-26, 0), _LTF_PATTERN_LEFT):
+        values[offset] = complex(v)
+    for offset, v in zip(range(1, 27), _LTF_PATTERN_RIGHT):
+        values[offset] = complex(v)
+    ltf = _reference_time(values)
+    return np.tile(stf[:16], 10), np.concatenate([ltf[-32:], ltf, ltf])
+
+
+def _reference_symbol(constellation):
+    values = dict(zip(DATA_SUBCARRIERS, constellation))
+    for k, polarity in zip(PILOT_SUBCARRIERS, (1.0, 1.0, 1.0, -1.0)):
+        values[k] = complex(polarity)
+    symbol = _reference_time(values)
+    return np.concatenate([symbol[-CYCLIC_PREFIX:], symbol])
+
+
+def _reference_data_symbol(bits):
+    pairs = np.asarray(bits, dtype=np.int8).reshape(-1, 2)
+    i = 1.0 - 2.0 * pairs[:, 0]
+    q = 1.0 - 2.0 * pairs[:, 1]
+    return _reference_symbol((i + 1j * q) / np.sqrt(2.0))
+
+
+def _reference_packet(tx, payload_bits, rng=None):
+    from repro.core.convolutional import conv_encode_raw
+    from repro.wifi.ofdm import build_signal_bits, signal_interleave
+
+    payload_bits = np.asarray(payload_bits, dtype=np.int8).ravel()
+    per_symbol = 2 * len(DATA_SUBCARRIERS)
+    remainder = (-payload_bits.size) % per_symbol
+    if remainder:
+        if rng is not None:
+            pad = rng.integers(0, 2, remainder, dtype=np.int8)
+        else:
+            pad = np.zeros(remainder, dtype=np.int8)
+        payload_bits = np.concatenate([payload_bits, pad])
+    n_data_symbols = payload_bits.size // per_symbol
+    coded = signal_interleave(conv_encode_raw(build_signal_bits(n_data_symbols)))
+    stf, ltf = _reference_training()
+    blocks = [stf, ltf, _reference_symbol((1.0 - 2.0 * coded).astype(complex))]
+    for chunk in payload_bits.reshape(-1, per_symbol):
+        blocks.append(_reference_data_symbol(chunk))
+    return scale_to_power(np.concatenate(blocks), tx.tx_power_watts)
+
+
+def _reference_burst(tx, duration_seconds, rng):
+    total_samples = int(round(duration_seconds * tx.sample_rate))
+    symbol_samples = FFT_SIZE + CYCLIC_PREFIX
+    n_symbols = max(1, int(np.ceil((total_samples - 400) / symbol_samples)))
+    bits = rng.integers(0, 2, n_symbols * 2 * len(DATA_SUBCARRIERS), dtype=np.int8)
+    return _reference_packet(tx, bits)[: max(total_samples, 400)]
 
 
 class TestTrainingFields:
     def test_stf_length(self):
-        assert l_stf().size == 160
+        assert L_STF.size == 160
 
     def test_stf_periodicity_16(self):
-        stf = l_stf()
+        stf = L_STF
         assert np.allclose(stf[:144], stf[16:160])
 
     def test_ltf_length(self):
-        assert l_ltf().size == 160
+        assert L_LTF.size == 160
 
     def test_ltf_cyclic_prefix(self):
-        ltf = l_ltf()
+        ltf = L_LTF
         # CP (first 32 samples) is the tail of the 64-sample LTF symbol,
         # i.e. it reappears at samples 64:96 of the field.
         assert np.allclose(ltf[:32], ltf[64:96])
 
     def test_ltf_repetition(self):
-        ltf = l_ltf()
+        ltf = L_LTF
         assert np.allclose(ltf[32:96], ltf[96:160])
 
 
@@ -106,6 +177,53 @@ class TestBurst:
         a = tx.burst(200e-6, rng)
         b = tx.burst(200e-6, rng)
         assert not np.allclose(a, b)
+
+
+class TestBatchedSynthesis:
+    """The batched grid equals one IFFT per symbol, bit for bit."""
+
+    def test_training_fields(self):
+        stf, ltf = _reference_training()
+        assert L_STF.tobytes() == stf.tobytes()
+        assert L_LTF.tobytes() == ltf.tobytes()
+        assert not L_STF.flags.writeable and not L_LTF.flags.writeable
+
+    def test_data_symbol(self, rng):
+        tx = OfdmTransmitter()
+        for _ in range(20):
+            bits = rng.integers(0, 2, 96, dtype=np.int8)
+            expected = _reference_data_symbol(bits)
+            assert tx.data_symbol(bits).tobytes() == expected.tobytes()
+
+    def test_packets_of_random_lengths(self):
+        tx = OfdmTransmitter(tx_power_watts=3e-4)
+        draw = np.random.default_rng(2027)
+        lengths = [0, 1, 95, 96, 97, 192] + list(draw.integers(0, 96 * 60, 40))
+        for length in lengths:
+            bits = draw.integers(0, 2, int(length), dtype=np.int8)
+            seed = int(draw.integers(1 << 32))
+            for pad in (None, seed):
+                got = tx.packet(
+                    bits, rng=None if pad is None else np.random.default_rng(pad)
+                )
+                expected = _reference_packet(
+                    tx, bits, None if pad is None else np.random.default_rng(pad)
+                )
+                assert got.tobytes() == expected.tobytes(), (length, pad)
+
+    def test_one_symbol_packet(self, rng):
+        tx = OfdmTransmitter()
+        bits = rng.integers(0, 2, 96, dtype=np.int8)
+        pkt = tx.packet(bits)
+        assert pkt.size == 320 + 2 * (FFT_SIZE + CYCLIC_PREFIX)
+        assert pkt.tobytes() == _reference_packet(tx, bits).tobytes()
+
+    def test_bursts(self):
+        tx = OfdmTransmitter()
+        for k, duration in enumerate((1e-6, 20e-6, 150e-6, 270e-6, 333e-6, 500e-6)):
+            got = tx.burst(duration, np.random.default_rng(k))
+            expected = _reference_burst(tx, duration, np.random.default_rng(k))
+            assert got.tobytes() == expected.tobytes(), duration
 
 
 class TestSignalField:
