@@ -14,12 +14,26 @@ between a fast and a ~5x slower mode from one process to the next,
 which no throughput floor can gate on.  An explicit setting in the
 environment still wins.  The thread count OpenBLAS really runs with is
 read back and shown in the pytest header.
+
+``<root>/src`` is put first on ``PYTHONPATH``, so the subprocesses a
+benchmark spawns (``python -m repro serve``) import ``repro`` from this
+checkout without the caller setting it.
 """
 
 import os
+from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(
+        None,
+        [
+            str(Path(__file__).resolve().parent.parent / "src"),
+            os.environ.get("PYTHONPATH"),
+        ],
+    )
+)
 
 import pytest  # noqa: E402
 

@@ -30,9 +30,8 @@ import numpy as np
 
 from repro.core.link import SymBeeLink
 from repro.experiments.common import measure_link
-from repro.obs import REGISTRY
+from repro.obs import REGISTRY, TRACER
 from repro.runtime import default_jobs
-from repro.runtime.timing import StageTimings
 from repro.zigbee.waveform_cache import FRAME_WAVEFORM_CACHE
 
 #: Pre-PR throughput on the reference container (frames/sec, 1 CPU),
@@ -51,7 +50,6 @@ def _link_at_snr(snr_db):
 
 def _run_random_payload():
     """200 trials with per-trial random payloads (cache-cold workload)."""
-    timings = StageTimings()
     frames = 0
     for i, snr in enumerate(SNRS_DB):
         stats = measure_link(
@@ -60,24 +58,41 @@ def _run_random_payload():
             n_frames=N_FRAMES_PER_SNR,
             bits_per_frame=BITS_PER_FRAME,
         )
-        timings.merge(stats.timings)
         frames += stats.frames
-    return frames, timings
+    return frames
 
 
 def _run_fixed_payload():
     """200 trials resending one frame (cache-hot testbed workload)."""
     bits = np.random.default_rng(99).integers(0, 2, BITS_PER_FRAME)
-    timings = StageTimings()
     frames = 0
     for i, snr in enumerate(SNRS_DB):
         link = _link_at_snr(snr)
         for seed in np.random.SeedSequence(20260806 + i).spawn(N_FRAMES_PER_SNR):
-            link.timings.reset()
             link.send_bits(bits, np.random.default_rng(seed), mac_sequence=7)
-            timings.merge(link.timings)
             frames += 1
-    return frames, timings
+    return frames
+
+
+def _stage_seconds(workload):
+    """Per-stage seconds of one traced pass, from the ``link.*`` spans.
+
+    Spans are per-process, so with ``REPRO_JOBS`` > 1 only the stages
+    that ran in this process are counted.
+    """
+    TRACER.reset()
+    TRACER.enable()
+    try:
+        workload()
+    finally:
+        TRACER.disable()
+    totals = TRACER.totals()
+    TRACER.reset()
+    return {
+        name.removeprefix("link."): round(entry["seconds"], 4)
+        for name, entry in totals.items()
+        if name.startswith("link.")
+    }
 
 
 def _timed(workload):
@@ -85,17 +100,15 @@ def _timed(workload):
     workload()  # warm-up: JIT-free but fills caches and page-faults
     warm = FRAME_WAVEFORM_CACHE.cache_info()
     t0 = time.perf_counter()
-    frames, timings = workload()
+    frames = workload()
     elapsed = time.perf_counter() - t0
     final = FRAME_WAVEFORM_CACHE.cache_info()
     return {
         "frames": frames,
         "elapsed_seconds": round(elapsed, 4),
         "frames_per_sec": round(frames / elapsed, 2),
-        "stage_seconds": {
-            stage: round(entry["seconds"], 4)
-            for stage, entry in timings.as_dict().items()
-        },
+        # An extra traced pass: the timed pass above stays untraced.
+        "stage_seconds": _stage_seconds(workload),
         # Hit/miss deltas of the *timed* pass only: the warm-up pass has
         # already populated the cache, so a repeated-frame workload must
         # show pure hits here and a random-payload one pure misses.

@@ -31,6 +31,8 @@ import signal  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import traceback  # noqa: E402
+from contextlib import contextmanager  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
 
 
 def _profiled(fn):
@@ -131,6 +133,111 @@ def _print_span_tree(spans, print_table):
     print_table(("span", "calls", "seconds"), rows, title="span tree")
 
 
+class _UsageError(Exception):
+    """A flag value argparse cannot check: one ``error:`` line, exit 2."""
+
+
+def _live_collector(args, serving):
+    """The live collector over the sinks ``args`` ask for, or None.
+
+    ``--metrics-stream``, ``--prom-out`` and ``listen --live`` each add a
+    sink.  ``listen`` may tick on every block (``--live-interval 0``);
+    the gateway ticks from a background thread, which needs a positive
+    interval.
+    """
+    from repro import obs
+
+    live = getattr(args, "live", False)
+    if not (args.metrics_stream or args.prom_out or live):
+        return None
+    if serving and args.live_interval <= 0:
+        raise _UsageError("--live-interval must be > 0")
+    if args.live_interval < 0:
+        raise _UsageError("--live-interval must be >= 0")
+    sinks = []
+    if args.metrics_stream:
+        sinks.append(obs.JsonlSink(args.metrics_stream))
+    if args.prom_out:
+        sinks.append(obs.PrometheusFileSink(args.prom_out))
+    if live:
+        sinks.append(obs.TtyDashboard())
+    return obs.LiveCollector(interval_s=args.live_interval, sinks=sinks)
+
+
+@contextmanager
+def _recording(args, serving=False, span_table=False):
+    """One command's telemetry, from the registry reset to the manifest.
+
+    The metrics registry is reset and enabled when ``--metrics-out``,
+    ``--trace`` or a live sink is given, and always when ``serving`` (the
+    gateway's /metrics endpoint reads it); the tracer is reset and
+    enabled with ``--trace``.  Yields ``run``: ``run.collector`` is the
+    live collector (or None).  Every exit, early return and exception
+    included, closes the live sinks and disables both.  A command that
+    completes sets ``run.experiments`` (and ``run.seed``): then
+    ``--metrics-out`` receives the manifest and the metric/span streams,
+    or, with ``span_table`` and no output path, the span totals print.
+    """
+    from repro import obs
+
+    metrics_out = getattr(args, "metrics_out", None)
+    trace = getattr(args, "trace", False)
+    collector = (
+        _live_collector(args, serving)
+        if hasattr(args, "live_interval") else None
+    )
+    meter = serving or bool(metrics_out) or trace or collector is not None
+    run = SimpleNamespace(collector=collector, experiments=None, seed=None)
+    if meter:
+        obs.REGISTRY.reset()
+        if trace:
+            obs.TRACER.reset()
+        obs.enable(trace=trace)
+    try:
+        yield run
+    finally:
+        if collector is not None:
+            for sink in collector.sinks:
+                sink.close()
+        if meter:
+            obs.disable()
+    if run.experiments is None:
+        return
+    if span_table and trace and not metrics_out:
+        from repro.experiments.common import print_table
+
+        rows = [
+            (name, entry["calls"], f"{entry['seconds']:.3f}")
+            for name, entry in sorted(
+                obs.TRACER.totals().items(), key=lambda kv: -kv[1]["seconds"]
+            )
+        ]
+        print_table(("span", "calls", "seconds"), rows, title="trace spans")
+    spans = obs.TRACER.drain() if trace else []
+    if metrics_out:
+        snapshot = obs.REGISTRY.snapshot()
+        manifest = obs.build_manifest(
+            experiments=run.experiments,
+            seed=run.seed,
+            metrics=snapshot,
+            n_spans=len(spans),
+        )
+        obs.write_run_jsonl(
+            metrics_out, manifest, snapshot=snapshot, spans=spans
+        )
+        print(f"telemetry written to {metrics_out}", file=sys.stderr)
+
+
+def _status(name, elapsed, error=None):
+    """One manifest ``experiments`` entry (``error`` None on success)."""
+    return {
+        "id": name,
+        "status": "ok" if error is None else "error",
+        "elapsed_seconds": round(elapsed, 3),
+        "error": error,
+    }
+
+
 def _cmd_list(_args):
     from repro.experiments import EXPERIMENTS
 
@@ -145,21 +252,14 @@ def _run_one(experiment):
     t0 = time.perf_counter()
     try:
         experiment.main()
-        status, error = "ok", None
+        error = None
     except Exception as exc:  # noqa: BLE001 — the summary reports it
         traceback.print_exc(file=sys.stderr)
-        status = "error"
         error = f"{type(exc).__name__}: {exc}"
-    return {
-        "id": experiment.id,
-        "status": status,
-        "elapsed_seconds": round(time.perf_counter() - t0, 3),
-        "error": error,
-    }
+    return _status(experiment.id, time.perf_counter() - t0, error)
 
 
 def _cmd_run(args):
-    from repro import obs
     from repro.experiments import EXPERIMENTS
 
     if args.experiment == "all":
@@ -174,51 +274,13 @@ def _cmd_run(args):
         )
         return 2
 
-    record = bool(args.metrics_out) or args.trace
-    if record:
-        obs.REGISTRY.reset()
-        if args.trace:
-            obs.TRACER.reset()
-        obs.enable(trace=args.trace)
-
     def battery():
         return [_run_one(experiment) for experiment in experiments]
 
-    statuses = _profiled(battery) if args.profile else battery()
+    with _recording(args, span_table=True) as run:
+        statuses = _profiled(battery) if args.profile else battery()
+        run.experiments = statuses
     failures = [s for s in statuses if s["status"] != "ok"]
-
-    if record:
-        obs.disable()
-        snapshot = obs.REGISTRY.snapshot()
-        spans = obs.TRACER.drain() if args.trace else []
-        if args.metrics_out:
-            manifest = obs.build_manifest(
-                experiments=statuses,
-                metrics=snapshot,
-                argv=sys.argv[1:],
-                n_spans=len(spans),
-            )
-            obs.write_run_jsonl(
-                args.metrics_out, manifest, snapshot=snapshot, spans=spans
-            )
-            print(f"telemetry written to {args.metrics_out}", file=sys.stderr)
-        elif args.trace:
-            from repro.experiments.common import print_table
-
-            totals = {}
-            for span in spans:
-                entry = totals.setdefault(
-                    span["name"], {"calls": 0, "seconds": 0.0}
-                )
-                entry["calls"] += 1
-                entry["seconds"] += span["duration_s"]
-            rows = [
-                (name, entry["calls"], f"{entry['seconds']:.3f}")
-                for name, entry in sorted(
-                    totals.items(), key=lambda kv: -kv[1]["seconds"]
-                )
-            ]
-            print_table(("span", "calls", "seconds"), rows, title="trace spans")
 
     if len(statuses) > 1:
         from repro.experiments.common import print_table
@@ -323,7 +385,6 @@ def _cmd_obs_tail(args):
 def _cmd_listen(args):
     import numpy as np
 
-    from repro import obs
     from repro.channel.scenarios import SCENARIOS
     from repro.experiments.common import print_table
     from repro.network.traffic import StreamSender, StreamTraffic
@@ -366,183 +427,133 @@ def _cmd_listen(args):
         scenario=scenario,
     )
 
-    live_requested = bool(
-        args.live or args.metrics_stream or args.prom_out
-    )
-    if live_requested and args.live_interval < 0:
-        print("error: --live-interval must be >= 0", file=sys.stderr)
-        return 2
-    record = bool(args.metrics_out) or args.trace
-    if record or live_requested:
-        obs.REGISTRY.reset()
-        if args.trace:
-            obs.TRACER.reset()
-        obs.enable(trace=args.trace)
-
-    collector = None
-    sinks = []
-    if live_requested:
-        if args.metrics_stream:
-            sinks.append(obs.JsonlSink(args.metrics_stream))
-        if args.prom_out:
-            sinks.append(obs.PrometheusFileSink(args.prom_out))
-        if args.live:
-            sinks.append(obs.TtyDashboard())
-        collector = obs.LiveCollector(
-            interval_s=args.live_interval, sinks=sinks
-        )
-
-    rng = np.random.default_rng(args.seed)
-    samples, truth = traffic.capture(rng)
-    try:
-        engine = StreamEngine(
-            wifi_channel=args.wifi_channel,
-            demux=demux,
-            decimation=args.decimation,
-            working_dtype=np.complex64 if args.float32 else None,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    ring = RingBufferSource(capacity_blocks=args.ring_capacity)
-
-    # Graceful shutdown: SIGINT/SIGTERM stop the *feed*, not the
-    # process — the engine then drains the ring, flushes channelizer
-    # state and finalizes the live collector exactly as it would at
-    # end-of-capture.  A second signal falls back to the default
-    # handler (hard kill).
-    stop = {"signal": None}
-
-    def _request_stop(signum, _frame):
-        stop["signal"] = signal.Signals(signum).name
-        signal.signal(signum, previous[signum])
-        print(
-            f"{stop['signal']} received: draining stream...",
-            file=sys.stderr,
-            flush=True,
-        )
-
-    previous = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
+    with _recording(args) as run:
+        rng = np.random.default_rng(args.seed)
+        samples, truth = traffic.capture(rng)
         try:
-            previous[signum] = signal.signal(signum, _request_stop)
-        except (ValueError, OSError):  # non-main thread / platform quirks
-            pass
+            engine = StreamEngine(
+                wifi_channel=args.wifi_channel,
+                demux=demux,
+                decimation=args.decimation,
+                working_dtype=np.complex64 if args.float32 else None,
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        ring = RingBufferSource(capacity_blocks=args.ring_capacity)
 
-    def ring_feed():
-        # Lock-step producer/consumer: every block passes through the
-        # ring on its way to the engine so overrun accounting stays
-        # live.
-        for block in traffic.blocks(samples, args.block_size):
-            if stop["signal"] is not None:
-                break
-            ring.push(block)
-            popped = ring.pop()
-            if popped is not None:
-                yield popped
-        ring.close()
-        yield from ring
+        # Graceful shutdown: SIGINT/SIGTERM stop the *feed*, not the
+        # process — the engine then drains the ring, flushes channelizer
+        # state and finalizes the live collector exactly as it would at
+        # end-of-capture.  A second signal falls back to the default
+        # handler (hard kill).
+        stop = {"signal": None}
 
-    def decode():
-        return engine.run(ring_feed(), collector=collector)
+        def _request_stop(signum, _frame):
+            stop["signal"] = signal.Signals(signum).name
+            signal.signal(signum, previous[signum])
+            print(
+                f"{stop['signal']} received: draining stream...",
+                file=sys.stderr,
+                flush=True,
+            )
 
-    t0 = time.perf_counter()
-    try:
-        frames = _profiled(decode) if args.profile else decode()
-    finally:
-        for signum, handler in previous.items():
+        previous = {}
+        for signum in (signal.SIGINT, signal.SIGTERM):
             try:
-                signal.signal(signum, handler)
-            except (ValueError, OSError):
+                previous[signum] = signal.signal(signum, _request_stop)
+            except (ValueError, OSError):  # non-main thread / platform quirks
                 pass
-    elapsed = time.perf_counter() - t0
 
-    if collector is not None:
-        # The final sample carries the end-of-run cumulative totals —
-        # it must land after the decode.
-        collector.finalize()
-        for sink in sinks:
-            sink.close()
-        if args.metrics_stream:
-            print(
-                f"live telemetry streamed to {args.metrics_stream}",
-                file=sys.stderr,
-            )
-        if args.prom_out:
-            print(
-                f"prometheus exposition written to {args.prom_out}",
-                file=sys.stderr,
-            )
+        def ring_feed():
+            # Lock-step producer/consumer: every block passes through the
+            # ring on its way to the engine so overrun accounting stays
+            # live.
+            for block in traffic.blocks(samples, args.block_size):
+                if stop["signal"] is not None:
+                    break
+                ring.push(block)
+                popped = ring.pop()
+                if popped is not None:
+                    yield popped
+            ring.close()
+            yield from ring
 
-    # Score decoded frames against the schedule: each scheduled frame is
-    # delivered when some CRC-valid decode on its channel carried its
-    # exact bits (consumed greedily in stream order).
-    remaining = {}
-    for t in truth:
-        remaining.setdefault((t.zigbee_channel, t.frame_bits), []).append(t)
-    delivered = 0
-    rows = []
-    for frame in frames:
-        matched = False
-        if frame.crc_ok:
-            queue = remaining.get((frame.zigbee_channel, frame.bits))
-            if queue:
-                queue.pop(0)
-                delivered += 1
-                matched = True
-        rows.append(
-            (
-                frame.zigbee_channel,
-                frame.preamble_index,
-                frame.n_bits,
-                "ok" if frame.crc_ok else "fail",
-                f"{frame.band_power:.2e}",
-                "yes" if matched else "-",
+        def decode():
+            return engine.run(ring_feed(), collector=run.collector)
+
+        t0 = time.perf_counter()
+        try:
+            frames = _profiled(decode) if args.profile else decode()
+        finally:
+            for signum, handler in previous.items():
+                try:
+                    signal.signal(signum, handler)
+                except (ValueError, OSError):
+                    pass
+        elapsed = time.perf_counter() - t0
+
+        if run.collector is not None:
+            # The final sample carries the end-of-run cumulative totals —
+            # it must land after the decode.
+            run.collector.finalize()
+            if args.metrics_stream:
+                print(
+                    f"live telemetry streamed to {args.metrics_stream}",
+                    file=sys.stderr,
+                )
+            if args.prom_out:
+                print(
+                    f"prometheus exposition written to {args.prom_out}",
+                    file=sys.stderr,
+                )
+
+        # Score decoded frames against the schedule: each scheduled frame is
+        # delivered when some CRC-valid decode on its channel carried its
+        # exact bits (consumed greedily in stream order).
+        remaining = {}
+        for t in truth:
+            remaining.setdefault((t.zigbee_channel, t.frame_bits), []).append(t)
+        delivered = 0
+        rows = []
+        for frame in frames:
+            matched = False
+            if frame.crc_ok:
+                queue = remaining.get((frame.zigbee_channel, frame.bits))
+                if queue:
+                    queue.pop(0)
+                    delivered += 1
+                    matched = True
+            rows.append(
+                (
+                    frame.zigbee_channel,
+                    frame.preamble_index,
+                    frame.n_bits,
+                    "ok" if frame.crc_ok else "fail",
+                    f"{frame.band_power:.2e}",
+                    "yes" if matched else "-",
+                )
             )
+        print_table(
+            ("channel", "preamble", "bits", "crc", "power", "delivered"),
+            rows,
+            title=f"decoded frames ({'demux' if demux else 'wideband'})",
         )
-    print_table(
-        ("channel", "preamble", "bits", "crc", "power", "delivered"),
-        rows,
-        title=f"decoded frames ({'demux' if demux else 'wideband'})",
-    )
 
-    msps = samples.size / elapsed / 1e6 if elapsed > 0 else float("inf")
-    realtime = msps * 1e6 / traffic.sample_rate
-    ring_stats = ring.stats()
-    print(
-        f"{delivered}/{len(truth)} scheduled frames delivered, "
-        f"{engine.frames_suppressed} leak copies suppressed, "
-        f"{ring_stats['overruns']} ring overruns"
-    )
-    print(
-        f"processed {samples.size} samples in {elapsed:.3f} s "
-        f"({msps:.1f} Msps, {realtime:.2f}x realtime)"
-    )
-
-    if record or live_requested:
-        obs.disable()
-    if record:
-        snapshot = obs.REGISTRY.snapshot()
-        spans = obs.TRACER.drain() if args.trace else []
-        if args.metrics_out:
-            manifest = obs.build_manifest(
-                experiments=[
-                    {
-                        "id": "listen",
-                        "status": "ok",
-                        "elapsed_seconds": round(elapsed, 3),
-                        "error": None,
-                    }
-                ],
-                seed=args.seed,
-                metrics=snapshot,
-                argv=sys.argv[1:],
-                n_spans=len(spans),
-            )
-            obs.write_run_jsonl(
-                args.metrics_out, manifest, snapshot=snapshot, spans=spans
-            )
-            print(f"telemetry written to {args.metrics_out}", file=sys.stderr)
+        msps = samples.size / elapsed / 1e6 if elapsed > 0 else float("inf")
+        realtime = msps * 1e6 / traffic.sample_rate
+        ring_stats = ring.stats()
+        print(
+            f"{delivered}/{len(truth)} scheduled frames delivered, "
+            f"{engine.frames_suppressed} leak copies suppressed, "
+            f"{ring_stats['overruns']} ring overruns"
+        )
+        print(
+            f"processed {samples.size} samples in {elapsed:.3f} s "
+            f"({msps:.1f} Msps, {realtime:.2f}x realtime)"
+        )
+        run.seed = args.seed
+        run.experiments = [_status("listen", elapsed)]
 
     if stop["signal"] is not None:
         # A requested shutdown that drained cleanly is a success even
@@ -557,7 +568,6 @@ def _cmd_listen(args):
 
 
 def _cmd_send(args):
-    from repro import obs
     from repro.experiments.common import print_table
     from repro.transport import SCHEME_NAMES, TransportSession, make_profile
 
@@ -587,92 +597,67 @@ def _cmd_send(args):
         print(f"error: unknown FEC {args.fec!r}; valid: {valid}", file=sys.stderr)
         return 2
 
-    record = bool(args.metrics_out) or args.trace
-    if record:
-        obs.REGISTRY.reset()
-        if args.trace:
-            obs.TRACER.reset()
-        obs.enable(trace=args.trace)
+    with _recording(args) as run:
+        session = TransportSession(
+            snr_db=args.snr,
+            fault_profile=profile,
+            seed=args.seed,
+            fec=args.fec,
+            window=args.window,
+            rto_s=args.rto,
+            max_attempts=args.max_retries,
+        )
+        t0 = time.perf_counter()
+        result = session.send(message)
+        elapsed = time.perf_counter() - t0
 
-    session = TransportSession(
-        snr_db=args.snr,
-        fault_profile=profile,
-        seed=args.seed,
-        fec=args.fec,
-        window=args.window,
-        rto_s=args.rto,
-        max_attempts=args.max_retries,
-    )
-    t0 = time.perf_counter()
-    result = session.send(message)
-    elapsed = time.perf_counter() - t0
-
-    acks_ok = sum(1 for ack in result.acks if ack.ok)
-    rows = [
-        ("message", f"{len(message)} bytes"),
-        ("fault profile", profile.describe()),
-        ("snr", f"{args.snr:g} dB"),
-        ("fec", args.fec),
-        ("fragments", f"{result.frag_count} x {result.fragment_bits} bits"),
-        ("transmissions", str(result.n_tx)),
-        ("retransmits", str(result.retransmits)),
-        ("fec switches", str(result.fec_switches)),
-        (
-            "schemes",
-            ", ".join(
-                f"{name}:{count}"
-                for name, count in sorted(result.scheme_counts.items())
+        acks_ok = sum(1 for ack in result.acks if ack.ok)
+        rows = [
+            ("message", f"{len(message)} bytes"),
+            ("fault profile", profile.describe()),
+            ("snr", f"{args.snr:g} dB"),
+            ("fec", args.fec),
+            ("fragments", f"{result.frag_count} x {result.fragment_bits} bits"),
+            ("transmissions", str(result.n_tx)),
+            ("retransmits", str(result.retransmits)),
+            ("fec switches", str(result.fec_switches)),
+            (
+                "schemes",
+                ", ".join(
+                    f"{name}:{count}"
+                    for name, count in sorted(result.scheme_counts.items())
+                ),
             ),
-        ),
-        ("acks", f"{acks_ok}/{len(result.acks)} delivered"),
-        ("link time", f"{result.elapsed_s:.3f} s (simulated)"),
-        ("goodput", f"{result.goodput_bps:.1f} bps"),
-        (
-            "delivered",
-            "byte-exact" if result.byte_exact else
-            ("delivered (mismatch!)" if result.delivered else "FAILED"),
-        ),
-    ]
-    print_table(("field", "value"), rows, title="transport send")
-
-    if record:
-        obs.disable()
-        snapshot = obs.REGISTRY.snapshot()
-        spans = obs.TRACER.drain() if args.trace else []
-        if args.metrics_out:
-            manifest = obs.build_manifest(
-                experiments=[
-                    {
-                        "id": "send",
-                        "status": "ok" if result.byte_exact else "error",
-                        "elapsed_seconds": round(elapsed, 3),
-                        "error": None if result.byte_exact else "delivery failed",
-                    }
-                ],
-                seed=args.seed,
-                metrics=snapshot,
-                argv=sys.argv[1:],
-                n_spans=len(spans),
+            ("acks", f"{acks_ok}/{len(result.acks)} delivered"),
+            ("link time", f"{result.elapsed_s:.3f} s (simulated)"),
+            ("goodput", f"{result.goodput_bps:.1f} bps"),
+            (
+                "delivered",
+                "byte-exact" if result.byte_exact else
+                ("delivered (mismatch!)" if result.delivered else "FAILED"),
+            ),
+        ]
+        print_table(("field", "value"), rows, title="transport send")
+        run.seed = args.seed
+        run.experiments = [
+            _status(
+                "send",
+                elapsed,
+                None if result.byte_exact else "delivery failed",
             )
-            obs.write_run_jsonl(
-                args.metrics_out, manifest, snapshot=snapshot, spans=spans
-            )
-            print(f"telemetry written to {args.metrics_out}", file=sys.stderr)
+        ]
 
     return 0 if result.byte_exact else 1
 
 
 def _cmd_simulate(args):
-    import json
-
-    from repro import obs
     from repro.experiments.common import print_table
     from repro.sim import load_manifest, run_campaign
 
     try:
         manifest = load_manifest(args.manifest) if args.manifest else {}
     except ValueError as error:
-        print(error, file=sys.stderr)
+        print(f"error: {error}", file=sys.stderr)
         return 2
 
     # Flags override manifest entries (a manifest is the durable record;
@@ -707,94 +692,63 @@ def _cmd_simulate(args):
     if traffic:
         manifest["traffic"] = traffic
 
-    record = bool(args.metrics_out) or args.trace
-    if record:
-        obs.REGISTRY.reset()
-        if args.trace:
-            obs.TRACER.reset()
-        obs.enable(trace=args.trace)
+    with _recording(args) as run:
+        t0 = time.perf_counter()
+        try:
+            result = run_campaign(
+                manifest, cache_dir=args.cache_dir, jobs=args.jobs
+            )
+        except (TypeError, ValueError) as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        elapsed = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    try:
-        result = run_campaign(
-            manifest, cache_dir=args.cache_dir, jobs=args.jobs
+        summary = result.summary()
+        latency = summary["latency"]
+        rows = [
+            ("fidelity", summary["fidelity"]),
+            ("seed", str(summary["seed"])),
+            ("nodes / domains", f"{summary['n_nodes']} / {summary['n_domains']}"),
+            ("sim duration", f"{summary['duration_s']:g} s"),
+            ("frames offered", str(summary["offered"])),
+            ("delivered", str(summary["delivered"])),
+            ("delivery ratio", f"{summary['delivery_ratio']:.4f}"),
+            ("collided", str(summary["collided"])),
+            ("lost", str(summary["lost"])),
+            ("retries", str(summary["retries"])),
+            ("csma defers", str(summary["csma_defers"])),
+            ("skipped (node down)", str(summary["skipped_down"])),
+            ("channel utilization", f"{summary['utilization']:.4f}"),
+            (
+                "interferer duty",
+                f"{summary['interference']['duty']:.3f} x "
+                f"{summary['interference']['n_interferers']} "
+                f"({summary['interference']['mean_active']:.3f} mean active)",
+            ),
+            (
+                "latency",
+                f"{latency['mean_ms']:.2f} ms mean, "
+                f"{latency['p50_ms']:.2f}/{latency['p95_ms']:.2f} p50/p95",
+            ),
+            ("events", str(summary["events_processed"])),
+            (
+                "wall clock",
+                f"{elapsed:.2f} s "
+                f"({summary['offered'] / max(elapsed, 1e-9):.0f} frames/s)",
+            ),
+        ]
+        print_table(
+            ("field", "value"),
+            rows,
+            title=f"fleet campaign: {summary['name']}",
         )
-    except (TypeError, ValueError) as error:
-        if record:
-            obs.disable()
-        print(f"simulate: {error}", file=sys.stderr)
-        return 2
-    elapsed = time.perf_counter() - t0
 
-    summary = result.summary()
-    latency = summary["latency"]
-    rows = [
-        ("fidelity", summary["fidelity"]),
-        ("seed", str(summary["seed"])),
-        ("nodes / domains", f"{summary['n_nodes']} / {summary['n_domains']}"),
-        ("sim duration", f"{summary['duration_s']:g} s"),
-        ("frames offered", str(summary["offered"])),
-        ("delivered", str(summary["delivered"])),
-        ("delivery ratio", f"{summary['delivery_ratio']:.4f}"),
-        ("collided", str(summary["collided"])),
-        ("lost", str(summary["lost"])),
-        ("retries", str(summary["retries"])),
-        ("csma defers", str(summary["csma_defers"])),
-        ("skipped (node down)", str(summary["skipped_down"])),
-        ("channel utilization", f"{summary['utilization']:.4f}"),
-        (
-            "interferer duty",
-            f"{summary['interference']['duty']:.3f} x "
-            f"{summary['interference']['n_interferers']} "
-            f"({summary['interference']['mean_active']:.3f} mean active)",
-        ),
-        (
-            "latency",
-            f"{latency['mean_ms']:.2f} ms mean, "
-            f"{latency['p50_ms']:.2f}/{latency['p95_ms']:.2f} p50/p95",
-        ),
-        ("events", str(summary["events_processed"])),
-        (
-            "wall clock",
-            f"{elapsed:.2f} s "
-            f"({summary['offered'] / max(elapsed, 1e-9):.0f} frames/s)",
-        ),
-    ]
-    print_table(
-        ("field", "value"),
-        rows,
-        title=f"fleet campaign: {summary['name']}",
-    )
-
-    if args.summary_out:
-        with open(args.summary_out, "w", encoding="utf-8") as fh:
-            fh.write(result.summary_json() + "\n")
-        print(f"summary written to {args.summary_out}", file=sys.stderr)
-
-    if record:
-        obs.disable()
-        snapshot = obs.REGISTRY.snapshot()
-        spans = obs.TRACER.drain() if args.trace else []
-        if args.metrics_out:
-            run_manifest = obs.build_manifest(
-                experiments=[
-                    {
-                        "id": f"simulate:{summary['name']}",
-                        "status": "ok",
-                        "elapsed_seconds": round(elapsed, 3),
-                        "error": None,
-                    }
-                ],
-                seed=summary["seed"],
-                metrics=snapshot,
-                argv=sys.argv[1:],
-                n_spans=len(spans),
-            )
-            obs.write_run_jsonl(
-                args.metrics_out, run_manifest, snapshot=snapshot, spans=spans
-            )
-            print(f"telemetry written to {args.metrics_out}", file=sys.stderr)
-
+        if args.summary_out:
+            with open(args.summary_out, "w", encoding="utf-8") as fh:
+                fh.write(result.summary_json() + "\n")
+            print(f"summary written to {args.summary_out}", file=sys.stderr)
+        run.seed = summary["seed"]
+        run.experiments = [_status(f"simulate:{summary['name']}", elapsed)]
     return 0
 
 
@@ -814,59 +768,41 @@ def _gateway_engine_kwargs(args):
 def _cmd_serve(args):
     import asyncio
 
-    from repro import obs
     from repro.gateway.core import GatewayCore
     from repro.gateway.server import GatewayServer
 
-    # The /metrics endpoint serves the process registry, so serving
-    # implies metering.
-    obs.REGISTRY.reset()
-    obs.enable()
-    collector = None
-    sinks = []
-    if args.metrics_stream or args.prom_out:
-        if args.metrics_stream:
-            sinks.append(obs.JsonlSink(args.metrics_stream))
-        if args.prom_out:
-            sinks.append(obs.PrometheusFileSink(args.prom_out))
-        collector = obs.LiveCollector(
-            interval_s=args.live_interval, sinks=sinks
-        )
-    try:
-        core = GatewayCore(
-            engine=_gateway_engine_kwargs(args),
-            max_tenants=args.max_tenants,
-            ring_capacity=args.ring_capacity,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    server = GatewayServer(
-        core,
-        host=args.host,
-        port=args.port,
-        metrics_port=args.metrics_port,
-        collector=collector,
-    )
-
-    def announce(started):
-        # The readiness line CI and scripts wait for.
-        message = f"gateway listening on {started.host}:{started.port}"
-        if started.metrics_port is not None:
-            message += (
-                f" (metrics http://{started.host}"
-                f":{started.metrics_port}/metrics)"
+    with _recording(args, serving=True) as run:
+        try:
+            core = GatewayCore(
+                engine=_gateway_engine_kwargs(args),
+                max_tenants=args.max_tenants,
+                ring_capacity=args.ring_capacity,
             )
-        print(message, file=sys.stderr, flush=True)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        server = GatewayServer(
+            core,
+            host=args.host,
+            port=args.port,
+            metrics_port=args.metrics_port,
+            collector=run.collector,
+        )
 
-    try:
-        asyncio.run(server.run(on_started=announce))
-    except KeyboardInterrupt:
-        pass  # signal handler already drained; a very early ^C lands here
-    finally:
-        for sink in sinks:
-            sink.close()
-        obs.disable()
+        def announce(started):
+            # The readiness line CI and scripts wait for.
+            message = f"gateway listening on {started.host}:{started.port}"
+            if started.metrics_port is not None:
+                message += (
+                    f" (metrics http://{started.host}"
+                    f":{started.metrics_port}/metrics)"
+                )
+            print(message, file=sys.stderr, flush=True)
+
+        try:
+            asyncio.run(server.run(on_started=announce))
+        except KeyboardInterrupt:
+            pass  # signal handler already drained; a very early ^C lands here
     print("gateway shut down cleanly", file=sys.stderr)
     return 0
 
@@ -1052,6 +988,36 @@ def _cmd_info(_args):
     return 0
 
 
+def _add_record_flags(command, trace_help):
+    """``--metrics-out`` and ``--trace``, recorded by :func:`_recording`."""
+    command.add_argument(
+        "--metrics-out", metavar="PATH", default=None,
+        help="write a run manifest + metric/span JSONL streams to PATH",
+    )
+    command.add_argument(
+        "--trace", action="store_true",
+        help=trace_help,
+    )
+
+
+def _add_live_flags(command, interval_help):
+    """The live telemetry sinks and their collector's tick interval."""
+    command.add_argument(
+        "--metrics-stream", metavar="PATH", default=None,
+        help="append one live-sample JSON line per collector tick to "
+             "PATH (replay with 'obs tail PATH')",
+    )
+    command.add_argument(
+        "--prom-out", metavar="PATH", default=None,
+        help="rewrite PATH as a Prometheus text exposition on every "
+             "collector tick",
+    )
+    command.add_argument(
+        "--live-interval", type=float, default=0.5, metavar="SECONDS",
+        help=f"live collector tick interval; {interval_help}",
+    )
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -1072,14 +1038,10 @@ def build_parser():
     )
     run = sub.add_parser("run", help="run one experiment (or 'all')")
     run.add_argument("experiment", help="experiment id from 'list', or 'all'")
-    run.add_argument(
-        "--metrics-out", metavar="PATH", default=None,
-        help="write a run manifest + metric/span JSONL streams to PATH",
-    )
-    run.add_argument(
-        "--trace", action="store_true",
-        help="record pipeline trace spans (into --metrics-out, or a "
-             "span-total table when no output path is given)",
+    _add_record_flags(
+        run,
+        "record pipeline trace spans (into --metrics-out, or a "
+        "span-total table when no output path is given)",
     )
     run.add_argument(
         "--profile", action="store_true",
@@ -1152,13 +1114,8 @@ def build_parser():
         help="run the decode under cProfile and print a hotspot table "
              "plus the pipeline span tree",
     )
-    listen.add_argument(
-        "--metrics-out", metavar="PATH", default=None,
-        help="write a run manifest + metric/span JSONL streams to PATH",
-    )
-    listen.add_argument(
-        "--trace", action="store_true",
-        help="record per-block trace spans (into --metrics-out)",
+    _add_record_flags(
+        listen, "record per-block trace spans (into --metrics-out)"
     )
     listen.add_argument(
         "--live", action="store_true",
@@ -1166,21 +1123,7 @@ def build_parser():
              "on stderr (throughput, realtime margin, frame/CRC/ring "
              "health)",
     )
-    listen.add_argument(
-        "--live-interval", type=float, default=0.5, metavar="SECONDS",
-        help="live collector tick interval; 0 ticks every block "
-             "(default 0.5)",
-    )
-    listen.add_argument(
-        "--metrics-stream", metavar="PATH", default=None,
-        help="append one live-sample JSON line per collector tick to "
-             "PATH (replay with 'obs tail PATH')",
-    )
-    listen.add_argument(
-        "--prom-out", metavar="PATH", default=None,
-        help="rewrite PATH as a Prometheus text exposition on every "
-             "collector tick",
-    )
+    _add_live_flags(listen, "0 ticks every block (default 0.5)")
     listen.set_defaults(func=_cmd_listen)
 
     def add_engine_flags(command):
@@ -1234,19 +1177,7 @@ def build_parser():
              "with an explicit overrun code (default 64)",
     )
     add_engine_flags(serve)
-    serve.add_argument(
-        "--metrics-stream", metavar="PATH", default=None,
-        help="append one live-sample JSON line per collector tick to "
-             "PATH (replay with 'obs tail PATH')",
-    )
-    serve.add_argument(
-        "--prom-out", metavar="PATH", default=None,
-        help="atomically rewrite a Prometheus exposition file per tick",
-    )
-    serve.add_argument(
-        "--live-interval", type=float, default=0.5, metavar="SECONDS",
-        help="live collector tick interval (default 0.5)",
-    )
+    _add_live_flags(serve, "must be positive (default 0.5)")
     serve.set_defaults(func=_cmd_serve)
 
     loadgen = sub.add_parser(
@@ -1376,13 +1307,8 @@ def build_parser():
         "--rto", type=float, default=0.35, metavar="SECONDS",
         help="retransmit timeout (default 0.35)",
     )
-    send.add_argument(
-        "--metrics-out", metavar="PATH", default=None,
-        help="write a run manifest + metric/span JSONL streams to PATH",
-    )
-    send.add_argument(
-        "--trace", action="store_true",
-        help="record transport trace spans (into --metrics-out)",
+    _add_record_flags(
+        send, "record transport trace spans (into --metrics-out)"
     )
     send.set_defaults(func=_cmd_send)
     simulate = sub.add_parser(
@@ -1442,14 +1368,7 @@ def build_parser():
         "--jobs", type=int, default=None,
         help="worker processes for table calibration",
     )
-    simulate.add_argument(
-        "--metrics-out", metavar="PATH", default=None,
-        help="write a run manifest + metric/span JSONL streams to PATH",
-    )
-    simulate.add_argument(
-        "--trace", action="store_true",
-        help="record sim trace spans (into --metrics-out)",
-    )
+    _add_record_flags(simulate, "record sim trace spans (into --metrics-out)")
     simulate.set_defaults(func=_cmd_simulate)
 
     bench = sub.add_parser("bench", help="benchmark artifact tooling")
@@ -1482,7 +1401,11 @@ def main(argv=None):
     from repro.obs import configure_logging
 
     configure_logging(args.verbose - args.quiet)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

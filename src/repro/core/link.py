@@ -33,7 +33,6 @@ from repro.core.preamble import capture_preamble
 from repro.dsp.signal_ops import linear_to_db, signal_power, watts_to_dbm
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
-from repro.runtime.timing import StageTimings
 from repro.wifi.front_end import WifiFrontEnd
 from repro.zigbee.channels import frequency_offset_hz
 from repro.zigbee.frame import PHY_OVERHEAD_BYTES
@@ -170,10 +169,6 @@ class SymBeeLink:
         #: pins at -4pi/5) and de-rotates the phase stream before the
         #: majority vote — an extension beyond the paper.
         self.track_residual_cfo = bool(track_residual_cfo)
-        #: Wall-clock per-stage counters (modulate / channel / front_end
-        #: / decode), accumulated across ``send_bits`` calls; the
-        #: Monte-Carlo runtime merges worker shards into one breakdown.
-        self.timings = StageTimings()
 
     # -- geometry -------------------------------------------------------------
 
@@ -225,8 +220,7 @@ class SymBeeLink:
         materialized when ``keep_phases`` or residual-CFO tracking needs
         it.  Decisions are identical to the angle-domain formulation.
         """
-        timings = self.timings
-        with timings.stage("modulate"), TRACER.span("link.modulate"):
+        with TRACER.span("link.modulate"):
             bits = tuple(int(b) for b in bits)
             payload = self.encoder.encode_message(bits)
             if mac_sequence is None:
@@ -237,7 +231,7 @@ class SymBeeLink:
                 )
             waveform = self.transmitter.transmit_frame(frame)
 
-        with timings.stage("channel"), TRACER.span("link.channel"):
+        with TRACER.span("link.channel"):
             if self.link_channel is not None:
                 rx_waveform = self.link_channel.apply(waveform, rng)
             else:
@@ -249,7 +243,7 @@ class SymBeeLink:
                     rx_waveform, self.residual_cfo_hz, self.decoder.sample_rate
                 )
 
-        with timings.stage("front_end"), TRACER.span("link.front_end"):
+        with TRACER.span("link.front_end"):
             rx_power = signal_power(rx_waveform)
             rx_power_dbm = float(watts_to_dbm(rx_power))
             snr_db = float(
@@ -268,7 +262,7 @@ class SymBeeLink:
                 contributions, total, rng=rng, include_noise=self.include_noise
             )
 
-        with timings.stage("decode"), TRACER.span("link.decode"):
+        with TRACER.span("link.decode"):
             phasors = self.decoder.phasor_stream(capture)
             phases = None
 

@@ -19,7 +19,6 @@ from repro.core.link import SymBeeLink
 from repro.dsp.signal_ops import watts_to_dbm
 from repro.obs.trace import TRACER
 from repro.runtime import as_seed_sequence, run_trials
-from repro.runtime.timing import StageTimings
 
 #: Diagnostics go through the ``repro.*`` logger namespace (wire it up
 #: with ``repro.obs.configure_logging`` or the CLI's ``-v``/``-q``);
@@ -51,10 +50,6 @@ class LinkStats:
     bits_delivered: int = 0
     bit_errors: int = 0
     snr_samples: list = field(default_factory=list)
-    #: Per-stage wall-clock breakdown of the trials behind these stats
-    #: (merged across worker processes); excluded from equality so
-    #: parallel and serial runs of the same seed compare equal.
-    timings: StageTimings = field(default_factory=StageTimings, compare=False)
 
     def add(self, result):
         self.frames += 1
@@ -94,10 +89,8 @@ def _link_trial(task):
     """One Monte-Carlo trial (module-level so it pickles to workers)."""
     link, seed, bits_per_frame, mac_sequence, send_kwargs = task
     rng = np.random.default_rng(seed)
-    link.timings.reset()
     bits = rng.integers(0, 2, bits_per_frame)
-    result = link.send_bits(bits, rng, mac_sequence=mac_sequence, **send_kwargs)
-    return result, link.timings.as_dict()
+    return link.send_bits(bits, rng, mac_sequence=mac_sequence, **send_kwargs)
 
 
 def measure_link(link, rng, n_frames=20, bits_per_frame=64, jobs=None,
@@ -116,12 +109,11 @@ def measure_link(link, rng, n_frames=20, bits_per_frame=64, jobs=None,
     ]
     stats = LinkStats()
     with TRACER.span("measure_link", frames=n_frames, bits=bits_per_frame):
-        for result, shard in run_trials(_link_trial, tasks, jobs=jobs):
+        for result in run_trials(_link_trial, tasks, jobs=jobs):
             stats.add(result)
-            stats.timings.merge(shard)
     log.debug(
-        "measure_link: %d frames, capture %.2f, BER %.4f (%s)",
-        stats.frames, stats.capture_rate, stats.ber, stats.timings.summary(),
+        "measure_link: %d frames, capture %.2f, BER %.4f",
+        stats.frames, stats.capture_rate, stats.ber,
     )
     return stats
 

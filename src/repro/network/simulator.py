@@ -25,7 +25,6 @@ from repro.core.link import SymBeeLink
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 from repro.runtime import as_seed_sequence, run_trials
-from repro.runtime.timing import StageTimings
 from repro.sim.scheduler import EventScheduler
 from repro.zigbee.csma import CsmaCa
 from repro.zigbee.frame import ppdu_duration_seconds
@@ -54,7 +53,6 @@ def _phy_trial(task):
     """
     link, seed, data_bits, sequence = task
     rng = np.random.default_rng(seed)
-    link.timings.reset()
     bits = rng.integers(0, 2, data_bits)
     _, frame = link.send_frame(
         bits,
@@ -62,8 +60,7 @@ def _phy_trial(task):
         rng=rng,
         mac_sequence=sequence & 0xFF,
     )
-    delivered = frame is not None and frame.crc_ok
-    return delivered, link.timings.as_dict()
+    return frame is not None and frame.crc_ok
 
 
 @dataclass(frozen=True)
@@ -198,8 +195,6 @@ class ConvergecastNetwork:
         #: Only ``max_retries=0`` runs can parallelize: with retries, a
         #: frame's delivery outcome feeds back into the MAC schedule.
         self.jobs = jobs
-        #: Merged per-stage PHY timing breakdown across all evaluations.
-        self.phy_timings = StageTimings()
         self.csma = csma if csma is not None else CsmaCa()
         #: When set (and nodes carry positions), a node's CCA only hears
         #: transmitters within this range — the hidden-terminal model.
@@ -383,9 +378,7 @@ class ConvergecastNetwork:
                 if defer_phy:
                     deferred.append((record, task))
                 else:
-                    delivered, shard = _phy_trial(task)
-                    self.phy_timings.merge(shard)
-                    record.delivered = delivered
+                    record.delivered = _phy_trial(task)
 
             result.records.append(record)
             if not record.delivered and attempt < self.max_retries:
@@ -407,8 +400,7 @@ class ConvergecastNetwork:
             outcomes = run_trials(
                 _phy_trial, [task for _, task in deferred], jobs=self.jobs
             )
-            for (record, _), (delivered, shard) in zip(deferred, outcomes):
-                self.phy_timings.merge(shard)
+            for (record, _), delivered in zip(deferred, outcomes):
                 # A later event may have revoked this record (hidden-
                 # terminal collision at the sink) after it was queued.
                 record.delivered = delivered and not record.collided

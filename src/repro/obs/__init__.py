@@ -9,7 +9,7 @@ Three cooperating pieces, all off by default and cheap when off:
   telemetry as serial ones.
 * :mod:`repro.obs.trace` — the process-wide :data:`~repro.obs.trace.TRACER`
   of nested, labeled spans over the modulate→channel→front_end→decode
-  pipeline (the structured successor of ``StageTimings``).
+  pipeline (the link's one per-stage timing).
 * :mod:`repro.obs.manifest` — per-run manifest records (seed, config,
   git rev, experiment status, metric snapshot) and JSONL export/import.
 * :mod:`repro.obs.live` / :mod:`repro.obs.export` — the live telemetry

@@ -15,8 +15,7 @@ Instruments live for the life of the process; :meth:`MetricsRegistry.reset`
 zeroes their values in place (references stay valid), and
 :meth:`MetricsRegistry.snapshot` exports plain picklable dicts that
 :meth:`MetricsRegistry.merge` folds back in — the contract the parallel
-trial executor uses to ship worker shards to the parent, mirroring how
-``StageTimings`` shards merge today.
+trial executor uses to ship worker shards to the parent.
 
 Histograms use **fixed** upper-edge buckets declared at registration, so
 two processes that register the same metric always agree on the layout

@@ -1,10 +1,10 @@
 """Nested, labeled trace spans over the link pipeline.
 
-``TRACER.span("link.decode")`` generalizes ``StageTimings.stage`` from a
-flat ``name -> seconds`` accumulator into an ordered stream of span
+``TRACER.span("link.decode")`` records an ordered stream of span
 records carrying nesting depth and free-form labels, so a run can be
 replayed as a timeline (``modulate -> channel -> front_end -> decode``
-under each ``measure_link`` parent) instead of only a per-stage total.
+under each ``measure_link`` parent); :meth:`Tracer.totals` gives the
+per-stage totals.  These spans are the link's only stage timing.
 
 Tracing is **off by default**: ``span()`` then returns a shared no-op
 context manager, costing one method call per instrumented block.  Spans
@@ -13,9 +13,9 @@ are counted, not stored) and :meth:`Tracer.drain` hands them over as
 plain dicts ready for JSONL export.
 
 Spans are per-process by design: parallel workers do not ship span
-streams back to the parent (aggregate per-stage timing already travels
-via ``StageTimings`` / metric shards), so a traced parallel run shows
-the orchestration spans while a serial run shows the full pipeline.
+streams back to the parent (metric shards do travel), so a traced
+parallel run shows the orchestration spans while a serial run shows the
+full pipeline.
 """
 
 import time
@@ -130,8 +130,8 @@ class Tracer:
     def totals(self):
         """Aggregate ``name -> {"calls": n, "seconds": s}`` over the buffer.
 
-        The flat view matching ``StageTimings``; useful for quick span
-        summaries without exporting the whole stream.
+        The flat per-stage view (``link.decode`` etc.); useful for quick
+        span summaries without exporting the whole stream.
         """
         out = {}
         for record in self._records:

@@ -10,17 +10,16 @@ without giving up reproducibility:
 * :mod:`repro.runtime.executor` — a ``ProcessPoolExecutor``-backed trial
   runner (``REPRO_JOBS`` env var, serial fallback at ``jobs=1``) that
   returns results in trial order, making parallel and serial runs of the
-  same experiment *identical*;
-* :mod:`repro.runtime.timing` — per-stage wall-clock counters
-  (modulate / channel / front_end / decode) so speedups are measurable.
+  same experiment *identical*.
+
+Per-stage timing of the link pipeline is the ``link.*`` trace spans
+(:mod:`repro.obs.trace`).
 """
 
 from repro.runtime.executor import default_jobs, run_trials
 from repro.runtime.seeding import as_seed_sequence, spawn_generators, spawn_seeds
-from repro.runtime.timing import StageTimings
 
 __all__ = [
-    "StageTimings",
     "as_seed_sequence",
     "default_jobs",
     "run_trials",

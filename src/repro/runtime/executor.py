@@ -15,8 +15,7 @@ its task with a freshly reset registry, snapshots the delta, and ships
 that shard back alongside the task result; the parent merges every shard
 into its own registry in task order.  Counters and histograms therefore
 aggregate to identical totals whether a run is serial (instruments fire
-directly in the parent) or parallel — the same contract ``StageTimings``
-shards follow.
+directly in the parent) or parallel.
 """
 
 import os

@@ -192,7 +192,8 @@ def _fec_decode(coded_bits, fec, n_bits):
     if fec == "hamming":
         from repro.core.coding import hamming74_decode
 
-        return [int(b) for b in hamming74_decode(coded_bits)]
+        bits, _ = hamming74_decode(coded_bits)
+        return [int(b) for b in bits]
     from repro.core.convolutional import viterbi_decode
 
     return [int(b) for b in viterbi_decode(coded_bits, n_bits=n_bits)]

@@ -3,9 +3,7 @@
 The ISSUE-2 acceptance contract: with the registry enabled, a
 ``measure_link`` run at ``jobs>1`` merges worker metric shards into the
 parent such that every counter and histogram total equals the serial
-run's on identical seeds (gauges are last-write and excluded, matching
-the ``StageTimings`` precedent where wall-clock values differ but the
-structure merges identically).
+run's on identical seeds (gauges are last-write and excluded).
 """
 
 import numpy as np

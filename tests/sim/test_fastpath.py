@@ -159,6 +159,22 @@ class TestDiskCache:
         assert DeliveryTable.load(path, config).cells == first.cells
 
 
+class TestFecColumns:
+    def test_calibrates_every_fec_scheme(self):
+        # Each scheme's decode runs on every frame: a clean 12 dB link
+        # delivers all of them.
+        config = tiny_config(
+            snr_grid_db=(0.0, 12.0),
+            frames_per_point=2,
+            fec_schemes=("none", "hamming", "conv"),
+        )
+        table = DeliveryTable.calibrate(config, jobs=1)
+        assert sorted(table.cells) == sorted(config.points())
+        for fec in config.fec_schemes:
+            assert table.cells[(12.0, 0, fec)] == (2, 2)
+            assert table.probability(12.0, fec=fec) == 1.0
+
+
 class TestCrossValidation:
     """The packet fast path must stay inside binomial bounds of the PHY.
 

@@ -176,6 +176,43 @@ class TestListen:
         assert "senders" in capsys.readouterr().err
 
 
+class TestErrorPathsLeaveTelemetryOff:
+    """A command that fails on a bad flag returns 2 with one ``error:``
+    line, and leaves the process-wide registry and tracer disabled."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["listen", "--decimation", "3", "--metrics-out", "P", "--trace"],
+            [
+                "serve", "--port", "0",
+                "--metrics-stream", "P", "--live-interval", "-1",
+            ],
+            ["simulate", "--duration", "-1", "--metrics-out", "P"],
+        ],
+        ids=["listen-engine", "serve-live-interval", "simulate-duration"],
+    )
+    def test_returns_2_with_telemetry_off(self, argv, tmp_path, capsys):
+        from repro.obs import REGISTRY, TRACER
+
+        path = str(tmp_path / "telemetry.jsonl")
+        assert main([path if arg == "P" else arg for arg in argv]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not REGISTRY.enabled
+        assert not TRACER.enabled
+
+    def test_serve_rejects_zero_live_interval(self, tmp_path, capsys):
+        stream = tmp_path / "live.jsonl"
+        argv = [
+            "serve", "--port", "0",
+            "--metrics-stream", str(stream), "--live-interval", "0",
+        ]
+        assert main(argv) == 2
+        assert "--live-interval must be > 0" in capsys.readouterr().err
+        assert not stream.exists()
+
+
 class TestLiveTelemetry:
     def _listen_with_stream(self, tmp_path, *extra):
         stream_path = tmp_path / "live.jsonl"
