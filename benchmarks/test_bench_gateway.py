@@ -14,21 +14,40 @@ processes.  The row must clear >= 1.0 on any machine (the per-tenant
 engine is the single-channel decimated fast path, ~1.5x realtime per
 stream).
 
+The ``wire`` row drives the same workloads over loopback through a
+:class:`repro.gateway.server.GatewayServer` running on an event loop
+thread of this process (:func:`repro.gateway.loadgen.drive_client`, one
+connection): the codec, the socket path and the decode behind each
+reply, without a process spawn.  Client and server then share one
+interpreter and contend for its lock, so the row reads below what a
+separate ``serve`` process sustains (the perf ledger's ``gateway``
+workload measures that).
+
 Correctness is asserted harder than speed: every timed drive must
 deliver **byte-identical** per-tenant message sets (payload bytes, msg
 ids, channels, fragment counts — everything except wall-clock latency),
-matching the workloads' ground truth exactly.
+matching the workloads' ground truth exactly, over the wire as in
+process.
 """
 
+import asyncio
 import gc
 import json
 import os
-import time
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 from benchmarks.ledger.child import blas_threads
 from repro.gateway.core import GatewayCore
-from repro.gateway.loadgen import build_workloads, drive_core, verify
+from repro.gateway.loadgen import (
+    build_workloads,
+    drive_client,
+    drive_core,
+    verify,
+)
+from repro.gateway.protocol import GatewayClient
+from repro.gateway.server import GatewayServer
 
 TENANTS = 4
 SENDERS = 2
@@ -63,17 +82,54 @@ def _drive(workloads):
         return drive_core(core, _fresh(workloads), block_size=BLOCK_SIZE)
 
 
-def _best_timed(workloads, repeats):
+@contextmanager
+def _serving():
+    """A ``GatewayServer`` on an event loop thread; yields its port."""
+    server = GatewayServer(
+        GatewayCore(engine=ENGINE_KWARGS, max_tenants=TENANTS), port=0
+    )
+    started = threading.Event()
+    loops = []
+
+    def on_started(_server):
+        loops.append(asyncio.get_running_loop())
+        started.set()
+
+    serving = server.run(install_signal_handlers=False, on_started=on_started)
+    thread = threading.Thread(target=asyncio.run, args=(serving,), daemon=True)
+    thread.start()
+    assert started.wait(30), "gateway server did not start"
+    try:
+        yield server.port
+    finally:
+        shutdown = server.shutdown()
+        asyncio.run_coroutine_threadsafe(shutdown, loops[0]).result(30)
+        thread.join(30)
+
+
+def _wire_drive(port):
+    """A drive over one fresh loopback connection to the server."""
+
+    def drive(workloads):
+        with GatewayClient("127.0.0.1", port) as client:
+            return drive_client(
+                client, _fresh(workloads), block_size=BLOCK_SIZE
+            )
+
+    return drive
+
+
+def _best_timed(workloads, repeats, drive=_drive):
     """Best wall seconds over ``repeats`` drives, GC paused, plus each
     drive's delivery identity (asserted byte-identical below)."""
-    _drive(workloads)  # warm-up: waveform caches
+    drive(workloads)  # warm-up: waveform caches
     best = float("inf")
     identities = []
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(repeats):
-            best = min(best, _drive(workloads))
+            best = min(best, drive(workloads))
             identities.append(_delivery_identity(workloads))
     finally:
         if gc_was_enabled:
@@ -137,6 +193,16 @@ def test_bench_gateway():
 
     serial_row = _row(serial_s, workloads)
 
+    with _serving() as port:
+        wire_s, wire_identities = _best_timed(
+            workloads, repeats=3, drive=_wire_drive(port)
+        )
+    wire_rows, wire_exact = verify(workloads)
+    assert wire_exact, wire_rows
+    # The wire delivers exactly what the in-process core delivers.
+    assert all(identity == identities[0] for identity in wire_identities)
+    wire_row = _row(wire_s, workloads)
+
     report = {
         "pr": 9,
         "workload": {
@@ -154,17 +220,22 @@ def test_bench_gateway():
         "protocol": (
             "best-of-N wall time over full gateway drives (admit -> ring "
             "-> decode -> reassemble -> finish), gc disabled, after one "
-            "warm-up drive; every timed drive's delivery ledger asserted "
-            "byte-identical and byte-exact against ground truth"
+            "warm-up drive; in process (serial) and over one loopback "
+            "connection to a GatewayServer thread (wire); every timed "
+            "drive's delivery ledger asserted byte-identical across both "
+            "and byte-exact against ground truth"
         ),
         "cpu_count": cpu_count,
         "blas_threads": blas_threads(),
         "serial": serial_row,
+        "wire": wire_row,
         "delivery": serial_rows,
         "gates": {
             "target_tenants_per_core": TARGET_TENANTS_PER_CORE,
             "serial_gate_applied": True,
-            "byte_identity": "asserted (every drive, per tenant)",
+            "byte_identity": (
+                "asserted (every drive, per tenant, wire == in process)"
+            ),
         },
     }
     (root / "BENCH_GATEWAY.json").write_text(
@@ -172,13 +243,14 @@ def test_bench_gateway():
     )
 
     print()
-    print(
-        f"serial  {serial_row['elapsed_seconds']:7.4f} s  "
-        f"{serial_row['effective_msps']:6.2f} Msps  "
-        f"{serial_row['x_realtime']:5.2f}x realtime  "
-        f"{serial_row['tenants_per_core_at_realtime']:5.2f} tenants/core  "
-        f"{serial_row['messages_delivered']} msgs  (cpus={cpu_count})"
-    )
+    for name, row in (("serial", serial_row), ("wire", wire_row)):
+        print(
+            f"{name:6}  {row['elapsed_seconds']:7.4f} s  "
+            f"{row['effective_msps']:6.2f} Msps  "
+            f"{row['x_realtime']:5.2f}x realtime  "
+            f"{row['tenants_per_core_at_realtime']:5.2f} tenants/core  "
+            f"{row['messages_delivered']} msgs  (cpus={cpu_count})"
+        )
 
     # The headline gate: one core must carry at least one realtime
     # tenant through the whole gateway path.

@@ -20,19 +20,34 @@ and reported (``overrun``), and a draining gateway refuses new tenants
 
 Scheduling
 ----------
-Tenants decode inline, round-robin one ring block per tenant per
-:meth:`pump` pass, so a deep ring cannot starve its neighbours.  To use
-more cores, run more independent ``serve`` processes and split tenants
-across them.
+Admission and decoding are separate steps.  :meth:`submit` only offers
+the block to the tenant's ring and counts it, so its answer (admitted
+or shed) is known before any decoding; :meth:`pump` is the one place
+that decodes, round-robin one ring block per tenant per pass, so a deep
+ring cannot starve its neighbours.  :meth:`poll`, :meth:`finish_tenant`,
+:meth:`abandon` and :meth:`drain` flush the rings first, so nothing
+admitted is ever missing from a delivery.  The server replies to a
+``samples`` request at admission and pumps after the reply, while the
+client sends its next block.  To use more cores, run more independent
+``serve`` processes and split tenants across them.
 
-Metrics (``gateway.*``): tenants admitted/rejected/active, blocks and
-samples admitted/shed, frames/fragments/messages counters from the
-consumers, a delivery-latency histogram, and
+A tenant whose consumer raises while decoding is finished as *failed*:
+the exception is logged once and counted (``gateway.tenants_failed``),
+its slot and id are released, its undelivered messages are dropped, and
+every later request naming it is refused with ``decode-failed`` until
+the id is admitted again.  Nothing re-raises the consumer's exception.
+
+Metrics (``gateway.*``): tenants admitted/rejected/abandoned/failed and
+active, blocks and samples admitted/shed, frames/fragments/messages
+counters from the consumers, a delivery-latency histogram, and
 ``gateway.realtime_margin_min`` — the worst per-tenant ingest margin
 (stream-seconds admitted per wall-second since the tenant's first
-submit; < 1.0 means some tenant is falling behind realtime).
+submit; < 1.0 means some tenant is falling behind realtime), refreshed
+by every :meth:`pump` and finish, so it holds still while the whole
+gateway idles.
 """
 
+import logging
 import time
 
 import numpy as np
@@ -40,6 +55,7 @@ import numpy as np
 from repro.constants import WIFI_SAMPLE_RATE_20MHZ
 from repro.gateway.errors import (
     ERR_BAD_REQUEST,
+    ERR_DECODE_FAILED,
     ERR_DUPLICATE_TENANT,
     ERR_SHUTTING_DOWN,
     ERR_STREAM_ENDED,
@@ -50,6 +66,8 @@ from repro.gateway.errors import (
 from repro.gateway.tenant import TenantConsumer
 from repro.obs.metrics import REGISTRY
 from repro.stream.ring import RingBufferSource
+
+_LOG = logging.getLogger("repro.gateway")
 
 #: Inclusive bounds on the numeric engine overrides a tenant may send.
 #: Each one sizes a filter or a buffer the engine allocates up front, so
@@ -68,6 +86,7 @@ MAX_ZIGBEE_CHANNELS = 16
 _ADMITTED = REGISTRY.counter("gateway.tenants_admitted")
 _REJECTED = REGISTRY.counter("gateway.tenants_rejected")
 _ABANDONED = REGISTRY.counter("gateway.tenants_abandoned")
+_FAILED = REGISTRY.counter("gateway.tenants_failed")
 _ACTIVE = REGISTRY.gauge("gateway.tenants_active")
 _BLOCKS_ADMITTED = REGISTRY.counter("gateway.blocks_admitted")
 _BLOCKS_SHED = REGISTRY.counter("gateway.blocks_shed")
@@ -85,6 +104,7 @@ class _TenantState:
         "consumer",
         "pending",
         "finished",
+        "failed",
         "result",
         "blocks_in",
         "samples_in",
@@ -100,6 +120,8 @@ class _TenantState:
         self.consumer = consumer
         self.pending = []
         self.finished = False
+        #: The consumer raised: finished, and refused by every request.
+        self.failed = False
         self.result = None
         self.blocks_in = 0
         self.samples_in = 0
@@ -156,6 +178,13 @@ def check_engine_overrides(engine):
             "zigbee_channels",
             f"is not a list of at most {MAX_ZIGBEE_CHANNELS} channels",
         )
+
+
+def _decode_failed(tenant_id):
+    return GatewayError(
+        ERR_DECODE_FAILED,
+        f"tenant {tenant_id!r} failed decoding; its stream was ended",
+    )
 
 
 class GatewayCore:
@@ -241,15 +270,13 @@ class GatewayCore:
     def submit(self, tenant_id, block):
         """Offer one sample block; ``False`` means shed (ring overrun).
 
-        Shedding is the designed overload behaviour — the ring bounds
-        memory and the loss is accounted (``gateway.blocks_shed``, the
-        tenant's ring stats) instead of queueing without limit.
+        Admission only: the block is queued (or shed) and counted, and
+        decoded by a later :meth:`pump`.  Shedding is the designed
+        overload behaviour — the ring bounds memory and the loss is
+        accounted (``gateway.blocks_shed``, the tenant's ring stats)
+        instead of queueing without limit.
         """
-        state = self._require(tenant_id)
-        if state.finished:
-            raise GatewayError(
-                ERR_STREAM_ENDED, f"tenant {tenant_id!r} already finished"
-            )
+        state = self._live(tenant_id)
         block = np.asarray(block)
         if state.first_submit is None:
             state.first_submit = time.monotonic()
@@ -262,7 +289,6 @@ class GatewayCore:
         else:
             _BLOCKS_SHED.inc()
             _SAMPLES_SHED.inc(int(block.size))
-        self.pump()
         return accepted
 
     # -- scheduling ----------------------------------------------------------
@@ -271,7 +297,8 @@ class GatewayCore:
         """Decode every queued ring block, round-robin across tenants.
 
         One block per tenant per pass, so a deep ring cannot starve its
-        neighbours.
+        neighbours.  A tenant whose consumer raises is finished as
+        failed (see the module docstring); the others carry on.
         """
         self._ensure_open()
         progressed = True
@@ -283,18 +310,23 @@ class GatewayCore:
                 block = state.ring.pop()
                 if block is None:
                     continue
-                messages = state.consumer.process(block)
+                progressed = True
+                try:
+                    messages = state.consumer.process(block)
+                except Exception:
+                    self._fail(state)
+                    continue
                 if messages:
                     state.pending.extend(messages)
-                progressed = True
         self._update_margin()
 
     # -- delivery ------------------------------------------------------------
 
     def poll(self, tenant_id):
         """Drain the tenant's completed messages accumulated so far."""
-        state = self._require(tenant_id)
+        self._require(tenant_id)
         self.pump()
+        state = self._require(tenant_id)  # the pump may have failed it
         messages, state.pending = state.pending, []
         state.delivered += len(messages)
         return messages
@@ -307,24 +339,14 @@ class GatewayCore:
         emits at flush).  The finished state stays registered for
         ``tenant_stats`` until the id is re-admitted — finishing
         releases the id, and a later :meth:`admit` under the same id
-        starts a completely fresh session.
+        starts a completely fresh session.  A consumer that raises while
+        flushing fails the tenant, and the request is refused with
+        ``decode-failed``.
         """
-        state = self._require(tenant_id)
-        if state.finished:
-            raise GatewayError(
-                ERR_STREAM_ENDED, f"tenant {tenant_id!r} already finished"
-            )
-        state.ring.close()
-        for block in state.ring:
-            messages = state.consumer.process(block)
-            if messages:
-                state.pending.extend(messages)
-        self._finalize(state, state.consumer.finish())
-        _ACTIVE.set(self._active_count())
-        self._update_margin()
-        messages, state.pending = state.pending, []
-        state.delivered += len(messages)
-        return {"messages": messages, "stats": self.tenant_stats(tenant_id)}
+        result = self._finish(self._live(tenant_id))
+        if result is None:
+            raise _decode_failed(tenant_id)
+        return result
 
     def abandon(self, owner):
         """Finish every still-active tenant ``owner`` admitted.
@@ -333,15 +355,16 @@ class GatewayCore:
         finished as :meth:`finish_tenant` would, releasing their slots
         and ids, and their undelivered messages are dropped (nobody is
         left to receive them).  Counted in ``gateway.tenants_abandoned``.
-        Returns ``{tenant_id: finish_tenant result}``.
+        Returns ``{tenant_id: finish_tenant result}``, leaving out any
+        tenant whose consumer failed while flushing.
         """
-        results = {
-            tenant_id: self.finish_tenant(tenant_id)
-            for tenant_id, state in list(self._tenants.items())
+        states = [
+            state
+            for state in self._tenants.values()
             if state.owner is owner and not state.finished
-        }
-        _ABANDONED.inc(len(results))
-        return results
+        ]
+        _ABANDONED.inc(len(states))
+        return self._finish_all(states)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -350,13 +373,13 @@ class GatewayCore:
 
         Returns ``{tenant_id: finish_tenant result}`` for tenants that
         were still active — their undelivered messages, so a shutdown
-        never silently discards completed work.
+        never silently discards completed work.  A tenant whose consumer
+        fails while flushing is left out (it is logged and counted).
         """
         self._draining = True
-        results = {}
-        for tenant_id in list(self._tenants):
-            if not self._tenants[tenant_id].finished:
-                results[tenant_id] = self.finish_tenant(tenant_id)
+        results = self._finish_all(
+            [state for state in self._tenants.values() if not state.finished]
+        )
         self.close()
         return results
 
@@ -381,20 +404,7 @@ class GatewayCore:
         return list(self._tenants)
 
     def tenant_stats(self, tenant_id):
-        state = self._require(tenant_id)
-        now = time.monotonic()
-        return {
-            "tenant": tenant_id,
-            "finished": state.finished,
-            "blocks_in": state.blocks_in,
-            "samples_in": state.samples_in,
-            "ring": state.ring.stats(),
-            "pending_messages": len(state.pending),
-            "delivered_messages": state.delivered,
-            "realtime_margin": state.margin(now),
-            "engine": state.result["engine"] if state.result else None,
-            "reassembly": state.result["reassembly"] if state.result else None,
-        }
+        return self._stats_of(self._require(tenant_id))
 
     def stats(self):
         return {
@@ -402,7 +412,10 @@ class GatewayCore:
             "ring_capacity": self.ring_capacity,
             "active_tenants": self._active_count(),
             "draining": self._draining,
-            "tenants": {tid: self.tenant_stats(tid) for tid in self._tenants},
+            "tenants": {
+                tid: self._stats_of(state)
+                for tid, state in self._tenants.items()
+            },
         }
 
     # -- internals -----------------------------------------------------------
@@ -412,20 +425,87 @@ class GatewayCore:
             raise ValueError("gateway core is closed")
 
     def _require(self, tenant_id):
+        """The tenant's state; refuses unknown and failed tenants."""
         state = self._tenants.get(tenant_id)
         if state is None:
             raise GatewayError(
                 ERR_UNKNOWN_TENANT, f"unknown tenant {tenant_id!r}"
+            )
+        if state.failed:
+            raise _decode_failed(tenant_id)
+        return state
+
+    def _live(self, tenant_id):
+        """The state of a tenant whose stream has not finished."""
+        state = self._require(tenant_id)
+        if state.finished:
+            raise GatewayError(
+                ERR_STREAM_ENDED, f"tenant {tenant_id!r} already finished"
             )
         return state
 
     def _active_count(self):
         return sum(1 for s in self._tenants.values() if not s.finished)
 
-    def _finalize(self, state, result):
+    def _finish(self, state):
+        """Flush a live tenant; ``None`` when its consumer fails doing so."""
+        state.ring.close()
+        try:
+            for block in state.ring:
+                messages = state.consumer.process(block)
+                if messages:
+                    state.pending.extend(messages)
+            result = state.consumer.finish()
+        except Exception:
+            self._fail(state)
+            return None
         state.pending.extend(result.get("messages") or [])
         state.result = result
         state.finished = True
+        _ACTIVE.set(self._active_count())
+        self._update_margin()
+        messages, state.pending = state.pending, []
+        state.delivered += len(messages)
+        return {"messages": messages, "stats": self._stats_of(state)}
+
+    def _finish_all(self, states):
+        results = {}
+        for state in states:
+            result = self._finish(state)
+            if result is not None:
+                results[state.tenant_id] = result
+        return results
+
+    def _fail(self, state):
+        """Finish a tenant whose consumer raised; call from the handler."""
+        _LOG.exception(
+            "tenant %r decoder failed; finished it as failed, dropping %d "
+            "undelivered message(s)",
+            state.tenant_id,
+            len(state.pending),
+        )
+        _FAILED.inc()
+        state.ring.close()
+        state.pending = []
+        state.failed = True
+        state.finished = True
+        _ACTIVE.set(self._active_count())
+
+    def _stats_of(self, state):
+        now = time.monotonic()
+        return {
+            "tenant": state.tenant_id,
+            "finished": state.finished,
+            "failed": state.failed,
+            "blocks_in": state.blocks_in,
+            "samples_in": state.samples_in,
+            "ring": state.ring.stats(),
+            "pending_messages": len(state.pending),
+            "delivered_messages": state.delivered,
+            "realtime_margin": state.margin(now),
+            "engine": state.result["engine"] if state.result else None,
+            "reassembly": state.result["reassembly"] if state.result else None,
+        }
 
     def _update_margin(self):
         now = time.monotonic()

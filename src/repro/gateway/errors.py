@@ -23,6 +23,9 @@ ERR_BAD_REQUEST = "bad-request"
 ERR_SHUTTING_DOWN = "shutting-down"
 #: The gateway hit an internal failure serving the request.
 ERR_INTERNAL = "internal"
+#: The tenant's decoder raised: its stream was finished as failed and
+#: its id released; every request naming it is refused until re-admitted.
+ERR_DECODE_FAILED = "decode-failed"
 
 
 class GatewayError(Exception):
@@ -43,5 +46,6 @@ __all__ = [
     "ERR_BAD_REQUEST",
     "ERR_SHUTTING_DOWN",
     "ERR_INTERNAL",
+    "ERR_DECODE_FAILED",
     "GatewayError",
 ]

@@ -165,8 +165,10 @@ def _blocks_of(workload, block_size):
 def drive_core(core, workloads, block_size=16384, poll_every=8):
     """Offer every workload to an in-process core, round-robin.
 
-    Fills each workload's ``delivered`` / ``shed_blocks`` in place and
-    returns the wall seconds the drive took (admit → last finish).
+    Each ``submit`` is followed by a ``pump``: the same work, in the
+    same order, as a ``serve`` connection does.  Fills each workload's
+    ``delivered`` / ``shed_blocks`` in place and returns the wall
+    seconds the drive took (admit → last finish).
     """
     t0 = time.perf_counter()
     for workload in workloads:
@@ -180,6 +182,7 @@ def drive_core(core, workloads, block_size=16384, poll_every=8):
             if cursors[index] >= len(blocks):
                 continue
             accepted = core.submit(workload.tenant_id, blocks[cursors[index]])
+            core.pump()
             cursors[index] += 1
             progressed = True
             submitted += 1

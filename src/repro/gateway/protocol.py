@@ -29,6 +29,14 @@ machine-readable ``code`` from :mod:`repro.gateway.errors`.  Message
 payload bytes are hex-encoded in delivery headers (``data_hex``) so the
 response stays one JSON document.
 
+``accepted`` means *admitted to the tenant's ring*, not decoded: the
+server replies first and decodes the block after the reply, before it
+reads the connection's next frame, so a later ``poll`` or ``finish``
+on the connection always sees it.  A decoder that fails on the block
+ends the tenant's stream: every later request naming the tenant gets
+an ``error`` with code ``decode-failed`` (the connection stays open),
+until a ``hello`` admits the id afresh.
+
 The module holds both ends of the wire, and neither copies a sample
 block in user space:
 
@@ -36,10 +44,12 @@ block in user space:
   a non-blocking socket with ``loop.sock_recv_into``.  One recv into a
   small head buffer (:data:`HEAD_BUFFER_BYTES`) picks up the prefix,
   the header and the start of the payload; the prefix bounds are
-  checked before anything is allocated; the rest of the payload is
-  received straight into a buffer of its own, allocated per frame with
-  ``np.empty`` so its pages commit only as bytes arrive (an announced
-  but unsent 64 MiB payload costs nothing) and never reused, because
+  checked before anything is allocated; a header that fits the head
+  buffer is parsed where it lies (a larger one gets a buffer of its
+  own); the rest of the payload is received straight into a buffer of
+  its own, allocated per frame with ``np.empty`` so its pages commit
+  only as bytes arrive (an announced but unsent 64 MiB payload costs
+  nothing) and never reused, because
   :func:`decode_block`'s array is a view of it.  Bytes past the current
   frame stay in the head buffer, so pipelined requests are answered in
   order.  Replies go out with one direct ``send``, awaiting
@@ -199,7 +209,7 @@ class FrameSocket:
 
         ``None`` on a clean EOF between frames; :class:`ProtocolError`
         on an out-of-bounds prefix (before anything is allocated), a bad
-        header, or EOF mid-frame.
+        header (before its payload is read), or EOF mid-frame.
         """
         if not await self._fill(_PREFIX.size):
             if self._start == self._end:
@@ -207,9 +217,16 @@ class FrameSocket:
             raise ProtocolError("connection closed mid-frame")
         header_len, payload_len = _parse_prefix(self._view, self._start)
         self._start += _PREFIX.size
-        header = await self._take(header_len)
-        payload = await self._take(payload_len)
-        return _parse_header(header), payload
+        if header_len <= HEAD_BUFFER_BYTES:
+            # Parsed where it lies in the head buffer: no allocation.
+            if not await self._fill(header_len):
+                raise ProtocolError("connection closed mid-frame")
+            end = self._start + header_len
+            header = _parse_header(self._view[self._start : end])
+            self._start = end
+        else:
+            header = _parse_header(await self._take(header_len))
+        return header, await self._take(payload_len)
 
     async def send(self, header):
         """Send one reply frame (replies carry no payload)."""

@@ -18,8 +18,14 @@ behind two listeners:
   :func:`repro.obs.export.render_prometheus` — the same exposition the
   file sink writes, scrape-able while streams are live.
 
-A background pump task keeps tenant rings moving between requests and
-ticks an optional :class:`repro.obs.live.LiveCollector`.
+Decoding runs behind the replies.  A ``samples`` request is answered
+as soon as the tenant's ring has admitted (or shed) the block; the
+connection then runs :meth:`GatewayCore.pump` before it reads its next
+frame, so the client's next block travels while the server decodes and
+each connection leaves at most one block in a ring.  Every request is
+read after the blocks before it were decoded, so a ``poll`` sees them.
+An optional :class:`repro.obs.live.LiveCollector` ticks from its own
+background thread.
 
 Graceful shutdown (SIGINT/SIGTERM via :meth:`run`, or
 :meth:`shutdown`): stop accepting connections, finish every active
@@ -35,7 +41,9 @@ Error contract per connection: a :class:`~repro.gateway.errors.GatewayError`
 maps to an ``error`` response (connection stays open — refusals are part
 of normal service); a :class:`~repro.gateway.protocol.ProtocolError`
 gets a ``bad-request`` error and the connection dropped (framing is
-gone); anything else answers ``internal`` and drops.
+gone); anything else answers ``internal`` and drops.  A tenant whose
+decoder raises is the core's to contain: it is finished as failed and
+later requests naming it are refused with ``decode-failed``.
 """
 
 import asyncio
@@ -65,8 +73,6 @@ _CONNECTIONS = REGISTRY.counter("gateway.connections")
 _REQUESTS = REGISTRY.counter("gateway.requests")
 _SCRAPES = REGISTRY.counter("gateway.metrics_scrapes")
 
-#: Seconds between background pump passes while the server idles.
-_PUMP_INTERVAL_S = 0.005
 #: Seconds the accept loop backs off after a failed ``accept`` (for
 #: instance out of file descriptors), as asyncio's own servers do.
 _ACCEPT_RETRY_S = 1.0
@@ -88,14 +94,13 @@ class GatewayServer:
         #: Live connection tasks (the loop holds tasks only weakly).
         self._connections = set()
         self._metrics_server = None
-        self._pump_task = None
         self._stop_event = None
         self._shut_down = False
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self):
-        """Bind both listeners and start the pump task."""
+        """Bind both listeners and start the live collector."""
         self._stop_event = asyncio.Event()
         # Resolved before anything is served, so blocking costs no one.
         family = socket.getaddrinfo(
@@ -116,7 +121,6 @@ class GatewayServer:
             )
         if self.collector is not None:
             self.collector.start()
-        self._pump_task = asyncio.create_task(self._pump_loop())
         _LOG.info(
             "gateway listening on %s:%d (metrics: %s)",
             self.host,
@@ -139,10 +143,6 @@ class GatewayServer:
         if self._metrics_server is not None:
             self._metrics_server.close()
             await self._metrics_server.wait_closed()
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._pump_task
         # Finish every live tenant: rings drained, channelizers flushed.
         # Undelivered messages are counted, not silently dropped.
         undelivered = self.core.drain()
@@ -178,13 +178,6 @@ class GatewayServer:
             await self._stop_event.wait()
         finally:
             await self.shutdown()
-
-    async def _pump_loop(self):
-        while not self._stop_event.is_set():
-            self.core.pump()
-            if self.collector is not None:
-                self.collector.maybe_tick()
-            await asyncio.sleep(_PUMP_INTERVAL_S)
 
     # -- tenant protocol -----------------------------------------------------
 
@@ -254,8 +247,12 @@ class GatewayServer:
                     )
                     return
                 await conn.send(response)
-                if response.get("type") == "goodbye":
+                if response["type"] == "goodbye":
                     return
+                if response["type"] == "accepted":
+                    # Decode behind the reply: the client's next block
+                    # lands in the socket buffer meanwhile.
+                    self.core.pump()
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:

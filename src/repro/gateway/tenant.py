@@ -8,7 +8,8 @@ comes out is not frames but the tenant's *reassembled messages* — the
 FreeBee-style delivery receipt a gateway client actually wants.
 
 :class:`repro.gateway.core.GatewayCore` builds one per admitted tenant
-and calls :meth:`TenantConsumer.process` inline.
+and calls :meth:`TenantConsumer.process` from its ``pump`` once a block
+has been admitted to the tenant's ring.
 
 Message dicts carry raw ``bytes`` payloads; the wire layer
 (:mod:`repro.gateway.protocol`) hex-encodes them.  ``latency_s`` is

@@ -7,6 +7,7 @@ import repro.gateway.core as core_module
 from repro.gateway.core import GatewayCore
 from repro.gateway.errors import (
     ERR_BAD_REQUEST,
+    ERR_DECODE_FAILED,
     ERR_DUPLICATE_TENANT,
     ERR_SHUTTING_DOWN,
     ERR_STREAM_ENDED,
@@ -15,6 +16,7 @@ from repro.gateway.errors import (
     GatewayError,
 )
 from repro.gateway.loadgen import build_workloads, drive_core, run_loadgen
+from repro.gateway.tenant import TenantConsumer
 from repro.obs.metrics import REGISTRY
 
 #: Fast decode path for end-to-end tests: one decimated channel.
@@ -171,25 +173,49 @@ class TestAdmissionControl:
 
 
 class TestBackpressure:
-    def test_overrun_sheds_blocks_not_memory(self):
-        # An unpumpable core (finished consumer never runs: we just never
-        # let the ring drain by using capacity 1 and giant blocks) must
-        # shed and account rather than queue without bound.
-        with GatewayCore(engine=FAST_ENGINE, ring_capacity=1) as core:
+    def test_submit_admits_and_pump_decodes(self, monkeypatch):
+        decoded = []
+        process = TenantConsumer.process
+
+        def counted(consumer, block):
+            decoded.append(block.size)
+            return process(consumer, block)
+
+        monkeypatch.setattr(TenantConsumer, "process", counted)
+        with GatewayCore(engine=FAST_ENGINE) as core:
             core.admit("a")
-            # Stuff the ring faster than pump can drain by bypassing pump:
-            state = core._tenants["a"]
-            assert state.ring.push(_zeros())
-            accepted = state.ring.push(_zeros())
-            assert not accepted
-            assert state.ring.stats()["overruns"] == 1
+            core.submit("a", _zeros(256))
+            core.submit("a", _zeros(128))
+            assert decoded == []
+            core.pump()
+            assert decoded == [256, 128]
+            assert core.tenant_stats("a")["ring"]["depth"] == 0
 
     def test_submit_reports_shed(self):
-        with GatewayCore(engine=FAST_ENGINE, ring_capacity=4) as core:
-            core.admit("a")
-            assert core.submit("a", _zeros()) in (True, False)
-            stats = core.tenant_stats("a")
-            assert stats["ring"]["overruns"] + stats["blocks_in"] >= 1
+        # ``submit`` only admits, so two submits with no pump between
+        # them meet a one-block ring that is still full.
+        REGISTRY.enable()
+        REGISTRY.reset()
+        try:
+            with GatewayCore(engine=FAST_ENGINE, ring_capacity=1) as core:
+                core.admit("a")
+                assert core.submit("a", _zeros()) is True
+                assert core.submit("a", _zeros(100)) is False
+                stats = core.tenant_stats("a")
+                counters = REGISTRY.snapshot()["counters"]
+                core.pump()  # the decode frees the slot
+                assert core.submit("a", _zeros()) is True
+        finally:
+            REGISTRY.disable()
+            REGISTRY.reset()
+        assert counters["gateway.blocks_admitted"] == 1
+        assert counters["gateway.samples_admitted"] == 256
+        assert counters["gateway.blocks_shed"] == 1
+        assert counters["gateway.samples_shed"] == 100
+        assert stats["blocks_in"] == 1
+        assert stats["ring"]["overruns"] == 1
+        assert stats["ring"]["samples_dropped"] == 100
+        assert stats["ring"]["depth"] == 1
 
 
 @pytest.mark.timeout(300)
@@ -247,6 +273,62 @@ class TestEndToEndDelivery:
         # may coincide — decimation aliases the adjacent channel in.)
         assert all(m["zigbee_channel"] == 13 for m in matched)
         assert detuned and all(m["zigbee_channel"] == 11 for m in detuned)
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("decoder bug")
+
+
+class TestDecodeFailure:
+    def test_raising_consumer_fails_only_its_tenant(self, monkeypatch):
+        process = TenantConsumer.process
+
+        def flaky(consumer, block):
+            if consumer.tenant_id == "bad":
+                _boom()
+            return process(consumer, block)
+
+        monkeypatch.setattr(TenantConsumer, "process", flaky)
+        with GatewayCore(engine=FAST_ENGINE, max_tenants=2) as core:
+            core.admit("bad")
+            core.admit("good")
+            assert core.submit("bad", _zeros()) is True
+            core.submit("good", _zeros())
+            core.pump()  # never re-raises
+            assert core.tenant_stats("good")["ring"]["blocks_popped"] == 1
+            stats = core.stats()
+            assert stats["active_tenants"] == 1
+            assert stats["tenants"]["bad"]["failed"] is True
+            for request in (
+                lambda: core.poll("bad"),
+                lambda: core.submit("bad", _zeros()),
+                lambda: core.finish_tenant("bad"),
+                lambda: core.tenant_stats("bad"),
+            ):
+                with pytest.raises(GatewayError) as excinfo:
+                    request()
+                assert excinfo.value.code == ERR_DECODE_FAILED
+            # The id and slot are free again: a fresh session decodes.
+            monkeypatch.setattr(TenantConsumer, "process", process)
+            core.admit("bad")
+            core.submit("bad", _zeros())
+            assert core.finish_tenant("bad")["stats"]["failed"] is False
+
+    def test_raising_flush_never_escapes(self, monkeypatch):
+        monkeypatch.setattr(TenantConsumer, "finish", _boom)
+        owner = object()
+        core = GatewayCore(engine=FAST_ENGINE, max_tenants=3)
+        core.admit("finished")
+        core.admit("abandoned", owner=owner)
+        core.admit("drained")
+        with pytest.raises(GatewayError) as excinfo:
+            core.finish_tenant("finished")
+        assert excinfo.value.code == ERR_DECODE_FAILED
+        assert core.abandon(owner) == {}
+        assert core.drain() == {}
+        assert all(
+            stats["failed"] for stats in core.stats()["tenants"].values()
+        )
 
 
 class TestIntrospection:

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import logging
 import socket
 import struct
 import threading
@@ -14,10 +15,17 @@ import pytest
 from repro.gateway.core import GatewayCore
 from repro.gateway.errors import (
     ERR_BAD_REQUEST,
+    ERR_DECODE_FAILED,
+    ERR_TENANT_LIMIT,
     ERR_UNKNOWN_TENANT,
     GatewayError,
 )
-from repro.gateway.loadgen import build_workloads, drive_client, verify
+from repro.gateway.loadgen import (
+    build_workloads,
+    drive_client,
+    drive_core,
+    verify,
+)
 from repro.gateway.protocol import (
     MAX_PAYLOAD_BYTES,
     GatewayClient,
@@ -28,6 +36,7 @@ from repro.gateway.protocol import (
 )
 from repro.gateway.server import GatewayServer
 from repro.obs.metrics import REGISTRY
+from repro.stream.engine import StreamEngine
 
 FAST_ENGINE = {
     "demux": True,
@@ -46,6 +55,8 @@ class _ServerHarness:
         )
         #: Exceptions that escaped to the event loop's handler.
         self.loop_errors = []
+        #: An exception that ended the server's run (shutdown included).
+        self.run_error = None
         self._loop = None
         self._started = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
@@ -59,7 +70,10 @@ class _ServerHarness:
                 install_signal_handlers=False, on_started=self._on_started
             )
 
-        asyncio.run(main())
+        try:
+            asyncio.run(main())
+        except BaseException as error:
+            self.run_error = error
 
     def _on_started(self, server):
         self._loop = asyncio.get_running_loop()
@@ -136,7 +150,7 @@ class TestWireService:
                 client.request({"type": "poll", "tenant": "x"})
             assert excinfo.value.code == "bad-request"
 
-    def test_samples_response_reports_shed(self, harness):
+    def test_samples_response_reports_admission(self, harness):
         with harness.client() as client:
             client.hello("t2")
             response = client.send_samples(
@@ -462,3 +476,169 @@ class TestGracefulShutdown:
         # The drain finished the still-active tenant and closed the core.
         assert core._tenants["t"].finished
         assert core._closed
+
+
+def _identity(messages):
+    """Delivered messages in order, minus the wall-clock ``latency_s``."""
+    return [
+        sorted((k, v) for k, v in m.items() if k != "latency_s")
+        for m in messages
+    ]
+
+
+def _recording_polls(target, polls):
+    """Wrap ``target.poll`` to log each poll's tenant and messages."""
+    poll = target.poll
+
+    def recorded(tenant):
+        messages = poll(tenant)
+        polls.append((tenant, _identity(messages)))
+        return messages
+
+    target.poll = recorded
+
+
+@pytest.mark.timeout(300)
+class TestWireMatchesCore:
+    def test_same_deliveries_at_every_poll(self, harness):
+        # Decoding behind the reply must never hold a message back past
+        # the connection's next request: over the wire, every poll
+        # returns exactly what the in-process drive's poll returns.
+        workloads = build_workloads(
+            4, 2, seed=11, duration_s=0.02,
+            engine=FAST_ENGINE, dtype="complex64",
+        )
+        runs = []
+        for wire in (True, False):
+            for workload in workloads:
+                workload.delivered = []
+                workload.shed_blocks = 0
+            polls = []
+            if wire:
+                with harness.client() as client:
+                    _recording_polls(client, polls)
+                    drive_client(client, workloads)
+            else:
+                with GatewayCore(engine=FAST_ENGINE, max_tenants=4) as core:
+                    _recording_polls(core, polls)
+                    drive_core(core, workloads)
+            delivered = {
+                w.tenant_id: _identity(w.delivered) for w in workloads
+            }
+            runs.append((polls, delivered))
+            rows, all_exact = verify(workloads)
+            assert all_exact, rows
+        (wire_polls, wire_delivered), (core_polls, core_delivered) = runs
+        assert wire_delivered == core_delivered
+        assert wire_polls == core_polls
+        # Not vacuous: messages arrive by poll, mid-stream.
+        assert sum(len(messages) for _, messages in wire_polls) > 0
+        assert harness.loop_errors == []
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("decoder bug")
+
+
+@pytest.fixture()
+def one_slot(monkeypatch, caplog):
+    """A one-tenant server, its decode-failure log records and counters."""
+    # A CLI run in this process may have stopped ``repro`` log records
+    # from reaching caplog's root handler (obs.configure_logging).
+    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    caplog.set_level(logging.ERROR, logger="repro.gateway")
+    REGISTRY.enable()
+    REGISTRY.reset()
+    harness = _ServerHarness(
+        GatewayCore(engine=FAST_ENGINE, max_tenants=1), metrics=False
+    )
+    try:
+        yield harness
+    finally:
+        if harness._thread.is_alive():
+            harness.stop()
+        REGISTRY.disable()
+        REGISTRY.reset()
+
+
+def _failures(caplog):
+    """The error records logged, each checked to be a decoder failure."""
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert all("decoder failed" in r.getMessage() for r in errors), [
+        r.getMessage() for r in errors
+    ]
+    return errors
+
+
+@pytest.mark.timeout(300)
+class TestDecodeFailure:
+    """A raising engine fails its tenant, never the server."""
+
+    def test_failed_tenant_releases_slot_and_id(
+        self, one_slot, monkeypatch, caplog
+    ):
+        block = np.zeros(4096, dtype=np.complex64)
+        with one_slot.client() as client:
+            client.hello("t")
+            with pytest.raises(GatewayError) as excinfo:
+                client.hello("other")
+            assert excinfo.value.code == ERR_TENANT_LIMIT
+            process_block = StreamEngine.process_block
+            monkeypatch.setattr(StreamEngine, "process_block", _boom)
+            # Admission is the reply; the decode fails after it.
+            assert client.send_samples("t", block) == {
+                "type": "accepted", "accepted": True
+            }
+            for request in (
+                lambda: client.poll("t"),
+                lambda: client.send_samples("t", block),
+                lambda: client.finish("t"),
+                lambda: client.stats("t"),
+            ):
+                with pytest.raises(GatewayError) as excinfo:
+                    request()
+                assert excinfo.value.code == ERR_DECODE_FAILED
+            stats = client.stats()
+            assert stats["active_tenants"] == 0
+            assert stats["tenants"]["t"]["failed"] is True
+            # Slot and id are free: the id starts a fresh session.
+            monkeypatch.setattr(StreamEngine, "process_block", process_block)
+            assert client.hello("t")["type"] == "welcome"
+            client.send_samples("t", block)
+            _messages, finished = client.finish("t")
+            assert finished["failed"] is False
+        assert len(_failures(caplog)) == 1
+        counters = REGISTRY.snapshot()["counters"]
+        assert counters["gateway.tenants_failed"] == 1
+        one_slot.stop()
+        assert one_slot.run_error is None
+        assert one_slot.loop_errors == []
+
+    def test_failed_flush_never_escapes(self, one_slot, monkeypatch, caplog):
+        monkeypatch.setattr(StreamEngine, "finish", _boom)
+        block = np.zeros(4096, dtype=np.complex64)
+        # finish: the request is refused and the slot released.
+        with one_slot.client() as client:
+            client.hello("f")
+            client.send_samples("f", block)
+            with pytest.raises(GatewayError) as excinfo:
+                client.finish("f")
+            assert excinfo.value.code == ERR_DECODE_FAILED
+            assert client.hello("a")["type"] == "welcome"
+        # abandon: the connection closed with "a" active.
+        one_slot.wait_active(0)
+        # drain: "d" is still active at shutdown.
+        keeper = one_slot.client()
+        try:
+            assert keeper.hello("d")["type"] == "welcome"
+            one_slot.stop()
+        finally:
+            keeper.close()
+        assert one_slot.run_error is None
+        assert one_slot.loop_errors == []
+        assert len(_failures(caplog)) == 3
+        assert REGISTRY.snapshot()["counters"]["gateway.tenants_failed"] == 3
+        assert all(
+            stats["failed"]
+            for stats in one_slot.server.core.stats()["tenants"].values()
+        )
