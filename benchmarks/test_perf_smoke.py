@@ -11,9 +11,9 @@ Two small guards CI can afford on every push:
   headline configuration, so the scan cascade is the whole decode), a
   **front-end micro-benchmark** (the headline four-channel
   decimation-8 complex64 channelizer bank over noise blocks, nothing
-  else), a **derive micro-benchmark** (one decimation-8 complex64
-  session's derived caches over noise products, nothing else) and a
-  **scan micro-benchmark** (the same session's scans over those caches),
+  else), a **derive micro-benchmark** and a **scan micro-benchmark**
+  (the derive and scan stage counters of one decimation-8 complex64
+  session's native pushes over noise products),
   a **serve micro-benchmark** (noise blocks through a ``repro
   serve`` subprocess over the wire, one tenant, closed loop) and an
   **interference micro-benchmark** (802.11g OFDM bursts drawn the way
@@ -167,16 +167,18 @@ def frontend_msps():
     return FRONTEND_BLOCKS * DEEP_BLOCK / (best * factor) / 1e6
 
 
-def derive_msps():
-    """One session's derived caches over decimation-8 complex64 noise.
+def _session_stage_seconds():
+    """Best-of-five derive and scan seconds of one session over noise.
 
-    Pushes :data:`DERIVE_PRODUCTS` noise products through a fresh
-    session's derive layer in headline-sized blocks — ``extend``,
-    ``extend_windowed`` and the trim the scan would leave behind, with
-    no scan, header or body — and returns the input sample rate it keeps
-    up with (products times the decimation, per second, in millions),
-    best of five, scaled to reference host speed by the ledger's speed
-    probe.
+    Pushes :data:`DERIVE_PRODUCTS` decimation-8 complex64 noise products
+    through a fresh session in headline-sized blocks, one native
+    ``session_push`` call each, and sums the call's own stage counters
+    (:attr:`StreamSession.stage_ns`): *derive* is the products' unit
+    phasors, vote counts and fold prefixes; *scan* the windowed caches,
+    the hot-index walk and the header gate with its reject chains.  The
+    bodies of noise captures decode as they would in a receiver (their
+    failed CRC resumes the search one bit on) and count as neither.
+    Returns the best of five passes per stage, after a warm-up.
     """
     decimation = FAST_PATH["decimation"]
     block = DEEP_BLOCK // decimation
@@ -187,72 +189,45 @@ def derive_msps():
     ).astype(np.complex64)
     decoder = SymBeeDecoder(decimation=decimation)
 
-    def derive():
-        derived = StreamSession(decoder, dtype=np.complex64)._derived
+    def stages():
+        session = StreamSession(decoder, dtype=np.complex64)
+        derive = scan = 0
         for lo in range(0, products.size, block):
-            derived.extend(products[lo : lo + block])
-            derived.extend_windowed()
-            derived.trim(derived.win_end)
+            session.push_products(products[lo : lo + block])
+            derive_ns, scan_ns, _ = session.stage_ns
+            derive += derive_ns
+            scan += scan_ns
+        session.finish()
+        return derive * 1e-9, scan * 1e-9
 
-    derive()  # warm-up
-    best = float("inf")
-    for _ in range(5):
-        t0 = time.perf_counter()
-        derive()
-        best = min(best, time.perf_counter() - t0)
+    stages()  # warm-up
+    passes = [stages() for _ in range(5)]
+    return min(p[0] for p in passes), min(p[1] for p in passes)
+
+
+def derive_msps():
+    """One session's derived caches over decimation-8 complex64 noise.
+
+    The derive stage of :func:`_session_stage_seconds`, as the input
+    sample rate it keeps up with (products times the decimation, per
+    second, in millions), scaled to reference host speed by the ledger's
+    speed probe.
+    """
+    derive, _ = _session_stage_seconds()
     factor = speed_factor(5)
-    return products.size * decimation / (best * factor) / 1e6
+    return DERIVE_PRODUCTS * FAST_PATH["decimation"] / (derive * factor) / 1e6
 
 
 def scan_msps():
-    """One session's scan over decimation-8 complex64 noise caches.
+    """One session's scans over decimation-8 complex64 noise.
 
-    Derives a fresh session's caches over :data:`DERIVE_PRODUCTS` noise
-    products outside the timing (the push's derive pass and nothing
-    else), then times the scans a push would run next:
-    ``_scan_batched`` from the origin until no full chunk is left — the
-    windowed caches, the hot-index walk, the header gate and its reject
-    chains, one kernel call each.  A noise capture the walk leaves with
-    a body to decode, or pending on a header past the stream's end, is
-    skipped one bit on, as its failed CRC would be.  Returns the
-    input sample rate it keeps up with (products times the decimation,
-    per second, in millions), best of five, scaled to reference host
-    speed by the ledger's speed probe.
+    The scan stage of :func:`_session_stage_seconds` (windowed caches,
+    hot-index walk, header gate and reject chains), as the input sample
+    rate it keeps up with, scaled like :func:`derive_msps`.
     """
-    decimation = FAST_PATH["decimation"]
-    rng = np.random.default_rng(20260806)
-    products = (
-        rng.standard_normal(DERIVE_PRODUCTS)
-        + 1j * rng.standard_normal(DERIVE_PRODUCTS)
-    ).astype(np.complex64)
-    decoder = SymBeeDecoder(decimation=decimation)
-
-    def derived():
-        session = StreamSession(decoder, dtype=np.complex64)
-        session._buf.append(products)
-        session._derived.extend(products)
-        return session
-
-    def scan(session):
-        while session._buf.end - session._origin >= session.scan_len:
-            if session._state != "search":
-                session._state = "search"
-                session._origin = session._n0 + decoder.bit_period
-                continue
-            avail = session._buf.end - session._origin
-            session._scan_batched(
-                1 + (avail - session.scan_len) // session.stride
-            )
-
-    scan(derived())  # warm-up
-    best = float("inf")
-    for _ in range(5):
-        session = derived()
-        t0 = time.perf_counter()
-        scan(session)
-        best = min(best, time.perf_counter() - t0)
+    _, scan = _session_stage_seconds()
     factor = speed_factor(5)
-    return products.size * decimation / (best * factor) / 1e6
+    return DERIVE_PRODUCTS * FAST_PATH["decimation"] / (scan * factor) / 1e6
 
 
 def serve_msps():

@@ -15,10 +15,13 @@ experiment tables stay on stdout).  ``run all`` keeps going past a
 failing experiment and exits non-zero with a pass/fail summary.
 
 BLAS is pinned to one thread before anything loads numpy (``info``
-reports the count): unpinned, OpenBLAS sizes its pool to the host and
-the channelizer's matrix products swing between a fast and a ~5x
-slower mode from one process to the next.  An explicit
-``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` in the environment wins.
+reports the count).  The receiver itself is native C and uses no BLAS,
+but the sample-level PHY still does: ``signal_power`` scales every
+synthesized frame and interference burst with ``np.vdot``, whose last
+bits follow the OpenBLAS thread count on long vectors (ROADMAP item
+7), so an unpinned run could synthesize different captures from one
+host to the next.  An explicit ``OPENBLAS_NUM_THREADS`` /
+``OMP_NUM_THREADS`` in the environment wins.
 """
 
 import os

@@ -107,6 +107,30 @@ class Tracer:
             return _NULL_SPAN
         return _Span(self, name, labels)
 
+    def record(self, name, duration_s, **labels):
+        """Record a span that already ran, ending now, ``duration_s`` long.
+
+        For work timed elsewhere (the native stream session times its
+        own stages): the record nests under the innermost open span, as
+        if it had been opened and closed there.  No-op when disabled.
+        """
+        if not self._enabled:
+            return
+        stack = self._stack
+        record = {
+            "name": name,
+            "start_s": round(
+                time.perf_counter() - self._origin - duration_s, 6
+            ),
+            "duration_s": round(duration_s, 6),
+            "depth": len(stack),
+            "parent": stack[-1] if stack else None,
+            "error": None,
+        }
+        if labels:
+            record["labels"] = labels
+        self._record(record)
+
     def _record(self, record):
         if len(self._records) >= self.max_records:
             self.dropped += 1

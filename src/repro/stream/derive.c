@@ -1,5 +1,6 @@
 /* The stream receiver's native kernels: the channelizer bank's front
- * end, the scanner's derived caches and its scan walk.
+ * end, the scanner's derived caches, its scan walk, and the stream
+ * session that runs them (session_body.h).
  *
  * Every function is the numpy formulation's arithmetic in its order,
  * rounded exactly as numpy rounds it, so the caches match the numpy
@@ -16,7 +17,8 @@
  *
  * The scan walk (walk_body.h) makes the decisions of the Python walk
  * it replaced, from the same floats; its contract is spelled out there
- * and in repro/stream/session.py.  The front end (frontend_body.h)
+ * and in repro/stream/session.py.  The session push (session_body.h)
+ * runs derive, walk and the body decode over buffers it owns.  The front end (frontend_body.h)
  * has its own arithmetic, spelled out there: explicit correctly
  * rounded fmaf/fma in a fixed order, so its bits do not depend on the
  * host either.
@@ -29,6 +31,7 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 /* Positions per tile: the vectorised per-position loops run over a
  * tile held in cache before the sequential prefix loop consumes it. */
@@ -60,6 +63,8 @@ struct walk_params {
     int32_t ack_type;
     int32_t transport_base;
     int32_t max_length;
+    int64_t seam;          /* float prefixes restart every seam positions
+                              (0: never) */
 };
 
 /* What one scan call leaves behind. */
@@ -115,6 +120,298 @@ static int64_t header_length(const struct walk_params *pp,
     return valid ? length : -1;
 }
 
+/* ---- The stream session's state (session_body.h) -------------------- */
+
+/* Most frame bits one body decode reads: header, data and CRC. */
+#define SESSION_MAX_BITS 128
+
+/* A growable stream buffer addressed by absolute index: entry p lives
+ * at element p - base + start of data.  Trimming drops the front in
+ * O(1); appending compacts the dropped space, or doubles, when full. */
+struct buf {
+    char *data;
+    int64_t cap, start, len, base, size;
+};
+
+static int buf_init(struct buf *b, int64_t size, int64_t cap)
+{
+    b->data = malloc((size_t)(cap * size));
+    b->cap = cap;
+    b->start = b->len = b->base = 0;
+    b->size = size;
+    return b->data != NULL;
+}
+
+static int64_t buf_end(const struct buf *b)
+{
+    return b->base + b->len;
+}
+
+static void *buf_at(const struct buf *b, int64_t p)
+{
+    return b->data + (p - b->base + b->start) * b->size;
+}
+
+/* Absolute index p is element p + buf_off(b) of the data. */
+static int64_t buf_off(const struct buf *b)
+{
+    return b->start - b->base;
+}
+
+/* Append n entries; the first of them, or NULL when out of memory. */
+static void *buf_alloc(struct buf *b, int64_t n)
+{
+    if (b->start + b->len + n > b->cap) {
+        if (b->start) {
+            memmove(b->data, b->data + b->start * b->size,
+                    (size_t)(b->len * b->size));
+            b->start = 0;
+        }
+        if (b->len + n > b->cap) {
+            int64_t cap = b->cap;
+            while (cap < b->len + n)
+                cap *= 2;
+            char *grown = realloc(b->data, (size_t)(cap * b->size));
+            if (!grown)
+                return NULL;
+            b->data = grown;
+            b->cap = cap;
+        }
+    }
+    void *at = b->data + (b->start + b->len) * b->size;
+    b->len += n;
+    return at;
+}
+
+/* Forget everything below absolute index lo. */
+static void buf_trim(struct buf *b, int64_t lo)
+{
+    int64_t drop = lo - b->base;
+    drop = drop < 0 ? 0 : drop > b->len ? b->len : drop;
+    b->start += drop;
+    b->base += drop;
+    b->len -= drop;
+}
+
+static void buf_clear(struct buf *b)
+{
+    b->start = b->len = 0;
+}
+
+/* One frame a push emitted. */
+struct session_frame {
+    int64_t n0;            /* preamble index */
+    int64_t data_start;
+    int64_t end;           /* one past the last vote window */
+    int64_t n_bits;
+    int64_t latency;       /* products buffered past end at the emit */
+    int64_t runs_lo;       /* metered: this frame's phase run lengths, */
+    int64_t runs_n;        /* session.runs[runs_lo .. runs_lo + runs_n) */
+    double coherence;
+    double band_power;     /* mean product magnitude over [n0, end) */
+    double guard_power;    /* reserved for capture-time leak arbitration */
+    int32_t crc_ok;
+    int32_t outcome;       /* reserved for per-frame outcome accounting */
+    int32_t votes[SESSION_MAX_BITS];
+    uint8_t bits[SESSION_MAX_BITS];
+};
+
+/* What one push did: frames, outcome counts and stage times. */
+struct session_out {
+    int64_t frames;        /* descriptors in session.frames */
+    int64_t crc_failed;
+    int64_t rejects;       /* header rejects */
+    int64_t hits;          /* capture outcomes, as struct walk_out */
+    int64_t miss_count;
+    int64_t miss_coherence;
+    int64_t miss_concentration;
+    int64_t observed;      /* metered: hit coherences in session.observed */
+    int64_t partial;       /* final: a capture ran off the stream */
+    int64_t derive_ns;     /* stage wall times */
+    int64_t scan_ns;
+    int64_t body_ns;
+};
+
+/* One channel's stream session.  The fields up to the marker are read
+ * by Python; the rest is private to the push. */
+struct session {
+    int64_t state;         /* WALK_SEARCH, WALK_PENDING or WALK_BODY */
+    int64_t origin;        /* the next scan chunk's start */
+    int64_t n0;            /* the current capture's preamble index */
+    int64_t data_start;
+    int64_t total_bits;    /* the current capture's frame bits */
+    double coherence;
+    struct session_frame *frames;  /* the last push's outputs */
+    double *observed;
+    int64_t *runs;
+    /* -- private -- */
+    struct walk_params pp;
+    struct walk_out wo;
+    int64_t profile_end;   /* one past the last folded position */
+    int64_t win_end;       /* one past the last windowed position */
+    int64_t folds, span, overhead;
+    double fill_re, fill_im;
+    /* Running totals of the prefixes (floats held exactly). */
+    int32_t mask_total, count_total, cohpass_total;
+    double coh_total, conc_total_re, conc_total_im;
+    struct buf prod, unit, mask, count, coh, conc;
+    struct buf count_win, cohcand_win, conc_win, cohpass, hot;
+    struct buf frame_out, observed_out, runs_out;
+};
+
+/* The session's buffers, in the order session_view numbers them. */
+#define SESSION_BUFFERS(s) { &(s)->prod, &(s)->unit, &(s)->mask, \
+    &(s)->count, &(s)->coh, &(s)->conc, &(s)->count_win, \
+    &(s)->cohcand_win, &(s)->conc_win, &(s)->cohpass, &(s)->hot, \
+    &(s)->frame_out, &(s)->observed_out, &(s)->runs_out }
+#define SESSION_N_BUFFERS 14
+
+static int64_t session_count;
+
+/* Sessions allocated and not yet freed. */
+int64_t session_live(void)
+{
+    return __atomic_load_n(&session_count, __ATOMIC_RELAXED);
+}
+
+void session_free(struct session *s)
+{
+    if (!s)
+        return;
+    struct buf *bufs[] = SESSION_BUFFERS(s);
+    for (int i = 0; i < SESSION_N_BUFFERS; i++)
+        free(bufs[i]->data);
+    free(s);
+    __atomic_fetch_sub(&session_count, 1, __ATOMIC_RELAXED);
+}
+
+/* A session with the walk constants pp, folds-bit preamble folds,
+ * real_size-byte working floats, the zero product's unit phasor
+ * (fill_re, fill_im) and overhead frame bits beyond the data; NULL when
+ * out of memory, when a frame could outgrow SESSION_MAX_BITS, or when
+ * float prefix seams are closer than a window (a window sum crosses at
+ * most one seam). */
+struct session *session_new(const struct walk_params *pp, int64_t folds,
+                            int64_t real_size, double fill_re,
+                            double fill_im, int64_t overhead)
+{
+    if (overhead + pp->max_length > SESSION_MAX_BITS
+        || (pp->seam > 0 && pp->seam < pp->window))
+        return NULL;
+    struct session *s = calloc(1, sizeof *s);
+    if (!s)
+        return NULL;
+    __atomic_fetch_add(&session_count, 1, __ATOMIC_RELAXED);
+    s->pp = *pp;
+    s->folds = folds;
+    s->span = (folds - 1) * pp->bit_period;
+    s->overhead = overhead;
+    s->fill_re = fill_re;
+    s->fill_im = fill_im;
+    int64_t r = real_size, c = 2 * real_size, i4 = sizeof(int32_t);
+    int ok = buf_init(&s->prod, c, 8192) && buf_init(&s->unit, c, 8192)
+        && buf_init(&s->mask, i4, 8192) && buf_init(&s->count, i4, 8192)
+        && buf_init(&s->coh, r, 8192) && buf_init(&s->conc, c, 8192)
+        && buf_init(&s->count_win, i4, 8192)
+        && buf_init(&s->cohcand_win, r, 8192)
+        && buf_init(&s->conc_win, r, 8192)
+        && buf_init(&s->cohpass, i4, 8192)
+        && buf_init(&s->hot, sizeof(int64_t), 8192)
+        && buf_init(&s->frame_out, sizeof(struct session_frame), 4)
+        && buf_init(&s->observed_out, sizeof(double), 64)
+        && buf_init(&s->runs_out, sizeof(int64_t), 1024);
+    if (!ok) {
+        session_free(s);
+        return NULL;
+    }
+    /* Every prefix opens with its zero entry at index 0. */
+    struct buf *prefixes[] = {&s->mask, &s->count, &s->coh, &s->conc,
+                              &s->cohpass};
+    for (int i = 0; i < 5; i++)
+        memset(buf_alloc(prefixes[i], 1), 0, (size_t)prefixes[i]->size);
+    return s;
+}
+
+/* Where buffer `which` (SESSION_BUFFERS order) holds its entries:
+ * the data pointer at its oldest entry, that entry's absolute index and
+ * the entry count.  For tests, which compare the caches. */
+struct session_view {
+    void *data;
+    int64_t base, len;
+};
+
+void session_view(struct session *s, int32_t which, struct session_view *v)
+{
+    struct buf *bufs[] = SESSION_BUFFERS(s);
+    if (which < 0 || which >= SESSION_N_BUFFERS) {
+        v->data = NULL;
+        v->base = v->len = 0;
+        return;
+    }
+    struct buf *b = bufs[which];
+    v->data = b->data + b->start * b->size;
+    v->base = b->base;
+    v->len = b->len;
+}
+
+/* Forget everything below absolute index lo (units: below the profile
+ * end; hot: positions below lo). */
+static void session_trim(struct session *s, int64_t lo)
+{
+    buf_trim(&s->prod, lo);
+    buf_trim(&s->unit, s->profile_end);
+    struct buf *indexed[] = {&s->mask, &s->count, &s->coh, &s->conc,
+                             &s->count_win, &s->cohcand_win, &s->conc_win,
+                             &s->cohpass};
+    for (int i = 0; i < 8; i++)
+        buf_trim(indexed[i], lo);
+    struct buf *hot = &s->hot;
+    if (hot->len) {
+        /* The hot buffer's index counts entries, not positions. */
+        const int64_t *h = (const int64_t *)hot->data + hot->start;
+        int64_t drop = lower_bound(h, 0, hot->len, lo);
+        hot->start += drop;
+        hot->base += drop;
+        hot->len -= drop;
+    }
+}
+
+/* Whether a frame's bits parse with a matching CRC: the declared data
+ * length fits, and the ITU-T CRC-16 (reflected 0x1021, initial 0) of
+ * the header and data bits, packed MSB first into zero-padded bytes,
+ * equals the 16 bits after them. */
+static int frame_crc_ok(const uint8_t *bits, int64_t n)
+{
+    if (n < 40)
+        return 0;
+    int64_t length = 0;
+    for (int64_t b = 8; b < 16; b++)
+        length = length << 1 | bits[b];
+    int64_t end = 24 + length;
+    if (n < end + 16)
+        return 0;
+    uint32_t crc = 0;
+    for (int64_t lo = 0; lo < end; lo += 8) {
+        uint32_t byte = 0;
+        for (int64_t k = lo; k < lo + 8; k++)
+            byte = byte << 1 | (k < end ? bits[k] : 0);
+        crc ^= byte;
+        for (int k = 0; k < 8; k++)
+            crc = crc & 1 ? (crc >> 1) ^ 0x8408 : crc >> 1;
+    }
+    uint32_t received = 0;
+    for (int64_t b = end; b < end + 16; b++)
+        received = received << 1 | bits[b];
+    return received == (crc & 0xFFFF);
+}
+
+static int64_t now_ns(void)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
+}
+
 /* Front-end outputs per tile: the phase planes and the per-channel
  * outputs of a tile stay in cache between the FIR and the products. */
 #define FE_TILE 256
@@ -139,24 +436,30 @@ static int fe_has_vector(void)
 
 #define REAL float
 #define SQRT sqrtf
+#define COPYSIGN copysignf
 #define FMA fmaf
 #define SFX(name) name##_f32
 #include "derive_body.h"
 #include "walk_body.h"
 #include "frontend_body.h"
+#include "session_body.h"
 #undef REAL
 #undef SQRT
+#undef COPYSIGN
 #undef FMA
 #undef SFX
 
 #define REAL double
 #define SQRT sqrt
+#define COPYSIGN copysign
 #define FMA fma
 #define SFX(name) name##_f64
 #include "derive_body.h"
 #include "walk_body.h"
 #include "frontend_body.h"
+#include "session_body.h"
 #undef REAL
 #undef SQRT
+#undef COPYSIGN
 #undef FMA
 #undef SFX

@@ -2,15 +2,14 @@
 
 :mod:`repro.stream.frontend` runs the receiver's front end (channelizer
 FIR, lagged products, product rotation for every channel) and
-:mod:`repro.stream.session` derives its caches (unit phasors, fold
-prefixes, windowed gate statistics, the hot index) and walks the hot
-index (gate cascade, header gate, reject rewinds, the stream's tail)
-through the C kernels in ``derive.c``, built with the local ``gcc``
-through cffi's out-of-line API mode: ``frontend_f32``/``frontend_f64``
-once per block, ``derive_f32``/``derive_f64`` once per push,
-``walk_f32``/``walk_f64`` once per scan.  There is no other path: on a
-host without gcc or cffi, importing this module raises
-:class:`ImportError` saying so.
+:mod:`repro.stream.session` runs each session push (derive the caches,
+walk the hot index with its header gate, decode bodies, trim) through
+the C kernels in ``derive.c``, built with the local ``gcc`` through
+cffi's out-of-line API mode: ``frontend_f32``/``frontend_f64`` once per
+block, ``session_push_f32``/``session_push_f64`` once per push (which
+call ``derive_*`` and ``walk_*``, exported too, so tests can hold each
+kernel to its oracle).  There is no other path: on a host without gcc
+or cffi, importing this module raises :class:`ImportError` saying so.
 
 The build is cached in ``_native/`` next to this module (gitignored),
 keyed by a hash of the C sources, the cdef, the compiler flags and the
@@ -23,11 +22,13 @@ never sees a partial file.
 The flags keep the derive and walk kernels bit-identical to numpy's
 arithmetic: ``-ffp-contract=off`` forbids fused multiply-adds,
 ``-fno-math-errno`` lets ``sqrt`` compile to the correctly rounded
-instruction, and ``-ffast-math`` is never used (see ``derive.c`` for
-the contract).  The front end fuses only where it says so, with
-explicit ``fmaf``/``fma`` calls, which are correctly rounded with or
-without FMA hardware; its AVX2+FMA build is chosen at run time by the
-CPU alone, and both builds compute the same bits
+instruction, ``-fno-trapping-math`` lets loops with selects vectorise
+(the kernels never read floating-point exception flags, and it licenses
+no value-changing rewrite), and ``-ffast-math`` is never used (see
+``derive.c`` for the contract).  The front end fuses only where it says
+so, with explicit ``fmaf``/``fma`` calls, which are correctly rounded
+with or without FMA hardware; its AVX2+FMA build is chosen at run time
+by the CPU alone, and both builds compute the same bits
 (``frontend_body.h``).
 """
 
@@ -44,13 +45,20 @@ import _cffi_backend
 
 HERE = Path(__file__).resolve().parent
 #: C sources, hashed into the build key.
-SOURCES = ("derive.c", "derive_body.h", "walk_body.h", "frontend_body.h")
+SOURCES = (
+    "derive.c",
+    "derive_body.h",
+    "walk_body.h",
+    "frontend_body.h",
+    "session_body.h",
+)
 #: Where compiled kernels are cached.
 BUILD_DIR = HERE / "_native"
 CFLAGS = (
     "-O3",
     "-ffp-contract=off",
     "-fno-math-errno",
+    "-fno-trapping-math",
     "-fPIC",
     "-shared",
 )
@@ -64,6 +72,7 @@ struct walk_params {
     double slack, coherence_min, conc_floor;
     int32_t tau_sync, version, max_type, ack_type, transport_base,
             max_length;
+    int64_t seam;
 };
 struct walk_out {
     int64_t n_hot, state, origin, n0;
@@ -71,6 +80,36 @@ struct walk_out {
     int64_t length, rejects, hits, miss_count, miss_coherence,
             miss_concentration, observed;
 };
+struct session_frame {
+    int64_t n0, data_start, end, n_bits, latency, runs_lo, runs_n;
+    double coherence, band_power, guard_power;
+    int32_t crc_ok, outcome;
+    int32_t votes[128];
+    uint8_t bits[128];
+};
+struct session_out {
+    int64_t frames, crc_failed, rejects, hits, miss_count, miss_coherence,
+            miss_concentration, observed, partial, derive_ns, scan_ns,
+            body_ns;
+};
+struct session {
+    int64_t state, origin, n0, data_start, total_bits;
+    double coherence;
+    struct session_frame *frames;
+    double *observed;
+    int64_t *runs;
+    ...;
+};
+struct session_view {
+    void *data;
+    int64_t base, len;
+};
+struct session *session_new(const struct walk_params *pp, int64_t folds,
+                            int64_t real_size, double fill_re,
+                            double fill_im, int64_t overhead);
+void session_free(struct session *s);
+int64_t session_live(void);
+void session_view(struct session *s, int32_t which, struct session_view *v);
 """
 _DECLS = """
 void derive_{s}({t} *prod, int64_t n, {t} fill_re, {t} fill_im,
@@ -78,7 +117,8 @@ void derive_{s}({t} *prod, int64_t n, {t} fill_re, {t} fill_im,
                 {t} *u, int64_t m, int64_t bp, int64_t folds,
                 int32_t *count, int32_t count_seed,
                 {t} *coh, {t} coh_seed,
-                {t} *conc, {t} conc_seed_re, {t} conc_seed_im);
+                {t} *conc, {t} conc_seed_re, {t} conc_seed_im,
+                int64_t pos0, int64_t seam);
 void walk_{s}(struct walk_params *pp, struct walk_out *out,
               int32_t *cn, int64_t cn_off, {t} *cm, int64_t cm_off,
               {t} *cu, int64_t cu_off, int32_t *cw, int64_t cw_off,
@@ -89,6 +129,9 @@ void walk_{s}(struct walk_params *pp, struct walk_out *out,
               int64_t origin, int64_t chunks, int64_t buf_end,
               int64_t pending, int32_t final,
               double *observed, int64_t observe_cap);
+int64_t session_push_{s}(struct session *s, const {t} *prod, int64_t n,
+                         int32_t final, int32_t metered,
+                         struct session_out *out);
 int64_t frontend_{s}({t} *carry, int64_t nc, void *x, int64_t nx,
                      int32_t x_f64, int32_t final, int64_t ntaps, int64_t d,
                      int64_t channels, {t} *weights, {t} *rotation,

@@ -1,5 +1,7 @@
 """GatewayCore: admission control, backpressure, byte-exact delivery."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.gateway.errors import (
 from repro.gateway.loadgen import build_workloads, drive_core, run_loadgen
 from repro.gateway.tenant import TenantConsumer
 from repro.obs.metrics import REGISTRY
+from repro.stream.native import lib
 
 #: Fast decode path for end-to-end tests: one decimated channel.
 FAST_ENGINE = {
@@ -350,3 +353,27 @@ class TestIntrospection:
         core.close()
         with pytest.raises(ValueError):
             core.pump()
+
+
+def test_finished_tenants_free_their_native_sessions():
+    # The gateway re-admits its tenants every pass, and a finished
+    # tenant's state (engine included) stays until its id returns: each
+    # finish must free the engine's native session buffers, or a
+    # long-running server's memory grows with every admission.
+    gc.collect()
+    live = lib.session_live()
+    block = np.zeros(4096, np.complex64)
+    with GatewayCore(engine=FAST_ENGINE, max_tenants=4) as core:
+        for wave in range(75):
+            ids = [f"tenant-{wave}-{i}" for i in range(4)]
+            for tenant_id in ids:
+                core.admit(tenant_id)
+                core.submit(tenant_id, block)
+            core.pump()
+            # One session per one-channel engine.
+            assert lib.session_live() == live + 4
+            for tenant_id in ids:
+                core.finish_tenant(tenant_id)
+            assert lib.session_live() == live
+        assert len(core.tenant_ids()) == 300
+    assert lib.session_live() == live

@@ -36,6 +36,20 @@ class TestNesting:
         assert outer["depth"] == 0
         assert outer["parent"] is None
 
+    def test_recorded_span_nests_like_an_opened_one(self):
+        tracer = Tracer()
+        tracer.record("early", 1.0)  # disabled: nothing recorded
+        tracer.enable()
+        with tracer.span("outer"):
+            tracer.record("timed", 0.25, stage="scan")
+        timed, outer = tracer.drain()
+        assert timed["name"] == "timed"
+        assert (timed["depth"], timed["parent"]) == (1, "outer")
+        assert timed["duration_s"] == 0.25
+        assert timed["labels"] == {"stage": "scan"}
+        assert timed["error"] is None
+        assert outer["depth"] == 0
+
     def test_sibling_spans_share_depth(self):
         tracer = Tracer()
         tracer.enable()

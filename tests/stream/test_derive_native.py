@@ -3,11 +3,14 @@
 Every derived cache the scanner reads -- the vote, count, coherence,
 concentration and coherence-pass prefixes, the windowed count /
 candidate-coherence / concentration caches and the hot index -- must be
-byte-identical between :class:`repro.stream.session._DerivedStreams`
-(the kernel) and :class:`tests.stream.derive_reference.NumpyDerivedStreams`
-(numpy), in complex64 and complex128, for any push split, with trims
-interleaved, and on hostile values: signed zeros, NaN, infinities,
-subnormals and magnitudes whose squares overflow.
+byte-identical between :class:`tests.stream.session_reference.
+KernelDerived` (the ``derive_*`` kernel and the windowed pass of the
+``walk_*`` kernel, as the native session calls them) and
+:class:`tests.stream.session_reference.ReferenceDerived` (numpy), in
+complex64 and complex128, for any push split, with trims interleaved,
+with the float prefixes restarting at short seams, and on hostile
+values: signed zeros, NaN, infinities, subnormals and magnitudes whose
+squares overflow.
 
 One allowance: a NaN compares by position, not payload.  When two NaNs
 meet in an addition, which one's sign survives is the hardware's
@@ -26,9 +29,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.decoder import SymBeeDecoder
-from repro.stream.session import StreamSession, _DerivedStreams
-from tests.stream.derive_reference import (
-    NumpyDerivedStreams,
+from repro.stream.session import StreamSession
+from tests.stream.session_reference import (
+    KernelDerived,
+    ReferenceDerived,
+    native_caches,
     unit_from_products,
 )
 
@@ -122,10 +127,14 @@ def _pair(data, dtype):
     kwargs = dict(
         dtype=dtype,
         coherence_min=data.draw(st.sampled_from([0.5, 0.7, 0.3])),
+        # Float prefixes restarting every few positions (never closer
+        # than a window), so windows start on seams and straddle them
+        # (None: the dtype's own segment).
+        seam=data.draw(st.sampled_from([None, 6, 7, 16, 50])),
     )
     return (
-        _DerivedStreams(decoder, folds, **kwargs),
-        NumpyDerivedStreams(decoder, folds, **kwargs),
+        KernelDerived(decoder, folds, **kwargs),
+        ReferenceDerived(decoder, folds, **kwargs),
     )
 
 
@@ -176,12 +185,12 @@ def test_unit_phasors_match_numpy_reference(dtype, fill):
     decoder = SimpleNamespace(
         bit_period=1, window=1, tau=0, tau_sync=1, rotation=fill
     )
-    derived = _DerivedStreams(decoder, 1, dtype=dtype)
+    derived = KernelDerived(decoder, 1, dtype=dtype)
     with np.errstate(all="ignore"):
         chunk = np.concatenate((grid, signed, noise)).astype(dtype)
         derived.extend(chunk)
         want = unit_from_products(chunk, fill)
-    got = derived._u.view(0, chunk.size)
+    got = derived.units.view(0, chunk.size)
     assert got.dtype == chunk.dtype
     assert _bytes(got) == _bytes(want)
 
@@ -189,10 +198,11 @@ def test_unit_phasors_match_numpy_reference(dtype, fill):
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_receiver_scale_caches_match_numpy_reference(dtype):
     # The headline domain (decimation 8, four folds) over ~60k products
-    # in uneven pushes, with the scan's trims: long prefixes, full tiles.
+    # in uneven pushes, with the scan's trims: long prefixes, full tiles,
+    # and a few float-prefix seams.
     decoder = SymBeeDecoder(decimation=8)
-    native = _DerivedStreams(decoder, 4, dtype=dtype)
-    reference = NumpyDerivedStreams(decoder, 4, dtype=dtype)
+    native = KernelDerived(decoder, 4, dtype=dtype, seam=7919)
+    reference = ReferenceDerived(decoder, 4, dtype=dtype, seam=7919)
     rng = np.random.default_rng(3)
     products = (rng.normal(size=60000) + 1j * rng.normal(size=60000)).astype(
         dtype
@@ -218,4 +228,10 @@ def test_session_accepts_strided_products():
     contiguous = StreamSession(decoder, dtype=np.complex64)
     strided.push_products(wide[::2])
     contiguous.push_products(wide[::2].copy())
-    assert _state(strided._derived) == _state(contiguous._derived)
+    assert _bytes_of(native_caches(strided)) == _bytes_of(
+        native_caches(contiguous)
+    )
+
+
+def _bytes_of(caches):
+    return [(base, _bytes(values)) for base, values in caches]

@@ -47,10 +47,12 @@ def test_cold_build_publishes_a_loadable_module(tmp_path, monkeypatch):
         ptr("double[]", unit), ptr("int32_t[]", mask), 0,
         module.ffi.NULL, 0, 1, 1,
         module.ffi.NULL, 0, module.ffi.NULL, 0.0, module.ffi.NULL, 0.0, 0.0,
+        0, 0,
     )
     assert unit[0] == 0.6 + 0.8j
     assert mask[0] == 1
     assert module.lib.frontend_f32 and module.lib.frontend_f64
+    assert module.lib.session_push_f32 and module.lib.session_push_f64
 
 
 def test_build_key_covers_the_flags(monkeypatch):

@@ -35,7 +35,6 @@ import pytest
 from repro.core.decoder import SymBeeDecoder
 from repro.obs.metrics import REGISTRY
 from repro.stream.engine import StreamEngine
-from repro.stream.session import StreamSession
 from tests.stream.golden import (
     CASES,
     decode,
@@ -47,7 +46,11 @@ from tests.stream.golden import (
     metered,
     noise_capture,
 )
-from tests.stream.walk_reference import adversarial_caches, load_caches
+from tests.stream.session_reference import (
+    KernelWalkSession,
+    adversarial_caches,
+    load_caches,
+)
 
 BLOCK_SIZES = (64, 1000, 4096, 9973)
 
@@ -234,7 +237,7 @@ def test_walk_matches_dense_cascade_on_threshold_boundaries(
     # in float32: the fused gate's nudged threshold then differs from
     # the hot filter's, and the concentration threshold's rounding
     # decides survivors.  (``x - 0.2`` always rounds up there.)
-    session = StreamSession(
+    session = KernelWalkSession(
         SymBeeDecoder(decimation=8),
         scan_stride_bits=1,
         coherence_slack=slack,

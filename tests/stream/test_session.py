@@ -1,15 +1,19 @@
-"""StreamSession and its absolute-index buffer."""
+"""StreamSession, and the reference session's absolute-index buffer."""
+
+import gc
 
 import numpy as np
 import pytest
 
 from repro.core.decoder import SymBeeDecoder
-from repro.stream.session import StreamSession, _StreamBuffer
+from repro.stream.native import lib
+from repro.stream.session import StreamSession
+from tests.stream.session_reference import StreamBuffer
 
 
 class TestStreamBuffer:
     def test_append_view_roundtrip(self, rng):
-        buf = _StreamBuffer()
+        buf = StreamBuffer()
         data = rng.standard_normal(100) + 1j * rng.standard_normal(100)
         buf.append(data[:60])
         buf.append(data[60:])
@@ -19,7 +23,7 @@ class TestStreamBuffer:
         assert (buf.view(40, 70) == data[40:70]).all()
 
     def test_trim_then_view(self, rng):
-        buf = _StreamBuffer()
+        buf = StreamBuffer()
         data = rng.standard_normal(50) + 1j * rng.standard_normal(50)
         buf.append(data)
         buf.trim(20)
@@ -31,7 +35,7 @@ class TestStreamBuffer:
             buf.view(30, 60)
 
     def test_growth_past_initial_capacity(self, rng):
-        buf = _StreamBuffer()
+        buf = StreamBuffer()
         chunks = [
             rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
             for _ in range(5)
@@ -42,7 +46,7 @@ class TestStreamBuffer:
         assert (buf.view(0, whole.size) == whole).all()
 
     def test_compaction_after_trim(self, rng):
-        buf = _StreamBuffer()
+        buf = StreamBuffer()
         data = rng.standard_normal(6000) + 1j * rng.standard_normal(6000)
         buf.append(data[:5000])
         buf.trim(4500)
@@ -84,3 +88,25 @@ class TestStreamSession:
         assert stats["zigbee_channel"] == 11
         assert stats["products_in"] == 0
         assert stats["frames_emitted"] == 0
+
+    def test_finish_frees_the_native_session(self, rng):
+        gc.collect()
+        live = lib.session_live()
+        session = StreamSession(SymBeeDecoder(decimation=8), zigbee_channel=11)
+        dropped = StreamSession(SymBeeDecoder(decimation=8))
+        assert lib.session_live() == live + 2
+        noise = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
+        session.push_products(noise)
+        horizon = session.horizon
+        session.finish()
+        assert lib.session_live() == live + 1
+        # The stream has ended: its horizon is its end, a push refuses.
+        assert session.horizon == 5000 >= horizon
+        assert session.stats()["products_in"] == 5000
+        with pytest.raises(RuntimeError, match="finished"):
+            session.push_products(noise)
+        assert session.finish() == []
+        # An unfinished session is freed with the object.
+        del dropped
+        gc.collect()
+        assert lib.session_live() == live

@@ -1,8 +1,10 @@
 """The native scan walk against the Python walk, decision for decision.
 
-:meth:`repro.stream.session.StreamSession._scan_batched` walks the hot
-index in C (``walk_body.h``); :class:`tests.stream.walk_reference.
-ReferenceSession` walks it in Python, the way the receiver did before.
+The native session walks the hot index with one ``walk_*`` kernel call
+(``walk_body.h``); :class:`tests.stream.session_reference.
+KernelWalkSession` makes that call over Python-held caches, and
+:class:`tests.stream.session_reference.ReferenceSession` walks them in
+Python, the way the receiver did before.
 On crafted windowed caches both must leave the same session state
 (``_state``, ``_origin``, ``_n0``, ``_data_start``, ``_coherence``,
 ``_total_bits``, ``header_rejects``) and, with the metrics registry on,
@@ -27,8 +29,8 @@ from hypothesis import strategies as st
 
 from repro.core.frame import MAX_DATA_BITS, VERSION
 from repro.obs.metrics import REGISTRY
-from repro.stream.session import StreamSession
-from tests.stream.walk_reference import (
+from tests.stream.session_reference import (
+    KernelWalkSession,
     ReferenceSession,
     adversarial_caches,
     load_caches,
@@ -189,10 +191,10 @@ def _origins(rng, hot, s, n, count):
 def _check(setup, origin, held=0, final=False):
     """Native and reference agree, metered and not; returns the state."""
     case = (origin, held, final)
-    native, _ = _walk(StreamSession, setup, *case, False)
+    native, _ = _walk(KernelWalkSession, setup, *case, False)
     reference, _ = _walk(ReferenceSession, setup, *case, False)
     assert native == reference, case
-    native_on, native_metrics = _walk(StreamSession, setup, *case, True)
+    native_on, native_metrics = _walk(KernelWalkSession, setup, *case, True)
     reference_on, reference_metrics = _walk(
         ReferenceSession, setup, *case, True
     )
@@ -304,7 +306,9 @@ def test_walk_refuses_scans_outside_the_caches(
     rng = np.random.default_rng(5)
     setup, _ = _setup(rng, geometry, np.complex64, 10, 0, 0, 0)
     geometry, dtype, caches, votes, buffered = setup
-    session = _make(StreamSession, geometry, dtype, caches, votes, buffered)
+    session = _make(
+        KernelWalkSession, geometry, dtype, caches, votes, buffered
+    )
     session._derived.trim(1)
     session._origin = origin + 1
     chunks = 1 + (buffered - session._origin - session.scan_len) // 4
