@@ -12,7 +12,8 @@ import numpy as np
 
 from repro.core.coding import hamming74_decode, hamming74_encode
 from repro.core.convolutional import conv_encode, viterbi_decode
-from repro.experiments.common import link_at_snr, scaled
+from repro.core.link import link_at_snr
+from repro.experiments.common import scaled
 
 DATA_BITS = 48
 

@@ -16,7 +16,8 @@ from repro.core.coding import (
     hamming74_encode,
     interleave,
 )
-from repro.experiments.common import link_at_snr, scaled
+from repro.core.link import link_at_snr
+from repro.experiments.common import scaled
 from repro.experiments.fig20_interference_example import SingleBurst
 
 DEPTH = 12

@@ -10,7 +10,8 @@ accuracy at a noisy operating point.
 import numpy as np
 
 from repro.core.preamble import capture_preamble
-from repro.experiments.common import link_at_snr, scaled
+from repro.core.link import link_at_snr
+from repro.experiments.common import scaled
 
 
 def capture_accuracy(folds, snr_db, n_frames, seed=77):

@@ -11,7 +11,8 @@ choose between candidates.
 import numpy as np
 
 from repro.core.scrambler import descramble, scramble
-from repro.experiments.common import link_at_snr, scaled
+from repro.core.link import link_at_snr
+from repro.experiments.common import scaled
 
 
 def run_case(whiten, snr_db, n_frames, seed=66, data_bits=48):

@@ -10,7 +10,8 @@ the price the paper pays for its near-zero-cost decoder.
 import numpy as np
 
 from repro.core.template import TemplateDecoder
-from repro.experiments.common import link_at_snr, scaled
+from repro.core.link import link_at_snr
+from repro.experiments.common import scaled
 
 SNR_GRID_DB = (-8.0, -6.0, -4.0, -2.0)
 

@@ -8,7 +8,8 @@ receiver bandwidths over the same AWGN operating points.
 import numpy as np
 
 from repro.constants import WIFI_SAMPLE_RATE_20MHZ, WIFI_SAMPLE_RATE_40MHZ
-from repro.experiments.common import link_at_snr, scaled
+from repro.core.link import link_at_snr
+from repro.experiments.common import scaled
 
 
 def ber_at(sample_rate, snr_db, n_frames, seed=99):

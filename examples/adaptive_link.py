@@ -19,7 +19,8 @@ from repro.core import (
     hamming74_decode,
     hamming74_encode,
 )
-from repro.experiments.common import link_at_snr, print_table
+from repro.core.link import link_at_snr
+from repro.experiments.common import print_table
 
 
 def run_epoch(snr_db, use_coding, rng, n_frames=6, data_bits=48):

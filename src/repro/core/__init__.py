@@ -33,7 +33,6 @@ from repro.core.link import SymBeeLink, LinkResult
 from repro.core.analytics import (
     phase_error_probability,
     ber_from_phase_error,
-    analytic_ber_curve,
     raw_bit_rate_bps,
     packet_level_bandwidth_hz,
     symbol_level_bandwidth_hz,
@@ -75,7 +74,6 @@ __all__ = [
     "LinkResult",
     "phase_error_probability",
     "ber_from_phase_error",
-    "analytic_ber_curve",
     "raw_bit_rate_bps",
     "packet_level_bandwidth_hz",
     "symbol_level_bandwidth_hz",

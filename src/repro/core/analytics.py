@@ -4,8 +4,7 @@
   value crosses the zero decision boundary at a given SNR.  The paper
   obtained the distribution empirically from GNURadio; here it is
   estimated by Monte Carlo over the *identical* computation
-  (angle(x[n] x*[n+16]) of a noisy 0.5 MHz tone), plus a closed-form
-  Gaussian approximation for cross-checking.
+  (angle(x[n] x*[n+16]) of a noisy 0.5 MHz tone).
 * ``ber_from_phase_error`` — the paper's Eq. 2: decoding is majority
   voting over 84 values, so BER is a binomial tail.
 * Rate arithmetic: the 31.25 kbps raw rate, the packet-level
@@ -16,9 +15,7 @@
 import numpy as np
 
 from repro.constants import (
-    SYMBEE_BIT_DURATION,
     SYMBEE_RAW_BIT_RATE,
-    SYMBEE_STABLE_PHASE,
     SYMBEE_STABLE_WINDOW_20MHZ,
     WIFI_SAMPLE_RATE_20MHZ,
     ZIGBEE_SYMBOL_DURATION,
@@ -45,26 +42,6 @@ def phase_error_probability(snr_db, rng, n_samples=200_000, lag=16):
     return float(np.mean(dp < 0.0))
 
 
-def phase_error_probability_gaussian(snr_db, lag=16):
-    """Closed-form Gaussian approximation of Pr_eps.
-
-    Each sample's phase error is approximately Normal(0, 1/(2*SNR)) at
-    moderate SNR; the difference of two independent phase errors has
-    variance 1/SNR.  An error occurs when the difference pushes the
-    nominal +-4pi/5 across the nearer decision boundary — the zero
-    boundary is 4pi/5 away, the wrap boundary (pi) only pi/5 away, so
-    both tails contribute.  Accurate above roughly 0 dB; the Monte-Carlo
-    estimator is authoritative below that.
-    """
-    from scipy import stats
-
-    snr = db_to_linear(snr_db)
-    sigma = np.sqrt(1.0 / snr)
-    to_zero = SYMBEE_STABLE_PHASE
-    to_wrap = np.pi - SYMBEE_STABLE_PHASE
-    return float(stats.norm.sf(to_zero / sigma) + stats.norm.sf(to_wrap / sigma))
-
-
 def ber_from_phase_error(pr_eps, window=SYMBEE_STABLE_WINDOW_20MHZ, threshold=None):
     """Paper Eq. 2: binomial tail of the majority vote.
 
@@ -78,14 +55,6 @@ def ber_from_phase_error(pr_eps, window=SYMBEE_STABLE_WINDOW_20MHZ, threshold=No
     if threshold is None:
         threshold = window // 2
     return float(stats.binom.sf(threshold - 1, window, pr_eps))
-
-
-def analytic_ber_curve(snr_grid_db, rng, n_samples=200_000):
-    """BER(SNR) by Eq. 2 over Monte-Carlo Pr_eps — the paper's Figure 12."""
-    return [
-        ber_from_phase_error(phase_error_probability(snr, rng, n_samples))
-        for snr in snr_grid_db
-    ]
 
 
 def raw_bit_rate_bps():
@@ -116,30 +85,3 @@ def speedup_versus(baseline_bps):
         raise ValueError("baseline rate must be positive")
     return raw_bit_rate_bps() / baseline_bps
 
-
-def bit_airtime_seconds():
-    """On-air time of one SymBee bit (32 us)."""
-    return SYMBEE_BIT_DURATION
-
-
-def effective_throughput_bps(data_bits, include_mac=True, ifs_seconds=192e-6):
-    """Sustained rate after protocol overheads (what a deployment sees).
-
-    The paper's 31.25 kbps is the in-payload symbol rate.  A continuous
-    sender also pays, per packet: the PHY header (SHR + PHR, 6 bytes),
-    the MAC header + FCS (11 bytes), the SymBee preamble (4 bits = 4
-    payload bytes), the SymBee frame header/CRC (40 bits), and the
-    inter-frame spacing (LIFS, 40 symbols = 640 us for long frames; the
-    default here uses the 192 us SIFS-like value for short ones —
-    overridable).  ``data_bits`` is the application payload per frame.
-    """
-    from repro.core.frame import frame_overhead_bits
-    from repro.zigbee.frame import ppdu_duration_seconds
-    from repro.zigbee.mac import MAC_OVERHEAD_BYTES
-
-    if data_bits <= 0:
-        raise ValueError("data_bits must be positive")
-    payload_bytes = 4 + frame_overhead_bits() + data_bits  # 1 byte per bit
-    mac_bytes = MAC_OVERHEAD_BYTES if include_mac else 0
-    airtime = ppdu_duration_seconds(payload_bytes + mac_bytes) + ifs_seconds
-    return data_bits / airtime

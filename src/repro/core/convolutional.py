@@ -120,8 +120,3 @@ def viterbi_decode(coded, n_bits=None):
         decoded[step] = _PREV_BIT[state, which]
         state = _PREV_STATE[state, which]
     return decoded[:n_bits]
-
-
-def conv_code_rate():
-    """Asymptotic information rate (ignoring the 6-bit tail)."""
-    return 0.5

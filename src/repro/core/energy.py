@@ -16,7 +16,7 @@ This module provides the sender-side model and per-scheme comparisons.
 
 from dataclasses import dataclass
 
-from repro.constants import SYMBEE_BIT_DURATION
+from repro.core.frame import frame_airtime_s
 
 #: CC2420 current draw at selected TX power settings (datasheet), amps.
 CC2420_TX_CURRENT_A = {
@@ -84,18 +84,16 @@ class EnergyBudget:
         return self.total_energy_j / self.bits
 
 
-def symbee_budget(bits, tx_power_dbm=0.0, overhead_bits=44):
+def symbee_budget(bits, tx_power_dbm=0.0):
     """Energy to deliver ``bits`` over SymBee frames.
 
-    ``overhead_bits`` covers the SymBee preamble + frame header/CRC; the
-    ZigBee PHY/MAC header airtime is included via the byte accounting
-    (15 header bytes per packet at one bit period each).
+    The air time is :func:`repro.core.frame.frame_airtime_s` of one frame
+    carrying all ``bits``: the SymBee preamble, header and CRC, and the
+    ZigBee PHY/MAC header bytes, each at one bit period.
     """
     if bits <= 0:
         raise ValueError("bits must be positive")
-    payload_bits = bits + overhead_bits
-    header_bytes = 15 + 2  # SHR+PHR+MAC header + FCS
-    on_air = (payload_bits + header_bytes) * SYMBEE_BIT_DURATION
+    on_air = frame_airtime_s(bits)
     return EnergyBudget(
         scheme="SymBee",
         bits=bits,

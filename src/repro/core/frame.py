@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 from repro.core.encoder import PREAMBLE_BITS
 from repro.zigbee.crc import crc16_itut
+from repro.zigbee.frame import ppdu_duration_seconds
+from repro.zigbee.mac import MAC_OVERHEAD_BYTES
 
 #: Protocol version carried in every frame.
 VERSION = 1
@@ -55,34 +57,51 @@ def transport_scheme_id(frame_type):
         return scheme_id
     return None
 
-_HEADER_BITS = 24  # control(16) + sequence(8)
-_CRC_BITS = 16
+
+#: Field positions in :func:`build_frame_bits` output (preamble
+#: excluded): the frame type, the sequence byte, where the data region
+#: starts (the header's length) and the outer CRC trailing it.
+TYPE_FIELD = slice(4, 8)
+LENGTH_FIELD = slice(8, 16)
+SEQUENCE_FIELD = slice(16, 24)
+DATA_START = 24
+OUTER_CRC_BITS = 16
 
 #: Data-bit capacity when the whole frame must fit one ZigBee MAC payload
 #: (116 bytes): 116 - 4 (preamble) - 24 (header) - 16 (CRC).
-MAX_DATA_BITS = 116 - len(PREAMBLE_BITS) - _HEADER_BITS - _CRC_BITS
+MAX_DATA_BITS = 116 - len(PREAMBLE_BITS) - DATA_START - OUTER_CRC_BITS
 
 
-def _int_to_bits(value, width):
+def int_to_bits(value, width):
+    """``value`` as ``width`` bits, MSB first."""
     return [(value >> (width - 1 - i)) & 1 for i in range(width)]
 
 
-def _bits_to_int(bits):
+def bits_to_int(bits):
+    """MSB-first bits back to an integer."""
     value = 0
     for bit in bits:
         value = (value << 1) | int(bit)
     return value
 
 
-def _pack_bits(bits):
+def pack_bits(bits):
     """MSB-first packing into bytes, zero-padded to a byte boundary."""
     bits = list(bits)
-    out = bytearray()
-    for start in range(0, len(bits), 8):
-        chunk = bits[start : start + 8]
-        chunk += [0] * (8 - len(chunk))
-        out.append(_bits_to_int(chunk))
-    return bytes(out)
+    n_bytes = (len(bits) + 7) // 8
+    value = bits_to_int(bits) << (8 * n_bytes - len(bits))
+    return value.to_bytes(n_bytes, "big")
+
+
+def frame_airtime_s(data_bits):
+    """Air time of a SymBee frame carrying ``data_bits`` data bits.
+
+    One ZigBee payload byte per SymBee bit (preamble + header + data +
+    CRC), plus the MAC overhead bytes of the carrier packet, through the
+    802.15.4 PPDU timing.
+    """
+    payload_bytes = len(PREAMBLE_BITS) + frame_overhead_bits() + int(data_bits)
+    return ppdu_duration_seconds(payload_bytes + MAC_OVERHEAD_BYTES)
 
 
 @dataclass(frozen=True)
@@ -108,14 +127,14 @@ def build_frame_bits(data_bits, sequence, frame_type=FRAME_TYPE_DATA):
     if not 0 <= frame_type <= 0xF:
         raise ValueError("frame type must fit 4 bits")
     header = (
-        _int_to_bits(VERSION, 4)
-        + _int_to_bits(frame_type, 4)
-        + _int_to_bits(len(data_bits), 8)
-        + _int_to_bits(sequence, 8)
+        int_to_bits(VERSION, 4)
+        + int_to_bits(frame_type, 4)
+        + int_to_bits(len(data_bits), 8)
+        + int_to_bits(sequence, 8)
     )
     body = header + data_bits
-    crc = crc16_itut(_pack_bits(body))
-    return body + _int_to_bits(crc, 16)
+    crc = crc16_itut(pack_bits(body))
+    return body + int_to_bits(crc, OUTER_CRC_BITS)
 
 
 def parse_frame_bits(bits):
@@ -126,18 +145,18 @@ def parse_frame_bits(bits):
     so callers can still inspect best-effort contents.
     """
     bits = [int(b) for b in bits]
-    if len(bits) < _HEADER_BITS + _CRC_BITS:
+    if len(bits) < DATA_START + OUTER_CRC_BITS:
         return None
-    version = _bits_to_int(bits[0:4])
-    frame_type = _bits_to_int(bits[4:8])
-    length = _bits_to_int(bits[8:16])
-    sequence = _bits_to_int(bits[16:24])
-    end = _HEADER_BITS + length
-    if len(bits) < end + _CRC_BITS:
+    version = bits_to_int(bits[0:4])
+    frame_type = bits_to_int(bits[TYPE_FIELD])
+    length = bits_to_int(bits[LENGTH_FIELD])
+    sequence = bits_to_int(bits[SEQUENCE_FIELD])
+    end = DATA_START + length
+    if len(bits) < end + OUTER_CRC_BITS:
         return None
-    data_bits = bits[_HEADER_BITS:end]
-    received_crc = _bits_to_int(bits[end : end + _CRC_BITS])
-    expected_crc = crc16_itut(_pack_bits(bits[:end]))
+    data_bits = bits[DATA_START:end]
+    received_crc = bits_to_int(bits[end : end + OUTER_CRC_BITS])
+    expected_crc = crc16_itut(pack_bits(bits[:end]))
     return SymBeeFrame(
         data_bits=tuple(data_bits),
         sequence=sequence,
@@ -149,4 +168,4 @@ def parse_frame_bits(bits):
 
 def frame_overhead_bits():
     """Header + CRC bits charged against every frame (preamble excluded)."""
-    return _HEADER_BITS + _CRC_BITS
+    return DATA_START + OUTER_CRC_BITS

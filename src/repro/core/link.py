@@ -352,3 +352,26 @@ class SymBeeLink:
         result = self.send_bits(frame_bits, rng, **kwargs)
         frame = parse_frame_bits(result.decoded_bits) if result.preamble_captured else None
         return result, frame
+
+
+def noise_floor_dbm(
+    sample_rate=WIFI_SAMPLE_RATE_20MHZ, noise_figure_db=DEFAULT_NOISE_FIGURE_DB
+):
+    """The WiFi receiver's noise floor over its full sampled bandwidth."""
+    front = WifiFrontEnd(sample_rate=sample_rate, noise_figure_db=noise_figure_db)
+    return float(watts_to_dbm(front.noise_power_watts))
+
+
+def link_at_snr(snr_db, **link_kwargs):
+    """A SymBee link whose per-sample wideband SNR is ``snr_db``.
+
+    No path loss is applied; the transmit power is set so the received
+    signal sits ``snr_db`` above the front end's noise floor over the
+    full sampling bandwidth.  This is the repo's SNR convention (see
+    EXPERIMENTS.md on how it maps to the paper's axis).
+    """
+    floor_dbm = noise_floor_dbm(
+        link_kwargs.get("sample_rate", WIFI_SAMPLE_RATE_20MHZ),
+        link_kwargs.get("noise_figure_db", DEFAULT_NOISE_FIGURE_DB),
+    )
+    return SymBeeLink(tx_power_dbm=floor_dbm + float(snr_db), **link_kwargs)

@@ -68,12 +68,6 @@ def stable_run_lengths(symbol_pair, sample_rate=20e6, tolerance=1e-6):
     return neg, pos
 
 
-def sign_run_lengths(symbol_pair, sample_rate=20e6):
-    """Longest same-sign runs (what the sign-threshold decoder truly sees)."""
-    dp = pair_phase_stream(symbol_pair, sample_rate)
-    return longest_run(dp < 0), longest_run(dp >= 0)
-
-
 def discrete_phase_levels(sample_rate=20e6, amplitude_floor=1e-3, decimals=6):
     """Observed discrete dp levels across all 256 symbol pairs.
 

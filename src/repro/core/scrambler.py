@@ -46,15 +46,3 @@ def scramble(bits, seed=DEFAULT_SEED):
 def descramble(bits, seed=DEFAULT_SEED):
     """Alias of :func:`scramble` — the whitening is additive."""
     return scramble(bits, seed)
-
-
-def longest_same_bit_run(bits):
-    """Longest run of identical bits (diagnostic for preamble mimicry)."""
-    bits = list(bits)
-    if not bits:
-        return 0
-    best = current = 1
-    for previous, value in zip(bits, bits[1:]):
-        current = current + 1 if value == previous else 1
-        best = max(best, current)
-    return best

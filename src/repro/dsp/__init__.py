@@ -10,14 +10,12 @@ from repro.dsp.signal_ops import (
     dbm_to_watts,
     watts_to_dbm,
     signal_power,
-    normalize_power,
     scale_to_power,
     mix,
     wrap_phase,
-    measured_snr_db,
 )
 from repro.dsp.noise import awgn, noise_for_snr, complex_gaussian
-from repro.dsp.folding import fold, fold_sum, folded_profile
+from repro.dsp.folding import fold, folded_profile
 from repro.dsp.kernels import (
     exact_cmul,
     exact_lagged_products,
@@ -26,11 +24,6 @@ from repro.dsp.kernels import (
 from repro.dsp.runs import longest_run, run_starts, sliding_count
 from repro.dsp.traces import save_capture, load_capture, mix_at_sinr
 from repro.dsp.resample import resample
-from repro.dsp.spectrum import (
-    power_spectral_density,
-    occupied_bandwidth,
-    spectral_centroid,
-)
 
 __all__ = [
     "db_to_linear",
@@ -38,16 +31,13 @@ __all__ = [
     "dbm_to_watts",
     "watts_to_dbm",
     "signal_power",
-    "normalize_power",
     "scale_to_power",
     "mix",
     "wrap_phase",
-    "measured_snr_db",
     "awgn",
     "noise_for_snr",
     "complex_gaussian",
     "fold",
-    "fold_sum",
     "folded_profile",
     "exact_cmul",
     "exact_lagged_products",
@@ -59,7 +49,4 @@ __all__ = [
     "load_capture",
     "mix_at_sinr",
     "resample",
-    "power_spectral_density",
-    "occupied_bandwidth",
-    "spectral_centroid",
 ]

@@ -30,15 +30,6 @@ def fold(values, period, folds):
     return values[:needed].reshape(folds, period)
 
 
-def fold_sum(values, period, folds):
-    """Column-wise sum of the folded matrix: ``sum_i values[n + period*i]``.
-
-    This is exactly the paper's "Fold Sum" (Section V) for a window starting
-    at ``values[0]``.
-    """
-    return fold(values, period, folds).sum(axis=0)
-
-
 def circular_folded_profile(angles, period, folds):
     """Sliding circular (phasor) fold of an angle stream.
 

@@ -52,14 +52,6 @@ def signal_power(x):
     return float(np.mean(np.abs(x) ** 2))
 
 
-def normalize_power(x):
-    """Scale ``x`` to unit mean power.  A zero signal is returned unchanged."""
-    p = signal_power(x)
-    if p == 0.0:
-        return np.array(x, copy=True)
-    return np.asarray(x) / np.sqrt(p)
-
-
 def scale_to_power(x, target_power):
     """Scale ``x`` so its mean power equals ``target_power`` (linear units)."""
     if target_power < 0:
@@ -135,20 +127,3 @@ def wrap_phase(phi):
         return float(np.pi) if wrapped == -np.pi else float(wrapped)
     wrapped[wrapped == -np.pi] = np.pi
     return wrapped
-
-
-def measured_snr_db(signal, noisy):
-    """Estimate the SNR in dB of ``noisy`` given the clean ``signal``.
-
-    Both arrays must be aligned sample-for-sample; the difference is treated
-    as noise.  Used by tests to validate noise calibration.
-    """
-    signal = np.asarray(signal)
-    noisy = np.asarray(noisy)
-    if signal.shape != noisy.shape:
-        raise ValueError("signal and noisy must have the same shape")
-    noise = noisy - signal
-    noise_power = signal_power(noise)
-    if noise_power == 0.0:
-        return float("inf")
-    return float(linear_to_db(signal_power(signal) / noise_power))

@@ -6,6 +6,6 @@ benchmarks package wraps these for ``pytest-benchmark``; the registry
 maps experiment ids to run functions.
 """
 
-from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro.experiments.registry import EXPERIMENTS
 
-__all__ = ["EXPERIMENTS", "get_experiment"]
+__all__ = ["EXPERIMENTS"]

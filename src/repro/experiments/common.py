@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.core.analytics import raw_bit_rate_bps
 from repro.core.link import SymBeeLink
-from repro.dsp.signal_ops import watts_to_dbm
 from repro.obs.trace import TRACER
 from repro.runtime import as_seed_sequence, run_trials
 
@@ -116,19 +115,6 @@ def measure_link(link, rng, n_frames=20, bits_per_frame=64, jobs=None,
         stats.frames, stats.capture_rate, stats.ber,
     )
     return stats
-
-
-def link_at_snr(snr_db, **link_kwargs):
-    """A SymBee link whose per-sample wideband SNR is ``snr_db``.
-
-    No path loss is applied; the transmit power is set so the received
-    signal sits ``snr_db`` above the front end's noise floor over the
-    full sampling bandwidth.  This is the repo's SNR convention (see
-    EXPERIMENTS.md on how it maps to the paper's axis).
-    """
-    probe = SymBeeLink(**link_kwargs)
-    noise_floor_dbm = watts_to_dbm(probe.front_end.noise_power_watts)
-    return SymBeeLink(tx_power_dbm=noise_floor_dbm + snr_db, **link_kwargs)
 
 
 #: Distances (metres) used across the paper's Figures 13/14.

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.analytics import ber_from_phase_error, phase_error_probability
-from repro.experiments.common import link_at_snr, scaled
+from repro.core.link import link_at_snr
+from repro.experiments.common import scaled
 
 
 @dataclass(frozen=True)

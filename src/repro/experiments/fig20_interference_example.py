@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core.link import SymBeeLink
 from repro.dsp.signal_ops import db_to_linear, scale_to_power
-from repro.experiments.common import link_at_snr
+from repro.core.link import link_at_snr
 from repro.wifi.ofdm import OfdmTransmitter
 
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from repro.channel.interference import WifiInterferenceModel
 from repro.core.coding import hamming74_decode, hamming74_encode
-from repro.experiments.common import link_at_snr, scaled
+from repro.core.link import link_at_snr
+from repro.experiments.common import scaled
 
 SINR_GRID_DB = (-10, -6, -3, 0, 3, 6, 10)
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.common import link_at_snr, scaled
+from repro.core.link import link_at_snr
+from repro.experiments.common import scaled
 
 
 def _match_detections(detections, true_positions, bit_values, tolerance):

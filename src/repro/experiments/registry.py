@@ -67,14 +67,3 @@ EXPERIMENTS = {
     entry[0]: Experiment(id=entry[0], title=entry[1], module=entry[2])
     for entry in _ENTRIES
 }
-
-
-def get_experiment(experiment_id):
-    """Look up an experiment; raises ``KeyError`` listing valid ids."""
-    try:
-        return EXPERIMENTS[experiment_id]
-    except KeyError:
-        valid = ", ".join(sorted(EXPERIMENTS))
-        raise KeyError(
-            f"unknown experiment {experiment_id!r}; valid ids: {valid}"
-        ) from None

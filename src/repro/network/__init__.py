@@ -18,12 +18,9 @@ from repro.network.traffic import (
     StreamSender,
     StreamTraffic,
 )
-from repro.transport.multisession import MultiSenderResult, MultiSenderTransport
 
 __all__ = [
     "ConvergecastNetwork",
-    "MultiSenderResult",
-    "MultiSenderTransport",
     "NetworkResult",
     "NodeConfig",
     "ScheduledTransmission",

@@ -20,15 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.frame import frame_overhead_bits
+from repro.core.frame import frame_airtime_s
 from repro.core.link import SymBeeLink
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 from repro.runtime import as_seed_sequence, run_trials
 from repro.sim.scheduler import EventScheduler
 from repro.zigbee.csma import CsmaCa
-from repro.zigbee.frame import ppdu_duration_seconds
-from repro.zigbee.mac import MAC_OVERHEAD_BYTES
 
 #: MAC-layer telemetry: per-attempt outcomes plus the queueing delay a
 #: frame accrues between its reading being generated and hitting the air.
@@ -243,12 +241,6 @@ class ConvergecastNetwork:
         self._timeline.append((start_s, end_s, owner))
         self._timeline.sort()
 
-    @staticmethod
-    def _frame_airtime(node):
-        """On-air duration of one SymBee frame from this node."""
-        payload_bytes = 4 + frame_overhead_bits() + node.data_bits
-        return ppdu_duration_seconds(payload_bytes + MAC_OVERHEAD_BYTES)
-
     def _phy_seed(self, node_id, sequence, attempt):
         """Deterministic per-transmission seed, independent of order."""
         root = self._phy_seed_root
@@ -343,7 +335,7 @@ class ConvergecastNetwork:
                     )
                 return
 
-            duration = self._frame_airtime(node)
+            duration = frame_airtime_s(node.data_bits)
             record = TransmissionRecord(
                 node_id=node.node_id,
                 sequence=sequence,

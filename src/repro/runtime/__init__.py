@@ -17,12 +17,11 @@ Per-stage timing of the link pipeline is the ``link.*`` trace spans
 """
 
 from repro.runtime.executor import default_jobs, run_trials
-from repro.runtime.seeding import as_seed_sequence, spawn_generators, spawn_seeds
+from repro.runtime.seeding import as_seed_sequence, spawn_seeds
 
 __all__ = [
     "as_seed_sequence",
     "default_jobs",
     "run_trials",
-    "spawn_generators",
     "spawn_seeds",
 ]

@@ -31,8 +31,3 @@ def spawn_seeds(seed, n):
     if n < 0:
         raise ValueError("n must be nonnegative")
     return as_seed_sequence(seed).spawn(n)
-
-
-def spawn_generators(seed, n):
-    """``n`` independent ``numpy.random.Generator`` objects, in trial order."""
-    return [np.random.default_rng(child) for child in spawn_seeds(seed, n)]

@@ -206,25 +206,16 @@ def make_calibration_link(snr_db, interferers, config):
     noise floor + SNR, no fading channel) so the table's SNR axis is the
     same quantity the fleet's link-budget computation produces.
     """
-    from repro.core.link import SymBeeLink
-    from repro.dsp.signal_ops import watts_to_dbm
-    from repro.wifi.front_end import WifiFrontEnd
+    from repro.core.link import link_at_snr
 
-    front = WifiFrontEnd(channel=config.wifi_channel)
-    noise_floor_dbm = float(watts_to_dbm(front.noise_power_watts))
-    return SymBeeLink(
+    return link_at_snr(
+        snr_db,
         zigbee_channel=config.zigbee_channel,
         wifi_channel=config.wifi_channel,
-        tx_power_dbm=noise_floor_dbm + float(snr_db),
         interference=interference_model_for(
             interferers, config.interferer_duty, config.interferer_sir_db
         ),
     )
-
-
-#: Data region offset inside a SymBee frame's bit layout (after the
-#: 24-bit header, before the 16-bit outer CRC) — see ``core/frame.py``.
-_DATA_START = 24
 
 
 def sample_frame_outcomes(snr_db, interferers, fec, config, seed, n_frames):
@@ -252,7 +243,7 @@ def sample_frame_outcomes(snr_db, interferers, fec, config, seed, n_frames):
 
 def _one_frame(link, fec, data_bits, sequence, rng):
     """One sample-level frame; True when the payload survives FEC."""
-    from repro.core.frame import build_frame_bits
+    from repro.core.frame import DATA_START, build_frame_bits
 
     payload = [int(b) for b in rng.integers(0, 2, data_bits)]
     coded = _fec_encode(payload, fec)
@@ -263,7 +254,7 @@ def _one_frame(link, fec, data_bits, sequence, rng):
     decoded = result.decoded_bits
     if len(decoded) < len(frame_bits):
         return False
-    region = list(decoded[_DATA_START : _DATA_START + len(coded)])
+    region = list(decoded[DATA_START : DATA_START + len(coded)])
     try:
         recovered = _fec_decode(region, fec, n_bits=data_bits)
     except ValueError:

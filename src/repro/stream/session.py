@@ -139,6 +139,7 @@ import numpy as np
 from repro.constants import SYMBEE_PREAMBLE_BITS
 from repro.core.decoder import observe_sync_runs
 from repro.core.frame import (
+    DATA_START,
     FRAME_TYPE_ACK,
     FRAME_TYPE_TRANSPORT_BASE,
     MAX_DATA_BITS,
@@ -158,7 +159,6 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 from repro.stream.native import ffi, lib
 
-_HEADER_BITS = 24
 #: Per working dtype: the C type of its real plane, the push kernel, and
 #: how many products a float prefix segment holds (0: no restarts).
 _PRECISION = {
@@ -210,7 +210,7 @@ def walk_params(decoder, folds, dtype, capture_floor, coherence_min,
         stride=scan_stride,
         bit_period=bp,
         lead=folds * bp,
-        header_span=(_HEADER_BITS - 1) * bp + window,
+        header_span=(DATA_START - 1) * bp + window,
         scan_len=scan_stride + (folds - 1) * bp + window,
         slack=float(coherence_slack),
         coherence_min=float(coherence_min),

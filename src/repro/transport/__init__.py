@@ -14,11 +14,7 @@ experiments come from :mod:`~repro.transport.faults`.
 
 from repro.transport.ackchannel import ACK_WINDOW, AckChannel, AckRecord
 from repro.transport.arq import ArqSender
-from repro.transport.channel import (
-    RxObservation,
-    TransportChannel,
-    frame_airtime_seconds,
-)
+from repro.transport.channel import RxObservation, TransportChannel
 from repro.transport.faults import (
     AckBlackout,
     FaultProfile,
@@ -28,7 +24,6 @@ from repro.transport.faults import (
     SnrRamp,
     make_profile,
 )
-from repro.transport.multisession import MultiSenderResult, MultiSenderTransport
 from repro.transport.pdu import (
     Fragment,
     MAX_FRAGMENTS,
@@ -74,8 +69,6 @@ __all__ = [
     "InterferenceBursts",
     "MAX_FRAGMENTS",
     "MAX_MSG_ID",
-    "MultiSenderResult",
-    "MultiSenderTransport",
     "NOMINAL_PAYLOAD_BITS",
     "PROFILES",
     "Reassembler",
@@ -97,7 +90,6 @@ __all__ = [
     "dequantize_quality",
     "encode_fragment",
     "feasible_schemes",
-    "frame_airtime_seconds",
     "make_profile",
     "payload_capacity",
     "quantize_quality",

@@ -24,7 +24,7 @@ the sender's pipelined window and retransmit timers earn their keep.
 from dataclasses import dataclass
 
 from repro.baselines.freebee import FreeBee
-from repro.transport.pdu import _bits_to_int, _int_to_bits, _pack_bits
+from repro.core.frame import bits_to_int, int_to_bits, pack_bits
 from repro.zigbee.crc import crc16_itut
 
 #: Selective-repeat window size; the ACK bitmap covers exactly this many
@@ -56,13 +56,13 @@ class AckRecord:
 
     def to_bits(self):
         body = (
-            _int_to_bits(self.msg_id, _MSG_ID_BITS)
-            + _int_to_bits(self.base, _BASE_BITS)
+            int_to_bits(self.msg_id, _MSG_ID_BITS)
+            + int_to_bits(self.base, _BASE_BITS)
             + [int(b) for b in self.bitmap]
-            + _int_to_bits(self.quality, _QUALITY_BITS)
+            + int_to_bits(self.quality, _QUALITY_BITS)
         )
-        crc = crc16_itut(_pack_bits(body)) & 0xFF
-        return body + _int_to_bits(crc, _CRC_BITS)
+        crc = crc16_itut(pack_bits(body)) & 0xFF
+        return body + int_to_bits(crc, _CRC_BITS)
 
     @classmethod
     def from_bits(cls, bits):
@@ -71,14 +71,14 @@ class AckRecord:
         if len(bits) != ACK_BITS:
             return None
         body, crc_bits = bits[:-_CRC_BITS], bits[-_CRC_BITS:]
-        if crc16_itut(_pack_bits(body)) & 0xFF != _bits_to_int(crc_bits):
+        if crc16_itut(pack_bits(body)) & 0xFF != bits_to_int(crc_bits):
             return None
         base_end = _MSG_ID_BITS + _BASE_BITS
         return cls(
-            msg_id=_bits_to_int(body[:_MSG_ID_BITS]),
-            base=_bits_to_int(body[_MSG_ID_BITS:base_end]),
+            msg_id=bits_to_int(body[:_MSG_ID_BITS]),
+            base=bits_to_int(body[_MSG_ID_BITS:base_end]),
             bitmap=tuple(body[base_end : base_end + ACK_WINDOW]),
-            quality=_bits_to_int(body[base_end + ACK_WINDOW :]),
+            quality=bits_to_int(body[base_end + ACK_WINDOW :]),
         )
 
 

@@ -18,20 +18,17 @@ job (:mod:`repro.transport.pdu`).
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.frame import build_frame_bits, frame_overhead_bits, parse_frame_bits
-from repro.core.link import SymBeeLink
-from repro.dsp.signal_ops import watts_to_dbm
+from repro.core.frame import (
+    DATA_START,
+    OUTER_CRC_BITS,
+    SEQUENCE_FIELD,
+    TYPE_FIELD,
+    bits_to_int,
+    build_frame_bits,
+    parse_frame_bits,
+)
+from repro.core.link import link_at_snr
 from repro.transport.faults import FaultProfile
-from repro.wifi.front_end import WifiFrontEnd
-from repro.zigbee.frame import ppdu_duration_seconds
-from repro.zigbee.mac import MAC_OVERHEAD_BYTES
-
-_TYPE_SLICE = slice(4, 8)
-_SEQUENCE_SLICE = slice(16, 24)
-_DATA_START = 24
-_OUTER_CRC_BITS = 16
 
 
 class _Attenuator:
@@ -42,17 +39,6 @@ class _Attenuator:
 
     def apply(self, waveform, rng):
         return waveform * 10.0 ** (-self.loss_db / 20.0)
-
-
-def frame_airtime_seconds(n_data_bits):
-    """Air time of a transport frame carrying ``n_data_bits`` data bits.
-
-    Matches the network simulator's accounting: one ZigBee payload byte
-    per SymBee bit (preamble + header + data + CRC) plus the MAC/PHY
-    overhead bytes of the carrier packet.
-    """
-    payload_bytes = 4 + frame_overhead_bits() + int(n_data_bits)
-    return ppdu_duration_seconds(payload_bytes + MAC_OVERHEAD_BYTES)
 
 
 @dataclass(frozen=True)
@@ -82,13 +68,11 @@ class TransportChannel:
         wifi_channel=1,
         **link_kwargs,
     ):
-        front = WifiFrontEnd(channel=wifi_channel)
-        noise_floor_dbm = float(watts_to_dbm(front.noise_power_watts))
         self.snr_db = float(snr_db)
-        self.link = SymBeeLink(
+        self.link = link_at_snr(
+            self.snr_db,
             zigbee_channel=zigbee_channel,
             wifi_channel=wifi_channel,
-            tx_power_dbm=noise_floor_dbm + self.snr_db,
             **link_kwargs,
         )
         self.profile = fault_profile if fault_profile is not None else FaultProfile()
@@ -130,12 +114,11 @@ class TransportChannel:
 
         decoded = tuple(decoded[:n])
         frame = parse_frame_bits(decoded)
-        bits = np.asarray(decoded)
         return RxObservation(
             delivered=True,
-            frame_type=int(_bits_to_int(bits[_TYPE_SLICE])),
-            sequence=int(_bits_to_int(bits[_SEQUENCE_SLICE])),
-            data_bits=tuple(int(b) for b in decoded[_DATA_START : n - _OUTER_CRC_BITS]),
+            frame_type=bits_to_int(decoded[TYPE_FIELD]),
+            sequence=bits_to_int(decoded[SEQUENCE_FIELD]),
+            data_bits=tuple(int(b) for b in decoded[DATA_START : n - OUTER_CRC_BITS]),
             decoded_bits=decoded,
             counts=tuple(result.counts[:n]),
             outer_crc_ok=frame is not None and frame.crc_ok,
@@ -143,10 +126,3 @@ class TransportChannel:
             extra_loss_db=state.extra_loss_db,
             interfered=state.interference is not None,
         )
-
-
-def _bits_to_int(bits):
-    value = 0
-    for bit in bits:
-        value = (value << 1) | int(bit)
-    return value

@@ -46,7 +46,14 @@ import numpy as np
 
 from repro.core.coding import hamming74_decode, hamming74_encode
 from repro.core.convolutional import CONSTRAINT_LENGTH, conv_encode, viterbi_decode
-from repro.core.frame import MAX_DATA_BITS, transport_frame_type, transport_scheme_id
+from repro.core.frame import (
+    MAX_DATA_BITS,
+    bits_to_int,
+    int_to_bits,
+    pack_bits,
+    transport_frame_type,
+    transport_scheme_id,
+)
 from repro.zigbee.crc import crc16_itut
 
 #: Explicit PDU overhead: msg_id(4) + frag_count(6) + crc12(12).
@@ -67,27 +74,6 @@ SCHEME_NONE = 0
 SCHEME_HAMMING = 1
 SCHEME_CONV = 2
 SCHEME_NAMES = ("none", "hamming", "conv")
-
-
-def _int_to_bits(value, width):
-    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
-
-
-def _bits_to_int(bits):
-    value = 0
-    for bit in bits:
-        value = (value << 1) | int(bit)
-    return value
-
-
-def _pack_bits(bits):
-    """MSB-first packing into bytes, zero-padded to a byte boundary."""
-    out = bytearray()
-    for start in range(0, len(bits), 8):
-        chunk = list(bits[start : start + 8])
-        chunk += [0] * (8 - len(chunk))
-        out.append(_bits_to_int(chunk))
-    return bytes(out)
 
 
 def scheme_id(name):
@@ -164,13 +150,13 @@ class Fragment:
 def _crc12(fragment, scheme):
     """Inner checksum over implicit + explicit fields and payload."""
     covered = (
-        _int_to_bits(fragment.msg_id, _MSG_ID_BITS)
-        + _int_to_bits(fragment.frag_index, _COUNT_BITS)
-        + _int_to_bits(scheme, 2)
-        + _int_to_bits(fragment.frag_count - 1, _COUNT_BITS)
+        int_to_bits(fragment.msg_id, _MSG_ID_BITS)
+        + int_to_bits(fragment.frag_index, _COUNT_BITS)
+        + int_to_bits(scheme, 2)
+        + int_to_bits(fragment.frag_count - 1, _COUNT_BITS)
         + list(fragment.payload)
     )
-    return crc16_itut(_pack_bits(covered)) & 0xFFF
+    return crc16_itut(pack_bits(covered)) & 0xFFF
 
 
 def encode_fragment(fragment, scheme):
@@ -190,10 +176,10 @@ def encode_fragment(fragment, scheme):
             f"{SCHEME_NAMES[scheme]!r} capacity {payload_capacity(scheme)}"
         )
     pdu = (
-        _int_to_bits(fragment.msg_id, _MSG_ID_BITS)
-        + _int_to_bits(fragment.frag_count - 1, _COUNT_BITS)
+        int_to_bits(fragment.msg_id, _MSG_ID_BITS)
+        + int_to_bits(fragment.frag_count - 1, _COUNT_BITS)
         + payload
-        + _int_to_bits(_crc12(fragment, scheme), _CRC_BITS)
+        + int_to_bits(_crc12(fragment, scheme), _CRC_BITS)
     )
     pdu = np.asarray(pdu, dtype=np.int8)
     if scheme == SCHEME_NONE:
@@ -212,12 +198,12 @@ def _validate(raw, pdu_len, frag_index, scheme):
     """Check one candidate PDU length; a Fragment on success else None."""
     if pdu_len < PDU_OVERHEAD_BITS:
         return None
-    msg_id = _bits_to_int(raw[0:_MSG_ID_BITS])
-    count = _bits_to_int(raw[_MSG_ID_BITS : _MSG_ID_BITS + _COUNT_BITS]) + 1
+    msg_id = bits_to_int(raw[0:_MSG_ID_BITS])
+    count = bits_to_int(raw[_MSG_ID_BITS : _MSG_ID_BITS + _COUNT_BITS]) + 1
     if frag_index >= count:
         return None
     payload = tuple(int(b) for b in raw[_MSG_ID_BITS + _COUNT_BITS : pdu_len - _CRC_BITS])
-    received = _bits_to_int(raw[pdu_len - _CRC_BITS : pdu_len])
+    received = bits_to_int(raw[pdu_len - _CRC_BITS : pdu_len])
     fragment = Fragment(
         msg_id=msg_id, frag_index=frag_index, frag_count=count, payload=payload
     )

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.constants import SYMBEE_STABLE_WINDOW_20MHZ
 from repro.core.analytics import ber_from_phase_error
-from repro.transport.channel import frame_airtime_seconds
+from repro.core.frame import frame_airtime_s
 from repro.transport.pdu import (
     NOMINAL_PAYLOAD_BITS,
     PDU_OVERHEAD_BITS,
@@ -130,7 +130,7 @@ class TransportPolicy:
         return header_ok * (1.0 - p_out) ** pdu
 
     def _goodput(self, scheme, payload_bits, ber):
-        airtime = frame_airtime_seconds(
+        airtime = frame_airtime_s(
             _coded_bits(scheme, PDU_OVERHEAD_BITS + payload_bits)
         )
         return (

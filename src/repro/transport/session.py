@@ -23,11 +23,12 @@ from dataclasses import dataclass
 
 from numpy.random import SeedSequence, default_rng
 
+from repro.core.frame import frame_airtime_s
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 from repro.transport.ackchannel import ACK_WINDOW, AckChannel
 from repro.transport.arq import ArqSender
-from repro.transport.channel import TransportChannel, frame_airtime_seconds
+from repro.transport.channel import TransportChannel
 from repro.transport.faults import FaultProfile
 from repro.transport.pdu import (
     MAX_MSG_ID,
@@ -80,18 +81,6 @@ class TxAttempt:
     accepted: bool       # passed the transport's inner checksum
 
 
-class AckAirtime:
-    """Occupancy of the WiFi AP's beacon schedule.
-
-    One AP can only play one ACK beacon train at a time; multi-sender
-    deployments share a single instance across endpoints so their ACKs
-    serialize like the data frames do.
-    """
-
-    def __init__(self):
-        self.until_s = float("-inf")
-
-
 @dataclass(frozen=True)
 class AckAttempt:
     """One ACK beacon train in the session schedule."""
@@ -137,9 +126,8 @@ def _spawned_rng(root, *key):
 class _Endpoint:
     """Sender+receiver pair working through one message.
 
-    Holds everything but the clock; the single-sender session and the
-    multi-sender arbiter both drive this object, which is what makes
-    their ARQ behavior identical by construction.
+    Holds everything but the clock, which :class:`TransportSession`
+    advances.
     """
 
     _KEY_PROFILE = 1
@@ -160,7 +148,6 @@ class _Endpoint:
         rto_s,
         max_attempts,
         escalate_after,
-        ack_airtime=None,
     ):
         self.root = root
         self.channel = channel
@@ -183,7 +170,9 @@ class _Endpoint:
         self._profile_rng = _spawned_rng(root, self._KEY_PROFILE)
         self._ack_queue = []       # (arrival_s, AckDelivery) min-heap
         self._ack_seq = 0
-        self._ack_airtime = ack_airtime if ack_airtime is not None else AckAirtime()
+        #: End of the ACK beacon train on the air; one AP plays one
+        #: train at a time.
+        self._ack_until_s = float("-inf")
         self._ack_dirty = False
         self._last_scheme = None
         self.schedule = []
@@ -225,7 +214,7 @@ class _Endpoint:
         if (
             not self._ack_dirty
             or not self.receiver.started
-            or now_s < self._ack_airtime.until_s
+            or now_s < self._ack_until_s
         ):
             return
         self._ack_dirty = False
@@ -233,7 +222,7 @@ class _Endpoint:
         rng = _spawned_rng(self.root, self._KEY_ACK, self._ack_seq)
         self._ack_seq += 1
         delivery = self.ack_channel.send(record, now_s, rng)
-        self._ack_airtime.until_s = delivery.arrival_s
+        self._ack_until_s = delivery.arrival_s
         heapq.heappush(
             self._ack_queue, (delivery.arrival_s, self._ack_seq, delivery)
         )
@@ -285,7 +274,7 @@ class _Endpoint:
             observation = self.channel.transmit(
                 data_bits, frame_type, sequence, now_s, rng, self._profile_rng
             )
-        airtime_s = frame_airtime_seconds(len(data_bits))
+        airtime_s = frame_airtime_s(len(data_bits))
         self.arq.record_tx(k, now_s, airtime_s)
 
         fragment = self.receiver.on_observation(observation)
@@ -327,9 +316,9 @@ class _Endpoint:
         if (
             self._ack_dirty
             and self.receiver.started
-            and self._ack_airtime.until_s > now_s
+            and self._ack_until_s > now_s
         ):
-            times.append(self._ack_airtime.until_s)
+            times.append(self._ack_until_s)
         return min(times) if times else None
 
     @property

@@ -18,13 +18,6 @@ from repro.wifi.idle_listening import (
 )
 from repro.wifi.ofdm import L_LTF, L_STF, OfdmTransmitter
 from repro.wifi.receiver import OfdmReceiver, OfdmReception
-from repro.wifi.impairments import (
-    apply_dc_offset,
-    apply_iq_imbalance,
-    clip_magnitude,
-    quantize,
-    image_rejection_ratio_db,
-)
 
 __all__ = [
     "WIFI_CHANNELS",
@@ -39,9 +32,4 @@ __all__ = [
     "OfdmReception",
     "L_STF",
     "L_LTF",
-    "apply_dc_offset",
-    "apply_iq_imbalance",
-    "clip_magnitude",
-    "quantize",
-    "image_rejection_ratio_db",
 ]

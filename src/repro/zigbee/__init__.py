@@ -9,14 +9,13 @@ the cross-technology-broadcast path (paper Section VI-A) and the baselines.
 from repro.zigbee.symbols import (
     CHIP_TABLE,
     chips_for_symbol,
-    symbol_for_chips,
     bytes_to_symbols,
     symbols_to_bytes,
 )
 from repro.zigbee.crc import crc16_itut, append_fcs, check_fcs
 from repro.zigbee.dsss import spread, despread
 from repro.zigbee.oqpsk import OqpskModulator, OqpskDemodulator
-from repro.zigbee.frame import PhyFrame, build_ppdu_symbols, parse_ppdu_symbols
+from repro.zigbee.frame import PhyFrame, build_ppdu_symbols
 from repro.zigbee.mac import MacFrame
 from repro.zigbee.channels import (
     ZIGBEE_CHANNELS,
@@ -30,7 +29,6 @@ from repro.zigbee.receiver import ZigBeeReceiver
 __all__ = [
     "CHIP_TABLE",
     "chips_for_symbol",
-    "symbol_for_chips",
     "bytes_to_symbols",
     "symbols_to_bytes",
     "crc16_itut",
@@ -42,7 +40,6 @@ __all__ = [
     "OqpskDemodulator",
     "PhyFrame",
     "build_ppdu_symbols",
-    "parse_ppdu_symbols",
     "MacFrame",
     "ZIGBEE_CHANNELS",
     "zigbee_channel_frequency",

@@ -52,17 +52,3 @@ def despread(chips, soft=False):
         symbols = np.argmin(distances, axis=1)
         quality = distances[np.arange(len(symbols)), symbols]
     return [int(s) for s in symbols], quality
-
-
-def min_intercode_distance():
-    """Minimum pairwise Hamming distance of the 16 chip sequences.
-
-    Documents the error-correction headroom the DSSS code provides; tests
-    assert the well-known value for this code family.
-    """
-    best = 32
-    for a in range(16):
-        for b in range(a + 1, 16):
-            d = sum(x != y for x, y in zip(CHIP_TABLE[a], CHIP_TABLE[b]))
-            best = min(best, d)
-    return best

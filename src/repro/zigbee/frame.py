@@ -12,7 +12,7 @@ which the throughput accounting in the experiments charges against SymBee
 from dataclasses import dataclass
 
 from repro.constants import ZIGBEE_MAX_PSDU
-from repro.zigbee.symbols import bytes_to_symbols, symbols_to_bytes
+from repro.zigbee.symbols import bytes_to_symbols
 
 #: Synchronization-header bytes: 4-byte preamble of zeros then the SFD.
 PREAMBLE_BYTES = bytes(4)
@@ -57,32 +57,6 @@ def build_ppdu_symbols(psdu, nibble_order="low-first"):
     symbols += bytes_to_symbols(header)
     symbols += bytes_to_symbols(frame.psdu, nibble_order)
     return symbols
-
-
-def parse_ppdu_symbols(symbols, nibble_order="low-first"):
-    """Inverse of :func:`build_ppdu_symbols`.
-
-    Validates the SHR and the PHR length field.  Raises ``ValueError`` on a
-    malformed header; symbol errors inside the PSDU are the MAC layer's
-    problem (FCS check).
-    """
-    symbols = list(symbols)
-    n_shr = len(SHR_SYMBOLS)
-    if len(symbols) < n_shr + 2:
-        raise ValueError("symbol stream too short for a PPDU header")
-    if tuple(symbols[:n_shr]) != SHR_SYMBOLS:
-        raise ValueError("bad synchronization header")
-    length = symbols_to_bytes(symbols[n_shr : n_shr + 2])[0]
-    if length > ZIGBEE_MAX_PSDU:
-        raise ValueError(f"PHR length {length} exceeds maximum PSDU")
-    start = n_shr + 2
-    end = start + 2 * length
-    if len(symbols) < end:
-        raise ValueError(
-            f"symbol stream truncated: PHR promises {length} bytes"
-        )
-    psdu = symbols_to_bytes(symbols[start:end], nibble_order)
-    return PhyFrame(psdu)
 
 
 def ppdu_duration_seconds(psdu_length):

@@ -49,23 +49,11 @@ CHIP_MATRIX = np.array(CHIP_TABLE, dtype=np.int8)
 #: the paper's pulse polarity convention (Section III-B step (ii)).
 CHIP_MATRIX_ANTIPODAL = np.where(CHIP_MATRIX == 0, 1, -1).astype(np.int8)
 
-_CHIPS_TO_SYMBOL = {CHIP_TABLE[s]: s for s in range(16)}
-
-
 def chips_for_symbol(symbol):
     """32-chip sequence (tuple of 0/1) for a 4-bit data symbol."""
     if not 0 <= symbol <= 0xF:
         raise ValueError(f"symbol must be in 0..15, got {symbol}")
     return CHIP_TABLE[symbol]
-
-
-def symbol_for_chips(chips):
-    """Exact inverse lookup of :func:`chips_for_symbol`.
-
-    Raises ``KeyError`` for a sequence outside the table; noisy sequences
-    should go through :func:`repro.zigbee.dsss.despread` instead.
-    """
-    return _CHIPS_TO_SYMBOL[tuple(int(c) for c in chips)]
 
 
 def bytes_to_symbols(payload, nibble_order="low-first"):

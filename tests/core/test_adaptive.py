@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.adaptive import AdaptiveCoding, LinkQualityEstimator
-from repro.experiments.common import link_at_snr
+from repro.core.link import link_at_snr
 
 
 class TestLinkQualityEstimator:

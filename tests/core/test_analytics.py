@@ -3,18 +3,56 @@
 import numpy as np
 import pytest
 
+from repro.constants import SYMBEE_BIT_DURATION, SYMBEE_STABLE_PHASE
 from repro.core.analytics import (
-    analytic_ber_curve,
     ber_from_phase_error,
-    bit_airtime_seconds,
     packet_level_bandwidth_hz,
     phase_error_probability,
-    phase_error_probability_gaussian,
     raw_bit_rate_bps,
     shannon_gain_factor,
     speedup_versus,
     symbol_level_bandwidth_hz,
 )
+from repro.core.frame import frame_airtime_s
+from repro.dsp.signal_ops import db_to_linear
+from repro.zigbee.frame import ppdu_duration_seconds
+from repro.zigbee.mac import MAC_OVERHEAD_BYTES
+
+
+def phase_error_probability_gaussian(snr_db):
+    """Closed-form Gaussian approximation of Pr_eps (the oracle).
+
+    Each sample's phase error is approximately Normal(0, 1/(2*SNR)) at
+    moderate SNR; the difference of two independent phase errors has
+    variance 1/SNR.  An error occurs when the difference pushes the
+    nominal +-4pi/5 across the nearer decision boundary: the zero
+    boundary is 4pi/5 away, the wrap boundary (pi) only pi/5 away, so
+    both tails contribute.  Accurate above roughly 0 dB.
+    """
+    from scipy import stats
+
+    sigma = np.sqrt(1.0 / db_to_linear(snr_db))
+    to_zero = SYMBEE_STABLE_PHASE
+    to_wrap = np.pi - SYMBEE_STABLE_PHASE
+    return float(stats.norm.sf(to_zero / sigma) + stats.norm.sf(to_wrap / sigma))
+
+
+def analytic_ber_curve(snr_grid_db, rng, n_samples):
+    """BER(SNR) by Eq. 2 over Monte-Carlo Pr_eps: the paper's Figure 12."""
+    return [
+        ber_from_phase_error(phase_error_probability(snr, rng, n_samples))
+        for snr in snr_grid_db
+    ]
+
+
+def effective_throughput_bps(data_bits, ifs_seconds=192e-6):
+    """Sustained rate of back-to-back frames of ``data_bits`` data bits.
+
+    The paper's 31.25 kbps is the in-payload symbol rate; a continuous
+    sender also pays each frame's PHY and MAC overhead, the SymBee
+    preamble, header and CRC, and the inter-frame spacing.
+    """
+    return data_bits / (frame_airtime_s(data_bits) + ifs_seconds)
 
 
 class TestRates:
@@ -22,7 +60,7 @@ class TestRates:
         assert raw_bit_rate_bps() == pytest.approx(31_250.0)
 
     def test_bit_airtime(self):
-        assert bit_airtime_seconds() == pytest.approx(32e-6)
+        assert SYMBEE_BIT_DURATION == pytest.approx(32e-6)
 
     def test_packet_level_bandwidth(self):
         # Paper Section II-B: 1/576us = 1.736 kHz.
@@ -99,24 +137,14 @@ class TestBerFormula:
 
 class TestEffectiveThroughput:
     def test_overheads_reduce_raw_rate(self):
-        from repro.core.analytics import effective_throughput_bps
-
         assert effective_throughput_bps(72) < raw_bit_rate_bps()
 
     def test_bigger_frames_amortize_overhead(self):
-        from repro.core.analytics import effective_throughput_bps
-
         assert effective_throughput_bps(72) > effective_throughput_bps(16)
 
     def test_mac_overhead_costs_airtime(self):
-        from repro.core.analytics import effective_throughput_bps
-
-        assert effective_throughput_bps(48, include_mac=False) > (
-            effective_throughput_bps(48, include_mac=True)
+        # 4 preamble + 40 header/CRC + 48 data bits, one byte per bit.
+        symbee_only = ppdu_duration_seconds(4 + 40 + 48)
+        assert frame_airtime_s(48) - symbee_only == pytest.approx(
+            MAC_OVERHEAD_BYTES * SYMBEE_BIT_DURATION
         )
-
-    def test_invalid_data_bits(self):
-        from repro.core.analytics import effective_throughput_bps
-
-        with pytest.raises(ValueError):
-            effective_throughput_bps(0)

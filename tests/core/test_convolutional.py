@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.convolutional import (
     CONSTRAINT_LENGTH,
-    conv_code_rate,
     conv_encode,
     viterbi_decode,
 )
@@ -14,7 +13,6 @@ from repro.core.convolutional import (
 
 class TestEncoder:
     def test_rate_and_tail(self):
-        assert conv_code_rate() == 0.5
         coded = conv_encode([1, 0, 1])
         assert coded.size == 2 * (3 + CONSTRAINT_LENGTH - 1)
 

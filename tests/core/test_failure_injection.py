@@ -11,7 +11,7 @@ import pytest
 from repro.core.link import SymBeeLink
 from repro.core.preamble import capture_preamble
 from repro.dsp.signal_ops import signal_power
-from repro.wifi.impairments import (
+from tests.wifi.impairments import (
     apply_dc_offset,
     apply_iq_imbalance,
     clip_magnitude,

@@ -10,9 +10,15 @@ from repro.core.phase import (
     cross_observed_phases,
     discrete_phase_levels,
     pair_phase_stream,
-    sign_run_lengths,
     stable_run_lengths,
 )
+from repro.dsp.runs import longest_run
+
+
+def sign_run_lengths(symbol_pair):
+    """Longest same-sign runs: what the sign-threshold decoder sees."""
+    dp = pair_phase_stream(symbol_pair)
+    return longest_run(dp < 0), longest_run(dp >= 0)
 
 
 class TestCfoCompensation:

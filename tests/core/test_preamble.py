@@ -51,7 +51,7 @@ class TestCaptureEdgeCases:
 
     def test_capture_under_noise(self, rng):
         # At 10 dB per-sample SNR capture must be essentially certain.
-        from repro.experiments.common import link_at_snr
+        from repro.core.link import link_at_snr
 
         link = link_at_snr(10.0)
         hits = 0

@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.scrambler import (
-    descramble,
-    longest_same_bit_run,
-    prbs7,
-    scramble,
-)
+from repro.core.scrambler import descramble, prbs7, scramble
+
+
+def longest_same_bit_run(bits):
+    """Longest run of identical bits: the oracle of preamble mimicry."""
+    bits = list(bits)
+    if not bits:
+        return 0
+    best = current = 1
+    for previous, value in zip(bits, bits[1:]):
+        current = current + 1 if value == previous else 1
+        best = max(best, current)
+    return best
 
 
 class TestPrbs7:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.decoder import SymBeeDecoder
 from repro.core.template import TemplateDecoder, bit_templates
-from repro.experiments.common import link_at_snr
+from repro.core.link import link_at_snr
 
 
 class TestTemplates:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.constants import WIFI_SAMPLE_RATE_40MHZ
 from repro.core.link import SymBeeLink
-from repro.experiments.common import link_at_snr
+from repro.core.link import link_at_snr
 
 
 @pytest.fixture(scope="module")

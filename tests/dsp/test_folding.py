@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dsp.folding import (
-    circular_folded_profile,
-    fold,
-    fold_sum,
-    folded_profile,
-)
+from repro.dsp.folding import circular_folded_profile, fold, folded_profile
+
+
+def fold_sum(values, period, folds):
+    """Column-wise sum of the folded matrix: ``sum_i values[n + period*i]``.
+
+    The paper's "Fold Sum" (Section V) for a window starting at
+    ``values[0]``: the oracle of the folding gain.
+    """
+    return fold(values, period, folds).sum(axis=0)
 
 
 class TestFold:

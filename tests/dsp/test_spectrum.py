@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dsp.spectrum import (
+from tests.dsp.spectrum import (
     occupied_bandwidth,
     power_spectral_density,
     spectral_centroid,

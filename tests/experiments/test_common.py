@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.link import LinkResult
+from repro.core.link import LinkResult, link_at_snr
 from repro.experiments.common import (
     LinkStats,
     fmt,
-    link_at_snr,
     mc_scale,
     measure_link,
     print_table,

@@ -1,8 +1,6 @@
 """Unit tests for the experiment registry."""
 
-import pytest
-
-from repro.experiments import EXPERIMENTS, get_experiment
+from repro.experiments import EXPERIMENTS
 
 
 class TestRegistry:
@@ -15,12 +13,7 @@ class TestRegistry:
         assert set(EXPERIMENTS) == expected
 
     def test_lookup(self):
-        exp = get_experiment("fig12")
-        assert "BER" in exp.title
-
-    def test_unknown_id(self):
-        with pytest.raises(KeyError, match="valid ids"):
-            get_experiment("fig99")
+        assert "BER" in EXPERIMENTS["fig12"].title
 
     def test_modules_importable(self):
         import importlib

@@ -5,7 +5,8 @@ import pytest
 
 from repro.obs import REGISTRY, TRACER
 from repro.core.link import SymBeeLink
-from repro.experiments.common import link_at_snr, measure_link
+from repro.core.link import link_at_snr
+from repro.experiments.common import measure_link
 
 
 class TestLinkCounters:

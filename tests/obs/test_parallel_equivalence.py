@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.obs import REGISTRY
-from repro.experiments.common import link_at_snr, measure_link
+from repro.core.link import link_at_snr
+from repro.experiments.common import measure_link
 from repro.runtime import run_trials
 
 

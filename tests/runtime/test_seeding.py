@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime import as_seed_sequence, spawn_generators, spawn_seeds
+from repro.runtime import as_seed_sequence, spawn_seeds
 
 
 class TestAsSeedSequence:
@@ -52,7 +52,7 @@ class TestSpawn:
             assert c1.generate_state(2).tolist() == c2.generate_state(2).tolist()
 
     def test_children_are_independent(self):
-        g0, g1 = spawn_generators(7, 2)
+        g0, g1 = (np.random.default_rng(c) for c in spawn_seeds(7, 2))
         assert g0.integers(0, 2**32) != g1.integers(0, 2**32)
 
     def test_negative_count_rejected(self):

@@ -38,6 +38,7 @@ import numpy as np
 from repro.constants import SYMBEE_PREAMBLE_BITS
 from repro.core.decoder import observe_sync_decode
 from repro.core.frame import (
+    DATA_START,
     FRAME_TYPE_ACK,
     FRAME_TYPE_TRANSPORT_BASE,
     MAX_DATA_BITS,
@@ -58,7 +59,6 @@ from repro.stream.native import ffi, lib
 from repro.stream.session import (
     _CRC_FAILED,
     _FRAMES,
-    _HEADER_BITS,
     _HEADER_REJECTS,
     _LATENCY,
     _PARTIAL_EOF,
@@ -559,15 +559,15 @@ def header_fields(prefix, bit_period, window, tau_sync):
     (int32 differences, wrapping as the kernel's), thresholded and
     dotted with the bit weights.
     """
-    starts = bit_period * np.arange(_HEADER_BITS, dtype=np.int64)
+    starts = bit_period * np.arange(DATA_START, dtype=np.int64)
     edges = prefix[np.concatenate((starts, starts + window))]
-    votes = edges[_HEADER_BITS:] - edges[:_HEADER_BITS]
-    weights = 1 << np.arange(_HEADER_BITS - 1, -1, -1, dtype=np.int64)
+    votes = edges[DATA_START:] - edges[:DATA_START]
+    weights = 1 << np.arange(DATA_START - 1, -1, -1, dtype=np.int64)
     word = int((votes >= tau_sync) @ weights)
     return (
-        (word >> (_HEADER_BITS - 4)) & 0xF,
-        (word >> (_HEADER_BITS - 8)) & 0xF,
-        (word >> (_HEADER_BITS - 16)) & 0xFF,
+        (word >> (DATA_START - 4)) & 0xF,
+        (word >> (DATA_START - 8)) & 0xF,
+        (word >> (DATA_START - 16)) & 0xFF,
     )
 
 
@@ -724,7 +724,7 @@ class ReferenceSession:
         n_hot = len(hot_pos)
         mpb = derived.mask_prefix._buf
         mpd, mpo = mpb._data, mpb._start - mpb.base
-        hdr_span = (_HEADER_BITS - 1) * bp + window
+        hdr_span = (DATA_START - 1) * bp + window
         buf_end = self._buf.end
         rejects = 0
         o = self._origin

@@ -5,18 +5,8 @@ stride sweep and the stride-64 tail frames (see
 :mod:`tests.stream.golden.stride`).  Every case must reproduce them
 under any blocking and with the metrics registry on or off: every
 frame's ``decode_fields()`` and each session's ``header_rejects`` and
-``partial_at_eof``.
-
-One column has a named exception.  The fixture was frozen while the
-tail went through the batch ``capture_preamble`` in float64 direct
-sums; the walk now gates the tail from the prefix caches, in the
-working dtype like every full chunk, so the ``coherence`` of a frame
-captured in the tail (the four wideband tail frames) moved in its last
-bits.  Those four are held to a relative 1e-12 instead of bit equality;
-every other value of every case is exact.
+``partial_at_eof``.  Every value of every case is held to the bit.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -24,11 +14,6 @@ import pytest
 from repro.obs.metrics import REGISTRY
 from tests.stream.golden import encode_frames
 from tests.stream.golden.stride import TAIL_OFFSETS, cases, decode, load
-
-#: Cases whose frame was captured in the tail by a complex128 session.
-TAIL_CAPTURES = {f"tail-o{offset}-wideband" for offset in TAIL_OFFSETS}
-#: ``coherence``'s column in an encoded frame (a ``float.hex`` string).
-COHERENCE = 8
 
 
 @pytest.fixture(scope="module")
@@ -51,22 +36,6 @@ def _blocks(size, cut, seed):
             sizes.append(int(rng.integers(1, 20000)))
         return sizes
     return [cut] * -(-size // cut)
-
-
-def _same_frames(got, want, name):
-    """Encoded frames equal, a tail capture's coherence to 1e-12."""
-    if name not in TAIL_CAPTURES:
-        return got == want
-    drop = [row[:COHERENCE] + row[COHERENCE + 1 :] for row in got]
-    keep = [row[:COHERENCE] + row[COHERENCE + 1 :] for row in want]
-    return drop == keep and all(
-        math.isclose(
-            float.fromhex(a[COHERENCE]),
-            float.fromhex(b[COHERENCE]),
-            rel_tol=1e-12,
-        )
-        for a, b in zip(got, want)
-    )
 
 
 def test_tail_frame_is_frozen(golden):
@@ -94,9 +63,7 @@ def test_strides_and_tail_match_frozen(golden, stride_cases, cut, metered):
             )
             sessions = engine.stats()["sessions"]
             expected = golden[name]
-            assert _same_frames(
-                encode_frames(frames), expected["frames"], name
-            ), name
+            assert encode_frames(frames) == expected["frames"], name
             assert [
                 s["header_rejects"] for s in sessions
             ] == expected["header_rejects"], name

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dsp.signal_ops import signal_power
-from repro.wifi.impairments import (
+from tests.wifi.impairments import (
     apply_dc_offset,
     apply_iq_imbalance,
     clip_magnitude,

@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.zigbee.dsss import despread, min_intercode_distance, spread
+from repro.zigbee.dsss import despread, spread
 from repro.zigbee.symbols import CHIP_TABLE
+
+
+def min_intercode_distance():
+    """Minimum pairwise Hamming distance of the 16 chip sequences: the
+    error-correction headroom of the DSSS code."""
+    return min(
+        sum(x != y for x, y in zip(CHIP_TABLE[a], CHIP_TABLE[b]))
+        for a in range(16)
+        for b in range(a + 1, 16)
+    )
 
 
 class TestSpread:

@@ -9,9 +9,9 @@ from repro.zigbee.frame import (
     PhyFrame,
     SHR_SYMBOLS,
     build_ppdu_symbols,
-    parse_ppdu_symbols,
     ppdu_duration_seconds,
 )
+from tests.zigbee.ppdu import parse_ppdu_symbols
 
 
 class TestPhyFrame:

@@ -9,9 +9,15 @@ from repro.zigbee.symbols import (
     CHIP_TABLE,
     bytes_to_symbols,
     chips_for_symbol,
-    symbol_for_chips,
     symbols_to_bytes,
 )
+
+
+def symbol_for_chips(chips):
+    """Exact inverse lookup of the chip table (raises ``KeyError`` for a
+    sequence outside it): the oracle that the 16 sequences are distinct."""
+    table = {CHIP_TABLE[s]: s for s in range(16)}
+    return table[tuple(int(c) for c in chips)]
 
 
 class TestChipTable:

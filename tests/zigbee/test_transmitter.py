@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.dsp.signal_ops import dbm_to_watts, signal_power
-from repro.zigbee.frame import parse_ppdu_symbols
 from repro.zigbee.oqpsk import OqpskDemodulator
 from repro.zigbee.transmitter import ZigBeeTransmitter
+from tests.zigbee.ppdu import parse_ppdu_symbols
 
 
 class TestTransmitter:
