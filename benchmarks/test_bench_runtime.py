@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.link import SymBeeLink
+from repro.core.link import link_at_snr
 from repro.experiments.common import measure_link
 from repro.obs import REGISTRY, TRACER
 from repro.runtime import default_jobs
@@ -44,16 +44,12 @@ BITS_PER_FRAME = 64
 SNRS_DB = (0.0, 4.0)
 
 
-def _link_at_snr(snr_db):
-    return SymBeeLink(tx_power_dbm=-95.0 + snr_db)
-
-
 def _run_random_payload():
     """200 trials with per-trial random payloads (cache-cold workload)."""
     frames = 0
     for i, snr in enumerate(SNRS_DB):
         stats = measure_link(
-            _link_at_snr(snr),
+            link_at_snr(snr),
             np.random.default_rng(20260806 + i),
             n_frames=N_FRAMES_PER_SNR,
             bits_per_frame=BITS_PER_FRAME,
@@ -67,7 +63,7 @@ def _run_fixed_payload():
     bits = np.random.default_rng(99).integers(0, 2, BITS_PER_FRAME)
     frames = 0
     for i, snr in enumerate(SNRS_DB):
-        link = _link_at_snr(snr)
+        link = link_at_snr(snr)
         for seed in np.random.SeedSequence(20260806 + i).spawn(N_FRAMES_PER_SNR):
             link.send_bits(bits, np.random.default_rng(seed), mac_sequence=7)
             frames += 1

@@ -2,11 +2,16 @@
 
 Two small guards CI can afford on every push:
 
-* a **throughput floor** — decode a quarter of the BENCH_PR5 workload
-  through the PR-10 headline configuration (``decimation=8``, fast
-  kernels, complex64, batched scan kernel, 131072-sample blocks) and
+* a **throughput floor** — decode a quarter of the stream workload (3
+  senders, 1 M samples, seed 20260806) through the headline
+  configuration (``decimation=8``, complex64, 131072-sample blocks) and
   require a conservative Msps floor; and
-* a **serial trend recorder** — time the PR-6 comparison configuration
+* a **serial trend recorder** — time the decimation-4 comparison
+  configuration, then the **headline ratio** (the headline
+  configuration against that one, interleaved on the whole stream
+  workload, gated at 0.85 x 1.5) and **streaming against batch** (the
+  full-rate engine in 16384-sample blocks against one whole-capture
+  call, gated at 3x),
   plus a **scan-path micro-benchmark** (pure-noise capture through the
   headline configuration, so the scan cascade is the whole decode), a
   **front-end micro-benchmark** (the headline four-channel
@@ -18,24 +23,25 @@ Two small guards CI can afford on every push:
   serve`` subprocess over the wire, one tenant, closed loop) and an
   **interference micro-benchmark** (802.11g OFDM bursts drawn the way
   the fleet's ``DeliveryTable`` calibration draws them), and
-  append the Msps figures, with the CPU count and the BLAS thread
-  count they were measured under, to ``BENCH_SMOKE_TREND.jsonl`` (one
-  JSON line per run, rendered by ``python -m repro bench trajectory``).
+  append the Msps figures and ratios, with the CPU count and the BLAS
+  thread count they were measured under, to ``BENCH_SMOKE_TREND.jsonl``
+  (one JSON line per run, rendered by ``python -m benchmarks.trajectory``).
   The front-end, derive, scan, serve and interference figures are
   scaled to reference host speed by the ledger's speed probe and gated
   by floors of their own, so a regression in any native kernel, in the
   wire or in the OFDM synthesis shows up as that layer, not as a blur
   in the whole decode or in the fleet's set-up.
 
-The floor is ~2.9x below the ~13 Msps the reference 1-CPU container
-measures for the PR-10 configuration (see ``BENCH_PR10.json``), so an
-ordinarily loaded CI runner passes with a wide margin while a real
-regression — losing the decimating channelizer, the fused kernels,
-the bank, or the batched scanner — drops throughput 2-5x past it.
-Correctness rides along: the decode must deliver every scheduled
-CRC-valid frame.
+The floor is ~2.9x below the ~13 Msps a 1-CPU reference container
+measured for the headline configuration when it was set (the frozen
+``BENCH_PR10.json`` record; the trend file has the current figures), so
+an ordinarily loaded CI runner passes with a wide margin while a real
+regression — losing the decimating channelizer, the native bank or
+the native session — drops throughput 2-5x past it.  Correctness rides
+along: the decode must deliver every scheduled CRC-valid frame.
 """
 
+import gc
 import json
 import os
 import time
@@ -53,7 +59,7 @@ from benchmarks.ledger.gateway import GatewayWorkload
 from repro.core.decoder import SymBeeDecoder
 from repro.network.traffic import StreamSender, StreamTraffic
 from repro.sim.fastpath import interference_model_for
-from repro.stream import StreamEngine
+from repro.stream import StreamEngine, batch_decode_stream
 from repro.stream.frontend import FastChannelBank
 from repro.stream.session import StreamSession
 from repro.zigbee.channels import (
@@ -61,23 +67,40 @@ from repro.zigbee.channels import (
     overlapping_zigbee_channels,
 )
 
-#: Conservative Msps floor for the fast-path decode.  Raised from 3.0
-#: (PR-5 era, 8.4 Msps reference) now that the PR-10 scan engine
-#: measures ~13 Msps on the reference container — the same ~2.9x
-#: loaded-runner margin, at the new level.
+#: Conservative Msps floor for the fast-path decode: ~2.9x below the
+#: ~13 Msps the headline configuration measured on a 1-CPU reference
+#: container when the floor was set.
 FLOOR_MSPS = 4.5
 
 BLOCK_SIZE = 32768
-#: PR-10 headline block depth (block size is a latency knob, not a
-#: decision knob — the engine is block-size invariant by construction).
+#: Headline block depth (block size is a latency knob, not a decision
+#: knob — the engine is block-size invariant by construction).
 DEEP_BLOCK = 131072
 
-#: The PR-10 headline serial configuration (see BENCH_PR10.json).
+#: The headline serial configuration.
 FAST_PATH = dict(
     demux=True,
     decimation=8,
     working_dtype=np.complex64,
 )
+#: The comparison configuration, timed in :data:`BLOCK_SIZE` blocks.
+D4 = dict(FAST_PATH, decimation=4)
+
+#: Seconds of the whole stream workload; the floor and the serial trend
+#: decode a quarter of it.
+STREAM_SECONDS = 0.05
+#: Interleaved rounds timing the headline ratio and streaming vs batch.
+REPEATS = 7
+#: The headline configuration must decode the whole stream workload at
+#: least 1.5x faster than :data:`D4`; the assert sits at 0.85x that, so
+#: a loaded host does not flake while a lost fast path still fails.
+HEADLINE_RATIO_FLOOR = 0.85 * 1.5
+#: Full-rate streaming in STREAM_BLOCK blocks may take at most this
+#: many times the whole-capture batch call (a soft gate: it reads
+#: ~0.55), and must keep up with a sanity floor of input Msps.
+STREAM_VS_BATCH_CEILING = 3.0
+STREAM_FLOOR_MSPS = 0.05
+STREAM_BLOCK = 16384
 
 TREND_PATH = Path(__file__).resolve().parent.parent / "BENCH_SMOKE_TREND.jsonl"
 
@@ -125,6 +148,42 @@ INTERFERENCE_FLOOR_MSPS = 8.0
 #: lead-in and tail).
 INTERFERENCE_CAPTURES = 64
 INTERFERENCE_CAPTURE_SAMPLES = 52290
+
+
+def _capture(duration_s):
+    """The stream workload: 3 senders on channels 11, 13 and 14."""
+    senders = [
+        StreamSender(i, zigbee_channel=ch, reading_interval_s=0.008)
+        for i, ch in enumerate((11, 13, 14))
+    ]
+    traffic = StreamTraffic(senders, duration_s=duration_s)
+    samples, truth = traffic.capture(np.random.default_rng(20260806))
+    return traffic, samples, truth
+
+
+def _interleaved_best(runners, repeats):
+    """Best wall seconds per runner over ``repeats`` rounds, GC paused.
+
+    Each runner is warmed up twice, then every round times each runner
+    once in turn, so slow-host drift hits all of them alike and their
+    ratios hold.
+    """
+    for run in runners.values():
+        run()
+        run()
+    best = dict.fromkeys(runners, float("inf"))
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            for key, run in runners.items():
+                t0 = time.perf_counter()
+                run()
+                best[key] = min(best[key], time.perf_counter() - t0)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return best
 
 
 def frontend_msps():
@@ -310,13 +369,7 @@ def interference_msps():
 
 @pytest.mark.perf_smoke
 def test_streaming_fast_path_throughput_floor():
-    senders = [
-        StreamSender(0, zigbee_channel=11, reading_interval_s=0.008),
-        StreamSender(1, zigbee_channel=13, reading_interval_s=0.008),
-        StreamSender(2, zigbee_channel=14, reading_interval_s=0.008),
-    ]
-    traffic = StreamTraffic(senders, duration_s=0.0125)
-    samples, truth = traffic.capture(np.random.default_rng(20260806))
+    traffic, samples, truth = _capture(STREAM_SECONDS / 4)
     assert truth
 
     def decode():
@@ -338,26 +391,16 @@ def test_streaming_fast_path_throughput_floor():
     assert crc_ok == len(truth)
     assert msps >= FLOOR_MSPS, (
         f"streaming fast path at {msps:.2f} Msps, floor {FLOOR_MSPS} Msps "
-        f"(reference container: ~13; see BENCH_PR10.json)"
+        f"(1-CPU reference container: ~13)"
     )
 
 
 @pytest.mark.perf_smoke
 def test_serial_trend_record():
-    senders = [
-        StreamSender(0, zigbee_channel=11, reading_interval_s=0.008),
-        StreamSender(1, zigbee_channel=13, reading_interval_s=0.008),
-        StreamSender(2, zigbee_channel=14, reading_interval_s=0.008),
-    ]
-    traffic = StreamTraffic(senders, duration_s=0.0125)
-    samples, truth = traffic.capture(np.random.default_rng(20260806))
+    traffic, samples, _ = _capture(STREAM_SECONDS / 4)
 
     def decode():
-        engine = StreamEngine(
-            demux=True,
-            decimation=4,
-            working_dtype=np.complex64,
-        )
+        engine = StreamEngine(**D4)
         return engine.run(traffic.blocks(samples, BLOCK_SIZE))
 
     decode()  # warm-up
@@ -367,6 +410,28 @@ def test_serial_trend_record():
         decode()
         serial_best = min(serial_best, time.perf_counter() - t0)
     serial_msps = samples.size / serial_best / 1e6
+
+    # The whole stream workload: the headline configuration against D4,
+    # and the full-rate engine streaming against one batch call.
+    whole, whole_samples, _ = _capture(STREAM_SECONDS)
+    best = _interleaved_best(
+        {
+            "d4": lambda: StreamEngine(**D4).run(
+                whole.blocks(whole_samples, BLOCK_SIZE)
+            ),
+            "headline": lambda: StreamEngine(**FAST_PATH).run(
+                whole.blocks(whole_samples, DEEP_BLOCK)
+            ),
+            "batch": lambda: batch_decode_stream(whole_samples, demux=True),
+            "stream": lambda: StreamEngine(demux=True).run(
+                whole.blocks(whole_samples, STREAM_BLOCK)
+            ),
+        },
+        REPEATS,
+    )
+    headline_ratio = best["d4"] / best["headline"]
+    stream_vs_batch = best["stream"] / best["batch"]
+    stream_msps = whole_samples.size / best["stream"] / 1e6
 
     # Scan-path micro-benchmark: a pure-noise capture makes the
     # idle-listening preamble search the entire decode, so this number
@@ -405,7 +470,7 @@ def test_serial_trend_record():
         "cpu_count": cpu_count,
         "blas_threads": blas_threads(),
         "serial_msps": round(serial_msps, 3),
-        # Pure-noise decode through the PR-10 headline configuration:
+        # Pure-noise decode through the headline configuration:
         # the scan cascade with no frames to decode.
         "scan_noise_msps": round(scan_noise_msps, 3),
         # The headline four-channel d8 complex64 channelizer bank over
@@ -423,6 +488,10 @@ def test_serial_trend_record():
         # OFDM interference bursts as the fleet calibration draws them,
         # at reference host speed (see interference_msps).
         "interference_msps": round(interference, 3),
+        # D4 time over headline time on the whole stream workload.
+        "headline_ratio": round(headline_ratio, 3),
+        # Full-rate streaming time over whole-capture batch time.
+        "stream_vs_batch": round(stream_vs_batch, 3),
     }
     with TREND_PATH.open("a") as fh:
         fh.write(json.dumps(entry) + "\n")
@@ -431,9 +500,22 @@ def test_serial_trend_record():
         f"{scan_noise_msps:.2f} Msps, bank {frontend:.1f} Msps, derive "
         f"{derive:.1f} Msps, scan "
         f"{scan:.1f} Msps, serve {serve:.1f} Msps, interference "
-        f"{interference:.1f} Msps on "
+        f"{interference:.1f} Msps, headline ratio {headline_ratio:.3f}x, "
+        f"stream/batch {stream_vs_batch:.2f}x on "
         f"{cpu_count} cpu(s), {entry['blas_threads']} BLAS thread(s) "
         f"-> {TREND_PATH.name}"
+    )
+    assert headline_ratio >= HEADLINE_RATIO_FLOOR, (
+        f"headline ratio {headline_ratio:.3f}x, floor "
+        f"{HEADLINE_RATIO_FLOOR:.3f}x"
+    )
+    assert stream_vs_batch < STREAM_VS_BATCH_CEILING, (
+        f"streaming at {stream_vs_batch:.2f}x the batch time, ceiling "
+        f"{STREAM_VS_BATCH_CEILING}x"
+    )
+    assert stream_msps > STREAM_FLOOR_MSPS, (
+        f"full-rate streaming at {stream_msps:.2f} Msps, floor "
+        f"{STREAM_FLOOR_MSPS} Msps"
     )
     assert frontend >= FRONTEND_FLOOR_MSPS, (
         f"front-end layer at {frontend:.1f} Msps, floor "

@@ -912,18 +912,6 @@ def _cmd_loadgen(args):
     return 0
 
 
-def _cmd_bench_trajectory(args):
-    from repro.bench.trajectory import print_trajectory, trajectory_report
-
-    if args.json:
-        import json
-
-        report = trajectory_report(args.root)
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0 if report["artifacts"] else 1
-    return print_trajectory(args.root)
-
-
 def _cmd_survey(_args):
     import numpy as np
 
@@ -1374,22 +1362,6 @@ def build_parser():
     _add_record_flags(simulate, "record sim trace spans (into --metrics-out)")
     simulate.set_defaults(func=_cmd_simulate)
 
-    bench = sub.add_parser("bench", help="benchmark artifact tooling")
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    trajectory = bench_sub.add_parser(
-        "trajectory",
-        help="aggregate every BENCH_*.json into one cross-PR report",
-    )
-    trajectory.add_argument(
-        "--root", default=".", metavar="DIR",
-        help="directory holding the artifacts (default: cwd)",
-    )
-    trajectory.add_argument(
-        "--json", action="store_true",
-        help="emit the report as a machine-readable JSON document "
-             "instead of tables",
-    )
-    trajectory.set_defaults(func=_cmd_bench_trajectory)
     sub.add_parser("survey", help="scenario site survey").set_defaults(
         func=_cmd_survey
     )

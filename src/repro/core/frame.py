@@ -59,8 +59,10 @@ def transport_scheme_id(frame_type):
 
 
 #: Field positions in :func:`build_frame_bits` output (preamble
-#: excluded): the frame type, the sequence byte, where the data region
-#: starts (the header's length) and the outer CRC trailing it.
+#: excluded), which ``repro.stream.native`` hands its C kernels too:
+#: the four header fields, where the data region starts (the header's
+#: length) and the outer CRC trailing it.
+VERSION_FIELD = slice(0, 4)
 TYPE_FIELD = slice(4, 8)
 LENGTH_FIELD = slice(8, 16)
 SEQUENCE_FIELD = slice(16, 24)
@@ -147,7 +149,7 @@ def parse_frame_bits(bits):
     bits = [int(b) for b in bits]
     if len(bits) < DATA_START + OUTER_CRC_BITS:
         return None
-    version = bits_to_int(bits[0:4])
+    version = bits_to_int(bits[VERSION_FIELD])
     frame_type = bits_to_int(bits[TYPE_FIELD])
     length = bits_to_int(bits[LENGTH_FIELD])
     sequence = bits_to_int(bits[SEQUENCE_FIELD])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.link import SymBeeLink
+from repro.core.link import link_at_snr
 from repro.experiments.common import scaled
 
 CFO_GRID_HZ = (-80e3, -40e3, 0.0, 40e3, 60e3, 80e3)
@@ -33,10 +33,8 @@ def run(seed=42, cfo_grid_hz=CFO_GRID_HZ, n_frames=None, snr_db=6.0,
     for cfo in cfo_grid_hz:
         for track, out in ((False, untracked), (True, tracked)):
             rng = np.random.default_rng(seed)
-            link = SymBeeLink(
-                tx_power_dbm=-95.0 + snr_db,
-                residual_cfo_hz=cfo,
-                track_residual_cfo=track,
+            link = link_at_snr(
+                snr_db, residual_cfo_hz=cfo, track_residual_cfo=track
             )
             errors = sent = 0
             for _ in range(n_frames):

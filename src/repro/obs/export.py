@@ -2,7 +2,7 @@
 
 The :class:`repro.obs.live.LiveCollector` fans each periodic sample out
 to pluggable sinks; this module holds the built-in ones plus the reader
-the CLI (``obs tail`` / ``obs summary``) and ``bench trajectory`` use:
+the CLI (``obs tail`` / ``obs summary``) uses:
 
 * :class:`JsonlSink` — one JSON object per tick, appended to a file.
   The **live-sample schema** (``schema_version`` 1)::

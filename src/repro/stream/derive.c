@@ -24,8 +24,13 @@
  * host either.
  *
  * Never build this with -ffast-math: it licenses every reordering the
- * contract forbids.  See repro/stream/native.py for the build.
+ * contract forbids.  See repro/stream/native.py for the build, which
+ * also defines the frame layout (FRAME_*) from repro/core/frame.py.
  */
+
+#ifndef FRAME_DATA_START
+#error "the FRAME_* layout macros come from repro.stream.native"
+#endif
 
 #include <math.h>
 #include <stdint.h>
@@ -99,21 +104,27 @@ static int64_t lower_bound(const int64_t *a, int64_t lo, int64_t hi,
     return lo;
 }
 
-/* The 24-bit header word's data length if the header is valid, else -1.
+/* Field F (FRAME_F_LO, FRAME_F_BITS) of the header word, whose first
+ * bit is its most significant. */
+#define HEADER_FIELD(word, F) \
+    (((word) >> (FRAME_DATA_START - F##_LO - F##_BITS)) \
+     & ((1u << F##_BITS) - 1))
+
+/* The header word's data length if the header is valid, else -1.
  * mask is the vote-mask prefix from data start on; bit b's votes are
  * the (wrapping, as numpy's int32) difference across its window. */
 static int64_t header_length(const struct walk_params *pp,
                              const int32_t *mask)
 {
     uint32_t word = 0;
-    for (int64_t b = 0; b < 24; b++) {
+    for (int64_t b = 0; b < FRAME_DATA_START; b++) {
         const int32_t *at = mask + b * pp->bit_period;
         int32_t votes = (int32_t)((uint32_t)at[pp->window] - (uint32_t)at[0]);
         word = (word << 1) | (votes >= pp->tau_sync);
     }
-    int32_t version = (word >> 20) & 0xF;
-    int32_t type = (word >> 16) & 0xF;
-    int32_t length = (word >> 8) & 0xFF;
+    int32_t version = HEADER_FIELD(word, FRAME_VERSION);
+    int32_t type = HEADER_FIELD(word, FRAME_TYPE);
+    int32_t length = HEADER_FIELD(word, FRAME_LENGTH);
     int valid = version == pp->version && type <= pp->max_type
                 && !(pp->ack_type < type && type < pp->transport_base)
                 && length <= pp->max_length;
@@ -124,6 +135,8 @@ static int64_t header_length(const struct walk_params *pp,
 
 /* Most frame bits one body decode reads: header, data and CRC. */
 #define SESSION_MAX_BITS 128
+/* Frame bits beyond the data: header and CRC. */
+#define FRAME_OVERHEAD_BITS (FRAME_DATA_START + FRAME_CRC_BITS)
 
 /* A growable stream buffer addressed by absolute index: entry p lives
  * at element p - base + start of data.  Trimming drops the front in
@@ -249,7 +262,7 @@ struct session {
     struct walk_out wo;
     int64_t profile_end;   /* one past the last folded position */
     int64_t win_end;       /* one past the last windowed position */
-    int64_t folds, span, overhead;
+    int64_t folds, span;
     double fill_re, fill_im;
     /* Running totals of the prefixes (floats held exactly). */
     int32_t mask_total, count_total, cohpass_total;
@@ -287,15 +300,14 @@ void session_free(struct session *s)
 
 /* A session with the walk constants pp, folds-bit preamble folds,
  * real_size-byte working floats, the zero product's unit phasor
- * (fill_re, fill_im) and overhead frame bits beyond the data; NULL when
- * out of memory, when a frame could outgrow SESSION_MAX_BITS, or when
- * float prefix seams are closer than a window (a window sum crosses at
- * most one seam). */
+ * (fill_re, fill_im); NULL when out of memory, when a frame could
+ * outgrow SESSION_MAX_BITS, or when float prefix seams are closer than
+ * a window (a window sum crosses at most one seam). */
 struct session *session_new(const struct walk_params *pp, int64_t folds,
                             int64_t real_size, double fill_re,
-                            double fill_im, int64_t overhead)
+                            double fill_im)
 {
-    if (overhead + pp->max_length > SESSION_MAX_BITS
+    if (FRAME_OVERHEAD_BITS + pp->max_length > SESSION_MAX_BITS
         || (pp->seam > 0 && pp->seam < pp->window))
         return NULL;
     struct session *s = calloc(1, sizeof *s);
@@ -305,7 +317,6 @@ struct session *session_new(const struct walk_params *pp, int64_t folds,
     s->pp = *pp;
     s->folds = folds;
     s->span = (folds - 1) * pp->bit_period;
-    s->overhead = overhead;
     s->fill_re = fill_re;
     s->fill_im = fill_im;
     int64_t r = real_size, c = 2 * real_size, i4 = sizeof(int32_t);
@@ -382,13 +393,14 @@ static void session_trim(struct session *s, int64_t lo)
  * equals the 16 bits after them. */
 static int frame_crc_ok(const uint8_t *bits, int64_t n)
 {
-    if (n < 40)
+    if (n < FRAME_OVERHEAD_BITS)
         return 0;
     int64_t length = 0;
-    for (int64_t b = 8; b < 16; b++)
+    for (int64_t b = FRAME_LENGTH_LO; b < FRAME_LENGTH_LO + FRAME_LENGTH_BITS;
+         b++)
         length = length << 1 | bits[b];
-    int64_t end = 24 + length;
-    if (n < end + 16)
+    int64_t end = FRAME_DATA_START + length;
+    if (n < end + FRAME_CRC_BITS)
         return 0;
     uint32_t crc = 0;
     for (int64_t lo = 0; lo < end; lo += 8) {
@@ -400,7 +412,7 @@ static int frame_crc_ok(const uint8_t *bits, int64_t n)
             crc = crc & 1 ? (crc >> 1) ^ 0x8408 : crc >> 1;
     }
     uint32_t received = 0;
-    for (int64_t b = end; b < end + 16; b++)
+    for (int64_t b = end; b < end + FRAME_CRC_BITS; b++)
         received = received << 1 | bits[b];
     return received == (crc & 0xFFFF);
 }

@@ -12,9 +12,10 @@ kernel to its oracle).  There is no other path: on a host without gcc
 or cffi, importing this module raises :class:`ImportError` saying so.
 
 The build is cached in ``_native/`` next to this module (gitignored),
-keyed by a hash of the C sources, the cdef, the compiler flags and the
-Python ABI, so an edit to any of them builds afresh and a warm import
-only loads the compiled extension -- no cdef parse, no compiler.
+keyed by a hash of the C sources, the cdef, the frame layout, the
+compiler flags and the Python ABI, so an edit to any of them builds
+afresh and a warm import only loads the compiled extension -- no cdef
+parse, no compiler.
 Concurrent first imports (a ``serve`` child and its client, say) may
 both compile; each publishes its result by atomic rename, so a loader
 never sees a partial file.
@@ -42,6 +43,8 @@ import tempfile
 from pathlib import Path
 
 import _cffi_backend
+
+from repro.core import frame
 
 HERE = Path(__file__).resolve().parent
 #: C sources, hashed into the build key.
@@ -106,7 +109,7 @@ struct session_view {
 };
 struct session *session_new(const struct walk_params *pp, int64_t folds,
                             int64_t real_size, double fill_re,
-                            double fill_im, int64_t overhead);
+                            double fill_im);
 void session_free(struct session *s);
 int64_t session_live(void);
 void session_view(struct session *s, int32_t which, struct session_view *v);
@@ -139,6 +142,16 @@ int64_t frontend_{s}({t} *carry, int64_t nc, void *x, int64_t nx,
                      {t} *products, int64_t cap);
 """
 CDEF = _STRUCTS + "".join(_DECLS.format(t=t, s=s) for t, s in _PRECISIONS)
+#: The SymBee frame layout (:mod:`repro.core.frame`) as the ``FRAME_*``
+#: macros ``derive.c`` reads, emitted ahead of it in the generated source.
+LAYOUT = "".join(
+    f"#define FRAME_{name}_LO {field.start}\n"
+    f"#define FRAME_{name}_BITS {field.stop - field.start}\n"
+    for name, field in (("VERSION", frame.VERSION_FIELD),
+                        ("TYPE", frame.TYPE_FIELD),
+                        ("LENGTH", frame.LENGTH_FIELD))
+) + (f"#define FRAME_DATA_START {frame.DATA_START}\n"
+     f"#define FRAME_CRC_BITS {frame.OUTER_CRC_BITS}\n")
 
 
 def build_key():
@@ -148,6 +161,7 @@ def build_key():
         digest.update((HERE / name).read_bytes())
     for part in (
         CDEF,
+        LAYOUT,
         " ".join(CFLAGS),
         sys.implementation.cache_tag,
         sysconfig.get_config_var("EXT_SUFFIX"),
@@ -179,7 +193,7 @@ def _build(name, target):
     BUILD_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory(dir=BUILD_DIR) as tmp:
         c_file = os.path.join(tmp, name + ".c")
-        make_c_source(ffi, name, '#include "derive.c"', c_file)
+        make_c_source(ffi, name, LAYOUT + '#include "derive.c"', c_file)
         built = os.path.join(tmp, target.name)
         command = [
             "gcc", *CFLAGS,

@@ -145,7 +145,6 @@ from repro.core.frame import (
     MAX_DATA_BITS,
     MAX_KNOWN_FRAME_TYPE,
     VERSION,
-    frame_overhead_bits,
     parse_frame_bits,
 )
 from repro.core.preamble import (
@@ -325,7 +324,7 @@ class StreamSession:
         fill = 1.0 if decoder.rotation is None else complex(decoder.rotation)
         native = lib.session_new(
             params, self.folds, self.dtype.itemsize // 2,
-            fill.real, fill.imag, frame_overhead_bits(),
+            fill.real, fill.imag,
         )
         if native == ffi.NULL:
             raise MemoryError("cannot allocate a native stream session")

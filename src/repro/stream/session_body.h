@@ -174,7 +174,7 @@ static int SFX(session_scan)(struct session *s, int64_t chunks, int32_t final,
     }
     s->state = wo->state;
     if (s->state == WALK_BODY)
-        s->total_bits = s->overhead + wo->length;
+        s->total_bits = FRAME_OVERHEAD_BITS + wo->length;
     out->rejects += wo->rejects;
     out->hits += wo->hits;
     out->miss_count += wo->miss_count;

@@ -61,6 +61,15 @@ def test_build_key_covers_the_flags(monkeypatch):
     assert native.build_key() != key
 
 
+def test_build_key_covers_the_frame_layout(monkeypatch):
+    key = native.build_key()
+    assert "#define FRAME_DATA_START 24\n" in native.LAYOUT
+    monkeypatch.setattr(
+        native, "LAYOUT", native.LAYOUT.replace("DATA_START 24", "DATA_START 32")
+    )
+    assert native.build_key() != key
+
+
 def test_no_gcc_fails_with_a_clear_error(tmp_path, monkeypatch):
     monkeypatch.setattr(native, "BUILD_DIR", tmp_path)
     monkeypatch.setenv("PATH", str(tmp_path))

@@ -318,255 +318,6 @@ class TestLiveTelemetry:
         assert "--live-interval" in capsys.readouterr().err
 
 
-class TestBenchTrajectory:
-    def test_json_report_schema(self, tmp_path, capsys, monkeypatch):
-        import json
-
-        (tmp_path / "BENCH_X.json").write_text(
-            json.dumps(
-                {
-                    "streaming": {
-                        "effective_msps": 12.5,
-                        "x_realtime": 0.625,
-                    }
-                }
-            )
-        )
-        (tmp_path / "BENCH_SMOKE_LIVE.jsonl").write_text(
-            json.dumps(
-                {
-                    "type": "live",
-                    "seq": 0,
-                    "elapsed_s": 1.0,
-                    "dt_s": 1.0,
-                    "final": True,
-                    "counters": {},
-                    "rates": {"stream.engine.samples_in": 5e6},
-                    "gauges": {},
-                    "histograms": {},
-                }
-            )
-            + "\n"
-        )
-        assert (
-            main(["bench", "trajectory", "--root", str(tmp_path), "--json"])
-            == 0
-        )
-        report = json.loads(capsys.readouterr().out)
-        assert report["schema_version"] == 2
-        (artifact,) = report["artifacts"]
-        assert artifact["name"] == "BENCH_X"
-        assert artifact["best_streaming"]["effective_msps"] == 12.5
-        assert artifact["best_streaming"]["config"] == "streaming"
-        assert artifact["throughput"][0]["unit"] == "Msps"
-        assert report["gateway"] is None  # no BENCH_GATEWAY.json here
-        assert report["sim"] is None  # no BENCH_PR8.json here
-        assert report["live"]["samples"] == 1
-        assert report["live"]["msps_mean"] == 5.0
-        assert report["live"]["final"] is True
-
-    def test_json_report_gateway_and_sim_sections(self, tmp_path, capsys):
-        import json
-
-        (tmp_path / "BENCH_GATEWAY.json").write_text(
-            json.dumps(
-                {
-                    "cpu_count": 2,
-                    "serial": {
-                        "tenants": 4,
-                        "cores_used": 1,
-                        "tenants_per_core_at_realtime": 1.28,
-                        "effective_msps": 25.6,
-                    },
-                    "pooled": {
-                        "tenants": 4,
-                        "cores_used": 2,
-                        "tenants_per_core_at_realtime": 0.27,
-                        "effective_msps": 10.8,
-                    },
-                    "gates": {"target_tenants_per_core": 1.0},
-                }
-            )
-        )
-        (tmp_path / "BENCH_PR8.json").write_text(
-            json.dumps(
-                {
-                    "packet_fleet": {
-                        "nodes": 500,
-                        "frames_offered": 113371,
-                        "delivery_ratio": 0.9893,
-                        "wall_seconds": 6.47,
-                        "frames_per_sec": 17525.6,
-                    },
-                    "fast_path_speedup": 147.2,
-                }
-            )
-        )
-        assert (
-            main(["bench", "trajectory", "--root", str(tmp_path), "--json"])
-            == 0
-        )
-        report = json.loads(capsys.readouterr().out)
-        gateway = report["gateway"]
-        assert gateway["target_tenants_per_core"] == 1.0
-        by_config = {row["config"]: row for row in gateway["rows"]}
-        assert by_config["serial"]["tenants_per_core_at_realtime"] == 1.28
-        assert by_config["pooled"]["cores_used"] == 2
-        sim = report["sim"]
-        assert sim["fast_path_speedup"] == 147.2
-        (fleet,) = sim["rows"]
-        assert fleet["config"] == "packet_fleet"
-        assert fleet["frames_per_sec"] == 17525.6
-        assert fleet["nodes"] == 500
-
-    def test_table_report_gateway_and_sim_sections(
-        self, tmp_path, capsys
-    ):
-        import json
-
-        (tmp_path / "BENCH_GATEWAY.json").write_text(
-            json.dumps(
-                {
-                    "serial": {
-                        "tenants": 4,
-                        "cores_used": 1,
-                        "tenants_per_core_at_realtime": 1.28,
-                        "effective_msps": 25.6,
-                    },
-                    "gates": {"target_tenants_per_core": 1.0},
-                }
-            )
-        )
-        (tmp_path / "BENCH_PR8.json").write_text(
-            json.dumps(
-                {
-                    "packet_fleet": {
-                        "nodes": 500,
-                        "frames_per_sec": 17525.6,
-                    }
-                }
-            )
-        )
-        assert main(["bench", "trajectory", "--root", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "gateway capacity" in out
-        assert "tenants/core" in out
-        assert "fleet simulator" in out
-        assert "frames/s" in out
-
-    def test_table_report_trend_shows_blas_threads(self, tmp_path, capsys):
-        import json
-
-        (tmp_path / "BENCH_X.json").write_text(
-            json.dumps({"streaming": {"effective_msps": 1.0}})
-        )
-        old = {
-            "recorded_at": "old",
-            "cpu_count": 1,
-            "serial_msps": 9.86,
-            "jobs2_msps": 3.32,
-            "jobs4_msps": 2.29,
-            "scan_noise_msps": 15.386,
-            "gate_applied": False,
-        }
-        new = {
-            "recorded_at": "new",
-            "cpu_count": 2,
-            "blas_threads": 1,
-            "serial_msps": 9.84,
-            "scan_noise_msps": 17.895,
-        }
-        derive = {
-            "recorded_at": "derive",
-            "cpu_count": 2,
-            "blas_threads": 1,
-            "serial_msps": 11.0,
-            "scan_noise_msps": 24.5,
-            "derive_msps": 61.234,
-        }
-        scan = dict(derive, recorded_at="scan", scan_msps=1745.503)
-        bank = dict(scan, recorded_at="bank", frontend_msps=281.776)
-        serve = dict(bank, recorded_at="serve", serve_msps=61.527)
-        ofdm = dict(serve, recorded_at="ofdm", interference_msps=21.048)
-        (tmp_path / "BENCH_SMOKE_TREND.jsonl").write_text(
-            "".join(
-                json.dumps(e) + "\n"
-                for e in (old, new, derive, scan, bank, serve, ofdm)
-            )
-        )
-        assert main(["bench", "trajectory", "--root", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "blas threads" in out
-        assert "jobs=2" not in out and "jobs=4" not in out
-        labels = (
-            ["old"], ["new"], ["derive"], ["scan"], ["bank"], ["serve"],
-            ["ofdm"],
-        )
-        rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()
-                if line.split()[:1] in labels}
-        # Lines recorded before BLAS pinning or before the bank, derive,
-        # scan, serve or interference micro-benchmarks still render, with
-        # a dash.
-        assert rows["old"] == [
-            "1", "-", "9.86", "15.39", "-", "-", "-", "-", "-"
-        ]
-        assert rows["new"] == [
-            "2", "1", "9.84", "17.89", "-", "-", "-", "-", "-"
-        ]
-        assert rows["derive"] == [
-            "2", "1", "11.00", "24.50", "-", "61.23", "-", "-", "-"
-        ]
-        assert rows["scan"] == [
-            "2", "1", "11.00", "24.50", "-", "61.23", "1745.50", "-", "-"
-        ]
-        assert rows["bank"] == [
-            "2", "1", "11.00", "24.50", "281.78", "61.23", "1745.50", "-",
-            "-",
-        ]
-        assert rows["serve"] == [
-            "2", "1", "11.00", "24.50", "281.78", "61.23", "1745.50",
-            "61.53", "-",
-        ]
-        assert rows["ofdm"] == [
-            "2", "1", "11.00", "24.50", "281.78", "61.23", "1745.50",
-            "61.53", "21.05",
-        ]
-
-    def test_json_empty_root_exits_nonzero(self, tmp_path, capsys):
-        assert (
-            main(["bench", "trajectory", "--root", str(tmp_path), "--json"])
-            == 1
-        )
-        report_text = capsys.readouterr().out
-        import json
-
-        assert json.loads(report_text)["artifacts"] == []
-
-    def test_table_report_mentions_live_stream(self, tmp_path, capsys):
-        import json
-
-        (tmp_path / "BENCH_X.json").write_text(
-            json.dumps({"streaming": {"effective_msps": 1.0}})
-        )
-        (tmp_path / "BENCH_SMOKE_LIVE.jsonl").write_text(
-            json.dumps(
-                {
-                    "type": "live",
-                    "elapsed_s": 2.0,
-                    "dt_s": 1.0,
-                    "final": True,
-                    "rates": {"stream.engine.samples_in": 2e6},
-                    "counters": {},
-                }
-            )
-            + "\n"
-        )
-        assert main(["bench", "trajectory", "--root", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "BENCH_SMOKE_LIVE.jsonl" in out
-        assert "min/mean/max" in out
-
-
 class TestSend:
     def test_clean_link_delivers(self, capsys):
         assert (
