@@ -39,34 +39,20 @@ from types import SimpleNamespace  # noqa: E402
 
 
 def _profiled(fn):
-    """Run ``fn`` under cProfile with span tracing; print both summaries.
+    """Run ``fn`` under cProfile and print its hotspot table.
 
-    Returns ``fn()``'s result.  The hotspot table comes from cProfile;
-    the span tree re-renders the ``repro.obs`` trace stream (enabled for
-    the duration if it was off) so the wall-clock shape of the pipeline
-    sits next to the per-function costs.
+    Returns ``fn()``'s result.  ``--profile`` also turns tracing on (see
+    :func:`_recording`), so the trace-spans table follows this one and
+    the wall-clock shape of the pipeline sits next to the per-function
+    costs.
     """
     import cProfile
     import pstats
 
-    from repro import obs
     from repro.experiments.common import print_table
 
-    own_trace = not obs.TRACER.enabled
-    if own_trace:
-        obs.TRACER.reset()
-        obs.TRACER.enable()
     profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        result = fn()
-    finally:
-        profiler.disable()
-        spans = obs.TRACER.peek()
-        if own_trace:
-            obs.TRACER.drain()
-            obs.TRACER.disable()
-
+    result = profiler.runcall(fn)
     stats = pstats.Stats(profiler)
     rows = []
     entries = sorted(
@@ -84,60 +70,12 @@ def _profiled(fn):
         rows,
         title="profile (top 15 by internal time)",
     )
-    _print_span_tree(spans, print_table)
     return result
 
 
-def _print_span_tree(spans, print_table):
-    """Aggregate span records into a parent/child tree and print it."""
-    if not spans:
-        print("(no spans recorded)")
-        return
-    nodes = {}
-    for record in spans:
-        key = record["name"]
-        node = nodes.setdefault(
-            key,
-            {
-                "calls": 0,
-                "seconds": 0.0,
-                "parent": record.get("parent"),
-                "depth": record["depth"],
-            },
-        )
-        node["calls"] += 1
-        node["seconds"] += record["duration_s"]
-    children = {}
-    roots = []
-    for name, node in nodes.items():
-        parent = node["parent"]
-        if parent is not None and parent in nodes:
-            children.setdefault(parent, []).append(name)
-        else:
-            roots.append(name)
-    rows = []
-
-    def walk(name, indent):
-        node = nodes[name]
-        rows.append(
-            (
-                "  " * indent + name,
-                node["calls"],
-                f"{node['seconds']:.4f}",
-            )
-        )
-        for child in sorted(
-            children.get(name, ()), key=lambda c: -nodes[c]["seconds"]
-        ):
-            walk(child, indent + 1)
-
-    for root in sorted(roots, key=lambda r: -nodes[r]["seconds"]):
-        walk(root, 0)
-    print_table(("span", "calls", "seconds"), rows, title="span tree")
-
-
 class _UsageError(Exception):
-    """A flag value argparse cannot check: one ``error:`` line, exit 2."""
+    """A flag value or input file argparse cannot check: one ``error:``
+    line, exit 2."""
 
 
 def _live_collector(args, serving):
@@ -168,23 +106,24 @@ def _live_collector(args, serving):
 
 
 @contextmanager
-def _recording(args, serving=False, span_table=False):
+def _recording(args, serving=False):
     """One command's telemetry, from the registry reset to the manifest.
 
     The metrics registry is reset and enabled when ``--metrics-out``,
-    ``--trace`` or a live sink is given, and always when ``serving`` (the
-    gateway's /metrics endpoint reads it); the tracer is reset and
-    enabled with ``--trace``.  Yields ``run``: ``run.collector`` is the
-    live collector (or None).  Every exit, early return and exception
-    included, closes the live sinks and disables both.  A command that
-    completes sets ``run.experiments`` (and ``run.seed``): then
-    ``--metrics-out`` receives the manifest and the metric/span streams,
-    or, with ``span_table`` and no output path, the span totals print.
+    ``--trace``, ``--profile`` or a live sink is given, and always when
+    ``serving`` (the gateway's /metrics endpoint reads it); the tracer
+    is reset and enabled with ``--trace`` or ``--profile``.  Yields
+    ``run``: ``run.collector`` is the live collector (or None).  Every
+    exit, early return and exception included, closes the live sinks
+    and disables both.  A command that completes sets
+    ``run.experiments`` (and ``run.seed``): then ``--metrics-out``
+    receives the manifest and the span records, or, traced without an
+    output path, the span totals print as the ``trace spans`` table.
     """
     from repro import obs
 
     metrics_out = getattr(args, "metrics_out", None)
-    trace = getattr(args, "trace", False)
+    trace = getattr(args, "trace", False) or getattr(args, "profile", False)
     collector = (
         _live_collector(args, serving)
         if hasattr(args, "live_interval") else None
@@ -206,7 +145,7 @@ def _recording(args, serving=False, span_table=False):
             obs.disable()
     if run.experiments is None:
         return
-    if span_table and trace and not metrics_out:
+    if trace and not metrics_out:
         from repro.experiments.common import print_table
 
         rows = [
@@ -218,16 +157,13 @@ def _recording(args, serving=False, span_table=False):
         print_table(("span", "calls", "seconds"), rows, title="trace spans")
     spans = obs.TRACER.drain() if trace else []
     if metrics_out:
-        snapshot = obs.REGISTRY.snapshot()
         manifest = obs.build_manifest(
             experiments=run.experiments,
             seed=run.seed,
-            metrics=snapshot,
+            metrics=obs.REGISTRY.snapshot(),
             n_spans=len(spans),
         )
-        obs.write_run_jsonl(
-            metrics_out, manifest, snapshot=snapshot, spans=spans
-        )
+        obs.write_run_jsonl(metrics_out, manifest, spans=spans)
         print(f"telemetry written to {metrics_out}", file=sys.stderr)
 
 
@@ -280,7 +216,7 @@ def _cmd_run(args):
     def battery():
         return [_run_one(experiment) for experiment in experiments]
 
-    with _recording(args, span_table=True) as run:
+    with _recording(args) as run:
         statuses = _profiled(battery) if args.profile else battery()
         run.experiments = statuses
     failures = [s for s in statuses if s["status"] != "ok"]
@@ -301,88 +237,73 @@ def _cmd_run(args):
     return 1 if failures else 0
 
 
-def _cmd_obs(args):
-    from repro.obs import read_run_jsonl, summarize_manifest
-
+@contextmanager
+def _telemetry_file(path):
+    """A missing or malformed telemetry file is one ``error:`` line."""
     try:
-        manifest, metrics, spans = read_run_jsonl(args.path)
+        yield
     except OSError as error:
-        reason = error.strerror or str(error)
-        print(f"error: {args.path}: {reason}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"{path}: {error.strerror or error}") from None
     except ValueError as error:
-        # Not a run manifest — maybe a live time series from
-        # ``listen --metrics-stream``; summarize that schema instead.
-        from repro.obs import read_metrics_stream, summarize_metrics_stream
+        raise _UsageError(str(error)) from None
 
-        try:
-            samples = read_metrics_stream(args.path)
-        except (OSError, ValueError):
-            samples = []
-        if samples:
-            print(summarize_metrics_stream(samples, path=args.path))
-            return 0
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(summarize_manifest(manifest, metrics, spans))
+
+def _cmd_obs(args):
+    from repro import obs
+
+    with _telemetry_file(args.path):
+        records = obs.read_jsonl(args.path)
+        kinds = {record.get("type") for record in records}
+        if "live" in kinds and "manifest" not in kinds:
+            samples = [r for r in records if r.get("type") == "live"]
+            print(obs.summarize_metrics_stream(samples, path=args.path))
+        else:
+            manifest, spans = obs.run_records(records, args.path)
+            print(obs.summarize_manifest(manifest, spans))
     return 0
 
 
 def _cmd_obs_tail(args):
-    import time as _time
-
     from repro.obs import format_live_line, read_metrics_stream
-    from repro.obs.export import parse_live_record
 
-    if args.follow:
-        try:
-            with open(args.path, encoding="utf-8") as fh:
-                lineno = 0
-                while True:
-                    position = fh.tell()
-                    line = fh.readline()
-                    if not line:
-                        _time.sleep(0.2)
-                        continue
-                    if not line.endswith("\n"):
-                        # Mid-write line: rewind and retry once complete.
-                        fh.seek(position)
-                        _time.sleep(0.2)
-                        continue
-                    lineno += 1
-                    record = parse_live_record(
-                        line, path=args.path, lineno=lineno
-                    )
-                    if record is None:
-                        continue
-                    print(format_live_line(record))
-                    if record.get("final"):
-                        return 0
-        except OSError as error:
-            reason = error.strerror or str(error)
-            print(f"error: {args.path}: {reason}", file=sys.stderr)
-            return 2
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        except KeyboardInterrupt:
+    with _telemetry_file(args.path):
+        if args.follow:
+            try:
+                _follow_live(args.path)
+            except KeyboardInterrupt:
+                pass
             return 0
-
-    try:
         samples = read_metrics_stream(args.path)
-    except OSError as error:
-        reason = error.strerror or str(error)
-        print(f"error: {args.path}: {reason}", file=sys.stderr)
-        return 2
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if not samples:
-        print(f"error: {args.path}: no live records", file=sys.stderr)
-        return 2
-    for sample in samples[-1:] if args.once else samples:
-        print(format_live_line(sample))
+        if not samples:
+            raise _UsageError(f"{args.path}: no live records")
+        for sample in samples[-1:] if args.once else samples:
+            print(format_live_line(sample))
     return 0
+
+
+def _follow_live(path):
+    """Print each live sample appended to ``path`` until the final one."""
+    from repro.obs import format_live_line
+    from repro.obs.export import parse_record
+
+    with open(path, encoding="utf-8") as fh:
+        lineno = 0
+        while True:
+            position = fh.tell()
+            line = fh.readline()
+            if not line.endswith("\n"):
+                # Nothing new, or a line still being written: rewind and
+                # retry once it is complete.
+                fh.seek(position)
+                time.sleep(0.2)
+                continue
+            lineno += 1
+            record = parse_record(line, path=path, lineno=lineno)
+            if record is None or record.get("type") != "live":
+                continue
+            print(format_live_line(record))
+            if record.get("final"):
+                return
 
 
 def _cmd_listen(args):
@@ -979,15 +900,17 @@ def _cmd_info(_args):
     return 0
 
 
-def _add_record_flags(command, trace_help):
+def _add_record_flags(command, spans):
     """``--metrics-out`` and ``--trace``, recorded by :func:`_recording`."""
     command.add_argument(
         "--metrics-out", metavar="PATH", default=None,
-        help="write a run manifest + metric/span JSONL streams to PATH",
+        help="write the run manifest (with its metric snapshot) and any "
+             "trace spans to PATH as JSONL",
     )
     command.add_argument(
         "--trace", action="store_true",
-        help=trace_help,
+        help=f"record {spans} trace spans (into --metrics-out, or a "
+             "span-totals table when no output path is given)",
     )
 
 
@@ -1029,15 +952,11 @@ def build_parser():
     )
     run = sub.add_parser("run", help="run one experiment (or 'all')")
     run.add_argument("experiment", help="experiment id from 'list', or 'all'")
-    _add_record_flags(
-        run,
-        "record pipeline trace spans (into --metrics-out, or a "
-        "span-total table when no output path is given)",
-    )
+    _add_record_flags(run, "pipeline")
     run.add_argument(
         "--profile", action="store_true",
         help="run the experiments under cProfile and print a hotspot "
-             "table plus the pipeline span tree",
+             "table; implies --trace",
     )
     run.set_defaults(func=_cmd_run)
     listen = sub.add_parser(
@@ -1102,12 +1021,10 @@ def build_parser():
     )
     listen.add_argument(
         "--profile", action="store_true",
-        help="run the decode under cProfile and print a hotspot table "
-             "plus the pipeline span tree",
+        help="run the decode under cProfile and print a hotspot table; "
+             "implies --trace",
     )
-    _add_record_flags(
-        listen, "record per-block trace spans (into --metrics-out)"
-    )
+    _add_record_flags(listen, "per-block")
     listen.add_argument(
         "--live", action="store_true",
         help="print a live telemetry dashboard line per collector tick "
@@ -1298,9 +1215,7 @@ def build_parser():
         "--rto", type=float, default=0.35, metavar="SECONDS",
         help="retransmit timeout (default 0.35)",
     )
-    _add_record_flags(
-        send, "record transport trace spans (into --metrics-out)"
-    )
+    _add_record_flags(send, "transport")
     send.set_defaults(func=_cmd_send)
     simulate = sub.add_parser(
         "simulate", help="fleet-scale discrete-event network campaign"
@@ -1359,7 +1274,7 @@ def build_parser():
         "--jobs", type=int, default=None,
         help="worker processes for table calibration",
     )
-    _add_record_flags(simulate, "record sim trace spans (into --metrics-out)")
+    _add_record_flags(simulate, "sim")
     simulate.set_defaults(func=_cmd_simulate)
 
     sub.add_parser("survey", help="scenario site survey").set_defaults(

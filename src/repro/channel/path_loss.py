@@ -30,7 +30,6 @@ class LogDistancePathLoss:
     def __init__(
         self,
         exponent=2.0,
-        reference_loss_db=FREE_SPACE_REFERENCE_LOSS_DB,
         shadowing_sigma_db=0.0,
         wall_loss_db=0.0,
     ):
@@ -39,7 +38,6 @@ class LogDistancePathLoss:
         if shadowing_sigma_db < 0:
             raise ValueError("shadowing sigma must be nonnegative")
         self.exponent = float(exponent)
-        self.reference_loss_db = float(reference_loss_db)
         self.shadowing_sigma_db = float(shadowing_sigma_db)
         self.wall_loss_db = float(wall_loss_db)
 
@@ -48,7 +46,7 @@ class LogDistancePathLoss:
         if distance_m <= 0:
             raise ValueError("distance must be positive")
         return (
-            self.reference_loss_db
+            FREE_SPACE_REFERENCE_LOSS_DB
             + 10.0 * self.exponent * np.log10(distance_m)
             + self.wall_loss_db
         )

@@ -24,7 +24,7 @@ from repro.core.coding import (
     deinterleave,
 )
 from repro.core.scrambler import scramble, descramble, prbs7
-from repro.core.adaptive import AdaptiveCoding, AdaptiveFec, LinkQualityEstimator
+from repro.core.adaptive import AdaptiveCoding, LinkQualityEstimator
 from repro.core.template import TemplateDecoder
 from repro.core.energy import EnergyBudget, symbee_budget, energy_comparison
 from repro.core.convolutional import conv_encode, viterbi_decode
@@ -59,7 +59,6 @@ __all__ = [
     "descramble",
     "prbs7",
     "AdaptiveCoding",
-    "AdaptiveFec",
     "LinkQualityEstimator",
     "TemplateDecoder",
     "EnergyBudget",

@@ -68,19 +68,6 @@ class LinkQualityEstimator:
             min(self.phase_error_probability, 1.0), window=self.window
         )
 
-    def confidence_interval(self, level=0.95):
-        """Wilson interval on Pr_eps."""
-        from scipy import stats
-
-        if self._values == 0:
-            return (0.0, 1.0)
-        z = stats.norm.ppf(0.5 + level / 2.0)
-        n, p = self._values, self.phase_error_probability
-        denom = 1 + z**2 / n
-        centre = (p + z**2 / (2 * n)) / denom
-        margin = z * np.sqrt(p * (1 - p) / n + z**2 / (4 * n**2)) / denom
-        return (max(0.0, centre - margin), min(1.0, centre + margin))
-
     def reset(self):
         self._errors = 0
         self._values = 0
@@ -134,9 +121,6 @@ class CodingDecision:
     estimated_ber: float
     goodput_uncoded: float      # expected delivered data bits per airtime bit
     goodput_coded: float
-    #: Selected scheme name when using :class:`AdaptiveFec` ("uncoded",
-    #: "hamming" or "conv"); the binary policy leaves it implied.
-    scheme: str = ""
 
 
 class AdaptiveCoding:
@@ -188,48 +172,3 @@ class AdaptiveCoding:
             goodput_coded=coded,
         )
 
-
-class AdaptiveFec(AdaptiveCoding):
-    """Three-way scheme selection: uncoded / Hamming(7,4) / K=7 conv.
-
-    Extends the binary policy with the rate-1/2 convolutional option
-    (:mod:`repro.core.convolutional`).  Post-Viterbi error probability is
-    approximated with the dominant union-bound term for the 133/171 code
-    (free distance 10, multiplicity 11, hard decisions):
-
-        p_out ~= 11 * (2 * sqrt(p (1 - p)))^10,
-
-    accurate in the waterfall region where the decision actually matters.
-    """
-
-    #: Free distance and its multiplicity for the K=7 133/171 code.
-    _D_FREE = 10
-    _A_DFREE = 11
-
-    def _conv_goodput(self, ber):
-        p = min(max(ber, 0.0), 0.5)
-        z = 2.0 * np.sqrt(p * (1.0 - p))
-        p_out = min(1.0, self._A_DFREE * z**self._D_FREE)
-        frame_ok = (1.0 - p_out) ** self.frame_bits
-        return 0.5 * frame_ok
-
-    def decide(self, estimator):
-        ber = estimator.estimated_ber
-        options = {
-            "uncoded": self._uncoded_goodput(ber),
-            "hamming": self._coded_goodput(ber),
-            "conv": self._conv_goodput(ber),
-        }
-        if estimator.samples < self.min_samples:
-            scheme = "conv"  # robustness-first default
-        else:
-            scheme = max(options, key=options.get)
-        return CodingDecision(
-            use_coding=scheme != "uncoded",
-            estimated_ber=ber,
-            goodput_uncoded=options["uncoded"],
-            goodput_coded=options[scheme] if scheme != "uncoded" else max(
-                options["hamming"], options["conv"]
-            ),
-            scheme=scheme,
-        )

@@ -116,6 +116,9 @@ class LinkResult:
 class SymBeeLink:
     """A configured sender/receiver pair plus its channel."""
 
+    #: Capture samples after the frame's last chip (noise only).
+    tail_samples = 1000
+
     def __init__(
         self,
         zigbee_channel=13,
@@ -130,7 +133,6 @@ class SymBeeLink:
         tau_sync=None,
         nibble_order="low-first",
         lead_in_samples=2000,
-        tail_samples=1000,
         residual_cfo_hz=0.0,
         track_residual_cfo=False,
     ):
@@ -159,7 +161,6 @@ class SymBeeLink:
         self.interference = interference
         self.include_noise = include_noise
         self.lead_in_samples = int(lead_in_samples)
-        self.tail_samples = int(tail_samples)
         #: Carrier offset beyond the channel grid (crystal ppm error of
         #: the ZigBee transmitter); an impairment the paper's Appendix B
         #: does not cover.  +-40 ppm at 2.44 GHz is about +-100 kHz.

@@ -78,6 +78,10 @@ class ScheduledTransmission:
 class StreamTraffic:
     """Synthesizes a seeded multi-sender baseband stream + ground truth."""
 
+    #: Idle samples enforced between same-channel transmissions and
+    #: before the capture's end, so scheduled frames decode whole.
+    guard_samples = 4096
+
     def __init__(
         self,
         senders,
@@ -87,7 +91,6 @@ class StreamTraffic:
         scenario=None,
         include_noise=True,
         lead_in_samples=2000,
-        guard_samples=4096,
     ):
         self.senders = list(senders)
         if not self.senders:
@@ -99,9 +102,6 @@ class StreamTraffic:
         self.include_noise = bool(include_noise)
         #: First allowed transmission start (receiver warm-up).
         self.lead_in_samples = int(lead_in_samples)
-        #: Idle samples enforced between same-channel transmissions and
-        #: before the capture's end, so scheduled frames decode whole.
-        self.guard_samples = int(guard_samples)
         self.front_end = WifiFrontEnd(
             channel=wifi_channel, sample_rate=sample_rate
         )

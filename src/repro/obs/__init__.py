@@ -11,18 +11,22 @@ Three cooperating pieces, all off by default and cheap when off:
   of nested, labeled spans over the modulate→channel→front_end→decode
   pipeline (the link's one per-stage timing).
 * :mod:`repro.obs.manifest` — per-run manifest records (seed, config,
-  git rev, experiment status, metric snapshot) and JSONL export/import.
+  git rev, experiment status, and the metric snapshot: a run file's one
+  copy of each instrument) and the run JSONL file (manifest + spans).
 * :mod:`repro.obs.live` / :mod:`repro.obs.export` — the live telemetry
-  plane (PR 7): a periodic :class:`~repro.obs.live.LiveCollector`
-  snapshotting the registry while the run is still going, fanning
-  delta/rate samples out to a JSONL time series, a Prometheus text
-  exposition file, or a TTY dashboard line.
+  plane: a periodic :class:`~repro.obs.live.LiveCollector` snapshotting
+  the registry while the run is still going, fanning delta/rate samples
+  out to a JSONL time series, a Prometheus text exposition file, or a
+  TTY dashboard line.  ``export`` also holds the one JSONL line parser
+  every reader shares and the instrument sections both summaries print.
 
 CLI surface: ``python -m repro run <id> --metrics-out run.jsonl --trace``
 records a run, ``python -m repro obs summary run.jsonl`` pretty-prints
-it; ``listen --live --metrics-stream live.jsonl`` streams live samples
-and ``python -m repro obs tail live.jsonl`` replays them.  Schemas are
-documented in ``docs/observability.md``.
+it; ``--trace`` without ``--metrics-out`` prints the span totals as a
+``trace spans`` table instead.  ``listen --live --metrics-stream
+live.jsonl`` streams live samples and ``python -m repro obs tail
+live.jsonl`` replays them.  Schemas are documented in
+``docs/observability.md``.
 """
 
 import logging
@@ -31,6 +35,7 @@ from repro.obs.export import (
     JsonlSink,
     PrometheusFileSink,
     format_live_line,
+    read_jsonl,
     read_metrics_stream,
     render_prometheus,
     summarize_metrics_stream,
@@ -39,6 +44,7 @@ from repro.obs.live import LiveCollector, TtyDashboard
 from repro.obs.manifest import (
     build_manifest,
     read_run_jsonl,
+    run_records,
     summarize_manifest,
     write_run_jsonl,
 )
@@ -59,9 +65,11 @@ __all__ = [
     "enable",
     "disable",
     "format_live_line",
+    "read_jsonl",
     "read_metrics_stream",
     "read_run_jsonl",
     "render_prometheus",
+    "run_records",
     "summarize_manifest",
     "summarize_metrics_stream",
     "write_run_jsonl",

@@ -1,8 +1,8 @@
-"""Sinks and readers for the live telemetry time series.
+"""Sinks for the live telemetry time series, and the telemetry JSONL reader.
 
 The :class:`repro.obs.live.LiveCollector` fans each periodic sample out
-to pluggable sinks; this module holds the built-in ones plus the reader
-the CLI (``obs tail`` / ``obs summary``) uses:
+to pluggable sinks; this module holds the built-in ones plus the JSONL
+reader the CLI (``obs tail`` / ``obs summary``) uses:
 
 * :class:`JsonlSink` — one JSON object per tick, appended to a file.
   The **live-sample schema** (``schema_version`` 1)::
@@ -22,10 +22,12 @@ the CLI (``obs tail`` / ``obs summary``) uses:
 * :class:`PrometheusFileSink` — a Prometheus text-exposition file
   rewritten atomically per tick, for node-exporter-style file scraping
   (full bucket layout, cumulative ``le`` convention).
-* :func:`read_metrics_stream` / :func:`summarize_metrics_stream` — parse
-  a JSONL time series back (one-line, path-prefixed errors on malformed
-  input, matching ``obs summary``'s contract) and render the per-rate
-  min/mean/max overview.
+* :func:`parse_record` / :func:`read_jsonl` — the one JSONL line parser
+  and file reader behind every telemetry reader (one-line, path-prefixed
+  errors on malformed input); :func:`read_metrics_stream` keeps a file's
+  live samples and :func:`summarize_metrics_stream` renders their
+  per-rate min/mean/max overview, its instrument sections drawn by
+  :func:`snapshot_lines` like the run summary's.
 * :func:`format_live_line` — the one-line dashboard rendering shared by
   ``listen --live`` and ``obs tail``.
 """
@@ -167,12 +169,13 @@ def format_live_line(sample, target_msps=TARGET_MSPS):
     return " | ".join(parts)
 
 
-def parse_live_record(line, path="<stream>", lineno=0):
-    """One JSONL line -> live sample dict, ``None`` for other record types.
+def parse_record(line, path="<stream>", lineno=0):
+    """One JSONL line -> record dict, ``None`` for a blank line.
 
-    Blank lines and records of other ``type``s (a mixed file) come back
-    as ``None``; malformed JSON raises ``ValueError`` with the PR-3
-    one-line path-prefixed message the CLI prints verbatim.
+    The one line parser behind every telemetry reader (run files, live
+    time series, ``obs tail --follow``): malformed JSON and non-object
+    records raise ``ValueError`` with a one-line ``path:lineno:``
+    message the CLI prints verbatim.
     """
     line = line.strip()
     if not line:
@@ -188,23 +191,57 @@ def parse_live_record(line, path="<stream>", lineno=0):
             f"{path}:{lineno}: expected a JSON object, got "
             f"{type(record).__name__}"
         )
-    return record if record.get("type") == "live" else None
+    return record
+
+
+def read_jsonl(path):
+    """Every record of a telemetry JSONL file, in file order.
+
+    ``OSError`` propagates for missing/unreadable paths.
+    """
+    with open(path, encoding="utf-8") as fh:
+        return [
+            record
+            for lineno, line in enumerate(fh, start=1)
+            if (record := parse_record(line, path, lineno)) is not None
+        ]
 
 
 def read_metrics_stream(path):
     """Parse a ``--metrics-stream`` JSONL file into live sample dicts.
 
-    Non-live records (e.g. a manifest sharing the file) are skipped;
-    malformed lines raise ``ValueError`` with a one-line path-prefixed
-    message.  ``OSError`` propagates for missing/unreadable paths.
+    Non-live records (e.g. a manifest sharing the file) are skipped.
     """
-    samples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            record = parse_live_record(line, path=path, lineno=lineno)
-            if record is not None:
-                samples.append(record)
-    return samples
+    return [r for r in read_jsonl(path) if r.get("type") == "live"]
+
+
+def snapshot_lines(snapshot, heading=""):
+    """The counters / gauges / histograms sections of a summary.
+
+    Shared by the run-manifest and live-stream summaries: every
+    instrument, sorted by name, each section titled ``heading`` +
+    kind + count.
+    """
+    lines = []
+    counters = snapshot.get("counters", {})
+    if counters:
+        lines.append(f"{heading}counters ({len(counters)}):")
+        width = max(len(name) for name in counters)
+        for name, value in sorted(counters.items()):
+            lines.append(f"  {name.ljust(width)}  {value}")
+    gauges = snapshot.get("gauges", {})
+    if gauges:
+        lines.append(f"{heading}gauges ({len(gauges)}):")
+        for name, value in sorted(gauges.items()):
+            lines.append(f"  {name}  {value:.3f}")
+    histograms = snapshot.get("histograms", {})
+    if histograms:
+        lines.append(f"{heading}histograms ({len(histograms)}):")
+        for name, data in sorted(histograms.items()):
+            count = data.get("count", 0)
+            mean = data.get("total", 0.0) / count if count else math.nan
+            lines.append(f"  {name}  count={count}  mean={mean:.3f}")
+    return lines
 
 
 def summarize_metrics_stream(samples, path=None):
@@ -212,7 +249,7 @@ def summarize_metrics_stream(samples, path=None):
 
     Duration and tick count, then per-rate min/mean/max across ticks
     (zero-dt ticks are excluded from rate statistics) and the final
-    cumulative counters — the ``obs summary`` rendering for the live
+    cumulative instruments — the ``obs summary`` rendering for the live
     schema.
     """
     if not samples:
@@ -239,25 +276,7 @@ def summarize_metrics_stream(samples, path=None):
                 f"  {name.ljust(width)}  min={min(values):12.1f}  "
                 f"mean={mean:12.1f}  max={max(values):12.1f}"
             )
-    counters = last.get("counters", {})
-    if counters:
-        lines.append(f"final counters ({len(counters)}):")
-        width = max(len(name) for name in counters)
-        for name, value in sorted(counters.items()):
-            lines.append(f"  {name.ljust(width)}  {value}")
-    gauges = last.get("gauges", {})
-    if gauges:
-        lines.append(f"final gauges ({len(gauges)}):")
-        for name, value in sorted(gauges.items()):
-            rendered = "nan" if value != value else f"{value:.3f}"
-            lines.append(f"  {name}  {rendered}")
-    histograms = last.get("histograms", {})
-    if histograms:
-        lines.append(f"final histograms ({len(histograms)}):")
-        for name, data in sorted(histograms.items()):
-            count = data.get("count", 0)
-            mean = data.get("total", 0.0) / count if count else math.nan
-            lines.append(f"  {name}  count={count}  mean={mean:.3f}")
+    lines.extend(snapshot_lines(last, heading="final "))
     return "\n".join(lines)
 
 
@@ -267,8 +286,10 @@ __all__ = [
     "JsonlSink",
     "PrometheusFileSink",
     "format_live_line",
-    "parse_live_record",
+    "parse_record",
+    "read_jsonl",
     "read_metrics_stream",
     "render_prometheus",
+    "snapshot_lines",
     "summarize_metrics_stream",
 ]

@@ -1,17 +1,16 @@
-"""Run manifests and JSONL export for telemetry streams.
+"""Run manifests and the run JSONL file.
 
 A *manifest* is one JSON record that makes a run reproducible and
 auditable after the fact: what ran (experiment ids, status, wall time),
 under which configuration (``REPRO_SCALE`` / ``REPRO_JOBS``, resolved
 worker count), from which code (git revision, package/python/numpy
-versions), and what the metrics registry saw (full snapshot inline).
+versions), and what the metrics registry saw (full snapshot inline, the
+file's one copy of each instrument).
 
-``write_run_jsonl`` streams the manifest plus optional per-metric and
-per-span records to one JSONL file — schema documented in
-``docs/observability.md``:
+``write_run_jsonl`` writes the manifest plus one record per trace span
+to one JSONL file — schema documented in ``docs/observability.md``:
 
-    {"type": "manifest", "schema_version": 1, ...}
-    {"type": "metric", "kind": "counter", "name": ..., "value": ...}
+    {"type": "manifest", "schema_version": 1, "metrics": {...}, ...}
     {"type": "span", "name": ..., "start_s": ..., "duration_s": ..., ...}
 """
 
@@ -21,6 +20,8 @@ import platform
 import subprocess
 import sys
 import time
+
+from repro.obs.export import read_jsonl, snapshot_lines
 
 #: Bump when a backwards-incompatible field change lands.
 SCHEMA_VERSION = 1
@@ -102,77 +103,44 @@ def build_manifest(experiments=(), seed=None, metrics=None, argv=None,
     }
 
 
-def metric_records(snapshot):
-    """Flatten a registry snapshot into one JSONL record per instrument."""
-    records = []
-    for name, value in snapshot.get("counters", {}).items():
-        records.append(
-            {"type": "metric", "kind": "counter", "name": name, "value": value}
-        )
-    for name, value in snapshot.get("gauges", {}).items():
-        records.append(
-            {"type": "metric", "kind": "gauge", "name": name, "value": value}
-        )
-    for name, data in snapshot.get("histograms", {}).items():
-        records.append(
-            {"type": "metric", "kind": "histogram", "name": name, **data}
-        )
-    return records
-
-
-def write_run_jsonl(path, manifest, snapshot=None, spans=None):
-    """Write manifest + optional metric/span streams as one JSONL file."""
+def write_run_jsonl(path, manifest, spans=()):
+    """Write the manifest, then one record per span, as one JSONL file."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, sort_keys=True) + "\n")
-        if snapshot:
-            for record in metric_records(snapshot):
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-        for span in spans or ():
+        for span in spans:
             fh.write(json.dumps({"type": "span", **span}, sort_keys=True) + "\n")
     return path
 
 
+def run_records(records, path):
+    """Pick ``(manifest, spans)`` out of a run file's parsed records.
+
+    Record types it does not use are skipped, among them the ``metric``
+    records older files carry next to the manifest's inline snapshot.
+    Raises ``ValueError`` with a one-line, path-prefixed message when no
+    manifest record is found.
+    """
+    manifest = next((r for r in records if r.get("type") == "manifest"), None)
+    if manifest is None:
+        raise ValueError(
+            f"{path}: no manifest record found — is this a "
+            "'run --metrics-out' JSONL file?"
+        )
+    return manifest, [r for r in records if r.get("type") == "span"]
+
+
 def read_run_jsonl(path):
-    """Parse a run JSONL file into ``(manifest, metric_records, spans)``.
+    """Parse a run JSONL file into ``(manifest, spans)``.
 
     Raises ``ValueError`` with a one-line, path-prefixed message when the
     file is empty, malformed, or holds no manifest record (``OSError``
     propagates for missing/unreadable paths) — the CLI prints these
     verbatim, so they must make sense on their own.
     """
-    manifest, metrics, spans = None, [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ValueError(
-                    f"{path}:{lineno}: not valid JSONL ({error.msg})"
-                ) from error
-            if not isinstance(record, dict):
-                raise ValueError(
-                    f"{path}:{lineno}: expected a JSON object, got "
-                    f"{type(record).__name__}"
-                )
-            kind = record.get("type")
-            if kind == "manifest" and manifest is None:
-                manifest = record
-            elif kind == "metric":
-                metrics.append(record)
-            elif kind == "span":
-                spans.append(record)
-    if manifest is None:
-        raise ValueError(
-            f"{path}: no manifest record found — is this a "
-            "'run --metrics-out' JSONL file?"
-        )
-    return manifest, metrics, spans
+    return run_records(read_jsonl(path), path)
 
 
-def summarize_manifest(manifest, metrics=(), spans=(), top=10):
+def summarize_manifest(manifest, spans=()):
     """Human-readable multi-line summary of a parsed run manifest."""
     lines = []
     created = time.strftime(
@@ -214,25 +182,7 @@ def summarize_manifest(manifest, metrics=(), spans=(), top=10):
         lines.append(
             "namespaces: " + " ".join(f"{ns}.*" for ns in namespaces)
         )
-    counters = snapshot.get("counters", {})
-    if counters:
-        lines.append(f"counters ({len(counters)}):")
-        ranked = sorted(counters.items(), key=lambda kv: -kv[1])[:top]
-        width = max(len(name) for name, _ in ranked)
-        for name, value in ranked:
-            lines.append(f"  {name.ljust(width)}  {value}")
-    gauges = snapshot.get("gauges", {})
-    if gauges:
-        lines.append(f"gauges ({len(gauges)}):")
-        for name, value in sorted(gauges.items())[:top]:
-            lines.append(f"  {name}  {value:.3f}")
-    histograms = snapshot.get("histograms", {})
-    if histograms:
-        lines.append(f"histograms ({len(histograms)}):")
-        for name, data in sorted(histograms.items()):
-            count = data.get("count", 0)
-            mean = data.get("total", 0.0) / count if count else float("nan")
-            lines.append(f"  {name}  count={count}  mean={mean:.3f}")
+    lines.extend(snapshot_lines(snapshot))
     n_spans = manifest.get("n_spans", 0) or len(spans)
     if n_spans:
         lines.append(f"spans: {n_spans} recorded")

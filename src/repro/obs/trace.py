@@ -4,7 +4,8 @@
 records carrying nesting depth and free-form labels, so a run can be
 replayed as a timeline (``modulate -> channel -> front_end -> decode``
 under each ``measure_link`` parent); :meth:`Tracer.totals` gives the
-per-stage totals.  These spans are the link's only stage timing.
+per-stage totals (the CLI's ``trace spans`` table).  These spans are
+the link's only stage timing.
 
 Tracing is **off by default**: ``span()`` then returns a shared no-op
 context manager, costing one method call per instrumented block.  Spans
@@ -143,19 +144,11 @@ class Tracer:
         self._records = []
         return records
 
-    def peek(self):
-        """Return the recorded spans without clearing the buffer.
-
-        Lets a live summary (e.g. the CLI profiler's span tree) render
-        the stream while a later ``drain`` still exports it in full.
-        """
-        return list(self._records)
-
     def totals(self):
         """Aggregate ``name -> {"calls": n, "seconds": s}`` over the buffer.
 
-        The flat per-stage view (``link.decode`` etc.); useful for quick
-        span summaries without exporting the whole stream.
+        The flat per-stage view (``link.decode`` etc.) the CLI prints as
+        its ``trace spans`` table when a traced run has no output path.
         """
         out = {}
         for record in self._records:

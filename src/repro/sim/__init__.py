@@ -14,6 +14,7 @@ See ``docs/simulation.md`` for the architecture and manifest format.
 from repro.sim.campaign import (
     CampaignResult,
     FleetSimulation,
+    build_model,
     load_manifest,
     run_campaign,
 )
@@ -30,14 +31,12 @@ from repro.sim.faults import (
     AckBlackoutFaults,
     FaultModel,
     NodeCrashFaults,
-    make_faults,
 )
 from repro.sim.mobility import (
     MOBILITY_MODELS,
     MobilityModel,
     StaticMobility,
     WaypointMobility,
-    make_mobility,
 )
 from repro.sim.noise import (
     NOISE_MODELS,
@@ -45,7 +44,6 @@ from repro.sim.noise import (
     BurstNoise,
     NoiseModel,
     NoiseState,
-    make_noise,
 )
 from repro.sim.scheduler import Event, EventScheduler, stable_key_int
 from repro.sim.topology import (
@@ -54,7 +52,6 @@ from repro.sim.topology import (
     GridTopology,
     RandomTopology,
     Topology,
-    make_topology,
 )
 
 __all__ = [
@@ -86,13 +83,10 @@ __all__ = [
     "TOPOLOGIES",
     "Topology",
     "WaypointMobility",
+    "build_model",
     "default_cache_dir",
     "load_manifest",
     "make_comm",
-    "make_faults",
-    "make_mobility",
-    "make_noise",
-    "make_topology",
     "run_campaign",
     "sample_frame_outcomes",
     "stable_key_int",

@@ -32,11 +32,11 @@ import json
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 from repro.sim.comm import CommunicationModel, make_comm
-from repro.sim.faults import make_faults
-from repro.sim.mobility import make_mobility
-from repro.sim.noise import make_noise
+from repro.sim.faults import FAULT_MODELS
+from repro.sim.mobility import MOBILITY_MODELS
+from repro.sim.noise import NOISE_MODELS
 from repro.sim.scheduler import EventScheduler
-from repro.sim.topology import make_topology
+from repro.sim.topology import TOPOLOGIES
 from repro.zigbee.channels import overlapping_zigbee_channels
 from repro.zigbee.csma import CCA_DURATION_S, UNIT_BACKOFF_S
 
@@ -194,13 +194,17 @@ class FleetSimulation:
             raise ValueError("traffic interval_s must be positive")
 
         self.scheduler = EventScheduler(seed=self.seed)
-        self.topology = make_topology(
-            m.get("topology") or {"kind": "grid", "n_nodes": 9},
-            seed=self.seed,
+        topology = dict(m.get("topology") or {"kind": "grid", "n_nodes": 9})
+        if topology.get("kind") in ("random", "cluster"):
+            # The campaign seed reshuffles placement unless the manifest
+            # pins one.
+            topology.setdefault("seed", self.seed)
+        self.topology = build_model(TOPOLOGIES, topology, "topology", "grid")
+        self.mobility = build_model(
+            MOBILITY_MODELS, m.get("mobility"), "mobility", "static"
         )
-        self.mobility = make_mobility(m.get("mobility"))
-        self.noise = make_noise(m.get("noise"))
-        self.faults = make_faults(m.get("faults"))
+        self.noise = build_model(NOISE_MODELS, m.get("noise"), "noise", "none")
+        self.faults = build_model(FAULT_MODELS, m.get("faults"), "fault", "none")
         comm_spec = m.get("comm")
         self.comm = (
             comm_spec
@@ -406,6 +410,25 @@ def load_manifest(path):
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: manifest must be a JSON object")
     return manifest
+
+
+def build_model(models, spec, what, default_kind):
+    """Build a manifest model from ``{"kind": ..., **kwargs}`` (or None).
+
+    ``models`` maps each kind to its constructor (``TOPOLOGIES``,
+    ``FAULT_MODELS``, ...); ``what`` names the model in the error an
+    unknown kind raises.
+    """
+    spec = dict(spec or {})
+    kind = spec.pop("kind", default_kind)
+    try:
+        factory = models[kind]
+    except KeyError:
+        valid = ", ".join(sorted(models))
+        raise ValueError(
+            f"unknown {what} kind {kind!r}; valid: {valid}"
+        ) from None
+    return factory(**spec)
 
 
 def run_campaign(manifest, table=None, cache_dir=None, jobs=None):

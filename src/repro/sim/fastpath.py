@@ -25,7 +25,6 @@ transport layer uses, applied per frame.
 
 import json
 import logging
-import math
 import os
 import tempfile
 from bisect import bisect_left
@@ -324,22 +323,6 @@ class DeliveryTable:
         lo = hi - 1
         frac = (snr_db - grid[lo]) / (grid[hi] - grid[lo])
         return row[lo] + frac * (row[hi] - row[lo])
-
-    def binomial_bound(self, snr_db, interferers=0, fec=None, z=3.0):
-        """Half-width of the z-sigma binomial band around a table cell.
-
-        Evaluated at the nearest grid SNR (the cell actually measured).
-        Tests assert |observed_rate − table_p| within this bound plus
-        the validation run's own binomial noise.
-        """
-        if fec is None:
-            fec = self.config.fec_schemes[0]
-        k = min(max(0, int(interferers)), self.config.max_interferers)
-        grid = self._grid
-        nearest = min(grid, key=lambda s: abs(s - snr_db))
-        delivered, trials = self.cells[(nearest, k, fec)]
-        p = delivered / max(1, trials)
-        return z * math.sqrt(max(p * (1.0 - p), 1.0 / trials) / trials)
 
     # -- calibration --------------------------------------------------------
 

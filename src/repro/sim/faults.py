@@ -102,19 +102,3 @@ FAULT_MODELS = {
     "crash": NodeCrashFaults,
     "ack-blackout": AckBlackoutFaults,
 }
-
-
-def make_faults(spec):
-    """Build a fault model from ``{"kind": ..., **kwargs}`` (or None)."""
-    if spec is None:
-        return FaultModel()
-    spec = dict(spec)
-    kind = spec.pop("kind", "none")
-    try:
-        factory = FAULT_MODELS[kind]
-    except KeyError:
-        valid = ", ".join(sorted(FAULT_MODELS))
-        raise ValueError(
-            f"unknown fault kind {kind!r}; valid: {valid}"
-        ) from None
-    return factory(**spec)

@@ -113,19 +113,3 @@ MOBILITY_MODELS = {
     "static": StaticMobility,
     "waypoint": WaypointMobility,
 }
-
-
-def make_mobility(spec):
-    """Build a mobility model from ``{"kind": ..., **kwargs}`` (or None)."""
-    if spec is None:
-        return StaticMobility()
-    spec = dict(spec)
-    kind = spec.pop("kind", "static")
-    try:
-        factory = MOBILITY_MODELS[kind]
-    except KeyError:
-        valid = ", ".join(sorted(MOBILITY_MODELS))
-        raise ValueError(
-            f"unknown mobility kind {kind!r}; valid: {valid}"
-        ) from None
-    return factory(**spec)

@@ -170,19 +170,3 @@ NOISE_MODELS = {
     "ambient": AmbientNoise,
     "burst": BurstNoise,
 }
-
-
-def make_noise(spec):
-    """Build a noise model from ``{"kind": ..., **kwargs}`` (or None)."""
-    if spec is None:
-        return NoiseModel()
-    spec = dict(spec)
-    kind = spec.pop("kind", "none")
-    try:
-        factory = NOISE_MODELS[kind]
-    except KeyError:
-        valid = ", ".join(sorted(NOISE_MODELS))
-        raise ValueError(
-            f"unknown noise kind {kind!r}; valid: {valid}"
-        ) from None
-    return factory(**spec)

@@ -246,13 +246,6 @@ class EventScheduler:
             raise ValueError("delay must be nonnegative")
         return self.at(self.now + float(delay_s), fn, *args)
 
-    def peek_time(self):
-        """Time of the next live event, or ``None`` when drained."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
-
     def __len__(self):
         return sum(1 for _, _, event in self._heap if not event.cancelled)
 

@@ -190,24 +190,3 @@ TOPOLOGIES = {
     "random": RandomTopology,
     "cluster": ClusterTopology,
 }
-
-
-def make_topology(spec, seed=0):
-    """Build a topology from a manifest dict like ``{"kind": "grid", ...}``.
-
-    Randomized kinds take their placement seed from the manifest entry
-    (``spec["seed"]``) when present, else from ``seed`` — so a campaign
-    seed reshuffles placement unless the manifest pins it.
-    """
-    spec = dict(spec)
-    kind = spec.pop("kind", "grid")
-    try:
-        factory = TOPOLOGIES[kind]
-    except KeyError:
-        valid = ", ".join(sorted(TOPOLOGIES))
-        raise ValueError(
-            f"unknown topology kind {kind!r}; valid: {valid}"
-        ) from None
-    if kind in ("random", "cluster"):
-        spec.setdefault("seed", seed)
-    return factory(**spec)

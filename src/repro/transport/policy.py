@@ -8,12 +8,13 @@ estimate and picks, per transmission, the FEC scheme maximizing expected
 transport goodput; per message, it also picks the fragment size (which
 fixes the strongest scheme the message's fragments can ever use).
 
-The goodput model extends :class:`repro.core.adaptive.AdaptiveFec` from
-bare frames to transport framing: a fragment survives only if both its
-uncoded implicit header fields (frame type + sequence byte, 12 bits) and
-its FEC-protected PDU decode cleanly, and schemes differ in air time, so
-the comparison is ``payload_bits * P(success) / airtime`` rather than a
-pure rate product.
+The goodput model extends :class:`repro.core.adaptive.AdaptiveCoding`'s
+frame-level reasoning to three schemes (uncoded, Hamming(7,4), K=7
+convolutional) and to transport framing: a fragment survives only if
+both its uncoded implicit header fields (frame type + sequence byte, 12
+bits) and its FEC-protected PDU decode cleanly, and schemes differ in
+air time, so the comparison is ``payload_bits * P(success) / airtime``
+rather than a pure rate product.
 """
 
 from dataclasses import dataclass

@@ -130,6 +130,10 @@ class _Endpoint:
     advances.
     """
 
+    #: Attempts after which a fragment goes out under the strongest
+    #: feasible scheme, whatever the policy says.
+    escalate_after = 2
+
     _KEY_PROFILE = 1
     _KEY_TX = 2
     _KEY_ACK = 3
@@ -147,7 +151,6 @@ class _Endpoint:
         window,
         rto_s,
         max_attempts,
-        escalate_after,
     ):
         self.root = root
         self.channel = channel
@@ -157,7 +160,6 @@ class _Endpoint:
         self.message = bytes(message)
         self.msg_id = int(msg_id)
         self.fragment_bits = int(fragment_bits)
-        self.escalate_after = int(escalate_after)
         self.fragments = segment_message(self.message, self.msg_id, self.fragment_bits)
         self.feasible = feasible_schemes(self.fragment_bits)
         self.arq = ArqSender(
@@ -371,7 +373,6 @@ class TransportSession:
         window=ACK_WINDOW,
         rto_s=0.35,
         max_attempts=12,
-        escalate_after=2,
         zigbee_channel=13,
         wifi_channel=1,
         **link_kwargs,
@@ -402,7 +403,6 @@ class TransportSession:
         self.window = int(window)
         self.rto_s = float(rto_s)
         self.max_attempts = int(max_attempts)
-        self.escalate_after = int(escalate_after)
         self._msg_seq = 0
         self._clock_s = 0.0
 
@@ -434,7 +434,6 @@ class TransportSession:
             window=self.window,
             rto_s=self.rto_s,
             max_attempts=self.max_attempts,
-            escalate_after=self.escalate_after,
         )
         self._msg_seq += 1
         if REGISTRY.enabled:

@@ -99,12 +99,12 @@ class WifiDetection:
 class IdleListening:
     """The continuously running packet-search module of a WiFi receiver."""
 
-    def __init__(
-        self,
-        sample_rate=WIFI_SAMPLE_RATE_20MHZ,
-        metric_threshold=0.7,
-        phase_tolerance=0.35,
-    ):
+    #: Schmidl-Cox timing metric a WiFi STF plateau must exceed.
+    metric_threshold = 0.7
+    #: Largest autocorrelation phase (radians) an STF plateau may show.
+    phase_tolerance = 0.35
+
+    def __init__(self, sample_rate=WIFI_SAMPLE_RATE_20MHZ):
         self.sample_rate = float(sample_rate)
         lag = self.sample_rate * 0.8e-6  # STS repetition period
         if abs(lag - round(lag)) > 1e-9:
@@ -113,8 +113,6 @@ class IdleListening:
         self.lag = int(round(lag))
         if self.sample_rate == WIFI_SAMPLE_RATE_20MHZ:
             assert self.lag == WIFI_AUTOCORR_LAG_20MHZ
-        self.metric_threshold = float(metric_threshold)
-        self.phase_tolerance = float(phase_tolerance)
         #: Samples a Schmidl-Cox plateau must persist to call a WiFi packet.
         #: The STF lasts 8 us; the plateau is about one lag shorter, and we
         #: leave one further lag of margin for noisy edges.

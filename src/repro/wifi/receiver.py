@@ -49,13 +49,6 @@ class OfdmReception:
     cfo_hz: float
     evm: float                  # RMS error-vector magnitude of data symbols
 
-    @property
-    def snr_estimate_db(self):
-        """EVM-implied SNR (rough; assumes noise-dominated errors)."""
-        if self.evm <= 0:
-            return float("inf")
-        return float(-20.0 * np.log10(self.evm))
-
 
 class OfdmReceiver:
     """Decodes packets produced by :class:`OfdmTransmitter`."""

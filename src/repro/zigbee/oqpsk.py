@@ -18,11 +18,10 @@ no resampling error enters the cross-observability analysis.
 import numpy as np
 
 from repro.constants import ZIGBEE_PULSE_DURATION
-from repro.zigbee.symbols import bytes_to_symbols
 
 
 class OqpskModulator:
-    """Chip/symbol/byte stream to complex-baseband O-QPSK waveform."""
+    """Chip/symbol stream to complex-baseband O-QPSK waveform."""
 
     def __init__(self, sample_rate):
         samples_per_pulse = sample_rate * ZIGBEE_PULSE_DURATION
@@ -126,10 +125,6 @@ class OqpskModulator:
         positions = seg_len * np.arange(1, n + 1)[:, None] + np.arange(off)[None, :]
         out[positions] += tail[symbols]
         return out
-
-    def modulate_bytes(self, payload, nibble_order="low-first"):
-        """Render a byte string (low nibble transmitted first by default)."""
-        return self.modulate_symbols(bytes_to_symbols(payload, nibble_order))
 
 
 class OqpskDemodulator:

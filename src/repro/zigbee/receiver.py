@@ -33,13 +33,14 @@ class ZigBeeReception:
 class ZigBeeReceiver:
     """SHR-synchronized matched-filter receiver."""
 
-    def __init__(self, sample_rate=WIFI_SAMPLE_RATE_20MHZ, detection_threshold=0.5):
+    #: Normalized correlation needed to declare a sync (0..1).
+    detection_threshold = 0.5
+
+    def __init__(self, sample_rate=WIFI_SAMPLE_RATE_20MHZ):
         self.demodulator = OqpskDemodulator(sample_rate)
         self._mod = OqpskModulator(sample_rate)
         self._shr_reference = self._mod.modulate_symbols(list(SHR_SYMBOLS))
         self._shr_energy = float(np.sum(np.abs(self._shr_reference) ** 2))
-        #: Normalized correlation needed to declare a sync (0..1).
-        self.detection_threshold = detection_threshold
 
     @property
     def sample_rate(self):

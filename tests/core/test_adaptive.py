@@ -29,16 +29,6 @@ class TestLinkQualityEstimator:
         estimator.reset()
         assert estimator.samples == 0
 
-    def test_confidence_interval_shrinks(self):
-        estimator = LinkQualityEstimator()
-        estimator.observe([1], [74])
-        wide = estimator.confidence_interval()
-        for _ in range(50):
-            estimator.observe([1] * 10, [74] * 10)
-        narrow = estimator.confidence_interval()
-        assert (narrow[1] - narrow[0]) < (wide[1] - wide[0])
-        assert narrow[0] <= estimator.phase_error_probability <= narrow[1]
-
     def test_tracks_real_link_quality(self, rng):
         clean, noisy = LinkQualityEstimator(), LinkQualityEstimator()
         for estimator, snr in ((clean, 15.0), (noisy, -4.0)):
@@ -92,59 +82,6 @@ class TestAdaptiveCoding:
         # Monotone switch from 'uncoded wins' to 'coded wins'.
         assert coding_better == sorted(coding_better)
         assert not coding_better[0] and coding_better[-1]
-
-
-class TestAdaptiveFec:
-    def _estimator_with_counts(self, count, n=20):
-        from repro.core.adaptive import LinkQualityEstimator
-
-        estimator = LinkQualityEstimator()
-        estimator.observe([1] * n, [count] * n)
-        return estimator
-
-    def test_robust_default_is_conv(self):
-        from repro.core.adaptive import AdaptiveFec, LinkQualityEstimator
-
-        decision = AdaptiveFec().decide(LinkQualityEstimator())
-        assert decision.scheme == "conv"
-        assert decision.use_coding
-
-    def test_clean_link_uncoded(self):
-        from repro.core.adaptive import AdaptiveFec
-
-        policy = AdaptiveFec(min_samples=84)
-        decision = policy.decide(self._estimator_with_counts(84))
-        assert decision.scheme == "uncoded"
-        assert not decision.use_coding
-
-    def test_moderate_ber_selects_conv(self):
-        from repro.core.adaptive import AdaptiveFec
-
-        policy = AdaptiveFec(frame_bits=48, min_samples=84)
-        # Counts near 50/84: Pr_eps ~0.4, vote BER a few percent — the
-        # convolutional code's sweet spot.
-        decision = policy.decide(self._estimator_with_counts(50))
-        assert 0.01 < decision.estimated_ber < 0.12
-        assert decision.scheme == "conv"
-
-    def test_heavy_ber_prefers_some_coding(self):
-        from repro.core.adaptive import AdaptiveFec
-
-        policy = AdaptiveFec(frame_bits=48, min_samples=84)
-        decision = policy.decide(self._estimator_with_counts(45))
-        assert decision.scheme in ("hamming", "conv")
-
-    def test_goodput_models_ordering_sane(self):
-        from repro.core.adaptive import AdaptiveFec
-
-        policy = AdaptiveFec(frame_bits=48)
-        # At zero BER: uncoded 1.0 > hamming 4/7 > conv 1/2.
-        assert policy._uncoded_goodput(0.0) == pytest.approx(1.0)
-        assert policy._coded_goodput(0.0) == pytest.approx(4 / 7)
-        assert policy._conv_goodput(0.0) == pytest.approx(0.5)
-        # In the conv sweet spot it dominates.
-        assert policy._conv_goodput(0.05) > policy._coded_goodput(0.05)
-        assert policy._conv_goodput(0.05) > policy._uncoded_goodput(0.05)
 
 
 def _observe_reference(window, decoded_bits, counts):

@@ -7,7 +7,7 @@ import pytest
 
 import repro.experiments
 from repro.__main__ import main
-from repro.obs import read_run_jsonl
+from repro.obs import TRACER, build_manifest, read_run_jsonl
 
 
 class _StubExperiment:
@@ -24,6 +24,11 @@ class _StubExperiment:
 
 def _boom():
     raise ValueError("synthetic failure")
+
+
+def _traced_work():
+    with TRACER.span("stub.work"):
+        pass
 
 
 class TestRunAll:
@@ -68,7 +73,7 @@ class TestMetricsOut:
     def test_manifest_and_metric_stream_written(self, tmp_path, capsys):
         out = tmp_path / "run.jsonl"
         assert main(["run", "table1", "--metrics-out", str(out)]) == 0
-        manifest, metrics, spans = read_run_jsonl(out)
+        manifest, spans = read_run_jsonl(out)
         assert manifest["experiments"][0]["id"] == "table1"
         assert manifest["experiments"][0]["status"] == "ok"
         assert manifest["schema_version"] == 1
@@ -80,13 +85,15 @@ class TestMetricsOut:
             for line in fh:
                 json.loads(line)
 
-    def test_trace_adds_spans(self, tmp_path):
+    def test_trace_adds_spans(self, tmp_path, capsys):
         out = tmp_path / "run.jsonl"
         assert main(
             ["run", "fig07", "--metrics-out", str(out), "--trace"]
         ) == 0
-        manifest, _, spans = read_run_jsonl(out)
+        manifest, spans = read_run_jsonl(out)
         assert manifest["n_spans"] == len(spans)
+        # The spans went to the file, so no table prints.
+        assert "== trace spans ==" not in capsys.readouterr().out
 
     def test_failed_run_still_writes_manifest(
         self, monkeypatch, tmp_path, capsys
@@ -95,9 +102,99 @@ class TestMetricsOut:
         monkeypatch.setattr(repro.experiments, "EXPERIMENTS", stubs)
         out = tmp_path / "run.jsonl"
         assert main(["run", "bad", "--metrics-out", str(out)]) == 1
-        manifest, _, _ = read_run_jsonl(out)
+        manifest, _ = read_run_jsonl(out)
         assert manifest["experiments"][0]["status"] == "error"
         assert "synthetic failure" in manifest["experiments"][0]["error"]
+
+
+_LISTEN = ["listen", "--senders", "1", "--duration", "0.01", "--wideband"]
+_PROFILE_TITLE = "== profile (top 15 by internal time) =="
+
+
+def _assert_span_report(out, span, profiled):
+    """The span table with a ``span`` row; the cProfile table before it
+    exactly when ``profiled``."""
+    assert "== trace spans ==" in out
+    assert any(line.startswith(span + " ") for line in out.splitlines())
+    assert (_PROFILE_TITLE in out) == profiled
+    if profiled:
+        assert out.index(_PROFILE_TITLE) < out.index("== trace spans ==")
+
+
+class TestSpanReport:
+    """Traced without an output path, every recording command prints
+    the span totals; ``--profile`` turns tracing on and adds only the
+    cProfile table."""
+
+    @pytest.mark.parametrize("flag", ["--trace", "--profile"])
+    def test_run(self, flag, monkeypatch, capsys):
+        stubs = {"traced": _StubExperiment("traced", _traced_work)}
+        monkeypatch.setattr(repro.experiments, "EXPERIMENTS", stubs)
+        assert main(["run", "traced", flag]) == 0
+        _assert_span_report(
+            capsys.readouterr().out, "stub.work", flag == "--profile"
+        )
+        assert not TRACER.enabled
+
+    @pytest.mark.parametrize(
+        "argv,span",
+        [
+            (_LISTEN + ["--trace"], "stream.block"),
+            (_LISTEN + ["--profile"], "stream.block"),
+            (["send", "--size", "4", "--trace"], "transport.message"),
+        ],
+        ids=["listen", "listen-profile", "send"],
+    )
+    def test_command(self, argv, span, capsys):
+        assert main(argv) == 0
+        _assert_span_report(
+            capsys.readouterr().out, span, "--profile" in argv
+        )
+
+
+class TestRunFileLayout:
+    def test_metrics_out_holds_each_instrument_once(self, tmp_path, capsys):
+        out = tmp_path / "send.jsonl"
+        assert main(
+            ["send", "--size", "4", "--metrics-out", str(out), "--trace"]
+        ) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["type"] for r in records].count("manifest") == 1
+        assert {r["type"] for r in records} == {"manifest", "span"}
+        snapshot = records[0]["metrics"]
+        names = [
+            name
+            for kind in ("counters", "gauges", "histograms")
+            for name in snapshot[kind]
+        ]
+        assert "transport.fragments.sent" in names
+        assert len(names) == len(set(names))
+
+    def test_old_layout_with_metric_records_reads_and_summarizes(
+        self, tmp_path, capsys
+    ):
+        snapshot = {
+            "counters": {"link.frames": 3},
+            "gauges": {},
+            "histograms": {},
+        }
+        old = [
+            build_manifest(metrics=snapshot, argv=[], n_spans=1),
+            {"type": "metric", "kind": "counter", "name": "link.frames",
+             "value": 3},
+            {"type": "span", "name": "link.decode", "start_s": 0.0,
+             "duration_s": 0.001, "depth": 0, "parent": None,
+             "error": None},
+        ]
+        path = tmp_path / "old.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in old))
+        manifest, spans = read_run_jsonl(path)
+        assert manifest["metrics"] == snapshot
+        assert [s["name"] for s in spans] == ["link.decode"]
+        assert main(["obs", "summary", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert text.count("link.frames") == 1
+        assert "spans: 1 recorded" in text
 
 
 class TestObsSummary:

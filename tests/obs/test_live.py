@@ -13,7 +13,7 @@ from repro.obs.export import (
     JsonlSink,
     PrometheusFileSink,
     format_live_line,
-    parse_live_record,
+    parse_record,
     read_metrics_stream,
     render_prometheus,
     summarize_metrics_stream,
@@ -279,7 +279,7 @@ class TestSinksAndReaders:
 
     def test_parse_rejects_non_object(self):
         with pytest.raises(ValueError, match=r"x\.jsonl:3: expected"):
-            parse_live_record("[1, 2]", path="x.jsonl", lineno=3)
+            parse_record("[1, 2]", path="x.jsonl", lineno=3)
 
     def test_prometheus_rendering(self, metered):
         registry, counter, gauge, hist = metered

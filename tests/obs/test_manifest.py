@@ -7,7 +7,6 @@ import pytest
 from repro.obs.manifest import (
     build_manifest,
     git_revision,
-    metric_records,
     read_run_jsonl,
     summarize_manifest,
     write_run_jsonl,
@@ -59,12 +58,14 @@ class TestBuildManifest:
 
 
 class TestMetricRecords:
-    def test_one_record_per_instrument(self):
-        records = metric_records(_snapshot())
-        kinds = sorted(r["kind"] for r in records)
-        assert kinds == ["counter", "counter", "gauge", "histogram"]
-        hist = [r for r in records if r["kind"] == "histogram"][0]
-        assert hist["name"] == "decoder.vote_margin"
+    def test_one_record_per_instrument(self, tmp_path):
+        # The manifest's inline snapshot is the file's one copy of each
+        # instrument: no per-instrument ``metric`` records follow it.
+        path = tmp_path / "run.jsonl"
+        write_run_jsonl(path, build_manifest(metrics=_snapshot(), argv=[]))
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["type"] for r in records] == ["manifest"]
+        hist = records[0]["metrics"]["histograms"]["decoder.vote_margin"]
         assert hist["counts"] == [1, 2, 0]
 
 
@@ -75,11 +76,11 @@ class TestJsonlRoundTrip:
         spans = [{"name": "link.decode", "start_s": 0.0,
                   "duration_s": 0.002, "depth": 0, "parent": None,
                   "error": None}]
-        write_run_jsonl(path, manifest, snapshot=_snapshot(), spans=spans)
+        write_run_jsonl(path, manifest, spans=spans)
 
-        parsed, metrics, parsed_spans = read_run_jsonl(path)
+        parsed, parsed_spans = read_run_jsonl(path)
         assert parsed["type"] == "manifest"
-        assert len(metrics) == 4
+        assert parsed["metrics"] == _snapshot()
         assert parsed_spans[0]["name"] == "link.decode"
         # every line is standalone JSON
         with open(path) as fh:

@@ -329,8 +329,7 @@ class TestSimulateCli:
     ):
         metrics = tmp_path / "sim.jsonl"
         # Warm the calibration cache first so the recorded run holds
-        # only sim.* counters (obs summary prints the top counters;
-        # cold-calibration link.*/decoder.* totals would crowd them out).
+        # only sim.* counters, not cold-calibration link.*/decoder.* ones.
         assert main(self._flags(shared_cache)) == 0
         assert (
             main(self._flags(shared_cache, "--metrics-out", str(metrics)))
@@ -341,6 +340,14 @@ class TestSimulateCli:
         out = capsys.readouterr().out
         assert "sim.*" in out
         assert "sim.frames.offered" in out
+
+    def test_trace_prints_span_totals(self, shared_cache, capsys):
+        assert main(self._flags(shared_cache, "--trace")) == 0
+        out = capsys.readouterr().out
+        assert "== trace spans ==" in out
+        assert any(
+            line.startswith("sim.campaign ") for line in out.splitlines()
+        )
 
     def test_bad_manifest_path_exits_2(self, capsys):
         assert main(["simulate", "/nonexistent/scene.json"]) == 2

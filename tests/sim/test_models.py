@@ -15,11 +15,12 @@ from repro.sim import (
     RandomTopology,
     StaticMobility,
     WaypointMobility,
-    make_faults,
-    make_mobility,
-    make_noise,
-    make_topology,
+    build_model,
 )
+from repro.sim.faults import FAULT_MODELS
+from repro.sim.mobility import MOBILITY_MODELS
+from repro.sim.noise import NOISE_MODELS
+from repro.sim.topology import TOPOLOGIES
 
 
 class TestTopology:
@@ -69,10 +70,12 @@ class TestTopology:
         assert len(topo.node_ids) == 15
 
     def test_make_topology_registry(self):
-        topo = make_topology({"kind": "grid", "n_nodes": 4})
+        topo = build_model(
+            TOPOLOGIES, {"kind": "grid", "n_nodes": 4}, "topology", "grid"
+        )
         assert len(topo.node_ids) == 4
-        with pytest.raises(ValueError, match="unknown topology"):
-            make_topology({"kind": "mesh"})
+        with pytest.raises(ValueError, match="unknown topology kind 'mesh'"):
+            build_model(TOPOLOGIES, {"kind": "mesh"}, "topology", "grid")
 
 
 class TestMobility:
@@ -112,16 +115,18 @@ class TestMobility:
         assert a.position(0, 5.0) == b.position(0, 5.0)
 
     def test_make_mobility_defaults_to_static(self):
-        assert isinstance(make_mobility(None), StaticMobility)
+        def make(spec):
+            return build_model(MOBILITY_MODELS, spec, "mobility", "static")
+
+        assert isinstance(make(None), StaticMobility)
         assert isinstance(
-            make_mobility({"kind": "waypoint", "speed_m_s": 3.0}),
-            WaypointMobility,
+            make({"kind": "waypoint", "speed_m_s": 3.0}), WaypointMobility
         )
 
 
 class TestNoise:
     def test_clean_model_reports_nothing(self):
-        model = make_noise(None)
+        model = build_model(NOISE_MODELS, None, "noise", "none")
         model.bind(EventScheduler(seed=0))
         state = model.state(3, 1.0)
         assert state.extra_loss_db == 0.0
@@ -159,7 +164,7 @@ class TestNoise:
 
 class TestFaults:
     def test_default_never_fails(self):
-        model = make_faults(None)
+        model = build_model(FAULT_MODELS, None, "fault", "none")
         model.bind(EventScheduler(seed=0))
         assert model.alive(5, 100.0)
         assert model.ack_available(5, 100.0)
@@ -188,7 +193,7 @@ class TestFaults:
 
     def test_registry_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            make_faults({"kind": "meteor"})
+            build_model(FAULT_MODELS, {"kind": "meteor"}, "fault", "none")
 
 
 @pytest.mark.xfail(
