@@ -4,7 +4,8 @@ Drives the deterministic :mod:`repro.gateway.loadgen` fleet — N tenants,
 each a seeded 2-sender :class:`StreamTraffic` capture — through
 :class:`repro.gateway.core.GatewayCore` end to end (admission → bounded
 ring → per-tenant engine+reassembler → delivered transport messages)
-and writes ``BENCH_GATEWAY.json`` at the repo root.
+and prints one row per drive.  ``BENCH_GATEWAY.json`` at the repo root
+is a frozen record of an earlier run; nothing rewrites it.
 
 Headline number: **tenants-per-core at realtime** — how many concurrent
 realtime tenant streams one core sustains through the full gateway path,
@@ -32,11 +33,9 @@ process.
 
 import asyncio
 import gc
-import json
 import os
 import threading
 from contextlib import contextmanager
-from pathlib import Path
 
 from benchmarks.ledger.child import blas_threads
 from repro.gateway.core import GatewayCore
@@ -171,7 +170,6 @@ def _row(elapsed, workloads):
 
 
 def test_bench_gateway():
-    root = Path(__file__).resolve().parent.parent
     cpu_count = os.cpu_count() or 1
     workloads = build_workloads(
         TENANTS,
@@ -203,45 +201,6 @@ def test_bench_gateway():
     assert all(identity == identities[0] for identity in wire_identities)
     wire_row = _row(wire_s, workloads)
 
-    report = {
-        "pr": 9,
-        "workload": {
-            "tenants": TENANTS,
-            "senders_per_tenant": SENDERS,
-            "duration_s": DURATION_S,
-            "seed": SEED,
-            "samples_per_tenant": int(workloads[0].samples.size),
-            "expected_messages": sum(len(w.expected) for w in workloads),
-            "engine": {
-                k: str(v) if not isinstance(v, (int, bool)) else v
-                for k, v in ENGINE_KWARGS.items()
-            },
-        },
-        "protocol": (
-            "best-of-N wall time over full gateway drives (admit -> ring "
-            "-> decode -> reassemble -> finish), gc disabled, after one "
-            "warm-up drive; in process (serial) and over one loopback "
-            "connection to a GatewayServer thread (wire); every timed "
-            "drive's delivery ledger asserted byte-identical across both "
-            "and byte-exact against ground truth"
-        ),
-        "cpu_count": cpu_count,
-        "blas_threads": blas_threads(),
-        "serial": serial_row,
-        "wire": wire_row,
-        "delivery": serial_rows,
-        "gates": {
-            "target_tenants_per_core": TARGET_TENANTS_PER_CORE,
-            "serial_gate_applied": True,
-            "byte_identity": (
-                "asserted (every drive, per tenant, wire == in process)"
-            ),
-        },
-    }
-    (root / "BENCH_GATEWAY.json").write_text(
-        json.dumps(report, indent=2) + "\n"
-    )
-
     print()
     for name, row in (("serial", serial_row), ("wire", wire_row)):
         print(
@@ -249,7 +208,8 @@ def test_bench_gateway():
             f"{row['effective_msps']:6.2f} Msps  "
             f"{row['x_realtime']:5.2f}x realtime  "
             f"{row['tenants_per_core_at_realtime']:5.2f} tenants/core  "
-            f"{row['messages_delivered']} msgs  (cpus={cpu_count})"
+            f"{row['messages_delivered']} msgs  "
+            f"(cpus={cpu_count}, blas threads={blas_threads()})"
         )
 
     # The headline gate: one core must carry at least one realtime

@@ -4,20 +4,17 @@ The acceptance claim: a 500-sender, >=100k-frame packet-fidelity
 campaign completes in under 30 s on a one-CPU container, because the
 calibrated delivery table replaces the sample-level PHY (~8 ms/frame)
 with a table lookup.  The same engine at ``fidelity="sample"`` runs the
-real PHY on a small scene in the same session, so the artifact records
-the fast-path speedup as a same-run ratio, plus the one-off calibration
-cost it amortizes.  Results land in ``BENCH_PR8.json``.
+real PHY on a small scene in the same session, so the run prints the
+fast-path speedup as a same-run ratio, plus the one-off calibration
+cost it amortizes.  ``BENCH_PR8.json`` at the repo root is a frozen
+record of an earlier run; nothing rewrites it.
 """
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.sim import CalibrationConfig, DeliveryTable, run_campaign
-
-ARTIFACT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR8.json"
 
 #: Acceptance ceiling for the fleet campaign (seconds, 1-CPU container).
 FLEET_BUDGET_S = 30.0
@@ -99,37 +96,3 @@ def test_bench_sim_fleet_fast_path(tmp_path):
     assert fleet_fps > 50 * sample_fps
     # Cache hit must be effectively free next to recalibration.
     assert cache_hit_s < max(0.5, calibrate_s / 5)
-
-    ARTIFACT_PATH.write_text(
-        json.dumps(
-            {
-                "pr": 8,
-                "claim": "calibrated packet fast path: 500-sender fleet "
-                         "campaign under 30s on one CPU",
-                "calibration": {
-                    "grid_points": len(CALIBRATION.points()),
-                    "frames_per_point": CALIBRATION.frames_per_point,
-                    "cold_seconds": round(calibrate_s, 2),
-                    "cache_hit_seconds": round(cache_hit_s, 4),
-                },
-                "packet_fleet": {
-                    "nodes": fleet.n_nodes,
-                    "frames_offered": fleet.offered,
-                    "delivery_ratio": round(fleet.delivery_ratio, 4),
-                    "wall_seconds": round(fleet.elapsed_s, 2),
-                    "budget_seconds": FLEET_BUDGET_S,
-                    "frames_per_sec": round(fleet_fps, 1),
-                },
-                "sample_ground_truth": {
-                    "nodes": sample.n_nodes,
-                    "frames_offered": sample.offered,
-                    "delivery_ratio": round(sample.delivery_ratio, 4),
-                    "wall_seconds": round(sample.elapsed_s, 2),
-                    "frames_per_sec": round(sample_fps, 1),
-                },
-                "fast_path_speedup": round(fleet_fps / sample_fps, 1),
-            },
-            indent=2,
-        )
-        + "\n"
-    )

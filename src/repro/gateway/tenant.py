@@ -11,18 +11,19 @@ FreeBee-style delivery receipt a gateway client actually wants.
 and calls :meth:`TenantConsumer.process` from its ``pump`` once a block
 has been admitted to the tenant's ring.
 
-Message dicts carry raw ``bytes`` payloads; the wire layer
+Message dicts are :class:`repro.transport.streamrx.CompletedMessage`
+fields, raw ``bytes`` payloads included; the wire layer
 (:mod:`repro.gateway.protocol`) hex-encodes them.  ``latency_s`` is
-wall-clock (first fragment decoded → message completed) and, like
-``stream.health.*``, is outside every identity contract; every other
-field and all ``gateway.*`` counters are deterministic.
+wall-clock (first fragment decoded → message completed, stamped by the
+reassembler) and, like ``stream.health.*``, is outside every identity
+contract; every other field and all ``gateway.*`` counters are
+deterministic.
 """
 
-import time
+from dataclasses import asdict
 
 from repro.obs.metrics import REGISTRY
 from repro.stream.engine import StreamEngine
-from repro.transport.pdu import decode_fragment
 from repro.transport.streamrx import StreamReassembler
 
 _FRAMES = REGISTRY.counter("gateway.frames_decoded")
@@ -48,8 +49,6 @@ class TenantConsumer:
         self.tenant_id = tenant_id
         self.engine = StreamEngine(**(engine or {}))
         self.reassembler = StreamReassembler()
-        #: (channel, msg_id, frag_count) -> wall time of first fragment.
-        self._first_seen = {}
 
     def process(self, block):
         """Decode one block; returns new message dicts or ``None``."""
@@ -71,42 +70,18 @@ class TenantConsumer:
         }
 
     def _deliver(self, stream_frames):
+        accepted = self.reassembler.fragments_accepted
         messages = []
         for stream_frame in stream_frames:
-            _FRAMES.inc()
-            frame = stream_frame.frame
-            fragment = (
-                decode_fragment(frame.frame_type, frame.sequence, frame.data_bits)
-                if frame is not None
-                else None
-            )
-            now = time.monotonic()
-            key = None
-            if fragment is not None:
-                _FRAGMENTS.inc()
-                key = (
-                    getattr(stream_frame, "zigbee_channel", None),
-                    fragment.msg_id,
-                    fragment.frag_count,
-                )
-                self._first_seen.setdefault(key, now)
             completed = self.reassembler.push(stream_frame)
             if completed is None:
                 continue
-            latency = now - self._first_seen.pop(key, now)
             _MESSAGES.inc()
             _MESSAGE_BYTES.inc(len(completed.data))
-            _LATENCY.observe(latency)
-            messages.append(
-                {
-                    "msg_id": completed.msg_id,
-                    "data": completed.data,
-                    "frag_count": completed.frag_count,
-                    "duplicates": completed.duplicates,
-                    "zigbee_channel": completed.zigbee_channel,
-                    "latency_s": latency,
-                }
-            )
+            _LATENCY.observe(completed.latency_s)
+            messages.append(asdict(completed))
+        _FRAMES.inc(len(stream_frames))
+        _FRAGMENTS.inc(self.reassembler.fragments_accepted - accepted)
         return messages
 
 

@@ -17,8 +17,9 @@ two fidelities:
     outcomes are independent of event-processing order.  Milliseconds
     per frame — the ground truth the packet path is validated against.
 
-Mirrors ``CommunicationModel.py`` of the SLP simulator referenced in
-ROADMAP.md.
+It is bound once to a run's topology, mobility, noise model and
+scheduler (``bind``) and then queried by the event loop;
+:func:`make_comm` builds it from the manifest's ``comm`` section.
 
 The hot path deliberately uses ``math`` scalars (not numpy) for the
 budget arithmetic: at fleet scale the budget runs a few hundred thousand

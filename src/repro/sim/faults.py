@@ -13,7 +13,8 @@ sojourns advanced lazily on dedicated scheduler streams keyed
 ``mean * standard_exponential()`` from the node's block drawer,
 bit-identical to ``exponential(mean)``.
 
-Mirrors ``FaultModel.py`` of the SLP simulator referenced in ROADMAP.md.
+Each model is bound to the campaign's scheduler once (``bind``), then
+queried; ``FAULT_MODELS`` maps a manifest ``kind`` to its class.
 """
 
 

@@ -7,9 +7,8 @@ randomness comes from dedicated scheduler streams keyed
 ``("mobility", node_id)`` — one node's wandering never perturbs
 another's, and adding nodes does not reshuffle existing trajectories.
 
-Mirrors ``MobilityModel.py`` of the SLP simulator referenced in
-ROADMAP.md: a ``bind``-then-``position`` protocol plus a manifest
-registry.
+Each model follows a ``bind``-then-``position`` protocol;
+``MOBILITY_MODELS`` maps a manifest ``kind`` to its class.
 """
 
 import math

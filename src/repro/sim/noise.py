@@ -14,7 +14,8 @@ profiles.  The chain asks its generator only for ``exponential(mean)``,
 so it is handed a block drawer of standard exponentials behind that
 one method (:class:`_Exponential`).
 
-Mirrors ``NoiseModel.py`` of the SLP simulator referenced in ROADMAP.md.
+Each model is bound to the campaign's scheduler once (``bind``), then
+queried; ``NOISE_MODELS`` maps a manifest ``kind`` to its class.
 """
 
 from repro.transport.faults import GilbertElliott

@@ -7,9 +7,8 @@ Randomized layouts draw from a dedicated seeded stream so placement is a
 pure function of the topology config — independent of everything the
 event loop later does.
 
-The module shapes mirror the ``Topology.py`` of MBradbury's SLP
-simulator named in ROADMAP.md: declarative constructors, a
-``positions`` map, and registry lookup by manifest ``kind``.
+Layouts are declarative constructors with a ``positions`` map;
+``TOPOLOGIES`` maps a manifest ``kind`` to its class.
 """
 
 import math

@@ -223,7 +223,7 @@ def decode_fragment(frame_type, sequence, data_bits):
     if scheme is None:
         return None
     frag_index = int(sequence) & (MAX_FRAGMENTS - 1)
-    bits = np.asarray(list(data_bits), dtype=np.int8)
+    bits = np.asarray(data_bits, dtype=np.int8)
     if bits.size == 0 or bits.size > MAX_DATA_BITS:
         return None
     if scheme == SCHEME_NONE:

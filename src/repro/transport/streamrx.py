@@ -4,10 +4,11 @@
 continuous capture — including transport fragments, whose frame types
 its header gate accepts.  This adapter sits on that output and rebuilds
 messages: each :class:`repro.stream.session.StreamFrame` is pushed
-through the transport PDU layer (which ignores the outer CRC verdict —
-the inner checksum decides), fragments are routed to per-``(sender,
-msg_id)`` reassemblers, and completed messages pop out in completion
-order.
+through the transport PDU layer once (which ignores the outer CRC
+verdict — the inner checksum decides), fragments are routed to
+per-``(channel, msg_id, frag_count)`` reassemblers, and completed
+messages pop out in completion order, each with its wall-clock
+reassembly latency.
 
 This is the receive path of a *broadcast* deployment: no ACK channel
 and no ARQ, just whatever redundancy the sender's FEC scheme and its own
@@ -15,6 +16,7 @@ retransmissions provide.  The session-based transport
 (:mod:`repro.transport.session`) is the closed-loop counterpart.
 """
 
+import time
 from dataclasses import dataclass
 
 from repro.transport.pdu import decode_fragment
@@ -29,13 +31,17 @@ class CompletedMessage:
     data: bytes
     frag_count: int
     duplicates: int
-    zigbee_channel: "int | None" = None
+    zigbee_channel: "int | None"
+    #: Wall seconds from the message's first decoded fragment to its
+    #: completion; outside every identity contract.
+    latency_s: float
 
 
 class StreamReassembler:
     """Rebuilds transport messages from demultiplexed stream frames."""
 
     def __init__(self):
+        #: key -> (Reassembler, wall time its first fragment decoded).
         self._reassemblers = {}
         self.fragments_accepted = 0
         self.frames_rejected = 0
@@ -45,7 +51,11 @@ class StreamReassembler:
         """Feed one stream frame; a :class:`CompletedMessage` or ``None``.
 
         Frames that are not transport fragments (other frame types, or
-        inner-checksum failures) are counted and dropped.
+        inner-checksum failures) are counted and dropped.  The first
+        fragment of a ``(channel, msg_id, frag_count)`` key opens its
+        reassembler and stamps ``time.monotonic()``; the stamp goes with
+        the reassembler, so a message that completes without yielding
+        bytes leaves nothing behind for the next one under that key.
         """
         frame = stream_frame.frame
         if frame is None:
@@ -58,12 +68,16 @@ class StreamReassembler:
             self.frames_rejected += 1
             return None
         self.fragments_accepted += 1
-        channel = getattr(stream_frame, "zigbee_channel", None)
+        channel = stream_frame.zigbee_channel
         key = (channel, fragment.msg_id, fragment.frag_count)
-        reassembler = self._reassemblers.get(key)
-        if reassembler is None:
-            reassembler = Reassembler(fragment.msg_id, fragment.frag_count)
-            self._reassemblers[key] = reassembler
+        entry = self._reassemblers.get(key)
+        if entry is None:
+            entry = (
+                Reassembler(fragment.msg_id, fragment.frag_count),
+                time.monotonic(),
+            )
+            self._reassemblers[key] = entry
+        reassembler, first_seen = entry
         reassembler.add(fragment)
         if not reassembler.complete:
             return None
@@ -78,16 +92,8 @@ class StreamReassembler:
             frag_count=fragment.frag_count,
             duplicates=reassembler.duplicates,
             zigbee_channel=channel,
+            latency_s=time.monotonic() - first_seen,
         )
-
-    def push_all(self, stream_frames):
-        """Feed a frame iterable; the completed messages, in order."""
-        completed = []
-        for stream_frame in stream_frames:
-            message = self.push(stream_frame)
-            if message is not None:
-                completed.append(message)
-        return completed
 
     @property
     def pending(self):

@@ -20,6 +20,10 @@ from repro.transport import (
 MESSAGE = b"streamed!"
 
 
+def _completed(reassembler, frames):
+    return [m for m in map(reassembler.push, frames) if m is not None]
+
+
 def _capture(seed=3, stutter=1):
     fragments = segment_message(MESSAGE, msg_id=5, fragment_bits=18)
     script = tuple(
@@ -40,7 +44,7 @@ def test_scripted_fragments_reassemble_from_stream():
     assert len(truth) == n_fragments  # whole script made it on the air
     frames = batch_decode_stream(samples)
     reassembler = StreamReassembler()
-    completed = reassembler.push_all(frames)
+    completed = _completed(reassembler, frames)
     assert [m.data for m in completed] == [MESSAGE]
     assert completed[0].msg_id == 5
     assert completed[0].frag_count == n_fragments
@@ -55,7 +59,7 @@ def test_duplicate_fragments_tolerated():
     samples, truth, n_fragments = _capture(stutter=2)
     assert len(truth) == 2 * n_fragments
     reassembler = StreamReassembler()
-    completed = reassembler.push_all(batch_decode_stream(samples))
+    completed = _completed(reassembler, batch_decode_stream(samples))
     assert [m.data for m in completed] == [MESSAGE]
     assert reassembler.fragments_accepted == 2 * n_fragments
     assert completed[0].duplicates == n_fragments - 1
@@ -69,7 +73,7 @@ def test_non_transport_frames_are_counted_not_crashed():
     samples, truth = traffic.capture(np.random.default_rng(1))
     assert truth  # something was actually sent
     reassembler = StreamReassembler()
-    completed = reassembler.push_all(batch_decode_stream(samples))
+    completed = _completed(reassembler, batch_decode_stream(samples))
     assert completed == []
     assert reassembler.frames_rejected >= len(truth)
     assert reassembler.fragments_accepted == 0
