@@ -2,8 +2,8 @@
 
 Drives the deterministic :mod:`repro.gateway.loadgen` fleet — N tenants,
 each a seeded 2-sender :class:`StreamTraffic` capture — through
-:class:`repro.gateway.core.GatewayCore` end to end (admission → bounded
-ring → per-tenant engine+reassembler → delivered transport messages)
+:class:`repro.gateway.core.GatewayCore` end to end (admission → held
+block → per-tenant engine+reassembler → delivered transport messages)
 and prints one row per drive.  ``BENCH_GATEWAY.json`` at the repo root
 is a frozen record of an earlier run; nothing rewrites it.
 

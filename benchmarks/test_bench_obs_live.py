@@ -3,12 +3,17 @@
 The PR-7 acceptance criterion: a metered streaming decode with a
 :class:`~repro.obs.live.LiveCollector` attached (JSONL sink, aggressive
 0.05 s interval) must stay within noise of the same metered decode
-without one — the gate allows 3% Msps.  Best-of-3 on both sides so a
-scheduler hiccup cannot fail the build, and the exact-totals contract is
-asserted on the same run the timing came from.  ``BENCH_PR7.json`` at
+without one — the gate allows 3% Msps.  Both decodes run on one capture
+in interleaved rounds, alternating which goes first, and the gate reads
+the median of the per-round ratios, so load that drifts across the run
+hits both sides of a ratio alike (the perf smoke's ``headline_ratio``
+is timed the same way).  The exact-totals contract is asserted on every
+timed live run.  ``BENCH_PR7.json`` at
 the repo root is a frozen record of an earlier run; nothing rewrites it.
 """
 
+import gc
+import statistics
 import time
 
 import numpy as np
@@ -20,8 +25,10 @@ from repro.stream import StreamEngine
 
 BLOCK_SIZE = 32768
 
-#: Msps with the collector must be >= this fraction of Msps without it.
+#: Median live/plain Msps ratio must be >= this.
 OVERHEAD_FLOOR = 0.97
+#: Interleaved plain/live rounds; odd, so the median is one round's.
+ROUNDS = 41
 
 
 def _workload():
@@ -66,43 +73,49 @@ def test_live_collector_overhead_within_noise(tmp_path):
             REGISTRY.reset()
         return frames, elapsed, snapshot
 
-    metered_decode()  # warm-up: waveform caches, BLAS pools, page faults
-
-    plain_best = float("inf")
-    for _ in range(3):
-        _frames, elapsed, _snapshot = metered_decode()
-        plain_best = min(plain_best, elapsed)
-
-    live_best = float("inf")
-    final_totals = None
-    snapshot = None
-    for index in range(3):
-        path = tmp_path / f"live_{index}.jsonl"
+    def live_decode(path):
         sink = JsonlSink(str(path))
         collector = LiveCollector(interval_s=0.05, sinks=[sink])
         _frames, elapsed, snapshot = metered_decode(collector)
         sink.close()
-        live_best = min(live_best, elapsed)
+        # Exact-totals contract on the very run that was timed.
         final_totals = read_metrics_stream(str(path))[-1]
+        assert final_totals["final"] is True
+        assert final_totals["counters"] == snapshot["counters"]
+        assert final_totals["histograms"] == {
+            name: {"count": data["count"], "total": data["total"]}
+            for name, data in snapshot["histograms"].items()
+        }
+        return elapsed
 
-    # Exact-totals contract on the very run that was timed.
-    assert final_totals["final"] is True
-    assert final_totals["counters"] == snapshot["counters"]
-    assert final_totals["histograms"] == {
-        name: {"count": data["count"], "total": data["total"]}
-        for name, data in snapshot["histograms"].items()
-    }
+    # Warm-up: waveform caches, page faults, the sink's first file.
+    metered_decode()
+    live_decode(tmp_path / "warm.jsonl")
 
-    plain_msps = samples.size / plain_best / 1e6
-    live_msps = samples.size / live_best / 1e6
-    ratio = live_msps / plain_msps
+    ratios = []
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for index in range(ROUNDS):
+            path = tmp_path / f"live_{index}.jsonl"
+            if index % 2:
+                live_s = live_decode(path)
+                plain_s = metered_decode()[1]
+            else:
+                plain_s = metered_decode()[1]
+                live_s = live_decode(path)
+            ratios.append(plain_s / live_s)  # live Msps over plain Msps
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    ratio = statistics.median(ratios)
 
     print(
-        f"\nlive-collector smoke: plain {plain_msps:.2f} Msps, "
-        f"live {live_msps:.2f} Msps (ratio {ratio:.3f}, "
+        f"\nlive-collector smoke: median live/plain Msps ratio {ratio:.3f} "
+        f"over {ROUNDS} rounds (range {min(ratios):.3f}-{max(ratios):.3f}, "
         f"floor {OVERHEAD_FLOOR})"
     )
-    assert live_msps >= plain_msps * OVERHEAD_FLOOR, (
+    assert ratio >= OVERHEAD_FLOOR, (
         f"live collector cost {100 * (1 - ratio):.1f}% Msps "
         f"(allowed {100 * (1 - OVERHEAD_FLOOR):.0f}%)"
     )

@@ -312,7 +312,7 @@ def _cmd_listen(args):
     from repro.channel.scenarios import SCENARIOS
     from repro.experiments.common import print_table
     from repro.network.traffic import StreamSender, StreamTraffic
-    from repro.stream import RingBufferSource, StreamEngine
+    from repro.stream import StreamEngine
     from repro.zigbee.channels import overlapping_zigbee_channels
 
     if args.senders < 1:
@@ -364,11 +364,10 @@ def _cmd_listen(args):
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        ring = RingBufferSource(capacity_blocks=args.ring_capacity)
 
         # Graceful shutdown: SIGINT/SIGTERM stop the *feed*, not the
-        # process — the engine then drains the ring, flushes channelizer
-        # state and finalizes the live collector exactly as it would at
+        # process — the engine then flushes channelizer state and
+        # finalizes the live collector exactly as it would at
         # end-of-capture.  A second signal falls back to the default
         # handler (hard kill).
         stop = {"signal": None}
@@ -389,22 +388,14 @@ def _cmd_listen(args):
             except (ValueError, OSError):  # non-main thread / platform quirks
                 pass
 
-        def ring_feed():
-            # Lock-step producer/consumer: every block passes through the
-            # ring on its way to the engine so overrun accounting stays
-            # live.
+        def feed():
             for block in traffic.blocks(samples, args.block_size):
                 if stop["signal"] is not None:
-                    break
-                ring.push(block)
-                popped = ring.pop()
-                if popped is not None:
-                    yield popped
-            ring.close()
-            yield from ring
+                    return
+                yield block
 
         def decode():
-            return engine.run(ring_feed(), collector=run.collector)
+            return engine.run(feed(), collector=run.collector)
 
         t0 = time.perf_counter()
         try:
@@ -466,11 +457,9 @@ def _cmd_listen(args):
 
         msps = samples.size / elapsed / 1e6 if elapsed > 0 else float("inf")
         realtime = msps * 1e6 / traffic.sample_rate
-        ring_stats = ring.stats()
         print(
             f"{delivered}/{len(truth)} scheduled frames delivered, "
-            f"{engine.frames_suppressed} leak copies suppressed, "
-            f"{ring_stats['overruns']} ring overruns"
+            f"{engine.frames_suppressed} leak copies suppressed"
         )
         print(
             f"processed {samples.size} samples in {elapsed:.3f} s "
@@ -700,7 +689,6 @@ def _cmd_serve(args):
             core = GatewayCore(
                 engine=_gateway_engine_kwargs(args),
                 max_tenants=args.max_tenants,
-                ring_capacity=args.ring_capacity,
             )
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -802,8 +790,7 @@ def _cmd_loadgen(args):
 
     print_table(
         (
-            "tenant", "expected", "delivered", "matched",
-            "shed blocks", "byte exact",
+            "tenant", "expected", "delivered", "matched", "byte exact",
         ),
         [
             (
@@ -811,7 +798,6 @@ def _cmd_loadgen(args):
                 str(row["expected"]),
                 str(row["delivered"]),
                 str(row["matched"]),
-                str(row["shed_blocks"]),
                 "yes" if row["byte_exact"] else "NO",
             )
             for row in report["tenants"]
@@ -1001,10 +987,6 @@ def build_parser():
         help="propagation scenario name (default: ideal channel)",
     )
     listen.add_argument(
-        "--ring-capacity", type=int, default=64, metavar="BLOCKS",
-        help="ring buffer capacity in blocks (default 64)",
-    )
-    listen.add_argument(
         "--wideband", action="store_true",
         help="single wideband session on ZigBee channel 13 instead of "
              "per-channel demux",
@@ -1028,7 +1010,7 @@ def build_parser():
     listen.add_argument(
         "--live", action="store_true",
         help="print a live telemetry dashboard line per collector tick "
-             "on stderr (throughput, realtime margin, frame/CRC/ring "
+             "on stderr (throughput, realtime margin, frame/CRC "
              "health)",
     )
     _add_live_flags(listen, "0 ticks every block (default 0.5)")
@@ -1078,11 +1060,6 @@ def build_parser():
     serve.add_argument(
         "--max-tenants", type=int, default=8, metavar="N",
         help="admission limit on concurrent tenant streams (default 8)",
-    )
-    serve.add_argument(
-        "--ring-capacity", type=int, default=64, metavar="BLOCKS",
-        help="per-tenant ring capacity in blocks; a full ring sheds "
-             "with an explicit overrun code (default 64)",
     )
     add_engine_flags(serve)
     _add_live_flags(serve, "must be positive (default 0.5)")

@@ -11,8 +11,8 @@ Layers, bottom up:
 
 * :mod:`repro.gateway.tenant` — one tenant's engine + reassembler, the
   unit of tenancy;
-* :mod:`repro.gateway.core` — admission control, bounded per-tenant
-  rings, fair pumping, delivery queues (transport-agnostic);
+* :mod:`repro.gateway.core` — admission control, one held block per
+  tenant, pumping, delivery queues (transport-agnostic);
 * :mod:`repro.gateway.protocol` — the wire format + blocking client;
 * :mod:`repro.gateway.server` — asyncio listeners, ``/metrics``,
   signal-driven graceful drain;

@@ -8,28 +8,28 @@ are identical whichever way samples arrive.
 
 Tenancy model
 -------------
-Each admitted tenant owns a bounded
-:class:`repro.stream.ring.RingBufferSource` (its overrun accounting is
-the shed ledger), one :class:`repro.gateway.tenant.TenantConsumer`
+Each admitted tenant owns one held slot (the block it submitted last,
+not yet decoded), one :class:`repro.gateway.tenant.TenantConsumer`
 (private engine + reassembler — per-tenant session isolation), and a
 pending-delivery queue the client drains with :meth:`poll`.  Nothing in
-the gateway queues without bound: admission past ``max_tenants`` is
-refused (``tenant-limit``), a block offered to a full ring is *shed*
-and reported (``overrun``), and a draining gateway refuses new tenants
-(``shutting-down``).
+the gateway queues without bound: a tenant holds at most one undecoded
+block, admission past ``max_tenants`` is refused (``tenant-limit``), and
+a draining gateway refuses new tenants (``shutting-down``).
 
 Scheduling
 ----------
-Admission and decoding are separate steps.  :meth:`submit` only offers
-the block to the tenant's ring and counts it, so its answer (admitted
-or shed) is known before any decoding; :meth:`pump` is the one place
-that decodes, round-robin one ring block per tenant per pass, so a deep
-ring cannot starve its neighbours.  :meth:`poll`, :meth:`finish_tenant`,
-:meth:`abandon` and :meth:`drain` flush the rings first, so nothing
-admitted is ever missing from a delivery.  The server replies to a
-``samples`` request at admission and pumps after the reply, while the
-client sends its next block.  To use more cores, run more independent
-``serve`` processes and split tenants across them.
+Admission and decoding are separate steps.  :meth:`submit` stores the
+block in the tenant's slot and counts it, so its answer is known before
+the block is decoded; :meth:`pump` decodes every tenant's held block.
+A :meth:`submit` that finds a block already held decodes that one
+first, as :meth:`pump` would, so the bound holds however many
+connections feed one tenant without a pump between.  :meth:`poll`,
+:meth:`finish_tenant`, :meth:`abandon` and :meth:`drain` decode the
+held blocks first, so nothing admitted is ever missing from a delivery.
+The server replies to a ``samples`` request at admission and pumps
+after the reply, while the client sends its next block.  To use more
+cores, run more independent ``serve`` processes and split tenants
+across them.
 
 A tenant whose consumer raises while decoding is finished as *failed*:
 the exception is logged once and counted (``gateway.tenants_failed``),
@@ -38,7 +38,7 @@ every later request naming it is refused with ``decode-failed`` until
 the id is admitted again.  Nothing re-raises the consumer's exception.
 
 Metrics (``gateway.*``): tenants admitted/rejected/abandoned/failed and
-active, blocks and samples admitted/shed, frames/fragments/messages
+active, blocks and samples admitted, frames/fragments/messages
 counters from the consumers, a delivery-latency histogram, and
 ``gateway.realtime_margin_min`` — the worst per-tenant ingest margin
 (stream-seconds admitted per wall-second since the tenant's first
@@ -65,7 +65,6 @@ from repro.gateway.errors import (
 )
 from repro.gateway.tenant import TenantConsumer
 from repro.obs.metrics import REGISTRY
-from repro.stream.ring import RingBufferSource
 
 _LOG = logging.getLogger("repro.gateway")
 
@@ -89,9 +88,7 @@ _ABANDONED = REGISTRY.counter("gateway.tenants_abandoned")
 _FAILED = REGISTRY.counter("gateway.tenants_failed")
 _ACTIVE = REGISTRY.gauge("gateway.tenants_active")
 _BLOCKS_ADMITTED = REGISTRY.counter("gateway.blocks_admitted")
-_BLOCKS_SHED = REGISTRY.counter("gateway.blocks_shed")
 _SAMPLES_ADMITTED = REGISTRY.counter("gateway.samples_admitted")
-_SAMPLES_SHED = REGISTRY.counter("gateway.samples_shed")
 _MARGIN_MIN = REGISTRY.gauge("gateway.realtime_margin_min")
 
 
@@ -100,7 +97,7 @@ class _TenantState:
 
     __slots__ = (
         "tenant_id",
-        "ring",
+        "held",
         "consumer",
         "pending",
         "finished",
@@ -114,9 +111,10 @@ class _TenantState:
         "owner",
     )
 
-    def __init__(self, tenant_id, ring, consumer, sample_rate, owner=None):
+    def __init__(self, tenant_id, consumer, sample_rate, owner=None):
         self.tenant_id = tenant_id
-        self.ring = ring
+        #: The admitted block not yet decoded (at most one).
+        self.held = None
         self.consumer = consumer
         self.pending = []
         self.finished = False
@@ -194,12 +192,11 @@ class GatewayCore:
     kwargs for every tenant; :meth:`admit` may override per tenant.
     """
 
-    def __init__(self, engine=None, max_tenants=8, ring_capacity=64):
+    def __init__(self, engine=None, max_tenants=8):
         self.engine_kwargs = dict(engine or {})
         self.max_tenants = int(max_tenants)
         if self.max_tenants <= 0:
             raise ValueError("max_tenants must be positive")
-        self.ring_capacity = int(ring_capacity)
         self._tenants = {}
         self._draining = False
         self._closed = False
@@ -246,13 +243,12 @@ class GatewayCore:
             ) from None
         state = _TenantState(
             tenant_id,
-            RingBufferSource(capacity_blocks=self.ring_capacity),
             consumer,
             merged.get("sample_rate", WIFI_SAMPLE_RATE_20MHZ),
             owner,
         )
         # A finished stream releases its id: re-admission starts a fresh
-        # session (new ring, new engine state, zeroed stats).  The old
+        # session (empty slot, new engine state, zeroed stats).  The old
         # state's results were already handed back by finish_tenant, so
         # nothing of the previous session can leak into the new one.
         self._tenants.pop(tenant_id, None)
@@ -261,63 +257,43 @@ class GatewayCore:
         _ACTIVE.set(self._active_count())
         return {
             "tenant": tenant_id,
-            "ring_capacity": self.ring_capacity,
             "sample_rate": state.sample_rate,
         }
 
     # -- ingest --------------------------------------------------------------
 
     def submit(self, tenant_id, block):
-        """Offer one sample block; ``False`` means shed (ring overrun).
+        """Admit one sample block: hold it, undecoded, and count it.
 
-        Admission only: the block is queued (or shed) and counted, and
-        decoded by a later :meth:`pump`.  Shedding is the designed
-        overload behaviour — the ring bounds memory and the loss is
-        accounted (``gateway.blocks_shed``, the tenant's ring stats)
-        instead of queueing without limit.
+        A later :meth:`pump` decodes it.  If the tenant still holds an
+        earlier block, that one is decoded first, as :meth:`pump` would,
+        so a tenant never holds more than one undecoded block.  A
+        consumer that raises on that decode fails the tenant, and the
+        request is refused with ``decode-failed``.
         """
         state = self._live(tenant_id)
         block = np.asarray(block)
+        if not self._decode(state):
+            raise _decode_failed(tenant_id)
         if state.first_submit is None:
             state.first_submit = time.monotonic()
-        accepted = state.ring.push(block)
-        if accepted:
-            state.blocks_in += 1
-            state.samples_in += int(block.size)
-            _BLOCKS_ADMITTED.inc()
-            _SAMPLES_ADMITTED.inc(int(block.size))
-        else:
-            _BLOCKS_SHED.inc()
-            _SAMPLES_SHED.inc(int(block.size))
-        return accepted
+        state.held = block
+        state.blocks_in += 1
+        state.samples_in += int(block.size)
+        _BLOCKS_ADMITTED.inc()
+        _SAMPLES_ADMITTED.inc(int(block.size))
 
     # -- scheduling ----------------------------------------------------------
 
     def pump(self):
-        """Decode every queued ring block, round-robin across tenants.
+        """Decode every tenant's held block.
 
-        One block per tenant per pass, so a deep ring cannot starve its
-        neighbours.  A tenant whose consumer raises is finished as
-        failed (see the module docstring); the others carry on.
+        A tenant whose consumer raises is finished as failed (see the
+        module docstring); the others carry on.
         """
         self._ensure_open()
-        progressed = True
-        while progressed:
-            progressed = False
-            for state in self._tenants.values():
-                if state.finished:
-                    continue
-                block = state.ring.pop()
-                if block is None:
-                    continue
-                progressed = True
-                try:
-                    messages = state.consumer.process(block)
-                except Exception:
-                    self._fail(state)
-                    continue
-                if messages:
-                    state.pending.extend(messages)
+        for state in self._tenants.values():
+            self._decode(state)
         self._update_margin()
 
     # -- delivery ------------------------------------------------------------
@@ -332,7 +308,7 @@ class GatewayCore:
         return messages
 
     def finish_tenant(self, tenant_id):
-        """End a tenant's stream: flush its ring, engine and reassembler.
+        """End a tenant's stream: decode its held block, flush the rest.
 
         Returns ``{"messages": [...], "stats": {...}}`` with every
         not-yet-polled message (including trailing ones the engine only
@@ -409,7 +385,6 @@ class GatewayCore:
     def stats(self):
         return {
             "max_tenants": self.max_tenants,
-            "ring_capacity": self.ring_capacity,
             "active_tenants": self._active_count(),
             "draining": self._draining,
             "tenants": {
@@ -449,12 +424,9 @@ class GatewayCore:
 
     def _finish(self, state):
         """Flush a live tenant; ``None`` when its consumer fails doing so."""
-        state.ring.close()
+        if not self._decode(state):
+            return None
         try:
-            for block in state.ring:
-                messages = state.consumer.process(block)
-                if messages:
-                    state.pending.extend(messages)
             result = state.consumer.finish()
         except Exception:
             self._fail(state)
@@ -476,6 +448,23 @@ class GatewayCore:
                 results[state.tenant_id] = result
         return results
 
+    def _decode(self, state):
+        """Decode the tenant's held block, if any.
+
+        ``False`` when the consumer raised: the tenant is then failed.
+        """
+        block, state.held = state.held, None
+        if block is None:
+            return True
+        try:
+            messages = state.consumer.process(block)
+        except Exception:
+            self._fail(state)
+            return False
+        if messages:
+            state.pending.extend(messages)
+        return True
+
     def _fail(self, state):
         """Finish a tenant whose consumer raised; call from the handler."""
         _LOG.exception(
@@ -485,7 +474,6 @@ class GatewayCore:
             len(state.pending),
         )
         _FAILED.inc()
-        state.ring.close()
         state.pending = []
         state.failed = True
         state.finished = True
@@ -499,7 +487,6 @@ class GatewayCore:
             "failed": state.failed,
             "blocks_in": state.blocks_in,
             "samples_in": state.samples_in,
-            "ring": state.ring.stats(),
             "pending_messages": len(state.pending),
             "delivered_messages": state.delivered,
             "realtime_margin": state.margin(now),

@@ -3,7 +3,7 @@
 The admission-control contract is that the gateway never queues without
 bound — anything it cannot take *right now* is refused with one of these
 codes, both in-process (:class:`GatewayError`) and on the wire (the
-``error`` / non-accepted responses of :mod:`repro.gateway.protocol`).
+``error`` responses of :mod:`repro.gateway.protocol`).
 """
 
 #: Admission refused: the configured tenant cap is reached.
@@ -14,8 +14,6 @@ ERR_DUPLICATE_TENANT = "duplicate-tenant"
 ERR_UNKNOWN_TENANT = "unknown-tenant"
 #: Samples offered to a tenant whose stream is already finished.
 ERR_STREAM_ENDED = "stream-ended"
-#: A submitted block was shed by the tenant's bounded ring (overrun).
-ERR_OVERRUN = "overrun"
 #: The request was malformed (bad frame, bad JSON, missing field,
 #: oversized payload, unknown request type...).
 ERR_BAD_REQUEST = "bad-request"
@@ -42,7 +40,6 @@ __all__ = [
     "ERR_DUPLICATE_TENANT",
     "ERR_UNKNOWN_TENANT",
     "ERR_STREAM_ENDED",
-    "ERR_OVERRUN",
     "ERR_BAD_REQUEST",
     "ERR_SHUTTING_DOWN",
     "ERR_INTERNAL",

@@ -22,17 +22,16 @@ stats     optional ``tenant``                         —
 bye       —                                           —
 ========  ==========================================  =================
 
-Responses: ``welcome``, ``accepted`` (``accepted`` bool + ``code``
-``"overrun"`` when the tenant's ring shed the block), ``deliveries``,
-``finished``, ``stats``, ``goodbye``, and ``error`` with a
-machine-readable ``code`` from :mod:`repro.gateway.errors`.  Message
-payload bytes are hex-encoded in delivery headers (``data_hex``) so the
-response stays one JSON document.
+Responses: ``welcome``, ``accepted``, ``deliveries``, ``finished``,
+``stats``, ``goodbye``, and ``error`` with a machine-readable ``code``
+from :mod:`repro.gateway.errors`.  Message payload bytes are
+hex-encoded in delivery headers (``data_hex``) so the response stays
+one JSON document.
 
-``accepted`` means *admitted to the tenant's ring*, not decoded: the
-server replies first and decodes the block after the reply, before it
-reads the connection's next frame, so a later ``poll`` or ``finish``
-on the connection always sees it.  A decoder that fails on the block
+``accepted`` means *held for the tenant*, not decoded: the server
+replies first and decodes the block after the reply, before it reads
+the connection's next frame, so a later ``poll`` or ``finish`` on the
+connection always sees it.  A decoder that fails on the block
 ends the tenant's stream: every later request naming the tenant gets
 an ``error`` with code ``decode-failed`` (the connection stays open),
 until a ``hello`` admits the id afresh.

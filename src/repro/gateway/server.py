@@ -19,19 +19,19 @@ behind two listeners:
   file sink writes, scrape-able while streams are live.
 
 Decoding runs behind the replies.  A ``samples`` request is answered
-as soon as the tenant's ring has admitted (or shed) the block; the
-connection then runs :meth:`GatewayCore.pump` before it reads its next
-frame, so the client's next block travels while the server decodes and
-each connection leaves at most one block in a ring.  Every request is
+as soon as the tenant holds the block; the connection then runs
+:meth:`GatewayCore.pump` before it reads its next frame, so the client's
+next block travels while the server decodes.  A tenant holds at most
+one undecoded block whichever connections feed it.  Every request is
 read after the blocks before it were decoded, so a ``poll`` sees them.
 An optional :class:`repro.obs.live.LiveCollector` ticks from its own
 background thread.
 
 Graceful shutdown (SIGINT/SIGTERM via :meth:`run`, or
 :meth:`shutdown`): stop accepting connections, finish every active
-tenant — draining rings and flushing channelizer state — then close the
-connections still open and finalize the collector.  A gateway killed
-politely exits 0 with nothing leaked.
+tenant — decoding its held block and flushing channelizer state — then
+close the connections still open and finalize the collector.  A gateway
+killed politely exits 0 with nothing leaked.
 
 A connection that closes -- ``bye``, EOF, a reset or a dropped frame --
 finishes every tenant it admitted that is still active, so a vanished
@@ -55,7 +55,6 @@ import socket
 from repro.gateway.errors import (
     ERR_BAD_REQUEST,
     ERR_INTERNAL,
-    ERR_OVERRUN,
     GatewayError,
 )
 from repro.gateway.protocol import (
@@ -143,7 +142,8 @@ class GatewayServer:
         if self._metrics_server is not None:
             self._metrics_server.close()
             await self._metrics_server.wait_closed()
-        # Finish every live tenant: rings drained, channelizers flushed.
+        # Finish every live tenant: held blocks decoded, channelizers
+        # flushed.
         # Undelivered messages are counted, not silently dropped.
         undelivered = self.core.drain()
         dropped = sum(len(r["messages"]) for r in undelivered.values())
@@ -279,11 +279,8 @@ class GatewayServer:
             return {"type": "welcome", **info}
         if rtype == "samples":
             block = decode_block(header, payload)
-            accepted = self.core.submit(self._tenant_of(header), block)
-            response = {"type": "accepted", "accepted": bool(accepted)}
-            if not accepted:
-                response["code"] = ERR_OVERRUN
-            return response
+            self.core.submit(self._tenant_of(header), block)
+            return {"type": "accepted"}
         if rtype == "poll":
             messages = self.core.poll(self._tenant_of(header))
             return {

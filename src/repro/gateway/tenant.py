@@ -8,8 +8,8 @@ comes out is not frames but the tenant's *reassembled messages* — the
 FreeBee-style delivery receipt a gateway client actually wants.
 
 :class:`repro.gateway.core.GatewayCore` builds one per admitted tenant
-and calls :meth:`TenantConsumer.process` from its ``pump`` once a block
-has been admitted to the tenant's ring.
+and calls :meth:`TenantConsumer.process` on each block the tenant
+submitted.
 
 Message dicts are :class:`repro.transport.streamrx.CompletedMessage`
 fields, raw ``bytes`` payloads included; the wire layer

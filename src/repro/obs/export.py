@@ -151,7 +151,6 @@ def format_live_line(sample, target_msps=TARGET_MSPS):
     frames = counters.get("stream.engine.frames", 0)
     frame_rate = rates.get("stream.engine.frames", 0.0)
     crc_failed = counters.get("stream.session.crc_failed", 0)
-    overruns = counters.get("stream.ring.overruns", 0)
     parts = [
         f"t={sample.get('elapsed_s', 0.0):8.2f}s",
         f"{msps:7.2f} Msps ({msps / target_msps:5.2f}x of {target_msps:g})",
@@ -162,7 +161,6 @@ def format_live_line(sample, target_msps=TARGET_MSPS):
         ),
         f"frames {frames} ({frame_rate:.1f}/s)",
         f"crc_fail {crc_failed}",
-        f"ring_ovr {overruns}",
     ]
     if sample.get("final"):
         parts.append("[final]")

@@ -15,14 +15,12 @@ from repro.stream.frontend import (
     StreamingFrontEnd,
     design_lowpass,
 )
-from repro.stream.ring import RingBufferSource
 from repro.stream.session import StreamFrame, StreamSession
 
 __all__ = [
     "ChannelizerFrontEnd",
     "FastChannelBank",
     "FrontEndBlock",
-    "RingBufferSource",
     "StreamEngine",
     "StreamFrame",
     "StreamSession",

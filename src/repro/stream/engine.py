@@ -61,7 +61,6 @@ from repro.dsp.kernels import exact_cmul as cmul  # noqa: F401
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 from repro.stream.frontend import FastChannelBank
-from repro.stream.ring import RingBufferSource
 from repro.stream.session import StreamSession
 from repro.zigbee.channels import (
     frequency_offset_hz,
@@ -262,78 +261,24 @@ class StreamEngine:
             self._pending.extend(session.push_products(fe_block.products))
 
     def _release(self, final):
-        """Cross-session leak arbitration over the pending frame pool.
+        """Release the pending frames whose arbitration is final.
 
-        Adjacent sub-bands alias onto the same product phase (their 5 MHz
-        spacing is a multiple of ``fs / lag``), so a strong sender also
-        decodes — attenuated but otherwise faithful — on neighbouring
-        idle sessions.  Among time-overlapping pending frames carrying
-        *identical bits* on different sessions, only the strongest
-        ``band_power`` copy survives (ties break toward the lower channel
-        number, keeping the decision deterministic).
-
-        A frame is held until every session's :attr:`StreamSession.horizon`
-        has passed its end — after that no session can emit anything
-        overlapping it, so the decision is final and independent of block
-        boundaries.  Released frames come out sorted by stream position.
-
-        Incremental (per-block) release and one final whole-pool pass
-        decide identically: demotion keeps every overlap-connected group
-        together until all its members have arrived, and band-power
-        arbitration only ever compares frames within one group.
+        Held until every session's :attr:`StreamSession.horizon` has
+        passed them (see :func:`arbitrate`); the whole pool on ``final``.
         """
         if not self._pending:
             return []
-        if final:
-            ready, held = list(self._pending), []
-        else:
-            horizon = min(session.horizon for session in self._sessions)
-            ready, held = [], []
-            for frame in self._pending:
-                (ready if frame.end_index < horizon else held).append(frame)
-            # Arbitration is decided per overlap-connected group: demote
-            # any ready frame overlapping a held one (and cascade), so a
-            # group is only ever judged with all its members present.
-            demoted = True
-            while demoted and ready:
-                demoted = False
-                for frame in list(ready):
-                    if any(
-                        frame.preamble_index < other.end_index
-                        and other.preamble_index < frame.end_index
-                        for other in held
-                    ):
-                        ready.remove(frame)
-                        held.append(frame)
-                        demoted = True
-        if not ready:
-            return []
-        released = []
-        for frame in ready:
-            key = (frame.band_power, -frame.zigbee_channel)
-            beaten = any(
-                other.zigbee_channel != frame.zigbee_channel
-                and other.bits == frame.bits
-                and other.preamble_index < frame.end_index
-                and frame.preamble_index < other.end_index
-                and (other.band_power, -other.zigbee_channel) > key
-                for other in ready
-            )
-            if beaten:
-                self.frames_suppressed += 1
-                _SUPPRESSED.inc()
-            else:
-                released.append(frame)
-        self._pending = held
-        released.sort(key=lambda f: (f.preamble_index, f.zigbee_channel))
+        horizon = None if final else min(s.horizon for s in self._sessions)
+        released, self._pending, suppressed = arbitrate(
+            self._pending, horizon
+        )
+        if suppressed:
+            self.frames_suppressed += suppressed
+            _SUPPRESSED.inc(suppressed)
         return released
 
     def run(self, blocks, collector=None):
-        """Drain a block source (any iterable, e.g. a ring) and finish.
-
-        A :class:`repro.stream.ring.RingBufferSource` iterates its queued
-        blocks; for live producer/consumer interleaving, call
-        :meth:`process_block` per popped block instead.
+        """Decode every block of an iterable, then finish.
 
         ``collector`` (a :class:`repro.obs.live.LiveCollector`) is
         offered a tick after every block.  The caller finalizes the
@@ -360,6 +305,68 @@ class StreamEngine:
         }
 
 
+def arbitrate(pending, horizon=None):
+    """Cross-session leak arbitration over a pool of pending frames.
+
+    Adjacent sub-bands alias onto the same product phase (their 5 MHz
+    spacing is a multiple of ``fs / lag``), so a strong sender also
+    decodes — attenuated but otherwise faithful — on neighbouring idle
+    sessions.  Among time-overlapping frames carrying *identical bits*
+    on different sessions, only the strongest ``band_power`` copy
+    survives (ties break toward the lower channel number, keeping the
+    decision deterministic).
+
+    One sweep in ``preamble_index`` order cuts the pool into
+    overlap-connected groups: a group ends where the next frame starts
+    at or past the group's largest ``end_index``.  A group is decided
+    only when every member ends before ``horizon`` (no session can
+    still emit a frame overlapping it); otherwise the whole group is
+    held.  ``horizon=None`` decides every group.  Arbitration only
+    compares frames within one group, so deciding per block and
+    deciding once over the whole stream agree.
+
+    Returns ``(released, held, suppressed)``: the surviving frames
+    sorted by stream position, the frames still held, and how many
+    leak copies were dropped.
+    """
+    released, held, suppressed = [], [], 0
+    for group in _overlap_groups(pending):
+        if horizon is not None and (
+            max(frame.end_index for frame in group) >= horizon
+        ):
+            held.extend(group)
+            continue
+        for frame in group:
+            key = (frame.band_power, -frame.zigbee_channel)
+            if any(
+                other.zigbee_channel != frame.zigbee_channel
+                and other.bits == frame.bits
+                and other.preamble_index < frame.end_index
+                and frame.preamble_index < other.end_index
+                and (other.band_power, -other.zigbee_channel) > key
+                for other in group
+            ):
+                suppressed += 1
+            else:
+                released.append(frame)
+    released.sort(key=lambda f: (f.preamble_index, f.zigbee_channel))
+    return released, held, suppressed
+
+
+def _overlap_groups(frames):
+    """Overlap-connected groups of ``frames``, in stream order."""
+    groups = []
+    end = None
+    for frame in sorted(frames, key=lambda f: f.preamble_index):
+        if groups and frame.preamble_index < end:
+            groups[-1].append(frame)
+            end = max(end, frame.end_index)
+        else:
+            groups.append([frame])
+            end = frame.end_index
+    return groups
+
+
 def batch_decode_stream(samples, **engine_kwargs):
     """Decode a whole capture in one shot — the batch reference.
 
@@ -377,6 +384,5 @@ def batch_decode_stream(samples, **engine_kwargs):
 
 __all__ = [
     "StreamEngine",
-    "RingBufferSource",
     "batch_decode_stream",
 ]

@@ -87,7 +87,7 @@ class TestAdmissionControl:
             assert not stats["finished"]
             assert stats["blocks_in"] == 0  # zeroed, not carried over
             # The fresh session is fully usable end to end.
-            assert core.submit("a", _zeros()) in (True, False)
+            core.submit("a", _zeros())
             result = core.finish_tenant("a")
             assert result["stats"]["finished"]
 
@@ -175,50 +175,69 @@ class TestAdmissionControl:
             assert core.tenant_ids() == ["a", "b"]
 
 
+def _counting_decodes(monkeypatch):
+    """Record the size of every block a consumer decodes."""
+    decoded = []
+    process = TenantConsumer.process
+
+    def counted(consumer, block):
+        decoded.append(block.size)
+        return process(consumer, block)
+
+    monkeypatch.setattr(TenantConsumer, "process", counted)
+    return decoded
+
+
 class TestBackpressure:
     def test_submit_admits_and_pump_decodes(self, monkeypatch):
-        decoded = []
-        process = TenantConsumer.process
+        decoded = _counting_decodes(monkeypatch)
+        with GatewayCore(engine=FAST_ENGINE) as core:
+            core.admit("a")
+            core.submit("a", _zeros(256))
+            assert decoded == []
+            assert core.tenant_stats("a")["blocks_in"] == 1
+            core.pump()
+            assert decoded == [256]
+            core.pump()  # nothing held: nothing decoded twice
+            assert decoded == [256]
 
-        def counted(consumer, block):
-            decoded.append(block.size)
-            return process(consumer, block)
-
-        monkeypatch.setattr(TenantConsumer, "process", counted)
+    def test_second_submit_decodes_the_held_block(self, monkeypatch):
+        # A tenant holds at most one undecoded block: a submit with no
+        # pump since the last one decodes the held block first.
+        decoded = _counting_decodes(monkeypatch)
         with GatewayCore(engine=FAST_ENGINE) as core:
             core.admit("a")
             core.submit("a", _zeros(256))
             core.submit("a", _zeros(128))
-            assert decoded == []
-            core.pump()
+            assert decoded == [256]
+            core.submit("a", _zeros(64))
             assert decoded == [256, 128]
-            assert core.tenant_stats("a")["ring"]["depth"] == 0
+            core.pump()
+            assert decoded == [256, 128, 64]
+            assert core.tenant_stats("a")["blocks_in"] == 3
 
-    def test_submit_reports_shed(self):
-        # ``submit`` only admits, so two submits with no pump between
-        # them meet a one-block ring that is still full.
+    def test_failed_held_decode_refuses_the_submit(self, monkeypatch):
+        monkeypatch.setattr(TenantConsumer, "process", _boom)
         REGISTRY.enable()
         REGISTRY.reset()
         try:
-            with GatewayCore(engine=FAST_ENGINE, ring_capacity=1) as core:
+            with GatewayCore(engine=FAST_ENGINE) as core:
                 core.admit("a")
-                assert core.submit("a", _zeros()) is True
-                assert core.submit("a", _zeros(100)) is False
-                stats = core.tenant_stats("a")
+                core.submit("a", _zeros())
+                with pytest.raises(GatewayError) as excinfo:
+                    core.submit("a", _zeros(100))
+                assert excinfo.value.code == ERR_DECODE_FAILED
+                stats = core.stats()
                 counters = REGISTRY.snapshot()["counters"]
-                core.pump()  # the decode frees the slot
-                assert core.submit("a", _zeros()) is True
         finally:
             REGISTRY.disable()
             REGISTRY.reset()
-        assert counters["gateway.blocks_admitted"] == 1
+        assert stats["active_tenants"] == 0
+        assert stats["tenants"]["a"]["failed"] is True
+        # The refused block was never admitted.
+        assert stats["tenants"]["a"]["blocks_in"] == 1
         assert counters["gateway.samples_admitted"] == 256
-        assert counters["gateway.blocks_shed"] == 1
-        assert counters["gateway.samples_shed"] == 100
-        assert stats["blocks_in"] == 1
-        assert stats["ring"]["overruns"] == 1
-        assert stats["ring"]["samples_dropped"] == 100
-        assert stats["ring"]["depth"] == 1
+        assert counters["gateway.tenants_failed"] == 1
 
 
 @pytest.mark.timeout(300)
@@ -285,20 +304,22 @@ def _boom(*args, **kwargs):
 class TestDecodeFailure:
     def test_raising_consumer_fails_only_its_tenant(self, monkeypatch):
         process = TenantConsumer.process
+        decoded = []
 
         def flaky(consumer, block):
             if consumer.tenant_id == "bad":
                 _boom()
+            decoded.append(block.size)
             return process(consumer, block)
 
         monkeypatch.setattr(TenantConsumer, "process", flaky)
         with GatewayCore(engine=FAST_ENGINE, max_tenants=2) as core:
             core.admit("bad")
             core.admit("good")
-            assert core.submit("bad", _zeros()) is True
-            core.submit("good", _zeros())
+            core.submit("bad", _zeros())
+            core.submit("good", _zeros(128))
             core.pump()  # never re-raises
-            assert core.tenant_stats("good")["ring"]["blocks_popped"] == 1
+            assert decoded == [128]
             stats = core.stats()
             assert stats["active_tenants"] == 1
             assert stats["tenants"]["bad"]["failed"] is True
@@ -346,7 +367,6 @@ class TestIntrospection:
         tenant = stats["tenants"]["a"]
         assert tenant["blocks_in"] == 1
         assert tenant["samples_in"] == 256
-        assert "ring" in tenant
 
     def test_closed_core_refuses_use(self):
         core = GatewayCore(engine=FAST_ENGINE)

@@ -35,6 +35,7 @@ from repro.gateway.protocol import (
     pack_message,
 )
 from repro.gateway.server import GatewayServer
+from repro.gateway.tenant import TenantConsumer
 from repro.obs.metrics import REGISTRY
 from repro.stream.engine import StreamEngine
 
@@ -132,7 +133,7 @@ class TestWireService:
             welcome = client.hello("t0")
             assert welcome["type"] == "welcome"
             assert welcome["tenant"] == "t0"
-            assert welcome["ring_capacity"] == 64
+            assert welcome["sample_rate"] == 20e6
             assert "jobs" not in welcome
 
     def test_gateway_error_keeps_connection_usable(self, harness):
@@ -156,8 +157,8 @@ class TestWireService:
             response = client.send_samples(
                 "t2", np.zeros(128, dtype=np.complex64)
             )
-            assert response["type"] == "accepted"
-            assert response["accepted"] is True
+            assert response == {"type": "accepted"}
+            assert client.stats("t2")["blocks_in"] == 1
 
     def test_server_stats_cover_the_fleet(self, harness):
         with harness.client() as client:
@@ -337,9 +338,7 @@ class TestSlowAndVanishingClients:
             assert rows[0]["matched"] == rows[0]["expected"] > 0
             for i in range(half, len(frame)):
                 slow._sock.sendall(frame[i : i + 1])
-            assert _response(slow._sock) == {
-                "type": "accepted", "accepted": True
-            }
+            assert _response(slow._sock) == {"type": "accepted"}
             assert slow.stats("slow")["blocks_in"] == 1
         assert harness.loop_errors == []
 
@@ -417,8 +416,8 @@ class TestZeroCopyWire:
         assert harness.loop_errors == []
 
     def test_payload_buffers_are_not_reused(self, harness, monkeypatch):
-        # The tenant's ring may hold a block past the next frame, and
-        # the block is a view of the frame's payload buffer.
+        # The tenant may hold a block past the next frame, and the
+        # block is a view of the frame's payload buffer.
         core = harness.server.core
         submitted = []
         submit = core.submit
@@ -438,6 +437,42 @@ class TestZeroCopyWire:
         assert not np.shares_memory(kept, latest)
         np.testing.assert_array_equal(kept, first)
         np.testing.assert_array_equal(latest, second)
+
+
+@pytest.mark.timeout(300)
+class TestHeldBlockBound:
+    def test_two_connections_leave_one_block_held(
+        self, harness, monkeypatch
+    ):
+        # With the pump switched off, only the held-slot rule decodes:
+        # however two connections interleave samples for one tenant,
+        # it never holds more than one undecoded block.
+        core = harness.server.core
+        monkeypatch.setattr(core, "pump", lambda: None)
+        decoded = []
+        process = TenantConsumer.process
+
+        def counted(consumer, block):
+            decoded.append(block.size)
+            return process(consumer, block)
+
+        monkeypatch.setattr(TenantConsumer, "process", counted)
+        with harness.client() as first, harness.client() as second:
+            first.hello("shared")
+            sizes = [256, 512, 768, 1024, 1280, 1536]
+            for index, size in enumerate(sizes):
+                client = (first, second)[index % 2]
+                reply = client.send_samples(
+                    "shared", np.zeros(size, dtype=np.complex64)
+                )
+                assert reply["type"] == "accepted"
+                blocks_in = client.stats("shared")["blocks_in"]
+                assert blocks_in == index + 1
+                assert blocks_in - len(decoded) == 1
+            assert decoded == sizes[:-1]
+            second.finish("shared")
+        assert decoded == sizes
+        assert harness.loop_errors == []
 
 
 @pytest.mark.timeout(300)
@@ -586,9 +621,7 @@ class TestDecodeFailure:
             process_block = StreamEngine.process_block
             monkeypatch.setattr(StreamEngine, "process_block", _boom)
             # Admission is the reply; the decode fails after it.
-            assert client.send_samples("t", block) == {
-                "type": "accepted", "accepted": True
-            }
+            assert client.send_samples("t", block) == {"type": "accepted"}
             for request in (
                 lambda: client.poll("t"),
                 lambda: client.send_samples("t", block),

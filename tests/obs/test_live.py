@@ -321,7 +321,6 @@ class TestSinksAndReaders:
             "counters": {
                 "stream.engine.frames": 12,
                 "stream.session.crc_failed": 1,
-                "stream.ring.overruns": 0,
             },
             "gauges": {"stream.realtime_margin": 0.5},
         }

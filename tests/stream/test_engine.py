@@ -115,17 +115,3 @@ class TestDemux:
         indices = [f.preamble_index for f in frames]
         assert indices == sorted(indices)
 
-
-class TestRunFromRing:
-    def test_engine_drains_ring(self, wideband_capture):
-        from repro.stream.ring import RingBufferSource
-
-        traffic, samples, truth = wideband_capture
-        ring = RingBufferSource(capacity_blocks=256)
-        for block in traffic.blocks(samples, 8192):
-            assert ring.push(block)
-        ring.close()
-        engine = StreamEngine()
-        frames = engine.run(ring)
-        assert _delivered(frames, truth) == len(truth)
-        assert ring.stats()["depth"] == 0
