@@ -992,7 +992,7 @@ def build_parser():
              "per-channel demux",
     )
     listen.add_argument(
-        "--decimation", type=int, default=None, metavar="D",
+        "--decimation", type=int, default=1, metavar="D",
         help="channelizer decimation factor (demux only; D must divide "
              "the product lag and bit period: 1, 2, 4 or 8 at 20 Msps — "
              "the vote window floors at D=8 — default 1, no decimation)",

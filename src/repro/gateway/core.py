@@ -69,13 +69,12 @@ from repro.obs.metrics import REGISTRY
 _LOG = logging.getLogger("repro.gateway")
 
 #: Inclusive bounds on the numeric engine overrides a tenant may send.
-#: Each one sizes a filter or a buffer the engine allocates up front, so
-#: an unbounded value would be a request to exhaust memory; they are
-#: refused before any engine is built.
+#: Each one sizes a buffer the engine allocates up front, so an
+#: unbounded value would be a request to exhaust memory; they are
+#: refused before any engine is built.  A key the engine does not take
+#: fails when its arguments are bound, also before anything is built.
 ENGINE_LIMITS = {
-    "ntaps": (3, 255),
     "scan_stride_bits": (1, 64),
-    "sample_rate": (1e6, 40e6),
 }
 #: Channelizer decimations the decoder supports.
 ENGINE_DECIMATIONS = (1, 2, 4, 8)
@@ -105,13 +104,12 @@ class _TenantState:
         "result",
         "blocks_in",
         "samples_in",
-        "sample_rate",
         "first_submit",
         "delivered",
         "owner",
     )
 
-    def __init__(self, tenant_id, consumer, sample_rate, owner=None):
+    def __init__(self, tenant_id, consumer, owner=None):
         self.tenant_id = tenant_id
         #: The admitted block not yet decoded (at most one).
         self.held = None
@@ -123,7 +121,6 @@ class _TenantState:
         self.result = None
         self.blocks_in = 0
         self.samples_in = 0
-        self.sample_rate = float(sample_rate)
         self.first_submit = None
         self.delivered = 0
         #: Who admitted the stream (a server connection), for abandon().
@@ -136,7 +133,7 @@ class _TenantState:
         elapsed = now - self.first_submit
         if elapsed <= 0:
             return None
-        return (self.samples_in / self.sample_rate) / elapsed
+        return (self.samples_in / WIFI_SAMPLE_RATE_20MHZ) / elapsed
 
 
 def check_engine_overrides(engine):
@@ -156,9 +153,7 @@ def check_engine_overrides(engine):
         value = engine.get(key)
         if value is None:
             continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            refuse(key, "is not a number")
-        if key != "sample_rate" and not isinstance(value, int):
+        if isinstance(value, bool) or not isinstance(value, int):
             refuse(key, "is not an integer")
         if not lo <= value <= hi:
             refuse(key, f"is outside [{lo:g}, {hi:g}]")
@@ -241,12 +236,7 @@ class GatewayCore:
             raise GatewayError(
                 ERR_BAD_REQUEST, f"bad engine config: {error}"
             ) from None
-        state = _TenantState(
-            tenant_id,
-            consumer,
-            merged.get("sample_rate", WIFI_SAMPLE_RATE_20MHZ),
-            owner,
-        )
+        state = _TenantState(tenant_id, consumer, owner)
         # A finished stream releases its id: re-admission starts a fresh
         # session (empty slot, new engine state, zeroed stats).  The old
         # state's results were already handed back by finish_tenant, so
@@ -257,7 +247,7 @@ class GatewayCore:
         _ACTIVE.set(self._active_count())
         return {
             "tenant": tenant_id,
-            "sample_rate": state.sample_rate,
+            "sample_rate": WIFI_SAMPLE_RATE_20MHZ,
         }
 
     # -- ingest --------------------------------------------------------------

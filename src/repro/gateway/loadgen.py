@@ -56,7 +56,6 @@ class TenantWorkload:
     #: (zigbee_channel, msg_id) -> the exact message bytes that must
     #: come back (every fragment of it aired).
     expected: dict
-    sample_rate: float
     #: Messages scripted but not fully aired (arrival jitter ran the
     #: capture out of room) — excluded from the delivery contract.
     incomplete: int = 0
@@ -65,6 +64,8 @@ class TenantWorkload:
     #: Always 0: a tenant holds at most one undecoded block and the
     #: gateway sheds nothing.  Kept because the perf ledger reads it.
     shed_blocks: int = 0
+    #: Every capture is rendered at the WiFi receiver's 20 MHz.
+    sample_rate = WIFI_SAMPLE_RATE_20MHZ
 
     @property
     def stream_seconds(self):
@@ -80,7 +81,6 @@ def build_workloads(
     scheme=DEFAULT_SCHEME,
     channels=(13,),
     reading_interval_s=0.0015,
-    sample_rate=WIFI_SAMPLE_RATE_20MHZ,
     engine=None,
     dtype=None,
 ):
@@ -125,11 +125,7 @@ def build_workloads(
                 )
             )
             scripted[sender_index] = (channel, msg_id, len(script), message)
-        traffic = StreamTraffic(
-            sender_objs,
-            sample_rate=sample_rate,
-            duration_s=float(duration_s),
-        )
+        traffic = StreamTraffic(sender_objs, duration_s=float(duration_s))
         samples, truth = traffic.capture(capture_rng)
         if dtype is not None:
             samples = np.asarray(samples, dtype=dtype)
@@ -150,7 +146,6 @@ def build_workloads(
                 samples=samples,
                 expected=expected,
                 incomplete=incomplete,
-                sample_rate=float(sample_rate),
                 engine=dict(engine) if engine else None,
             )
         )

@@ -78,39 +78,32 @@ class ScheduledTransmission:
 class StreamTraffic:
     """Synthesizes a seeded multi-sender baseband stream + ground truth."""
 
+    #: The WiFi receiver's 20 MHz sampling.
+    sample_rate = WIFI_SAMPLE_RATE_20MHZ
     #: Idle samples enforced between same-channel transmissions and
     #: before the capture's end, so scheduled frames decode whole.
     guard_samples = 4096
+    #: First allowed transmission start (receiver warm-up).
+    lead_in_samples = 2000
+    #: Captures carry the front end's noise floor.
+    include_noise = True
 
-    def __init__(
-        self,
-        senders,
-        wifi_channel=1,
-        sample_rate=WIFI_SAMPLE_RATE_20MHZ,
-        duration_s=0.05,
-        scenario=None,
-        include_noise=True,
-        lead_in_samples=2000,
-    ):
+    def __init__(self, senders, wifi_channel=1, duration_s=0.05, scenario=None):
         self.senders = list(senders)
         if not self.senders:
             raise ValueError("need at least one sender")
-        self.sample_rate = float(sample_rate)
         self.duration_s = float(duration_s)
         self.total_samples = int(round(self.duration_s * self.sample_rate))
         self.scenario = scenario
-        self.include_noise = bool(include_noise)
-        #: First allowed transmission start (receiver warm-up).
-        self.lead_in_samples = int(lead_in_samples)
         self.front_end = WifiFrontEnd(
-            channel=wifi_channel, sample_rate=sample_rate
+            channel=wifi_channel, sample_rate=self.sample_rate
         )
         self.encoder = SymBeeEncoder()
         self._transmitters = {
             s.sender_id: ZigBeeTransmitter(
                 channel=s.zigbee_channel,
                 tx_power_dbm=s.tx_power_dbm,
-                sample_rate=sample_rate,
+                sample_rate=self.sample_rate,
             )
             for s in self.senders
         }

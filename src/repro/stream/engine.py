@@ -21,17 +21,27 @@ shapes:
   indistinguishable — separation must happen in the sample domain,
   before the autocorrelation.
 
-Two knobs shape the front end:
+The engine takes only the settings some caller sets.  Two of them
+shape the front end:
 
-* ``decimation`` (demux only) — each sub-band is decimated inside the
-  channelizer; every session-side quantity (lag, window, bit period,
-  vote taus) scales through the decimation-aware
+* ``decimation`` (demux only, default 1) — each sub-band is decimated
+  inside the channelizer; every session-side quantity (lag, window,
+  bit period, vote taus) scales through the decimation-aware
   :class:`repro.core.decoder.SymBeeDecoder`.  The factor must divide
   the lag (16 at 20 Msps) and the bit period, and past 8 the vote
   window leaves too few plateau positions, so 1, 2, 4 or 8; decimation
   8 is the headline config.
 * ``working_dtype`` — complex128 (default) or complex64, the precision
   the bank and the sessions compute in.
+
+Everything else is fixed: the 20 Msps WiFi sample rate, the demux
+channelizer (:data:`DEMUX_NTAPS` taps cut at :data:`DEMUX_CUTOFF_HZ`;
+one identity tap for wideband), the decoder's default vote taus and the
+capture floor derived from the filter length.  The taus stay settable
+on :class:`~repro.core.decoder.SymBeeDecoder`,
+:class:`~repro.stream.session.StreamSession` and
+:class:`repro.core.link.SymBeeLink`, where Fig 22 and the session tests
+set them.
 
 The bank's arithmetic is fixed (correctly rounded FMAs in one order),
 so the products — and with them the frames — are the same bits on every
@@ -92,29 +102,31 @@ DEMUX_CUTOFF_HZ = 1.4e6
 class StreamEngine:
     """Block-by-block SymBee receiver over an unbounded sample stream."""
 
+    #: The WiFi receiver's 20 MHz sampling; every caller streams at it.
+    sample_rate = WIFI_SAMPLE_RATE_20MHZ
+
     def __init__(
         self,
         wifi_channel=1,
-        sample_rate=WIFI_SAMPLE_RATE_20MHZ,
         zigbee_channels=None,
         demux=False,
         scan_stride_bits=8,
-        capture_tau=None,
-        tau=None,
-        tau_sync=None,
-        ntaps=DEMUX_NTAPS,
-        cutoff_hz=DEMUX_CUTOFF_HZ,
-        decimation=None,
-        mode="fast",
+        decimation=1,
         working_dtype=None,
+        mode="fast",
         scan_kernel="batched",
     ):
+        """Build the bank and one session per decoded channel.
+
+        ``scan_stride_bits`` stays settable because
+        ``tests/stream/golden/stride.py`` freezes the only full-frame
+        test of the walk's end-of-stream tail with it.  ``mode`` and
+        ``scan_kernel`` each accept one value; they stay because the
+        perf ledger's engine configs pass them.
+        """
         self.wifi_channel = wifi_channel
-        self.sample_rate = float(sample_rate)
         self.demux = bool(demux)
-        self.decimation = 1 if decimation is None else int(decimation)
-        # One front end and one scanner: the keywords stay for callers
-        # that name them.
+        self.decimation = int(decimation)
         if mode != "fast":
             raise ValueError(f"unknown kernel mode {mode!r}; expected 'fast'")
         if scan_kernel != "batched":
@@ -147,16 +159,15 @@ class StreamEngine:
                 "channels apart — use demux=True"
             )
         offsets = [frequency_offset_hz(ch, wifi_channel) for ch in channels]
-        if not demux:
-            # The identity filter: the bank's product rotation is then
-            # the Appendix-B CFO correction for the reference channel.
-            ntaps = 1
+        # Wideband uses the identity filter: the bank's product rotation
+        # is then the Appendix-B CFO correction for the reference channel.
+        ntaps = DEMUX_NTAPS if demux else 1
         self._bank = FastChannelBank(
             offsets,
             self.sample_rate,
             lag,
             ntaps=ntaps,
-            cutoff_hz=cutoff_hz,
+            cutoff_hz=DEMUX_CUTOFF_HZ,
             decimation=self.decimation,
             working_dtype=self.working_dtype,
         )
@@ -168,8 +179,6 @@ class StreamEngine:
                 # +-4pi/5, so the decoder needs no CFO correction.
                 decoder = SymBeeDecoder(
                     sample_rate=self.sample_rate,
-                    tau=tau,
-                    tau_sync=tau_sync,
                     cfo_correction=None,
                     decimation=self.decimation,
                 )
@@ -177,30 +186,26 @@ class StreamEngine:
                 # count floor must drop by as much (plus edge margin) —
                 # in decimated-output units, rounded up so the floor is
                 # never optimistic.
-                session_tau = capture_tau
-                if session_tau is None:
-                    session_tau = min(
-                        -(-(ntaps - 1 + 8) // self.decimation),
-                        decoder.window // 2 - 1,
-                    )
+                capture_tau = min(
+                    -(-(ntaps - 1 + 8) // self.decimation),
+                    decoder.window // 2 - 1,
+                )
             else:
                 # The bank applies the CFO rotation; the decoder's
                 # correction still sets the session's zero-product fill.
                 decoder = SymBeeDecoder(
                     sample_rate=self.sample_rate,
-                    tau=tau,
-                    tau_sync=tau_sync,
                     cfo_correction=cfo_compensation_phase(
                         offset, lag, self.sample_rate
                     ),
                 )
-                session_tau = capture_tau
+                capture_tau = None
             self._sessions.append(
                 StreamSession(
                     decoder,
                     zigbee_channel=channel,
                     scan_stride_bits=scan_stride_bits,
-                    capture_tau=session_tau,
+                    capture_tau=capture_tau,
                     dtype=self.working_dtype,
                 )
             )

@@ -38,6 +38,11 @@ _CRC_BITS = 8
 
 ACK_BITS = _MSG_ID_BITS + _BASE_BITS + ACK_WINDOW + _QUALITY_BITS + _CRC_BITS
 
+#: The AP's beacon schedule: one beacon every 6 ms, each shifted by a
+#: multiple of 0.5 ms to carry 2 bits.
+BEACON_INTERVAL_S = 0.006
+SHIFT_QUANTUM_S = 0.5e-3
+
 
 @dataclass(frozen=True)
 class AckRecord:
@@ -96,17 +101,10 @@ class AckDelivery:
 class AckChannel:
     """FreeBee beacon-timing channel with loss, jitter and blackouts."""
 
-    def __init__(
-        self,
-        beacon_interval_s=0.006,
-        shift_quantum_s=0.5e-3,
-        loss_prob=0.0,
-        jitter_sigma_s=0.0,
-        blackouts=(),
-    ):
+    def __init__(self, loss_prob=0.0, jitter_sigma_s=0.0, blackouts=()):
         self.freebee = FreeBee(
-            beacon_interval_s=beacon_interval_s,
-            shift_quantum_s=shift_quantum_s,
+            beacon_interval_s=BEACON_INTERVAL_S,
+            shift_quantum_s=SHIFT_QUANTUM_S,
             bits_per_beacon=2,
         )
         if not 0.0 <= loss_prob < 1.0:

@@ -1,16 +1,16 @@
 """Selective-repeat ARQ sender state machine.
 
-Pure control logic, no PHY and no clock of its own: the session (or the
-multi-sender arbiter) owns time and asks the machine what to do at a
-given instant.  The machine tracks, per fragment: acknowledged or not,
-transmission attempts used, and when the retransmit timer next fires.
+Pure control logic, no PHY and no clock of its own: the transport
+session owns time and asks the machine what to do at a given instant.
+The machine tracks, per fragment: acknowledged or not, transmission
+attempts used, and when the retransmit timer next fires.
 A fragment may be (re)transmitted when it is inside the send window
 (``base .. base + window - 1``), unacknowledged, past its timer, and
 still under the attempt budget; the machine always offers the lowest
 eligible index, which keeps retransmissions ahead of new data.
 
-Keeping this a standalone object is what lets the single-sender session
-and the multi-sender airtime arbiter drive identical ARQ behavior.
+Keeping the machine apart from the session's clock and PHY is what lets
+it be driven, and tested, with hand-written ACKs alone.
 """
 
 from repro.transport.ackchannel import ACK_WINDOW

@@ -1,7 +1,8 @@
 """The transport's view of the PHY: one fragment in, one observation out.
 
 ``TransportChannel`` wraps a :class:`repro.core.link.SymBeeLink` pinned
-at a base SNR (the repo's ``link_at_snr`` convention) and applies the
+at a base SNR (the repo's ``link_at_snr`` convention), on the link's
+ZigBee channel 13 under WiFi channel 1, and applies the
 session's fault profile per transmission: extra path loss scales the
 transmit waveform, interference installs a WiFi burst model for the
 duration of that frame.
@@ -60,21 +61,9 @@ class RxObservation:
 class TransportChannel:
     """Fault-aware PHY harness for transport sessions."""
 
-    def __init__(
-        self,
-        snr_db=6.0,
-        fault_profile=None,
-        zigbee_channel=13,
-        wifi_channel=1,
-        **link_kwargs,
-    ):
+    def __init__(self, snr_db=6.0, fault_profile=None):
         self.snr_db = float(snr_db)
-        self.link = link_at_snr(
-            self.snr_db,
-            zigbee_channel=zigbee_channel,
-            wifi_channel=wifi_channel,
-            **link_kwargs,
-        )
+        self.link = link_at_snr(self.snr_db)
         self.profile = fault_profile if fault_profile is not None else FaultProfile()
 
     def transmit(self, data_bits, frame_type, sequence, time_s, rng, profile_rng):

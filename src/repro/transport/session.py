@@ -126,8 +126,8 @@ def _spawned_rng(root, *key):
 class _Endpoint:
     """Sender+receiver pair working through one message.
 
-    Holds everything but the clock, which :class:`TransportSession`
-    advances.
+    :meth:`TransportSession.send` builds one per message and advances
+    it on the session clock; the clock, channel and policy outlive it.
     """
 
     #: Attempts after which a fragment goes out under the strongest
@@ -373,22 +373,13 @@ class TransportSession:
         window=ACK_WINDOW,
         rto_s=0.35,
         max_attempts=12,
-        zigbee_channel=13,
-        wifi_channel=1,
-        **link_kwargs,
     ):
         self.root = (
             seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
         )
         profile = fault_profile if fault_profile is not None else FaultProfile()
         self.profile = profile
-        self.channel = TransportChannel(
-            snr_db=snr_db,
-            fault_profile=profile,
-            zigbee_channel=zigbee_channel,
-            wifi_channel=wifi_channel,
-            **link_kwargs,
-        )
+        self.channel = TransportChannel(snr_db=snr_db, fault_profile=profile)
         impairments = profile.ack_impairments()
         self.ack_channel = AckChannel(
             loss_prob=impairments.loss_prob,

@@ -140,19 +140,19 @@ class TestAdmissionControl:
     @pytest.mark.parametrize(
         "engine",
         [
-            {"ntaps": 1000001},
-            {"ntaps": 1},
-            {"ntaps": 21.0},
-            {"ntaps": True},
             {"scan_stride_bits": 0},
+            {"scan_stride_bits": 65},
             {"scan_stride_bits": 1 << 40},
-            {"sample_rate": 1e12},
-            {"sample_rate": float("nan")},
-            {"sample_rate": "20e6"},
+            {"scan_stride_bits": 4.0},
+            {"scan_stride_bits": True},
+            {"scan_stride_bits": "8"},
+            {"decimation": 0},
+            {"decimation": 3},
             {"decimation": 16},
             {"decimation": True},
             {"zigbee_channels": list(range(11, 28))},
             {"zigbee_channels": 13},
+            {"zigbee_channels": "13"},
         ],
     )
     def test_out_of_range_engine_refused_before_build(
@@ -168,10 +168,36 @@ class TestAdmissionControl:
             assert excinfo.value.code == ERR_BAD_REQUEST
             assert core.tenant_ids() == []
 
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            {"tau": 3},
+            {"tau_sync": 0},
+            {"capture_tau": 10**9},
+            {"ntaps": 21},
+            {"cutoff_hz": 1e6},
+            {"sample_rate": 20e6},
+        ],
+    )
+    def test_retired_engine_key_refused(self, engine):
+        """A key the engine no longer takes is refused, never admitted."""
+        with GatewayCore(engine=FAST_ENGINE) as core:
+            with pytest.raises(GatewayError) as excinfo:
+                core.admit("a", engine=engine)
+            assert excinfo.value.code == ERR_BAD_REQUEST
+            assert next(iter(engine)) in str(excinfo.value)
+            assert core.tenant_ids() == []
+
     def test_in_range_engine_overrides_admitted(self):
         with GatewayCore(engine=FAST_ENGINE) as core:
-            core.admit("a", engine={"ntaps": 31, "scan_stride_bits": 4})
-            core.admit("b", engine={"sample_rate": 20e6, "decimation": 8})
+            core.admit("a", engine={"scan_stride_bits": 4, "decimation": 8})
+            core.admit(
+                "b",
+                engine={
+                    "zigbee_channels": [11, 14],
+                    "working_dtype": "complex128",
+                },
+            )
             assert core.tenant_ids() == ["a", "b"]
 
 

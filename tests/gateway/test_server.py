@@ -190,6 +190,11 @@ class TestMalformedHeaders:
             },
             {"type": "hello", "tenant": "d", "engine": {"ntaps": 1000001}},
             {"type": "hello", "tenant": "e", "engine": {"mode": "exact"}},
+            {
+                "type": "hello",
+                "tenant": "g",
+                "engine": {"capture_tau": 10**9},
+            },
         ],
         ids=[
             "list-tenant",
@@ -198,6 +203,7 @@ class TestMalformedHeaders:
             "bad-decimation",
             "huge-ntaps",
             "exact-mode",
+            "retired-capture-tau",
         ],
     )
     def test_refused_as_bad_request(self, harness, header):
