@@ -82,6 +82,23 @@ def hamming74_decode(bits):
     return data.ravel(), int(errors.sum())
 
 
+def _nibble_table():
+    """:func:`hamming74_decode` of every 7-bit codeword, packed."""
+    bits = [
+        (codeword >> shift) & 1
+        for codeword in range(1 << _CODEWORD_LEN)
+        for shift in range(_CODEWORD_LEN - 1, -1, -1)
+    ]
+    data = hamming74_decode(bits)[0].reshape(-1, _DATA_LEN).tolist()
+    return tuple(d1 << 3 | d2 << 2 | d3 << 1 | d4 for d1, d2, d3, d4 in data)
+
+
+#: ``HAMMING74_NIBBLES[c]`` is the corrected data nibble (``d1`` most
+#: significant) of codeword ``c`` read MSB first (position 1 most
+#: significant): a packed decoder's syndrome table.
+HAMMING74_NIBBLES = _nibble_table()
+
+
 def code_rate():
     """Information rate of the code (4/7)."""
     return _DATA_LEN / _CODEWORD_LEN

@@ -225,6 +225,10 @@ struct session_frame {
     double guard_power;    /* reserved for capture-time leak arbitration */
     int32_t crc_ok;
     int32_t outcome;       /* reserved for per-frame outcome accounting */
+    int32_t version;       /* header fields, read from bits (all 0 when */
+    int32_t frame_type;    /* the bits are shorter than header and CRC) */
+    int32_t length;        /* declared data bits */
+    int32_t sequence;
     int32_t votes[SESSION_MAX_BITS];
     uint8_t bits[SESSION_MAX_BITS];
 };
@@ -387,21 +391,27 @@ static void session_trim(struct session *s, int64_t lo)
     }
 }
 
-/* Whether a frame's bits parse with a matching CRC: the declared data
- * length fits, and the ITU-T CRC-16 (reflected 0x1021, initial 0) of
- * the header and data bits, packed MSB first into zero-padded bytes,
- * equals the 16 bits after them. */
-static int frame_crc_ok(const uint8_t *bits, int64_t n)
+/* Parse a frame's bits into f: the header fields, and crc_ok set when
+ * the declared data length fits and the ITU-T CRC-16 (reflected
+ * 0x1021, initial 0) of the header and data bits, packed MSB first into
+ * zero-padded bytes, equals the 16 bits after them.  The one CRC
+ * verdict of a stream frame; f is zeroed beforehand. */
+static void frame_parse(struct session_frame *f)
 {
+    const uint8_t *bits = f->bits;
+    int64_t n = f->n_bits;
     if (n < FRAME_OVERHEAD_BITS)
-        return 0;
-    int64_t length = 0;
-    for (int64_t b = FRAME_LENGTH_LO; b < FRAME_LENGTH_LO + FRAME_LENGTH_BITS;
-         b++)
-        length = length << 1 | bits[b];
-    int64_t end = FRAME_DATA_START + length;
+        return;
+    uint32_t word = 0;
+    for (int64_t b = 0; b < FRAME_DATA_START; b++)
+        word = word << 1 | bits[b];
+    f->version = HEADER_FIELD(word, FRAME_VERSION);
+    f->frame_type = HEADER_FIELD(word, FRAME_TYPE);
+    f->length = HEADER_FIELD(word, FRAME_LENGTH);
+    f->sequence = HEADER_FIELD(word, FRAME_SEQUENCE);
+    int64_t end = FRAME_DATA_START + f->length;
     if (n < end + FRAME_CRC_BITS)
-        return 0;
+        return;
     uint32_t crc = 0;
     for (int64_t lo = 0; lo < end; lo += 8) {
         uint32_t byte = 0;
@@ -414,7 +424,7 @@ static int frame_crc_ok(const uint8_t *bits, int64_t n)
     uint32_t received = 0;
     for (int64_t b = end; b < end + FRAME_CRC_BITS; b++)
         received = received << 1 | bits[b];
-    return received == (crc & 0xFFFF);
+    f->crc_ok = received == (crc & 0xFFFF);
 }
 
 static int64_t now_ns(void)

@@ -86,7 +86,7 @@ struct walk_out {
 struct session_frame {
     int64_t n0, data_start, end, n_bits, latency, runs_lo, runs_n;
     double coherence, band_power, guard_power;
-    int32_t crc_ok, outcome;
+    int32_t crc_ok, outcome, version, frame_type, length, sequence;
     int32_t votes[128];
     uint8_t bits[128];
 };
@@ -149,7 +149,8 @@ LAYOUT = "".join(
     f"#define FRAME_{name}_BITS {field.stop - field.start}\n"
     for name, field in (("VERSION", frame.VERSION_FIELD),
                         ("TYPE", frame.TYPE_FIELD),
-                        ("LENGTH", frame.LENGTH_FIELD))
+                        ("LENGTH", frame.LENGTH_FIELD),
+                        ("SEQUENCE", frame.SEQUENCE_FIELD))
 ) + (f"#define FRAME_DATA_START {frame.DATA_START}\n"
      f"#define FRAME_CRC_BITS {frame.OUTER_CRC_BITS}\n")
 

@@ -41,8 +41,12 @@ caches, then walks and decodes bodies until it is blocked (the walk
 with its header gate, the body votes against ``tau_sync``, the frame
 CRC that decides where the search resumes, band power), then trims
 everything the state can no longer reach.  It returns fixed-size
-descriptors of the frames it emitted; Python builds a
-:class:`StreamFrame` and parses the bits only for those.  The struct is
+descriptors of the frames it emitted, each already parsed: its bits,
+its header fields (version, frame type, data length, sequence) and its
+CRC verdict.  That verdict (``frame_parse`` in ``derive.c``) is the
+one CRC-16 check a stream frame gets; Python builds the
+:class:`StreamFrame` and its :class:`repro.core.frame.SymBeeFrame` from
+the descriptor without parsing the bits again.  The struct is
 freed by :meth:`StreamSession.finish` (or with the session object);
 ``lib.session_live()`` counts the structs alive.
 
@@ -144,8 +148,9 @@ from repro.core.frame import (
     FRAME_TYPE_TRANSPORT_BASE,
     MAX_DATA_BITS,
     MAX_KNOWN_FRAME_TYPE,
+    OUTER_CRC_BITS,
     VERSION,
-    parse_frame_bits,
+    SymBeeFrame,
 )
 from repro.core.preamble import (
     _COHERENCE,
@@ -440,11 +445,25 @@ class StreamSession:
         ]
 
     def _frame(self, desc, metered):
-        """The :class:`StreamFrame` of one emitted frame's descriptor."""
+        """The :class:`StreamFrame` of one emitted frame's descriptor.
+
+        The kernel parsed the header and checked the CRC; the frame is
+        None when the bits are too short for their declared length, as
+        the Python frame parser decides.
+        """
         n_bits = desc.n_bits
-        bits = tuple(ffi.unpack(desc.bits, n_bits))
-        frame = parse_frame_bits(bits)
-        crc_ok = bool(frame is not None and frame.crc_ok)
+        bits = tuple(ffi.buffer(desc.bits, n_bits)[:])
+        crc_ok = bool(desc.crc_ok)
+        end = DATA_START + desc.length
+        frame = None
+        if n_bits >= end + OUTER_CRC_BITS:
+            frame = SymBeeFrame(
+                data_bits=bits[DATA_START:end],
+                sequence=desc.sequence,
+                frame_type=desc.frame_type,
+                version=desc.version,
+                crc_ok=crc_ok,
+            )
         self.frames_emitted += 1
         _FRAMES.inc()
         if not crc_ok:

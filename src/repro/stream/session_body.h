@@ -210,7 +210,8 @@ static int SFX(session_body)(struct session *s, int32_t metered,
         f->votes[b] = votes;
         f->bits[b] = votes >= pp->tau_sync;
     }
-    f->crc_ok = frame_crc_ok(f->bits, nb);
+    f->n_bits = nb;
+    frame_parse(f);
     /* np.mean: the float sum, divided in double by the int64 count and
      * rounded back to the working float. */
     REAL sum = SFX(pairwise_magnitude)(buf_at(&s->prod, s->n0), end - s->n0);
@@ -238,7 +239,6 @@ static int SFX(session_body)(struct session *s, int32_t metered,
     f->n0 = s->n0;
     f->data_start = ds;
     f->end = end;
-    f->n_bits = nb;
     f->latency = buffered - end;
     f->coherence = s->coherence;
     out->frames++;

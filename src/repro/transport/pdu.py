@@ -34,6 +34,13 @@ hamming  ``7 * ceil(b / 4)``            18
 conv     ``2 * (b + 6)``                8
 ======== ============================== ==========
 
+Decoding works on packed words, not bit lists: the received data bits
+become one int, Hamming(7,4) decodes each 7-bit codeword through a
+128-entry syndrome table (:data:`repro.core.coding.HAMMING74_NIBBLES`,
+built from the array decoder at import), the header fields are read by
+shifts, and the checksum runs over the packed bytes.  Only the Viterbi
+decoder still takes a bit array.
+
 The convolutional option is deliberately tiny — rate 1/2 plus the 6-bit
 Viterbi tail inside a 72-bit frame leaves 8 payload bits — but it is the
 scheme that still delivers when the channel is bad enough that nothing
@@ -44,13 +51,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.coding import hamming74_decode, hamming74_encode
+from repro.core.coding import HAMMING74_NIBBLES, hamming74_encode
 from repro.core.convolutional import CONSTRAINT_LENGTH, conv_encode, viterbi_decode
 from repro.core.frame import (
     MAX_DATA_BITS,
-    bits_to_int,
     int_to_bits,
-    pack_bits,
     transport_frame_type,
     transport_scheme_id,
 )
@@ -62,6 +67,13 @@ PDU_OVERHEAD_BITS = 22
 _MSG_ID_BITS = 4
 _COUNT_BITS = 6
 _CRC_BITS = 12
+#: Header bits ahead of the payload in the checksummed word: msg_id,
+#: frag_index (implicit), scheme (implicit) and frag_count - 1.
+_COVERED_HEADER_BITS = _MSG_ID_BITS + _COUNT_BITS + 2 + _COUNT_BITS
+
+#: Bit values to binary digits and back, for packing through ``int(.., 2)``.
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 #: Fragment index budget (rides the frame's 8-bit sequence byte but is
 #: checksummed at 6 bits, bounding messages at 64 fragments).
@@ -147,16 +159,32 @@ class Fragment:
             raise ValueError("frag_index must be below frag_count")
 
 
-def _crc12(fragment, scheme):
-    """Inner checksum over implicit + explicit fields and payload."""
-    covered = (
-        int_to_bits(fragment.msg_id, _MSG_ID_BITS)
-        + int_to_bits(fragment.frag_index, _COUNT_BITS)
-        + int_to_bits(scheme, 2)
-        + int_to_bits(fragment.frag_count - 1, _COUNT_BITS)
-        + list(fragment.payload)
-    )
-    return crc16_itut(pack_bits(covered)) & 0xFFF
+def _pack(bits):
+    """A sequence of 0/1 bits as one int, the first bit most significant."""
+    if not isinstance(bits, (tuple, list)):
+        bits = list(bits)  # an array's items, not its buffer
+    return int(bytes(bits).translate(_TO_DIGITS), 2) if bits else 0
+
+
+def _unpack(word, n_bits):
+    """The ``n_bits`` low bits of ``word`` as a tuple, most significant first."""
+    if not n_bits:
+        return ()
+    return tuple(f"{word:0{n_bits}b}".encode().translate(_FROM_DIGITS))
+
+
+def _crc12(msg_id, frag_index, scheme, frag_count, payload, payload_bits):
+    """Inner checksum over implicit + explicit fields and payload.
+
+    ``payload`` is the packed payload word of ``payload_bits`` bits; the
+    covered bits are packed MSB first into zero-padded bytes.
+    """
+    header = (
+        (msg_id << _COUNT_BITS | frag_index) << 2 | scheme
+    ) << _COUNT_BITS | (frag_count - 1)
+    n_bits = _COVERED_HEADER_BITS + payload_bits
+    covered = (header << payload_bits | payload) << (-n_bits % 8)
+    return crc16_itut(covered.to_bytes((n_bits + 7) // 8, "big")) & 0xFFF
 
 
 def encode_fragment(fragment, scheme):
@@ -179,7 +207,13 @@ def encode_fragment(fragment, scheme):
         int_to_bits(fragment.msg_id, _MSG_ID_BITS)
         + int_to_bits(fragment.frag_count - 1, _COUNT_BITS)
         + payload
-        + int_to_bits(_crc12(fragment, scheme), _CRC_BITS)
+        + int_to_bits(
+            _crc12(
+                fragment.msg_id, fragment.frag_index, scheme,
+                fragment.frag_count, _pack(payload), len(payload),
+            ),
+            _CRC_BITS,
+        )
     )
     pdu = np.asarray(pdu, dtype=np.int8)
     if scheme == SCHEME_NONE:
@@ -194,22 +228,26 @@ def encode_fragment(fragment, scheme):
     return list(coded), transport_frame_type(scheme), fragment.frag_index
 
 
-def _validate(raw, pdu_len, frag_index, scheme):
-    """Check one candidate PDU length; a Fragment on success else None."""
-    if pdu_len < PDU_OVERHEAD_BITS:
+def _validate(word, pdu_len, frag_index, scheme):
+    """Check one candidate PDU of ``pdu_len`` bits packed MSB first in
+    ``word``; a Fragment on success else None."""
+    payload_bits = pdu_len - PDU_OVERHEAD_BITS
+    if payload_bits < 0:
         return None
-    msg_id = bits_to_int(raw[0:_MSG_ID_BITS])
-    count = bits_to_int(raw[_MSG_ID_BITS : _MSG_ID_BITS + _COUNT_BITS]) + 1
+    msg_id = word >> (pdu_len - _MSG_ID_BITS)
+    count = (word >> (_CRC_BITS + payload_bits) & (MAX_FRAGMENTS - 1)) + 1
     if frag_index >= count:
         return None
-    payload = tuple(int(b) for b in raw[_MSG_ID_BITS + _COUNT_BITS : pdu_len - _CRC_BITS])
-    received = bits_to_int(raw[pdu_len - _CRC_BITS : pdu_len])
-    fragment = Fragment(
-        msg_id=msg_id, frag_index=frag_index, frag_count=count, payload=payload
-    )
-    if _crc12(fragment, scheme) != received:
+    payload = word >> _CRC_BITS & ((1 << payload_bits) - 1)
+    crc = _crc12(msg_id, frag_index, scheme, count, payload, payload_bits)
+    if crc != word & ((1 << _CRC_BITS) - 1):
         return None
-    return fragment
+    return Fragment(
+        msg_id=msg_id,
+        frag_index=frag_index,
+        frag_count=count,
+        payload=_unpack(payload, payload_bits),
+    )
 
 
 def decode_fragment(frame_type, sequence, data_bits):
@@ -217,33 +255,39 @@ def decode_fragment(frame_type, sequence, data_bits):
 
     ``None`` when the frame is not a transport fragment or fails the
     inner checksum (which covers the frame type and sequence byte, so
-    corruption of either uncoded field is caught here).
+    corruption of either uncoded field is caught here).  ``data_bits``
+    (0/1 values) are packed into one int up front; Hamming(7,4) decodes
+    each 7-bit codeword by table lookup, and the fields and checksum
+    are read from the packed word.
     """
     scheme = transport_scheme_id(frame_type)
     if scheme is None:
         return None
     frag_index = int(sequence) & (MAX_FRAGMENTS - 1)
-    bits = np.asarray(data_bits, dtype=np.int8)
-    if bits.size == 0 or bits.size > MAX_DATA_BITS:
+    n_bits = len(data_bits)
+    if not 0 < n_bits <= MAX_DATA_BITS:
         return None
     if scheme == SCHEME_NONE:
-        return _validate(bits, bits.size, frag_index, scheme)
+        return _validate(_pack(data_bits), n_bits, frag_index, scheme)
     if scheme == SCHEME_HAMMING:
-        if bits.size % 7 != 0:
+        if n_bits % 7 != 0:
             return None
-        raw, _ = hamming74_decode(bits)
+        word, raw = _pack(data_bits), 0
+        for shift in range(n_bits - 7, -1, -7):
+            raw = raw << 4 | HAMMING74_NIBBLES[word >> shift & 0x7F]
+        raw_bits = n_bits // 7 * 4
         # The encoder zero-padded the PDU to a codeword boundary; the pad
         # length is not transmitted, so try each of the <= 3 possible
         # lengths — the checksum (which trails the true PDU) disambiguates.
         for pad in range(4):
-            fragment = _validate(raw, raw.size - pad, frag_index, scheme)
+            fragment = _validate(raw >> pad, raw_bits - pad, frag_index, scheme)
             if fragment is not None:
                 return fragment
         return None
-    if bits.size % 2 != 0:
+    if n_bits % 2 != 0:
         return None
-    n_bits = bits.size // 2 - (CONSTRAINT_LENGTH - 1)
-    if n_bits < PDU_OVERHEAD_BITS:
+    pdu_len = n_bits // 2 - (CONSTRAINT_LENGTH - 1)
+    if pdu_len < PDU_OVERHEAD_BITS:
         return None
-    raw = viterbi_decode(bits, n_bits=n_bits)
-    return _validate(raw, raw.size, frag_index, scheme)
+    raw = viterbi_decode(data_bits, n_bits=pdu_len)
+    return _validate(_pack(raw), pdu_len, frag_index, scheme)

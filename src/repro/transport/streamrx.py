@@ -3,9 +3,12 @@
 :mod:`repro.stream` surfaces every frame it can delimit from a
 continuous capture — including transport fragments, whose frame types
 its header gate accepts.  This adapter sits on that output and rebuilds
-messages: each :class:`repro.stream.session.StreamFrame` is pushed
-through the transport PDU layer once (which ignores the outer CRC
-verdict — the inner checksum decides), fragments are routed to
+messages: each :class:`repro.stream.session.StreamFrame` arrives
+parsed by the native session (header fields and outer CRC verdict from
+its descriptor, no second parse here) and is pushed through the
+transport PDU layer once, which packs its data bits into one int,
+ignores the outer CRC verdict and lets the inner checksum decide
+(:func:`repro.transport.pdu.decode_fragment`); fragments are routed to
 per-``(channel, msg_id, frag_count)`` reassemblers, and completed
 messages pop out in completion order, each with its wall-clock
 reassembly latency.

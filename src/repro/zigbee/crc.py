@@ -7,16 +7,27 @@ This is the "KERMIT"-style reflected CRC.
 """
 
 
+def _table():
+    """CRC of each single byte: one reflected 0x8408 step per bit."""
+    table = []
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0x8408 if crc & 1 else crc >> 1
+        table.append(crc)
+    return tuple(table)
+
+
+#: ``_TABLE[i]`` shifts the low byte ``i`` out of the register.
+_TABLE = _table()
+
+
 def crc16_itut(data, initial=0x0000):
     """Compute the 802.15.4 FCS over ``data`` (bytes-like)."""
     crc = initial
+    table = _TABLE
     for byte in bytes(data):
-        crc ^= byte
-        for _ in range(8):
-            if crc & 0x0001:
-                crc = (crc >> 1) ^ 0x8408  # 0x1021 bit-reflected
-            else:
-                crc >>= 1
+        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
     return crc & 0xFFFF
 
 

@@ -1,9 +1,11 @@
 """Unit and property tests for the 802.15.4 FCS (CRC-16 ITU-T)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.zigbee.crc import append_fcs, check_fcs, crc16_itut
+from tests.zigbee.crc_reference import crc16_itut_bitwise
 
 
 class TestCrc16:
@@ -22,6 +24,24 @@ class TestCrc16:
 
     def test_order_sensitive(self):
         assert crc16_itut(b"\x01\x02") != crc16_itut(b"\x02\x01")
+
+
+class TestTableMatchesBitwise:
+    @pytest.mark.parametrize("initial", (0x0000, 0xFFFF, 0x1D0F))
+    def test_every_single_byte(self, initial):
+        for byte in range(256):
+            data = bytes((byte,))
+            assert crc16_itut(data, initial) == crc16_itut_bitwise(data, initial)
+
+    def test_random_strings(self):
+        rng = np.random.default_rng(2027)
+        for n in range(201):
+            data = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+            assert crc16_itut(data) == crc16_itut_bitwise(data)
+
+    @given(st.binary(max_size=200), st.integers(0, 0xFFFF))
+    def test_any_string_any_initial(self, data, initial):
+        assert crc16_itut(data, initial) == crc16_itut_bitwise(data, initial)
 
 
 class TestFcs:
