@@ -44,6 +44,7 @@ along: the decode must deliver every scheduled CRC-valid frame.
 import gc
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -54,10 +55,16 @@ from benchmarks.ledger.child import blas_threads
 from benchmarks.ledger.common import speed_factor
 from benchmarks.ledger.fleet import CALIBRATION
 from benchmarks.ledger.gateway import BLOCK as SERVE_BLOCK
+from benchmarks.ledger.gateway import CAPTURE_S as GATEWAY_SECONDS
 from benchmarks.ledger.gateway import ENGINE as SERVE_ENGINE
+from benchmarks.ledger.gateway import SENDERS as GATEWAY_SENDERS
+from benchmarks.ledger.gateway import TENANTS as GATEWAY_TENANTS
 from benchmarks.ledger.gateway import GatewayWorkload
 from repro.core.decoder import SymBeeDecoder
+from repro.gateway.core import GatewayCore
+from repro.gateway.loadgen import build_workloads, drive_core, verify
 from repro.network.traffic import StreamSender, StreamTraffic
+from repro.obs.metrics import REGISTRY
 from repro.sim.fastpath import interference_model_for
 from repro.stream import StreamEngine, batch_decode_stream
 from repro.stream.frontend import FastChannelBank
@@ -148,6 +155,16 @@ INTERFERENCE_FLOOR_MSPS = 8.0
 #: lead-in and tail).
 INTERFERENCE_CAPTURES = 64
 INTERFERENCE_CAPTURE_SAMPLES = 52290
+#: The in-process gateway drive with the registry on must keep at least
+#: this share of its Msps with the registry off (the median per-round
+#: ratio; see :func:`test_metering_cost`).  On the reference 2-CPU host
+#: per-frame recording in Python measured 0.863-0.875 (three runs), the
+#: native binning that replaced it 0.918-0.939 (nine runs); the floor
+#: sits midway, ~3% below the latter.
+METERING_RATIO_FLOOR = 0.89
+#: Interleaved off/on rounds of the metering gate; odd, so the median is
+#: one round's.
+METERING_ROUNDS = 31
 
 
 def _capture(duration_s):
@@ -534,4 +551,69 @@ def test_serial_trend_record():
     assert interference >= INTERFERENCE_FLOOR_MSPS, (
         f"OFDM interference at {interference:.1f} Msps, floor "
         f"{INTERFERENCE_FLOOR_MSPS} Msps"
+    )
+
+
+@pytest.mark.perf_smoke
+def test_metering_cost():
+    """What ``serve``'s always-on registry costs the gateway decode.
+
+    The ledger's ``gateway`` workload (four tenants, the gateway engine,
+    complex64) through an in-process :class:`GatewayCore` with
+    :func:`drive_core`, with the registry off and on in interleaved
+    rounds, alternating which goes first; the gate reads the median of
+    the per-round ratios (metered Msps over plain Msps), so load that
+    drifts across the run hits both sides alike.
+    """
+    workloads = build_workloads(
+        GATEWAY_TENANTS, GATEWAY_SENDERS, 20260806,
+        duration_s=GATEWAY_SECONDS, engine=SERVE_ENGINE, dtype="complex64",
+    )
+
+    def drive(metered):
+        for workload in workloads:
+            workload.delivered = []
+        REGISTRY.reset()
+        if metered:
+            REGISTRY.enable()
+        try:
+            with GatewayCore(
+                engine=SERVE_ENGINE, max_tenants=len(workloads)
+            ) as core:
+                return drive_core(core, workloads, block_size=SERVE_BLOCK)
+        finally:
+            REGISTRY.disable()
+            REGISTRY.reset()
+
+    for metered in (False, True):  # warm-up, and the decode delivers
+        drive(metered)
+        rows, exact = verify(workloads)
+        assert exact, rows
+    seconds = {False: [], True: []}
+    ratios = []
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for index in range(METERING_ROUNDS):
+            order = (True, False) if index % 2 else (False, True)
+            timed = {metered: drive(metered) for metered in order}
+            for metered, wall in timed.items():
+                seconds[metered].append(wall)
+            ratios.append(timed[False] / timed[True])
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    ratio = statistics.median(ratios)
+    plain_ms, metered_ms = (
+        1e3 * statistics.median(seconds[metered]) for metered in (False, True)
+    )
+    print(
+        f"\nmetering smoke: registry off {plain_ms:.1f} ms, on "
+        f"{metered_ms:.1f} ms (medians of {METERING_ROUNDS}); median "
+        f"metered/plain Msps ratio {ratio:.3f} (range {min(ratios):.3f}-"
+        f"{max(ratios):.3f}, floor {METERING_RATIO_FLOOR})"
+    )
+    assert ratio >= METERING_RATIO_FLOOR, (
+        f"metering cost {100 * (1 - ratio):.1f}% Msps "
+        f"(allowed {100 * (1 - METERING_RATIO_FLOOR):.0f}%)"
     )

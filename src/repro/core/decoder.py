@@ -50,24 +50,14 @@ def observe_sync_decode(nonneg, counts, tau_sync):
     ``counts`` the integer vote count of every decoded bit.  Feeds the
     sign-run-length distribution of the segment — the paper's diagnostic
     for plateau quality (long ~window runs = clean plateaus, short runs
-    = noise flips) — and each bit's vote margin.
+    = noise flips) — and each bit's vote margin.  The native stream
+    session bins the same diagnostics itself, on these histograms'
+    edges (:mod:`repro.stream.session`).
     """
-    run_lengths = nonneg[:0]
     if nonneg.size:
         changes = np.flatnonzero(nonneg[1:] != nonneg[:-1]) + 1
         boundaries = np.concatenate(([0], changes, [nonneg.size]))
-        run_lengths = np.diff(boundaries)
-    observe_sync_runs(run_lengths, counts, tau_sync)
-
-
-def observe_sync_runs(run_lengths, counts, tau_sync):
-    """:func:`observe_sync_decode` from the segment's sign-run lengths.
-
-    For a decoder that has the run lengths already (the native stream
-    session counts them as it decodes a body).
-    """
-    if run_lengths.size:
-        _PHASE_RUN_LENGTH.observe_array(run_lengths)
+        _PHASE_RUN_LENGTH.observe_array(np.diff(boundaries))
     if counts.size:
         _BITS_DECODED.inc(counts.size)
         _VOTE_MARGIN.observe_array(np.abs(counts.astype(np.int64) - tau_sync))

@@ -27,9 +27,10 @@ connections feed one tenant without a pump between.  :meth:`poll`,
 :meth:`finish_tenant`, :meth:`abandon` and :meth:`drain` decode the
 held blocks first, so nothing admitted is ever missing from a delivery.
 The server replies to a ``samples`` request at admission and pumps
-after the reply, while the client sends its next block.  To use more
-cores, run more independent ``serve`` processes and split tenants
-across them.
+after the reply; on a 2-CPU host the client's next send does not
+overlap that decode, the two run in turn (``docs/gateway.md``).  To
+use more cores, run more independent ``serve`` processes and split
+tenants across them.
 
 A tenant whose consumer raises while decoding is finished as *failed*:
 the exception is logged once and counted (``gateway.tenants_failed``),

@@ -20,10 +20,14 @@ behind two listeners:
 
 Decoding runs behind the replies.  A ``samples`` request is answered
 as soon as the tenant holds the block; the connection then runs
-:meth:`GatewayCore.pump` before it reads its next frame, so the client's
-next block travels while the server decodes.  A tenant holds at most
-one undecoded block whichever connections feed it.  Every request is
-read after the blocks before it were decoded, so a ``poll`` sees them.
+:meth:`GatewayCore.pump` before it reads its next frame.  That lets
+the client send its next block during the decode, but on a 2-CPU host
+the two do not overlap: the client preempts ``serve`` about once per
+request and they run in turn (``docs/gateway.md`` has the scheduler
+counts), so the decode time lands on the request round trip.  A
+tenant holds at most one undecoded block whichever connections feed
+it.  Every request is read after the blocks before it were decoded, so
+a ``poll`` sees them.
 An optional :class:`repro.obs.live.LiveCollector` ticks from its own
 background thread.
 

@@ -140,6 +140,37 @@ class Histogram:
         self.count += int(values.size)
         self.total += float(values.sum())
 
+    def observe_each(self, values):
+        """:meth:`observe` every value in order, in one call.
+
+        The float total is the sequential sum :meth:`observe` keeps,
+        which :meth:`observe_array`'s pairwise sum is not.
+        """
+        if not self._registry._enabled:
+            return
+        counts, edges, total = self.counts, self.edges, self.total
+        for value in values:
+            value = float(value)
+            counts[bisect_left(edges, value)] += 1
+            total += value
+        self.count += len(values)
+        self.total = total
+
+    def fold(self, counts, count, total):
+        """Add ``count`` observations binned elsewhere on :attr:`edges`.
+
+        The first ``len(edges) + 1`` entries of ``counts`` hold how many
+        fell in each bucket (overflow last; any later entries are
+        ignored) and ``total`` is their sum.  For integer observations,
+        whose sum is exact in any order, the totals are those
+        :meth:`observe` would keep.
+        """
+        if not self._registry._enabled:
+            return
+        self.counts[:] = [a + b for a, b in zip(self.counts, counts)]
+        self.count += count
+        self.total += total
+
     @property
     def mean(self):
         return self.total / self.count if self.count else float("nan")

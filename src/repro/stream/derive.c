@@ -33,6 +33,7 @@
 #endif
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -218,22 +219,88 @@ struct session_frame {
     int64_t end;           /* one past the last vote window */
     int64_t n_bits;
     int64_t latency;       /* products buffered past end at the emit */
-    int64_t runs_lo;       /* metered: this frame's phase run lengths, */
-    int64_t runs_n;        /* session.runs[runs_lo .. runs_lo + runs_n) */
     double coherence;
     double band_power;     /* mean product magnitude over [n0, end) */
-    double guard_power;    /* reserved for capture-time leak arbitration */
     int32_t crc_ok;
-    int32_t outcome;       /* reserved for per-frame outcome accounting */
     int32_t version;       /* header fields, read from bits (all 0 when */
     int32_t frame_type;    /* the bits are shorter than header and CRC) */
     int32_t length;        /* declared data bits */
     int32_t sequence;
-    int32_t votes[SESSION_MAX_BITS];
     uint8_t bits[SESSION_MAX_BITS];
 };
 
-/* What one push did: frames, outcome counts and stage times. */
+/* ---- Metering: the histograms a metered push bins itself ------------ */
+
+/* Most upper edges such a histogram has; it has one bucket more, for
+ * the values past its last edge. */
+#define HIST_EDGES 15
+/* Integer values below this find their bucket in a table. */
+#define HIST_TABLE 2048
+
+/* A histogram's inclusive upper edges, increasing, as the registry
+ * declared them (repro.obs.metrics.Histogram.edges). */
+struct hist_edges {
+    double edges[HIST_EDGES];
+    int64_t n;
+};
+
+/* One push's observations of an integer-valued histogram: how many
+ * fell in each bucket, how many in all, and their (exact) sum. */
+struct hist_bins {
+    int64_t counts[HIST_EDGES + 1];
+    int64_t count;
+    int64_t total;
+};
+
+/* A histogram's edges and the bucket of every integer below
+ * HIST_TABLE. */
+struct hist_layout {
+    struct hist_edges e;
+    uint8_t bucket[HIST_TABLE];
+};
+
+/* The natively binned histograms, in the order session_new takes
+ * their edges. */
+enum { METER_RUNS, METER_MARGINS, METER_LATENCY, METER_HISTS };
+
+/* The registry's bucket of integer v: the number of edges below v
+ * (Python's bisect_left, which Histogram.observe uses). */
+static int64_t hist_bucket(const struct hist_layout *h, int64_t v)
+{
+    if (v >= 0 && v < HIST_TABLE)
+        return h->bucket[v];
+    int64_t i = 0;
+    while (i < h->e.n && h->e.edges[i] < (double)v)
+        i++;
+    return i;
+}
+
+static void hist_add(struct hist_bins *b, const struct hist_layout *h,
+                     int64_t v)
+{
+    b->counts[hist_bucket(h, v)]++;
+    b->count++;
+    b->total += v;
+}
+
+/* 0 unless 1 <= e->n <= HIST_EDGES. */
+static int hist_layout_init(struct hist_layout *h, const struct hist_edges *e)
+{
+    if (e->n < 1 || e->n > HIST_EDGES)
+        return 0;
+    h->e = *e;
+    int64_t i = 0;
+    for (int64_t v = 0; v < HIST_TABLE; v++) {
+        while (i < e->n && e->edges[i] < (double)v)
+            i++;
+        h->bucket[v] = (uint8_t)i;
+    }
+    return 1;
+}
+
+/* What one push did: frames, outcome counts and stage times, and on a
+ * metered push the bins of its frames' diagnostics (left as they were
+ * by an unmetered push). */
 struct session_out {
     int64_t frames;        /* descriptors in session.frames */
     int64_t crc_failed;
@@ -247,6 +314,9 @@ struct session_out {
     int64_t derive_ns;     /* stage wall times */
     int64_t scan_ns;
     int64_t body_ns;
+    struct hist_bins runs;     /* metered: same-sign phase run lengths */
+    struct hist_bins margins;  /* ... each bit's |votes - tau_sync| */
+    struct hist_bins latency;  /* ... each frame's latency */
 };
 
 /* One channel's stream session.  The fields up to the marker are read
@@ -260,9 +330,9 @@ struct session {
     double coherence;
     struct session_frame *frames;  /* the last push's outputs */
     double *observed;
-    int64_t *runs;
     /* -- private -- */
     struct walk_params pp;
+    struct hist_layout meter[METER_HISTS];
     struct walk_out wo;
     int64_t profile_end;   /* one past the last folded position */
     int64_t win_end;       /* one past the last windowed position */
@@ -273,15 +343,15 @@ struct session {
     double coh_total, conc_total_re, conc_total_im;
     struct buf prod, unit, mask, count, coh, conc;
     struct buf count_win, cohcand_win, conc_win, cohpass, hot;
-    struct buf frame_out, observed_out, runs_out;
+    struct buf frame_out, observed_out;
 };
 
 /* The session's buffers, in the order session_view numbers them. */
 #define SESSION_BUFFERS(s) { &(s)->prod, &(s)->unit, &(s)->mask, \
     &(s)->count, &(s)->coh, &(s)->conc, &(s)->count_win, \
     &(s)->cohcand_win, &(s)->conc_win, &(s)->cohpass, &(s)->hot, \
-    &(s)->frame_out, &(s)->observed_out, &(s)->runs_out }
-#define SESSION_N_BUFFERS 14
+    &(s)->frame_out, &(s)->observed_out }
+#define SESSION_N_BUFFERS 13
 
 static int64_t session_count;
 
@@ -304,12 +374,14 @@ void session_free(struct session *s)
 
 /* A session with the walk constants pp, folds-bit preamble folds,
  * real_size-byte working floats, the zero product's unit phasor
- * (fill_re, fill_im); NULL when out of memory, when a frame could
- * outgrow SESSION_MAX_BITS, or when float prefix seams are closer than
- * a window (a window sum crosses at most one seam). */
+ * (fill_re, fill_im) and the edges of the histograms a metered push
+ * bins (METER_HISTS of them, in METER_* order); NULL when out of
+ * memory, when a frame could outgrow SESSION_MAX_BITS, when float
+ * prefix seams are closer than a window (a window sum crosses at most
+ * one seam), or when a histogram has no edges or more than HIST_EDGES. */
 struct session *session_new(const struct walk_params *pp, int64_t folds,
                             int64_t real_size, double fill_re,
-                            double fill_im)
+                            double fill_im, const struct hist_edges *meter)
 {
     if (FRAME_OVERHEAD_BITS + pp->max_length > SESSION_MAX_BITS
         || (pp->seam > 0 && pp->seam < pp->window))
@@ -318,6 +390,12 @@ struct session *session_new(const struct walk_params *pp, int64_t folds,
     if (!s)
         return NULL;
     __atomic_fetch_add(&session_count, 1, __ATOMIC_RELAXED);
+    for (int i = 0; i < METER_HISTS; i++) {
+        if (!hist_layout_init(&s->meter[i], &meter[i])) {
+            session_free(s);
+            return NULL;
+        }
+    }
     s->pp = *pp;
     s->folds = folds;
     s->span = (folds - 1) * pp->bit_period;
@@ -333,8 +411,7 @@ struct session *session_new(const struct walk_params *pp, int64_t folds,
         && buf_init(&s->cohpass, i4, 8192)
         && buf_init(&s->hot, sizeof(int64_t), 8192)
         && buf_init(&s->frame_out, sizeof(struct session_frame), 4)
-        && buf_init(&s->observed_out, sizeof(double), 64)
-        && buf_init(&s->runs_out, sizeof(int64_t), 1024);
+        && buf_init(&s->observed_out, sizeof(double), 64);
     if (!ok) {
         session_free(s);
         return NULL;

@@ -84,23 +84,30 @@ struct walk_out {
             miss_concentration, observed;
 };
 struct session_frame {
-    int64_t n0, data_start, end, n_bits, latency, runs_lo, runs_n;
-    double coherence, band_power, guard_power;
-    int32_t crc_ok, outcome, version, frame_type, length, sequence;
-    int32_t votes[128];
+    int64_t n0, data_start, end, n_bits, latency;
+    double coherence, band_power;
+    int32_t crc_ok, version, frame_type, length, sequence;
     uint8_t bits[128];
+};
+struct hist_edges {
+    double edges[15];
+    int64_t n;
+};
+struct hist_bins {
+    int64_t counts[16];
+    int64_t count, total;
 };
 struct session_out {
     int64_t frames, crc_failed, rejects, hits, miss_count, miss_coherence,
             miss_concentration, observed, partial, derive_ns, scan_ns,
             body_ns;
+    struct hist_bins runs, margins, latency;
 };
 struct session {
     int64_t state, origin, n0, data_start, total_bits;
     double coherence;
     struct session_frame *frames;
     double *observed;
-    int64_t *runs;
     ...;
 };
 struct session_view {
@@ -109,7 +116,7 @@ struct session_view {
 };
 struct session *session_new(const struct walk_params *pp, int64_t folds,
                             int64_t real_size, double fill_re,
-                            double fill_im);
+                            double fill_im, const struct hist_edges *meter);
 void session_free(struct session *s);
 int64_t session_live(void);
 void session_view(struct session *s, int32_t which, struct session_view *v);

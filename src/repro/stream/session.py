@@ -132,8 +132,14 @@ Under ``TRACER`` the session records the scan and body times as finished
 (:meth:`repro.obs.trace.Tracer.record`), so a ``stream.session`` span
 around the push keeps the derive and bookkeeping time as its self time.
 Under ``REGISTRY`` the push also splits skipped chunks by the gate they
-miss and returns the hit coherences (observed in hit order) and each
-body's vote counts and sign-run lengths; no decision depends on it.
+miss, returns the hit coherences (observed in hit order, so the
+histogram's float total is the dense cascade's sequential sum) and bins
+each body's diagnostics itself: its bits' vote margins, its data
+segment's same-sign phase runs (a table lookup per run) and its
+latency, on the bucket edges of the registry's histograms, which every
+session is handed when it is built.  Python folds those bins into the
+registry once per push that emitted a frame, so a frame costs no
+registry call of its own; no decision depends on any of it.
 """
 
 from dataclasses import dataclass
@@ -141,7 +147,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import SYMBEE_PREAMBLE_BITS
-from repro.core.decoder import observe_sync_runs
+from repro.core.decoder import _BITS_DECODED, _PHASE_RUN_LENGTH, _VOTE_MARGIN
 from repro.core.frame import (
     DATA_START,
     FRAME_TYPE_ACK,
@@ -183,6 +189,12 @@ _LATENCY = REGISTRY.histogram(
     "stream.session.frame_latency",
     edges=(640, 2560, 5120, 10240, 20480, 40960, 81920, 163840),
 )
+#: The edges of the histograms a metered push bins natively, in the
+#: order ``session_new`` takes them (``METER_*`` in ``derive.c``).
+_METER_EDGES = ffi.new("struct hist_edges[]", [
+    {"edges": list(h.edges), "n": len(h.edges)}
+    for h in (_PHASE_RUN_LENGTH, _VOTE_MARGIN, _LATENCY)
+])
 
 
 def walk_params(decoder, folds, dtype, capture_floor, coherence_min,
@@ -329,7 +341,7 @@ class StreamSession:
         fill = 1.0 if decoder.rotation is None else complex(decoder.rotation)
         native = lib.session_new(
             params, self.folds, self.dtype.itemsize // 2,
-            fill.real, fill.imag,
+            fill.real, fill.imag, _METER_EDGES,
         )
         if native == ffi.NULL:
             raise MemoryError("cannot allocate a native stream session")
@@ -419,32 +431,40 @@ class StreamSession:
             if count == -1:
                 raise MemoryError("native stream session out of memory")
             raise IndexError("stream session scan outside its caches")
-        rejects = out.rejects
-        if rejects:
-            self.header_rejects += rejects
-            _HEADER_REJECTS.inc(rejects)
+        self.header_rejects += out.rejects
         if TRACER.enabled:
             if out.scan_ns:
                 TRACER.record("stream.session.scan", out.scan_ns * 1e-9)
             if out.body_ns:
                 TRACER.record("stream.session.body", out.body_ns * 1e-9)
         if metered:
+            _HEADER_REJECTS.inc(out.rejects)
             _HIT.inc(out.hits)
             _MISS_COUNT.inc(out.miss_count)
             _MISS_COHERENCE.inc(out.miss_coherence)
             _MISS_CONCENTRATION.inc(out.miss_concentration)
-            # One scalar observation at a time, in hit order, so the
-            # histogram's float total is the dense cascade's sequential
-            # sum.
-            for coherence in ffi.unpack(native.observed, out.observed):
-                _COHERENCE.observe(coherence)
+            if out.observed:
+                _COHERENCE.observe_each(
+                    ffi.unpack(native.observed, out.observed)
+                )
         if not count:
             return []
-        return [
-            self._frame(native.frames[i], metered) for i in range(count)
-        ]
+        self.frames_emitted += count
+        self.crc_failures += out.crc_failed
+        if metered:
+            # The frames' diagnostics, binned by the push.
+            _FRAMES.inc(count)
+            _CRC_FAILED.inc(out.crc_failed)
+            _BITS_DECODED.inc(out.margins.count)
+            for histogram, bins in (
+                (_VOTE_MARGIN, out.margins),
+                (_PHASE_RUN_LENGTH, out.runs),
+                (_LATENCY, out.latency),
+            ):
+                histogram.fold(bins.counts, bins.count, bins.total)
+        return [self._frame(native.frames[i]) for i in range(count)]
 
-    def _frame(self, desc, metered):
+    def _frame(self, desc):
         """The :class:`StreamFrame` of one emitted frame's descriptor.
 
         The kernel parsed the header and checked the CRC; the frame is
@@ -464,22 +484,6 @@ class StreamSession:
                 version=desc.version,
                 crc_ok=crc_ok,
             )
-        self.frames_emitted += 1
-        _FRAMES.inc()
-        if not crc_ok:
-            self.crc_failures += 1
-            _CRC_FAILED.inc()
-        latency = desc.latency
-        _LATENCY.observe(latency)
-        if metered:
-            # Observation only: the bit diagnostics, once per emitted
-            # frame, from the votes the kernel thresholded.
-            votes = np.frombuffer(ffi.buffer(desc.votes, 4 * n_bits), np.int32)
-            runs = np.frombuffer(
-                ffi.buffer(self._native.runs + desc.runs_lo, 8 * desc.runs_n),
-                np.int64,
-            )
-            observe_sync_runs(runs, votes, self.decoder.tau_sync)
         return StreamFrame(
             zigbee_channel=self.zigbee_channel,
             preamble_index=desc.n0,
@@ -491,5 +495,5 @@ class StreamSession:
             crc_ok=crc_ok,
             coherence=desc.coherence,
             band_power=desc.band_power,
-            latency_products=latency,
+            latency_products=desc.latency,
         )

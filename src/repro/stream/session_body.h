@@ -184,10 +184,43 @@ static int SFX(session_scan)(struct session *s, int64_t chunks, int32_t final,
     return s->state == WALK_BODY;
 }
 
+/* Bin the same-sign run lengths of n products' phase flags (imag >= 0)
+ * into b.  Per tile, the positions where the flag flips are written
+ * branch-free, then each run ending there is binned; the runs cover
+ * the n products, so their total is n. */
+static void SFX(bin_runs)(const REAL *z, int64_t n,
+                          const struct hist_layout *h, struct hist_bins *b)
+{
+    if (n <= 0)
+        return;
+    int32_t flips[TILE];
+    int64_t start = 0;  /* where the open run began */
+    int prev = z[1] >= 0;
+    for (int64_t lo = 1; lo < n; lo += TILE) {
+        int64_t hi = lo + TILE < n ? lo + TILE : n, k = 0;
+        for (int64_t i = lo; i < hi; i++) {
+            int flag = z[2 * i + 1] >= 0;
+            flips[k] = (int32_t)(i - lo);
+            k += flag != prev;
+            prev = flag;
+        }
+        for (int64_t j = 0; j < k; j++) {
+            int64_t at = lo + flips[j];
+            b->counts[hist_bucket(h, at - start)]++;
+            start = at;
+        }
+        b->count += k;
+    }
+    b->counts[hist_bucket(h, n - start)]++;
+    b->count++;
+    b->total += n;
+}
+
 /* Decode the body of the current capture if its last vote window is
  * buffered: 1 with a frame emitted and the search resumed (past the
  * frame on a valid CRC, one bit past the preamble otherwise), 0 when
- * blocked, -1 when out of memory. */
+ * blocked, -1 when out of memory.  Metered, it also bins the frame's
+ * diagnostics into out. */
 static int SFX(session_body)(struct session *s, int32_t metered,
                              struct session_out *out)
 {
@@ -204,11 +237,11 @@ static int SFX(session_body)(struct session *s, int32_t metered,
     /* Bit b's votes: the (wrapping, as numpy's int32) vote-prefix
      * difference across its window. */
     const int32_t *mask = buf_at(&s->mask, ds);
+    int32_t votes[SESSION_MAX_BITS];
     for (int64_t b = 0; b < nb; b++) {
         const int32_t *at = mask + b * bp;
-        int32_t votes = (int32_t)((uint32_t)at[w] - (uint32_t)at[0]);
-        f->votes[b] = votes;
-        f->bits[b] = votes >= pp->tau_sync;
+        votes[b] = (int32_t)((uint32_t)at[w] - (uint32_t)at[0]);
+        f->bits[b] = votes[b] >= pp->tau_sync;
     }
     f->n_bits = nb;
     frame_parse(f);
@@ -216,31 +249,21 @@ static int SFX(session_body)(struct session *s, int32_t metered,
      * rounded back to the working float. */
     REAL sum = SFX(pairwise_magnitude)(buf_at(&s->prod, s->n0), end - s->n0);
     f->band_power = (REAL)((double)sum / (double)(end - s->n0));
-    if (metered) {
-        /* Run lengths of the data segment's nonnegative-phase flags. */
-        int64_t n = end - ds, lo = s->runs_out.len;
-        int64_t *runs = buf_alloc(&s->runs_out, n);
-        if (!runs)
-            return -1;
-        const REAL *z = buf_at(&s->prod, ds);
-        int64_t k = 0, run = 1;
-        for (int64_t i = 1; i < n; i++) {
-            if ((z[2 * i + 1] >= 0) != (z[2 * i - 1] >= 0)) {
-                runs[k++] = run;
-                run = 0;
-            }
-            run++;
-        }
-        runs[k++] = run;
-        s->runs_out.len -= n - k;
-        f->runs_lo = lo;
-        f->runs_n = k;
-    }
     f->n0 = s->n0;
     f->data_start = ds;
     f->end = end;
     f->latency = buffered - end;
     f->coherence = s->coherence;
+    if (metered) {
+        /* The bit diagnostics: each bit's vote margin, the data
+         * segment's phase runs; and the frame's latency. */
+        for (int64_t b = 0; b < nb; b++)
+            hist_add(&out->margins, &s->meter[METER_MARGINS],
+                     llabs((int64_t)votes[b] - pp->tau_sync));
+        SFX(bin_runs)(buf_at(&s->prod, ds), end - ds,
+                      &s->meter[METER_RUNS], &out->runs);
+        hist_add(&out->latency, &s->meter[METER_LATENCY], f->latency);
+    }
     out->frames++;
     out->crc_failed += !f->crc_ok;
     s->state = WALK_SEARCH;
@@ -256,16 +279,15 @@ static int SFX(session_body)(struct session *s, int32_t metered,
  * frames emitted (descriptors in s->frames), or -1 when out of memory
  * and -2 when a scan would read outside the caches.  With metered set
  * the walk also splits skipped chunks by gate and writes the hit
- * coherences to s->observed, and each body its run lengths to s->runs;
- * no decision depends on it. */
+ * coherences to s->observed, and each body bins its vote margins,
+ * phase runs and latency into out; no decision depends on it. */
 int64_t SFX(session_push)(struct session *s, const REAL *prod, int64_t n,
                           int32_t final, int32_t metered,
                           struct session_out *out)
 {
-    memset(out, 0, sizeof *out);
+    memset(out, 0, metered ? sizeof *out : offsetof(struct session_out, runs));
     buf_clear(&s->frame_out);
     buf_clear(&s->observed_out);
-    buf_clear(&s->runs_out);
     int64_t rc = 0, t0 = now_ns();
     if (n > 0 && SFX(session_derive)(s, prod, n) < 0)
         rc = -1;
@@ -305,6 +327,5 @@ int64_t SFX(session_push)(struct session *s, const REAL *prod, int64_t n,
     session_trim(s, keep);
     s->frames = (struct session_frame *)s->frame_out.data;
     s->observed = (double *)s->observed_out.data;
-    s->runs = (int64_t *)s->runs_out.data;
     return rc ? rc : out->frames;
 }

@@ -577,6 +577,65 @@ class TestWireMatchesCore:
         assert harness.loop_errors == []
 
 
+#: The gateway counters compared between the wire and in-process drives
+#: (besides every ``decoder.*`` and ``stream.session.*`` instrument).
+_DECODE_COUNTERS = (
+    "gateway.frames_decoded",
+    "gateway.fragments_accepted",
+    "gateway.messages_delivered",
+)
+
+
+def _decode_metrics(snapshot):
+    """The snapshot's decode instruments: no wall-clock one among them."""
+    def decode(name):
+        return name.startswith(("decoder.", "stream.session.")) or (
+            name in _DECODE_COUNTERS
+        )
+
+    return {
+        kind: {k: v for k, v in snapshot[kind].items() if decode(k)}
+        for kind in ("counters", "histograms")
+    }
+
+
+@pytest.mark.timeout(300)
+class TestWireMetersLikeCore:
+    def test_same_decode_metrics(self, harness):
+        # The natively binned histograms and the per-push counters reach
+        # the registry the same way whether a block came over the wire
+        # or from an in-process drive.
+        workloads = build_workloads(
+            2, 2, seed=11, duration_s=0.02,
+            engine=FAST_ENGINE, dtype="complex64",
+        )
+        snapshots = []
+        for wire in (True, False):
+            for workload in workloads:
+                workload.delivered = []
+            REGISTRY.reset()
+            if wire:
+                with harness.client() as client:
+                    drive_client(client, workloads)
+            else:
+                with GatewayCore(engine=FAST_ENGINE, max_tenants=2) as core:
+                    drive_core(core, workloads)
+            snapshots.append(_decode_metrics(REGISTRY.snapshot()))
+        wire_metrics, core_metrics = snapshots
+        assert wire_metrics == core_metrics
+        counters = wire_metrics["counters"]
+        histograms = wire_metrics["histograms"]
+        assert counters["gateway.messages_delivered"] > 0
+        assert counters["decoder.bits_decoded"] == (
+            histograms["decoder.vote_margin"]["count"]
+        ) > 0
+        assert histograms["decoder.phase_run_length"]["count"] > 0
+        assert histograms["stream.session.frame_latency"]["count"] == (
+            counters["stream.session.frames"]
+        )
+        assert harness.loop_errors == []
+
+
 def _boom(*args, **kwargs):
     raise RuntimeError("decoder bug")
 

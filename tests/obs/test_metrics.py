@@ -20,6 +20,8 @@ class TestGating:
         counter.inc()
         gauge.set(5.0)
         hist.observe(1.5)
+        hist.observe_each([1.5])
+        hist.fold([1, 0, 0], 1, 1)
         assert counter.value == 0
         assert gauge.value != gauge.value  # still nan
         assert hist.count == 0
@@ -81,6 +83,22 @@ class TestInstruments:
         assert a.counts == b.counts
         assert a.count == b.count
         assert a.total == pytest.approx(b.total)
+
+    def test_histogram_observe_each_and_fold_match_scalar(self):
+        # observe_each keeps observe's sequential float total exactly;
+        # fold adds bins made elsewhere on the same edges.
+        registry = self._registry()
+        a, b, c, d = (registry.histogram(n, edges=(1, 4, 9)) for n in "abcd")
+        values = [0.1, 0.7, 1e16, 1.0, -1e16, 4.0, 9.5, 0.3]
+        for v in values:
+            a.observe(v)
+        b.observe_each(values)
+        assert (a.counts, a.count, a.total) == (b.counts, b.count, b.total)
+        ints = [0, 1, 2, 4, 5, 9, 10, 100]
+        for v in ints:
+            c.observe(v)
+        d.fold([2, 2, 2, 2, 7], len(ints), sum(ints))  # 7: past overflow
+        assert (c.counts, c.count, c.total) == (d.counts, d.count, d.total)
 
     def test_histogram_mean(self):
         h = self._registry().histogram("m", edges=(10,))
