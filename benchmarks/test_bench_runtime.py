@@ -1,4 +1,4 @@
-"""Perf smoke benchmark for the PR-1 runtime (parallel MC + waveform cache).
+"""Perf smoke benchmark for the link runtime (parallel Monte-Carlo trials).
 
 Times a fixed 200-frame link sweep in two flavours and prints frames/sec
 and a per-stage breakdown; a third timed pass re-runs the random-payload
@@ -6,13 +6,12 @@ workload with the telemetry registry enabled and prints the overhead
 (asserted softly).  ``BENCH_PR1.json`` and ``BENCH_PR2.json`` at the
 repo root are frozen records of earlier runs; nothing rewrites them.
 
-* **random-payload** — every trial draws fresh payload bits, so the
-  frame-waveform cache never hits; this measures the honest per-trial
-  pipeline cost (and is the workload behind the recorded pre-PR
-  baseline of 65.34 frames/sec on the 1-CPU reference container).
+* **random-payload** — every trial draws fresh payload bits; this is
+  the workload behind the recorded pre-PR baseline of 65.34 frames/sec
+  on the 1-CPU reference container.
 * **fixed-payload** — every trial resends the same frame (the paper's
-  testbed pattern: fixed '01' payloads), so modulation amortizes to a
-  cache lookup; pre-PR baseline 60.65 frames/sec on the same container.
+  testbed pattern: fixed '01' payloads), rendering it again each time;
+  pre-PR baseline 60.65 frames/sec on the same container.
 
 The baselines were measured at commit eff6581 (the pre-runtime seed) on
 the same machine that runs this benchmark suite; both workloads and
@@ -29,7 +28,6 @@ from repro.core.link import link_at_snr
 from repro.experiments.common import measure_link
 from repro.obs import REGISTRY, TRACER
 from repro.runtime import default_jobs
-from repro.zigbee.waveform_cache import FRAME_WAVEFORM_CACHE
 
 #: Pre-PR throughput on the reference container (frames/sec, 1 CPU),
 #: measured at the seed commit with the identical workloads below.
@@ -42,7 +40,7 @@ SNRS_DB = (0.0, 4.0)
 
 
 def _run_random_payload():
-    """200 trials with per-trial random payloads (cache-cold workload)."""
+    """200 trials with per-trial random payloads."""
     frames = 0
     for i, snr in enumerate(SNRS_DB):
         stats = measure_link(
@@ -56,7 +54,7 @@ def _run_random_payload():
 
 
 def _run_fixed_payload():
-    """200 trials resending one frame (cache-hot testbed workload)."""
+    """200 trials resending one frame (the testbed workload)."""
     bits = np.random.default_rng(99).integers(0, 2, BITS_PER_FRAME)
     frames = 0
     for i, snr in enumerate(SNRS_DB):
@@ -89,28 +87,16 @@ def _stage_seconds(workload):
 
 
 def _timed(workload):
-    FRAME_WAVEFORM_CACHE.clear()
-    workload()  # warm-up: JIT-free but fills caches and page-faults
-    warm = FRAME_WAVEFORM_CACHE.cache_info()
+    workload()  # warm-up: JIT-free but fills tables and page-faults
     t0 = time.perf_counter()
     frames = workload()
     elapsed = time.perf_counter() - t0
-    final = FRAME_WAVEFORM_CACHE.cache_info()
     return {
         "frames": frames,
         "elapsed_seconds": round(elapsed, 4),
         "frames_per_sec": round(frames / elapsed, 2),
         # An extra traced pass: the timed pass above stays untraced.
         "stage_seconds": _stage_seconds(workload),
-        # Hit/miss deltas of the *timed* pass only: the warm-up pass has
-        # already populated the cache, so a repeated-frame workload must
-        # show pure hits here and a random-payload one pure misses.
-        "waveform_cache": {
-            "hits": final["hits"] - warm["hits"],
-            "misses": final["misses"] - warm["misses"],
-            "size": final["size"],
-            "maxsize": final["maxsize"],
-        },
     }
 
 
@@ -148,14 +134,6 @@ def test_bench_runtime_sweep():
     # Soft sanity floor only — CI machines vary; the print has the data.
     assert random_payload["frames"] == fixed_payload["frames"] == 200
     assert metrics_on["frames"] == 200
-    # Cache accounting (hard): the fixed-payload timed pass must run
-    # entirely out of the warm frame-waveform cache, and the random one
-    # must never hit it — otherwise the two workloads aren't measuring
-    # what their names claim.
-    assert fixed_payload["waveform_cache"]["hits"] == 200
-    assert fixed_payload["waveform_cache"]["misses"] == 0
-    assert random_payload["waveform_cache"]["hits"] == 0
-    assert random_payload["waveform_cache"]["misses"] == 200
     assert random_payload["frames_per_sec"] > 1.0
     assert fixed_payload["frames_per_sec"] >= random_payload["frames_per_sec"] * 0.8
     # Telemetry budget (soft): enabled metrics must not halve throughput.

@@ -97,25 +97,15 @@ def mixer_rotator(frequency_offset_hz, sample_rate_hz, n, initial_phase=0.0):
     return rotator[:n]
 
 
-def mix(x, frequency_offset_hz, sample_rate_hz, initial_phase=0.0, cache=False):
+def mix(x, frequency_offset_hz, sample_rate_hz, initial_phase=0.0):
     """Frequency-shift a complex baseband signal.
 
-    Multiplies ``x`` by ``exp(j*(2*pi*f*t + phase0))``, which models a mixer
-    moving the signal by ``frequency_offset_hz``.  A positive offset moves
-    the spectrum up.  With ``cache=True`` the phasor table is memoized
-    across calls (hot receive paths mix fixed-length waveforms at a fixed
-    offset every trial); the output is identical either way.
+    Multiplies ``x`` by ``exp(j*(2*pi*f*t + phase0))`` (the memoized
+    :func:`mixer_rotator` table), which models a mixer moving the signal
+    by ``frequency_offset_hz``.  A positive offset moves the spectrum up.
     """
     x = np.asarray(x)
-    if cache:
-        return x * mixer_rotator(
-            frequency_offset_hz, sample_rate_hz, x.size, initial_phase
-        )
-    n = np.arange(x.size)
-    rotator = np.exp(
-        1j * (2.0 * np.pi * frequency_offset_hz * n / sample_rate_hz + initial_phase)
-    )
-    return x * rotator
+    return x * mixer_rotator(frequency_offset_hz, sample_rate_hz, x.size, initial_phase)
 
 
 def wrap_phase(phi):

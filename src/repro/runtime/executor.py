@@ -57,7 +57,7 @@ def _sharded_trial(fn, task):
     return result, REGISTRY.snapshot()
 
 
-def run_trials(fn, tasks, jobs=None, chunk_size=None):
+def run_trials(fn, tasks, jobs=None):
     """Apply ``fn`` to every task, serially or across a process pool.
 
     ``tasks`` is a sequence of picklable argument objects; ``fn`` must be
@@ -74,10 +74,9 @@ def run_trials(fn, tasks, jobs=None, chunk_size=None):
     from concurrent.futures import ProcessPoolExecutor
 
     workers = min(jobs, len(tasks))
-    if chunk_size is None:
-        # ~4 chunks per worker bounds both scheduling overhead and the
-        # tail-latency cost of one straggler chunk.
-        chunk_size = max(1, ceil(len(tasks) / (workers * 4)))
+    # ~4 chunks per worker bounds both scheduling overhead and the
+    # tail-latency cost of one straggler chunk.
+    chunk_size = max(1, ceil(len(tasks) / (workers * 4)))
     collect_metrics = REGISTRY.enabled
     worker_fn = partial(_sharded_trial, fn) if collect_metrics else fn
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -121,8 +121,6 @@ class EventScheduler:
         self._heap = []
         self._counter = itertools.count()
         self._root = as_seed_sequence(seed)
-        #: spawn key -> generator handed out by :meth:`rng`.
-        self._streams = {}
         #: spawn key -> ``(method, args, drawer)`` of block-served streams.
         self._drawers = {}
         #: Events fired so far (skipped cancellations excluded).
@@ -152,39 +150,15 @@ class EventScheduler:
             spawn_key=self._root.spawn_key + spawn,
         )
 
-    def rng(self, *key):
-        """The persistent ``numpy`` generator for one entity stream.
-
-        Streams are cached: repeated calls with the same key return the
-        *same* generator, advancing as the entity consumes randomness.
-        Distinct keys give statistically independent streams.  A key
-        already served by a :meth:`drawer` is refused: its generator
-        has run ahead of the values the drawer handed out.
-        """
-        spawn = tuple(stable_key_int(part) for part in key)
-        try:
-            return self._streams[spawn]
-        except KeyError:
-            pass
-        if spawn in self._drawers:
-            raise RuntimeError(
-                f"stream {key!r} is served in blocks by a drawer; "
-                "rng() would see it advanced past the values drawn"
-            )
-        rng = self._streams[spawn] = np.random.default_rng(
-            self._sequence(spawn)
-        )
-        return rng
-
     def drawer(self, key, method, *args):
         """The next-value callable of stream ``key`` for one distribution.
 
         ``drawer(key, method, *args)()`` returns the value that
-        ``rng(*key).method(*args)`` would, as a Python scalar, while
-        drawing :data:`DRAW_BLOCK` values per refill.  ``method`` must
-        be one of :data:`BLOCK_METHODS`.  Repeated calls with the same
-        key and distribution return the same callable; a key handed out
-        by :meth:`rng`, or drawn for another distribution, is refused.
+        ``np.random.default_rng(seed_for(*key)).method(*args)`` would,
+        as a Python scalar, while drawing :data:`DRAW_BLOCK` values per
+        refill.  ``method`` must be one of :data:`BLOCK_METHODS`.
+        Repeated calls with the same key and distribution return the
+        same callable; a key drawn for another distribution is refused.
         """
         spawn = tuple(stable_key_int(part) for part in key)
         served = self._drawers.get(spawn)
@@ -199,11 +173,6 @@ class EventScheduler:
             raise ValueError(
                 f"{method!r} is not block-drawable; valid: "
                 f"{', '.join(BLOCK_METHODS)}"
-            )
-        if spawn in self._streams:
-            raise RuntimeError(
-                f"stream {key!r} was handed out by rng(); a drawer would "
-                "run it ahead of its holder"
             )
         fill = getattr(np.random.default_rng(self._sequence(spawn)), method)
         typecode = BLOCK_METHODS[method]

@@ -63,9 +63,7 @@ class WifiFrontEnd:
         sidesteps resampling artefacts in the cross-observability study).
         """
         offset = self.frequency_offset(source_center_frequency)
-        return mix(
-            waveform, offset, self.sample_rate, initial_phase=initial_phase, cache=True
-        )
+        return mix(waveform, offset, self.sample_rate, initial_phase=initial_phase)
 
     def capture(self, contributions, n_samples, rng=None, include_noise=True):
         """Assemble one baseband capture from multiple on-air sources.

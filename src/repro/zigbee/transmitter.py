@@ -5,8 +5,6 @@ it to a WiFi receiver's baseband (including the centre-frequency offset)
 is the front-end's job (:mod:`repro.wifi.front_end`).
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 from repro.constants import WIFI_SAMPLE_RATE_20MHZ
@@ -14,17 +12,6 @@ from repro.dsp.signal_ops import dbm_to_watts, scale_to_power, signal_power
 from repro.zigbee.frame import build_ppdu_symbols
 from repro.zigbee.mac import MacFrame
 from repro.zigbee.oqpsk import OqpskModulator
-from repro.zigbee.waveform_cache import FRAME_WAVEFORM_CACHE
-
-
-@lru_cache(maxsize=256)
-def _ppdu_symbol_tuple(psdu, nibble_order):
-    """Cached PPDU symbol expansion (the per-frame chip-sequence input).
-
-    Keyed on the immutable PSDU bytes; retransmissions and fixed-payload
-    sweeps skip the per-byte nibble unpacking entirely.
-    """
-    return tuple(build_ppdu_symbols(psdu, nibble_order=nibble_order))
 
 
 class ZigBeeTransmitter:
@@ -70,24 +57,10 @@ class ZigBeeTransmitter:
     def waveform_for_psdu(self, psdu):
         """Modulate a raw PSDU (PPDU framing added here).
 
-        Fully modulated frames are memoized in the process-wide
-        :data:`repro.zigbee.waveform_cache.FRAME_WAVEFORM_CACHE`; the
-        returned array is **read-only** and must not be mutated in
-        place (no pipeline stage does — they all derive new arrays).
+        Every call renders the frame through the O-QPSK segment table
+        and returns a fresh, writable array scaled to the transmit power.
         """
-        psdu = bytes(psdu)
-        key = (
-            psdu,
-            self.nibble_order,
-            self.channel,
-            self.modulator.sample_rate,
-            self.tx_power_dbm,
-        )
-        return FRAME_WAVEFORM_CACHE.get_or_compute(key, lambda: self._render(psdu))
-
-    def _render(self, psdu):
-        """Uncached PSDU modulation (the cache's compute path)."""
-        symbols = _ppdu_symbol_tuple(psdu, self.nibble_order)
+        symbols = build_ppdu_symbols(psdu, nibble_order=self.nibble_order)
         waveform = self.modulator.modulate_symbols(symbols)
         p = signal_power(waveform)
         if p == 0.0:

@@ -2,7 +2,7 @@
 
 These are the acceptance tests for the runtime: the same experiment seed
 must yield *identical* statistics whether trials run inline or across a
-process pool, and whether the frame-waveform cache is warm or cold.
+process pool, and on every call.
 """
 
 import numpy as np
@@ -11,7 +11,6 @@ import pytest
 from repro.core.link import SymBeeLink
 from repro.experiments.common import measure_link
 from repro.network.simulator import ConvergecastNetwork, NodeConfig
-from repro.zigbee.waveform_cache import FRAME_WAVEFORM_CACHE
 
 
 def _stats_tuple(stats):
@@ -47,15 +46,6 @@ class TestMeasureLinkDeterminism:
         a = measure_link(link, np.random.SeedSequence(11), n_frames=4)
         b = measure_link(link, np.random.SeedSequence(11), n_frames=4)
         assert _stats_tuple(a) == _stats_tuple(b)
-
-    def test_cold_and_warm_cache_agree(self):
-        # Waveform caching must be a pure optimization: identical stats
-        # with the cache cleared versus fully warm.
-        link = SymBeeLink(tx_power_dbm=-89.0)
-        FRAME_WAVEFORM_CACHE.clear()
-        cold = measure_link(link, np.random.default_rng(5), n_frames=6)
-        warm = measure_link(link, np.random.default_rng(5), n_frames=6)
-        assert _stats_tuple(cold) == _stats_tuple(warm)
 
 
 class TestNetworkDeterminism:

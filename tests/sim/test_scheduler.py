@@ -90,39 +90,33 @@ class TestOrdering:
         assert len(scheduler) == 6
 
 
+def _stream(scheduler, *key):
+    """A fresh generator over stream ``key``, the sequence a drawer serves."""
+    return np.random.default_rng(scheduler.seed_for(*key))
+
+
 class TestRngStreams:
     def test_same_key_same_stream(self):
         a = EventScheduler(seed=7)
         b = EventScheduler(seed=7)
-        assert a.rng("node", 3).random() == b.rng("node", 3).random()
+        assert _stream(a, "node", 3).random() == _stream(b, "node", 3).random()
 
     def test_different_keys_differ(self):
         scheduler = EventScheduler(seed=7)
-        x = scheduler.rng("node", 1).random()
-        y = scheduler.rng("node", 2).random()
+        x = _stream(scheduler, "node", 1).random()
+        y = _stream(scheduler, "node", 2).random()
         assert x != y
 
     def test_streams_are_order_independent(self):
         a = EventScheduler(seed=11)
         b = EventScheduler(seed=11)
         # Touch streams in opposite orders; each stream's draws match.
-        first_a = a.rng("m", 1).random()
-        second_a = a.rng("m", 2).random()
-        second_b = b.rng("m", 2).random()
-        first_b = b.rng("m", 1).random()
+        first_a = a.drawer(("m", 1), "random")()
+        second_a = a.drawer(("m", 2), "random")()
+        second_b = b.drawer(("m", 2), "random")()
+        first_b = b.drawer(("m", 1), "random")()
         assert first_a == first_b
         assert second_a == second_b
-
-    def test_rng_is_cached_not_restarted(self):
-        scheduler = EventScheduler(seed=3)
-        stream = scheduler.rng("x")
-        # Same object on re-lookup: successive draws continue the stream
-        # rather than replaying it from the seed.
-        assert scheduler.rng("x") is stream
-        reference = EventScheduler(seed=3).rng("x")
-        reference.random()
-        stream.random()
-        assert stream.random() == reference.random()
 
     def test_seed_for_matches_numpy_spawn_convention(self):
         scheduler = EventScheduler(seed=5)
@@ -183,7 +177,7 @@ class TestDrawers:
     @pytest.mark.parametrize("method,args", DRAWN)
     def test_block_draws_equal_scalar_draws(self, method, args):
         draw = EventScheduler(seed=4).drawer(("k", 2), method, *args)
-        scalar = getattr(EventScheduler(seed=4).rng("k", 2), method)
+        scalar = getattr(_stream(EventScheduler(seed=4), "k", 2), method)
         n = 3 * DRAW_BLOCK + 5  # across three block boundaries
         drawn = [draw() for _ in range(n)]
         assert drawn == [scalar(*args) for _ in range(n)]
@@ -191,7 +185,7 @@ class TestDrawers:
 
     def test_scaled_standard_exponential_is_exponential(self):
         draw = EventScheduler(seed=9).drawer(("e",), "standard_exponential")
-        reference = EventScheduler(seed=9).rng("e")
+        reference = _stream(EventScheduler(seed=9), "e")
         means = np.random.default_rng(1).uniform(1e-3, 200.0, 500).tolist()
         for mean in means:
             assert mean * draw() == float(reference.exponential(mean))
@@ -208,26 +202,13 @@ class TestDrawers:
     )
     def test_bad_key_parts_raise_after_a_good_one_is_cached(self, part, error):
         scheduler = EventScheduler()
-        scheduler.rng("x", 1)
         scheduler.drawer(("y", 1), "random")
         with pytest.raises(error):
-            scheduler.rng("x", part)
+            scheduler.seed_for("x", part)
         with pytest.raises(error):
             scheduler.drawer(("y", part), "random")
         with pytest.raises(error):
             scheduler.draws("y", "random")[part]
-
-    def test_block_drawn_key_is_refused_by_rng(self):
-        scheduler = EventScheduler()
-        scheduler.drawer(("deliver", 0), "random")()
-        with pytest.raises(RuntimeError, match="drawer"):
-            scheduler.rng("deliver", 0)
-
-    def test_rng_key_is_refused_by_drawer(self):
-        scheduler = EventScheduler()
-        scheduler.rng("deliver", 0)
-        with pytest.raises(RuntimeError, match="rng"):
-            scheduler.drawer(("deliver", 0), "random")
 
     def test_one_stream_serves_one_distribution(self):
         scheduler = EventScheduler()

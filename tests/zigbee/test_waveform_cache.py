@@ -1,97 +1,50 @@
-"""Frame-waveform LRU cache and the O-QPSK segment-table fast path.
+"""O-QPSK frame synthesis: the segment-table fast path, fresh renders.
 
-Both layers are pure optimizations: everything here asserts exact
-sample-level equality against the uncached / chip-by-chip reference.
+The segment table is a pure optimization, asserted sample-exact against
+chip-by-chip rendering.  Frames themselves are not memoized: every
+render returns a new array, and sending frames retains none of them.
 """
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.core.link import link_at_snr
 from repro.zigbee.dsss import spread
 from repro.zigbee.oqpsk import OqpskModulator
 from repro.zigbee.transmitter import ZigBeeTransmitter
-from repro.zigbee.waveform_cache import (
-    FRAME_WAVEFORM_CACHE,
-    LruWaveformCache,
-)
 
 
-@pytest.fixture(autouse=True)
-def _clean_frame_cache():
-    FRAME_WAVEFORM_CACHE.clear()
-    yield
-    FRAME_WAVEFORM_CACHE.clear()
-
-
-class TestLruWaveformCache:
-    def test_miss_then_hit(self):
-        cache = LruWaveformCache(maxsize=4)
-        calls = []
-        compute = lambda: calls.append(1) or np.arange(3.0)
-        a = cache.get_or_compute("k", compute)
-        b = cache.get_or_compute("k", compute)
-        assert len(calls) == 1
-        assert a is b
-        assert cache.cache_info() == {
-            "hits": 1, "misses": 1, "size": 1, "maxsize": 4,
-        }
-
-    def test_entries_are_read_only(self):
-        cache = LruWaveformCache(maxsize=2)
-        entry = cache.get_or_compute("k", lambda: np.zeros(4))
-        with pytest.raises(ValueError):
-            entry[0] = 1.0
-
-    def test_lru_eviction_order(self):
-        cache = LruWaveformCache(maxsize=2)
-        cache.put("a", np.zeros(1))
-        cache.put("b", np.zeros(1))
-        cache.get("a")          # 'b' is now least recently used
-        cache.put("c", np.zeros(1))
-        assert cache.get("b") is None
-        assert cache.get("a") is not None
-        assert cache.get("c") is not None
-
-    def test_maxsize_zero_disables_caching(self):
-        cache = LruWaveformCache(maxsize=0)
-        calls = []
-        compute = lambda: calls.append(1) or np.zeros(2)
-        cache.get_or_compute("k", compute)
-        cache.get_or_compute("k", compute)
-        assert len(calls) == 2
-        assert len(cache) == 0
-
-    def test_size_from_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WAVEFORM_CACHE_SIZE", "5")
-        assert LruWaveformCache().maxsize == 5
-        monkeypatch.setenv("REPRO_WAVEFORM_CACHE_SIZE", "nonsense")
-        assert LruWaveformCache().maxsize == 64
-
-
-class TestTransmitterFrameCache:
-    def test_cached_frame_equals_fresh_render(self):
+class TestTransmitterRender:
+    def test_two_renders_are_equal_and_distinct(self):
         tx = ZigBeeTransmitter(tx_power_dbm=-10.0)
         psdu = bytes(range(12))
-        cached = tx.waveform_for_psdu(psdu)      # populates the cache
-        hit = tx.waveform_for_psdu(psdu)         # served from the cache
-        FRAME_WAVEFORM_CACHE.clear()
-        fresh = tx.waveform_for_psdu(psdu)       # full re-render
-        assert hit is cached
-        assert np.array_equal(fresh, cached)
+        first = tx.waveform_for_psdu(psdu)
+        second = tx.waveform_for_psdu(psdu)
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        assert first.flags.writeable and second.flags.writeable
 
-    def test_key_separates_power_and_channel(self):
-        psdu = b"\x01\x02\x03"
-        quiet = ZigBeeTransmitter(tx_power_dbm=-30.0).waveform_for_psdu(psdu)
-        loud = ZigBeeTransmitter(tx_power_dbm=0.0).waveform_for_psdu(psdu)
-        assert not np.array_equal(quiet, loud)
-        assert FRAME_WAVEFORM_CACHE.cache_info()["size"] == 2
 
-    def test_transmit_reuses_cache_for_repeated_frames(self):
-        tx = ZigBeeTransmitter()
-        tx.transmit(b"\xAA\xBB", sequence=7)
-        before = FRAME_WAVEFORM_CACHE.cache_info()["hits"]
-        tx.transmit(b"\xAA\xBB", sequence=7)
-        assert FRAME_WAVEFORM_CACHE.cache_info()["hits"] == before + 1
+class TestSynthesisKeepsNoFrames:
+    def test_random_payload_frames_are_not_retained(self):
+        link = link_at_snr(6.0)
+        rng = np.random.default_rng(37)
+        # One frame first, so the segment and mixer tables are built
+        # before tracing starts.
+        link.send_bits(rng.integers(0, 2, 64), rng)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for _ in range(24):
+                link.send_bits(rng.integers(0, 2, 64), rng)
+            gc.collect()
+            grown, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grown < 2_000_000, f"synthesis kept {grown / 1e6:.2f} MB"
 
 
 class TestSegmentTableEquivalence:
